@@ -196,6 +196,10 @@ class BlockchainSystem:
             raise ValueError("confirm_latency_ticks must be >= 1")
         self.chain_id = chain_id
         self.nodes: dict[str, bool] = {nid: True for nid in node_ids}
+        # cached for quorum_met: the population is fixed, and liveness
+        # changes only through set_node_live
+        self._threshold = ceil(quorum_fraction * len(self.nodes))
+        self._live = len(self.nodes)
         self.gateway_ids = list(gateway_ids)
         self.regime = regime
         self.quorum_fraction = quorum_fraction
@@ -212,21 +216,31 @@ class BlockchainSystem:
 
     def quorum_threshold(self) -> int:
         """Minimum confirming nodes, against total registered population."""
-        return ceil(self.quorum_fraction * len(self.nodes))
+        return self._threshold
 
     def live_node_ids(self) -> list[str]:
         return sorted(nid for nid, live in self.nodes.items() if live)
 
     def live_count(self) -> int:
-        return sum(1 for live in self.nodes.values() if live)
+        return self._live
 
     def set_node_live(self, node_id: str, live: bool) -> None:
         if node_id not in self.nodes:
             raise NotFound(f"unknown node {node_id}")
+        if self.nodes[node_id] != live:
+            self._live += 1 if live else -1
         self.nodes[node_id] = live
 
     def quorum_met(self) -> bool:
-        return self.live_count() >= self.quorum_threshold()
+        return self._live >= self._threshold
+
+    def next_confirm_tick(self) -> Optional[int]:
+        """Earliest tick at which advance_consensus can confirm anything,
+        given the current liveness; None when nothing can.  Pending units
+        are in submission order, so the first one matures first."""
+        if not self.pending or not self.quorum_met():
+            return None
+        return self.pending[0].submitted_tick + self.confirm_latency_ticks
 
     # -- write path ----------------------------------------------------
 
@@ -255,7 +269,7 @@ class BlockchainSystem:
         """Confirm every pending unit that has aged past the confirm
         latency, provided the live population meets quorum.  Returns the
         newly confirmed entries in submission order."""
-        if not self.quorum_met():
+        if not self.pending or not self.quorum_met():
             return []
         confirming = tuple(self.live_node_ids())
         confirmed: list[LedgerEntry] = []

@@ -1,7 +1,8 @@
 """Simulation orchestrator: builds the world from a scenario config,
 drives the tick loop, collects workload outcomes.
 
-Per-tick phases, in contractual order (golden logs depend on it):
+Per-tick phases of run_tick, in contractual order (golden logs depend
+on it):
   1. drain every event due this tick (deliveries, timers, faults,
      probes), including events those events schedule for the same tick;
   2. consensus phase: chains in id order confirm aged pending units
@@ -11,9 +12,37 @@ Per-tick phases, in contractual order (golden logs depend on it):
      consensus phase just told them;
   4. reservation expiry sweep.
 
+The loop is event-driven.  It processes tick 0, and after each
+processed tick t it moves the clock straight to max(t + 1, w), where w
+is the earliest wake-up:
+  * the next queued event;
+  * for each chain that is not partitioned and meets quorum, the tick
+    its oldest pending unit matures (submitted_tick + confirm latency);
+  * the earliest deadline_tick + 1 of a transfer that is not terminal,
+    the tick on which the step phase aborts it;
+  * the earliest expiry_tick of a reserved payment path.
+With no wake-up left the clock moves past the horizon.
+
+Skipping the ticks in between is safe because no phase can act on
+them.  Nothing is queued for them.  A chain confirms nothing before its
+wake-up unless its partition or quorum changes, and both change only
+through queued fault events.  A transfer steps forward on the tick that
+drain or consensus changes its state, which is a processed tick, or on
+its deadline wake-up.  The step-phase actions that can fail and be
+retried (a vouch that raised InsufficientGateways, the _try_finalize
+retry, _repair_pairing) only change outcome when gateway or node
+liveness changes, and liveness too changes only through queued fault
+events.  No reservation expires between expiry wake-ups.  So a skipped
+tick would log nothing and draw nothing from the RNG, and the log is
+the one a loop over every tick writes; tests/test_engine.py checks
+that.
+
 The run ends at quiescence (no queued events, no pending units, all
 workload terminal, no open reservations) or at the horizon, whichever
-comes first.
+comes first; end_tick is that tick.  The resolver dump that closes the
+log is stamped with the clock, and a run that does not quiesce may have
+processed its last tick well before the horizon, so finish sets the
+clock to end_tick first, where a loop over every tick leaves it.
 """
 
 from __future__ import annotations
@@ -51,7 +80,7 @@ from .report import AuditResult, RunReport
 from .scenario import ScenarioConfig, SubCfg
 from .simnet import EventKind, FaultKind, FaultSpec, SimNet, fmt_detail
 from .survivor import SubTxn, SurvivorLayer
-from .valuenet import Connector, PathState, ValueNetwork
+from .valuenet import Connector, ValueNetwork
 
 logger = logging.getLogger(__name__)
 
@@ -388,41 +417,42 @@ class Simulation:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> RunReport:
+        horizon = self.config.horizon
         tick = 0
-        while tick <= self.config.horizon:
-            self.events_executed += self.net.drain(tick)
-            for cid in sorted(self.chains):
-                if self.net.chain_partitioned(cid):
-                    continue
-                for entry in self.chains[cid].advance_consensus(tick):
-                    self.net.record("ledger", f"{cid}/{entry.local_ref}", fmt_detail(
-                        ("confirm", entry.kind),
-                        ("submitted", entry.submitted_tick),
-                        ("nodes", len(entry.confirming_nodes))))
-                    self.survivor.on_confirmed(cid, entry)
-                    self.transfers.on_confirmed(cid, entry)
-            self.transfers.step_all(tick)
-            for pid in self.valuenet.expire(tick):
-                self.net.record("path", pid, "state=EXPIRED")
+        while tick <= horizon:
+            self.events_executed += run_tick(self.net, self.chains, self.survivor,
+                                              self.transfers, self.valuenet, tick)
             if self._quiescent():
                 break
-            tick += 1
-        self.end_tick = min(tick, self.config.horizon)
-        self._emit_resolver_dump()
-        return self._assemble_report()
+            wake = self._next_wake()
+            tick = horizon + 1 if wake is None else max(tick + 1, wake)
+        return self.finish(min(tick, horizon))
+
+    def _next_wake(self) -> Optional[int]:
+        """Earliest tick at which some phase can act (see the module
+        docstring), or None when none can until a fault changes that."""
+        wakes = [chain.next_confirm_tick() for cid, chain in self.chains.items()
+                 if not self.net.chain_partitioned(cid)]
+        wakes.append(self.net.next_event_tick())
+        deadline = self.transfers.next_deadline()
+        wakes.append(None if deadline is None else deadline + 1)
+        wakes.append(self.valuenet.next_expiry())
+        return min((w for w in wakes if w is not None), default=None)
 
     def _quiescent(self) -> bool:
-        if self.net.has_events():
-            return False
-        if any(c.pending for c in self.chains.values()):
-            return False
-        if not self.survivor.all_terminal():
-            return False
-        if any(not t.terminal() for t in self.transfers.transfers.values()):
-            return False
-        if any(p.state == PathState.RESERVED for p in self.valuenet.paths.values()):
-            return False
-        return True
+        return (not self.net.has_events()
+                and not any(c.pending for c in self.chains.values())
+                and self.survivor.all_terminal()
+                and self.transfers.next_deadline() is None
+                and self.valuenet.next_expiry() is None)
+
+    def finish(self, end_tick: int) -> RunReport:
+        """End-of-run steps: set end_tick and the clock to it, log the
+        resolver dump and assemble the report."""
+        self.end_tick = end_tick
+        self.net.now = end_tick
+        self._emit_resolver_dump()
+        return self._assemble_report()
 
     def _emit_resolver_dump(self) -> None:
         for line in self.resolver.dump_lines():
@@ -484,6 +514,27 @@ class Simulation:
                 "state": path.state.value, "tick": path.final_tick,
                 "amount_out": str(path.amount_out), "denom_out": path.denom_out,
                 "route": path.route_ids()}
+
+
+def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
+             survivor: SurvivorLayer, transfers: TransferEngine,
+             valuenet: ValueNetwork, tick: int) -> int:
+    """Run the four phases of one tick; returns the events executed."""
+    executed = net.drain(tick)
+    for cid in sorted(chains):
+        if net.chain_partitioned(cid):
+            continue
+        for entry in chains[cid].advance_consensus(tick):
+            net.record("ledger", f"{cid}/{entry.local_ref}", fmt_detail(
+                ("confirm", entry.kind),
+                ("submitted", entry.submitted_tick),
+                ("nodes", len(entry.confirming_nodes))))
+            survivor.on_confirmed(cid, entry)
+            transfers.on_confirmed(cid, entry)
+    transfers.step_all(tick)
+    for pid in valuenet.expire(tick):
+        net.record("path", pid, "state=EXPIRED")
+    return executed
 
 
 def run_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> tuple[RunReport, Simulation]:

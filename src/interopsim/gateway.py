@@ -19,6 +19,7 @@ single-byte tamper of the claim invalidates every signature.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -338,7 +339,8 @@ class TransferEngine:
 
     All state transitions are logged; the engine's per-tick step phase
     calls step_all after consensus so confirmations observed this tick
-    can be acted on this tick.
+    can be acted on this tick.  Only transfers that are not terminal are
+    stepped, and confirmations find their transfer by (chain, local_ref).
     """
 
     def __init__(self, net, chains: dict, registry: GatewayRegistry,
@@ -353,6 +355,13 @@ class TransferEngine:
         self.transfers: dict[str, CrossDomainTransfer] = {}
         self.order: list[str] = []
         self.locks: dict[tuple[str, str], str] = {}
+        # not yet terminal, in initiation order; pruned by step_all
+        self._open: list[CrossDomainTransfer] = []
+        # (deadline_tick, initiation index, transfer); terminal ones are
+        # dropped lazily by next_deadline
+        self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
+        # (chain, local_ref) of every lock and record -> its transfer
+        self._by_ref: dict[tuple[str, str], CrossDomainTransfer] = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -392,7 +401,9 @@ class TransferEngine:
             deadline_tick, agreement.agreement_id,
             src_gw.gateway_id, dst_gw.gateway_id)
         self.transfers[transfer_id] = transfer
+        heapq.heappush(self._deadlines, (deadline_tick, len(self.order), transfer))
         self.order.append(transfer_id)
+        self._open.append(transfer)
         self._log(transfer, src_gw.gateway_id,
                   f"gw={transfer.paired_source}:{transfer.paired_dest}"
                   f" deadline={deadline_tick}")
@@ -412,6 +423,7 @@ class TransferEngine:
             idempotency_key=f"lock:{transfer_id}")
         receipt = chain.submit(unit, src_gw.gateway_id, now, kind=ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
+        self._by_ref[(source_chain, receipt.local_ref)] = transfer
         self.net.record("ledger", f"{source_chain}/{receipt.local_ref}",
                         f"submit kind=lock transfer={transfer_id}")
         return transfer
@@ -419,29 +431,39 @@ class TransferEngine:
     # -- confirmation callbacks ----------------------------------------
 
     def on_confirmed(self, chain_id: str, entry: LedgerEntry) -> None:
-        for tid in self.order:
-            t = self.transfers[tid]
-            if (chain_id == t.source_chain and entry.local_ref == t.lock_ref
-                    and not t.lock_confirmed):
-                t.lock_confirmed = True
-                if t.state == TransferState.INITIATED and not t.terminal():
-                    t.state = TransferState.SOURCE_LOCKED
-                    self._log(t, t.paired_source)
-            elif (chain_id == t.dest_chain and entry.local_ref == t.record_ref
-                    and not t.record_confirmed):
-                t.record_confirmed = True
-                if t.state == TransferState.ABORTED:
-                    # aborted before the record landed: tombstone it now
-                    self._void_record(t)
-                elif t.state == TransferState.SOURCE_LOCKED and not t.terminal():
-                    t.state = TransferState.DEST_RECORDED
-                    self._log(t, t.paired_dest)
+        t = self._by_ref.get((chain_id, entry.local_ref))
+        if t is None:
+            return
+        if (chain_id == t.source_chain and entry.local_ref == t.lock_ref
+                and not t.lock_confirmed):
+            t.lock_confirmed = True
+            if t.state == TransferState.INITIATED and not t.terminal():
+                t.state = TransferState.SOURCE_LOCKED
+                self._log(t, t.paired_source)
+        elif (chain_id == t.dest_chain and entry.local_ref == t.record_ref
+                and not t.record_confirmed):
+            t.record_confirmed = True
+            if t.state == TransferState.ABORTED:
+                # aborted before the record landed: tombstone it now
+                self._void_record(t)
+            elif t.state == TransferState.SOURCE_LOCKED and not t.terminal():
+                t.state = TransferState.DEST_RECORDED
+                self._log(t, t.paired_dest)
 
     # -- per-tick driving ----------------------------------------------
 
     def step_all(self, now: int) -> None:
-        for tid in self.order:
-            self.step(self.transfers[tid], now)
+        for t in self._open:
+            self.step(t, now)
+        self._open = [t for t in self._open if not t.terminal()]
+
+    def next_deadline(self) -> Optional[int]:
+        """Earliest deadline_tick of a transfer that is not terminal, or
+        None when every transfer is terminal."""
+        heap = self._deadlines
+        while heap and heap[0][2].terminal():
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self, t: CrossDomainTransfer, now: int) -> None:
         if t.terminal():
@@ -504,6 +526,7 @@ class TransferEngine:
             intended_peer=t.beneficiary)
         receipt = chain.submit(unit, t.paired_dest, now, kind=ENTRY_KIND_RECORD)
         t.record_ref = receipt.local_ref
+        self._by_ref[(t.dest_chain, receipt.local_ref)] = t
         self.net.record("ledger", f"{t.dest_chain}/{receipt.local_ref}",
                         f"submit kind=record transfer={t.transfer_id}")
 

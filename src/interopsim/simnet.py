@@ -154,14 +154,34 @@ class SimNet:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, kind: EventKind, subject: str, action: Callable[[], None],
-                 delay: int, detail: str = "") -> SimEvent:
-        """Queue an event delay ticks from now; returns it for cancellation."""
-        assert delay >= 0, "cannot schedule into the past"
+    def _push(self, kind: EventKind, subject: str, action: Callable[[], None],
+              delay: int, detail: str) -> SimEvent:
         ev = SimEvent(self.now + delay, self._next_event_seq, kind, subject, action, detail)
         self._next_event_seq += 1
         heapq.heappush(self._queue, (ev.tick, ev.seq, ev))
         return ev
+
+    def _push_delivery(self, subject: str, action: Callable[[], None], detail: str,
+                       delay: int, route: str, blocked: Callable[[], bool]) -> SimEvent:
+        """Queue a delivery that is logged and run at execution time, or
+        logged as a drop when blocked() holds then."""
+        if detail:
+            route += f" {detail}"
+
+        def run():
+            if blocked():
+                self.record("drop", subject, route)
+                return
+            self.record(EventKind.DELIVER.value, subject, route)
+            action()
+
+        return self._push(EventKind.DELIVER, subject, run, delay, detail)
+
+    def schedule(self, kind: EventKind, subject: str, action: Callable[[], None],
+                 delay: int, detail: str = "") -> SimEvent:
+        """Queue an event delay ticks from now; returns it for cancellation."""
+        assert delay >= 0, "cannot schedule into the past"
+        return self._push(kind, subject, action, delay, detail)
 
     def deliver(self, src_chain: str, dst_chain: str, subject: str,
                 action: Callable[[], None], detail: str = "",
@@ -171,40 +191,18 @@ class SimNet:
         delay = self.inter_chain_latency + extra_delay
         if self.latency_jitter:
             delay += self.rng.randint(0, self.latency_jitter)
-
-        def run():
-            if self.delivery_blocked(src_chain, dst_chain):
-                self.record("drop", subject, fmt_detail(("src", src_chain), ("dst", dst_chain)) +
-                            (f" {detail}" if detail else ""))
-                return
-            self.record(EventKind.DELIVER.value, subject,
-                        fmt_detail(("src", src_chain), ("dst", dst_chain)) +
-                        (f" {detail}" if detail else ""))
-            action()
-
-        ev = SimEvent(self.now + delay, self._next_event_seq, EventKind.DELIVER, subject, run, detail)
-        self._next_event_seq += 1
-        heapq.heappush(self._queue, (ev.tick, ev.seq, ev))
-        return ev
+        return self._push_delivery(
+            subject, action, detail, delay,
+            fmt_detail(("src", src_chain), ("dst", dst_chain)),
+            lambda: self.delivery_blocked(src_chain, dst_chain))
 
     def local_deliver(self, chain_id: str, subject: str, action: Callable[[], None],
                       detail: str = "", delay: int = 0) -> SimEvent:
         """App-to-chain submission path: no transport latency, but still
         dropped silently when the chain is partitioned at execution."""
-
-        def run():
-            if chain_id in self.partitioned_chains:
-                self.record("drop", subject, fmt_detail(("dst", chain_id)) +
-                            (f" {detail}" if detail else ""))
-                return
-            self.record(EventKind.DELIVER.value, subject, fmt_detail(("dst", chain_id)) +
-                        (f" {detail}" if detail else ""))
-            action()
-
-        ev = SimEvent(self.now + delay, self._next_event_seq, EventKind.DELIVER, subject, run, detail)
-        self._next_event_seq += 1
-        heapq.heappush(self._queue, (ev.tick, ev.seq, ev))
-        return ev
+        return self._push_delivery(
+            subject, action, detail, delay, fmt_detail(("dst", chain_id)),
+            lambda: chain_id in self.partitioned_chains)
 
     def timer(self, subject: str, action: Callable[[], None], delay: int,
               detail: str = "") -> SimEvent:
@@ -315,7 +313,7 @@ class SimNet:
         return self.log.append(self.now, kind, subject, detail)
 
     def has_events(self) -> bool:
-        return any(not ev.cancelled for _, _, ev in self._queue)
+        return self.next_event_tick() is not None
 
     def next_event_tick(self) -> Optional[int]:
         while self._queue and self._queue[0][2].cancelled:

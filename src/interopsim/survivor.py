@@ -87,6 +87,7 @@ class SurvivorLayer:
         self.chains = chains
         self.txns: dict[str, AppTransaction] = {}
         self._by_key: dict[str, tuple[str, str]] = {}
+        self._open = 0  # transactions not yet terminal
 
     # -- submission ----------------------------------------------------
 
@@ -103,6 +104,7 @@ class SurvivorLayer:
                         f"unit is {sub.unit.semantic_type.value}")
         txn = AppTransaction(txn_id, {s.sub_id: s for s in subs})
         self.txns[txn_id] = txn
+        self._open += 1
         for sub in subs:
             self._by_key[sub.unit.idempotency_key] = (txn_id, sub.sub_id)
             self._start_attempt(txn, sub, now)
@@ -192,6 +194,7 @@ class SurvivorLayer:
             txn.state = TXN_CONFIRMED
         else:
             return
+        self._open -= 1
         txn.final_tick = now
         self.net.record("txn", txn.txn_id,
                         f"state={txn.state} attempts={self._attempt_count(txn)}")
@@ -224,4 +227,4 @@ class SurvivorLayer:
         return self.txns[txn_id]
 
     def all_terminal(self) -> bool:
-        return all(t.terminal() for t in self.txns.values())
+        return self._open == 0

@@ -12,7 +12,8 @@ already held for unsettled reservations; an overloaded connector simply
 rejects the new request and the whole path build fails without residue.
 
 Reservations expire reservation_ttl ticks after they are made; the
-expiry sweep releases them at the tick boundary.
+expiry sweep releases them at the tick boundary.  A heap of expiry ticks
+lets the sweep and next_expiry touch only reservations that are due.
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ class ValueNetwork:
         self.connectors = {c.connector_id: c for c in connectors}
         self.reservation_ttl = reservation_ttl
         self.paths: dict[str, PaymentPath] = {}
+        # (expiry_tick, path_id) per reservation; entries whose path is no
+        # longer RESERVED are dropped lazily
+        self._expiries: list[tuple[int, str]] = []
         # held amounts per (connector, denom) for unsettled reservations
         self.holds: dict[tuple[str, str], Fraction] = {}
         self.credits: dict[tuple[str, str], Fraction] = {}
@@ -204,6 +208,7 @@ class ValueNetwork:
                            amount_in, denom_in, hops[-1].amount_out, denom_out,
                            PathState.RESERVED, now, now + self.reservation_ttl)
         self.paths[path_id] = path
+        heapq.heappush(self._expiries, (path.expiry_tick, path_id))
         return path
 
     # -- settlement ----------------------------------------------------
@@ -251,14 +256,23 @@ class ValueNetwork:
         path.final_tick = now
 
     def expire(self, now: int) -> list[str]:
-        """Tick-boundary sweep; returns the ids just expired."""
+        """Tick-boundary sweep; returns the ids just expired, sorted."""
         out = []
-        for pid in sorted(self.paths):
+        while self._expiries and self._expiries[0][0] <= now:
+            _, pid = heapq.heappop(self._expiries)
             path = self.paths[pid]
             if path.state == PathState.RESERVED and now >= path.expiry_tick:
                 self._expire_path(path, now)
                 out.append(pid)
-        return out
+        return sorted(out)
+
+    def next_expiry(self) -> Optional[int]:
+        """Earliest expiry_tick of a RESERVED path, or None when no path
+        is reserved."""
+        heap = self._expiries
+        while heap and self.paths[heap[0][1]].state != PathState.RESERVED:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     # -- audit helpers -------------------------------------------------
 

@@ -24,9 +24,12 @@ from interopsim.gateway import (
     PeeringRegistry,
     TransferEngine,
 )
+from interopsim.engine import run_tick
 from interopsim.identity import Resolver
 from interopsim.scenario import load_scenario
 from interopsim.simnet import SimNet
+from interopsim.survivor import SurvivorLayer
+from interopsim.valuenet import ValueNetwork
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -92,7 +95,8 @@ def confirm_unit(chain, unit, credential="anon", submit_tick=0):
 
 class TransferWorld:
     """Two asset-registry chains joined by a peering, with a seeded
-    asset and a transfer engine, all driven by hand."""
+    asset and a transfer engine, driven tick by tick through the
+    engine's run_tick with an empty survivor layer and value network."""
 
     def __init__(self, seed=1, gateways=3, latency=3, threshold=2,
                  inter_chain_latency=2, fee="2"):
@@ -120,6 +124,8 @@ class TransferWorld:
         self.engine = TransferEngine(
             self.net, self.chains, self.registry, self.resolver,
             self.peerings, {"bc1": threshold, "bc2": threshold})
+        self.survivor = SurvivorLayer(self.net, self.chains)
+        self.valuenet = ValueNetwork({}, [])
         from interopsim.gateway import verify_attestation
         self.resolver.set_verifier(
             lambda att: verify_attestation(att, self.registry))
@@ -140,15 +146,10 @@ class TransferWorld:
         return self.resolver.mint_cross_id(chain, entry.local_ref, 0)
 
     def run_until(self, end_tick):
-        """Replicate the engine's per-tick phases for hand-built worlds."""
+        """Run every tick from the clock's current one to end_tick."""
         for tick in range(self.net.now, end_tick + 1):
-            self.net.drain(tick)
-            for cid in sorted(self.chains):
-                if self.net.chain_partitioned(cid):
-                    continue
-                for entry in self.chains[cid].advance_consensus(tick):
-                    self.engine.on_confirmed(cid, entry)
-            self.engine.step_all(tick)
+            run_tick(self.net, self.chains, self.survivor, self.engine,
+                     self.valuenet, tick)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 from interopsim import cli
 from interopsim.report import AuditResult
 
-from conftest import SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,15 @@ class TestParser:
 
     def test_console_script_entry_point_is_declared(self):
         import importlib.metadata as md
+        try:
+            md.distribution("interopsim")
+        except md.PackageNotFoundError:
+            # run from a source tree: read the declaration instead
+            import tomllib
+            with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+                scripts = tomllib.load(fh)["project"]["scripts"]
+            assert scripts == {"interopsim": "interopsim.cli:main"}
+            return
         eps = md.entry_points(group="console_scripts")
         ours = [e for e in eps if e.name == "interopsim"]
         assert ours and ours[0].value == "interopsim.cli:main"

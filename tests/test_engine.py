@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from interopsim.engine import run_scenario
+from interopsim.engine import Simulation, run_scenario, run_tick
 from interopsim.gateway import TransferState
 from interopsim.scenario import load_scenario, parse_scenario
+from interopsim.simnet import SimNet
 
 from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, bundled
+from test_acceptance import _random_fault_config
 
 
 def log_lines(sim, kind=None, subject=None):
@@ -210,3 +212,112 @@ class TestBundledAuditsAndDeterminism:
         report_a, _ = run_scenario(bundled(name))
         report_b, _ = run_scenario(bundled(name))
         assert report_a.to_json() == report_b.to_json()
+
+
+# -- event-driven loop ------------------------------------------------
+
+
+def _sparse_world(jitter=0):
+    """Four chains: one app transaction at tick 0, then nothing until a
+    transfer initiated at tick 240 of a 300-tick horizon."""
+    chains = [{"id": f"bc{i}", "nodes": 4, "gateways": 3, "quorum": "2/3",
+               "confirm_latency": 2, "semantic": "asset-registry"}
+              for i in range(4)]
+    return parse_scenario({
+        "horizon": 300, "seed": 7, "chains": chains,
+        "links": {"latency_jitter": jitter},
+        "peerings": [{"id": "pa1", "chains": ["bc0", "bc1"],
+                      "semantics": ["asset-registry"], "fee": "1"}],
+        "assets": [{"id": "a0", "chain": "bc0", "payload": "deed-0"}],
+        "app_txns": [{"id": "t0", "at": 0,
+                      "subs": [{"id": "s1", "candidates": ["bc2", "bc3"]}]}],
+        "transfers": [{"id": "x0", "at": 240, "asset": "a0", "from": "bc0",
+                       "to": "bc1", "beneficiary": "app_y",
+                       "deadline": 270}]}, name="sparse-small")
+
+
+def _expiring_payments_world():
+    """Reservations that settle, release, expire in the sweep, expire on a
+    late settle, or never get built; plus a probe long after the rest."""
+    denoms = {"pay1": "usd", "pay2": "eur", "pay3": "gbp"}
+    chains = [{"id": cid, "nodes": 3, "gateways": 1, "quorum": "2/3",
+               "confirm_latency": 2, "semantic": "payments", "denom": d}
+              for cid, d in denoms.items()]
+    pay = {"from": "pay1", "to": "pay3", "denom_in": "usd", "denom_out": "gbp"}
+    return parse_scenario({
+        "horizon": 90, "seed": 3, "chains": chains,
+        "valuenet": {"reservation_ttl": 6},
+        "connectors": [
+            {"id": "c1", "chains": ["pay1", "pay2"], "reserves": {"eur": "60"},
+             "rates": [{"from": "usd", "to": "eur", "rate": "5/4"}]},
+            {"id": "c2", "chains": ["pay2", "pay3"], "reserves": {"gbp": "40"},
+             "rates": [{"from": "eur", "to": "gbp", "rate": "4/5"}]}],
+        "payments": [
+            dict(pay, id="p1", at=0, amount="8", settle_after=2),
+            dict(pay, id="p2", at=1, amount="8"),
+            dict(pay, id="p3", at=3, amount="8", release_after=1),
+            dict(pay, id="p4", at=4, amount="8", settle_after=6),
+            dict(pay, id="p5", at=5, amount="90"),
+            dict(pay, id="p6", at=20, amount="8")],
+        "probes": [{"id": "pr1", "at": 70, "chain": "pay2"}]},
+        name="payments-expiry")
+
+
+def _run_every_tick(config, end_tick):
+    """The same world driven through run_tick on every tick up to
+    end_tick, then the same end-of-run steps as Simulation.run."""
+    sim = Simulation(config)
+    for tick in range(end_tick + 1):
+        sim.events_executed += run_tick(sim.net, sim.chains, sim.survivor,
+                                        sim.transfers, sim.valuenet, tick)
+    return sim.finish(end_tick), sim
+
+
+def _skipping_changes(config):
+    """Differences between the event-driven run and the every-tick run."""
+    report, sim = run_scenario(config)
+    ref_report, ref = _run_every_tick(config, sim.end_tick)
+    problems = []
+    if sim.net.log.dumps() != ref.net.log.dumps():
+        problems.append(f"{config.name}: event logs differ")
+    if report.to_json() != ref_report.to_json():
+        problems.append(f"{config.name}: reports differ")
+    return problems
+
+
+class TestEventDrivenLoop:
+    def test_skipping_changes_nothing_on_criterion_3_worlds(self):
+        problems = []
+        for seed in range(100):
+            problems += _skipping_changes(_random_fault_config(seed))
+        assert problems == []
+
+    @pytest.mark.parametrize("jitter", [0, 3])
+    def test_skipping_changes_nothing_on_a_sparse_world(self, jitter):
+        assert _skipping_changes(_sparse_world(jitter)) == []
+
+    def test_skipping_changes_nothing_with_expiring_reservations(self):
+        config = _expiring_payments_world()
+        report, _ = run_scenario(config)
+        states = {pid: p["state"]
+                  for pid, p in report.outcomes["payments"].items()}
+        assert states == {"p1": "SETTLED", "p2": "EXPIRED", "p3": "RELEASED",
+                          "p4": "EXPIRED", "p5": "REJECTED", "p6": "EXPIRED"}
+        assert _skipping_changes(config) == []
+
+    def test_only_wake_up_ticks_are_processed(self, monkeypatch):
+        ticks = []
+        drain = SimNet.drain
+
+        def counting_drain(net, tick):
+            ticks.append(tick)
+            return drain(net, tick)
+
+        monkeypatch.setattr(SimNet, "drain", counting_drain)
+        report, sim = run_scenario(_sparse_world())
+        assert report.outcomes["transfers"]["x0"]["state"] == "FINALIZED"
+        # t0 submits at 0 and confirms at 2, its spent timeout timer fires
+        # at 6; x0 locks 240-242, records 244-246 and finalizes when the
+        # attestation arrives at 248
+        assert ticks == [0, 2, 6, 240, 242, 244, 246, 248]
+        assert sim.net.now == sim.end_tick == 248
