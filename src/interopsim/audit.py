@@ -8,15 +8,12 @@ genuinely violated.
 
 from __future__ import annotations
 
-import logging
 import re
 
 from .chain import CONSENSUS_KINDS
 from .gateway import TransferState, verify_attestation
 from .report import AuditResult
 from .valuenet import PathState
-
-logger = logging.getLogger(__name__)
 
 _LOCAL_REF = re.compile(r"\be\d+\b")
 

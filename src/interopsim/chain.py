@@ -17,7 +17,6 @@ Invariants enforced or surfaced for audit:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -25,8 +24,6 @@ from math import ceil
 from typing import Any, Optional
 
 from .errors import NotFound, PermissionDenied, SemanticMismatch
-
-logger = logging.getLogger(__name__)
 
 
 class SemanticType(str, Enum):
@@ -136,9 +133,6 @@ class Ledger:
             raise ValueError(f"entry {local_ref} already voided")
         self.voids[local_ref] = tick
 
-    def snapshot(self) -> tuple[LedgerEntry, ...]:
-        return tuple(self.entries)
-
     def canonical_lines(self) -> list[str]:
         lines = [e.canonical() for e in self.entries]
         for ref in sorted(self.marks):
@@ -169,7 +163,6 @@ class ChainStatus:
     live_node_count: int
     pending_count: int
     mean_confirm_latency: float
-    reachable: bool
 
 
 @dataclass
@@ -313,7 +306,7 @@ class BlockchainSystem:
         return ReadResult(entry, self.ledger.marks.get(local_ref),
                           local_ref in self.ledger.voids)
 
-    def status(self, now: int, reachable: bool = True) -> ChainStatus:
+    def status(self, now: int) -> ChainStatus:
         """Aggregate, node-anonymous when the regime demands it."""
         if self.regime.node_permissioned:
             advertised = self.live_count()
@@ -323,4 +316,4 @@ class BlockchainSystem:
                 for e in self.ledger.entries if e.kind in CONSENSUS_KINDS]
         mean_lat = sum(lats) / len(lats) if lats else float(self.confirm_latency_ticks)
         return ChainStatus(self.chain_id, advertised, len(self.pending),
-                           round(mean_lat, 2), reachable)
+                           round(mean_lat, 2))

@@ -12,14 +12,11 @@ or unreadable inputs.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 from .errors import ParseError, ValidationError
 from .runner import execute, replay_diff
 from .scenario import load_scenario
-
-logger = logging.getLogger(__name__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,8 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="interopsim",
         description="Deterministic simulator for gateway-mediated "
                     "blockchain interoperability")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="enable debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and audit the result")
@@ -98,9 +93,6 @@ def _print_scenario_error(exc) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
     if args.command == "run":
         return cmd_run(args)
     if args.command == "validate":

@@ -48,14 +48,13 @@ clock to end_tick first, where a loop over every tick leaves it.
 from __future__ import annotations
 
 import hashlib
-import logging
+from functools import partial
 from typing import Optional
 
 from . import audit as audit_mod
 from .chain import (
     BlockchainSystem,
     Directionality,
-    SemanticType,
     TransferUnit,
 )
 from .errors import (
@@ -76,13 +75,11 @@ from .gateway import (
     verify_attestation,
 )
 from .identity import CrossId, Resolver
-from .report import AuditResult, RunReport
-from .scenario import ScenarioConfig, SubCfg
+from .report import RunReport
+from .scenario import ScenarioConfig
 from .simnet import EventKind, FaultKind, FaultSpec, SimNet, fmt_detail
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork
-
-logger = logging.getLogger(__name__)
 
 
 def payload_digest(payload: str) -> str:
@@ -196,184 +193,149 @@ class Simulation:
                 target=tuple(f.chains or f.nodes or f.gateways or f.faults),
                 links=tuple(f.links), until_tick=f.until))
         for t in self.config.app_txns:
-            self.net.timer(t.txn_id, self._app_txn_action(t), t.at,
+            self.net.timer(t.txn_id, partial(self._start_app_txn, t), t.at,
                            detail="start kind=app_txn")
         for x in self.config.transfers:
-            self.net.timer(x.transfer_id, self._transfer_action(x), x.at,
+            self.net.timer(x.transfer_id, partial(self._start_transfer, x), x.at,
                            detail="start kind=transfer")
         for p in self.config.payments:
-            self.net.timer(p.payment_id, self._payment_action(p), p.at,
+            self.net.timer(p.payment_id, partial(self._start_payment, p), p.at,
                            detail="start kind=payment")
         for r in self.config.reads:
-            self.net.timer(r.read_id, self._read_action(r), r.at,
+            self.net.timer(r.read_id, partial(self._start_read, r), r.at,
                            detail="start kind=read")
         for q in self.config.resolves:
-            self.net.timer(q.resolve_id, self._resolve_action(q), q.at,
+            self.net.timer(q.resolve_id, partial(self._start_resolve, q), q.at,
                            detail="start kind=resolve")
         for pr in self.config.probes:
             self.net.schedule(EventKind.PROBE, pr.probe_id,
-                              self._probe_action(pr), pr.at)
+                              partial(self._start_probe, pr), pr.at)
 
     # -- workload actions ----------------------------------------------
 
-    def _app_txn_action(self, cfg):
-        def run():
-            subs = []
-            for s in cfg.subs:
-                semantic = self.chains[s.candidates[0]].semantic_type
-                unit = TransferUnit(payload_digest(s.payload), semantic,
-                                    Directionality.UNI, f"{cfg.txn_id}/{s.sub_id}")
-                subs.append(SubTxn(s.sub_id, unit, list(s.candidates),
-                                   s.timeout, cfg.app))
-            try:
-                self.survivor.submit_app_txn(cfg.txn_id, subs, self.net.now)
-            except InteropError as exc:
-                self.outcomes["app_txns"][cfg.txn_id] = {
-                    "state": "REJECTED", "error": type(exc).__name__}
-                self.net.record("txn", cfg.txn_id,
-                                f"state=REJECTED error={type(exc).__name__}")
-        return run
+    def _attempt(self, step, kind: str, subject: str, section: Optional[str] = None,
+                 state: str = "ERROR", log: str = "state={state} error={error}"):
+        """step() with its InteropError caught: the error is logged under
+        kind and subject and, for a workload section, kept as subject's
+        outcome in state.  Returns step's result, or None on an error."""
+        try:
+            return step()
+        except InteropError as exc:
+            error = type(exc).__name__
+            if section is not None:
+                self.outcomes[section][subject] = {"state": state, "error": error}
+            self.net.record(kind, subject, log.format(state=state, error=error))
+            return None
 
-    def _transfer_action(self, cfg):
-        def run():
-            try:
-                self.transfers.initiate(
-                    cfg.transfer_id, self.assets[cfg.asset], cfg.source,
-                    cfg.dest, cfg.beneficiary, cfg.deadline, self.net.now)
-            except InteropError as exc:
-                self.outcomes["transfers"][cfg.transfer_id] = {
-                    "state": "REJECTED", "error": type(exc).__name__}
-                self.net.record("transfer", cfg.transfer_id,
-                                f"state=REJECTED error={type(exc).__name__}")
-        return run
+    def _start_app_txn(self, cfg):
+        subs = []
+        for s in cfg.subs:
+            semantic = self.chains[s.candidates[0]].semantic_type
+            unit = TransferUnit(payload_digest(s.payload), semantic,
+                                Directionality.UNI, f"{cfg.txn_id}/{s.sub_id}")
+            subs.append(SubTxn(s.sub_id, unit, list(s.candidates), s.timeout, cfg.app))
+        self._attempt(lambda: self.survivor.submit_app_txn(cfg.txn_id, subs, self.net.now),
+                      "txn", cfg.txn_id, "app_txns", "REJECTED")
 
-    def _payment_action(self, cfg):
-        def run():
-            try:
-                path = self.valuenet.build_path(
-                    cfg.payment_id, cfg.source, cfg.dest, cfg.amount,
-                    cfg.denom_in, cfg.denom_out, self.net.now)
-            except InteropError as exc:
-                self.outcomes["payments"][cfg.payment_id] = {
-                    "state": "REJECTED", "error": type(exc).__name__}
-                self.net.record("path", cfg.payment_id,
-                                f"state=REJECTED error={type(exc).__name__}")
-                return
-            self.net.record("path", cfg.payment_id, fmt_detail(
-                ("state", path.state.value),
-                ("route", path.route_ids()),
-                ("amount_in", path.amount_in), ("denom_in", path.denom_in),
-                ("amount_out", path.amount_out), ("denom_out", path.denom_out),
-                ("expiry", path.expiry_tick)))
-            if cfg.settle_after is not None:
-                self.net.timer(cfg.payment_id, self._settle_action(cfg.payment_id),
-                               cfg.settle_after, detail="settle due")
-            elif cfg.release_after is not None:
-                self.net.timer(cfg.payment_id, self._release_action(cfg.payment_id),
-                               cfg.release_after, detail="release due")
-        return run
+    def _start_transfer(self, cfg):
+        self._attempt(lambda: self.transfers.initiate(
+            cfg.transfer_id, self.assets[cfg.asset], cfg.source, cfg.dest,
+            cfg.beneficiary, cfg.deadline, self.net.now),
+            "transfer", cfg.transfer_id, "transfers", "REJECTED")
 
-    def _settle_action(self, path_id):
-        def run():
-            try:
-                path = self.valuenet.settle_path(path_id, self.net.now)
-            except InteropError as exc:
-                self.net.record("path", path_id,
-                                f"state=ERROR error={type(exc).__name__}")
-                return
+    def _start_payment(self, cfg):
+        path = self._attempt(lambda: self.valuenet.build_path(
+            cfg.payment_id, cfg.source, cfg.dest, cfg.amount,
+            cfg.denom_in, cfg.denom_out, self.net.now),
+            "path", cfg.payment_id, "payments", "REJECTED")
+        if path is None:
+            return
+        self.net.record("path", cfg.payment_id, fmt_detail(
+            ("state", path.state.value),
+            ("route", path.route_ids()),
+            ("amount_in", path.amount_in), ("denom_in", path.denom_in),
+            ("amount_out", path.amount_out), ("denom_out", path.denom_out),
+            ("expiry", path.expiry_tick)))
+        if cfg.settle_after is not None:
+            self.net.timer(cfg.payment_id, partial(self._settle, cfg.payment_id),
+                           cfg.settle_after, detail="settle due")
+        elif cfg.release_after is not None:
+            self.net.timer(cfg.payment_id, partial(self._release, cfg.payment_id),
+                           cfg.release_after, detail="release due")
+
+    def _settle(self, path_id):
+        path = self._attempt(lambda: self.valuenet.settle_path(path_id, self.net.now),
+                             "path", path_id)
+        if path is not None:
             self.net.record("path", path_id, fmt_detail(
                 ("state", path.state.value),
                 ("amount_out", path.amount_out), ("denom_out", path.denom_out),
                 ("receiver", path.receiver_chain)))
-        return run
 
-    def _release_action(self, path_id):
-        def run():
-            try:
-                path = self.valuenet.release_path(path_id, self.net.now)
-            except InteropError as exc:
-                self.net.record("path", path_id,
-                                f"state=ERROR error={type(exc).__name__}")
-                return
+    def _release(self, path_id):
+        path = self._attempt(lambda: self.valuenet.release_path(path_id, self.net.now),
+                             "path", path_id)
+        if path is not None:
             self.net.record("path", path_id, f"state={path.state.value}")
-        return run
 
-    def _read_action(self, cfg):
-        def run():
-            now = self.net.now
-            outcome = self.outcomes["reads"]
-            try:
-                cid = self.assets[cfg.asset]
-                pointer = self.resolver.resolve(cid)
-                home = pointer.home_chain
-                if self.net.chain_partitioned(home):
-                    raise Unreachable(f"{home} is partitioned")
-                gw = self.registry.lowest_live(home)
-                if gw is None:
-                    raise Unreachable(f"{home} has no live gateway")
-                grant = self.grants.get(cfg.grant) if cfg.grant else None
-                if grant is None:
-                    raise GrantMismatch("no delegation grant presented")
-                view = mediated_read(gw, self.registry, self.chains[home],
-                                     self.resolver, grant, cid,
-                                     cfg.requester, now)
-            except InteropError as exc:
-                outcome[cfg.read_id] = {"state": "ERROR",
-                                        "error": type(exc).__name__}
-                self.net.record("read", cfg.read_id,
-                                f"result={type(exc).__name__}")
-                return
-            outcome[cfg.read_id] = {
-                "state": "OK", "chain": view.chain_id,
-                "digest": view.payload_digest, "voided": view.voided}
-            self.net.record("read", cfg.read_id, fmt_detail(
-                ("asset", view.cross_id), ("chain", view.chain_id),
-                ("digest", view.payload_digest),
-                ("confirmed", view.confirmed_tick),
-                ("via", view.attestation.signatures[0][0])))
-        return run
+    def _start_read(self, cfg):
+        view = self._attempt(lambda: self._mediated_read(cfg), "read", cfg.read_id,
+                             "reads", log="result={error}")
+        if view is None:
+            return
+        self.outcomes["reads"][cfg.read_id] = {
+            "state": "OK", "chain": view.chain_id,
+            "digest": view.payload_digest, "voided": view.voided}
+        self.net.record("read", cfg.read_id, fmt_detail(
+            ("asset", view.cross_id), ("chain", view.chain_id),
+            ("digest", view.payload_digest),
+            ("confirmed", view.confirmed_tick),
+            ("via", view.attestation.signatures[0][0])))
 
-    def _resolve_action(self, cfg):
-        def run():
-            outcome = self.outcomes["resolves"]
-            try:
-                pointer, endpoints = self.resolve_endpoint(self.assets[cfg.asset])
-            except InteropError as exc:
-                outcome[cfg.resolve_id] = {"state": "ERROR",
-                                           "error": type(exc).__name__}
-                self.net.record("resolve", cfg.resolve_id,
-                                f"result={type(exc).__name__}")
-                return
-            outcome[cfg.resolve_id] = {"state": "OK",
-                                       "home": pointer.home_chain,
-                                       "endpoints": list(endpoints)}
-            self.net.record("resolve", cfg.resolve_id, fmt_detail(
-                ("asset", pointer.asset), ("home", pointer.home_chain),
-                ("endpoints", list(endpoints))))
-        return run
+    def _mediated_read(self, cfg):
+        cid = self.assets[cfg.asset]
+        home = self.resolver.resolve(cid).home_chain
+        if self.net.chain_partitioned(home):
+            raise Unreachable(f"{home} is partitioned")
+        gw = self.registry.lowest_live(home)
+        if gw is None:
+            raise Unreachable(f"{home} has no live gateway")
+        grant = self.grants.get(cfg.grant) if cfg.grant else None
+        if grant is None:
+            raise GrantMismatch("no delegation grant presented")
+        return mediated_read(gw, self.registry, self.chains[home], self.resolver,
+                             grant, cid, cfg.requester, self.net.now)
 
-    def _probe_action(self, cfg):
-        def run():
-            outcome = self.outcomes["probes"]
-            chain = self.chains[cfg.chain]
-            gw = self.registry.lowest_live(cfg.chain)
-            if self.net.chain_partitioned(cfg.chain) or gw is None:
-                outcome[cfg.probe_id] = {"state": "ERROR", "error": "Unreachable"}
-                self.net.record("probe", cfg.probe_id,
-                                f"chain={cfg.chain} result=Unreachable")
-                return
-            status = chain.status(self.net.now, reachable=True)
-            outcome[cfg.probe_id] = {
-                "state": "OK", "live": status.live_node_count,
-                "pending": status.pending_count,
-                "latency": f"{status.mean_confirm_latency:.2f}"}
-            self.net.record("probe", cfg.probe_id, fmt_detail(
-                ("chain", cfg.chain), ("via", gw.gateway_id),
-                ("live", status.live_node_count),
-                ("pending", status.pending_count),
-                ("latency", f"{status.mean_confirm_latency:.2f}"),
-                ("reachable", 1)))
-        return run
+    def _start_resolve(self, cfg):
+        found = self._attempt(lambda: self.resolve_endpoint(self.assets[cfg.asset]),
+                              "resolve", cfg.resolve_id, "resolves", log="result={error}")
+        if found is None:
+            return
+        pointer, endpoints = found
+        self.outcomes["resolves"][cfg.resolve_id] = {
+            "state": "OK", "home": pointer.home_chain, "endpoints": list(endpoints)}
+        self.net.record("resolve", cfg.resolve_id, fmt_detail(
+            ("asset", pointer.asset), ("home", pointer.home_chain),
+            ("endpoints", list(endpoints))))
+
+    def _start_probe(self, cfg):
+        outcome = self.outcomes["probes"]
+        gw = self.registry.lowest_live(cfg.chain)
+        if self.net.chain_partitioned(cfg.chain) or gw is None:
+            outcome[cfg.probe_id] = {"state": "ERROR", "error": "Unreachable"}
+            self.net.record("probe", cfg.probe_id, f"chain={cfg.chain} result=Unreachable")
+            return
+        status = self.chains[cfg.chain].status(self.net.now)
+        outcome[cfg.probe_id] = {
+            "state": "OK", "live": status.live_node_count,
+            "pending": status.pending_count,
+            "latency": f"{status.mean_confirm_latency:.2f}"}
+        self.net.record("probe", cfg.probe_id, fmt_detail(
+            ("chain", cfg.chain), ("via", gw.gateway_id),
+            ("live", status.live_node_count),
+            ("pending", status.pending_count),
+            ("latency", f"{status.mean_confirm_latency:.2f}"),
+            ("reachable", 1)))
 
     # -- synchronous facade (direct API, used by tests) ----------------
 
@@ -400,7 +362,7 @@ class Simulation:
             raise Unreachable(f"{chain_id} is partitioned")
         if self.registry.lowest_live(chain_id) is None and self.chains[chain_id].gateway_ids:
             raise Unreachable(f"{chain_id} has no live gateway")
-        return self.chains[chain_id].status(self.net.now, reachable=True)
+        return self.chains[chain_id].status(self.net.now)
 
     def resolve_endpoint(self, cross_id: CrossId):
         """Resolution as an outside party sees it: pointer plus the home

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -50,8 +49,6 @@ from .errors import (
     Unreachable,
 )
 from .identity import AuthoritativePointer, CrossId
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass

@@ -20,13 +20,10 @@ Invariants surfaced for audit:
 from __future__ import annotations
 
 import base64
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InvalidProof, NotConfirmed, NotFound, StaleAuthority
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,7 @@ class Resolver:
         self.rng = rng
         self._verifier = verifier
         self.chain_paths: dict[str, str] = {}
+        self._path: dict[str, str] = {}  # chain id -> its path
         # per chain: local_ref <-> cross_id
         self._mask: dict[str, dict[str, CrossId]] = {}
         self._unmask: dict[str, dict[CrossId, str]] = {}
@@ -73,6 +71,7 @@ class Resolver:
         if path in self.chain_paths and self.chain_paths[path] != chain_id:
             raise ValueError(f"chain path {path} already registered")
         self.chain_paths[path] = chain_id
+        self._path[chain_id] = path
         self._mask.setdefault(chain_id, {})
         self._unmask.setdefault(chain_id, {})
 
@@ -100,21 +99,13 @@ class Resolver:
             if any(pu.local_ref == local_ref for pu in chain.pending):
                 raise NotConfirmed(f"{local_ref} pending on {chain_id}")
             raise NotFound(f"{local_ref} unknown on {chain_id}")
-        path = self._path_of(chain_id)
-        cid = CrossId(path, self._fresh_suffix())
+        cid = CrossId(self._path[chain_id], self._fresh_suffix())
         self._mask[chain_id][local_ref] = cid
         self._unmask[chain_id][cid] = local_ref
         pointer = AuthoritativePointer(cid, chain_id, None, now)
         self._home[cid] = pointer
         self._history[cid] = [pointer]
         return cid
-
-    def _path_of(self, chain_id: str) -> str:
-        for path, cid in self.chain_paths.items():
-            if cid == chain_id:
-                return path
-        self.register_chain(chain_id)
-        return chain_id
 
     def bind_existing(self, chain_id: str, cross_id: CrossId, local_ref: str) -> None:
         """Register an already-minted asset under a new chain's mask

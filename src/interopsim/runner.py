@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -10,8 +9,6 @@ from typing import Optional, Union
 from .engine import Simulation, run_scenario
 from .report import RunReport
 from .scenario import ScenarioConfig, load_scenario
-
-logger = logging.getLogger(__name__)
 
 RUN_LOG = "run.log"
 REPORT = "report"

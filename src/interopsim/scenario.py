@@ -6,6 +6,11 @@ resolves, probes) plus injected faults.  Validation is collecting: one
 ValidationError carries every problem found, each tagged with the field
 path that caused it.
 
+The schema is one table, built at import: each field of a *Cfg
+dataclass declares how it is read (see Field), and one generic pass,
+_Reader, reads every section through it.  The rules that span fields
+are each dataclass's _check.
+
 Exact amounts (fees, reserves, rates, payment amounts) must be written
 as ints or strings ("2/3", "1.25"); YAML floats are rejected to keep
 the arithmetic rational.  The full schema is documented in
@@ -14,37 +19,270 @@ docs/scenario_format.md.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import yaml
 
 from .chain import PermissionRegime, SemanticType
 from .errors import ParseError, ValidationError
 
-logger = logging.getLogger(__name__)
+_REQUIRED = object()
 
-SEMANTIC_VALUES = {s.value for s in SemanticType}
-FAULT_KINDS = {"partition", "node_crash", "gateway_crash", "heal"}
+
+class _Invalid(Exception):
+    """A value that does not fit its field; the message says why."""
+
+
+# -- converters: (YAML value, minimum) -> field value, or _Invalid -----
+
+def _int(val, minimum=None) -> int:
+    if type(val) is not int:
+        raise _Invalid(f"expected integer, got {val!r}")
+    if minimum is not None and val < minimum:
+        raise _Invalid(f"must be >= {minimum}, got {val}")
+    return val
+
+
+def _str(val, minimum=None) -> str:
+    if type(val) is not str or not val:
+        raise _Invalid(f"expected non-empty string, got {val!r}")
+    return val
+
+
+def _bool(val, minimum=None) -> bool:
+    if type(val) is not bool:
+        raise _Invalid(f"expected true or false, got {val!r}")
+    return val
+
+
+def _fraction(val, minimum=None) -> Fraction:
+    if type(val) is float:
+        raise _Invalid("floats are inexact; write the amount as a string")
+    if type(val) is str and "e" in val.lower():
+        raise _Invalid(f"write {val!r} without an exponent")
+    try:
+        frac = Fraction(val) if type(val) is int else Fraction(str(val))
+    except (ValueError, ZeroDivisionError):
+        raise _Invalid(f"not a rational: {val!r}") from None
+    if minimum is not None and frac < minimum:
+        raise _Invalid(f"must be >= {minimum}, got {frac}")
+    return frac
+
+
+def _enum(choices: dict):
+    def choice(val, minimum=None):
+        if type(val) is str and val in choices:
+            return choices[val]
+        raise _Invalid(f"expected one of {sorted(choices)}, got {val!r}")
+    return choice
+
+
+def _list(elem):
+    return lambda val, minimum=None: [elem(x) for x in _entries(val, minimum)]
+
+
+def _entries(val, minimum=None) -> list:
+    """A YAML list of at least minimum entries."""
+    if type(val) is not list:
+        raise _Invalid(f"expected list, got {type(val).__name__}")
+    if minimum is not None and len(val) < minimum:
+        raise _Invalid(f"expected at least {minimum} entries, got {len(val)}")
+    return val
+
+
+def _positive(val, minimum=None) -> Fraction:
+    frac = _fraction(val)
+    if frac <= 0:
+        raise _Invalid(f"must be positive, got {frac}")
+    return frac
+
+
+def _chain_id(val, minimum=None) -> str:
+    """A chain id, the prefix of its node, gateway and ledger ids."""
+    if type(val) is str and re.fullmatch(r"[A-Za-z0-9_-]+", val):
+        return val
+    raise _Invalid(f"expected ASCII letters, digits, '_' or '-', got {val!r}")
+
+
+def _pair(val, minimum=None) -> tuple[str, str]:
+    if type(val) is list and len(val) == 2 and val[0] != val[1]:
+        return _str(val[0]), _str(val[1])
+    raise _Invalid(f"expected two distinct chain ids, got {val!r}")
+
+
+def _amounts(val, minimum=None) -> dict[str, Fraction]:
+    """A mapping of denom to amount."""
+    if type(val) is not dict:
+        raise _Invalid(f"expected mapping, got {type(val).__name__}")
+    return {_str(d): _fraction(a, minimum) for d, a in val.items()}
+
+
+_SEMANTIC = _enum({s.value: s for s in SemanticType})
+_NAMES = _list(_str)
+
+
+# -- the table -----------------------------------------------------------
+
+class Field(NamedTuple):
+    """How one value is read: from YAML key, by kind (a converter, or a
+    Spec for nested mappings).  default applies when the key is absent
+    or null: _REQUIRED, None (the field is optional), a YAML value, or a
+    function (n, vals, parent) of the item's 1-based index, its values
+    so far and its parent item's values.  minimum bounds a number or a
+    list's length; ref names the section whose ids each value must be
+    among; tick bounds the value by the horizon."""
+
+    key: str
+    kind: Any
+    default: Any = _REQUIRED
+    minimum: Any = None
+    ref: Optional[str] = None
+    tick: bool = False
+
+
+def _yaml(kind, absent=_REQUIRED, minimum=None, ref=None, tick=False,
+          key=None, **dataclass_default):
+    """A dataclass field read as Field(key or its name, kind, absent,
+    ...); a dataclass default is also the YAML default."""
+    if dataclass_default:
+        absent = dataclass_default.get("default", [])
+    return field(**dataclass_default, metadata={
+        "yaml": Field(key, kind, absent, minimum, ref, tick)})
+
+
+def _nth(prefix: str):
+    """A default id: prefix and the item's 1-based index."""
+    return lambda n, vals, parent: f"{prefix}{n}"
+
+
+class Spec:
+    """How one kind of mapping is read: the callable that builds it from
+    its fields' values (a *Cfg dataclass reads its own fields, and its
+    _check(reader, path) holds the rules that span them).  many is None
+    for one mapping, or list (or dict, of built pairs) for a list of
+    them.  Items named by a noun have unique ids (fields[0]) that later
+    fields may refer to."""
+
+    def __init__(self, build, noun=None, fields_=None, many=list):
+        if fields_ is None:
+            fields_ = [f.metadata["yaml"]._replace(key=f.metadata["yaml"].key or f.name)
+                       for f in fields(build)]
+        self.build, self.noun, self.fields, self.many = build, noun, tuple(fields_), many
+        self.check = getattr(build, "_check", None)
+        self.keys = frozenset(f.key for f in self.fields)
+
+
+class _Reader:
+    """One validation pass: the problems found, the ids read so far by
+    section noun, and what the _check rules keep."""
+
+    def __init__(self, horizon) -> None:
+        self.problems: list[str] = []
+        self.horizon = horizon if type(horizon) is int else None
+        self.ids: dict[Any, Any] = {"node": set(), "gateway": set(),
+                                    "path": {}, "peered": {}}
+
+    def add(self, path: str, message: str) -> None:
+        self.problems.append(f"{path}: {message}")
+
+    def nested(self, val, path: str, spec: Spec, minimum=None, parent=None):
+        """The mapping at path built, or for a list spec its valid items."""
+        if spec.many is None:
+            vals = self.read(val, path, spec)
+            try:
+                return None if vals is None else spec.build(*vals)
+            except ValueError as exc:
+                raise _Invalid(str(exc)) from None
+        try:
+            val = _entries(val, minimum)
+        except _Invalid as exc:
+            self.add(path, str(exc))
+            val = []
+        out = []
+        seen = self.ids[spec.noun] = {}
+        for i, item in enumerate(val):
+            p = f"{path}[{i}]"
+            vals = self.read(item, p, spec, i + 1, parent)
+            if vals is None:
+                continue
+            if spec.noun is not None and vals[0] in seen:
+                self.add(f"{p}.id", f"duplicate {spec.noun} id {vals[0]}")
+                continue
+            obj = seen[vals[0]] = spec.build(*vals)
+            if spec.check is not None:
+                obj._check(self, p)
+            out.append(obj)
+        return spec.many(out)
+
+    def read(self, item, path: str, spec: Spec, n: int = 1, parent=None):
+        """The values of spec's fields in the mapping at path, or None
+        when any of them is invalid."""
+        if type(item) is not dict:
+            self.add(path, f"expected mapping, got {type(item).__name__}")
+            return None
+        prefix = f"{path}." if path else ""
+        if not spec.keys.issuperset(item):
+            for key in item:
+                if key not in spec.keys:
+                    self.add(f"{prefix}{key}", "unknown key" if path else "unknown section")
+        problems, ids, horizon = self.problems, self.ids, self.horizon
+        before = len(problems)
+        vals: list = []
+        for key, kind, default, minimum, ref, tick in spec.fields:
+            val = item.get(key)
+            if val is None and default is not _REQUIRED:
+                if default is None:
+                    vals.append(None)
+                    continue
+                if callable(default):
+                    vals.append(default(n, vals, parent))
+                    continue
+                val = default
+            try:
+                if type(kind) is Spec:
+                    val = self.nested(val, prefix + key, kind, minimum, vals)
+                else:
+                    val = kind(val, minimum)
+                if ref is not None and type(val) is str:
+                    if val not in ids[ref]:
+                        raise _Invalid(f"unknown {ref} {val}")
+                elif ref is not None:
+                    for x in val:
+                        if x not in ids[ref]:
+                            self.add(prefix + key, f"unknown {ref} {x}")
+                elif tick and horizon is not None and val > horizon:
+                    noun = "tick" if key == "at" else key
+                    raise _Invalid(f"{noun} {val} beyond horizon {horizon}")
+            except _Invalid as exc:
+                self.add(prefix + key, str(exc))
+            vals.append(val)
+        return vals if len(problems) == before else None
+
+
+# -- the config dataclasses, each with its rules -------------------------
+
+_REGIME = Spec(PermissionRegime, fields_=[
+    Field(key, _bool, False) for key in ("node", "consensus", "write", "read")], many=None)
 
 
 @dataclass
 class ChainCfg:
-    chain_id: str
-    nodes: int
-    gateways: int
-    quorum: Fraction
-    confirm_latency: int
-    semantic: SemanticType
-    regime: PermissionRegime
-    path: Optional[str] = None
-    writers: list[str] = field(default_factory=list)
-    readers: list[str] = field(default_factory=list)
-    vouch_threshold: Optional[int] = None
-    denom: Optional[str] = None
+    chain_id: str = _yaml(_chain_id, key="id")
+    nodes: int = _yaml(_int, minimum=1)
+    gateways: int = _yaml(_int, 0, minimum=0)
+    quorum: Fraction = _yaml(_fraction, "1/2")
+    confirm_latency: int = _yaml(_int, minimum=1)
+    semantic: SemanticType = _yaml(_SEMANTIC)
+    regime: PermissionRegime = _yaml(_REGIME, {})
+    path: Optional[str] = _yaml(_str, default=None)
+    writers: list[str] = _yaml(_NAMES, default_factory=list)
+    readers: list[str] = _yaml(_NAMES, default_factory=list)
+    vouch_threshold: Optional[int] = _yaml(_int, minimum=1, default=None)
+    denom: Optional[str] = _yaml(_str, default=None)
 
     def threshold(self) -> int:
         if self.vouch_threshold is not None:
@@ -57,113 +295,190 @@ class ChainCfg:
     def gateway_ids(self) -> list[str]:
         return [f"{self.chain_id}.g{i}" for i in range(1, self.gateways + 1)]
 
+    def _check(self, r: _Reader, p: str) -> None:
+        if not 0 < self.quorum <= 1:
+            r.add(f"{p}.quorum", f"must be in (0, 1], got {self.quorum}")
+        if self.vouch_threshold is not None and self.vouch_threshold > self.gateways:
+            r.add(f"{p}.vouch_threshold", f"threshold {self.vouch_threshold} "
+                                          f"exceeds gateway count {self.gateways}")
+        path = self.path or self.chain_id
+        owner = r.ids["path"].setdefault(path, self.chain_id)
+        if owner != self.chain_id:
+            r.add(f"{p}.path", f"chain path {path} is taken by {owner}")
+        r.ids["node"].update(self.node_ids())
+        r.ids["gateway"].update(self.gateway_ids())
+
 
 @dataclass
 class AssetCfg:
-    asset_id: str
-    chain: str
-    payload: str
+    asset_id: str = _yaml(_str, key="id")
+    chain: str = _yaml(_str, ref="chain")
+    payload: str = _yaml(_str, lambda n, vals, parent: vals[0])
 
 
 @dataclass
 class PeeringCfg:
-    peering_id: str
-    chains: tuple[str, str]
-    semantics: list[SemanticType]
-    fee: Fraction
+    peering_id: str = _yaml(_str, _nth("pa"), key="id")
+    chains: tuple[str, str] = _yaml(_pair, ref="chain")
+    semantics: list[SemanticType] = _yaml(_list(_SEMANTIC), [], minimum=1)
+    fee: Fraction = _yaml(_fraction, 0, minimum=0)
+
+    def _check(self, r: _Reader, p: str) -> None:
+        pair = tuple(sorted(self.chains))
+        covered = r.ids["peered"].setdefault(pair, set())
+        if covered.intersection(self.semantics):
+            r.add(f"{p}.semantics", f"an earlier peering of {pair[0]} and "
+                                    f"{pair[1]} covers the same semantic type")
+        covered.update(self.semantics)
+
+
+_RATE = Spec(lambda d_from, d_to, rate: ((d_from, d_to), rate), many=dict, fields_=[
+    Field("from", _str), Field("to", _str), Field("rate", _positive)])
 
 
 @dataclass
 class ConnectorCfg:
-    connector_id: str
-    chains: list[str]
-    reserves: dict[str, Fraction]
-    rates: dict[tuple[str, str], Fraction]
+    connector_id: str = _yaml(_str, key="id")
+    chains: list[str] = _yaml(_NAMES, [], minimum=2, ref="chain")
+    reserves: dict[str, Fraction] = _yaml(_amounts, {}, minimum=0)
+    rates: dict[tuple[str, str], Fraction] = _yaml(_RATE, [])
 
 
 @dataclass
 class SubCfg:
-    sub_id: str
-    candidates: list[str]
-    payload: str
-    timeout: Optional[int] = None
+    sub_id: str = _yaml(_str, _nth("s"), key="id")
+    candidates: list[str] = _yaml(_NAMES, [], minimum=1, ref="chain")
+    payload: str = _yaml(_str, lambda n, vals, parent: f"{parent[0]}-{vals[0]}")
+    timeout: Optional[int] = _yaml(_int, minimum=1, default=None)
+
+    def _check(self, r: _Reader, p: str) -> None:
+        semantics = {r.ids["chain"][cid].semantic for cid in self.candidates}
+        if len(semantics) > 1:
+            r.add(f"{p}.candidates",
+                  f"candidates span semantic types {sorted(s.value for s in semantics)}")
 
 
 @dataclass
 class AppTxnCfg:
-    txn_id: str
-    at: int
-    subs: list[SubCfg]
-    app: str = "anon"
+    txn_id: str = _yaml(_str, key="id")
+    at: int = _yaml(_int, 0, minimum=0, tick=True)
+    subs: list[SubCfg] = _yaml(Spec(SubCfg, "sub"), [], minimum=1)
+    app: str = _yaml(_str, default="anon")
 
 
 @dataclass
 class TransferCfg:
-    transfer_id: str
-    at: int
-    asset: str
-    source: str
-    dest: str
-    beneficiary: str
-    deadline: int
+    transfer_id: str = _yaml(_str, key="id")
+    at: int = _yaml(_int, 0, minimum=0, tick=True)
+    asset: str = _yaml(_str, ref="asset")
+    source: str = _yaml(_str, ref="chain", key="from")
+    dest: str = _yaml(_str, ref="chain", key="to")
+    beneficiary: str = _yaml(_str, "bearer")
+    deadline: int = _yaml(_int, minimum=1, tick=True)
+
+    def _check(self, r: _Reader, p: str) -> None:
+        chains = r.ids["chain"]
+        if self.source == self.dest:
+            r.add(f"{p}.to", "source and destination must differ")
+        elif chains[self.source].semantic != chains[self.dest].semantic:
+            r.add(p, "source and destination chains differ in semantic type")
+        if self.deadline <= self.at:
+            r.add(f"{p}.deadline", f"deadline {self.deadline} not after start {self.at}")
 
 
 @dataclass
 class PaymentCfg:
-    payment_id: str
-    at: int
-    source: str
-    dest: str
-    amount: Fraction
-    denom_in: str
-    denom_out: str
-    settle_after: Optional[int] = None
-    release_after: Optional[int] = None
+    payment_id: str = _yaml(_str, key="id")
+    at: int = _yaml(_int, 0, minimum=0, tick=True)
+    source: str = _yaml(_str, ref="chain", key="from")
+    dest: str = _yaml(_str, ref="chain", key="to")
+    amount: Fraction = _yaml(_positive)
+    denom_in: str = _yaml(_str)
+    denom_out: str = _yaml(_str)
+    settle_after: Optional[int] = _yaml(_int, minimum=1, default=None)
+    release_after: Optional[int] = _yaml(_int, minimum=1, default=None)
+
+    def _check(self, r: _Reader, p: str) -> None:
+        if self.settle_after is not None and self.release_after is not None:
+            r.add(p, "settle_after and release_after are mutually exclusive")
+        for cid, key, denom_key, denom in ((self.source, "from", "denom_in", self.denom_in),
+                                           (self.dest, "to", "denom_out", self.denom_out)):
+            declared = r.ids["chain"][cid].denom
+            if declared is None:
+                r.add(f"{p}.{key}", f"chain {cid} declares no denom")
+            elif declared != denom:
+                r.add(f"{p}.{denom_key}", f"{cid} denominates {declared}, not {denom}")
+
+
+# the target fields each fault kind takes
+FAULT_TARGETS = {"partition": ("chains", "links"), "node_crash": ("nodes",),
+                 "gateway_crash": ("gateways",), "heal": ("faults",)}
 
 
 @dataclass
 class FaultCfg:
-    fault_id: str
-    kind: str
-    at: int
-    chains: list[str] = field(default_factory=list)
-    links: list[tuple[str, str]] = field(default_factory=list)
-    nodes: list[str] = field(default_factory=list)
-    gateways: list[str] = field(default_factory=list)
-    faults: list[str] = field(default_factory=list)
-    until: Optional[int] = None
+    fault_id: str = _yaml(_str, _nth("f"), key="id")
+    kind: str = _yaml(_enum({k: k for k in FAULT_TARGETS}))
+    at: int = _yaml(_int, minimum=0, tick=True)
+    chains: list[str] = _yaml(_NAMES, ref="chain", default_factory=list)
+    links: list[tuple[str, str]] = _yaml(_list(_pair), default_factory=list)
+    nodes: list[str] = _yaml(_NAMES, ref="node", default_factory=list)
+    gateways: list[str] = _yaml(_NAMES, ref="gateway", default_factory=list)
+    # the fault ids read so far are those of earlier faults, the only
+    # ones a heal may name
+    faults: list[str] = _yaml(_NAMES, ref="fault", default_factory=list)
+    until: Optional[int] = _yaml(_int, minimum=1, default=None)
+
+    def _check(self, r: _Reader, p: str) -> None:
+        targets = FAULT_TARGETS[self.kind]
+        for key in ("chains", "links", "nodes", "gateways", "faults"):
+            if getattr(self, key) and key not in targets:
+                r.add(f"{p}.{key}", f"{self.kind} takes no {key}")
+        if not any(getattr(self, key) for key in targets):
+            r.add(p, f"{self.kind} needs {' or '.join(targets)}")
+        if self.until is not None and self.kind == "heal":
+            r.add(f"{p}.until", "heal takes no until")
+        elif self.until is not None and self.until <= self.at:
+            r.add(f"{p}.until", f"until {self.until} must exceed at {self.at}")
+        for a, b in self.links:
+            if a not in r.ids["chain"] or b not in r.ids["chain"]:
+                r.add(f"{p}.links", f"unknown link {a}-{b}")
 
 
 @dataclass
 class GrantCfg:
-    grant_id: str
-    grantor: str
-    grantee: str
-    asset: str
-    expiry: int
+    grant_id: str = _yaml(_str, key="id")
+    grantor: str = _yaml(_str)
+    grantee: str = _yaml(_str)
+    asset: str = _yaml(_str, ref="asset")
+    expiry: int = _yaml(_int, minimum=1)
 
 
 @dataclass
 class ReadCfg:
-    read_id: str
-    at: int
-    asset: str
-    requester: str
-    grant: Optional[str] = None
+    read_id: str = _yaml(_str, _nth("r"), key="id")
+    at: int = _yaml(_int, 0, minimum=0, tick=True)
+    asset: str = _yaml(_str, ref="asset")
+    requester: str = _yaml(_str)
+    grant: Optional[str] = _yaml(_str, ref="grant", default=None)
 
 
 @dataclass
 class ResolveCfg:
-    resolve_id: str
-    at: int
-    asset: str
+    resolve_id: str = _yaml(_str, _nth("q"), key="id")
+    at: int = _yaml(_int, 0, minimum=0, tick=True)
+    asset: str = _yaml(_str, ref="asset")
 
 
 @dataclass
 class ProbeCfg:
-    probe_id: str
-    at: int
-    chain: str
+    probe_id: str = _yaml(_str, _nth("pr"), key="id")
+    at: int = _yaml(_int, 0, minimum=0, tick=True)
+    chain: str = _yaml(_str, ref="chain")
+
+
+def _section(cfg, noun: str):
+    return _yaml(Spec(cfg, noun), default_factory=list)
 
 
 @dataclass
@@ -174,88 +489,28 @@ class ScenarioConfig:
     inter_chain_latency: int = 2
     latency_jitter: int = 0
     reservation_ttl: int = 50
-    chains: list[ChainCfg] = field(default_factory=list)
-    assets: list[AssetCfg] = field(default_factory=list)
-    peerings: list[PeeringCfg] = field(default_factory=list)
-    connectors: list[ConnectorCfg] = field(default_factory=list)
-    app_txns: list[AppTxnCfg] = field(default_factory=list)
-    transfers: list[TransferCfg] = field(default_factory=list)
-    payments: list[PaymentCfg] = field(default_factory=list)
-    faults: list[FaultCfg] = field(default_factory=list)
-    grants: list[GrantCfg] = field(default_factory=list)
-    reads: list[ReadCfg] = field(default_factory=list)
-    resolves: list[ResolveCfg] = field(default_factory=list)
-    probes: list[ProbeCfg] = field(default_factory=list)
-
-    def chain(self, chain_id: str) -> ChainCfg:
-        for c in self.chains:
-            if c.chain_id == chain_id:
-                return c
-        raise KeyError(chain_id)
+    # the sections, in reading order: each after those it refers to
+    chains: list[ChainCfg] = _section(ChainCfg, "chain")
+    assets: list[AssetCfg] = _section(AssetCfg, "asset")
+    peerings: list[PeeringCfg] = _section(PeeringCfg, "peering")
+    connectors: list[ConnectorCfg] = _section(ConnectorCfg, "connector")
+    app_txns: list[AppTxnCfg] = _section(AppTxnCfg, "app txn")
+    transfers: list[TransferCfg] = _section(TransferCfg, "transfer")
+    payments: list[PaymentCfg] = _section(PaymentCfg, "payment")
+    faults: list[FaultCfg] = _section(FaultCfg, "fault")
+    grants: list[GrantCfg] = _section(GrantCfg, "grant")
+    reads: list[ReadCfg] = _section(ReadCfg, "read")
+    resolves: list[ResolveCfg] = _section(ResolveCfg, "resolve")
+    probes: list[ProbeCfg] = _section(ProbeCfg, "probe")
 
 
-class _Collector:
-    """Accumulates (path, message) problems during parse/validate."""
-
-    def __init__(self) -> None:
-        self.problems: list[str] = []
-
-    def add(self, path: str, message: str) -> None:
-        self.problems.append(f"{path}: {message}")
-
-    def raise_if_any(self) -> None:
-        if self.problems:
-            raise ValidationError(self.problems)
-
-
-def _as_int(val, path, col, minimum=None) -> Optional[int]:
-    if not isinstance(val, int) or isinstance(val, bool):
-        col.add(path, f"expected integer, got {val!r}")
-        return None
-    if minimum is not None and val < minimum:
-        col.add(path, f"must be >= {minimum}, got {val}")
-        return None
-    return val
-
-
-def _as_fraction(val, path, col, minimum=None) -> Optional[Fraction]:
-    if isinstance(val, float):
-        col.add(path, "floats are inexact; write the amount as a string")
-        return None
-    try:
-        frac = Fraction(val) if isinstance(val, int) else Fraction(str(val))
-    except (ValueError, ZeroDivisionError, TypeError):
-        col.add(path, f"not a rational: {val!r}")
-        return None
-    if minimum is not None and frac < minimum:
-        col.add(path, f"must be >= {minimum}, got {frac}")
-        return None
-    return frac
-
-
-def _as_str(val, path, col) -> Optional[str]:
-    if not isinstance(val, str) or not val:
-        col.add(path, f"expected non-empty string, got {val!r}")
-        return None
-    return val
-
-
-def _as_list(val, path, col) -> list:
-    if val is None:
-        return []
-    if not isinstance(val, list):
-        col.add(path, f"expected list, got {type(val).__name__}")
-        return []
-    return val
-
-
-def _as_map(val, path, col) -> dict:
-    if val is None:
-        return {}
-    if not isinstance(val, dict):
-        col.add(path, f"expected mapping, got {type(val).__name__}")
-        return {}
-    return val
+_SCENARIO = Spec(lambda *vals: vals, many=None, fields_=[
+    Field("horizon", _int, minimum=1), Field("seed", _int, 0, 0),
+    Field("links", Spec(lambda *vals: vals, many=None, fields_=[
+        Field("inter_chain_latency", _int, 2, 0), Field("latency_jitter", _int, 0, 0)]), {}),
+    Field("valuenet", Spec(lambda *vals: vals, many=None, fields_=[
+        Field("reservation_ttl", _int, 50, 1)]), {}),
+    *(f.metadata["yaml"]._replace(key=f.name) for f in fields(ScenarioConfig) if f.metadata)])
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -279,425 +534,13 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
-    col = _Collector()
-    horizon = _as_int(raw.get("horizon"), "horizon", col, minimum=1)
-    seed = _as_int(raw.get("seed", 0), "seed", col, minimum=0)
-    links = _as_map(raw.get("links"), "links", col)
-    inter = _as_int(links.get("inter_chain_latency", 2), "links.inter_chain_latency", col, minimum=0)
-    jitter = _as_int(links.get("latency_jitter", 0), "links.latency_jitter", col, minimum=0)
-    vn = _as_map(raw.get("valuenet"), "valuenet", col)
-    ttl = _as_int(vn.get("reservation_ttl", 50), "valuenet.reservation_ttl", col, minimum=1)
-
-    cfg = ScenarioConfig(name=name, horizon=horizon or 1, seed=seed or 0,
-                         inter_chain_latency=inter if inter is not None else 2,
-                         latency_jitter=jitter or 0,
-                         reservation_ttl=ttl or 50)
-
-    known_keys = {"horizon", "seed", "links", "valuenet", "chains", "assets",
-                  "peerings", "connectors", "app_txns", "transfers", "payments",
-                  "faults", "grants", "reads", "resolves", "probes"}
-    for key in raw:
-        if key not in known_keys:
-            col.add(key, "unknown section")
-
-    _parse_chains(raw, cfg, col)
-    _parse_assets(raw, cfg, col)
-    _parse_peerings(raw, cfg, col)
-    _parse_connectors(raw, cfg, col)
-    _parse_app_txns(raw, cfg, col)
-    _parse_transfers(raw, cfg, col)
-    _parse_payments(raw, cfg, col)
-    _parse_faults(raw, cfg, col)
-    _parse_grants(raw, cfg, col)
-    _parse_reads(raw, cfg, col)
-    _parse_simple_queries(raw, cfg, col)
-    _cross_validate(cfg, col)
-    col.raise_if_any()
-    return cfg
-
-
-def _parse_chains(raw, cfg, col):
-    seen = set()
-    for i, item in enumerate(_as_list(raw.get("chains"), "chains", col)):
-        p = f"chains[{i}]"
-        item = _as_map(item, p, col)
-        cid = _as_str(item.get("id"), f"{p}.id", col)
-        if cid in seen:
-            col.add(f"{p}.id", f"duplicate chain id {cid}")
-        seen.add(cid)
-        nodes = _as_int(item.get("nodes"), f"{p}.nodes", col, minimum=1)
-        gateways = _as_int(item.get("gateways", 0), f"{p}.gateways", col, minimum=0)
-        quorum = _as_fraction(item.get("quorum", "1/2"), f"{p}.quorum", col)
-        if quorum is not None and not (0 < quorum <= 1):
-            col.add(f"{p}.quorum", f"must be in (0, 1], got {quorum}")
-            quorum = None
-        latency = _as_int(item.get("confirm_latency"), f"{p}.confirm_latency", col, minimum=1)
-        semantic_raw = item.get("semantic")
-        if semantic_raw not in SEMANTIC_VALUES:
-            col.add(f"{p}.semantic", f"expected one of {sorted(SEMANTIC_VALUES)}, got {semantic_raw!r}")
-            semantic = SemanticType.GENERIC_RECORD
-        else:
-            semantic = SemanticType(semantic_raw)
-        regime_raw = _as_map(item.get("regime"), f"{p}.regime", col)
-        try:
-            regime = PermissionRegime(
-                node_permissioned=bool(regime_raw.get("node", False)),
-                consensus_permissioned=bool(regime_raw.get("consensus", False)),
-                user_write_permissioned=bool(regime_raw.get("write", False)),
-                user_read_permissioned=bool(regime_raw.get("read", False)))
-        except ValueError as exc:
-            col.add(f"{p}.regime", str(exc))
-            regime = PermissionRegime()
-        threshold = item.get("vouch_threshold")
-        if threshold is not None:
-            threshold = _as_int(threshold, f"{p}.vouch_threshold", col, minimum=1)
-            if threshold is not None and gateways is not None and threshold > gateways:
-                col.add(f"{p}.vouch_threshold",
-                        f"threshold {threshold} exceeds gateway count {gateways}")
-        denom = item.get("denom")
-        if denom is not None:
-            denom = _as_str(denom, f"{p}.denom", col)
-        if cid is None or nodes is None or latency is None or quorum is None:
-            continue
-        cfg.chains.append(ChainCfg(
-            cid, nodes, gateways or 0, quorum, latency, semantic, regime,
-            path=item.get("path"),
-            writers=[w for w in _as_list(item.get("writers"), f"{p}.writers", col)],
-            readers=[r for r in _as_list(item.get("readers"), f"{p}.readers", col)],
-            vouch_threshold=threshold, denom=denom))
-
-
-def _chain_ids(cfg):
-    return {c.chain_id for c in cfg.chains}
-
-
-def _parse_assets(raw, cfg, col):
-    seen = set()
-    for i, item in enumerate(_as_list(raw.get("assets"), "assets", col)):
-        p = f"assets[{i}]"
-        item = _as_map(item, p, col)
-        aid = _as_str(item.get("id"), f"{p}.id", col)
-        chain = _as_str(item.get("chain"), f"{p}.chain", col)
-        payload = _as_str(item.get("payload", aid or "payload"), f"{p}.payload", col)
-        if aid in seen:
-            col.add(f"{p}.id", f"duplicate asset id {aid}")
-        seen.add(aid)
-        if aid and chain and payload:
-            cfg.assets.append(AssetCfg(aid, chain, payload))
-
-
-def _parse_peerings(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("peerings"), "peerings", col)):
-        p = f"peerings[{i}]"
-        item = _as_map(item, p, col)
-        pid = _as_str(item.get("id", f"pa{i + 1}"), f"{p}.id", col)
-        chains = _as_list(item.get("chains"), f"{p}.chains", col)
-        if len(chains) != 2 or chains[0] == chains[1]:
-            col.add(f"{p}.chains", f"expected two distinct chain ids, got {chains!r}")
-            continue
-        semantics = []
-        for s in _as_list(item.get("semantics"), f"{p}.semantics", col):
-            if s not in SEMANTIC_VALUES:
-                col.add(f"{p}.semantics", f"unknown semantic {s!r}")
-            else:
-                semantics.append(SemanticType(s))
-        if not semantics:
-            col.add(f"{p}.semantics", "agreement must cover at least one semantic type")
-        fee = _as_fraction(item.get("fee", 0), f"{p}.fee", col, minimum=0)
-        if pid and fee is not None and semantics:
-            cfg.peerings.append(PeeringCfg(pid, (chains[0], chains[1]), semantics, fee))
-
-
-def _parse_connectors(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("connectors"), "connectors", col)):
-        p = f"connectors[{i}]"
-        item = _as_map(item, p, col)
-        cid = _as_str(item.get("id"), f"{p}.id", col)
-        chains = [c for c in _as_list(item.get("chains"), f"{p}.chains", col)]
-        if len(chains) < 2:
-            col.add(f"{p}.chains", "connector must bridge at least two chains")
-        reserves = {}
-        for denom, amt in _as_map(item.get("reserves"), f"{p}.reserves", col).items():
-            frac = _as_fraction(amt, f"{p}.reserves.{denom}", col, minimum=0)
-            if frac is not None:
-                reserves[str(denom)] = frac
-        rates = {}
-        for j, r in enumerate(_as_list(item.get("rates"), f"{p}.rates", col)):
-            rp = f"{p}.rates[{j}]"
-            r = _as_map(r, rp, col)
-            d_from = _as_str(r.get("from"), f"{rp}.from", col)
-            d_to = _as_str(r.get("to"), f"{rp}.to", col)
-            rate = _as_fraction(r.get("rate"), f"{rp}.rate", col)
-            if rate is not None and rate <= 0:
-                col.add(f"{rp}.rate", f"rate must be positive, got {rate}")
-                rate = None
-            if d_from and d_to and rate is not None:
-                rates[(d_from, d_to)] = rate
-        if cid and len(chains) >= 2:
-            cfg.connectors.append(ConnectorCfg(cid, chains, reserves, rates))
-
-
-def _parse_app_txns(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("app_txns"), "app_txns", col)):
-        p = f"app_txns[{i}]"
-        item = _as_map(item, p, col)
-        tid = _as_str(item.get("id"), f"{p}.id", col)
-        at = _as_int(item.get("at", 0), f"{p}.at", col, minimum=0)
-        subs = []
-        for j, s in enumerate(_as_list(item.get("subs"), f"{p}.subs", col)):
-            sp = f"{p}.subs[{j}]"
-            s = _as_map(s, sp, col)
-            sid = _as_str(s.get("id", f"s{j + 1}"), f"{sp}.id", col)
-            candidates = [c for c in _as_list(s.get("candidates"), f"{sp}.candidates", col)]
-            if not candidates:
-                col.add(f"{sp}.candidates", "sub-transaction needs at least one candidate")
-            payload = _as_str(s.get("payload", f"{tid}-{sid}"), f"{sp}.payload", col)
-            timeout = s.get("timeout")
-            if timeout is not None:
-                timeout = _as_int(timeout, f"{sp}.timeout", col, minimum=1)
-            if sid and payload and candidates:
-                subs.append(SubCfg(sid, candidates, payload, timeout))
-        if not subs:
-            col.add(f"{p}.subs", "app transaction needs at least one sub-transaction")
-        if tid and at is not None and subs:
-            cfg.app_txns.append(AppTxnCfg(tid, at, subs, app=item.get("app", "anon")))
-
-
-def _parse_transfers(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("transfers"), "transfers", col)):
-        p = f"transfers[{i}]"
-        item = _as_map(item, p, col)
-        tid = _as_str(item.get("id"), f"{p}.id", col)
-        at = _as_int(item.get("at", 0), f"{p}.at", col, minimum=0)
-        asset = _as_str(item.get("asset"), f"{p}.asset", col)
-        src = _as_str(item.get("from"), f"{p}.from", col)
-        dst = _as_str(item.get("to"), f"{p}.to", col)
-        beneficiary = _as_str(item.get("beneficiary", "bearer"), f"{p}.beneficiary", col)
-        deadline = _as_int(item.get("deadline"), f"{p}.deadline", col, minimum=1)
-        if src and dst and src == dst:
-            col.add(f"{p}.to", "source and destination must differ")
-            continue
-        if None in (tid, at, asset, src, dst, beneficiary, deadline):
-            continue
-        cfg.transfers.append(TransferCfg(tid, at, asset, src, dst, beneficiary, deadline))
-
-
-def _parse_payments(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("payments"), "payments", col)):
-        p = f"payments[{i}]"
-        item = _as_map(item, p, col)
-        pid = _as_str(item.get("id"), f"{p}.id", col)
-        at = _as_int(item.get("at", 0), f"{p}.at", col, minimum=0)
-        src = _as_str(item.get("from"), f"{p}.from", col)
-        dst = _as_str(item.get("to"), f"{p}.to", col)
-        amount = _as_fraction(item.get("amount"), f"{p}.amount", col)
-        if amount is not None and amount <= 0:
-            col.add(f"{p}.amount", f"must be positive, got {amount}")
-            amount = None
-        d_in = _as_str(item.get("denom_in"), f"{p}.denom_in", col)
-        d_out = _as_str(item.get("denom_out"), f"{p}.denom_out", col)
-        settle_after = item.get("settle_after")
-        release_after = item.get("release_after")
-        if settle_after is not None and release_after is not None:
-            col.add(p, "settle_after and release_after are mutually exclusive")
-        if settle_after is not None:
-            settle_after = _as_int(settle_after, f"{p}.settle_after", col, minimum=1)
-        if release_after is not None:
-            release_after = _as_int(release_after, f"{p}.release_after", col, minimum=1)
-        if None in (pid, at, src, dst, amount, d_in, d_out):
-            continue
-        cfg.payments.append(PaymentCfg(pid, at, src, dst, amount, d_in, d_out,
-                                       settle_after, release_after))
-
-
-def _parse_faults(raw, cfg, col):
-    seen = set()
-    for i, item in enumerate(_as_list(raw.get("faults"), "faults", col)):
-        p = f"faults[{i}]"
-        item = _as_map(item, p, col)
-        fid = _as_str(item.get("id", f"f{i + 1}"), f"{p}.id", col)
-        kind = item.get("kind")
-        if kind not in FAULT_KINDS:
-            col.add(f"{p}.kind", f"expected one of {sorted(FAULT_KINDS)}, got {kind!r}")
-            continue
-        if fid in seen:
-            col.add(f"{p}.id", f"duplicate fault id {fid}")
-        seen.add(fid)
-        at = _as_int(item.get("at"), f"{p}.at", col, minimum=0)
-        until = item.get("until")
-        if until is not None:
-            until = _as_int(until, f"{p}.until", col, minimum=1)
-            if until is not None and at is not None and until <= at:
-                col.add(f"{p}.until", f"until {until} must exceed at {at}")
-        chains = [c for c in _as_list(item.get("chains"), f"{p}.chains", col)]
-        links = []
-        for j, pair in enumerate(_as_list(item.get("links"), f"{p}.links", col)):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or pair[0] == pair[1]):
-                col.add(f"{p}.links[{j}]", f"expected [a, b] pair, got {pair!r}")
-            else:
-                links.append((pair[0], pair[1]))
-        nodes = [n for n in _as_list(item.get("nodes"), f"{p}.nodes", col)]
-        gateways = [g for g in _as_list(item.get("gateways"), f"{p}.gateways", col)]
-        faults = [f for f in _as_list(item.get("faults"), f"{p}.faults", col)]
-        if kind == "partition" and not chains and not links:
-            col.add(p, "partition needs chains or links")
-        if kind == "node_crash" and not nodes:
-            col.add(p, "node_crash needs nodes")
-        if kind == "gateway_crash" and not gateways:
-            col.add(p, "gateway_crash needs gateways")
-        if kind == "heal" and not faults:
-            col.add(p, "heal needs fault ids")
-        if fid and at is not None:
-            cfg.faults.append(FaultCfg(fid, kind, at, chains, links, nodes,
-                                       gateways, faults, until))
-
-
-def _parse_grants(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("grants"), "grants", col)):
-        p = f"grants[{i}]"
-        item = _as_map(item, p, col)
-        gid = _as_str(item.get("id"), f"{p}.id", col)
-        grantor = _as_str(item.get("grantor"), f"{p}.grantor", col)
-        grantee = _as_str(item.get("grantee"), f"{p}.grantee", col)
-        asset = _as_str(item.get("asset"), f"{p}.asset", col)
-        expiry = _as_int(item.get("expiry"), f"{p}.expiry", col, minimum=1)
-        if None in (gid, grantor, grantee, asset, expiry):
-            continue
-        cfg.grants.append(GrantCfg(gid, grantor, grantee, asset, expiry))
-
-
-def _parse_reads(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("reads"), "reads", col)):
-        p = f"reads[{i}]"
-        item = _as_map(item, p, col)
-        rid = _as_str(item.get("id", f"r{i + 1}"), f"{p}.id", col)
-        at = _as_int(item.get("at", 0), f"{p}.at", col, minimum=0)
-        asset = _as_str(item.get("asset"), f"{p}.asset", col)
-        requester = _as_str(item.get("requester"), f"{p}.requester", col)
-        grant = item.get("grant")
-        if None in (rid, at, asset, requester):
-            continue
-        cfg.reads.append(ReadCfg(rid, at, asset, requester, grant))
-
-
-def _parse_simple_queries(raw, cfg, col):
-    for i, item in enumerate(_as_list(raw.get("resolves"), "resolves", col)):
-        p = f"resolves[{i}]"
-        item = _as_map(item, p, col)
-        rid = _as_str(item.get("id", f"q{i + 1}"), f"{p}.id", col)
-        at = _as_int(item.get("at", 0), f"{p}.at", col, minimum=0)
-        asset = _as_str(item.get("asset"), f"{p}.asset", col)
-        if None not in (rid, at, asset):
-            cfg.resolves.append(ResolveCfg(rid, at, asset))
-    for i, item in enumerate(_as_list(raw.get("probes"), "probes", col)):
-        p = f"probes[{i}]"
-        item = _as_map(item, p, col)
-        pid = _as_str(item.get("id", f"pr{i + 1}"), f"{p}.id", col)
-        at = _as_int(item.get("at", 0), f"{p}.at", col, minimum=0)
-        chain = _as_str(item.get("chain"), f"{p}.chain", col)
-        if None not in (pid, at, chain):
-            cfg.probes.append(ProbeCfg(pid, at, chain))
-
-
-def _cross_validate(cfg: ScenarioConfig, col: _Collector) -> None:
-    chain_ids = _chain_ids(cfg)
-    asset_ids = {a.asset_id for a in cfg.assets}
-    node_ids = {n for c in cfg.chains for n in c.node_ids()}
-    gateway_ids = {g for c in cfg.chains for g in c.gateway_ids()}
-    fault_ids = {f.fault_id for f in cfg.faults}
-    grant_ids = {g.grant_id for g in cfg.grants}
-    denoms = {c.chain_id: c.denom for c in cfg.chains}
-    horizon = cfg.horizon
-
-    def check_tick(at, path):
-        if at is not None and at > horizon:
-            col.add(path, f"tick {at} beyond horizon {horizon}")
-
-    for i, a in enumerate(cfg.assets):
-        if a.chain not in chain_ids:
-            col.add(f"assets[{i}].chain", f"unknown chain {a.chain}")
-    for i, pc in enumerate(cfg.peerings):
-        for cid in pc.chains:
-            if cid not in chain_ids:
-                col.add(f"peerings[{i}].chains", f"unknown chain {cid}")
-    for i, cc in enumerate(cfg.connectors):
-        for cid in cc.chains:
-            if cid not in chain_ids:
-                col.add(f"connectors[{i}].chains", f"unknown chain {cid}")
-    for i, t in enumerate(cfg.app_txns):
-        check_tick(t.at, f"app_txns[{i}].at")
-        for j, s in enumerate(t.subs):
-            semantics = set()
-            for cid in s.candidates:
-                if cid not in chain_ids:
-                    col.add(f"app_txns[{i}].subs[{j}].candidates", f"unknown chain {cid}")
-                else:
-                    semantics.add(cfg.chain(cid).semantic)
-            if len(semantics) > 1:
-                col.add(f"app_txns[{i}].subs[{j}].candidates",
-                        f"candidates span semantic types {sorted(s.value for s in semantics)}")
-    for i, t in enumerate(cfg.transfers):
-        check_tick(t.at, f"transfers[{i}].at")
-        if t.asset not in asset_ids:
-            col.add(f"transfers[{i}].asset", f"unknown asset {t.asset}")
-        for cid, fld in ((t.source, "from"), (t.dest, "to")):
-            if cid not in chain_ids:
-                col.add(f"transfers[{i}].{fld}", f"unknown chain {cid}")
-        if t.deadline > horizon:
-            col.add(f"transfers[{i}].deadline",
-                    f"deadline {t.deadline} beyond horizon {horizon}")
-        if t.deadline <= t.at:
-            col.add(f"transfers[{i}].deadline",
-                    f"deadline {t.deadline} not after start {t.at}")
-        if t.source in chain_ids and t.dest in chain_ids:
-            if cfg.chain(t.source).semantic != cfg.chain(t.dest).semantic:
-                col.add(f"transfers[{i}]",
-                        "source and destination chains differ in semantic type")
-    for i, pm in enumerate(cfg.payments):
-        check_tick(pm.at, f"payments[{i}].at")
-        for cid, fld in ((pm.source, "from"), (pm.dest, "to")):
-            if cid not in chain_ids:
-                col.add(f"payments[{i}].{fld}", f"unknown chain {cid}")
-            elif denoms.get(cid) is None:
-                col.add(f"payments[{i}].{fld}", f"chain {cid} declares no denom")
-        if pm.source in denoms and denoms[pm.source] not in (None, pm.denom_in):
-            col.add(f"payments[{i}].denom_in",
-                    f"{pm.source} denominates {denoms[pm.source]}, not {pm.denom_in}")
-        if pm.dest in denoms and denoms[pm.dest] not in (None, pm.denom_out):
-            col.add(f"payments[{i}].denom_out",
-                    f"{pm.dest} denominates {denoms[pm.dest]}, not {pm.denom_out}")
-    for i, f in enumerate(cfg.faults):
-        check_tick(f.at, f"faults[{i}].at")
-        for cid in f.chains:
-            if cid not in chain_ids:
-                col.add(f"faults[{i}].chains", f"unknown chain {cid}")
-        for a, b in f.links:
-            if a not in chain_ids or b not in chain_ids:
-                col.add(f"faults[{i}].links", f"unknown link {a}-{b}")
-        for nid in f.nodes:
-            if nid not in node_ids:
-                col.add(f"faults[{i}].nodes", f"unknown node {nid}")
-        for gid in f.gateways:
-            if gid not in gateway_ids:
-                col.add(f"faults[{i}].gateways", f"unknown gateway {gid}")
-        for fid in f.faults:
-            if fid not in fault_ids:
-                col.add(f"faults[{i}].faults", f"unknown fault {fid}")
-    for i, g in enumerate(cfg.grants):
-        if g.asset not in asset_ids:
-            col.add(f"grants[{i}].asset", f"unknown asset {g.asset}")
-    for i, r in enumerate(cfg.reads):
-        check_tick(r.at, f"reads[{i}].at")
-        if r.asset not in asset_ids:
-            col.add(f"reads[{i}].asset", f"unknown asset {r.asset}")
-        if r.grant is not None and r.grant not in grant_ids:
-            col.add(f"reads[{i}].grant", f"unknown grant {r.grant}")
-    for i, q in enumerate(cfg.resolves):
-        check_tick(q.at, f"resolves[{i}].at")
-        if q.asset not in asset_ids:
-            col.add(f"resolves[{i}].asset", f"unknown asset {q.asset}")
-    for i, pr in enumerate(cfg.probes):
-        check_tick(pr.at, f"probes[{i}].at")
-        if pr.chain not in chain_ids:
-            col.add(f"probes[{i}].chain", f"unknown chain {pr.chain}")
+    """Read a loaded scenario mapping through the schema; raises one
+    ValidationError that carries every problem found."""
+    if type(raw) is not dict:
+        raise ValidationError(f"top level: expected mapping, got {type(raw).__name__}")
+    r = _Reader(raw.get("horizon"))
+    vals = r.read(raw, "", _SCENARIO)
+    if r.problems:
+        raise ValidationError(r.problems)
+    horizon, seed, links, valuenet, *sections = vals
+    return ScenarioConfig(name, horizon, seed, *links, *valuenet, *sections)

@@ -19,15 +19,12 @@ deliver).
 from __future__ import annotations
 
 import heapq
-import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 from .errors import UnknownTarget
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_INTER_CHAIN_LATENCY = 2
 
@@ -219,7 +216,9 @@ class SimNet:
         self._fault_applier = applier
 
     def inject(self, fault: FaultSpec) -> None:
-        """Validate targets and queue the fault (and auto-heal) events."""
+        """Validate targets and queue the fault (and auto-heal) events.
+        The check guards direct API use: a scenario that parse_scenario
+        accepts never raises UnknownTarget here."""
         self._validate_fault(fault)
         self._faults[fault.fault_id] = fault
         delay = fault.at_tick - self.now

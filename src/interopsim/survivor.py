@@ -19,14 +19,11 @@ the confirmation then lands as a late confirmation of the same sub.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .chain import TransferUnit
 from .errors import EmptyCandidates, InteropError, NotFound, SemanticMismatch
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_FACTOR = 3
 

@@ -19,15 +19,12 @@ lets the sweep and next_expiry touch only reservations that are due.
 from __future__ import annotations
 
 import heapq
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .errors import AlreadyTerminal, NoRoute, NotFound, Overloaded, PathExpired
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RESERVATION_TTL = 50
 

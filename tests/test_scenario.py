@@ -1,11 +1,18 @@
 """Scenario schema tests: defaults, error collection with field paths,
-rational-only amounts, cross-reference validation."""
+rational-only amounts, cross-reference validation, and robustness: every
+input gives a config or a ValidationError, never another exception."""
 
+import copy
 from fractions import Fraction
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from interopsim import cli
 from interopsim.chain import SemanticType
+from interopsim.engine import Simulation
 from interopsim.errors import ParseError, ValidationError
 from interopsim.scenario import load_scenario, parse_scenario
 
@@ -268,3 +275,214 @@ class TestFileLoading:
         for f in sorted(scenario_dir.glob("*.yaml")):
             cfg = load_scenario(f)
             assert cfg.horizon >= 1, f.name
+
+
+# -- robustness ----------------------------------------------------------
+
+
+def full_world():
+    """One valid scenario that uses every section and every fault kind."""
+    return {
+        "horizon": 40, "seed": 3,
+        "links": {"inter_chain_latency": 2, "latency_jitter": 1},
+        "valuenet": {"reservation_ttl": 10},
+        "chains": [
+            minimal_chain("bc1", semantic="asset-registry", gateways=2,
+                          path="trade.bc1",
+                          regime={"node": True, "consensus": True}),
+            minimal_chain("bc2", semantic="asset-registry", gateways=2),
+            minimal_chain("pay1", semantic="payments", denom="usd"),
+            minimal_chain("pay2", semantic="payments", denom="eur")],
+        "assets": [{"id": "a1", "chain": "bc1", "payload": "deed"}],
+        "peerings": [{"id": "pa1", "chains": ["bc1", "bc2"],
+                      "semantics": ["asset-registry"], "fee": "1"}],
+        "connectors": [{"id": "c1", "chains": ["pay1", "pay2"],
+                        "reserves": {"usd": 100, "eur": 100},
+                        "rates": [{"from": "usd", "to": "eur", "rate": "1/2"}]}],
+        "app_txns": [{"id": "t1", "at": 1, "app": "app_x", "subs": [
+            {"id": "s1", "candidates": ["bc1", "bc2"], "timeout": 6}]}],
+        "transfers": [{"id": "x1", "at": 0, "asset": "a1", "from": "bc1",
+                       "to": "bc2", "beneficiary": "app_y", "deadline": 25}],
+        "payments": [{"id": "p1", "at": 2, "from": "pay1", "to": "pay2",
+                      "amount": "3", "denom_in": "usd", "denom_out": "eur",
+                      "settle_after": 2}],
+        "faults": [
+            {"id": "f1", "kind": "partition", "at": 3, "chains": ["bc2"]},
+            {"id": "f2", "kind": "node_crash", "at": 4, "until": 9,
+             "nodes": ["bc1.n1"]},
+            {"id": "f3", "kind": "gateway_crash", "at": 5,
+             "gateways": ["bc1.g1"]},
+            {"id": "f4", "kind": "heal", "at": 8, "faults": ["f1", "f3"]},
+            {"id": "f5", "kind": "partition", "at": 10, "until": 12,
+             "links": [["pay1", "pay2"]]}],
+        "grants": [{"id": "g1", "grantor": "app_x", "grantee": "app_y",
+                    "asset": "a1", "expiry": 30}],
+        "reads": [{"id": "r1", "at": 20, "asset": "a1", "requester": "app_y",
+                   "grant": "g1"}],
+        "resolves": [{"id": "q1", "at": 21, "asset": "a1"}],
+        "probes": [{"id": "pr1", "at": 6, "chain": "bc1"}],
+    }
+
+
+def _duplicate(section):
+    return lambda w: w[section].append(copy.deepcopy(w[section][0]))
+
+
+# Each input once ended in a traceback, passed validation and then failed
+# in the engine, or was silently misread; the path is where it is reported.
+BAD_INPUTS = {
+    "semantic is a mapping": (
+        lambda w: w["chains"][0].update(semantic={"x": 1}), "chains[0].semantic"),
+    "fault kind is a list": (
+        lambda w: w["faults"][0].update(kind=["partition"]), "faults[0].kind"),
+    "link endpoints are lists": (
+        lambda w: w["faults"][4].update(links=[[["pay1"], ["pay2"]]]), "faults[4].links"),
+    "peering chains are mappings": (
+        lambda w: w["peerings"][0].update(chains=[{"a": 1}, {"b": 2}]),
+        "peerings[0].chains"),
+    "heal names itself": (
+        lambda w: w["faults"][3].update(faults=["f4"]), "faults[3].faults"),
+    "heal names a later fault": (
+        lambda w: w["faults"][3].update(faults=["f5"]), "faults[3].faults"),
+    "node_crash also lists chains": (
+        lambda w: w["faults"][1].update(chains=["bc1"]), "faults[1].chains"),
+    "heal has until": (
+        lambda w: w["faults"][3].update(until=20), "faults[3].until"),
+    "writer is a mapping": (
+        lambda w: w["chains"][0].update(writers=[{"x": 1}]), "chains[0].writers"),
+    "regime flag is a string": (
+        lambda w: w["chains"][1].update(regime={"node": "no"}), "chains[1].regime.node"),
+    "path is a number": (
+        lambda w: w["chains"][1].update(path=7), "chains[1].path"),
+    "app is a number": (
+        lambda w: w["app_txns"][0].update(app=5), "app_txns[0].app"),
+    "misspelled until": (
+        lambda w: w["faults"][1].update(untill=12), "faults[1].untill: unknown key"),
+    "misspelled deadline": (
+        lambda w: w["transfers"][0].update(dealine=30),
+        "transfers[0].dealine: unknown key"),
+    "duplicate sub id": (
+        lambda w: w["app_txns"][0]["subs"].append({"id": "s1", "candidates": ["bc1"]}),
+        "app_txns[0].subs[1].id: duplicate sub id s1"),
+    "chain path taken": (
+        lambda w: w["chains"][1].update(path="trade.bc1"), "chains[1].path"),
+    "peerings overlap": (
+        lambda w: w["peerings"].append({"id": "pa2", "chains": ["bc2", "bc1"],
+                                        "semantics": ["asset-registry"]}),
+        "peerings[1].semantics"),
+    "chain id with a separator": (
+        lambda w: w["chains"].append(minimal_chain("bc.3")), "chains[4].id"),
+    "amount with a huge exponent": (
+        lambda w: w["payments"][0].update(amount="1e999999999"), "payments[0].amount"),
+    **{f"duplicate {section} id": (_duplicate(section), f"{section}[1].id: duplicate")
+       for section in ("app_txns", "transfers", "payments", "reads", "resolves",
+                       "probes", "grants", "connectors", "peerings")},
+}
+
+
+class TestRobustness:
+    def test_full_world_is_valid_and_runs(self):
+        Simulation(parse_scenario(full_world())).run()
+
+    def test_top_level_must_be_a_mapping(self):
+        with pytest.raises(ValidationError, match="top level: expected mapping"):
+            parse_scenario([{"horizon": 10}])
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_is_a_validation_error_with_its_path(self, case):
+        edit, where = BAD_INPUTS[case]
+        raw = full_world()
+        edit(raw)
+        assert any(p.startswith(where) for p in problems_of(raw)), problems_of(raw)
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_validate_and_run_exit_two_with_the_path(self, case, tmp_path, capsys):
+        edit, where = BAD_INPUTS[case]
+        raw = full_world()
+        edit(raw)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 2, command
+            err = capsys.readouterr().err
+            assert f"  {where}" in err and "Traceback" not in err, command
+
+
+# every key of the schema, so that generated mappings reach deep
+SCHEMA_KEYS = sorted({
+    *full_world(), "id", "nodes", "gateways", "quorum", "confirm_latency",
+    "semantic", "regime", "path", "writers", "readers", "vouch_threshold",
+    "denom", "node", "consensus", "write", "read", "chain", "payload",
+    "semantics", "fee", "reserves", "rates", "from", "to", "rate", "at",
+    "subs", "candidates", "timeout", "app", "asset", "beneficiary",
+    "deadline", "amount", "denom_in", "denom_out", "settle_after",
+    "release_after", "kind", "until", "links", "nodes", "gateways",
+    "faults", "grantor", "grantee", "expiry", "requester", "grant",
+    "inter_chain_latency", "latency_jitter", "reservation_ttl"})
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 50)
+           | st.floats(allow_nan=True) | st.sampled_from(["1/2", "0", "x", ""])
+           | st.text(alphabet="ab1./ =é", max_size=4))
+JSON_LIKE = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=2),
+                                     inner, max_size=4)),
+    max_leaves=8)
+
+
+def _positions(node, out):
+    """Every (container, key) below node, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _positions(child, out)
+    return out
+
+
+WORLD_STRINGS = sorted({node[key] for node, key in _positions(full_world(), [])
+                        if isinstance(node[key], str)})
+
+
+@st.composite
+def mutated_worlds(draw):
+    """full_world with one or two values replaced: mostly by a value of
+    the same type (a string by another string of the world), otherwise
+    by any JSON-like value."""
+    raw = full_world()
+    for _ in range(draw(st.integers(1, 2))):
+        node, key = draw(st.sampled_from(_positions(raw, [])))
+        old = node[key]
+        if isinstance(old, (dict, list)) or draw(st.integers(0, 3)) == 0:
+            node[key] = draw(JSON_LIKE)
+        elif isinstance(old, bool):
+            node[key] = draw(st.booleans())
+        elif isinstance(old, int):
+            node[key] = draw(st.integers(0, 45))
+        else:
+            node[key] = draw(st.sampled_from(WORLD_STRINGS))
+    return raw
+
+
+ROBUSTNESS = settings(max_examples=50, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
+@ROBUSTNESS
+@given(st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3),
+                       JSON_LIKE, max_size=6) | mutated_worlds())
+def test_any_mapping_gives_a_config_or_a_validation_error(raw):
+    try:
+        parse_scenario(raw)
+    except ValidationError as exc:
+        assert exc.problems
+
+
+@settings(ROBUSTNESS, max_examples=100)
+@given(mutated_worlds())
+def test_every_valid_config_builds_and_runs(raw):
+    try:
+        config = parse_scenario(raw)
+    except ValidationError:
+        return
+    Simulation(config).run()
