@@ -60,7 +60,6 @@ from .chain import (
 from .errors import (
     GrantMismatch,
     InteropError,
-    NotFound,
     Unreachable,
 )
 from .gateway import (
@@ -337,32 +336,7 @@ class Simulation:
             ("latency", f"{status.mean_confirm_latency:.2f}"),
             ("reachable", 1)))
 
-    # -- synchronous facade (direct API, used by tests) ----------------
-
-    def submit(self, chain_id: str, unit: TransferUnit, credential: str):
-        """Reachability-checked submission."""
-        if self.net.chain_partitioned(chain_id):
-            raise Unreachable(f"{chain_id} is partitioned")
-        return self.chains[chain_id].submit(unit, credential, self.net.now)
-
-    def read_ledger(self, chain_id: str, query, credential: str):
-        """query is a local_ref or a CrossId; cross ids translate via
-        this chain's mask only, never another chain's."""
-        if self.net.chain_partitioned(chain_id):
-            raise Unreachable(f"{chain_id} is partitioned")
-        ref = query
-        if isinstance(query, CrossId):
-            ref = self.resolver.local_ref_for(chain_id, query)
-        return self.chains[chain_id].read(ref, credential)
-
-    def probe_status(self, chain_id: str):
-        if chain_id not in self.chains:
-            raise NotFound(f"unknown chain {chain_id}")
-        if self.net.chain_partitioned(chain_id):
-            raise Unreachable(f"{chain_id} is partitioned")
-        if self.registry.lowest_live(chain_id) is None and self.chains[chain_id].gateway_ids:
-            raise Unreachable(f"{chain_id} has no live gateway")
-        return self.chains[chain_id].status(self.net.now)
+    # -- resolution ----------------------------------------------------
 
     def resolve_endpoint(self, cross_id: CrossId):
         """Resolution as an outside party sees it: pointer plus the home

@@ -7,7 +7,7 @@ ValidationError carries every problem found, each tagged with the field
 path that caused it.
 
 The schema is one table, built at import: each field of a *Cfg
-dataclass declares how it is read (see Field), and one generic pass,
+dataclass declares how it is read (see _yaml), and one generic pass,
 _Reader, reads every section through it.  The rules that span fields
 are each dataclass's _check.
 
@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 import yaml
 
@@ -34,7 +34,8 @@ _REQUIRED = object()
 
 
 class _Invalid(Exception):
-    """A value that does not fit its field; the message says why."""
+    """A value that does not fit its field: the message says why, and an
+    optional second argument extends the field path (".node", "[0]")."""
 
 
 # -- converters: (YAML value, minimum) -> field value, or _Invalid -----
@@ -50,12 +51,6 @@ def _int(val, minimum=None) -> int:
 def _str(val, minimum=None) -> str:
     if type(val) is not str or not val:
         raise _Invalid(f"expected non-empty string, got {val!r}")
-    return val
-
-
-def _bool(val, minimum=None) -> bool:
-    if type(val) is not bool:
-        raise _Invalid(f"expected true or false, got {val!r}")
     return val
 
 
@@ -101,11 +96,23 @@ def _positive(val, minimum=None) -> Fraction:
     return frac
 
 
-def _chain_id(val, minimum=None) -> str:
-    """A chain id, the prefix of its node, gateway and ledger ids."""
-    if type(val) is str and re.fullmatch(r"[A-Za-z0-9_-]+", val):
-        return val
-    raise _Invalid(f"expected ASCII letters, digits, '_' or '-', got {val!r}")
+def _name(chars: str):
+    """A name of ASCII letters, digits and chars.  Chain ids prefix node,
+    gateway and ledger ids, paths prefix cross ids, and gateways sign
+    both as ASCII."""
+    pattern = re.compile(f"[A-Za-z0-9{re.escape(chars)}]+")
+
+    def name(val, minimum=None) -> str:
+        if type(val) is str and pattern.fullmatch(val):
+            return val
+        raise _Invalid(f"expected ASCII letters, digits or any of {chars!r}, got {val!r}")
+    return name
+
+
+def _mapping(val) -> dict:
+    if type(val) is not dict:
+        raise _Invalid(f"expected mapping, got {type(val).__name__}")
+    return val
 
 
 def _pair(val, minimum=None) -> tuple[str, str]:
@@ -116,9 +123,36 @@ def _pair(val, minimum=None) -> tuple[str, str]:
 
 def _amounts(val, minimum=None) -> dict[str, Fraction]:
     """A mapping of denom to amount."""
-    if type(val) is not dict:
-        raise _Invalid(f"expected mapping, got {type(val).__name__}")
-    return {_str(d): _fraction(a, minimum) for d, a in val.items()}
+    return {_str(d): _fraction(a, minimum) for d, a in _mapping(val).items()}
+
+
+def _rates(val, minimum=None) -> dict[tuple[str, str], Fraction]:
+    """A list of {from, to, rate} mappings, keyed by (from, to)."""
+    rates = {}
+    for i, item in enumerate(_entries(val)):
+        if type(item) is not dict or item.keys() != {"from", "to", "rate"}:
+            raise _Invalid("expected a mapping of from, to and rate", f"[{i}]")
+        try:
+            rates[_str(item["from"]), _str(item["to"])] = _positive(item["rate"])
+        except _Invalid as exc:
+            raise _Invalid(str(exc), f"[{i}]") from None
+    return rates
+
+
+_REGIME_KEYS = ("node", "consensus", "write", "read")
+
+
+def _regime(val, minimum=None) -> PermissionRegime:
+    """The four permissioning flags, each false unless set."""
+    for key, flag in _mapping(val).items():
+        if key not in _REGIME_KEYS:
+            raise _Invalid("unknown key", f".{key}")
+        if flag is not None and type(flag) is not bool:
+            raise _Invalid(f"expected true or false, got {flag!r}", f".{key}")
+    try:
+        return PermissionRegime(*(val.get(key) is True for key in _REGIME_KEYS))
+    except ValueError as exc:
+        raise _Invalid(str(exc)) from None
 
 
 _SEMANTIC = _enum({s.value: s for s in SemanticType})
@@ -127,31 +161,20 @@ _NAMES = _list(_str)
 
 # -- the table -----------------------------------------------------------
 
-class Field(NamedTuple):
-    """How one value is read: from YAML key, by kind (a converter, or a
-    Spec for nested mappings).  default applies when the key is absent
-    or null: _REQUIRED, None (the field is optional), a YAML value, or a
-    function (n, vals, parent) of the item's 1-based index, its values
-    so far and its parent item's values.  minimum bounds a number or a
-    list's length; ref names the section whose ids each value must be
-    among; tick bounds the value by the horizon."""
-
-    key: str
-    kind: Any
-    default: Any = _REQUIRED
-    minimum: Any = None
-    ref: Optional[str] = None
-    tick: bool = False
-
-
 def _yaml(kind, absent=_REQUIRED, minimum=None, ref=None, tick=False,
           key=None, **dataclass_default):
-    """A dataclass field read as Field(key or its name, kind, absent,
-    ...); a dataclass default is also the YAML default."""
+    """A dataclass field read from YAML key (default: the field name) by
+    kind, a converter or a Spec.  absent applies when the key is missing
+    or null: _REQUIRED, None (optional), a YAML value, or a function (n,
+    vals, parent) of the item's 1-based index, its values so far and its
+    parent item's values; a dataclass default is also the YAML default.
+    minimum bounds a number or a list's length; ref names the section
+    whose ids each value must be among; tick bounds the value by the
+    horizon."""
     if dataclass_default:
         absent = dataclass_default.get("default", [])
     return field(**dataclass_default, metadata={
-        "yaml": Field(key, kind, absent, minimum, ref, tick)})
+        "yaml": (key, kind, absent, minimum, ref, tick)})
 
 
 def _nth(prefix: str):
@@ -160,20 +183,17 @@ def _nth(prefix: str):
 
 
 class Spec:
-    """How one kind of mapping is read: the callable that builds it from
-    its fields' values (a *Cfg dataclass reads its own fields, and its
-    _check(reader, path) holds the rules that span them).  many is None
-    for one mapping, or list (or dict, of built pairs) for a list of
-    them.  Items named by a noun have unique ids (fields[0]) that later
-    fields may refer to."""
+    """How a dataclass is read from a mapping: its fields declared with
+    _yaml, and its _check(reader, path), if any, which holds the rules
+    that span fields.  As a list section, its items are named by noun
+    and have unique ids (the first field) that later fields may name."""
 
-    def __init__(self, build, noun=None, fields_=None, many=list):
-        if fields_ is None:
-            fields_ = [f.metadata["yaml"]._replace(key=f.metadata["yaml"].key or f.name)
-                       for f in fields(build)]
-        self.build, self.noun, self.fields, self.many = build, noun, tuple(fields_), many
+    def __init__(self, build, noun=None):
+        declared = [(f.name, f.metadata["yaml"]) for f in fields(build) if f.metadata]
+        self.fields = tuple((key or name, *rest) for name, (key, *rest) in declared)
+        self.build, self.noun = build, noun
         self.check = getattr(build, "_check", None)
-        self.keys = frozenset(f.key for f in self.fields)
+        self.keys = frozenset(f[0] for f in self.fields)
 
 
 class _Reader:
@@ -189,14 +209,8 @@ class _Reader:
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def nested(self, val, path: str, spec: Spec, minimum=None, parent=None):
-        """The mapping at path built, or for a list spec its valid items."""
-        if spec.many is None:
-            vals = self.read(val, path, spec)
-            try:
-                return None if vals is None else spec.build(*vals)
-            except ValueError as exc:
-                raise _Invalid(str(exc)) from None
+    def items(self, val, path: str, spec: Spec, minimum=None, parent=None) -> list:
+        """The valid items of the list section at path, built."""
         try:
             val = _entries(val, minimum)
         except _Invalid as exc:
@@ -209,14 +223,14 @@ class _Reader:
             vals = self.read(item, p, spec, i + 1, parent)
             if vals is None:
                 continue
-            if spec.noun is not None and vals[0] in seen:
+            if vals[0] in seen:
                 self.add(f"{p}.id", f"duplicate {spec.noun} id {vals[0]}")
                 continue
             obj = seen[vals[0]] = spec.build(*vals)
             if spec.check is not None:
                 obj._check(self, p)
             out.append(obj)
-        return spec.many(out)
+        return out
 
     def read(self, item, path: str, spec: Spec, n: int = 1, parent=None):
         """The values of spec's fields in the mapping at path, or None
@@ -228,7 +242,8 @@ class _Reader:
         if not spec.keys.issuperset(item):
             for key in item:
                 if key not in spec.keys:
-                    self.add(f"{prefix}{key}", "unknown key" if path else "unknown section")
+                    section = not path and "." not in str(key)
+                    self.add(f"{prefix}{key}", "unknown section" if section else "unknown key")
         problems, ids, horizon = self.problems, self.ids, self.horizon
         before = len(problems)
         vals: list = []
@@ -244,41 +259,34 @@ class _Reader:
                 val = default
             try:
                 if type(kind) is Spec:
-                    val = self.nested(val, prefix + key, kind, minimum, vals)
+                    val = self.items(val, prefix + key, kind, minimum, vals)
                 else:
                     val = kind(val, minimum)
-                if ref is not None and type(val) is str:
-                    if val not in ids[ref]:
-                        raise _Invalid(f"unknown {ref} {val}")
-                elif ref is not None:
-                    for x in val:
+                if ref is not None:
+                    for x in (val,) if type(val) is str else val:
                         if x not in ids[ref]:
                             self.add(prefix + key, f"unknown {ref} {x}")
                 elif tick and horizon is not None and val > horizon:
                     noun = "tick" if key == "at" else key
                     raise _Invalid(f"{noun} {val} beyond horizon {horizon}")
             except _Invalid as exc:
-                self.add(prefix + key, str(exc))
+                self.add(prefix + key + "".join(exc.args[1:]), exc.args[0])
             vals.append(val)
         return vals if len(problems) == before else None
 
 
 # -- the config dataclasses, each with its rules -------------------------
 
-_REGIME = Spec(PermissionRegime, fields_=[
-    Field(key, _bool, False) for key in ("node", "consensus", "write", "read")], many=None)
-
-
 @dataclass
 class ChainCfg:
-    chain_id: str = _yaml(_chain_id, key="id")
+    chain_id: str = _yaml(_name("_-"), key="id")
     nodes: int = _yaml(_int, minimum=1)
     gateways: int = _yaml(_int, 0, minimum=0)
     quorum: Fraction = _yaml(_fraction, "1/2")
     confirm_latency: int = _yaml(_int, minimum=1)
     semantic: SemanticType = _yaml(_SEMANTIC)
-    regime: PermissionRegime = _yaml(_REGIME, {})
-    path: Optional[str] = _yaml(_str, default=None)
+    regime: PermissionRegime = _yaml(_regime, {})
+    path: Optional[str] = _yaml(_name("_-."), default=None)
     writers: list[str] = _yaml(_NAMES, default_factory=list)
     readers: list[str] = _yaml(_NAMES, default_factory=list)
     vouch_threshold: Optional[int] = _yaml(_int, minimum=1, default=None)
@@ -332,16 +340,12 @@ class PeeringCfg:
         covered.update(self.semantics)
 
 
-_RATE = Spec(lambda d_from, d_to, rate: ((d_from, d_to), rate), many=dict, fields_=[
-    Field("from", _str), Field("to", _str), Field("rate", _positive)])
-
-
 @dataclass
 class ConnectorCfg:
     connector_id: str = _yaml(_str, key="id")
     chains: list[str] = _yaml(_NAMES, [], minimum=2, ref="chain")
     reserves: dict[str, Fraction] = _yaml(_amounts, {}, minimum=0)
-    rates: dict[tuple[str, str], Fraction] = _yaml(_RATE, [])
+    rates: dict[tuple[str, str], Fraction] = _yaml(_rates, [])
 
 
 @dataclass
@@ -384,6 +388,10 @@ class TransferCfg:
             r.add(p, "source and destination chains differ in semantic type")
         if self.deadline <= self.at:
             r.add(f"{p}.deadline", f"deadline {self.deadline} not after start {self.at}")
+        elif self.deadline == r.horizon:
+            # the abort runs at deadline + 1, which must be within the run
+            r.add(f"{p}.deadline", f"deadline {self.deadline} leaves no tick "
+                                   f"for the abort before horizon {r.horizon}")
 
 
 @dataclass
@@ -484,11 +492,12 @@ def _section(cfg, noun: str):
 @dataclass
 class ScenarioConfig:
     name: str
-    horizon: int
-    seed: int = 0
-    inter_chain_latency: int = 2
-    latency_jitter: int = 0
-    reservation_ttl: int = 50
+    horizon: int = _yaml(_int, minimum=1)
+    seed: int = _yaml(_int, minimum=0, default=0)
+    # read from the links and valuenet mappings (see parse_scenario)
+    inter_chain_latency: int = _yaml(_int, minimum=0, key="links.inter_chain_latency", default=2)
+    latency_jitter: int = _yaml(_int, minimum=0, key="links.latency_jitter", default=0)
+    reservation_ttl: int = _yaml(_int, minimum=1, key="valuenet.reservation_ttl", default=50)
     # the sections, in reading order: each after those it refers to
     chains: list[ChainCfg] = _section(ChainCfg, "chain")
     assets: list[AssetCfg] = _section(AssetCfg, "asset")
@@ -504,13 +513,7 @@ class ScenarioConfig:
     probes: list[ProbeCfg] = _section(ProbeCfg, "probe")
 
 
-_SCENARIO = Spec(lambda *vals: vals, many=None, fields_=[
-    Field("horizon", _int, minimum=1), Field("seed", _int, 0, 0),
-    Field("links", Spec(lambda *vals: vals, many=None, fields_=[
-        Field("inter_chain_latency", _int, 2, 0), Field("latency_jitter", _int, 0, 0)]), {}),
-    Field("valuenet", Spec(lambda *vals: vals, many=None, fields_=[
-        Field("reservation_ttl", _int, 50, 1)]), {}),
-    *(f.metadata["yaml"]._replace(key=f.name) for f in fields(ScenarioConfig) if f.metadata)])
+_SCENARIO = Spec(ScenarioConfig)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -539,8 +542,20 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if type(raw) is not dict:
         raise ValidationError(f"top level: expected mapping, got {type(raw).__name__}")
     r = _Reader(raw.get("horizon"))
-    vals = r.read(raw, "", _SCENARIO)
+    # the keys of links and valuenet are read as "links.<key>", and a
+    # top-level key with a dot is no section
+    flat = {}
+    for key, val in raw.items():
+        if key in ("links", "valuenet") and val is not None:
+            try:
+                flat.update((f"{key}.{k}", v) for k, v in _mapping(val).items())
+            except _Invalid as exc:
+                r.add(key, str(exc))
+        elif "." in str(key):
+            r.add(str(key), "unknown section")
+        else:
+            flat[key] = val
+    vals = r.read(flat, "", _SCENARIO)
     if r.problems:
         raise ValidationError(r.problems)
-    horizon, seed, links, valuenet, *sections = vals
-    return ScenarioConfig(name, horizon, seed, *links, *valuenet, *sections)
+    return ScenarioConfig(name, *vals)

@@ -364,6 +364,21 @@ BAD_INPUTS = {
     "duplicate sub id": (
         lambda w: w["app_txns"][0]["subs"].append({"id": "s1", "candidates": ["bc1"]}),
         "app_txns[0].subs[1].id: duplicate sub id s1"),
+    "path is not ASCII": (
+        lambda w: w["chains"][1].update(path="\u00e9"), "chains[1].path"),
+    "deadline at the horizon": (
+        lambda w: w["transfers"][0].update(deadline=40), "transfers[0].deadline"),
+    "misspelled links key": (
+        lambda w: w["links"].update(jiter=1), "links.jiter: unknown key"),
+    "links key at the top level": (
+        lambda w: w.update({"links.latency_jitter": 1}),
+        "links.latency_jitter: unknown section"),
+    "misspelled regime flag": (
+        lambda w: w["chains"][0]["regime"].update(nod=True),
+        "chains[0].regime.nod: unknown key"),
+    "rate is zero": (
+        lambda w: w["connectors"][0]["rates"][0].update(rate="0"),
+        "connectors[0].rates[0]: must be positive"),
     "chain path taken": (
         lambda w: w["chains"][1].update(path="trade.bc1"), "chains[1].path"),
     "peerings overlap": (
@@ -464,7 +479,8 @@ def mutated_worlds(draw):
     return raw
 
 
-ROBUSTNESS = settings(max_examples=50, deadline=None,
+# derandomized, so that every run of the suite tries the same examples
+ROBUSTNESS = settings(max_examples=50, deadline=None, derandomize=True,
                       suppress_health_check=[HealthCheck.too_slow])
 
 
