@@ -4,6 +4,13 @@ Each audit inspects the final state plus the event log and returns
 pass/fail with a detail string.  The CLI exit status is derived from
 these, so an audit must only fail when the corresponding invariant is
 genuinely violated.
+
+Each audit makes one pass over the log and the final state, building
+any index it needs first, so its cost is linear in the log plus the
+final state.  When several items violate an invariant, the detail names
+the first in the order of the log, or of the sorted chain and asset
+ids.  run_all looks each audit up by its module global name on every
+call, so a wrapper installed on this module from outside takes effect.
 """
 
 from __future__ import annotations
@@ -75,13 +82,14 @@ def _append_only(sim):
 def _quorum_soundness(sim):
     for cid, chain in sorted(sim.chains.items()):
         threshold = chain.quorum_threshold()
+        nodes = set(chain.nodes)
         for e in chain.ledger.entries:
             if e.kind not in CONSENSUS_KINDS:
                 continue
             if len(e.confirming_nodes) < threshold:
                 return False, (f"{cid}/{e.local_ref}: {len(e.confirming_nodes)} "
                                f"confirming < threshold {threshold}")
-            if not set(e.confirming_nodes) <= set(chain.nodes):
+            if not nodes.issuperset(e.confirming_nodes):
                 return False, f"{cid}/{e.local_ref}: unknown confirming node"
     return True, ""
 
@@ -120,7 +128,13 @@ def _idempotent_submission(sim):
 def _single_authority(sim):
     resolver = sim.resolver
     masks = resolver.mask_tables()
-    for cid in resolver.assets():
+    # each asset's (chain, ref) entries, by chain id, then mask order
+    masked: dict = {}
+    for chain_id in sorted(masks):
+        for ref, mapped in masks[chain_id].items():
+            masked.setdefault(mapped, []).append((chain_id, ref))
+    assets = resolver.assets()
+    for cid in assets:
         pointer = resolver.resolve(cid)
         history = resolver.audit(cid)
         if history[0].forwarded_from is not None:
@@ -131,19 +145,15 @@ def _single_authority(sim):
         if history[-1] != pointer:
             return False, f"{cid}: history tip is not the current home"
         holders = []
-        for chain_id in sorted(masks):
-            for ref, mapped in masks[chain_id].items():
-                if mapped != cid:
-                    continue
-                chain = sim.chains[chain_id]
-                entry = chain.ledger.get(ref)
-                if entry is None:
-                    return False, f"{cid}: masked ref {chain_id}/{ref} off ledger"
-                if ref not in chain.ledger.marks and ref not in chain.ledger.voids:
-                    holders.append(chain_id)
+        for chain_id, ref in masked.get(cid, ()):
+            ledger = sim.chains[chain_id].ledger
+            if ledger.get(ref) is None:
+                return False, f"{cid}: masked ref {chain_id}/{ref} off ledger"
+            if ref not in ledger.marks and ref not in ledger.voids:
+                holders.append(chain_id)
         if holders != [pointer.home_chain]:
             return False, f"{cid}: authoritative entries on {holders}, home {pointer.home_chain}"
-    return True, f"{len(resolver.assets())} assets"
+    return True, f"{len(assets)} assets"
 
 
 def _no_lost_assets(sim):
@@ -156,15 +166,14 @@ def _no_lost_assets(sim):
         if t.holds_lock:
             return False, f"{tid}: terminal but still holds the source lock"
         if t.state == TransferState.FINALIZED:
-            home = sim.resolver.resolve(t.asset).home_chain
-            record = sim.chains[t.dest_chain].ledger.get(t.record_ref)
-            if record is None:
+            dest = sim.chains[t.dest_chain].ledger
+            if dest.get(t.record_ref) is None:
                 return False, f"{tid}: finalized without a destination record"
-            if t.record_ref in sim.chains[t.dest_chain].ledger.voids:
+            if t.record_ref in dest.voids:
                 return False, f"{tid}: finalized but record voided"
         else:
-            if (sim.resolver.resolve(t.asset).home_chain != t.source_chain
-                    and str(t.asset) not in finalized_assets):
+            home = sim.resolver.resolve(t.asset).home_chain
+            if home != t.source_chain and str(t.asset) not in finalized_assets:
                 return False, f"{tid}: aborted but authority left {t.source_chain}"
             if t.record_ref is not None and t.record_confirmed:
                 if t.record_ref not in sim.chains[t.dest_chain].ledger.voids:
@@ -211,33 +220,36 @@ def _masking_bijectivity(sim):
 
 def _resolution_opacity(sim):
     """Advertisement and resolve transcripts must not leak node ids or
-    chain-local transaction refs."""
+    chain-local transaction refs.  A node id leaks wherever it occurs,
+    also inside a longer word (bc1.n1 inside bc1.n10)."""
     node_ids = sorted(sim.net.known_nodes)
+    leak = re.compile("|".join(map(re.escape, node_ids))) if node_ids else None
     scanned = 0
     for rec in sim.net.log.records:
         if rec.kind not in ("advert", "resolve"):
             continue
         scanned += 1
         text = f"{rec.subject} {rec.detail}"
-        for nid in node_ids:
-            if nid in text:
-                return False, f"record {rec.seq} leaks node id {nid}"
+        if leak is not None and leak.search(text):
+            nid = next(nid for nid in node_ids if nid in text)
+            return False, f"record {rec.seq} leaks node id {nid}"
         if _LOCAL_REF.search(text):
             return False, f"record {rec.seq} leaks a local ref"
     return True, f"{scanned} transcripts"
 
 
 def _no_partition_delivery(sim):
-    def isolated(chain_id, tick):
-        for cid, start, end in sim.net.partition_history:
-            if cid == chain_id and start <= tick and (end is None or tick < end):
-                return True
-        return False
+    # [start, end) episodes, end None while open, by chain and by pair
+    isolations: dict[str, list] = {}
+    for cid, start, end in sim.net.partition_history:
+        isolations.setdefault(cid, []).append((start, end))
+    cuts: dict[frozenset, list] = {}
+    for pair, start, end in sim.net.cut_history:
+        cuts.setdefault(pair, []).append((start, end))
 
-    def link_cut(a, b, tick):
-        pair = frozenset((a, b))
-        for p, start, end in sim.net.cut_history:
-            if p == pair and start <= tick and (end is None or tick < end):
+    def within(episodes, tick):
+        for start, end in episodes:
+            if start <= tick and (end is None or tick < end):
                 return True
         return False
 
@@ -246,11 +258,11 @@ def _no_partition_delivery(sim):
             continue
         fields = dict(f.split("=", 1) for f in rec.detail.split(" ") if "=" in f)
         src, dst = fields.get("src"), fields.get("dst")
-        if dst and isolated(dst, rec.tick):
+        if dst and within(isolations.get(dst, ()), rec.tick):
             return False, f"record {rec.seq}: delivery into partitioned {dst}"
-        if src and isolated(src, rec.tick):
+        if src and within(isolations.get(src, ()), rec.tick):
             return False, f"record {rec.seq}: delivery out of partitioned {src}"
-        if src and dst and link_cut(src, dst, rec.tick):
+        if src and dst and within(cuts.get(frozenset((src, dst)), ()), rec.tick):
             return False, f"record {rec.seq}: delivery across cut link {src}-{dst}"
     return True, ""
 

@@ -198,16 +198,26 @@ class Spec:
 
 class _Reader:
     """One validation pass: the problems found, the ids read so far by
-    section noun, and what the _check rules keep."""
+    section noun, the ids of items dropped for a problem, and what the
+    _check rules keep.  An item that names a dropped item is dropped
+    too, without a problem of its own: the first one says it all."""
 
     def __init__(self, horizon) -> None:
         self.problems: list[str] = []
         self.horizon = horizon if type(horizon) is int else None
         self.ids: dict[Any, Any] = {"node": set(), "gateway": set(),
                                     "path": {}, "peered": {}}
+        self.dropped: dict[str, set[str]] = {}
 
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
+
+    def was_dropped(self, noun: str, item_id: str) -> bool:
+        """Whether item_id names a dropped item; a node or gateway id
+        names its chain before the dot."""
+        if noun in ("node", "gateway"):
+            noun, item_id = "chain", item_id.split(".", 1)[0]
+        return item_id in self.dropped.get(noun, ())
 
     def items(self, val, path: str, spec: Spec, minimum=None, parent=None) -> list:
         """The valid items of the list section at path, built."""
@@ -234,7 +244,7 @@ class _Reader:
 
     def read(self, item, path: str, spec: Spec, n: int = 1, parent=None):
         """The values of spec's fields in the mapping at path, or None
-        when any of them is invalid."""
+        when any of them is invalid or names a dropped item."""
         if type(item) is not dict:
             self.add(path, f"expected mapping, got {type(item).__name__}")
             return None
@@ -246,6 +256,7 @@ class _Reader:
                     self.add(f"{prefix}{key}", "unknown section" if section else "unknown key")
         problems, ids, horizon = self.problems, self.ids, self.horizon
         before = len(problems)
+        cascade = False
         vals: list = []
         for key, kind, default, minimum, ref, tick in spec.fields:
             val = item.get(key)
@@ -264,7 +275,11 @@ class _Reader:
                     val = kind(val, minimum)
                 if ref is not None:
                     for x in (val,) if type(val) is str else val:
-                        if x not in ids[ref]:
+                        if x in ids[ref]:
+                            continue
+                        if self.was_dropped(ref, x):
+                            cascade = True
+                        else:
                             self.add(prefix + key, f"unknown {ref} {x}")
                 elif tick and horizon is not None and val > horizon:
                     noun = "tick" if key == "at" else key
@@ -272,7 +287,11 @@ class _Reader:
             except _Invalid as exc:
                 self.add(prefix + key + "".join(exc.args[1:]), exc.args[0])
             vals.append(val)
-        return vals if len(problems) == before else None
+        if len(problems) == before and not cascade:
+            return vals
+        if spec.noun is not None and type(vals[0]) is str:
+            self.dropped.setdefault(spec.noun, set()).add(vals[0])
+        return None
 
 
 # -- the config dataclasses, each with its rules -------------------------
@@ -449,7 +468,8 @@ class FaultCfg:
         elif self.until is not None and self.until <= self.at:
             r.add(f"{p}.until", f"until {self.until} must exceed at {self.at}")
         for a, b in self.links:
-            if a not in r.ids["chain"] or b not in r.ids["chain"]:
+            if any(c not in r.ids["chain"] and not r.was_dropped("chain", c)
+                   for c in (a, b)):
                 r.add(f"{p}.links", f"unknown link {a}-{b}")
 
 

@@ -278,21 +278,20 @@ class ValueNetwork:
 
     def conservation_errors(self) -> list[str]:
         """Exact per-denomination check of reserve deltas vs settled hops."""
-        denoms = set(d for _, d in self.initial_reserves)
+        delta: dict[str, Fraction] = {}  # final minus initial reserves
+        for (_, denom), amount in self.initial_reserves.items():
+            delta[denom] = delta.get(denom, Fraction(0)) - amount
         for c in self.connectors.values():
-            denoms.update(c.reserves)
+            for denom, amount in c.reserves.items():
+                delta[denom] = delta.get(denom, Fraction(0)) + amount
+        settled: dict[str, Fraction] = {}  # inflow minus outflow
+        for h in self.settled_hops:
+            settled[h.denom_in] = settled.get(h.denom_in, Fraction(0)) + h.amount_in
+            settled[h.denom_out] = settled.get(h.denom_out, Fraction(0)) - h.amount_out
         problems = []
-        for denom in sorted(denoms):
-            final = sum((c.reserves.get(denom, Fraction(0))
-                         for c in self.connectors.values()), Fraction(0))
-            initial = sum((amt for (_, d), amt in self.initial_reserves.items()
-                           if d == denom), Fraction(0))
-            inflow = sum((h.amount_in for h in self.settled_hops
-                          if h.denom_in == denom), Fraction(0))
-            outflow = sum((h.amount_out for h in self.settled_hops
-                           if h.denom_out == denom), Fraction(0))
-            if final - initial != inflow - outflow:
+        for denom in sorted(delta):
+            net = settled.get(denom, Fraction(0))
+            if delta[denom] != net:
                 problems.append(
-                    f"{denom}: reserve delta {final - initial} != settled net "
-                    f"{inflow - outflow}")
+                    f"{denom}: reserve delta {delta[denom]} != settled net {net}")
         return problems

@@ -1,0 +1,273 @@
+"""Each post-run audit fails on a real violation, and only that audit.
+
+Every test runs a small world to its end, checks that all fourteen
+audits pass, corrupts the finished Simulation in exactly one way and
+asserts that the intended audit is the only one that fails, with a
+detail that names the corrupted item.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from interopsim import audit
+from interopsim.chain import SemanticType
+from interopsim.engine import Simulation
+from interopsim.gateway import TransferState
+from interopsim.scenario import parse_scenario
+
+from conftest import bundled
+
+
+def registry(cid, nodes=4):
+    return {"id": cid, "nodes": nodes, "gateways": 3, "quorum": "2/3",
+            "confirm_latency": 2, "semantic": "asset-registry",
+            "vouch_threshold": 2}
+
+
+def world(nodes=4):
+    """Three asset registries, declared out of order so that the order
+    of a detail shows; three assets on bc1 and bc2, two of which cross
+    over; a resolve; and a partition and a link cut that start after
+    every transfer has ended."""
+    return {
+        "horizon": 40, "seed": 11,
+        "chains": [registry("bc2"), registry("bc1", nodes), registry("bc3")],
+        "assets": [{"id": "a1", "chain": "bc1"}, {"id": "a2", "chain": "bc2"},
+                   {"id": "a3", "chain": "bc1"}],
+        "peerings": [{"id": "pa1", "chains": ["bc1", "bc2"],
+                      "semantics": ["asset-registry"], "fee": "1"}],
+        "transfers": [
+            {"id": "x1", "at": 0, "asset": "a1", "from": "bc1", "to": "bc2",
+             "deadline": 25},
+            {"id": "x2", "at": 1, "asset": "a2", "from": "bc2", "to": "bc1",
+             "deadline": 25}],
+        "resolves": [{"id": "q1", "at": 20, "asset": "a1"}],
+        "faults": [
+            {"id": "f1", "kind": "partition", "at": 30, "until": 33,
+             "chains": ["bc3"]},
+            {"id": "f2", "kind": "partition", "at": 30, "until": 33,
+             "links": [["bc1", "bc3"]]}],
+    }
+
+
+def finished(config):
+    sim = Simulation(config)
+    sim.run()
+    assert failures(sim) == {}
+    return sim
+
+
+def failures(sim):
+    return {r.name: r.detail for r in audit.run_all(sim) if not r.passed}
+
+
+def only_failure(sim, name):
+    """The detail of the one failing audit, which must be name."""
+    failed = failures(sim)
+    assert list(failed) == [name], failed
+    return failed[name]
+
+
+@pytest.fixture
+def sim():
+    return finished(parse_scenario(world()))
+
+
+@pytest.fixture
+def payments():
+    return finished(bundled("ilp_path"))
+
+
+def transfer(sim, tid):
+    return sim.transfers.transfers[tid]
+
+
+def entry(sim, chain_id, ref):
+    return sim.chains[chain_id].ledger.get(ref)
+
+
+def append(sim, kind, subject, detail):
+    """Log one more record at the last tick, so that seq and tick stay
+    in order."""
+    return sim.net.log.append(sim.net.log.records[-1].tick, kind, subject, detail)
+
+
+def first_delivery(sim, chain_id):
+    return next(r for r in sim.net.log.records
+                if r.kind == "deliver" and chain_id in r.detail)
+
+
+class TestWorld:
+    def test_world_moves_two_of_three_assets(self, sim):
+        assert {t.transfer_id: t.state.value for t in sim.transfers.transfers.values()} \
+            == {"x1": "FINALIZED", "x2": "FINALIZED"}
+        assert len(sim.resolver.assets()) == 3
+        assert len(sim.net.partition_history) == 1 and len(sim.net.cut_history) == 1
+
+    def test_passing_details(self, sim):
+        details = {r.name: r.detail for r in audit.run_all(sim)}
+        assert details["clock_monotonic"] == f"{len(sim.net.log.records)} records"
+        assert details["single_authority"] == "3 assets"
+        assert details["no_lost_assets"] == "2 transfers terminal"
+        assert details["resolution_opacity"] == "4 transcripts"
+
+
+class TestLogAudits:
+    def test_clock_monotonic_catches_a_backdated_record(self, sim):
+        last = sim.net.log.records[-1]
+        assert last.kind == "resolver"
+        last.tick = 0
+        assert only_failure(sim, "clock_monotonic") == \
+            f"tick went backwards at record {last.seq}"
+
+    def test_clock_monotonic_catches_a_wrong_seq(self, sim):
+        last = sim.net.log.records[-1]
+        last.seq += 1
+        assert only_failure(sim, "clock_monotonic") == \
+            f"record {last.seq - 1} has seq {last.seq}"
+
+    def test_append_only_catches_reordered_entries(self, sim):
+        entries = sim.chains["bc2"].ledger.entries
+        entries[0], entries[1] = entries[1], entries[0]
+        detail = only_failure(sim, "append_only_ledgers")
+        assert detail.startswith("bc2: ledger ['e2', 'e1'")
+
+
+class TestLedgerAudits:
+    def test_quorum_soundness_catches_too_few_confirmations(self, sim):
+        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        lock.confirming_nodes = lock.confirming_nodes[:1]
+        assert only_failure(sim, "quorum_soundness") == \
+            f"bc1/{lock.local_ref}: 1 confirming < threshold 3"
+
+    def test_quorum_soundness_catches_an_unknown_node(self, sim):
+        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        lock.confirming_nodes = lock.confirming_nodes[:-1] + ("bc2.n1",)
+        assert only_failure(sim, "quorum_soundness") == \
+            f"bc1/{lock.local_ref}: unknown confirming node"
+
+    def test_confirm_latency_catches_a_backdated_confirmation(self, sim):
+        record = entry(sim, "bc2", transfer(sim, "x1").record_ref)
+        record.confirmed_tick = record.submitted_tick + 1
+        assert only_failure(sim, "confirm_latency") == \
+            f"bc2/{record.local_ref}: confirmed after 1 < latency 2"
+
+    def test_semantic_gating_catches_a_foreign_unit(self, sim):
+        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        lock.unit = replace(lock.unit, semantic_type=SemanticType.PAYMENTS)
+        assert only_failure(sim, "semantic_gating") == \
+            f"bc1/{lock.local_ref}: semantic mismatch"
+
+    def test_idempotent_submission_catches_a_reused_key(self, sim):
+        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        record = entry(sim, "bc1", transfer(sim, "x2").record_ref)
+        record.unit = replace(record.unit, idempotency_key=lock.unit.idempotency_key)
+        assert only_failure(sim, "idempotent_submission") == \
+            f"bc1: duplicate key {lock.unit.idempotency_key}"
+
+
+class TestAuthorityAudits:
+    def test_single_authority_catches_a_cleared_mark(self, sim):
+        x1 = transfer(sim, "x1")
+        source = sim.chains["bc1"].ledger
+        del source.marks[sim.resolver.local_ref_for("bc1", x1.asset)]
+        assert only_failure(sim, "single_authority") == \
+            f"{x1.asset}: authoritative entries on ['bc1', 'bc2'], home bc2"
+
+    def test_single_authority_catches_a_masked_ref_off_the_ledger(self, sim):
+        x2 = transfer(sim, "x2")
+        # remap the asset on bc2 to a ref the ledger never held, in both
+        # directions, so that the mask tables stay a bijection
+        ref = sim.resolver.local_ref_for("bc2", x2.asset)
+        sim.resolver.mask_tables()["bc2"]["e99"] = \
+            sim.resolver.mask_tables()["bc2"].pop(ref)
+        sim.resolver._unmask["bc2"][x2.asset] = "e99"
+        assert only_failure(sim, "single_authority") == \
+            f"{x2.asset}: masked ref bc2/e99 off ledger"
+
+    def test_single_authority_catches_a_broken_forward_chain(self, sim):
+        x2 = transfer(sim, "x2")
+        history = sim.resolver._history[x2.asset]
+        history[1] = replace(history[1], forwarded_from="bc3")
+        assert only_failure(sim, "single_authority") == \
+            f"{x2.asset}: broken forward chain"
+
+    def test_no_lost_assets_catches_a_held_lock(self, sim):
+        transfer(sim, "x2").holds_lock = True
+        assert only_failure(sim, "no_lost_assets") == \
+            "x2: terminal but still holds the source lock"
+
+    def test_no_lost_assets_catches_an_unfinished_transfer(self, sim):
+        transfer(sim, "x1").state = TransferState.VOUCHED
+        assert only_failure(sim, "no_lost_assets") == "x1: still VOUCHED at end of run"
+
+    def test_attestation_necessity_catches_a_forged_signature(self, sim):
+        x2 = transfer(sim, "x2")
+        att = x2.dest_attestation
+        (gid, sig), *rest = att.signatures
+        forged = ("0" if sig[0] != "0" else "1") + sig[1:]
+        x2.dest_attestation = replace(att, signatures=((gid, forged), *rest))
+        assert only_failure(sim, "attestation_necessity") == \
+            "x2: dest attestation fails verification"
+
+    def test_masking_bijectivity_catches_a_wrong_unmask(self, sim):
+        x1 = transfer(sim, "x1")
+        ref = sim.resolver.local_ref_for("bc2", x1.asset)
+        sim.resolver._unmask["bc2"][x1.asset] = "e99"
+        assert only_failure(sim, "masking_bijectivity") == \
+            f"bc2: {x1.asset} does not map back to {ref}"
+
+
+class TestTranscriptAudits:
+    @pytest.mark.parametrize("nodes", [4, 10])
+    def test_resolution_opacity_reads_node_ids_as_substrings(self, nodes):
+        # bc1.n1 leaks inside bc1.n10, whether or not bc1.n10 is a node,
+        # and the detail names the first leaked id in sorted order
+        sim = finished(parse_scenario(world(nodes)))
+        rec = append(sim, "advert", "bc1", "path=bc1 endpoints=bc1.n10")
+        assert only_failure(sim, "resolution_opacity") == \
+            f"record {rec.seq} leaks node id bc1.n1"
+
+    def test_resolution_opacity_catches_a_local_ref(self, sim):
+        rec = append(sim, "resolve", "q9", "home=bc2 ref=e2")
+        assert only_failure(sim, "resolution_opacity") == \
+            f"record {rec.seq} leaks a local ref"
+
+    def test_no_partition_delivery_catches_a_delivery_into_a_partition(self, sim):
+        rec = first_delivery(sim, "bc2")
+        assert "dst=bc2" in rec.detail
+        sim.net.partition_history.append(["bc2", rec.tick, rec.tick + 1])
+        assert only_failure(sim, "no_partition_delivery") == \
+            f"record {rec.seq}: delivery into partitioned bc2"
+
+    def test_no_partition_delivery_catches_a_delivery_across_a_cut(self, sim):
+        rec = first_delivery(sim, "bc2")
+        sim.net.cut_history.append([frozenset(("bc1", "bc2")), rec.tick, None])
+        assert only_failure(sim, "no_partition_delivery") == \
+            f"record {rec.seq}: delivery across cut link bc1-bc2"
+
+    def test_no_partition_delivery_ends_an_episode_at_its_heal(self, sim):
+        rec = first_delivery(sim, "bc2")
+        sim.net.partition_history.append(["bc2", 0, rec.tick])
+        sim.net.cut_history.append([frozenset(("bc1", "bc2")), 0, rec.tick])
+        assert failures(sim) == {}
+
+
+class TestValueAudits:
+    def test_value_conservation_catches_a_minted_reserve(self, payments):
+        payments.valuenet.connectors["c1"].reserves["eur"] += 1
+        detail = only_failure(payments, "value_conservation")
+        assert detail.startswith("eur: reserve delta")
+
+    def test_reservation_consistency_catches_an_outstanding_hold(self, payments):
+        payments.valuenet.holds[("c2", "gbp")] = Fraction(3)
+        detail = only_failure(payments, "reservation_consistency")
+        assert "('c2', 'gbp'): Fraction(3, 1)" in detail
+
+
+def test_run_all_looks_each_audit_up_when_called(sim, monkeypatch):
+    # the benchmark's tracer wraps the audits by module attribute name
+    monkeypatch.setattr(audit, "_single_authority", lambda sim: (False, "stub"))
+    assert failures(sim) == {"single_authority": "stub"}

@@ -423,6 +423,77 @@ class TestRobustness:
             assert f"  {where}" in err and "Traceback" not in err, command
 
 
+def cascade_world():
+    """Two chains, the first with one bad field, and an asset, a peering
+    and a transfer that name it."""
+    return {
+        "horizon": 40,
+        "chains": [minimal_chain("bc1", semantic="asset-registry",
+                                 regime={"node": "no"}),
+                   minimal_chain("bc2", semantic="asset-registry")],
+        "assets": [{"id": "a1", "chain": "bc1"}],
+        "peerings": [{"id": "pa1", "chains": ["bc1", "bc2"],
+                      "semantics": ["asset-registry"]}],
+        "transfers": [{"id": "x1", "asset": "a1", "from": "bc1", "to": "bc2",
+                       "deadline": 20}],
+    }
+
+
+REGIME_PROBLEM = "chains[0].regime.node: expected true or false, got 'no'"
+
+
+class TestDroppedItems:
+    """An item dropped for a bad field is reported once: the items that
+    name it, directly or through another dropped item, are dropped
+    without a problem of their own."""
+
+    def test_one_bad_chain_field_is_one_problem(self):
+        assert problems_of(cascade_world()) == [REGIME_PROBLEM]
+
+    def test_validate_prints_one_problem(self, tmp_path, capsys):
+        path = tmp_path / "cascade.yaml"
+        path.write_text(yaml.safe_dump(cascade_world()))
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "(1 problems)" in err and f"  {REGIME_PROBLEM}" in err
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_every_reference_to_a_dropped_chain_is_silent(self, index):
+        # the chain's assets, peerings, connectors, subs, transfers,
+        # payments, node and gateway faults, links, heals, grants, reads,
+        # resolves and probes
+        raw = full_world()
+        raw["chains"][index]["regime"] = {"node": "no"}
+        assert problems_of(raw) == [
+            f"chains[{index}].regime.node: expected true or false, got 'no'"]
+
+    def test_a_heal_of_a_dropped_fault_is_silent(self):
+        raw = full_world()
+        raw["faults"][0]["at"] = -1
+        assert problems_of(raw) == ["faults[0].at: must be >= 0, got -1"]
+
+    def test_references_to_a_dropped_asset_are_silent(self):
+        raw = full_world()
+        raw["assets"][0]["payload"] = 5
+        assert problems_of(raw) == ["assets[0].payload: expected non-empty string, got 5"]
+
+    def test_an_undeclared_id_is_still_a_problem(self):
+        raw = cascade_world()
+        raw["transfers"][0]["to"] = "bc9"
+        assert problems_of(raw) == [REGIME_PROBLEM, "transfers[0].to: unknown chain bc9"]
+        raw["chains"][0]["regime"] = {}
+        assert problems_of(raw) == ["transfers[0].to: unknown chain bc9"]
+
+    def test_a_node_of_a_dropped_chain_is_silent_but_not_a_missing_one(self):
+        raw = full_world()
+        raw["faults"][1]["nodes"] = ["bc1.n1", "bc2.n9"]
+        assert problems_of(raw) == ["faults[1].nodes: unknown node bc2.n9"]
+        raw["chains"][0]["regime"] = {"node": "no"}
+        assert problems_of(raw) == [
+            "chains[0].regime.node: expected true or false, got 'no'",
+            "faults[1].nodes: unknown node bc2.n9"]
+
+
 # every key of the schema, so that generated mappings reach deep
 SCHEMA_KEYS = sorted({
     *full_world(), "id", "nodes", "gateways", "quorum", "confirm_latency",
