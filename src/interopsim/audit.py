@@ -23,6 +23,8 @@ from .report import AuditResult
 from .valuenet import PathState
 
 _LOCAL_REF = re.compile(r"\be\d+\b")
+# how the ledger records that add an entry begin
+_LEDGER_APPENDS = ("confirm=", "genesis ", "append ")
 
 
 def run_all(sim) -> list[AuditResult]:
@@ -65,10 +67,7 @@ def _append_only(sim):
     order; anything else means an entry was dropped or reordered."""
     appended: dict[str, list[str]] = {cid: [] for cid in sim.chains}
     for rec in sim.net.log.records:
-        if rec.kind != "ledger":
-            continue
-        verb = rec.detail.split(" ", 1)[0].split("=")[0]
-        if verb not in ("confirm", "genesis", "append"):
+        if rec.kind != "ledger" or not rec.detail.startswith(_LEDGER_APPENDS):
             continue
         cid, ref = rec.subject.split("/", 1)
         appended[cid].append(ref)
@@ -256,9 +255,13 @@ def _no_partition_delivery(sim):
     for rec in sim.net.log.records:
         if rec.kind != "deliver":
             continue
-        fields = dict(f.split("=", 1) for f in rec.detail.split(" ") if "=" in f)
-        src, dst = fields.get("src"), fields.get("dst")
-        if dst and within(isolations.get(dst, ()), rec.tick):
+        # SimNet writes the route first: src=<chain> dst=<chain>, or dst=<chain>
+        route = rec.detail.split(" ", 2)
+        if route[0].startswith("src="):
+            src, dst = route[0][4:], route[1][4:]
+        else:
+            src, dst = None, route[0][4:]
+        if within(isolations.get(dst, ()), rec.tick):
             return False, f"record {rec.seq}: delivery into partitioned {dst}"
         if src and within(isolations.get(src, ()), rec.tick):
             return False, f"record {rec.seq}: delivery out of partitioned {src}"

@@ -3,8 +3,8 @@ drives the tick loop, collects workload outcomes.
 
 Per-tick phases of run_tick, in contractual order (golden logs depend
 on it):
-  1. drain every event due this tick (deliveries, timers, faults,
-     probes), including events those events schedule for the same tick;
+  1. drain every action due this tick (deliveries, timers, faults,
+     probes), including actions those actions schedule for the same tick;
   2. consensus phase: chains in id order confirm aged pending units
      (skipped entirely while a chain is partitioned), confirmation
      callbacks update survivor and transfer state;
@@ -15,11 +15,11 @@ on it):
 The loop is event-driven.  It processes tick 0, and after each
 processed tick t it moves the clock straight to max(t + 1, w), where w
 is the earliest wake-up:
-  * the next queued event;
+  * the next queued action;
   * for each chain that is not partitioned and meets quorum, the tick
     its oldest pending unit matures (submitted_tick + confirm latency);
-  * the earliest deadline_tick + 1 of a transfer that is not terminal,
-    the tick on which the step phase aborts it;
+  * the earliest deadline_tick + 1 over the open transfers that the
+    step phase walks, the tick on which it aborts one;
   * the earliest expiry_tick of a reserved payment path.
 With no wake-up left the clock moves past the horizon.
 
@@ -37,12 +37,14 @@ tick would log nothing and draw nothing from the RNG, and the log is
 the one a loop over every tick writes; tests/test_engine.py checks
 that.
 
-The run ends at quiescence (no queued events, no pending units, all
+The run ends at quiescence (no queued actions, no pending units, all
 workload terminal, no open reservations) or at the horizon, whichever
-comes first; end_tick is that tick.  The resolver dump that closes the
-log is stamped with the clock, and a run that does not quiesce may have
-processed its last tick well before the horizon, so finish sets the
-clock to end_tick first, where a loop over every tick leaves it.
+comes first; end_tick is that tick.  An open app transaction always has
+the timeout of its current attempt queued, so _quiescent needs no
+survivor clause.  The resolver dump that closes the log is stamped with
+the clock, and a run that does not quiesce may have processed its last
+tick well before the horizon, so finish sets the clock to end_tick
+first, where a loop over every tick leaves it.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .gateway import (
 from .identity import CrossId, Resolver
 from .report import RunReport
 from .scenario import ScenarioConfig
-from .simnet import EventKind, FaultKind, FaultSpec, SimNet, fmt_detail
+from .simnet import FaultKind, FaultSpec, SimNet, fmt_detail
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork
 
@@ -148,16 +150,7 @@ class Simulation:
             self.chains,
             [n for c in cfg.chains for n in c.node_ids()],
             [g for c in cfg.chains for g in c.gateway_ids()])
-        self.net.set_fault_applier(self._apply_crash)
-
-    def _apply_crash(self, fault: FaultSpec, heal: bool) -> None:
-        if fault.kind == FaultKind.NODE_CRASH:
-            for nid in fault.target:
-                chain_id = nid.split(".")[0]
-                self.chains[chain_id].set_node_live(nid, heal)
-        elif fault.kind == FaultKind.GATEWAY_CRASH:
-            for gid in fault.target:
-                self.registry.get(gid).live = heal
+        self.net.set_fault_applier(partial(apply_crash, self.chains, self.registry))
 
     def _seed_assets(self) -> None:
         """Genesis entries confirmed before the run; grants name assets
@@ -207,8 +200,7 @@ class Simulation:
             self.net.timer(q.resolve_id, partial(self._start_resolve, q), q.at,
                            detail="start kind=resolve")
         for pr in self.config.probes:
-            self.net.schedule(EventKind.PROBE, pr.probe_id,
-                              partial(self._start_probe, pr), pr.at)
+            self.net.schedule(partial(self._start_probe, pr), pr.at)
 
     # -- workload actions ----------------------------------------------
 
@@ -376,9 +368,9 @@ class Simulation:
         return min((w for w in wakes if w is not None), default=None)
 
     def _quiescent(self) -> bool:
-        return (not self.net.has_events()
+        # no survivor clause: an open app transaction has a timeout queued
+        return (self.net.next_event_tick() is None
                 and not any(c.pending for c in self.chains.values())
-                and self.survivor.all_terminal()
                 and self.transfers.next_deadline() is None
                 and self.valuenet.next_expiry() is None)
 
@@ -450,6 +442,18 @@ class Simulation:
                 "state": path.state.value, "tick": path.final_tick,
                 "amount_out": str(path.amount_out), "denom_out": path.denom_out,
                 "route": path.route_ids()}
+
+
+def apply_crash(chains: dict[str, BlockchainSystem], registry: GatewayRegistry,
+                fault: FaultSpec, heal: bool) -> None:
+    """SimNet's fault applier: takes a crash fault's nodes or gateways
+    down, or back up when heal is set."""
+    if fault.kind == FaultKind.NODE_CRASH:
+        for nid in fault.target:
+            chains[nid.split(".")[0]].set_node_live(nid, heal)
+    elif fault.kind == FaultKind.GATEWAY_CRASH:
+        for gid in fault.target:
+            registry.get(gid).live = heal
 
 
 def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],

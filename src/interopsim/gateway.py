@@ -19,7 +19,6 @@ single-byte tamper of the claim invalidates every signature.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -354,9 +353,6 @@ class TransferEngine:
         self.locks: dict[tuple[str, str], str] = {}
         # not yet terminal, in initiation order; pruned by step_all
         self._open: list[CrossDomainTransfer] = []
-        # (deadline_tick, initiation index, transfer); terminal ones are
-        # dropped lazily by next_deadline
-        self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
         # (chain, local_ref) of every lock and record -> its transfer
         self._by_ref: dict[tuple[str, str], CrossDomainTransfer] = {}
 
@@ -368,9 +364,6 @@ class TransferEngine:
         if extra:
             detail += " " + extra
         self.net.record("transfer", transfer.transfer_id, detail)
-
-    def _threshold(self, chain_id: str) -> int:
-        return self.vouch_thresholds[chain_id]
 
     # -- initiation ----------------------------------------------------
 
@@ -398,7 +391,6 @@ class TransferEngine:
             deadline_tick, agreement.agreement_id,
             src_gw.gateway_id, dst_gw.gateway_id)
         self.transfers[transfer_id] = transfer
-        heapq.heappush(self._deadlines, (deadline_tick, len(self.order), transfer))
         self.order.append(transfer_id)
         self._open.append(transfer)
         self._log(transfer, src_gw.gateway_id,
@@ -457,18 +449,11 @@ class TransferEngine:
     def next_deadline(self) -> Optional[int]:
         """Earliest deadline_tick of a transfer that is not terminal, or
         None when every transfer is terminal."""
-        heap = self._deadlines
-        while heap and heap[0][2].terminal():
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        return min((t.deadline_tick for t in self._open if not t.terminal()),
+                   default=None)
 
     def step(self, t: CrossDomainTransfer, now: int) -> None:
-        if t.terminal():
-            return
-        if now > t.deadline_tick:
-            self.abort(t, now, "deadline")
-            return
-        if not self._repair_pairing(t, now):
+        if not self._may_act(t, now):
             return
         if t.state == TransferState.SOURCE_LOCKED and not t.record_request_sent:
             self._send_record_request(t, now)
@@ -478,6 +463,16 @@ class TransferEngine:
                 and t.source_attestation is None):
             # source-side vouch could not meet threshold earlier; retry
             self._try_finalize(t, now)
+
+    def _may_act(self, t: CrossDomainTransfer, now: int) -> bool:
+        """False when t is terminal, or aborts now because its deadline
+        has passed or a side has no live gateway left."""
+        if t.terminal():
+            return False
+        if now > t.deadline_tick:
+            self.abort(t, now, "deadline")
+            return False
+        return self._repair_pairing(t, now)
 
     def _repair_pairing(self, t: CrossDomainTransfer, now: int) -> bool:
         """Re-pair crashed gateways to the lowest live ones; abort when a
@@ -507,12 +502,7 @@ class TransferEngine:
 
     def _arrive_record_request(self, t: CrossDomainTransfer) -> None:
         now = self.net.now
-        if t.terminal():
-            return
-        if now > t.deadline_tick:
-            self.abort(t, now, "deadline")
-            return
-        if not self._repair_pairing(t, now):
+        if not self._may_act(t, now):
             return
         chain = self.chains[t.dest_chain]
         unit = TransferUnit(
@@ -527,21 +517,29 @@ class TransferEngine:
         self.net.record("ledger", f"{t.dest_chain}/{receipt.local_ref}",
                         f"submit kind=record transfer={t.transfer_id}")
 
-    def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
-        chain = self.chains[t.dest_chain]
-        entry = chain.ledger.get(t.record_ref)
-        claim = Claim(t.dest_chain, str(t.asset), True, entry_digest(entry))
+    def _vouch(self, t: CrossDomainTransfer, side: str, chain_id: str, ref: str,
+               now: int) -> Optional[VouchAttestation]:
+        """Vouch for t's entry ref on one side, append the attestation to
+        that chain's ledger and log both; None when too few gateways are
+        live to meet the threshold."""
+        chain = self.chains[chain_id]
+        claim = Claim(chain_id, str(t.asset), True, entry_digest(chain.ledger.get(ref)))
         try:
-            att = vouch(t.dest_chain, self.registry, claim,
-                        self._threshold(t.dest_chain), now)
+            att = vouch(chain_id, self.registry, claim, self.vouch_thresholds[chain_id], now)
         except InsufficientGateways:
-            return  # retry next tick; deadline will fire eventually
-        t.dest_attestation = att
-        ledger_entry = chain.append_attestation(att.serialize().hex(), now)
-        self.net.record("ledger", f"{t.dest_chain}/{ledger_entry.local_ref}",
+            return None
+        encoded = att.serialize().hex()
+        ledger_entry = chain.append_attestation(encoded, now)
+        self.net.record("ledger", f"{chain_id}/{ledger_entry.local_ref}",
                         f"append kind=attestation transfer={t.transfer_id}")
         self.net.record("vouch", t.transfer_id,
-                        f"side=dest k={att.threshold_k} att={att.serialize().hex()}")
+                        f"side={side} k={att.threshold_k} att={encoded}")
+        return att
+
+    def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
+        t.dest_attestation = self._vouch(t, "dest", t.dest_chain, t.record_ref, now)
+        if t.dest_attestation is None:
+            return  # retry next tick; deadline will fire eventually
         t.attestation_sent = True
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
                          lambda: self._arrive_attestation(t),
@@ -549,31 +547,14 @@ class TransferEngine:
 
     def _arrive_attestation(self, t: CrossDomainTransfer) -> None:
         now = self.net.now
-        if t.terminal():
-            return
-        t.attestation_arrived = True
-        if now > t.deadline_tick:
-            self.abort(t, now, "deadline")
-            return
-        if not self._repair_pairing(t, now):
-            return
-        self._try_finalize(t, now)
+        t.attestation_arrived = True  # read only while t is not terminal
+        if self._may_act(t, now):
+            self._try_finalize(t, now)
 
     def _try_finalize(self, t: CrossDomainTransfer, now: int) -> None:
-        source = self.chains[t.source_chain]
-        lock_entry = source.ledger.get(t.lock_ref)
-        claim = Claim(t.source_chain, str(t.asset), True, entry_digest(lock_entry))
-        try:
-            att = vouch(t.source_chain, self.registry, claim,
-                        self._threshold(t.source_chain), now)
-        except InsufficientGateways:
-            return  # retry via retry_finalize until deadline
-        t.source_attestation = att
-        ledger_entry = source.append_attestation(att.serialize().hex(), now)
-        self.net.record("ledger", f"{t.source_chain}/{ledger_entry.local_ref}",
-                        f"append kind=attestation transfer={t.transfer_id}")
-        self.net.record("vouch", t.transfer_id,
-                        f"side=source k={att.threshold_k} att={att.serialize().hex()}")
+        t.source_attestation = self._vouch(t, "source", t.source_chain, t.lock_ref, now)
+        if t.source_attestation is None:
+            return  # step retries it until the deadline
         t.state = TransferState.VOUCHED
         self._log(t, t.paired_source)
         self._finalize(t, now)

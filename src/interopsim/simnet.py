@@ -1,19 +1,25 @@
-"""Simulation substrate: tick clock, event queue, fault state, event log.
+"""Simulation substrate: tick clock, action queue, fault state, event log.
 
 Determinism contract, checked by the test suite:
   * integer tick clock, no wall time anywhere;
-  * events execute ordered by (tick, schedule sequence), so two events on
-    the same tick run in the order they were scheduled;
+  * queued actions run ordered by (tick, schedule sequence), so two
+    actions due on the same tick run in the order they were scheduled;
   * a single random.Random(seed) is the only entropy source and is
-    consumed in event execution order;
+    consumed in execution order;
   * the event log is byte-identical across runs of the same scenario
     and seed.
 
+The queue holds bare (tick, seq, action) entries, and schedule is the
+only way onto it.  An entry means nothing to the queue: timers and
+deliveries are actions that log their own record when they run.  A
+timer logs kind=timer and then acts.  A delivery into or out of a
+partitioned chain, or across a cut link, is dropped silently: it logs
+kind=drop and never runs; otherwise it logs kind=deliver and runs.
+
 Log line format: "tick seq kind subject detail" where seq is the
 strictly increasing record index and detail is a space-separated list of
-key=value pairs in a stable order.  Deliveries into or out of a
-partitioned chain are dropped silently (logged as kind=drop, never as
-deliver).
+key=value pairs in a stable order.  A delivery's detail starts with its
+route, src=<chain> dst=<chain> or, for a local delivery, dst=<chain>.
 """
 
 from __future__ import annotations
@@ -22,18 +28,12 @@ import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import UnknownTarget
 
 DEFAULT_INTER_CHAIN_LATENCY = 2
-
-
-class EventKind(str, Enum):
-    DELIVER = "deliver"
-    TIMER = "timer"
-    FAULT = "fault"
-    PROBE = "probe"
 
 
 class FaultKind(str, Enum):
@@ -60,17 +60,6 @@ class FaultSpec:
     target: tuple[str, ...] = ()
     links: tuple[tuple[str, str], ...] = ()
     until_tick: Optional[int] = None
-
-
-@dataclass
-class SimEvent:
-    tick: int
-    seq: int
-    kind: EventKind
-    subject: str
-    action: Callable[[], None]
-    detail: str = ""
-    cancelled: bool = False
 
 
 @dataclass
@@ -133,7 +122,7 @@ class SimNet:
         self.log = EventLog()
         self.inter_chain_latency = inter_chain_latency
         self.latency_jitter = latency_jitter
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._next_event_seq = 0
         # fault state
         self.partitioned_chains: set[str] = set()
@@ -151,15 +140,25 @@ class SimNet:
 
     # -- scheduling ----------------------------------------------------
 
-    def _push(self, kind: EventKind, subject: str, action: Callable[[], None],
-              delay: int, detail: str) -> SimEvent:
-        ev = SimEvent(self.now + delay, self._next_event_seq, kind, subject, action, detail)
+    def schedule(self, action: Callable[[], None], delay: int) -> None:
+        """Run action delay ticks from now, after every action already
+        queued for that tick."""
+        assert delay >= 0, "cannot schedule into the past"
+        heapq.heappush(self._queue, (self.now + delay, self._next_event_seq, action))
         self._next_event_seq += 1
-        heapq.heappush(self._queue, (ev.tick, ev.seq, ev))
-        return ev
+
+    def timer(self, subject: str, action: Callable[[], None], delay: int,
+              detail: str = "") -> None:
+        """Schedule action behind a timer record (detail, or "fire")."""
+        # a partial, not a closure: fewer objects for the cyclic GC to track
+        self.schedule(partial(self._fire, subject, detail or "fire", action), delay)
+
+    def _fire(self, subject: str, detail: str, action: Callable[[], None]) -> None:
+        self.record("timer", subject, detail)
+        action()
 
     def _push_delivery(self, subject: str, action: Callable[[], None], detail: str,
-                       delay: int, route: str, blocked: Callable[[], bool]) -> SimEvent:
+                       delay: int, route: str, blocked: Callable[[], bool]) -> None:
         """Queue a delivery that is logged and run at execution time, or
         logged as a drop when blocked() holds then."""
         if detail:
@@ -169,41 +168,31 @@ class SimNet:
             if blocked():
                 self.record("drop", subject, route)
                 return
-            self.record(EventKind.DELIVER.value, subject, route)
+            self.record("deliver", subject, route)
             action()
 
-        return self._push(EventKind.DELIVER, subject, run, delay, detail)
-
-    def schedule(self, kind: EventKind, subject: str, action: Callable[[], None],
-                 delay: int, detail: str = "") -> SimEvent:
-        """Queue an event delay ticks from now; returns it for cancellation."""
-        assert delay >= 0, "cannot schedule into the past"
-        return self._push(kind, subject, action, delay, detail)
+        self.schedule(run, delay)
 
     def deliver(self, src_chain: str, dst_chain: str, subject: str,
                 action: Callable[[], None], detail: str = "",
-                extra_delay: int = 0) -> SimEvent:
+                extra_delay: int = 0) -> None:
         """Schedule a cross-chain message; dropped at execution time if
         either endpoint is partitioned or the link is cut then."""
         delay = self.inter_chain_latency + extra_delay
         if self.latency_jitter:
             delay += self.rng.randint(0, self.latency_jitter)
-        return self._push_delivery(
+        self._push_delivery(
             subject, action, detail, delay,
             fmt_detail(("src", src_chain), ("dst", dst_chain)),
             lambda: self.delivery_blocked(src_chain, dst_chain))
 
     def local_deliver(self, chain_id: str, subject: str, action: Callable[[], None],
-                      detail: str = "", delay: int = 0) -> SimEvent:
+                      detail: str = "", delay: int = 0) -> None:
         """App-to-chain submission path: no transport latency, but still
         dropped silently when the chain is partitioned at execution."""
-        return self._push_delivery(
+        self._push_delivery(
             subject, action, detail, delay, fmt_detail(("dst", chain_id)),
             lambda: chain_id in self.partitioned_chains)
-
-    def timer(self, subject: str, action: Callable[[], None], delay: int,
-              detail: str = "") -> SimEvent:
-        return self.schedule(EventKind.TIMER, subject, action, delay, detail)
 
     # -- fault machinery -----------------------------------------------
 
@@ -224,11 +213,9 @@ class SimNet:
         delay = fault.at_tick - self.now
         if delay < 0:
             raise UnknownTarget(f"fault {fault.fault_id} scheduled in the past")
-        self.schedule(EventKind.FAULT, fault.fault_id,
-                      lambda: self._apply_fault(fault, heal=False), delay)
+        self.schedule(lambda: self._apply_fault(fault, heal=False), delay)
         if fault.until_tick is not None and fault.kind != FaultKind.HEAL:
-            self.schedule(EventKind.FAULT, fault.fault_id,
-                          lambda: self._apply_fault(fault, heal=True),
+            self.schedule(lambda: self._apply_fault(fault, heal=True),
                           fault.until_tick - self.now)
 
     def _validate_fault(self, fault: FaultSpec) -> None:
@@ -259,7 +246,7 @@ class SimNet:
             detail += " " + fmt_detail(("target", list(fault.target)))
         if fault.links:
             detail += " " + fmt_detail(("links", [f"{a}-{b}" for a, b in fault.links]))
-        self.record(EventKind.FAULT.value, fault.fault_id, detail)
+        self.record("fault", fault.fault_id, detail)
         if fault.kind == FaultKind.PARTITION:
             if heal:
                 self._heal_partition(fault)
@@ -311,27 +298,17 @@ class SimNet:
     def record(self, kind: str, subject: str, detail: str = "") -> LogRecord:
         return self.log.append(self.now, kind, subject, detail)
 
-    def has_events(self) -> bool:
-        return self.next_event_tick() is not None
-
     def next_event_tick(self) -> Optional[int]:
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
         return self._queue[0][0] if self._queue else None
 
     def drain(self, tick: int) -> int:
-        """Execute every event due at tick, including ones scheduled at
-        this tick by other events; returns the number executed."""
+        """Run every action due at tick, including ones scheduled at
+        this tick by other actions; returns the number run."""
         assert tick >= self.now
         self.now = tick
+        queue = self._queue
         executed = 0
-        while self._queue and self._queue[0][0] <= tick:
-            _, _, ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            if ev.kind == EventKind.TIMER:
-                self.record(EventKind.TIMER.value, ev.subject,
-                            ev.detail if ev.detail else "fire")
-            ev.action()
+        while queue and queue[0][0] <= tick:
+            heapq.heappop(queue)[2]()
             executed += 1
         return executed

@@ -84,7 +84,6 @@ class SurvivorLayer:
         self.chains = chains
         self.txns: dict[str, AppTransaction] = {}
         self._by_key: dict[str, tuple[str, str]] = {}
-        self._open = 0  # transactions not yet terminal
 
     # -- submission ----------------------------------------------------
 
@@ -101,7 +100,6 @@ class SurvivorLayer:
                         f"unit is {sub.unit.semantic_type.value}")
         txn = AppTransaction(txn_id, {s.sub_id: s for s in subs})
         self.txns[txn_id] = txn
-        self._open += 1
         for sub in subs:
             self._by_key[sub.unit.idempotency_key] = (txn_id, sub.sub_id)
             self._start_attempt(txn, sub, now)
@@ -191,7 +189,6 @@ class SurvivorLayer:
             txn.state = TXN_CONFIRMED
         else:
             return
-        self._open -= 1
         txn.final_tick = now
         self.net.record("txn", txn.txn_id,
                         f"state={txn.state} attempts={self._attempt_count(txn)}")
@@ -222,6 +219,3 @@ class SurvivorLayer:
         if txn_id not in self.txns:
             raise NotFound(f"unknown app transaction {txn_id}")
         return self.txns[txn_id]
-
-    def all_terminal(self) -> bool:
-        return self._open == 0

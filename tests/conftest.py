@@ -6,6 +6,7 @@ tests load the bundled scenario files instead.
 """
 
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from interopsim.gateway import (
     PeeringRegistry,
     TransferEngine,
 )
-from interopsim.engine import run_tick
+from interopsim.engine import apply_crash, run_tick
 from interopsim.identity import Resolver
 from interopsim.scenario import load_scenario
 from interopsim.simnet import SimNet
@@ -120,7 +121,7 @@ class TransferWorld:
             list(self.chains),
             [n for c in self.chains.values() for n in c.nodes],
             [g for c in self.chains.values() for g in c.gateway_ids])
-        self.net.set_fault_applier(self._apply_crash)
+        self.net.set_fault_applier(partial(apply_crash, self.chains, self.registry))
         self.engine = TransferEngine(
             self.net, self.chains, self.registry, self.resolver,
             self.peerings, {"bc1": threshold, "bc2": threshold})
@@ -129,15 +130,6 @@ class TransferWorld:
         from interopsim.gateway import verify_attestation
         self.resolver.set_verifier(
             lambda att: verify_attestation(att, self.registry))
-
-    def _apply_crash(self, fault, heal):
-        from interopsim.simnet import FaultKind
-        if fault.kind == FaultKind.NODE_CRASH:
-            for nid in fault.target:
-                self.chains[nid.split(".")[0]].set_node_live(nid, heal)
-        elif fault.kind == FaultKind.GATEWAY_CRASH:
-            for gid in fault.target:
-                self.registry.get(gid).live = heal
 
     def seed_asset(self, chain_id="bc1", key="genesis:deed1"):
         chain = self.chains[chain_id]

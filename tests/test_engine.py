@@ -12,6 +12,7 @@ from interopsim.engine import Simulation, run_scenario, run_tick
 from interopsim.gateway import TransferState
 from interopsim.scenario import load_scenario, parse_scenario
 from interopsim.simnet import SimNet
+from interopsim.valuenet import PathState
 
 from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, bundled
 from test_acceptance import _random_fault_config
@@ -236,9 +237,10 @@ def _sparse_world(jitter=0):
                        "deadline": 270}]}, name="sparse-small")
 
 
-def _expiring_payments_world():
+def _expiring_payments_world(probe=True):
     """Reservations that settle, release, expire in the sweep, expire on a
-    late settle, or never get built; plus a probe long after the rest."""
+    late settle, or never get built; plus, with probe, a probe long after
+    the rest."""
     denoms = {"pay1": "usd", "pay2": "eur", "pay3": "gbp"}
     chains = [{"id": cid, "nodes": 3, "gateways": 1, "quorum": "2/3",
                "confirm_latency": 2, "semantic": "payments", "denom": d}
@@ -259,25 +261,55 @@ def _expiring_payments_world():
             dict(pay, id="p4", at=4, amount="8", settle_after=6),
             dict(pay, id="p5", at=5, amount="90"),
             dict(pay, id="p6", at=20, amount="8")],
-        "probes": [{"id": "pr1", "at": 70, "chain": "pay2"}]},
+        "probes": [{"id": "pr1", "at": 70, "chain": "pay2"}] if probe else []},
         name="payments-expiry")
 
 
-def _run_every_tick(config, end_tick):
-    """The same world driven through run_tick on every tick up to
-    end_tick, then the same end-of-run steps as Simulation.run."""
+def _stranded_unit_world():
+    """A unit submitted to a chain that is partitioned from the next tick
+    to the end: its app transaction fails, and the unit stays pending."""
+    return parse_scenario({
+        "horizon": 40, "seed": 5,
+        "chains": [{"id": "bc1", "nodes": 4, "gateways": 1, "quorum": "2/3",
+                    "confirm_latency": 4, "semantic": "generic-record"}],
+        "app_txns": [{"id": "t0", "at": 0, "subs": [
+            {"id": "s1", "candidates": ["bc1"], "timeout": 2}]}],
+        "faults": [{"id": "f1", "kind": "partition", "at": 1,
+                    "chains": ["bc1"]}]}, name="stranded-unit")
+
+
+def _quiet(sim):
+    """The quiescence rule read straight from the state."""
+    return (sim.net.next_event_tick() is None
+            and not any(c.pending for c in sim.chains.values())
+            and all(t.terminal() for t in sim.transfers.transfers.values())
+            and all(txn.terminal() for txn in sim.survivor.txns.values())
+            and all(p.state is not PathState.RESERVED
+                    for p in sim.valuenet.paths.values()))
+
+
+def _run_every_tick(config):
+    """The same world driven through run_tick on every tick until _quiet
+    holds or the horizon, then the same end-of-run steps as
+    Simulation.run."""
     sim = Simulation(config)
-    for tick in range(end_tick + 1):
+    for tick in range(config.horizon + 1):
         sim.events_executed += run_tick(sim.net, sim.chains, sim.survivor,
                                         sim.transfers, sim.valuenet, tick)
-    return sim.finish(end_tick), sim
+        if _quiet(sim):
+            break
+    return sim.finish(tick), sim
 
 
 def _skipping_changes(config):
-    """Differences between the event-driven run and the every-tick run."""
+    """Differences between the event-driven run and the every-tick run
+    that stops by the reference rule."""
     report, sim = run_scenario(config)
-    ref_report, ref = _run_every_tick(config, sim.end_tick)
+    ref_report, ref = _run_every_tick(config)
     problems = []
+    if sim.end_tick != ref.end_tick:
+        problems.append(f"{config.name}: end_tick {sim.end_tick}, "
+                        f"reference {ref.end_tick}")
     if sim.net.log.dumps() != ref.net.log.dumps():
         problems.append(f"{config.name}: event logs differ")
     if report.to_json() != ref_report.to_json():
@@ -303,6 +335,24 @@ class TestEventDrivenLoop:
                   for pid, p in report.outcomes["payments"].items()}
         assert states == {"p1": "SETTLED", "p2": "EXPIRED", "p3": "RELEASED",
                           "p4": "EXPIRED", "p5": "REJECTED", "p6": "EXPIRED"}
+        assert _skipping_changes(config) == []
+
+    def test_a_reservation_due_to_expire_holds_the_run_open(self):
+        config = _expiring_payments_world(probe=False)
+        report, _ = run_scenario(config)
+        assert report.outcomes["payments"]["p6"]["state"] == "EXPIRED"
+        assert report.end_tick == 26, "p6 reserves at 20 with a ttl of 6"
+        assert _skipping_changes(config) == []
+
+    @pytest.mark.parametrize("name", ["fig2_fallback", "gateway_crash"])
+    def test_skipping_changes_nothing_on_bundled_worlds(self, name):
+        assert _skipping_changes(bundled(name)) == []
+
+    def test_a_unit_stranded_on_a_partitioned_chain_holds_the_run_open(self):
+        config = _stranded_unit_world()
+        report, _ = run_scenario(config)
+        assert report.outcomes["app_txns"]["t0"]["state"] == "FAILED"
+        assert report.end_tick == config.horizon
         assert _skipping_changes(config) == []
 
     def test_only_wake_up_ticks_are_processed(self, monkeypatch):

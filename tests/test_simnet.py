@@ -9,7 +9,6 @@ from interopsim.engine import run_scenario
 from interopsim.errors import UnknownTarget
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import (
-    EventKind,
     EventLog,
     FaultKind,
     FaultSpec,
@@ -56,22 +55,6 @@ class TestOrdering:
         for tick in range(10):
             net.drain(tick)
         assert seen == ["early", "late"]
-
-    def test_cancelled_event_does_not_fire(self):
-        net = make_net()
-        seen = []
-        ev = net.timer("t", lambda: seen.append("fired"), 4)
-        ev.cancelled = True
-        net.drain(4)
-        assert seen == [], "cancelled timer must not fire"
-        assert not net.has_events()
-
-    def test_next_event_tick_skips_cancelled(self):
-        net = make_net()
-        ev = net.timer("t", lambda: None, 1)
-        net.timer("u", lambda: None, 7)
-        ev.cancelled = True
-        assert net.next_event_tick() == 7
 
 
 class TestDeliveries:
