@@ -23,8 +23,6 @@ from .report import AuditResult
 from .valuenet import PathState
 
 _LOCAL_REF = re.compile(r"\be\d+\b")
-# how the ledger records that add an entry begin
-_LEDGER_APPENDS = ("confirm=", "genesis ", "append ")
 
 
 def run_all(sim) -> list[AuditResult]:
@@ -67,10 +65,11 @@ def _append_only(sim):
     order; anything else means an entry was dropped or reordered."""
     appended: dict[str, list[str]] = {cid: [] for cid in sim.chains}
     for rec in sim.net.log.records:
-        if rec.kind != "ledger" or not rec.detail.startswith(_LEDGER_APPENDS):
-            continue
-        cid, ref = rec.subject.split("/", 1)
-        appended[cid].append(ref)
+        # genesis and attestation appends, and consensus confirmations
+        if rec.kind == "ledger" and (rec.fields[0] in ("genesis", "append")
+                                     or rec.get("confirm") is not None):
+            cid, ref = rec.subject.split("/", 1)
+            appended[cid].append(ref)
     for cid, chain in sorted(sim.chains.items()):
         actual = [e.local_ref for e in chain.ledger.entries]
         if actual != appended[cid]:
@@ -184,8 +183,7 @@ def _attestation_necessity(sim):
     vouches: dict[str, set[str]] = {}
     for rec in sim.net.log.records:
         if rec.kind == "vouch":
-            side = rec.detail.split(" ", 1)[0].split("=")[1]
-            vouches.setdefault(rec.subject, set()).add(side)
+            vouches.setdefault(rec.subject, set()).add(rec.get("side"))
     for tid, t in sorted(sim.transfers.transfers.items()):
         if t.state != TransferState.FINALIZED:
             continue
@@ -228,7 +226,7 @@ def _resolution_opacity(sim):
         if rec.kind not in ("advert", "resolve"):
             continue
         scanned += 1
-        text = f"{rec.subject} {rec.detail}"
+        text = rec.line()
         if leak is not None and leak.search(text):
             nid = next(nid for nid in node_ids if nid in text)
             return False, f"record {rec.seq} leaks node id {nid}"
@@ -255,12 +253,7 @@ def _no_partition_delivery(sim):
     for rec in sim.net.log.records:
         if rec.kind != "deliver":
             continue
-        # SimNet writes the route first: src=<chain> dst=<chain>, or dst=<chain>
-        route = rec.detail.split(" ", 2)
-        if route[0].startswith("src="):
-            src, dst = route[0][4:], route[1][4:]
-        else:
-            src, dst = None, route[0][4:]
+        src, dst = rec.get("src"), rec.get("dst")
         if within(isolations.get(dst, ()), rec.tick):
             return False, f"record {rec.seq}: delivery into partitioned {dst}"
         if src and within(isolations.get(src, ()), rec.tick):

@@ -133,14 +133,6 @@ class Ledger:
             raise ValueError(f"entry {local_ref} already voided")
         self.voids[local_ref] = tick
 
-    def canonical_lines(self) -> list[str]:
-        lines = [e.canonical() for e in self.entries]
-        for ref in sorted(self.marks):
-            lines.append(f"mark|{ref}|{self.marks[ref]}")
-        for ref in sorted(self.voids):
-            lines.append(f"void|{ref}|{self.voids[ref]}")
-        return lines
-
 
 @dataclass
 class SubmitReceipt:

@@ -78,7 +78,7 @@ from .gateway import (
 from .identity import CrossId, Resolver
 from .report import RunReport
 from .scenario import ScenarioConfig
-from .simnet import FaultKind, FaultSpec, SimNet, fmt_detail
+from .simnet import FaultKind, FaultSpec, LogRecord, SimNet
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork
 
@@ -103,6 +103,7 @@ class Simulation:
         self.vouch_thresholds: dict[str, int] = {}
         self.end_tick = 0
         self.events_executed = 0
+        self.resolver_dump: list[LogRecord] = []  # the log's closing records
         # workload outcomes keyed by section then id
         self.outcomes: dict[str, dict[str, dict]] = {
             "app_txns": {}, "transfers": {}, "payments": {}, "reads": {},
@@ -163,8 +164,8 @@ class Simulation:
             cid = self.resolver.mint_cross_id(chain, entry.local_ref, 0)
             self.assets[a.asset_id] = cid
             self.net.record("ledger", f"{a.chain}/{entry.local_ref}",
-                            f"genesis asset={cid}")
-            self.net.record("resolver", str(cid), f"register home={a.chain}")
+                            "genesis", ("asset", cid))
+            self.net.record("resolver", str(cid), "register", ("home", a.chain))
         # grants target cross ids, not symbolic names
         for gid, grant in list(self.grants.items()):
             if grant.target in self.assets:
@@ -175,7 +176,7 @@ class Simulation:
     def _emit_adverts(self) -> None:
         for cid in sorted(self.chains):
             adv = advertise(self.chains[cid], self.registry, self.resolver, 0)
-            self.net.record("advert", cid, adv.transcript())
+            self.net.record("advert", cid, *adv.transcript())
 
     def _schedule_all(self) -> None:
         # faults first so a fault at tick T lands before workload at T
@@ -186,36 +187,38 @@ class Simulation:
                 links=tuple(f.links), until_tick=f.until))
         for t in self.config.app_txns:
             self.net.timer(t.txn_id, partial(self._start_app_txn, t), t.at,
-                           detail="start kind=app_txn")
+                           "start", ("kind", "app_txn"))
         for x in self.config.transfers:
             self.net.timer(x.transfer_id, partial(self._start_transfer, x), x.at,
-                           detail="start kind=transfer")
+                           "start", ("kind", "transfer"))
         for p in self.config.payments:
             self.net.timer(p.payment_id, partial(self._start_payment, p), p.at,
-                           detail="start kind=payment")
+                           "start", ("kind", "payment"))
         for r in self.config.reads:
             self.net.timer(r.read_id, partial(self._start_read, r), r.at,
-                           detail="start kind=read")
+                           "start", ("kind", "read"))
         for q in self.config.resolves:
             self.net.timer(q.resolve_id, partial(self._start_resolve, q), q.at,
-                           detail="start kind=resolve")
+                           "start", ("kind", "resolve"))
         for pr in self.config.probes:
             self.net.schedule(partial(self._start_probe, pr), pr.at)
 
     # -- workload actions ----------------------------------------------
 
     def _attempt(self, step, kind: str, subject: str, section: Optional[str] = None,
-                 state: str = "ERROR", log: str = "state={state} error={error}"):
+                 state: str = "ERROR", log: tuple = ("state", "error")):
         """step() with its InteropError caught: the error is logged under
-        kind and subject and, for a workload section, kept as subject's
-        outcome in state.  Returns step's result, or None on an error."""
+        kind and subject, in the fields that log names (result holds the
+        error), and, for a workload section, kept as subject's outcome in
+        state.  Returns step's result, or None on an error."""
         try:
             return step()
         except InteropError as exc:
             error = type(exc).__name__
             if section is not None:
                 self.outcomes[section][subject] = {"state": state, "error": error}
-            self.net.record(kind, subject, log.format(state=state, error=error))
+            values = {"state": state, "error": error, "result": error}
+            self.net.record(kind, subject, *((key, values[key]) for key in log))
             return None
 
     def _start_app_txn(self, cfg):
@@ -241,47 +244,44 @@ class Simulation:
             "path", cfg.payment_id, "payments", "REJECTED")
         if path is None:
             return
-        self.net.record("path", cfg.payment_id, fmt_detail(
-            ("state", path.state.value),
-            ("route", path.route_ids()),
-            ("amount_in", path.amount_in), ("denom_in", path.denom_in),
-            ("amount_out", path.amount_out), ("denom_out", path.denom_out),
-            ("expiry", path.expiry_tick)))
+        self.net.record("path", cfg.payment_id, ("state", path.state.value),
+                        ("route", path.route_ids()),
+                        ("amount_in", path.amount_in), ("denom_in", path.denom_in),
+                        ("amount_out", path.amount_out), ("denom_out", path.denom_out),
+                        ("expiry", path.expiry_tick))
         if cfg.settle_after is not None:
             self.net.timer(cfg.payment_id, partial(self._settle, cfg.payment_id),
-                           cfg.settle_after, detail="settle due")
+                           cfg.settle_after, "settle", "due")
         elif cfg.release_after is not None:
             self.net.timer(cfg.payment_id, partial(self._release, cfg.payment_id),
-                           cfg.release_after, detail="release due")
+                           cfg.release_after, "release", "due")
 
     def _settle(self, path_id):
         path = self._attempt(lambda: self.valuenet.settle_path(path_id, self.net.now),
                              "path", path_id)
         if path is not None:
-            self.net.record("path", path_id, fmt_detail(
-                ("state", path.state.value),
-                ("amount_out", path.amount_out), ("denom_out", path.denom_out),
-                ("receiver", path.receiver_chain)))
+            self.net.record("path", path_id, ("state", path.state.value),
+                            ("amount_out", path.amount_out), ("denom_out", path.denom_out),
+                            ("receiver", path.receiver_chain))
 
     def _release(self, path_id):
         path = self._attempt(lambda: self.valuenet.release_path(path_id, self.net.now),
                              "path", path_id)
         if path is not None:
-            self.net.record("path", path_id, f"state={path.state.value}")
+            self.net.record("path", path_id, ("state", path.state.value))
 
     def _start_read(self, cfg):
         view = self._attempt(lambda: self._mediated_read(cfg), "read", cfg.read_id,
-                             "reads", log="result={error}")
+                             "reads", log=("result",))
         if view is None:
             return
         self.outcomes["reads"][cfg.read_id] = {
             "state": "OK", "chain": view.chain_id,
             "digest": view.payload_digest, "voided": view.voided}
-        self.net.record("read", cfg.read_id, fmt_detail(
-            ("asset", view.cross_id), ("chain", view.chain_id),
-            ("digest", view.payload_digest),
-            ("confirmed", view.confirmed_tick),
-            ("via", view.attestation.signatures[0][0])))
+        self.net.record("read", cfg.read_id, ("asset", view.cross_id),
+                        ("chain", view.chain_id), ("digest", view.payload_digest),
+                        ("confirmed", view.confirmed_tick),
+                        ("via", view.attestation.signatures[0][0]))
 
     def _mediated_read(self, cfg):
         cid = self.assets[cfg.asset]
@@ -299,34 +299,33 @@ class Simulation:
 
     def _start_resolve(self, cfg):
         found = self._attempt(lambda: self.resolve_endpoint(self.assets[cfg.asset]),
-                              "resolve", cfg.resolve_id, "resolves", log="result={error}")
+                              "resolve", cfg.resolve_id, "resolves", log=("result",))
         if found is None:
             return
         pointer, endpoints = found
         self.outcomes["resolves"][cfg.resolve_id] = {
             "state": "OK", "home": pointer.home_chain, "endpoints": list(endpoints)}
-        self.net.record("resolve", cfg.resolve_id, fmt_detail(
-            ("asset", pointer.asset), ("home", pointer.home_chain),
-            ("endpoints", list(endpoints))))
+        self.net.record("resolve", cfg.resolve_id, ("asset", pointer.asset),
+                        ("home", pointer.home_chain), ("endpoints", endpoints))
 
     def _start_probe(self, cfg):
         outcome = self.outcomes["probes"]
         gw = self.registry.lowest_live(cfg.chain)
         if self.net.chain_partitioned(cfg.chain) or gw is None:
             outcome[cfg.probe_id] = {"state": "ERROR", "error": "Unreachable"}
-            self.net.record("probe", cfg.probe_id, f"chain={cfg.chain} result=Unreachable")
+            self.net.record("probe", cfg.probe_id, ("chain", cfg.chain),
+                            ("result", "Unreachable"))
             return
         status = self.chains[cfg.chain].status(self.net.now)
         outcome[cfg.probe_id] = {
             "state": "OK", "live": status.live_node_count,
             "pending": status.pending_count,
             "latency": f"{status.mean_confirm_latency:.2f}"}
-        self.net.record("probe", cfg.probe_id, fmt_detail(
-            ("chain", cfg.chain), ("via", gw.gateway_id),
-            ("live", status.live_node_count),
-            ("pending", status.pending_count),
-            ("latency", f"{status.mean_confirm_latency:.2f}"),
-            ("reachable", 1)))
+        self.net.record("probe", cfg.probe_id, ("chain", cfg.chain), ("via", gw.gateway_id),
+                        ("live", status.live_node_count),
+                        ("pending", status.pending_count),
+                        ("latency", f"{status.mean_confirm_latency:.2f}"),
+                        ("reachable", 1))
 
     # -- resolution ----------------------------------------------------
 
@@ -383,9 +382,8 @@ class Simulation:
         return self._assemble_report()
 
     def _emit_resolver_dump(self) -> None:
-        for line in self.resolver.dump_lines():
-            cid, rest = line.split(" ", 1)
-            self.net.record("resolver", cid, rest)
+        self.resolver_dump = [self.net.record("resolver", str(cid), *fields)
+                              for cid, fields in self.resolver.dump()]
 
     # -- reporting -----------------------------------------------------
 
@@ -465,15 +463,15 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
         if net.chain_partitioned(cid):
             continue
         for entry in chains[cid].advance_consensus(tick):
-            net.record("ledger", f"{cid}/{entry.local_ref}", fmt_detail(
-                ("confirm", entry.kind),
-                ("submitted", entry.submitted_tick),
-                ("nodes", len(entry.confirming_nodes))))
+            net.record("ledger", f"{cid}/{entry.local_ref}",
+                       ("confirm", entry.kind),
+                       ("submitted", entry.submitted_tick),
+                       ("nodes", len(entry.confirming_nodes)))
             survivor.on_confirmed(cid, entry)
             transfers.on_confirmed(cid, entry)
     transfers.step_all(tick)
     for pid in valuenet.expire(tick):
-        net.record("path", pid, "state=EXPIRED")
+        net.record("path", pid, ("state", "EXPIRED"))
     return executed
 
 

@@ -166,11 +166,12 @@ class ReachabilityAdvertisement:
     reachable_assets: tuple[str, ...]
     issued_tick: int
 
-    def transcript(self) -> str:
-        return (f"path={self.chain_path}"
-                f" endpoints={','.join(self.gateway_endpoints)}"
-                f" semantics={','.join(self.semantic_types)}"
-                f" assets={','.join(self.reachable_assets) or '-'}")
+    def transcript(self) -> tuple:
+        """The advertisement as log fields."""
+        return (("path", self.chain_path),
+                ("endpoints", self.gateway_endpoints),
+                ("semantics", self.semantic_types),
+                ("assets", self.reachable_assets or "-"))
 
 
 def advertise(chain, registry: GatewayRegistry, resolver, now: int) -> ReachabilityAdvertisement:
@@ -246,13 +247,12 @@ class PeeringAgreement:
     chain_b: str
     compatible_semantics: frozenset
     fee_per_transfer: Fraction
-    active: bool = True
 
     def pair(self) -> tuple[str, str]:
         return tuple(sorted((self.chain_a, self.chain_b)))
 
     def covers(self, a: str, b: str, semantic: SemanticType) -> bool:
-        return (self.active and {a, b} == {self.chain_a, self.chain_b}
+        return ({a, b} == {self.chain_a, self.chain_b}
                 and semantic in self.compatible_semantics)
 
 
@@ -263,18 +263,13 @@ class PeeringRegistry:
 
     def establish(self, agreement: PeeringAgreement) -> PeeringAgreement:
         for other in self.agreements.values():
-            if (other.active and other.pair() == agreement.pair()
+            if (other.pair() == agreement.pair()
                     and other.compatible_semantics & agreement.compatible_semantics):
                 raise DuplicateAgreement(
                     f"active agreement {other.agreement_id} already covers "
                     f"{agreement.pair()}")
         self.agreements[agreement.agreement_id] = agreement
         return agreement
-
-    def revoke(self, agreement_id: str) -> None:
-        if agreement_id not in self.agreements:
-            raise NotFound(f"unknown agreement {agreement_id}")
-        self.agreements[agreement_id].active = False
 
     def covering(self, a: str, b: str, semantic: SemanticType) -> Optional[PeeringAgreement]:
         for aid in sorted(self.agreements):
@@ -358,12 +353,11 @@ class TransferEngine:
 
     # -- helpers -------------------------------------------------------
 
-    def _log(self, transfer: CrossDomainTransfer, actor: str, extra: str = "") -> None:
-        detail = (f"state={transfer.state.value} asset={transfer.asset}"
-                  f" src={transfer.source_chain} dst={transfer.dest_chain} by={actor}")
-        if extra:
-            detail += " " + extra
-        self.net.record("transfer", transfer.transfer_id, detail)
+    def _log(self, transfer: CrossDomainTransfer, actor: str, *extra) -> None:
+        self.net.record("transfer", transfer.transfer_id,
+                        ("state", transfer.state.value), ("asset", transfer.asset),
+                        ("src", transfer.source_chain), ("dst", transfer.dest_chain),
+                        ("by", actor), *extra)
 
     # -- initiation ----------------------------------------------------
 
@@ -394,8 +388,8 @@ class TransferEngine:
         self.order.append(transfer_id)
         self._open.append(transfer)
         self._log(transfer, src_gw.gateway_id,
-                  f"gw={transfer.paired_source}:{transfer.paired_dest}"
-                  f" deadline={deadline_tick}")
+                  ("gw", f"{transfer.paired_source}:{transfer.paired_dest}"),
+                  ("deadline", deadline_tick))
 
         lock_key = (source_chain, str(asset))
         if lock_key in self.locks:
@@ -414,7 +408,7 @@ class TransferEngine:
         transfer.lock_ref = receipt.local_ref
         self._by_ref[(source_chain, receipt.local_ref)] = transfer
         self.net.record("ledger", f"{source_chain}/{receipt.local_ref}",
-                        f"submit kind=lock transfer={transfer_id}")
+                        "submit", ("kind", "lock"), ("transfer", transfer_id))
         return transfer
 
     # -- confirmation callbacks ----------------------------------------
@@ -490,15 +484,15 @@ class TransferEngine:
                 t.paired_source = replacement.gateway_id
             else:
                 t.paired_dest = replacement.gateway_id
-            self.net.record("peer", t.transfer_id,
-                            f"repair side={side} gw={replacement.gateway_id}")
+            self.net.record("peer", t.transfer_id, "repair", ("side", side),
+                            ("gw", replacement.gateway_id))
         return True
 
     def _send_record_request(self, t: CrossDomainTransfer, now: int) -> None:
         t.record_request_sent = True
         self.net.deliver(t.source_chain, t.dest_chain, t.transfer_id,
                          lambda: self._arrive_record_request(t),
-                         detail=f"msg=record-request transfer={t.transfer_id}")
+                         ("msg", "record-request"), ("transfer", t.transfer_id))
 
     def _arrive_record_request(self, t: CrossDomainTransfer) -> None:
         now = self.net.now
@@ -515,7 +509,7 @@ class TransferEngine:
         t.record_ref = receipt.local_ref
         self._by_ref[(t.dest_chain, receipt.local_ref)] = t
         self.net.record("ledger", f"{t.dest_chain}/{receipt.local_ref}",
-                        f"submit kind=record transfer={t.transfer_id}")
+                        "submit", ("kind", "record"), ("transfer", t.transfer_id))
 
     def _vouch(self, t: CrossDomainTransfer, side: str, chain_id: str, ref: str,
                now: int) -> Optional[VouchAttestation]:
@@ -531,9 +525,9 @@ class TransferEngine:
         encoded = att.serialize().hex()
         ledger_entry = chain.append_attestation(encoded, now)
         self.net.record("ledger", f"{chain_id}/{ledger_entry.local_ref}",
-                        f"append kind=attestation transfer={t.transfer_id}")
+                        "append", ("kind", "attestation"), ("transfer", t.transfer_id))
         self.net.record("vouch", t.transfer_id,
-                        f"side={side} k={att.threshold_k} att={encoded}")
+                        ("side", side), ("k", att.threshold_k), ("att", encoded))
         return att
 
     def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
@@ -543,7 +537,7 @@ class TransferEngine:
         t.attestation_sent = True
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
                          lambda: self._arrive_attestation(t),
-                         detail=f"msg=attestation transfer={t.transfer_id}")
+                         ("msg", "attestation"), ("transfer", t.transfer_id))
 
     def _arrive_attestation(self, t: CrossDomainTransfer) -> None:
         now = self.net.now
@@ -565,11 +559,11 @@ class TransferEngine:
         pointer = AuthoritativePointer(t.asset, t.dest_chain, t.source_chain, now)
         source.ledger.mark(source_ref, pointer)
         self.net.record("ledger", f"{t.source_chain}/{source_ref}",
-                        f"mark to={t.dest_chain} transfer={t.transfer_id}")
+                        "mark", ("to", t.dest_chain), ("transfer", t.transfer_id))
         self.resolver.rebind_authority(t.asset, t.source_chain, t.dest_chain,
                                        (t.source_attestation, t.dest_attestation), now)
         self.net.record("resolver", str(t.asset),
-                        f"rebind from={t.source_chain} to={t.dest_chain}")
+                        "rebind", ("from", t.source_chain), ("to", t.dest_chain))
         self.resolver.bind_existing(t.dest_chain, t.asset, t.record_ref)
         if t.holds_lock:
             self.locks.pop((t.source_chain, str(t.asset)), None)
@@ -578,7 +572,7 @@ class TransferEngine:
         self.peerings.tally_fee(agreement)
         t.state = TransferState.FINALIZED
         t.final_tick = now
-        self._log(t, t.paired_source, f"fee={agreement.fee_per_transfer}")
+        self._log(t, t.paired_source, ("fee", agreement.fee_per_transfer))
 
     # -- abort ---------------------------------------------------------
 
@@ -591,7 +585,7 @@ class TransferEngine:
         if t.holds_lock:
             self.locks.pop((t.source_chain, str(t.asset)), None)
             t.holds_lock = False
-        self._log(t, t.paired_source, f"reason={reason}")
+        self._log(t, t.paired_source, ("reason", reason))
         if t.record_confirmed and t.record_ref is not None:
             self._void_record(t)
 
@@ -601,4 +595,4 @@ class TransferEngine:
             return
         chain.ledger.void(t.record_ref, self.net.now)
         self.net.record("ledger", f"{t.dest_chain}/{t.record_ref}",
-                        f"void transfer={t.transfer_id}")
+                        "void", ("transfer", t.transfer_id))

@@ -75,11 +75,6 @@ class Resolver:
         self._mask.setdefault(chain_id, {})
         self._unmask.setdefault(chain_id, {})
 
-    def chain_for_path(self, path: str) -> str:
-        if path not in self.chain_paths:
-            raise NotFound(f"unknown chain path {path}")
-        return self.chain_paths[path]
-
     # -- masking -------------------------------------------------------
 
     def _fresh_suffix(self) -> str:
@@ -108,26 +103,30 @@ class Resolver:
         return cid
 
     def bind_existing(self, chain_id: str, cross_id: CrossId, local_ref: str) -> None:
-        """Register an already-minted asset under a new chain's mask
-        (used when a transfer lands the asset on its destination)."""
+        """Register an already-minted asset under a chain's mask (used
+        when a transfer lands the asset on its destination).  An asset
+        whose home has just moved back to a chain it left is masked there
+        already, under the ref it left from, which is now marked; its
+        mask entry moves to local_ref.  Any other collision raises."""
         if chain_id not in self._mask:
             self.register_chain(chain_id)
-        if local_ref in self._mask[chain_id] or cross_id in self._unmask[chain_id]:
+        mask, unmask = self._mask[chain_id], self._unmask[chain_id]
+        old_ref = unmask.get(cross_id)
+        pointer = self._home.get(cross_id)
+        came_home = (pointer is not None and pointer.home_chain == chain_id
+                     and pointer.forwarded_from is not None)
+        if local_ref in mask or (old_ref is not None and not came_home):
             raise ValueError(f"mask collision for {cross_id} on {chain_id}")
-        self._mask[chain_id][local_ref] = cross_id
-        self._unmask[chain_id][cross_id] = local_ref
+        if old_ref is not None:
+            del mask[old_ref]
+        mask[local_ref] = cross_id
+        unmask[cross_id] = local_ref
 
     def local_ref_for(self, chain_id: str, cross_id: CrossId) -> str:
         ref = self._unmask.get(chain_id, {}).get(cross_id)
         if ref is None:
             raise NotFound(f"{cross_id} not masked on {chain_id}")
         return ref
-
-    def cross_id_for(self, chain_id: str, local_ref: str) -> CrossId:
-        cid = self._mask.get(chain_id, {}).get(local_ref)
-        if cid is None:
-            raise NotFound(f"{local_ref} has no cross id on {chain_id}")
-        return cid
 
     def mask_tables(self) -> dict[str, dict[str, CrossId]]:
         return self._mask
@@ -183,13 +182,15 @@ class Resolver:
 
     # -- dump ----------------------------------------------------------
 
-    def dump_lines(self) -> list[str]:
-        """One line per asset, sorted: home plus forward history."""
-        lines = []
+    def dump(self) -> list[tuple[CrossId, tuple]]:
+        """One (asset, log fields) pair per asset, sorted: home plus
+        forward history."""
+        out = []
         for cid in self.assets():
             hops = []
             for p in self._history[cid]:
                 origin = p.forwarded_from or "-"
                 hops.append(f"{origin}>{p.home_chain}@{p.rebind_tick}")
-            lines.append(f"{cid} home={self._home[cid].home_chain} history={';'.join(hops)}")
-        return lines
+            out.append((cid, (("home", self._home[cid].home_chain),
+                              ("history", ";".join(hops)))))
+        return out

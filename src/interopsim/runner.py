@@ -30,7 +30,7 @@ def execute(scenario: Union[str, Path, ScenarioConfig], seed: Optional[int] = No
         sim.net.log.write(out / RUN_LOG)
         (out / REPORT).write_text(report.to_json())
         (out / RESOLVER_DUMP).write_text(
-            "".join(line + "\n" for line in sim.resolver.dump_lines()))
+            "".join(f"{rec.subject} {rec.detail}\n" for rec in sim.resolver_dump))
     return report, sim
 
 

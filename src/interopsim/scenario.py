@@ -260,7 +260,11 @@ class _Reader:
         vals: list = []
         for key, kind, default, minimum, ref, tick in spec.fields:
             val = item.get(key)
-            if val is None and default is not _REQUIRED:
+            if val is None:
+                if default is _REQUIRED:
+                    self.add(prefix + key, "missing required key")
+                    vals.append(None)
+                    continue
                 if default is None:
                     vals.append(None)
                     continue

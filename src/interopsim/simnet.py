@@ -16,10 +16,14 @@ timer logs kind=timer and then acts.  A delivery into or out of a
 partitioned chain, or across a cut link, is dropped silently: it logs
 kind=drop and never runs; otherwise it logs kind=deliver and runs.
 
-Log line format: "tick seq kind subject detail" where seq is the
-strictly increasing record index and detail is a space-separated list of
-key=value pairs in a stable order.  A delivery's detail starts with its
-route, src=<chain> dst=<chain> or, for a local delivery, dst=<chain>.
+Log records hold their detail as data: an ordered tuple of fields, each
+a bare word or a (key, value) pair.  LogRecord.line() is the one place
+that renders them, as "tick seq kind subject detail" where seq is the
+strictly increasing record index and detail joins the fields with
+spaces, a pair as key=value and a list or tuple value with commas.  A
+delivery's fields start with its route, src and dst or, for a local
+delivery, dst alone.  Nothing parses a rendered line back: readers of
+the log, such as the audits, read the fields.
 """
 
 from __future__ import annotations
@@ -62,16 +66,37 @@ class FaultSpec:
     until_tick: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     tick: int
     seq: int
     kind: str
     subject: str
-    detail: str
+    fields: tuple
+
+    @property
+    def detail(self) -> str:
+        parts = []
+        for field in self.fields:
+            if field.__class__ is str:
+                parts.append(field)
+                continue
+            key, value = field
+            if isinstance(value, (list, tuple)):
+                value = ",".join(map(str, value))
+            parts.append(f"{key}={value}")
+        return " ".join(parts)
 
     def line(self) -> str:
-        return f"{self.tick} {self.seq} {self.kind} {self.subject} {self.detail}".rstrip()
+        head = f"{self.tick} {self.seq} {self.kind} {self.subject}"
+        return f"{head} {self.detail}" if self.fields else head
+
+    def get(self, key: str):
+        """The value of the first pair named key, or None."""
+        for field in self.fields:
+            if field.__class__ is tuple and field[0] == key:
+                return field[1]
+        return None
 
 
 class EventLog:
@@ -80,8 +105,8 @@ class EventLog:
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
 
-    def append(self, tick: int, kind: str, subject: str, detail: str) -> LogRecord:
-        rec = LogRecord(tick, len(self.records), kind, subject, detail)
+    def append(self, tick: int, kind: str, subject: str, fields: tuple) -> LogRecord:
+        rec = LogRecord(tick, len(self.records), kind, subject, fields)
         self.records.append(rec)
         return rec
 
@@ -94,16 +119,6 @@ class EventLog:
     def write(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.dumps())
-
-
-def fmt_detail(*pairs) -> str:
-    """Render (key, value) pairs as 'k=v k=v'; lists join with commas."""
-    parts = []
-    for key, value in pairs:
-        if isinstance(value, (list, tuple, set, frozenset)):
-            value = ",".join(str(v) for v in sorted(value)) if isinstance(value, (set, frozenset)) else ",".join(str(v) for v in value)
-        parts.append(f"{key}={value}")
-    return " ".join(parts)
 
 
 class SimNet:
@@ -148,50 +163,46 @@ class SimNet:
         self._next_event_seq += 1
 
     def timer(self, subject: str, action: Callable[[], None], delay: int,
-              detail: str = "") -> None:
-        """Schedule action behind a timer record (detail, or "fire")."""
+              *fields) -> None:
+        """Schedule action behind a timer record (fields, or "fire")."""
         # a partial, not a closure: fewer objects for the cyclic GC to track
-        self.schedule(partial(self._fire, subject, detail or "fire", action), delay)
+        self.schedule(partial(self._fire, subject, fields or ("fire",), action), delay)
 
-    def _fire(self, subject: str, detail: str, action: Callable[[], None]) -> None:
-        self.record("timer", subject, detail)
+    def _fire(self, subject: str, fields: tuple, action: Callable[[], None]) -> None:
+        self.record("timer", subject, *fields)
         action()
 
-    def _push_delivery(self, subject: str, action: Callable[[], None], detail: str,
-                       delay: int, route: str, blocked: Callable[[], bool]) -> None:
+    def _push_delivery(self, subject: str, action: Callable[[], None], fields: tuple,
+                       delay: int, blocked: Callable[[], bool]) -> None:
         """Queue a delivery that is logged and run at execution time, or
         logged as a drop when blocked() holds then."""
-        if detail:
-            route += f" {detail}"
 
         def run():
             if blocked():
-                self.record("drop", subject, route)
+                self.record("drop", subject, *fields)
                 return
-            self.record("deliver", subject, route)
+            self.record("deliver", subject, *fields)
             action()
 
         self.schedule(run, delay)
 
     def deliver(self, src_chain: str, dst_chain: str, subject: str,
-                action: Callable[[], None], detail: str = "",
-                extra_delay: int = 0) -> None:
+                action: Callable[[], None], *fields) -> None:
         """Schedule a cross-chain message; dropped at execution time if
         either endpoint is partitioned or the link is cut then."""
-        delay = self.inter_chain_latency + extra_delay
+        delay = self.inter_chain_latency
         if self.latency_jitter:
             delay += self.rng.randint(0, self.latency_jitter)
         self._push_delivery(
-            subject, action, detail, delay,
-            fmt_detail(("src", src_chain), ("dst", dst_chain)),
+            subject, action, (("src", src_chain), ("dst", dst_chain), *fields), delay,
             lambda: self.delivery_blocked(src_chain, dst_chain))
 
     def local_deliver(self, chain_id: str, subject: str, action: Callable[[], None],
-                      detail: str = "", delay: int = 0) -> None:
+                      *fields) -> None:
         """App-to-chain submission path: no transport latency, but still
         dropped silently when the chain is partitioned at execution."""
         self._push_delivery(
-            subject, action, detail, delay, fmt_detail(("dst", chain_id)),
+            subject, action, (("dst", chain_id), *fields), 0,
             lambda: chain_id in self.partitioned_chains)
 
     # -- fault machinery -----------------------------------------------
@@ -240,13 +251,12 @@ class SimNet:
                     raise UnknownTarget(f"unknown fault {fid}")
 
     def _apply_fault(self, fault: FaultSpec, heal: bool) -> None:
-        phase = "heal" if heal else "apply"
-        detail = fmt_detail(("kind", fault.kind.value), ("phase", phase))
+        fields = [("kind", fault.kind.value), ("phase", "heal" if heal else "apply")]
         if fault.target:
-            detail += " " + fmt_detail(("target", list(fault.target)))
+            fields.append(("target", fault.target))
         if fault.links:
-            detail += " " + fmt_detail(("links", [f"{a}-{b}" for a, b in fault.links]))
-        self.record("fault", fault.fault_id, detail)
+            fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
+        self.record("fault", fault.fault_id, *fields)
         if fault.kind == FaultKind.PARTITION:
             if heal:
                 self._heal_partition(fault)
@@ -295,8 +305,9 @@ class SimNet:
 
     # -- execution -----------------------------------------------------
 
-    def record(self, kind: str, subject: str, detail: str = "") -> LogRecord:
-        return self.log.append(self.now, kind, subject, detail)
+    def record(self, kind: str, subject: str, *fields) -> LogRecord:
+        """Log fields, each a bare word or a (key, value) pair, in order."""
+        return self.log.append(self.now, kind, subject, fields)
 
     def next_event_tick(self) -> Optional[int]:
         return self._queue[0][0] if self._queue else None

@@ -116,24 +116,24 @@ class SurvivorLayer:
         chain_id = sub.candidates[idx]
         sub.attempts.append(Attempt(chain_id, now))
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        self.net.record("txn", subject, f"attempt={idx + 1} chain={chain_id} submit")
+        self.net.record("txn", subject, ("attempt", idx + 1), ("chain", chain_id), "submit")
         chain = self.chains[chain_id]
 
         def do_submit():
             try:
                 receipt = chain.submit(sub.unit, sub.credential, self.net.now)
             except InteropError as exc:
-                self.net.record("reject", subject,
-                                f"chain={chain_id} error={type(exc).__name__}")
+                self.net.record("reject", subject, ("chain", chain_id),
+                                ("error", type(exc).__name__))
                 return
             self.net.record("ledger", f"{chain_id}/{receipt.local_ref}",
-                            f"submit kind=unit txn={subject}")
+                            "submit", ("kind", "unit"), ("txn", subject))
 
         self.net.local_deliver(chain_id, subject, do_submit,
-                               detail=f"msg=submit attempt={idx + 1}")
+                               ("msg", "submit"), ("attempt", idx + 1))
         timeout = self._timeout_for(sub, chain_id)
         self.net.timer(subject, lambda: self._on_timeout(txn, sub, idx),
-                       timeout, detail=f"timeout attempt={idx + 1}")
+                       timeout, "timeout", ("attempt", idx + 1))
 
     # -- progress ------------------------------------------------------
 
@@ -145,7 +145,8 @@ class SurvivorLayer:
         attempt.outcome = ATTEMPT_TIMEOUT
         attempt.end_tick = now
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        self.net.record("txn", subject, f"attempt={idx + 1} chain={attempt.chain_id} timeout")
+        self.net.record("txn", subject, ("attempt", idx + 1), ("chain", attempt.chain_id),
+                        "timeout")
         if sub.current + 1 < len(sub.candidates):
             self._start_attempt(txn, sub, now)
         else:
@@ -165,10 +166,10 @@ class SurvivorLayer:
         now = self.net.now
         sub.confirmations.append((chain_id, entry.local_ref, now))
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        late = len(sub.confirmations) > 1 or sub.state != TXN_PENDING
-        self.net.record("txn", subject,
-                        f"confirmed chain={chain_id} ref={entry.local_ref}"
-                        + (" late=1" if late else ""))
+        fields = ["confirmed", ("chain", chain_id), ("ref", entry.local_ref)]
+        if len(sub.confirmations) > 1 or sub.state != TXN_PENDING:
+            fields.append(("late", 1))
+        self.net.record("txn", subject, *fields)
         if sub.state != TXN_PENDING:
             return
         sub.state = TXN_CONFIRMED
@@ -190,8 +191,8 @@ class SurvivorLayer:
         else:
             return
         txn.final_tick = now
-        self.net.record("txn", txn.txn_id,
-                        f"state={txn.state} attempts={self._attempt_count(txn)}")
+        self.net.record("txn", txn.txn_id, ("state", txn.state),
+                        ("attempts", self._attempt_count(txn)))
 
     def _attempt_count(self, txn: AppTransaction) -> int:
         return sum(len(sub.attempts) for sub in txn.subs.values())

@@ -42,6 +42,7 @@ BUNDLED_SCENARIOS = [
     "ilp_path",
     "gateway_crash",
     "abort_partition",
+    "round_trip",
 ]
 
 

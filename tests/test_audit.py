@@ -88,10 +88,10 @@ def entry(sim, chain_id, ref):
     return sim.chains[chain_id].ledger.get(ref)
 
 
-def append(sim, kind, subject, detail):
+def append(sim, kind, subject, *fields):
     """Log one more record at the last tick, so that seq and tick stay
     in order."""
-    return sim.net.log.append(sim.net.log.records[-1].tick, kind, subject, detail)
+    return sim.net.log.append(sim.net.log.records[-1].tick, kind, subject, fields)
 
 
 def first_delivery(sim, chain_id):
@@ -133,6 +133,14 @@ class TestLogAudits:
         entries[0], entries[1] = entries[1], entries[0]
         detail = only_failure(sim, "append_only_ledgers")
         assert detail.startswith("bc2: ledger ['e2', 'e1'")
+
+    def test_append_only_catches_an_unlogged_entry(self, sim):
+        genesis = next(r for r in sim.net.log.records
+                       if r.kind == "ledger" and r.fields[0] == "genesis")
+        genesis.fields = ("submit",) + genesis.fields[1:]
+        chain_id, ref = genesis.subject.split("/")
+        detail = only_failure(sim, "append_only_ledgers")
+        assert detail.startswith(f"{chain_id}: ledger ['{ref}'")
 
 
 class TestLedgerAudits:
@@ -212,6 +220,14 @@ class TestAuthorityAudits:
         assert only_failure(sim, "attestation_necessity") == \
             "x2: dest attestation fails verification"
 
+    def test_attestation_necessity_catches_a_missing_vouch_record(self, sim):
+        vouch = next(r for r in sim.net.log.records
+                     if r.kind == "vouch" and r.subject == "x1"
+                     and r.get("side") == "source")
+        vouch.fields = (("side", "dest"),) + vouch.fields[1:]
+        assert only_failure(sim, "attestation_necessity") == \
+            "x1: finalized without both vouch records"
+
     def test_masking_bijectivity_catches_a_wrong_unmask(self, sim):
         x1 = transfer(sim, "x1")
         ref = sim.resolver.local_ref_for("bc2", x1.asset)
@@ -226,12 +242,12 @@ class TestTranscriptAudits:
         # bc1.n1 leaks inside bc1.n10, whether or not bc1.n10 is a node,
         # and the detail names the first leaked id in sorted order
         sim = finished(parse_scenario(world(nodes)))
-        rec = append(sim, "advert", "bc1", "path=bc1 endpoints=bc1.n10")
+        rec = append(sim, "advert", "bc1", ("path", "bc1"), ("endpoints", ["bc1.n10"]))
         assert only_failure(sim, "resolution_opacity") == \
             f"record {rec.seq} leaks node id bc1.n1"
 
     def test_resolution_opacity_catches_a_local_ref(self, sim):
-        rec = append(sim, "resolve", "q9", "home=bc2 ref=e2")
+        rec = append(sim, "resolve", "q9", ("home", "bc2"), ("ref", "e2"))
         assert only_failure(sim, "resolution_opacity") == \
             f"record {rec.seq} leaks a local ref"
 

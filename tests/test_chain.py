@@ -1,6 +1,7 @@
 """Chain model tests: permission regimes, submission gates, quorum and
 latency behavior, direct appends, reads and aggregate status."""
 
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -68,11 +69,12 @@ class TestSubmissionGates:
         entry = None
         for e in chain.advance_consensus(1):
             entry = e
-        before = chain.ledger.canonical_lines()
+        ledger = chain.ledger
+        before = deepcopy((ledger.entries, ledger.marks, ledger.voids))
         again = chain.submit(make_unit("dup"), "anon", 5)
         assert again.duplicate and again.local_ref == first.local_ref
         chain.advance_consensus(10)
-        assert chain.ledger.canonical_lines() == before, \
+        assert (ledger.entries, ledger.marks, ledger.voids) == before, \
             "resubmission must not change the ledger at all"
         assert entry is not None and len(chain.ledger.entries) == 1
 
@@ -175,14 +177,6 @@ class TestLedgerMarks:
             chain.ledger.void(entry.local_ref, 5)
         with pytest.raises(NotFound):
             chain.ledger.void("e99", 5)
-
-    def test_canonical_lines_cover_entries_marks_and_voids(self):
-        chain = make_chain(latency=1)
-        entry = confirm_unit(chain, make_unit())
-        chain.ledger.mark(entry.local_ref, "p")
-        lines = chain.ledger.canonical_lines()
-        assert any(line.startswith(f"{entry.local_ref}|unit|") for line in lines)
-        assert f"mark|{entry.local_ref}|p" in lines
 
 
 class TestReadsAndStatus:

@@ -85,7 +85,7 @@ class TestMinting:
         entry = confirm_unit(chain, make_unit())
         cid = resolver.mint_cross_id(chain, entry.local_ref)
         assert cid.chain_path == "trade.bc1"
-        assert resolver.chain_for_path("trade.bc1") == "bc1"
+        assert resolver.chain_paths["trade.bc1"] == "bc1"
 
     def test_path_collision_between_chains_rejected(self):
         resolver = fresh_resolver()
@@ -139,7 +139,7 @@ class TestBijectivity:
         resolver = fresh_resolver()
         for ref, cid in minted(resolver, chain, 50):
             assert resolver.local_ref_for("bc1", cid) == ref
-            assert resolver.cross_id_for("bc1", ref) == cid
+            assert resolver.mask_tables()["bc1"][ref] == cid
 
     def test_bind_existing_extends_the_destination_mask(self):
         chain = make_chain(latency=1)
@@ -148,7 +148,7 @@ class TestBijectivity:
         [(ref, cid)] = minted(resolver, chain, 1)
         resolver.bind_existing("bc2", cid, "e7")
         assert resolver.local_ref_for("bc2", cid) == "e7"
-        assert resolver.cross_id_for("bc2", "e7") == cid
+        assert resolver.mask_tables()["bc2"]["e7"] == cid
         # the original chain's mask is untouched
         assert resolver.local_ref_for("bc1", cid) == ref
 
@@ -161,14 +161,24 @@ class TestBijectivity:
         with pytest.raises(ValueError, match="mask collision"):
             resolver.bind_existing("bc2", cid, "e8")
 
+    def test_bind_existing_moves_an_asset_that_came_home(self):
+        resolver, _, asset, atts = rebind_fixture()
+        left_from = resolver.local_ref_for("bc1", asset)
+        resolver.rebind_authority(asset, "bc1", "bc2", (atts["bc1"], atts["bc2"]), now=7)
+        resolver.bind_existing("bc2", asset, "e7")
+        with pytest.raises(ValueError, match="mask collision"):
+            resolver.bind_existing("bc1", asset, "e9")  # its home is still bc2
+        resolver.rebind_authority(asset, "bc2", "bc1", (atts["bc2"], atts["bc1"]), now=9)
+        resolver.bind_existing("bc1", asset, "e9")
+        assert resolver.mask_tables()["bc1"] == {"e9": asset}
+        assert resolver.local_ref_for("bc1", asset) == "e9" != left_from
+
     def test_unmasked_lookups_raise(self):
         resolver = fresh_resolver()
         resolver.register_chain("bc1")
         stranger = CrossId("bc1", "A" * 26)
         with pytest.raises(NotFound):
             resolver.local_ref_for("bc1", stranger)
-        with pytest.raises(NotFound):
-            resolver.cross_id_for("bc1", "e1")
 
 
 def rebind_fixture():
@@ -266,16 +276,14 @@ class TestDump:
         resolver, _, asset, atts = rebind_fixture()
         resolver.rebind_authority(asset, "bc1", "bc2",
                                   (atts["bc1"], atts["bc2"]), now=7)
-        lines = resolver.dump_lines()
-        assert lines == sorted(lines)
-        [line] = [l for l in lines if str(asset) in l]
-        assert f"{asset} home=bc2 history=->bc1@0;bc1>bc2@7" == line
+        dump = resolver.dump()
+        assert [cid for cid, _ in dump] == resolver.assets()
+        [fields] = [fields for cid, fields in dump if cid == asset]
+        assert fields == (("home", "bc2"), ("history", "->bc1@0;bc1>bc2@7"))
 
     def test_dump_covers_every_asset(self):
         chain = make_chain(latency=1)
         resolver = fresh_resolver()
         pairs = minted(resolver, chain, 5)
-        lines = resolver.dump_lines()
-        assert len(lines) == 5
-        for _, cid in pairs:
-            assert any(line.startswith(str(cid) + " ") for line in lines)
+        assert [cid for cid, _ in resolver.dump()] \
+            == sorted((cid for _, cid in pairs), key=str)

@@ -23,7 +23,8 @@ class TestExecute:
         assert (out / RUN_LOG).read_text() == sim.net.log.dumps()
         assert (out / REPORT).read_text() == report.to_json()
         dump = (out / RESOLVER_DUMP).read_text()
-        assert dump == "".join(l + "\n" for l in sim.resolver.dump_lines())
+        [asset] = sim.resolver.assets()
+        assert dump == f"{asset} home=bc2 history=->bc1@0;bc1>bc2@10\n"
         json.loads((out / REPORT).read_text())
 
     def test_accepts_a_parsed_config(self, tmp_path):

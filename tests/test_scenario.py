@@ -98,6 +98,13 @@ class TestErrorCollection:
                                 "chains": [minimal_chain(nodes=0)]})
         assert problems == ["chains[0].nodes: must be >= 1, got 0"]
 
+    def test_a_missing_or_null_required_key_is_reported_as_missing(self):
+        absent = minimal_chain()
+        del absent["confirm_latency"]
+        for chain in (absent, minimal_chain(confirm_latency=None)):
+            assert problems_of({"horizon": 10, "chains": [chain]}) == \
+                ["chains[0].confirm_latency: missing required key"]
+
 
 class TestRationalAmounts:
     def test_float_quorum_rejected(self):

@@ -12,8 +12,8 @@ from interopsim.simnet import (
     EventLog,
     FaultKind,
     FaultSpec,
+    LogRecord,
     SimNet,
-    fmt_detail,
 )
 
 
@@ -160,23 +160,28 @@ class TestFaultValidation:
 class TestLogFormat:
     def test_record_line_shape(self):
         log = EventLog()
-        log.append(3, "ledger", "bc1/e1", "confirm=unit")
+        log.append(3, "ledger", "bc1/e1", (("confirm", "unit"),))
         assert log.lines() == ["3 0 ledger bc1/e1 confirm=unit"]
 
     def test_seq_is_global_record_index(self):
         log = EventLog()
         for i in range(5):
-            log.append(i, "k", "s", "")
+            log.append(i, "k", "s", ())
         assert [r.seq for r in log.records] == [0, 1, 2, 3, 4]
 
-    def test_fmt_detail_pairs_and_lists(self):
-        detail = fmt_detail(("a", 1), ("route", ["c2", "c1"]), ("s", {"y", "x"}))
-        assert detail == "a=1 route=c2,c1 s=x,y", \
-            "lists keep order, sets are sorted"
+    def test_record_renders_words_pairs_and_lists(self):
+        rec = LogRecord(4, 7, "txn", "t1/s1", (("attempt", 1), ("chain", "bc1"), "submit"))
+        assert rec.line() == "4 7 txn t1/s1 attempt=1 chain=bc1 submit", \
+            "a bare word may follow pairs"
+        rec = LogRecord(0, 0, "path", "p1", (("route", ["c2", "c1"]), ("to", ("a", "b"))))
+        assert rec.detail == "route=c2,c1 to=a,b", "lists keep their order"
+        assert rec.get("to") == ("a", "b") and rec.get("from") is None
+        assert LogRecord(2, 3, "k", "s", ()).line() == "2 3 k s", \
+            "no fields means no trailing space"
 
     def test_timer_events_are_logged_with_detail(self):
         net = make_net()
-        net.timer("t1", lambda: None, 2, detail="timeout attempt=1")
+        net.timer("t1", lambda: None, 2, "timeout", ("attempt", 1))
         net.timer("t2", lambda: None, 2)
         net.drain(2)
         lines = net.log.lines()
