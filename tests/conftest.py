@@ -43,6 +43,7 @@ BUNDLED_SCENARIOS = [
     "gateway_crash",
     "abort_partition",
     "round_trip",
+    "cut_heal",
 ]
 
 

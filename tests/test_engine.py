@@ -345,7 +345,7 @@ class TestEventDrivenLoop:
         assert report.end_tick == 26, "p6 reserves at 20 with a ttl of 6"
         assert _skipping_changes(config) == []
 
-    @pytest.mark.parametrize("name", ["fig2_fallback", "gateway_crash"])
+    @pytest.mark.parametrize("name", ["fig2_fallback", "gateway_crash", "cut_heal"])
     def test_skipping_changes_nothing_on_bundled_worlds(self, name):
         assert _skipping_changes(bundled(name)) == []
 
