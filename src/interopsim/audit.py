@@ -20,6 +20,7 @@ import re
 from .chain import CONSENSUS_KINDS
 from .gateway import TransferState, verify_attestation
 from .report import AuditResult
+from .simnet import ledger_parts
 from .valuenet import PathState
 
 _LOCAL_REF = re.compile(r"\be\d+\b")
@@ -68,8 +69,8 @@ def _append_only(sim):
         # genesis and attestation appends, and consensus confirmations
         if rec.kind == "ledger" and (rec.fields[0] in ("genesis", "append")
                                      or rec.get("confirm") is not None):
-            cid, ref = rec.subject.split("/", 1)
-            appended[cid].append(ref)
+            chain_id, ref = ledger_parts(rec.subject)
+            appended[chain_id].append(ref)
     for cid, chain in sorted(sim.chains.items()):
         actual = [e.local_ref for e in chain.ledger.entries]
         if actual != appended[cid]:
@@ -161,10 +162,10 @@ def _no_lost_assets(sim):
     for tid, t in sorted(engine.transfers.items()):
         if not t.terminal():
             return False, f"{tid}: still {t.state.value} at end of run"
-        if t.holds_lock:
+        if engine.locks.get((t.source_chain, str(t.asset))) == tid:
             return False, f"{tid}: terminal but still holds the source lock"
+        dest = sim.chains[t.dest_chain].ledger
         if t.state == TransferState.FINALIZED:
-            dest = sim.chains[t.dest_chain].ledger
             if dest.get(t.record_ref) is None:
                 return False, f"{tid}: finalized without a destination record"
             if t.record_ref in dest.voids:
@@ -173,9 +174,8 @@ def _no_lost_assets(sim):
             home = sim.resolver.resolve(t.asset).home_chain
             if home != t.source_chain and str(t.asset) not in finalized_assets:
                 return False, f"{tid}: aborted but authority left {t.source_chain}"
-            if t.record_ref is not None and t.record_confirmed:
-                if t.record_ref not in sim.chains[t.dest_chain].ledger.voids:
-                    return False, f"{tid}: aborted but record not voided"
+            if dest.get(t.record_ref) is not None and t.record_ref not in dest.voids:
+                return False, f"{tid}: aborted but record not voided"
     return True, f"{len(engine.transfers)} transfers terminal"
 
 
@@ -237,12 +237,7 @@ def _resolution_opacity(sim):
 
 def _no_partition_delivery(sim):
     # [start, end) episodes, end None while open, by chain and by pair
-    isolations: dict[str, list] = {}
-    for cid, start, end in sim.net.partition_history:
-        isolations.setdefault(cid, []).append((start, end))
-    cuts: dict[frozenset, list] = {}
-    for pair, start, end in sim.net.cut_history:
-        cuts.setdefault(pair, []).append((start, end))
+    isolations, cuts = sim.net.partition_history, sim.net.cut_history
 
     def within(episodes, tick):
         for start, end in episodes:

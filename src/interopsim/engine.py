@@ -78,7 +78,7 @@ from .gateway import (
 from .identity import CrossId, Resolver
 from .report import RunReport
 from .scenario import ScenarioConfig
-from .simnet import FaultKind, FaultSpec, LogRecord, SimNet
+from .simnet import FaultKind, FaultSpec, LogRecord, SimNet, ledger_subject
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork
 
@@ -163,7 +163,7 @@ class Simulation:
             entry = chain.append_genesis(unit)
             cid = self.resolver.mint_cross_id(chain, entry.local_ref, 0)
             self.assets[a.asset_id] = cid
-            self.net.record("ledger", f"{a.chain}/{entry.local_ref}",
+            self.net.record("ledger", ledger_subject(a.chain, entry.local_ref),
                             "genesis", ("asset", cid))
             self.net.record("resolver", str(cid), "register", ("home", a.chain))
         # grants target cross ids, not symbolic names
@@ -286,11 +286,7 @@ class Simulation:
     def _mediated_read(self, cfg):
         cid = self.assets[cfg.asset]
         home = self.resolver.resolve(cid).home_chain
-        if self.net.chain_partitioned(home):
-            raise Unreachable(f"{home} is partitioned")
-        gw = self.registry.lowest_live(home)
-        if gw is None:
-            raise Unreachable(f"{home} has no live gateway")
+        gw = self._entry_gateways(home)[0]
         grant = self.grants.get(cfg.grant) if cfg.grant else None
         if grant is None:
             raise GrantMismatch("no delegation grant presented")
@@ -310,8 +306,9 @@ class Simulation:
 
     def _start_probe(self, cfg):
         outcome = self.outcomes["probes"]
-        gw = self.registry.lowest_live(cfg.chain)
-        if self.net.chain_partitioned(cfg.chain) or gw is None:
+        try:
+            gw = self._entry_gateways(cfg.chain)[0]
+        except Unreachable:
             outcome[cfg.probe_id] = {"state": "ERROR", "error": "Unreachable"}
             self.net.record("probe", cfg.probe_id, ("chain", cfg.chain),
                             ("result", "Unreachable"))
@@ -329,16 +326,22 @@ class Simulation:
 
     # -- resolution ----------------------------------------------------
 
+    def _entry_gateways(self, chain_id: str) -> list[Gateway]:
+        """The live gateways of chain_id, lowest id first: an outside
+        party's only way in.  Unreachable when the chain is partitioned
+        or has no live gateway."""
+        if self.net.chain_partitioned(chain_id):
+            raise Unreachable(f"{chain_id} is partitioned")
+        live = self.registry.live_gateways(chain_id)
+        if not live:
+            raise Unreachable(f"{chain_id} has no live gateway")
+        return live
+
     def resolve_endpoint(self, cross_id: CrossId):
         """Resolution as an outside party sees it: pointer plus the home
         chain's live gateway endpoints, never node addresses."""
         pointer = self.resolver.resolve(cross_id)
-        home = pointer.home_chain
-        if self.net.chain_partitioned(home):
-            raise Unreachable(f"{home} is partitioned")
-        endpoints = tuple(g.gateway_id for g in self.registry.live_gateways(home))
-        if not endpoints:
-            raise Unreachable(f"{home} has no live gateway")
+        endpoints = tuple(g.gateway_id for g in self._entry_gateways(pointer.home_chain))
         return pointer, endpoints
 
     # -- main loop -----------------------------------------------------
@@ -421,10 +424,7 @@ class Simulation:
         for x in self.config.transfers:
             if x.transfer_id in self.outcomes["transfers"]:
                 continue
-            t = self.transfers.transfers.get(x.transfer_id)
-            if t is None:
-                self.outcomes["transfers"][x.transfer_id] = {"state": "MISSING"}
-                continue
+            t = self.transfers.transfers[x.transfer_id]
             entry = {"state": t.state.value, "tick": t.final_tick}
             if t.abort_reason:
                 entry["reason"] = t.abort_reason
@@ -432,10 +432,7 @@ class Simulation:
         for p in self.config.payments:
             if p.payment_id in self.outcomes["payments"]:
                 continue
-            path = self.valuenet.paths.get(p.payment_id)
-            if path is None:
-                self.outcomes["payments"][p.payment_id] = {"state": "MISSING"}
-                continue
+            path = self.valuenet.paths[p.payment_id]
             self.outcomes["payments"][p.payment_id] = {
                 "state": path.state.value, "tick": path.final_tick,
                 "amount_out": str(path.amount_out), "denom_out": path.denom_out,
@@ -463,7 +460,7 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
         if net.chain_partitioned(cid):
             continue
         for entry in chains[cid].advance_consensus(tick):
-            net.record("ledger", f"{cid}/{entry.local_ref}",
+            net.record("ledger", ledger_subject(cid, entry.local_ref),
                        ("confirm", entry.kind),
                        ("submitted", entry.submitted_tick),
                        ("nodes", len(entry.confirming_nodes)))

@@ -10,6 +10,14 @@ Pairing is deterministic: the lowest-id live gateway on each side.  On a
 crash the transfer re-pairs to the next lowest live gateway, or aborts
 when a side has none left.
 
+Each fact about a transfer is held once, by the party that owns it.  A
+CrossDomainTransfer holds only the protocol's own sub-state: its state,
+its two ledger refs, whether the record request went out and the
+attestation came back, and the attestations themselves.  Whether it
+holds the source lock is the engine's lock table, whether its record
+has landed is the destination ledger, and whether the destination
+attestation was sent is whether the transfer has one.
+
 The signature scheme is deliberately abstract: a signature is the
 sha256 of the gateway's registry key concatenated with the claim bytes,
 so verification is a pure function of (attestation, registry) and any
@@ -48,6 +56,7 @@ from .errors import (
     Unreachable,
 )
 from .identity import AuthoritativePointer, CrossId
+from .simnet import ledger_subject
 
 
 @dataclass
@@ -310,14 +319,10 @@ class CrossDomainTransfer:
     state: TransferState = TransferState.INITIATED
     lock_ref: Optional[str] = None
     record_ref: Optional[str] = None
-    lock_confirmed: bool = False
-    record_confirmed: bool = False
     record_request_sent: bool = False
-    attestation_sent: bool = False
     attestation_arrived: bool = False
     source_attestation: Optional[VouchAttestation] = None
     dest_attestation: Optional[VouchAttestation] = None
-    holds_lock: bool = False
     abort_reason: str = ""
     final_tick: Optional[int] = None
 
@@ -345,6 +350,7 @@ class TransferEngine:
         self.vouch_thresholds = vouch_thresholds
         self.transfers: dict[str, CrossDomainTransfer] = {}
         self.order: list[str] = []
+        # (source chain, asset) -> the transfer that holds its lock
         self.locks: dict[tuple[str, str], str] = {}
         # not yet terminal, in initiation order; pruned by step_all
         self._open: list[CrossDomainTransfer] = []
@@ -396,7 +402,6 @@ class TransferEngine:
             self.abort(transfer, now, "lock-held")
             return transfer
         self.locks[lock_key] = transfer_id
-        transfer.holds_lock = True
 
         chain = self.chains[source_chain]
         unit = TransferUnit(
@@ -407,7 +412,7 @@ class TransferEngine:
         receipt = chain.submit(unit, src_gw.gateway_id, now, kind=ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
         self._by_ref[(source_chain, receipt.local_ref)] = transfer
-        self.net.record("ledger", f"{source_chain}/{receipt.local_ref}",
+        self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
                         "submit", ("kind", "lock"), ("transfer", transfer_id))
         return transfer
 
@@ -417,21 +422,16 @@ class TransferEngine:
         t = self._by_ref.get((chain_id, entry.local_ref))
         if t is None:
             return
-        if (chain_id == t.source_chain and entry.local_ref == t.lock_ref
-                and not t.lock_confirmed):
-            t.lock_confirmed = True
-            if t.state == TransferState.INITIATED and not t.terminal():
+        if chain_id == t.source_chain and entry.local_ref == t.lock_ref:
+            if t.state == TransferState.INITIATED:
                 t.state = TransferState.SOURCE_LOCKED
                 self._log(t, t.paired_source)
-        elif (chain_id == t.dest_chain and entry.local_ref == t.record_ref
-                and not t.record_confirmed):
-            t.record_confirmed = True
-            if t.state == TransferState.ABORTED:
-                # aborted before the record landed: tombstone it now
-                self._void_record(t)
-            elif t.state == TransferState.SOURCE_LOCKED and not t.terminal():
-                t.state = TransferState.DEST_RECORDED
-                self._log(t, t.paired_dest)
+        elif t.state == TransferState.ABORTED:
+            # the record, and t aborted before it landed: tombstone it now
+            self._void_record(t)
+        elif t.state == TransferState.SOURCE_LOCKED:
+            t.state = TransferState.DEST_RECORDED
+            self._log(t, t.paired_dest)
 
     # -- per-tick driving ----------------------------------------------
 
@@ -451,7 +451,7 @@ class TransferEngine:
             return
         if t.state == TransferState.SOURCE_LOCKED and not t.record_request_sent:
             self._send_record_request(t, now)
-        elif t.state == TransferState.DEST_RECORDED and not t.attestation_sent:
+        elif t.state == TransferState.DEST_RECORDED and t.dest_attestation is None:
             self._vouch_and_send(t, now)
         elif (t.state == TransferState.DEST_RECORDED and t.attestation_arrived
                 and t.source_attestation is None):
@@ -508,7 +508,7 @@ class TransferEngine:
         receipt = chain.submit(unit, t.paired_dest, now, kind=ENTRY_KIND_RECORD)
         t.record_ref = receipt.local_ref
         self._by_ref[(t.dest_chain, receipt.local_ref)] = t
-        self.net.record("ledger", f"{t.dest_chain}/{receipt.local_ref}",
+        self.net.record("ledger", ledger_subject(t.dest_chain, receipt.local_ref),
                         "submit", ("kind", "record"), ("transfer", t.transfer_id))
 
     def _vouch(self, t: CrossDomainTransfer, side: str, chain_id: str, ref: str,
@@ -524,7 +524,7 @@ class TransferEngine:
             return None
         encoded = att.serialize().hex()
         ledger_entry = chain.append_attestation(encoded, now)
-        self.net.record("ledger", f"{chain_id}/{ledger_entry.local_ref}",
+        self.net.record("ledger", ledger_subject(chain_id, ledger_entry.local_ref),
                         "append", ("kind", "attestation"), ("transfer", t.transfer_id))
         self.net.record("vouch", t.transfer_id,
                         ("side", side), ("k", att.threshold_k), ("att", encoded))
@@ -534,7 +534,6 @@ class TransferEngine:
         t.dest_attestation = self._vouch(t, "dest", t.dest_chain, t.record_ref, now)
         if t.dest_attestation is None:
             return  # retry next tick; deadline will fire eventually
-        t.attestation_sent = True
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
                          lambda: self._arrive_attestation(t),
                          ("msg", "attestation"), ("transfer", t.transfer_id))
@@ -558,16 +557,14 @@ class TransferEngine:
         source_ref = self.resolver.local_ref_for(t.source_chain, t.asset)
         pointer = AuthoritativePointer(t.asset, t.dest_chain, t.source_chain, now)
         source.ledger.mark(source_ref, pointer)
-        self.net.record("ledger", f"{t.source_chain}/{source_ref}",
+        self.net.record("ledger", ledger_subject(t.source_chain, source_ref),
                         "mark", ("to", t.dest_chain), ("transfer", t.transfer_id))
         self.resolver.rebind_authority(t.asset, t.source_chain, t.dest_chain,
                                        (t.source_attestation, t.dest_attestation), now)
         self.net.record("resolver", str(t.asset),
                         "rebind", ("from", t.source_chain), ("to", t.dest_chain))
         self.resolver.bind_existing(t.dest_chain, t.asset, t.record_ref)
-        if t.holds_lock:
-            self.locks.pop((t.source_chain, str(t.asset)), None)
-            t.holds_lock = False
+        del self.locks[(t.source_chain, str(t.asset))]
         agreement = self.peerings.agreements[t.agreement_id]
         self.peerings.tally_fee(agreement)
         t.state = TransferState.FINALIZED
@@ -582,17 +579,15 @@ class TransferEngine:
         t.state = TransferState.ABORTED
         t.abort_reason = reason
         t.final_tick = now
-        if t.holds_lock:
-            self.locks.pop((t.source_chain, str(t.asset)), None)
-            t.holds_lock = False
+        lock_key = (t.source_chain, str(t.asset))
+        if self.locks.get(lock_key) == t.transfer_id:  # not so on a lock-held abort
+            del self.locks[lock_key]
         self._log(t, t.paired_source, ("reason", reason))
-        if t.record_confirmed and t.record_ref is not None:
+        # a record still pending is voided when it lands (on_confirmed)
+        if self.chains[t.dest_chain].ledger.get(t.record_ref) is not None:
             self._void_record(t)
 
     def _void_record(self, t: CrossDomainTransfer) -> None:
-        chain = self.chains[t.dest_chain]
-        if t.record_ref in chain.ledger.voids:
-            return
-        chain.ledger.void(t.record_ref, self.net.now)
-        self.net.record("ledger", f"{t.dest_chain}/{t.record_ref}",
+        self.chains[t.dest_chain].ledger.void(t.record_ref, self.net.now)
+        self.net.record("ledger", ledger_subject(t.dest_chain, t.record_ref),
                         "void", ("transfer", t.transfer_id))

@@ -16,14 +16,21 @@ timer logs kind=timer and then acts.  A delivery into or out of a
 partitioned chain, or across a cut link, is dropped silently: it logs
 kind=drop and never runs; otherwise it logs kind=deliver and runs.
 
+The fault state is the episode history and nothing else: a
+[start, end) tick range per episode, by chain and by link.  A chain is
+partitioned, or a link cut, while its last episode is open (end None);
+the audits read the same history.
+
 Log records hold their detail as data: an ordered tuple of fields, each
 a bare word or a (key, value) pair.  LogRecord.line() is the one place
 that renders them, as "tick seq kind subject detail" where seq is the
 strictly increasing record index and detail joins the fields with
 spaces, a pair as key=value and a list or tuple value with commas.  A
 delivery's fields start with its route, src and dst or, for a local
-delivery, dst alone.  Nothing parses a rendered line back: readers of
-the log, such as the audits, read the fields.
+delivery, dst alone.  A ledger record's subject is chain/ref, built by
+ledger_subject and split by ledger_parts and nowhere else.  Nothing
+parses a rendered line back: readers of the log, such as the audits,
+read the fields and the subject's parts.
 """
 
 from __future__ import annotations
@@ -64,6 +71,17 @@ class FaultSpec:
     target: tuple[str, ...] = ()
     links: tuple[tuple[str, str], ...] = ()
     until_tick: Optional[int] = None
+
+
+def ledger_subject(chain: str, ref: str) -> str:
+    """The subject of a ledger record: entry ref on chain, as chain/ref."""
+    return f"{chain}/{ref}"
+
+
+def ledger_parts(subject: str) -> tuple[str, str]:
+    """The (chain, ref) that ledger_subject joined; chain ids hold no "/"."""
+    chain, _, ref = subject.partition("/")
+    return chain, ref
 
 
 @dataclass(slots=True)
@@ -121,6 +139,12 @@ class EventLog:
             fh.write(self.dumps())
 
 
+def _open(history: dict, key) -> bool:
+    """Whether key's last episode in history is still open."""
+    episodes = history.get(key)
+    return episodes is not None and episodes[-1][1] is None
+
+
 class SimNet:
     """Clock, queue, partitions and RNG for one simulation run.
 
@@ -139,13 +163,10 @@ class SimNet:
         self.latency_jitter = latency_jitter
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._next_event_seq = 0
-        # fault state
-        self.partitioned_chains: set[str] = set()
-        self.cut_links: set[frozenset] = set()
-        # [chain_id, start_tick, end_tick_or_None] per isolation episode
-        self.partition_history: list[list] = []
-        # [frozenset(pair), start_tick, end_tick_or_None] per cut episode
-        self.cut_history: list[list] = []
+        # fault state: [start_tick, end_tick_or_None] per episode, in order,
+        # by chain isolated and by frozenset pair of chains cut apart
+        self.partition_history: dict[str, list[list]] = {}
+        self.cut_history: dict[frozenset, list[list]] = {}
         self._faults: dict[str, FaultSpec] = {}
         self._fault_applier: Optional[Callable[[FaultSpec, bool], None]] = None
         # entity registry for UnknownTarget checks
@@ -203,7 +224,7 @@ class SimNet:
         dropped silently when the chain is partitioned at execution."""
         self._push_delivery(
             subject, action, (("dst", chain_id), *fields), 0,
-            lambda: chain_id in self.partitioned_chains)
+            lambda: self.chain_partitioned(chain_id))
 
     # -- fault machinery -----------------------------------------------
 
@@ -258,10 +279,7 @@ class SimNet:
             fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
         self.record("fault", fault.fault_id, *fields)
         if fault.kind == FaultKind.PARTITION:
-            if heal:
-                self._heal_partition(fault)
-            else:
-                self._start_partition(fault)
+            self._partition(fault, heal)
         elif fault.kind == FaultKind.HEAL:
             for fid in fault.target:
                 self._apply_fault(self._faults[fid], heal=True)
@@ -269,39 +287,26 @@ class SimNet:
         if self._fault_applier is not None and fault.kind in (FaultKind.NODE_CRASH, FaultKind.GATEWAY_CRASH):
             self._fault_applier(fault, heal)
 
-    def _start_partition(self, fault: FaultSpec) -> None:
-        for cid in fault.target:
-            if cid not in self.partitioned_chains:
-                self.partitioned_chains.add(cid)
-                self.partition_history.append([cid, self.now, None])
-        for a, b in fault.links:
-            pair = frozenset((a, b))
-            if pair not in self.cut_links:
-                self.cut_links.add(pair)
-                self.cut_history.append([pair, self.now, None])
-
-    def _heal_partition(self, fault: FaultSpec) -> None:
-        for cid in fault.target:
-            if cid in self.partitioned_chains:
-                self.partitioned_chains.discard(cid)
-                for episode in self.partition_history:
-                    if episode[0] == cid and episode[2] is None:
-                        episode[2] = self.now
-        for a, b in fault.links:
-            pair = frozenset((a, b))
-            if pair in self.cut_links:
-                self.cut_links.discard(pair)
-                for episode in self.cut_history:
-                    if episode[0] == pair and episode[2] is None:
-                        episode[2] = self.now
+    def _partition(self, fault: FaultSpec, heal: bool) -> None:
+        """Open an episode for each chain and link that fault targets, or
+        close it when heal is set; a target already so is left as is."""
+        targets = [(self.partition_history, cid) for cid in fault.target]
+        targets += [(self.cut_history, frozenset(pair)) for pair in fault.links]
+        for history, key in targets:
+            if heal and _open(history, key):
+                history[key][-1][1] = self.now
+            elif not heal and not _open(history, key):
+                history.setdefault(key, []).append([self.now, None])
 
     def delivery_blocked(self, src_chain: str, dst_chain: str) -> bool:
-        if src_chain in self.partitioned_chains or dst_chain in self.partitioned_chains:
-            return True
-        return frozenset((src_chain, dst_chain)) in self.cut_links
+        return (_open(self.partition_history, src_chain)
+                or _open(self.partition_history, dst_chain)
+                or _open(self.cut_history, frozenset((src_chain, dst_chain))))
 
     def chain_partitioned(self, chain_id: str) -> bool:
-        return chain_id in self.partitioned_chains
+        # _open inlined: this runs for every chain on every processed tick
+        episodes = self.partition_history.get(chain_id)
+        return episodes is not None and episodes[-1][1] is None
 
     # -- execution -----------------------------------------------------
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .chain import TransferUnit
 from .errors import EmptyCandidates, InteropError, NotFound, SemanticMismatch
+from .simnet import ledger_subject
 
 DEFAULT_TIMEOUT_FACTOR = 3
 
@@ -126,7 +127,7 @@ class SurvivorLayer:
                 self.net.record("reject", subject, ("chain", chain_id),
                                 ("error", type(exc).__name__))
                 return
-            self.net.record("ledger", f"{chain_id}/{receipt.local_ref}",
+            self.net.record("ledger", ledger_subject(chain_id, receipt.local_ref),
                             "submit", ("kind", "unit"), ("txn", subject))
 
         self.net.local_deliver(chain_id, subject, do_submit,
@@ -156,8 +157,6 @@ class SurvivorLayer:
     def on_confirmed(self, chain_id: str, entry) -> None:
         """Consensus callback; every confirmation is recorded, including
         late ones from chains the layer already abandoned."""
-        if entry.unit is None:
-            return
         hit = self._by_key.get(entry.unit.idempotency_key)
         if hit is None:
             return

@@ -16,6 +16,7 @@ from interopsim.chain import SemanticType
 from interopsim.engine import Simulation
 from interopsim.gateway import TransferState
 from interopsim.scenario import parse_scenario
+from interopsim.simnet import ledger_parts
 
 from conftest import bundled
 
@@ -138,7 +139,7 @@ class TestLogAudits:
         genesis = next(r for r in sim.net.log.records
                        if r.kind == "ledger" and r.fields[0] == "genesis")
         genesis.fields = ("submit",) + genesis.fields[1:]
-        chain_id, ref = genesis.subject.split("/")
+        chain_id, ref = ledger_parts(genesis.subject)
         detail = only_failure(sim, "append_only_ledgers")
         assert detail.startswith(f"{chain_id}: ledger ['{ref}'")
 
@@ -203,9 +204,19 @@ class TestAuthorityAudits:
             f"{x2.asset}: broken forward chain"
 
     def test_no_lost_assets_catches_a_held_lock(self, sim):
-        transfer(sim, "x2").holds_lock = True
+        x2 = transfer(sim, "x2")
+        sim.transfers.locks[("bc2", str(x2.asset))] = "x2"
         assert only_failure(sim, "no_lost_assets") == \
             "x2: terminal but still holds the source lock"
+
+    def test_no_lost_assets_catches_a_record_left_standing(self):
+        # x3 aborts with its record pending on bc3, and the record is
+        # voided when it lands
+        sim = finished(bundled("cut_heal"))
+        x3 = transfer(sim, "x3")
+        del sim.chains["bc3"].ledger.voids[x3.record_ref]
+        assert only_failure(sim, "no_lost_assets") == \
+            "x3: aborted but record not voided"
 
     def test_no_lost_assets_catches_an_unfinished_transfer(self, sim):
         transfer(sim, "x1").state = TransferState.VOUCHED
@@ -254,20 +265,20 @@ class TestTranscriptAudits:
     def test_no_partition_delivery_catches_a_delivery_into_a_partition(self, sim):
         rec = first_delivery(sim, "bc2")
         assert "dst=bc2" in rec.detail
-        sim.net.partition_history.append(["bc2", rec.tick, rec.tick + 1])
+        sim.net.partition_history["bc2"] = [[rec.tick, rec.tick + 1]]
         assert only_failure(sim, "no_partition_delivery") == \
             f"record {rec.seq}: delivery into partitioned bc2"
 
     def test_no_partition_delivery_catches_a_delivery_across_a_cut(self, sim):
         rec = first_delivery(sim, "bc2")
-        sim.net.cut_history.append([frozenset(("bc1", "bc2")), rec.tick, None])
+        sim.net.cut_history[frozenset(("bc1", "bc2"))] = [[rec.tick, None]]
         assert only_failure(sim, "no_partition_delivery") == \
             f"record {rec.seq}: delivery across cut link bc1-bc2"
 
     def test_no_partition_delivery_ends_an_episode_at_its_heal(self, sim):
         rec = first_delivery(sim, "bc2")
-        sim.net.partition_history.append(["bc2", 0, rec.tick])
-        sim.net.cut_history.append([frozenset(("bc1", "bc2")), 0, rec.tick])
+        sim.net.partition_history["bc2"] = [[0, rec.tick]]
+        sim.net.cut_history[frozenset(("bc1", "bc2"))] = [[0, rec.tick]]
         assert failures(sim) == {}
 
 

@@ -1,7 +1,6 @@
 """End-to-end engine tests over the bundled scenarios: protocol timing
 checkpoints, workload outcomes, report assembly, run audits."""
 
-import copy
 import json
 from fractions import Fraction
 
@@ -10,7 +9,7 @@ import yaml
 
 from interopsim.engine import Simulation, run_scenario, run_tick
 from interopsim.gateway import TransferState
-from interopsim.scenario import load_scenario, parse_scenario
+from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.valuenet import PathState
 
@@ -120,6 +119,33 @@ class TestAbortPartition:
         assert report.outcomes["probes"]["pr1"] == {
             "state": "ERROR", "error": "Unreachable"}
         assert report.outcomes["resolves"]["q1"]["home"] == "bc1"
+        assert report.passed(), [a.name for a in report.failed_audits()]
+
+
+class TestReachability:
+    @pytest.mark.parametrize("fault", [
+        {"kind": "partition", "chains": ["bc1"]},
+        {"kind": "gateway_crash", "gateways": ["bc1.g1", "bc1.g2"]}])
+    def test_a_home_chain_out_of_reach_fails_reads_resolves_and_probes(self, fault):
+        config = parse_scenario({
+            "horizon": 10,
+            "chains": [{"id": "bc1", "nodes": 4, "gateways": 2,
+                        "semantic": "asset-registry", "confirm_latency": 2}],
+            "assets": [{"id": "a1", "chain": "bc1"}],
+            "grants": [{"id": "g1", "grantor": "app_x", "grantee": "app_y",
+                        "asset": "a1", "expiry": 10}],
+            "reads": [{"id": "r1", "at": 2, "asset": "a1", "requester": "app_y",
+                       "grant": "g1"}],
+            "resolves": [{"id": "q1", "at": 2, "asset": "a1"}],
+            "probes": [{"id": "pr1", "at": 2, "chain": "bc1"}],
+            "faults": [dict(fault, id="f1", at=1)]})
+        report, sim = run_scenario(config)
+        unreachable = {"state": "ERROR", "error": "Unreachable"}
+        assert [report.outcomes["reads"]["r1"], report.outcomes["resolves"]["q1"],
+                report.outcomes["probes"]["pr1"]] == [unreachable] * 3
+        results = {rec.kind: rec.get("result") for rec in sim.net.log.records
+                   if rec.kind in ("read", "resolve", "probe")}
+        assert results == dict.fromkeys(("read", "resolve", "probe"), "Unreachable")
         assert report.passed(), [a.name for a in report.failed_audits()]
 
 

@@ -2,7 +2,6 @@
 mediated reads, peering registry, and the cross-domain transfer
 protocol driven tick by tick."""
 
-import itertools
 import random
 import re
 
@@ -17,8 +16,6 @@ from interopsim.errors import (
     NoLiveGateways,
     NoPeering,
     NotAuthoritativeHere,
-    NotConfirmed,
-    NotFound,
     PermissionDenied,
     Unreachable,
 )
@@ -32,7 +29,6 @@ from interopsim.gateway import (
     TransferState,
     VouchAttestation,
     advertise,
-    entry_digest,
     mediated_read,
     sign_claim,
     verify_attestation,

@@ -14,6 +14,8 @@ from interopsim.simnet import (
     FaultSpec,
     LogRecord,
     SimNet,
+    ledger_parts,
+    ledger_subject,
 )
 
 
@@ -98,12 +100,29 @@ class TestDeliveries:
         net.drain(0)
         net.drain(5)
         assert not net.chain_partitioned("bc2")
-        assert net.partition_history == [["bc2", 0, 5]], \
+        assert net.partition_history == {"bc2": [[0, 5]]}, \
             "history episode must record both boundaries"
         seen = []
         net.deliver("bc1", "bc2", "m", lambda: seen.append("ok"))
         net.drain(6)
         assert seen == ["ok"]
+
+    def test_a_target_has_one_episode_at_a_time(self):
+        net = make_net()
+        for fault in (
+                FaultSpec("f1", FaultKind.PARTITION, 0, target=("bc2",), until_tick=3),
+                # bc2 is already partitioned: no second episode
+                FaultSpec("f2", FaultKind.PARTITION, 1, target=("bc2",)),
+                FaultSpec("f3", FaultKind.PARTITION, 5, target=("bc2",),
+                          links=(("bc1", "bc2"),)),
+                # heals f3 before it starts: nothing to close
+                FaultSpec("h1", FaultKind.HEAL, 4, target=("f3",))):
+            net.inject(fault)
+        for tick in range(6):
+            net.drain(tick)
+        assert net.partition_history == {"bc2": [[0, 3], [5, None]]}
+        assert net.cut_history == {frozenset(("bc1", "bc2")): [[5, None]]}
+        assert net.chain_partitioned("bc2") and not net.chain_partitioned("bc1")
 
     def test_local_deliver_dropped_when_destination_partitioned(self):
         net = make_net()
@@ -162,6 +181,11 @@ class TestLogFormat:
         log = EventLog()
         log.append(3, "ledger", "bc1/e1", (("confirm", "unit"),))
         assert log.lines() == ["3 0 ledger bc1/e1 confirm=unit"]
+
+    def test_ledger_subject_splits_back_into_chain_and_ref(self):
+        subject = ledger_subject("bc-1", "e12")
+        assert subject == "bc-1/e12"
+        assert ledger_parts(subject) == ("bc-1", "e12")
 
     def test_seq_is_global_record_index(self):
         log = EventLog()
