@@ -149,6 +149,63 @@ class TestReachability:
         assert report.passed(), [a.name for a in report.failed_audits()]
 
 
+class TestFaultShapes:
+    """Fault shapes that no bundled scenario holds: a partition of a
+    chain and a link at once, one node crash across two chains, an
+    open-ended gateway crash ended by a heal, and a heal of a heal."""
+
+    def run_world(self):
+        config = parse_scenario({
+            "horizon": 10,
+            "chains": [{"id": cid, "nodes": 4, "gateways": 2, "quorum": "2/3",
+                        "semantic": "generic-record", "confirm_latency": 2}
+                       for cid in ("bc1", "bc2", "bc3")],
+            "faults": [
+                {"id": "f1", "kind": "partition", "at": 1, "chains": ["bc3"],
+                 "links": [["bc1", "bc2"]]},
+                {"id": "f2", "kind": "node_crash", "at": 2, "until": 6,
+                 "nodes": ["bc1.n1", "bc1.n2", "bc2.n2", "bc2.n3"]},
+                {"id": "f3", "kind": "gateway_crash", "at": 3, "gateways": ["bc1.g1"]},
+                {"id": "h1", "kind": "heal", "at": 4, "faults": ["f1"]},
+                {"id": "h2", "kind": "heal", "at": 5, "faults": ["h1", "f3"]}],
+            "probes": [{"id": f"pr{i}", "at": at, "chain": cid}
+                       for i, (at, cid) in enumerate(
+                           [(3, "bc1"), (3, "bc2"), (3, "bc3"), (4, "bc3"), (7, "bc1")], 1)]},
+            name="fault_shapes")
+        return run_scenario(config)
+
+    def test_fault_records(self):
+        _, sim = self.run_world()
+        assert [r.line() for r in log_lines(sim, "fault")] == [
+            "1 3 fault f1 kind=partition phase=apply target=bc3 links=bc1-bc2",
+            "2 4 fault f2 kind=node_crash phase=apply target=bc1.n1,bc1.n2,bc2.n2,bc2.n3",
+            "3 5 fault f3 kind=gateway_crash phase=apply target=bc1.g1",
+            "4 9 fault h1 kind=heal phase=apply target=f1",
+            "4 10 fault f1 kind=partition phase=heal target=bc3 links=bc1-bc2",
+            "5 12 fault h2 kind=heal phase=apply target=h1,f3",
+            "5 13 fault h1 kind=heal phase=heal target=f1",
+            "5 14 fault f1 kind=partition phase=heal target=bc3 links=bc1-bc2",
+            "5 15 fault f3 kind=gateway_crash phase=heal target=bc1.g1",
+            "6 16 fault f2 kind=node_crash phase=heal target=bc1.n1,bc1.n2,bc2.n2,bc2.n3"]
+
+    def test_liveness_and_episodes(self):
+        report, sim = self.run_world()
+        # an open chain advertises its quorum threshold (3 of 4), or 0
+        # while it falls short
+        probes = {rec.subject: (rec.get("via") or rec.get("result"), rec.get("live"))
+                  for rec in log_lines(sim, "probe")}
+        assert probes == {"pr1": ("bc1.g2", 0), "pr2": ("bc2.g1", 0),
+                          "pr3": ("Unreachable", None), "pr4": ("bc3.g1", 3),
+                          "pr5": ("bc1.g1", 3)}
+        assert sim.net.partition_history == {"bc3": [[1, 4]]}
+        assert sim.net.cut_history == {frozenset(("bc1", "bc2")): [[1, 4]]}, \
+            "a second heal of a closed episode changes nothing"
+        assert all(all(c.nodes.values()) for c in sim.chains.values())
+        assert all(g.live for g in sim.registry.gateways.values())
+        assert report.end_tick == 7
+        assert report.passed(), [a.name for a in report.failed_audits()]
+
+
 class TestIlpPath:
     def test_payment_outcomes(self):
         report, _ = run_scenario(bundled("ilp_path"))
