@@ -31,7 +31,7 @@ from .identity import AuthoritativePointer, CrossId, Resolver
 from .report import AuditResult, RunReport
 from .runner import execute, replay_diff
 from .scenario import ScenarioConfig, load_scenario, parse_scenario
-from .simnet import EventLog, FaultKind, FaultSpec, SimNet
+from .simnet import EventLog, SimNet
 from .survivor import AppTransaction, OutcomeRecord, SubTxn, SurvivorLayer
 from .valuenet import Connector, PathState, PaymentPath, ValueNetwork
 

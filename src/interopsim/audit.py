@@ -219,7 +219,7 @@ def _resolution_opacity(sim):
     """Advertisement and resolve transcripts must not leak node ids or
     chain-local transaction refs.  A node id leaks wherever it occurs,
     also inside a longer word (bc1.n1 inside bc1.n10)."""
-    node_ids = sorted(sim.net.known_nodes)
+    node_ids = sorted(nid for chain in sim.chains.values() for nid in chain.nodes)
     leak = re.compile("|".join(map(re.escape, node_ids))) if node_ids else None
     scanned = 0
     for rec in sim.net.log.records:

@@ -77,8 +77,8 @@ from .gateway import (
 )
 from .identity import CrossId, Resolver
 from .report import RunReport
-from .scenario import ScenarioConfig
-from .simnet import FaultKind, FaultSpec, LogRecord, SimNet, ledger_subject
+from .scenario import FaultCfg, ScenarioConfig
+from .simnet import LogRecord, SimNet, ledger_subject
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork
 
@@ -96,7 +96,8 @@ class Simulation:
         self.net = SimNet(self.seed, config.inter_chain_latency, config.latency_jitter)
         self.chains: dict[str, BlockchainSystem] = {}
         self.registry = GatewayRegistry()
-        self.resolver = Resolver(self.net.rng)
+        self.resolver = Resolver(
+            self.net.rng, lambda att: verify_attestation(att, self.registry))
         self.peerings = PeeringRegistry()
         self.grants: dict[str, DelegationGrant] = {}
         self.assets: dict[str, CrossId] = {}
@@ -113,7 +114,6 @@ class Simulation:
         self.transfers = TransferEngine(self.net, self.chains, self.registry,
                                         self.resolver, self.peerings,
                                         self.vouch_thresholds)
-        self.resolver.set_verifier(lambda att: verify_attestation(att, self.registry))
         self._seed_assets()
         self._emit_adverts()
         self._schedule_all()
@@ -147,11 +147,6 @@ class Simulation:
         for g in cfg.grants:
             self.grants[g.grant_id] = DelegationGrant(
                 g.grant_id, g.grantor, g.grantee, g.asset, g.expiry)
-        self.net.register_entities(
-            self.chains,
-            [n for c in cfg.chains for n in c.node_ids()],
-            [g for c in cfg.chains for g in c.gateway_ids()])
-        self.net.set_fault_applier(partial(apply_crash, self.chains, self.registry))
 
     def _seed_assets(self) -> None:
         """Genesis entries confirmed before the run; grants name assets
@@ -180,11 +175,7 @@ class Simulation:
 
     def _schedule_all(self) -> None:
         # faults first so a fault at tick T lands before workload at T
-        for f in self.config.faults:
-            self.net.inject(FaultSpec(
-                f.fault_id, FaultKind(f.kind), f.at,
-                target=tuple(f.chains or f.nodes or f.gateways or f.faults),
-                links=tuple(f.links), until_tick=f.until))
+        schedule_faults(self.net, self.chains, self.registry, self.config.faults)
         for t in self.config.app_txns:
             self.net.timer(t.txn_id, partial(self._start_app_txn, t), t.at,
                            "start", ("kind", "app_txn"))
@@ -228,7 +219,7 @@ class Simulation:
             unit = TransferUnit(payload_digest(s.payload), semantic,
                                 Directionality.UNI, f"{cfg.txn_id}/{s.sub_id}")
             subs.append(SubTxn(s.sub_id, unit, list(s.candidates), s.timeout, cfg.app))
-        self._attempt(lambda: self.survivor.submit_app_txn(cfg.txn_id, subs, self.net.now),
+        self._attempt(lambda: self.survivor.submit_app_txn(cfg.txn_id, subs),
                       "txn", cfg.txn_id, "app_txns", "REJECTED")
 
     def _start_transfer(self, cfg):
@@ -439,16 +430,36 @@ class Simulation:
                 "route": path.route_ids()}
 
 
-def apply_crash(chains: dict[str, BlockchainSystem], registry: GatewayRegistry,
-                fault: FaultSpec, heal: bool) -> None:
-    """SimNet's fault applier: takes a crash fault's nodes or gateways
-    down, or back up when heal is set."""
-    if fault.kind == FaultKind.NODE_CRASH:
-        for nid in fault.target:
+def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
+                    registry: GatewayRegistry, faults: list[FaultCfg]) -> None:
+    """Queue each fault's apply phase at its at tick, and its heal phase
+    at until when set.  Either phase logs the fault record, then acts on
+    the fault's target fields: it opens (apply) or closes (heal) the
+    episodes of its chains and links, takes its nodes and gateways down
+    or back up, and runs the heal phase of each fault it names, so a
+    heal that names a heal heals that one's faults in turn."""
+    by_id = {f.fault_id: f for f in faults}
+
+    def fire(fault: FaultCfg, heal: bool) -> None:
+        fields = [("kind", fault.kind), ("phase", "heal" if heal else "apply")]
+        target = fault.chains or fault.nodes or fault.gateways or fault.faults
+        if target:
+            fields.append(("target", target))
+        if fault.links:
+            fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
+        net.record("fault", fault.fault_id, *fields)
+        for fid in fault.faults:
+            fire(by_id[fid], True)
+        net.partition(fault.chains, fault.links, heal)
+        for nid in fault.nodes:
             chains[nid.split(".")[0]].set_node_live(nid, heal)
-    elif fault.kind == FaultKind.GATEWAY_CRASH:
-        for gid in fault.target:
+        for gid in fault.gateways:
             registry.get(gid).live = heal
+
+    for f in faults:
+        net.schedule(partial(fire, f, False), f.at - net.now)
+        if f.until is not None:
+            net.schedule(partial(fire, f, True), f.until - net.now)
 
 
 def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],

@@ -86,10 +86,6 @@ class EmptyCandidates(InteropError):
     """App transaction declares a sub-transaction with no candidates."""
 
 
-class UnknownTarget(InteropError):
-    """Fault injection references an entity that does not exist."""
-
-
 class ParseError(InteropError):
     """Scenario file is not well-formed."""
 

@@ -63,9 +63,6 @@ class Resolver:
         self._home: dict[CrossId, AuthoritativePointer] = {}
         self._history: dict[CrossId, list[AuthoritativePointer]] = {}
 
-    def set_verifier(self, verifier: Callable) -> None:
-        self._verifier = verifier
-
     def register_chain(self, chain_id: str, chain_path: Optional[str] = None) -> None:
         path = chain_path or chain_id
         if path in self.chain_paths and self.chain_paths[path] != chain_id:

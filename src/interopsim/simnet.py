@@ -1,4 +1,4 @@
-"""Simulation substrate: tick clock, action queue, fault state, event log.
+"""Simulation substrate: tick clock, action queue, partition episodes, log.
 
 Determinism contract, checked by the test suite:
   * integer tick clock, no wall time anywhere;
@@ -16,10 +16,13 @@ timer logs kind=timer and then acts.  A delivery into or out of a
 partitioned chain, or across a cut link, is dropped silently: it logs
 kind=drop and never runs; otherwise it logs kind=deliver and runs.
 
-The fault state is the episode history and nothing else: a
-[start, end) tick range per episode, by chain and by link.  A chain is
-partitioned, or a link cut, while its last episode is open (end None);
-the audits read the same history.
+The network's fault state is the episode history and nothing else: a
+[start, end) tick range per episode, by chain and by link.  partition()
+opens and closes episodes; a chain is partitioned, or a link cut, while
+its last episode is open (end None), and the audits read the same
+history.  The substrate holds no entity registry and no fault schema:
+the engine queues a scenario's faults as plain actions and applies
+them, calling partition() for chains and links.
 
 Log records hold their detail as data: an ordered tuple of fields, each
 a bare word or a (key, value) pair.  LogRecord.line() is the one place
@@ -38,39 +41,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 from typing import Callable, Optional
-
-from .errors import UnknownTarget
-
-DEFAULT_INTER_CHAIN_LATENCY = 2
-
-
-class FaultKind(str, Enum):
-    PARTITION = "partition"
-    NODE_CRASH = "node_crash"
-    GATEWAY_CRASH = "gateway_crash"
-    HEAL = "heal"
-
-
-@dataclass
-class FaultSpec:
-    """One injected fault.
-
-    target holds chain ids for partition, node ids for node_crash,
-    gateway ids for gateway_crash, or a prior fault id for heal.
-    links holds chain-id pairs for link-level partitions.
-    until_tick, when set, schedules the reverse fault automatically;
-    the fault is active over [at_tick, until_tick).
-    """
-
-    fault_id: str
-    kind: FaultKind
-    at_tick: int
-    target: tuple[str, ...] = ()
-    links: tuple[tuple[str, str], ...] = ()
-    until_tick: Optional[int] = None
 
 
 def ledger_subject(chain: str, ref: str) -> str:
@@ -146,15 +118,11 @@ def _open(history: dict, key) -> bool:
 
 
 class SimNet:
-    """Clock, queue, partitions and RNG for one simulation run.
+    """Clock, queue, partition episodes, RNG and log for one simulation
+    run.  It knows no entities: the engine decides what a fault does,
+    and calls partition() for the part that is the network's."""
 
-    The engine registers known entity ids so inject() can reject faults
-    that name entities which do not exist, and registers a fault applier
-    that mutates chain and gateway liveness when fault events fire.
-    """
-
-    def __init__(self, seed: int, inter_chain_latency: int = DEFAULT_INTER_CHAIN_LATENCY,
-                 latency_jitter: int = 0) -> None:
+    def __init__(self, seed: int, inter_chain_latency: int, latency_jitter: int) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
         self.now = 0
@@ -167,12 +135,6 @@ class SimNet:
         # by chain isolated and by frozenset pair of chains cut apart
         self.partition_history: dict[str, list[list]] = {}
         self.cut_history: dict[frozenset, list[list]] = {}
-        self._faults: dict[str, FaultSpec] = {}
-        self._fault_applier: Optional[Callable[[FaultSpec, bool], None]] = None
-        # entity registry for UnknownTarget checks
-        self.known_chains: set[str] = set()
-        self.known_nodes: set[str] = set()
-        self.known_gateways: set[str] = set()
 
     # -- scheduling ----------------------------------------------------
 
@@ -226,72 +188,13 @@ class SimNet:
             subject, action, (("dst", chain_id), *fields), 0,
             lambda: self.chain_partitioned(chain_id))
 
-    # -- fault machinery -----------------------------------------------
+    # -- fault state ---------------------------------------------------
 
-    def register_entities(self, chains, nodes, gateways) -> None:
-        self.known_chains = set(chains)
-        self.known_nodes = set(nodes)
-        self.known_gateways = set(gateways)
-
-    def set_fault_applier(self, applier: Callable[[FaultSpec, bool], None]) -> None:
-        self._fault_applier = applier
-
-    def inject(self, fault: FaultSpec) -> None:
-        """Validate targets and queue the fault (and auto-heal) events.
-        The check guards direct API use: a scenario that parse_scenario
-        accepts never raises UnknownTarget here."""
-        self._validate_fault(fault)
-        self._faults[fault.fault_id] = fault
-        delay = fault.at_tick - self.now
-        if delay < 0:
-            raise UnknownTarget(f"fault {fault.fault_id} scheduled in the past")
-        self.schedule(lambda: self._apply_fault(fault, heal=False), delay)
-        if fault.until_tick is not None and fault.kind != FaultKind.HEAL:
-            self.schedule(lambda: self._apply_fault(fault, heal=True),
-                          fault.until_tick - self.now)
-
-    def _validate_fault(self, fault: FaultSpec) -> None:
-        if fault.kind == FaultKind.PARTITION:
-            for cid in fault.target:
-                if cid not in self.known_chains:
-                    raise UnknownTarget(f"unknown chain {cid}")
-            for a, b in fault.links:
-                if a not in self.known_chains or b not in self.known_chains:
-                    raise UnknownTarget(f"unknown link {a}-{b}")
-        elif fault.kind == FaultKind.NODE_CRASH:
-            for nid in fault.target:
-                if nid not in self.known_nodes:
-                    raise UnknownTarget(f"unknown node {nid}")
-        elif fault.kind == FaultKind.GATEWAY_CRASH:
-            for gid in fault.target:
-                if gid not in self.known_gateways:
-                    raise UnknownTarget(f"unknown gateway {gid}")
-        elif fault.kind == FaultKind.HEAL:
-            for fid in fault.target:
-                if fid not in self._faults:
-                    raise UnknownTarget(f"unknown fault {fid}")
-
-    def _apply_fault(self, fault: FaultSpec, heal: bool) -> None:
-        fields = [("kind", fault.kind.value), ("phase", "heal" if heal else "apply")]
-        if fault.target:
-            fields.append(("target", fault.target))
-        if fault.links:
-            fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
-        self.record("fault", fault.fault_id, *fields)
-        if fault.kind == FaultKind.PARTITION:
-            self._partition(fault, heal)
-        elif fault.kind == FaultKind.HEAL:
-            for fid in fault.target:
-                self._apply_fault(self._faults[fid], heal=True)
-            return
-        if self._fault_applier is not None and fault.kind in (FaultKind.NODE_CRASH, FaultKind.GATEWAY_CRASH):
-            self._fault_applier(fault, heal)
-
-    def _partition(self, fault: FaultSpec, heal: bool) -> None:
-        """Open an episode for each chain and link that fault targets, or
-        close it when heal is set; a target already so is left as is."""
-        targets = [(self.partition_history, cid) for cid in fault.target]
-        targets += [(self.cut_history, frozenset(pair)) for pair in fault.links]
+    def partition(self, chains, links, heal: bool) -> None:
+        """Open an episode for each of chains and links (chain-id pairs),
+        or close it when heal is set; a target already so is left as is."""
+        targets = [(self.partition_history, cid) for cid in chains]
+        targets += [(self.cut_history, frozenset(pair)) for pair in links]
         for history, key in targets:
             if heal and _open(history, key):
                 history[key][-1][1] = self.now

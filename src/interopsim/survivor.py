@@ -41,9 +41,7 @@ TXN_FAILED = "FAILED"
 @dataclass
 class Attempt:
     chain_id: str
-    start_tick: int
     outcome: str = ATTEMPT_PENDING
-    end_tick: Optional[int] = None
 
 
 @dataclass
@@ -88,7 +86,7 @@ class SurvivorLayer:
 
     # -- submission ----------------------------------------------------
 
-    def submit_app_txn(self, txn_id: str, subs: list[SubTxn], now: int) -> str:
+    def submit_app_txn(self, txn_id: str, subs: list[SubTxn]) -> str:
         for sub in subs:
             if not sub.candidates:
                 raise EmptyCandidates(f"{txn_id}/{sub.sub_id} has no candidates")
@@ -103,7 +101,7 @@ class SurvivorLayer:
         self.txns[txn_id] = txn
         for sub in subs:
             self._by_key[sub.unit.idempotency_key] = (txn_id, sub.sub_id)
-            self._start_attempt(txn, sub, now)
+            self._start_attempt(txn, sub)
         return txn_id
 
     def _timeout_for(self, sub: SubTxn, chain_id: str) -> int:
@@ -111,11 +109,11 @@ class SurvivorLayer:
             return sub.timeout_override
         return DEFAULT_TIMEOUT_FACTOR * self.chains[chain_id].confirm_latency_ticks
 
-    def _start_attempt(self, txn: AppTransaction, sub: SubTxn, now: int) -> None:
+    def _start_attempt(self, txn: AppTransaction, sub: SubTxn) -> None:
         sub.current += 1
         idx = sub.current
         chain_id = sub.candidates[idx]
-        sub.attempts.append(Attempt(chain_id, now))
+        sub.attempts.append(Attempt(chain_id))
         subject = f"{txn.txn_id}/{sub.sub_id}"
         self.net.record("txn", subject, ("attempt", idx + 1), ("chain", chain_id), "submit")
         chain = self.chains[chain_id]
@@ -141,18 +139,16 @@ class SurvivorLayer:
     def _on_timeout(self, txn: AppTransaction, sub: SubTxn, idx: int) -> None:
         if sub.state != TXN_PENDING or idx != sub.current:
             return  # stale timer
-        now = self.net.now
         attempt = sub.attempts[idx]
         attempt.outcome = ATTEMPT_TIMEOUT
-        attempt.end_tick = now
         subject = f"{txn.txn_id}/{sub.sub_id}"
         self.net.record("txn", subject, ("attempt", idx + 1), ("chain", attempt.chain_id),
                         "timeout")
         if sub.current + 1 < len(sub.candidates):
-            self._start_attempt(txn, sub, now)
+            self._start_attempt(txn, sub)
         else:
             sub.state = TXN_FAILED
-            self._refresh_txn_state(txn, now)
+            self._refresh_txn_state(txn, self.net.now)
 
     def on_confirmed(self, chain_id: str, entry) -> None:
         """Consensus callback; every confirmation is recorded, including
@@ -176,7 +172,6 @@ class SurvivorLayer:
             if attempt.outcome == ATTEMPT_PENDING:
                 attempt.outcome = (ATTEMPT_CONFIRMED if attempt.chain_id == chain_id
                                    else ATTEMPT_PREEMPTED)
-                attempt.end_tick = now
         self._refresh_txn_state(txn, now)
 
     def _refresh_txn_state(self, txn: AppTransaction, now: int) -> None:

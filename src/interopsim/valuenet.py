@@ -26,8 +26,6 @@ from typing import Optional
 
 from .errors import AlreadyTerminal, NoRoute, NotFound, Overloaded, PathExpired
 
-DEFAULT_RESERVATION_TTL = 50
-
 
 @dataclass
 class Connector:
@@ -45,8 +43,6 @@ class Connector:
 @dataclass(frozen=True)
 class Hop:
     connector_id: str
-    chain_in: str
-    chain_out: str
     denom_in: str
     denom_out: str
     amount_in: Fraction
@@ -62,8 +58,6 @@ class PathState(str, Enum):
 
 @dataclass
 class PaymentPath:
-    path_id: str
-    sender_chain: str
     receiver_chain: str
     hops: tuple[Hop, ...]
     amount_in: Fraction
@@ -71,7 +65,6 @@ class PaymentPath:
     amount_out: Fraction
     denom_out: str
     state: PathState
-    reserved_tick: int
     expiry_tick: int
     final_tick: Optional[int] = None
 
@@ -83,8 +76,7 @@ class ValueNetwork:
     """All connectors plus reservation and settlement state for a run."""
 
     def __init__(self, chain_denoms: dict[str, str],
-                 connectors: list[Connector],
-                 reservation_ttl: int = DEFAULT_RESERVATION_TTL) -> None:
+                 connectors: list[Connector], reservation_ttl: int) -> None:
         self.chain_denoms = dict(chain_denoms)
         self.connectors = {c.connector_id: c for c in connectors}
         self.reservation_ttl = reservation_ttl
@@ -181,7 +173,7 @@ class ValueNetwork:
             conn = self.connectors[cid]
             d_in, d_out = self.chain_denoms[chain], self.chain_denoms[nxt]
             out = amount * conn.rate(d_in, d_out)
-            hops.append(Hop(cid, chain, nxt, d_in, d_out, amount, out))
+            hops.append(Hop(cid, d_in, d_out, amount, out))
             amount, chain = out, nxt
 
         # check every hop before holding anything
@@ -201,9 +193,9 @@ class ValueNetwork:
         for hop in hops:
             self._hold(hop.connector_id, hop.denom_out, hop.amount_out)
 
-        path = PaymentPath(path_id, sender_chain, receiver_chain, tuple(hops),
-                           amount_in, denom_in, hops[-1].amount_out, denom_out,
-                           PathState.RESERVED, now, now + self.reservation_ttl)
+        path = PaymentPath(receiver_chain, tuple(hops), amount_in, denom_in,
+                           hops[-1].amount_out, denom_out, PathState.RESERVED,
+                           now + self.reservation_ttl)
         self.paths[path_id] = path
         heapq.heappush(self._expiries, (path.expiry_tick, path_id))
         return path

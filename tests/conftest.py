@@ -6,7 +6,6 @@ tests load the bundled scenario files instead.
 """
 
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -24,8 +23,9 @@ from interopsim.gateway import (
     PeeringAgreement,
     PeeringRegistry,
     TransferEngine,
+    verify_attestation,
 )
-from interopsim.engine import apply_crash, run_tick
+from interopsim.engine import run_tick, schedule_faults
 from interopsim.identity import Resolver
 from interopsim.scenario import load_scenario
 from interopsim.simnet import SimNet
@@ -99,13 +99,15 @@ def confirm_unit(chain, unit, credential="anon", submit_tick=0):
 class TransferWorld:
     """Two asset-registry chains joined by a peering, with a seeded
     asset and a transfer engine, driven tick by tick through the
-    engine's run_tick with an empty survivor layer and value network."""
+    engine's run_tick with an empty survivor layer and value network;
+    its faults take the engine's fault path, schedule_faults."""
 
     def __init__(self, seed=1, gateways=3, latency=3, threshold=2,
                  inter_chain_latency=2, fee="2"):
-        self.net = SimNet(seed, inter_chain_latency=inter_chain_latency)
-        self.resolver = Resolver(self.net.rng)
+        self.net = SimNet(seed, inter_chain_latency, latency_jitter=0)
         self.registry = GatewayRegistry()
+        self.resolver = Resolver(
+            self.net.rng, lambda att: verify_attestation(att, self.registry))
         self.peerings = PeeringRegistry()
         self.chains = {}
         for cid in ("bc1", "bc2"):
@@ -119,25 +121,21 @@ class TransferWorld:
         self.peerings.establish(PeeringAgreement(
             "pa1", "bc1", "bc2", frozenset({SemanticType.ASSET_REGISTRY}),
             Fraction(fee)))
-        self.net.register_entities(
-            list(self.chains),
-            [n for c in self.chains.values() for n in c.nodes],
-            [g for c in self.chains.values() for g in c.gateway_ids])
-        self.net.set_fault_applier(partial(apply_crash, self.chains, self.registry))
         self.engine = TransferEngine(
             self.net, self.chains, self.registry, self.resolver,
             self.peerings, {"bc1": threshold, "bc2": threshold})
         self.survivor = SurvivorLayer(self.net, self.chains)
-        self.valuenet = ValueNetwork({}, [])
-        from interopsim.gateway import verify_attestation
-        self.resolver.set_verifier(
-            lambda att: verify_attestation(att, self.registry))
+        self.valuenet = ValueNetwork({}, [], reservation_ttl=50)
 
     def seed_asset(self, chain_id="bc1", key="genesis:deed1"):
         chain = self.chains[chain_id]
         unit = make_unit(key, SemanticType.ASSET_REGISTRY, digest="deed")
         entry = chain.append_genesis(unit)
         return self.resolver.mint_cross_id(chain, entry.local_ref, 0)
+
+    def schedule_faults(self, *faults):
+        """Queue faults, each a FaultCfg, on the engine's fault path."""
+        schedule_faults(self.net, self.chains, self.registry, list(faults))
 
     def run_until(self, end_tick):
         """Run every tick from the clock's current one to end_tick."""

@@ -37,7 +37,7 @@ from interopsim.gateway import (
 from interopsim.simnet import LogRecord
 from interopsim.identity import Resolver
 from interopsim.chain import PermissionRegime
-from interopsim.simnet import FaultKind, FaultSpec
+from interopsim.scenario import FaultCfg
 from fractions import Fraction
 
 from conftest import TransferWorld, confirm_unit, make_chain, make_unit
@@ -346,8 +346,7 @@ class TestTransferProtocol:
     def test_initiate_rejects_partitioned_source(self):
         world = TransferWorld()
         asset = world.seed_asset()
-        world.net.inject(FaultSpec("f1", FaultKind.PARTITION, 0,
-                                   target=("bc1",)))
+        world.schedule_faults(FaultCfg("f1", "partition", 0, chains=["bc1"]))
         world.net.drain(0)
         with pytest.raises(Unreachable, match="partitioned"):
             world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
@@ -430,8 +429,7 @@ class TestTransferProtocol:
         world = TransferWorld()
         asset = world.seed_asset()
         t = world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
-        world.net.inject(FaultSpec("f1", FaultKind.GATEWAY_CRASH, 4,
-                                   target=("bc1.g1",)))
+        world.schedule_faults(FaultCfg("f1", "gateway_crash", 4, gateways=["bc1.g1"]))
         world.run_until(12)
         assert t.state is TransferState.FINALIZED
         assert t.paired_source == "bc1.g2", "transfer must re-pair after the crash"
@@ -442,8 +440,8 @@ class TestTransferProtocol:
         world = TransferWorld()
         asset = world.seed_asset()
         t = world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 15, 0)
-        world.net.inject(FaultSpec("f1", FaultKind.GATEWAY_CRASH, 4,
-                                   target=("bc1.g1", "bc1.g2")))
+        world.schedule_faults(FaultCfg("f1", "gateway_crash", 4,
+                                       gateways=["bc1.g1", "bc1.g2"]))
         world.run_until(20)
         assert t.state is TransferState.ABORTED, \
             "1 live gateway cannot meet threshold 2, deadline must fire"

@@ -185,8 +185,8 @@ def rebind_fixture():
     """Two chains, one minted asset plus valid vouch attestations for a
     bc1 -> bc2 rebind."""
     rng = random.Random(9)
-    resolver = Resolver(rng)
     registry = GatewayRegistry()
+    resolver = Resolver(rng, lambda att: verify_attestation(att, registry))
     chains = {}
     for cid in ("bc1", "bc2"):
         chain = make_chain(cid, gateways=3, latency=1,
@@ -195,7 +195,6 @@ def rebind_fixture():
         resolver.register_chain(cid)
         for gid in chain.gateway_ids:
             registry.add(Gateway(gid, cid))
-    resolver.set_verifier(lambda att: verify_attestation(att, registry))
     entry = confirm_unit(chains["bc1"],
                          make_unit(semantic=SemanticType.ASSET_REGISTRY))
     asset = resolver.mint_cross_id(chains["bc1"], entry.local_ref)

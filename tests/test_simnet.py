@@ -2,16 +2,12 @@
 log format and byte-identical determinism."""
 
 import random
+from functools import partial
 
-import pytest
-
-from interopsim.engine import run_scenario
-from interopsim.errors import UnknownTarget
-from interopsim.scenario import parse_scenario
+from interopsim.engine import run_scenario, schedule_faults
+from interopsim.scenario import FaultCfg, parse_scenario
 from interopsim.simnet import (
     EventLog,
-    FaultKind,
-    FaultSpec,
     LogRecord,
     SimNet,
     ledger_parts,
@@ -19,11 +15,13 @@ from interopsim.simnet import (
 )
 
 
-def make_net(seed=0, **kw):
-    net = SimNet(seed, **kw)
-    net.register_entities(["bc1", "bc2"], ["bc1.n1", "bc2.n1"],
-                          ["bc1.g1", "bc2.g1"])
-    return net
+def make_net(seed=0, inter_chain_latency=2, latency_jitter=0):
+    return SimNet(seed, inter_chain_latency, latency_jitter)
+
+
+def partition_at(net, tick, chains=(), links=(), heal=False):
+    """Queue net.partition(chains, links, heal) for tick."""
+    net.schedule(partial(net.partition, chains, links, heal), tick - net.now)
 
 
 class TestOrdering:
@@ -73,7 +71,7 @@ class TestDeliveries:
         net = make_net(inter_chain_latency=3)
         seen = []
         net.deliver("bc1", "bc2", "m", lambda: seen.append("landed"))
-        net.inject(FaultSpec("f1", FaultKind.PARTITION, 1, target=("bc2",)))
+        partition_at(net, 1, chains=("bc2",))
         for tick in range(5):
             net.drain(tick)
         assert seen == [], "in-flight message into a partition must be dropped"
@@ -83,10 +81,8 @@ class TestDeliveries:
 
     def test_link_cut_drops_only_that_pair(self):
         net = make_net(inter_chain_latency=1)
-        net.register_entities(["bc1", "bc2", "bc3"], [], [])
         seen = []
-        net.inject(FaultSpec("f1", FaultKind.PARTITION, 0,
-                             links=(("bc1", "bc2"),)))
+        partition_at(net, 0, links=(("bc1", "bc2"),))
         net.deliver("bc1", "bc2", "cut", lambda: seen.append("cut"))
         net.deliver("bc1", "bc3", "open", lambda: seen.append("open"))
         for tick in range(3):
@@ -95,8 +91,8 @@ class TestDeliveries:
 
     def test_heal_reopens_delivery_and_closes_history(self):
         net = make_net(inter_chain_latency=1)
-        net.inject(FaultSpec("f1", FaultKind.PARTITION, 0, target=("bc2",),
-                             until_tick=5))
+        partition_at(net, 0, chains=("bc2",))
+        partition_at(net, 5, chains=("bc2",), heal=True)
         net.drain(0)
         net.drain(5)
         assert not net.chain_partitioned("bc2")
@@ -109,15 +105,13 @@ class TestDeliveries:
 
     def test_a_target_has_one_episode_at_a_time(self):
         net = make_net()
-        for fault in (
-                FaultSpec("f1", FaultKind.PARTITION, 0, target=("bc2",), until_tick=3),
-                # bc2 is already partitioned: no second episode
-                FaultSpec("f2", FaultKind.PARTITION, 1, target=("bc2",)),
-                FaultSpec("f3", FaultKind.PARTITION, 5, target=("bc2",),
-                          links=(("bc1", "bc2"),)),
-                # heals f3 before it starts: nothing to close
-                FaultSpec("h1", FaultKind.HEAL, 4, target=("f3",))):
-            net.inject(fault)
+        partition_at(net, 0, chains=("bc2",))
+        # bc2 is already partitioned: no second episode
+        partition_at(net, 1, chains=("bc2",))
+        partition_at(net, 3, chains=("bc2",), heal=True)
+        # bc2 is whole again and the link not cut yet: nothing to close
+        partition_at(net, 4, chains=("bc2",), links=(("bc1", "bc2"),), heal=True)
+        partition_at(net, 5, chains=("bc2",), links=(("bc1", "bc2"),))
         for tick in range(6):
             net.drain(tick)
         assert net.partition_history == {"bc2": [[0, 3], [5, None]]}
@@ -127,7 +121,7 @@ class TestDeliveries:
     def test_local_deliver_dropped_when_destination_partitioned(self):
         net = make_net()
         seen = []
-        net.inject(FaultSpec("f1", FaultKind.PARTITION, 0, target=("bc1",)))
+        partition_at(net, 0, chains=("bc1",))
         net.local_deliver("bc1", "sub", lambda: seen.append("in"))
         net.drain(0)
         assert seen == [], "submission into a partitioned chain is lost"
@@ -144,32 +138,14 @@ class TestDeliveries:
 
 
 class TestFaultValidation:
-    def test_unknown_chain_rejected(self):
-        net = make_net()
-        with pytest.raises(UnknownTarget, match="unknown chain"):
-            net.inject(FaultSpec("f1", FaultKind.PARTITION, 0, target=("bc9",)))
-
-    def test_unknown_node_rejected(self):
-        net = make_net()
-        with pytest.raises(UnknownTarget, match="unknown node"):
-            net.inject(FaultSpec("f1", FaultKind.NODE_CRASH, 0,
-                                 target=("bc1.n9",)))
-
-    def test_unknown_gateway_rejected(self):
-        net = make_net()
-        with pytest.raises(UnknownTarget, match="unknown gateway"):
-            net.inject(FaultSpec("f1", FaultKind.GATEWAY_CRASH, 0,
-                                 target=("bc1.g9",)))
-
-    def test_heal_of_unknown_fault_rejected(self):
-        net = make_net()
-        with pytest.raises(UnknownTarget, match="unknown fault"):
-            net.inject(FaultSpec("h1", FaultKind.HEAL, 0, target=("nope",)))
+    # the schema rejects a fault that names an unknown chain, node,
+    # gateway or fault (test_scenario.py::test_fault_targets_must_exist)
 
     def test_heal_fault_reverses_named_partition(self):
         net = make_net()
-        net.inject(FaultSpec("f1", FaultKind.PARTITION, 0, target=("bc1",)))
-        net.inject(FaultSpec("h1", FaultKind.HEAL, 4, target=("f1",)))
+        schedule_faults(net, {}, None, [
+            FaultCfg("f1", "partition", 0, chains=["bc1"]),
+            FaultCfg("h1", "heal", 4, faults=["f1"])])
         net.drain(0)
         assert net.chain_partitioned("bc1")
         net.drain(4)
@@ -219,8 +195,8 @@ class TestDeterminism:
         for i in range(10):
             net.deliver("bc1", "bc2", f"m{i}", lambda: None)
             net.timer(f"t{i}", lambda: None, net.rng.randint(0, 6))
-        net.inject(FaultSpec("f1", FaultKind.PARTITION, 3, target=("bc2",),
-                             until_tick=6))
+        partition_at(net, 3, chains=("bc2",))
+        partition_at(net, 6, chains=("bc2",), heal=True)
         for tick in range(12):
             net.drain(tick)
         return net.log.dumps()

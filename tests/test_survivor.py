@@ -190,7 +190,7 @@ class TestMultiSub:
 
 class TestValidationAndSurface:
     def layer(self):
-        net = SimNet(0)
+        net = SimNet(0, 2, 0)
         chains = {"bc1": make_chain("bc1", latency=1),
                   "pay1": make_chain("pay1", latency=1,
                                      semantic=SemanticType.PAYMENTS)}
@@ -200,19 +200,19 @@ class TestValidationAndSurface:
         layer, _ = self.layer()
         sub = SubTxn("s1", make_unit(), [])
         with pytest.raises(EmptyCandidates, match="t1/s1"):
-            layer.submit_app_txn("t1", [sub], 0)
+            layer.submit_app_txn("t1", [sub])
 
     def test_unknown_candidate_rejected(self):
         layer, _ = self.layer()
         sub = SubTxn("s1", make_unit(), ["bc9"])
         with pytest.raises(NotFound, match="unknown candidate"):
-            layer.submit_app_txn("t1", [sub], 0)
+            layer.submit_app_txn("t1", [sub])
 
     def test_semantic_mismatch_rejected_up_front(self):
         layer, _ = self.layer()
         sub = SubTxn("s1", make_unit(), ["pay1"])
         with pytest.raises(SemanticMismatch, match="pay1 is payments"):
-            layer.submit_app_txn("t1", [sub], 0)
+            layer.submit_app_txn("t1", [sub])
 
     def test_outcome_record_carries_no_chain_identities(self):
         report, sim = run_scenario(bundled("fig2_fallback"))

@@ -88,7 +88,7 @@ class TestRouting:
             Connector("cy", ("a", "c"), {"dc": F(10)}, {("da", "dc"): F(1)}),
             Connector("cz", ("c", "d"), {"dd": F(10)}, {("dc", "dd"): F(1)}),
         ]
-        net = ValueNetwork(denoms, connectors)
+        net = ValueNetwork(denoms, connectors, reservation_ttl=50)
         assert net.route("a", "d") == [("cw", "b"), ("cx", "d")], \
             "(cw, cx) sorts before (cy, cz), so the b branch wins"
 
@@ -99,7 +99,7 @@ class TestRouting:
             Connector("c2", ("b", "d"), {"dd": F(10)}, {("db", "dd"): F(1)}),
             Connector("c9", ("a", "d"), {"dd": F(10)}, {("da", "dd"): F(1)}),
         ]
-        net = ValueNetwork(denoms, connectors)
+        net = ValueNetwork(denoms, connectors, reservation_ttl=50)
         assert net.route("a", "d") == [("c9", "d")], \
             "one hop via c9 beats two hops via c1, c2"
 
@@ -118,7 +118,7 @@ class TestRouting:
                             rates[(denoms[x], denoms[y])] = F(1)
                 reserves = {denoms[c]: F(1000) for c in adj}
                 connectors.append(Connector(f"c{i}", adj, reserves, rates))
-            net = ValueNetwork(denoms, connectors)
+            net = ValueNetwork(denoms, connectors, reservation_ttl=50)
             for src in chains:
                 for dst in chains:
                     if src == dst:
@@ -180,7 +180,7 @@ class TestReservation:
         denoms = {"a": "x", "b": "y", "c": "x"}
         conn = Connector("c1", ("a", "b", "c"), {"x": F(10), "y": F(10)},
                          {("x", "y"): F(1), ("y", "x"): F(1)})
-        net = ValueNetwork(denoms, [conn])
+        net = ValueNetwork(denoms, [conn], reservation_ttl=50)
         path = net.build_path("p1", "a", "c", F(6), "x", "x", 0)
         assert path.route_ids() == ["c1", "c1"]
         # 6 held in y and 6 held in x; another 6-out-of-x must overload
