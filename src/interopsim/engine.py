@@ -8,9 +8,26 @@ on it):
   2. consensus phase: chains in id order confirm aged pending units
      (skipped entirely while a chain is partitioned), confirmation
      callbacks update survivor and transfer state;
-  3. transfer step phase: transfers in initiation order act on what the
-     consensus phase just told them;
+  3. transfer step phase: transfers in initiation order act on what
+     drain and the consensus phase just told them;
   4. reservation expiry sweep.
+
+The step phase follows the stepping rule.  On tick t it steps, in
+initiation order, only the transfers that can act:
+  (a) a transfer whose state on_confirmed changed this tick;
+  (b) every transfer that is not terminal, when gateway liveness changed
+      since the last step phase (GatewayRegistry.set_live, the one
+      writer of liveness, counts each change);
+  (c) a transfer whose deadline_tick has passed, which the step aborts.
+No other transfer can act.  A transfer moves to SOURCE_LOCKED or
+DEST_RECORDED only in on_confirmed, and that tick's step sends the
+record request or vouches for the record.  The actions that can fail
+and be retried (a vouch that raised InsufficientGateways, the
+_try_finalize retry) fail again until gateway liveness changes, and a
+pairing needs _repair_pairing only after a gateway crash.  A failed
+vouch logs nothing and draws nothing from the RNG.  So every step the
+rule skips would have been a step that changes nothing, and the log is
+the one a loop that steps every open transfer writes.
 
 The loop is event-driven.  It processes tick 0, and after each
 processed tick t it moves the clock straight to max(t + 1, w), where w
@@ -18,24 +35,22 @@ is the earliest wake-up:
   * the next queued action;
   * for each chain that is not partitioned and meets quorum, the tick
     its oldest pending unit matures (submitted_tick + confirm latency);
-  * the earliest deadline_tick + 1 over the open transfers that the
-    step phase walks, the tick on which it aborts one;
+  * deadline_tick + 1 of the top of the transfer engine's deadline
+    heap, the earliest deadline of a transfer that is not terminal:
+    the tick on which rule (c) aborts it;
   * the earliest expiry_tick of a reserved payment path.
 With no wake-up left the clock moves past the horizon.
 
 Skipping the ticks in between is safe because no phase can act on
 them.  Nothing is queued for them.  A chain confirms nothing before its
 wake-up unless its partition or quorum changes, and both change only
-through queued fault events.  A transfer steps forward on the tick that
-drain or consensus changes its state, which is a processed tick, or on
-its deadline wake-up.  The step-phase actions that can fail and be
-retried (a vouch that raised InsufficientGateways, the _try_finalize
-retry, _repair_pairing) only change outcome when gateway or node
-liveness changes, and liveness too changes only through queued fault
-events.  No reservation expires between expiry wake-ups.  So a skipped
-tick would log nothing and draw nothing from the RNG, and the log is
-the one a loop over every tick writes; tests/test_engine.py checks
-that.
+through queued fault events.  No transfer is due by the stepping rule:
+confirmations happen on processed ticks, liveness changes only through
+queued fault events, and each passed deadline has its wake-up.  No
+reservation expires between expiry wake-ups.  So a skipped tick would
+log nothing and draw nothing from the RNG, and the log is the one a
+loop over every tick writes; tests/test_engine.py checks both rules
+against that loop.
 
 The run ends at quiescence (no queued actions, no pending units, all
 workload terminal, no open reservations) or at the horizon, whichever
@@ -454,7 +469,7 @@ def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
         for nid in fault.nodes:
             chains[nid.split(".")[0]].set_node_live(nid, heal)
         for gid in fault.gateways:
-            registry.get(gid).live = heal
+            registry.set_live(gid, heal)
 
     for f in faults:
         net.schedule(partial(fire, f, False), f.at - net.now)

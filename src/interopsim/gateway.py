@@ -31,6 +31,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional
 
 from .chain import (
@@ -67,11 +68,15 @@ class Gateway:
 
 
 class GatewayRegistry:
-    """All gateways of the run plus their signing keys."""
+    """All gateways of the run plus their signing keys.  set_live is the
+    one writer of gateway liveness, and liveness_changes counts what it
+    changed, so a reader can tell whether liveness moved since it last
+    looked."""
 
     def __init__(self) -> None:
         self.gateways: dict[str, Gateway] = {}
         self.by_chain: dict[str, list[str]] = {}
+        self.liveness_changes = 0
 
     def add(self, gateway: Gateway) -> None:
         self.gateways[gateway.gateway_id] = gateway
@@ -82,6 +87,13 @@ class GatewayRegistry:
         if gateway_id not in self.gateways:
             raise NotFound(f"unknown gateway {gateway_id}")
         return self.gateways[gateway_id]
+
+    def set_live(self, gateway_id: str, live: bool) -> None:
+        """Crash (live False) or restart a gateway."""
+        gateway = self.get(gateway_id)
+        if gateway.live != live:
+            gateway.live = live
+            self.liveness_changes += 1
 
     def chain_gateways(self, chain_id: str) -> list[Gateway]:
         return [self.gateways[g] for g in self.by_chain.get(chain_id, [])]
@@ -335,8 +347,9 @@ class TransferEngine:
 
     All state transitions are logged; the engine's per-tick step phase
     calls step_all after consensus so confirmations observed this tick
-    can be acted on this tick.  Only transfers that are not terminal are
-    stepped, and confirmations find their transfer by (chain, local_ref).
+    can be acted on this tick.  It steps only the transfers that the
+    stepping rule of the engine's module docstring names, and
+    confirmations find their transfer by (chain, local_ref).
     """
 
     def __init__(self, net, chains: dict, registry: GatewayRegistry,
@@ -352,10 +365,16 @@ class TransferEngine:
         self.order: list[str] = []
         # (source chain, asset) -> the transfer that holds its lock
         self.locks: dict[tuple[str, str], str] = {}
-        # not yet terminal, in initiation order; pruned by step_all
-        self._open: list[CrossDomainTransfer] = []
-        # (chain, local_ref) of every lock and record -> its transfer
-        self._by_ref: dict[tuple[str, str], CrossDomainTransfer] = {}
+        # (chain, local_ref) of every lock and record -> its transfer's
+        # index in order
+        self._by_ref: dict[tuple[str, str], int] = {}
+        # (deadline_tick, index, transfer) of every transfer that is not
+        # terminal; a terminal one leaves when it reaches the top
+        self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
+        # indexes of the transfers to step in this tick's step phase
+        self._due: set[int] = set()
+        # registry.liveness_changes as of the last step phase
+        self._liveness_seen = registry.liveness_changes
 
     # -- helpers -------------------------------------------------------
 
@@ -390,9 +409,10 @@ class TransferEngine:
             transfer_id, asset, source_chain, dest_chain, beneficiary,
             deadline_tick, agreement.agreement_id,
             src_gw.gateway_id, dst_gw.gateway_id)
+        index = len(self.order)
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
-        self._open.append(transfer)
+        heappush(self._deadlines, (deadline_tick, index, transfer))
         self._log(transfer, src_gw.gateway_id,
                   ("gw", f"{transfer.paired_source}:{transfer.paired_dest}"),
                   ("deadline", deadline_tick))
@@ -411,7 +431,7 @@ class TransferEngine:
             idempotency_key=f"lock:{transfer_id}")
         receipt = chain.submit(unit, src_gw.gateway_id, now, kind=ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
-        self._by_ref[(source_chain, receipt.local_ref)] = transfer
+        self._by_ref[(source_chain, receipt.local_ref)] = index
         self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
                         "submit", ("kind", "lock"), ("transfer", transfer_id))
         return transfer
@@ -419,32 +439,50 @@ class TransferEngine:
     # -- confirmation callbacks ----------------------------------------
 
     def on_confirmed(self, chain_id: str, entry: LedgerEntry) -> None:
-        t = self._by_ref.get((chain_id, entry.local_ref))
-        if t is None:
+        """Move the transfer that entry's ref belongs to, if any, and
+        mark it due for this tick's step phase when it moved."""
+        index = self._by_ref.get((chain_id, entry.local_ref))
+        if index is None:
             return
+        t = self.transfers[self.order[index]]
         if chain_id == t.source_chain and entry.local_ref == t.lock_ref:
             if t.state == TransferState.INITIATED:
                 t.state = TransferState.SOURCE_LOCKED
                 self._log(t, t.paired_source)
+                self._due.add(index)
         elif t.state == TransferState.ABORTED:
             # the record, and t aborted before it landed: tombstone it now
             self._void_record(t)
         elif t.state == TransferState.SOURCE_LOCKED:
             t.state = TransferState.DEST_RECORDED
             self._log(t, t.paired_dest)
+            self._due.add(index)
 
     # -- per-tick driving ----------------------------------------------
 
     def step_all(self, now: int) -> None:
-        for t in self._open:
-            self.step(t, now)
-        self._open = [t for t in self._open if not t.terminal()]
+        """Step, in initiation order, the transfers that can act on tick
+        now: those on_confirmed moved, those whose deadline has passed,
+        and every one when gateway liveness changed since the last step
+        phase."""
+        due, deadlines = self._due, self._deadlines
+        while deadlines and deadlines[0][0] < now:
+            due.add(heappop(deadlines)[1])  # its step aborts it, if open
+        if self._liveness_seen != self.registry.liveness_changes:
+            self._liveness_seen = self.registry.liveness_changes
+            due.update(range(len(self.order)))
+        if due:
+            for index in sorted(due):
+                self.step(self.transfers[self.order[index]], now)
+            due.clear()
 
     def next_deadline(self) -> Optional[int]:
         """Earliest deadline_tick of a transfer that is not terminal, or
         None when every transfer is terminal."""
-        return min((t.deadline_tick for t in self._open if not t.terminal()),
-                   default=None)
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][2].terminal():
+            heappop(deadlines)
+        return deadlines[0][0] if deadlines else None
 
     def step(self, t: CrossDomainTransfer, now: int) -> None:
         if not self._may_act(t, now):
@@ -507,7 +545,8 @@ class TransferEngine:
             intended_peer=t.beneficiary)
         receipt = chain.submit(unit, t.paired_dest, now, kind=ENTRY_KIND_RECORD)
         t.record_ref = receipt.local_ref
-        self._by_ref[(t.dest_chain, receipt.local_ref)] = t
+        self._by_ref[(t.dest_chain, receipt.local_ref)] = \
+            self._by_ref[(t.source_chain, t.lock_ref)]
         self.net.record("ledger", ledger_subject(t.dest_chain, receipt.local_ref),
                         "submit", ("kind", "record"), ("transfer", t.transfer_id))
 
@@ -533,7 +572,7 @@ class TransferEngine:
     def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
         t.dest_attestation = self._vouch(t, "dest", t.dest_chain, t.record_ref, now)
         if t.dest_attestation is None:
-            return  # retry next tick; deadline will fire eventually
+            return  # retry when liveness changes, or abort at the deadline
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
                          lambda: self._arrive_attestation(t),
                          ("msg", "attestation"), ("transfer", t.transfer_id))
@@ -547,7 +586,7 @@ class TransferEngine:
     def _try_finalize(self, t: CrossDomainTransfer, now: int) -> None:
         t.source_attestation = self._vouch(t, "source", t.source_chain, t.lock_ref, now)
         if t.source_attestation is None:
-            return  # step retries it until the deadline
+            return  # step retries it when liveness changes, until the deadline
         t.state = TransferState.VOUCHED
         self._log(t, t.paired_source)
         self._finalize(t, now)

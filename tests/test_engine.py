@@ -6,15 +6,20 @@ from fractions import Fraction
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interopsim.engine import Simulation, run_scenario, run_tick
-from interopsim.gateway import TransferState
+from interopsim.errors import ValidationError
+from interopsim.gateway import TransferEngine, TransferState
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.valuenet import PathState
 
 from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, bundled
 from test_acceptance import _random_fault_config
+from test_scenario import ROBUSTNESS
+from worlds import world
 
 
 def log_lines(sim, kind=None, subject=None):
@@ -362,6 +367,26 @@ def _stranded_unit_world():
                     "chains": ["bc1"]}]}, name="stranded-unit")
 
 
+def _stuck_world(horizon):
+    """One transfer stuck behind a partition of its destination for the
+    whole run, with its deadline at horizon - 1, and an app transaction
+    on a third chain every five ticks, so that the ticks processed grow
+    with the horizon."""
+    chains = [{"id": cid, "nodes": 4, "gateways": 2, "quorum": "2/3",
+               "confirm_latency": 2, "semantic": "asset-registry"}
+              for cid in ("bc1", "bc2", "bc3")]
+    return parse_scenario({
+        "horizon": horizon, "chains": chains,
+        "peerings": [{"chains": ["bc1", "bc2"], "semantics": ["asset-registry"]}],
+        "assets": [{"id": "a1", "chain": "bc1"}],
+        "transfers": [{"id": "x1", "at": 0, "asset": "a1", "from": "bc1",
+                       "to": "bc2", "deadline": horizon - 1}],
+        "app_txns": [{"id": f"t{i}", "at": at, "subs": [{"candidates": ["bc3"]}]}
+                     for i, at in enumerate(range(0, horizon - 5, 5))],
+        "faults": [{"id": "f1", "kind": "partition", "at": 0, "chains": ["bc2"]}]},
+        name=f"stuck-{horizon}")
+
+
 def _quiet(sim):
     """The quiescence rule read straight from the state."""
     return (sim.net.next_event_tick() is None
@@ -372,11 +397,23 @@ def _quiet(sim):
                     for p in sim.valuenet.paths.values()))
 
 
+def _step_every_open_transfer(engine):
+    """A step phase that polls: every transfer that is not terminal, in
+    initiation order, on every tick it runs."""
+    def step_all(now):
+        for tid in engine.order:
+            t = engine.transfers[tid]
+            if not t.terminal():
+                engine.step(t, now)
+    return step_all
+
+
 def _run_every_tick(config):
-    """The same world driven through run_tick on every tick until _quiet
-    holds or the horizon, then the same end-of-run steps as
-    Simulation.run."""
+    """The same world driven through run_tick on every tick, with a step
+    phase that polls every open transfer, until _quiet holds or the
+    horizon, then the same end-of-run steps as Simulation.run."""
     sim = Simulation(config)
+    sim.transfers.step_all = _step_every_open_transfer(sim.transfers)
     for tick in range(config.horizon + 1):
         sim.events_executed += run_tick(sim.net, sim.chains, sim.survivor,
                                         sim.transfers, sim.valuenet, tick)
@@ -386,8 +423,10 @@ def _run_every_tick(config):
 
 
 def _skipping_changes(config):
-    """Differences between the event-driven run and the every-tick run
-    that stops by the reference rule."""
+    """Differences between the event-driven run, which skips ticks and
+    steps only the transfers the stepping rule names, and the reference
+    run, which processes every tick, steps every open transfer and stops
+    by the reference rule."""
     report, sim = run_scenario(config)
     ref_report, ref = _run_every_tick(config)
     problems = []
@@ -428,7 +467,7 @@ class TestEventDrivenLoop:
         assert report.end_tick == 26, "p6 reserves at 20 with a ttl of 6"
         assert _skipping_changes(config) == []
 
-    @pytest.mark.parametrize("name", ["fig2_fallback", "gateway_crash", "cut_heal"])
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
     def test_skipping_changes_nothing_on_bundled_worlds(self, name):
         assert _skipping_changes(bundled(name)) == []
 
@@ -438,6 +477,32 @@ class TestEventDrivenLoop:
         assert report.outcomes["app_txns"]["t0"]["state"] == "FAILED"
         assert report.end_tick == config.horizon
         assert _skipping_changes(config) == []
+
+    def test_step_work_does_not_grow_with_idle_processed_ticks(self, monkeypatch):
+        steps, ticks = [], []
+        step, drain = TransferEngine.step, SimNet.drain
+
+        def counting_step(engine, t, now):
+            steps.append(now)
+            return step(engine, t, now)
+
+        def counting_drain(net, tick):
+            ticks.append(tick)
+            return drain(net, tick)
+
+        monkeypatch.setattr(TransferEngine, "step", counting_step)
+        monkeypatch.setattr(SimNet, "drain", counting_drain)
+        counts = {}
+        for horizon in (100, 200):
+            del steps[:], ticks[:]
+            report, _ = run_scenario(_stuck_world(horizon))
+            assert report.outcomes["transfers"]["x1"] == {
+                "state": "ABORTED", "tick": horizon, "reason": "deadline"}
+            counts[horizon] = (len(steps), len(ticks))
+        assert counts[200][1] > counts[100][1] * 1.8, "the world must keep ticking"
+        # x1 steps when its lock confirms (it sends the record request,
+        # which the partition drops) and when its deadline has passed
+        assert counts[100][0] == counts[200][0] == 2, counts
 
     def test_only_wake_up_ticks_are_processed(self, monkeypatch):
         ticks = []
@@ -455,3 +520,22 @@ class TestEventDrivenLoop:
         # attestation arrives at 248
         assert ticks == [0, 2, 6, 240, 242, 244, 246, 248]
         assert sim.net.now == sim.end_tick == 248
+
+
+# -- generated worlds -------------------------------------------------
+
+
+@settings(ROBUSTNESS, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_worlds_run_audit_replay_and_skip_nothing(seed):
+    try:
+        config = parse_scenario(world(seed), name=f"world-{seed}")
+    except ValidationError as exc:
+        assert exc.problems
+        return
+    report, sim = run_scenario(config)
+    assert len(report.audits) == 14
+    assert report.passed(), [(a.name, a.detail) for a in report.failed_audits()]
+    _, again = run_scenario(config)
+    assert again.net.log.dumps() == sim.net.log.dumps()
+    assert _skipping_changes(config) == []

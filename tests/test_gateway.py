@@ -64,14 +64,14 @@ class TestVouching:
 
     def test_vouch_skips_crashed_gateways(self):
         registry = registry_of({"bc1": 3})
-        registry.get("bc1.g1").live = False
+        registry.set_live("bc1.g1", False)
         att = vouch("bc1", registry, sample_claim(), 2, now=0)
         assert [gid for gid, _ in att.signatures] == ["bc1.g2", "bc1.g3"]
 
     def test_vouch_below_threshold_raises(self):
         registry = registry_of({"bc1": 3})
-        registry.get("bc1.g1").live = False
-        registry.get("bc1.g3").live = False
+        registry.set_live("bc1.g1", False)
+        registry.set_live("bc1.g3", False)
         with pytest.raises(InsufficientGateways, match="1 live gateways, threshold 2"):
             vouch("bc1", registry, sample_claim(), 2, now=0)
 
@@ -80,7 +80,7 @@ class TestVouching:
         registry = registry_of({"bc1": 3})
         att = vouch("bc1", registry, sample_claim(), 2, now=0)
         for g in registry.chain_gateways("bc1"):
-            g.live = False
+            registry.set_live(g.gateway_id, False)
         assert verify_attestation(att, registry), \
             "verification is a pure function of signatures and registry"
 
@@ -169,7 +169,7 @@ class TestAdvertisements:
 
     def test_crashed_gateways_leave_the_endpoint_list(self):
         world = TransferWorld()
-        world.registry.get("bc1.g2").live = False
+        world.registry.set_live("bc1.g2", False)
         adv = advertise(world.chains["bc1"], world.registry, world.resolver, 0)
         assert adv.gateway_endpoints == ("bc1.g1", "bc1.g3")
 
@@ -362,7 +362,7 @@ class TestTransferProtocol:
         world = TransferWorld()
         asset = world.seed_asset()
         for gid in world.registry.by_chain["bc2"]:
-            world.registry.get(gid).live = False
+            world.registry.set_live(gid, False)
         with pytest.raises(NoLiveGateways):
             world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
 
@@ -412,9 +412,9 @@ class TestTransferProtocol:
                 world = TransferWorld()
                 asset = world.seed_asset()
                 for i in range(1, crashed_src + 1):
-                    world.registry.get(f"bc1.g{i}").live = False
+                    world.registry.set_live(f"bc1.g{i}", False)
                 for i in range(1, crashed_dst + 1):
-                    world.registry.get(f"bc2.g{i}").live = False
+                    world.registry.set_live(f"bc2.g{i}", False)
                 if crashed_src == 3 or crashed_dst == 3:
                     with pytest.raises(NoLiveGateways):
                         world.engine.initiate("x1", asset, "bc1", "bc2",
@@ -447,6 +447,25 @@ class TestTransferProtocol:
             "1 live gateway cannot meet threshold 2, deadline must fire"
         assert t.abort_reason == "deadline"
         assert world.resolver.resolve(asset).home_chain == "bc1"
+
+    def test_a_heal_unblocks_a_stalled_vouch(self):
+        world = TransferWorld()
+        asset = world.seed_asset()
+        t = world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
+        # the record lands at 8 with one live gateway on bc2 of the two
+        # the vouch needs; the crash ends at 12
+        world.schedule_faults(FaultCfg("f1", "gateway_crash", 6,
+                                       gateways=["bc2.g1", "bc2.g2"], until=12))
+        world.run_until(11)
+        assert t.state is TransferState.DEST_RECORDED
+        assert t.dest_attestation is None
+        world.run_until(20)
+        vouches = [(r.tick, r.get("side")) for r in world.net.log.records
+                   if r.kind == "vouch"]
+        assert vouches == [(12, "dest"), (14, "source")], \
+            "the vouch must be retried on the tick of the heal"
+        assert t.state is TransferState.FINALIZED and t.final_tick == 14
+        assert world.resolver.resolve(asset).home_chain == "bc2"
 
     def test_transfer_log_records_protocol_milestones(self):
         world = TransferWorld()

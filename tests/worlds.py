@@ -1,0 +1,112 @@
+"""Seeded whole-system worlds for property tests.
+
+world(seed) returns a raw scenario mapping, the input parse_scenario
+reads, so a world exercises the schema as well as the simulator.  Each
+world mixes what the transfer step phase and the fault path have to
+get right together:
+  * 2-4 asset-registry chains, all pairs peered, with mixed sizes,
+    quorums, latencies and vouch thresholds;
+  * latency jitter on the inter-chain links;
+  * assets that move in chains of transfers, some of which come back
+    to the chain they started from, with deadlines short and long;
+  * partitions of chains and cuts of links, node crashes and gateway
+    crashes, each with or without an until, and heals that name earlier
+    faults;
+  * app transactions, resolves and probes that run while all that
+    happens.
+
+The same seed always gives the same mapping.  Most worlds are valid;
+a world the schema rejects is a valid outcome of a property that draws
+from here.
+"""
+
+import random
+
+
+def world(seed: int) -> dict:
+    rng = random.Random(seed)
+    horizon = rng.randint(30, 70)
+    chain_ids = [f"bc{i}" for i in range(1, rng.randint(2, 4) + 1)]
+    chains = []
+    for cid in chain_ids:
+        chain = {"id": cid, "nodes": rng.randint(3, 5), "gateways": rng.randint(1, 4),
+                 "quorum": rng.choice(["1/2", "2/3", "3/4"]),
+                 "confirm_latency": rng.randint(1, 3), "semantic": "asset-registry"}
+        if rng.random() < 0.5:
+            chain["vouch_threshold"] = rng.randint(1, chain["gateways"])
+        chains.append(chain)
+    peerings = [{"chains": [a, b], "semantics": ["asset-registry"],
+                 "fee": str(rng.randint(0, 3))}
+                for i, a in enumerate(chain_ids) for b in chain_ids[i + 1:]]
+    assets, transfers = [], []
+    for i in range(rng.randint(1, 3)):
+        home = rng.choice(chain_ids)
+        assets.append({"id": f"a{i}", "chain": home})
+        transfers += _moves(rng, f"a{i}", home, chain_ids, horizon, len(transfers))
+    return {
+        "horizon": horizon, "seed": rng.randint(0, 999),
+        "links": {"inter_chain_latency": rng.randint(1, 3),
+                  "latency_jitter": rng.choice([0, 0, 1, 3])},
+        "chains": chains, "assets": assets, "peerings": peerings,
+        "app_txns": [{"id": f"t{i}", "at": rng.randint(0, horizon),
+                      "subs": [{"candidates": rng.sample(chain_ids, rng.randint(1, 2)),
+                                "timeout": rng.randint(2, 8)}]}
+                     for i in range(rng.randint(0, 4))],
+        "transfers": transfers,
+        "faults": _faults(rng, chains, horizon),
+        "resolves": [{"at": rng.randint(0, horizon), "asset": a["id"]}
+                     for a in rng.sample(assets, rng.randint(0, len(assets)))],
+        "probes": [{"at": rng.randint(0, horizon), "chain": rng.choice(chain_ids)}
+                   for _ in range(rng.randint(0, 2))],
+    }
+
+
+def _moves(rng, asset, home, chain_ids, horizon, first):
+    """Transfers that move asset hop by hop, each starting after the last
+    one's deadline or, now and then, while it is still open; about one
+    world in three sends the asset home on its last hop."""
+    out, at, here = [], rng.randint(0, 6), home
+    for n in range(rng.randint(1, 3)):
+        deadline = at + rng.randint(4, 20)
+        if deadline >= horizon:
+            break
+        if n and here != home and rng.random() < 0.35:
+            dest = home
+        else:
+            dest = rng.choice([c for c in chain_ids if c != here])
+        out.append({"id": f"x{first + len(out)}", "at": at, "asset": asset,
+                    "from": here, "to": dest, "deadline": deadline})
+        here = dest
+        at = deadline + 1 if rng.random() < 0.8 else at + rng.randint(1, 4)
+    return out
+
+
+def _faults(rng, chains, horizon):
+    """Faults of every kind, some with an until, then heals of some of
+    them."""
+    chain_ids = [c["id"] for c in chains]
+    faults = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["partition", "link_cut", "node_crash", "gateway_crash"])
+        at = rng.randint(0, horizon - 1)
+        fault = {"id": f"f{len(faults) + 1}", "kind": kind, "at": at}
+        if kind == "partition":
+            fault["chains"] = rng.sample(chain_ids, 1)
+        elif kind == "link_cut":
+            fault.update(kind="partition", links=[rng.sample(chain_ids, 2)])
+        elif kind == "node_crash":
+            chain = rng.choice(chains)
+            fault["nodes"] = [f"{chain['id']}.n{i}" for i in
+                              rng.sample(range(1, chain["nodes"] + 1), rng.randint(1, 2))]
+        else:
+            fault["gateways"] = [f"{c['id']}.g{rng.randint(1, c['gateways'])}"
+                                 for c in rng.sample(chains, rng.randint(1, 2))]
+        if rng.random() < 0.6:
+            fault["until"] = rng.randint(at + 1, horizon)
+        faults.append(fault)
+    for fault in list(faults):
+        if rng.random() < 0.3:
+            faults.append({"id": f"h{len(faults) + 1}", "kind": "heal",
+                           "at": rng.randint(fault["at"], horizon),
+                           "faults": [fault["id"]]})
+    return faults
