@@ -198,8 +198,8 @@ class ReachabilityAdvertisement:
 def advertise(chain, registry: GatewayRegistry, resolver, now: int) -> ReachabilityAdvertisement:
     endpoints = tuple(g.gateway_id for g in registry.live_gateways(chain.chain_id))
     assets = tuple(sorted(
-        cid.prefix() for cid in resolver.assets()
-        if resolver.resolve(cid).home_chain == chain.chain_id))
+        p.asset.prefix() for p in resolver.homes()
+        if p.home_chain == chain.chain_id))
     return ReachabilityAdvertisement(chain.chain_id, endpoints,
                                      (chain.semantic_type.value,), assets, now)
 

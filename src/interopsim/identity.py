@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import InvalidProof, NotConfirmed, NotFound, StaleAuthority
 
@@ -132,6 +132,10 @@ class Resolver:
 
     def assets(self) -> list[CrossId]:
         return sorted(self._home, key=str)
+
+    def homes(self) -> Iterable[AuthoritativePointer]:
+        """The current home pointer of every asset, in no set order."""
+        return self._home.values()
 
     def resolve(self, cross_id: CrossId) -> AuthoritativePointer:
         pointer = self._home.get(cross_id)

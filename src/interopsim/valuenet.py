@@ -6,10 +6,22 @@ All amounts and exchange rates are exact rationals; floats never enter
 the arithmetic.
 
 Routing is fewest hops with a deterministic tie-break on the
-lexicographically smallest connector-id sequence.  A connector's
-capacity is its reserve of the outgoing denomination minus everything
-already held for unsettled reservations; an overloaded connector simply
-rejects the new request and the whole path build fails without residue.
+lexicographically smallest connector-id sequence.  Routes come from a
+routing table kept for the run and filled once per sender: the first
+route asked from a sender runs one search over an adjacency list built
+at construction, and that search records the best route from the
+sender to every chain it reaches (a best route's prefix is a best route
+to the prefix's end, so one exhaustive search answers every receiver).
+The table is valid because the connector topology, the quoted rates and
+the chain denominations are fixed for the run.  Any change that mutates
+connectors, rates or denominations after construction must rebuild the
+adjacency list and empty the table.
+
+Capacity is checked when a path is reserved, not when it is routed.  A
+connector's capacity is its reserve of the outgoing denomination minus
+everything already held for unsettled reservations; an overloaded
+connector simply rejects the new request and the whole path build fails
+without residue.
 
 Reservations expire reservation_ttl ticks after they are made; the
 expiry sweep releases them at the tick boundary.  A heap of expiry ticks
@@ -25,6 +37,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import AlreadyTerminal, NoRoute, NotFound, Overloaded, PathExpired
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -91,16 +105,34 @@ class ValueNetwork:
         self.initial_reserves = {
             (c.connector_id, d): amt
             for c in connectors for d, amt in c.reserves.items()}
+        # per chain: its (connector_id, next_chain) edges whose connector
+        # quotes the rate, sorted by connector id, then next chain
+        self._edges: dict[str, list[tuple[str, str]]] = {
+            chain: [] for chain in self.chain_denoms}
+        for cid in sorted(self.connectors):
+            conn = self.connectors[cid]
+            adjacent = sorted(conn.adjacent_chains)
+            for chain in dict.fromkeys(conn.adjacent_chains):
+                if chain not in self._edges:
+                    continue
+                for nxt in adjacent:
+                    if (nxt != chain and nxt in self.chain_denoms and conn.rate(
+                            self.chain_denoms[chain], self.chain_denoms[nxt]) is not None):
+                        self._edges[chain].append((cid, nxt))
+        # sender -> receiver -> best route, filled one sender at a time
+        self._routes: dict[str, dict[str, list[tuple[str, str]]]] = {}
 
     # -- capacity ------------------------------------------------------
 
     def available(self, connector_id: str, denom: str) -> Fraction:
-        reserve = self.connectors[connector_id].reserves.get(denom, Fraction(0))
-        return reserve - self.holds.get((connector_id, denom), Fraction(0))
+        reserve = self.connectors[connector_id].reserves.get(denom, _ZERO)
+        held = self.holds.get((connector_id, denom))
+        return reserve if held is None else reserve - held
 
     def _hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
         key = (connector_id, denom)
-        self.holds[key] = self.holds.get(key, Fraction(0)) + amount
+        held = self.holds.get(key)
+        self.holds[key] = amount if held is None else held + amount
         assert self.available(connector_id, denom) >= 0, "hold exceeded reserve"
 
     def _release_hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
@@ -115,36 +147,39 @@ class ValueNetwork:
     def route(self, sender_chain: str, receiver_chain: str) -> Optional[list[tuple[str, str]]]:
         """Fewest-hop route as [(connector_id, next_chain), ...], ties
         broken by the lexicographically smallest connector sequence.
-        Edges exist only where the connector quotes the needed rate."""
+        Edges exist only where the connector quotes the needed rate.
+        The list is shared with the routing table: callers must not
+        mutate it."""
         if sender_chain == receiver_chain:
             return None
         if sender_chain not in self.chain_denoms or receiver_chain not in self.chain_denoms:
             return None
+        table = self._routes.get(sender_chain)
+        if table is None:
+            table = self._routes[sender_chain] = self._search(sender_chain)
+        return table.get(receiver_chain)
+
+    def _search(self, sender_chain: str) -> dict[str, list[tuple[str, str]]]:
+        """Best route from sender_chain to every chain it reaches.  A
+        chain's route is fixed when it is first popped, as the search
+        that stopped at it would have returned it."""
         # priority: (hop count, connector id sequence, chain sequence)
-        frontier = [(0, (), (sender_chain,), sender_chain, [])]
+        frontier = [(0, (), (sender_chain,))]
+        routes: dict[str, list[tuple[str, str]]] = {}
         done = set()
         while frontier:
-            hops, conn_seq, chain_seq, chain, path = heapq.heappop(frontier)
-            if chain == receiver_chain:
-                return path
+            hops, conn_seq, chain_seq = heapq.heappop(frontier)
+            chain = chain_seq[-1]
             if chain in done:
                 continue
             done.add(chain)
-            for cid in sorted(self.connectors):
-                conn = self.connectors[cid]
-                if chain not in conn.adjacent_chains:
-                    continue
-                for nxt in sorted(conn.adjacent_chains):
-                    if nxt == chain or nxt in done:
-                        continue
-                    if nxt not in self.chain_denoms:
-                        continue
-                    if conn.rate(self.chain_denoms[chain], self.chain_denoms[nxt]) is None:
-                        continue
+            if hops:
+                routes[chain] = list(zip(conn_seq, chain_seq[1:]))
+            for cid, nxt in self._edges[chain]:
+                if nxt not in done:
                     heapq.heappush(frontier, (
-                        hops + 1, conn_seq + (cid,), chain_seq + (nxt,),
-                        nxt, path + [(cid, nxt)]))
-        return None
+                        hops + 1, conn_seq + (cid,), chain_seq + (nxt,)))
+        return routes
 
     # -- reservation ---------------------------------------------------
 
@@ -181,7 +216,8 @@ class ValueNetwork:
         planned: dict[tuple[str, str], Fraction] = {}
         for hop in hops:
             key = (hop.connector_id, hop.denom_out)
-            need = planned.get(key, Fraction(0)) + hop.amount_out
+            prior = planned.get(key)
+            need = hop.amount_out if prior is None else prior + hop.amount_out
             if self.available(*key) < need:
                 shortfall = hop
                 break
@@ -217,13 +253,13 @@ class ValueNetwork:
             raise PathExpired(f"{path_id} expired at {path.expiry_tick}")
         for hop in path.hops:
             conn = self.connectors[hop.connector_id]
-            conn.reserves[hop.denom_in] = conn.reserves.get(hop.denom_in, Fraction(0)) + hop.amount_in
+            conn.reserves[hop.denom_in] = conn.reserves.get(hop.denom_in, _ZERO) + hop.amount_in
             conn.reserves[hop.denom_out] = conn.reserves[hop.denom_out] - hop.amount_out
             self._release_hold(hop.connector_id, hop.denom_out, hop.amount_out)
             assert conn.reserves[hop.denom_out] >= 0, "reserve went negative"
             self.settled_hops.append(hop)
         key = (path.receiver_chain, path.denom_out)
-        self.credits[key] = self.credits.get(key, Fraction(0)) + path.amount_out
+        self.credits[key] = self.credits.get(key, _ZERO) + path.amount_out
         path.state = PathState.SETTLED
         path.final_tick = now
         return path
@@ -272,17 +308,17 @@ class ValueNetwork:
         """Exact per-denomination check of reserve deltas vs settled hops."""
         delta: dict[str, Fraction] = {}  # final minus initial reserves
         for (_, denom), amount in self.initial_reserves.items():
-            delta[denom] = delta.get(denom, Fraction(0)) - amount
+            delta[denom] = delta.get(denom, _ZERO) - amount
         for c in self.connectors.values():
             for denom, amount in c.reserves.items():
-                delta[denom] = delta.get(denom, Fraction(0)) + amount
+                delta[denom] = delta.get(denom, _ZERO) + amount
         settled: dict[str, Fraction] = {}  # inflow minus outflow
         for h in self.settled_hops:
-            settled[h.denom_in] = settled.get(h.denom_in, Fraction(0)) + h.amount_in
-            settled[h.denom_out] = settled.get(h.denom_out, Fraction(0)) - h.amount_out
+            settled[h.denom_in] = settled.get(h.denom_in, _ZERO) + h.amount_in
+            settled[h.denom_out] = settled.get(h.denom_out, _ZERO) - h.amount_out
         problems = []
         for denom in sorted(delta):
-            net = settled.get(denom, Fraction(0))
+            net = settled.get(denom, _ZERO)
             if delta[denom] != net:
                 problems.append(
                     f"{denom}: reserve delta {delta[denom]} != settled net {net}")

@@ -62,6 +62,41 @@ def brute_force_route(net, sender, receiver):
     return best[1] if best else None
 
 
+def random_network(seed):
+    """3-5 chains and 2-5 connectors, each adjacent to a random subset
+    of the chains and quoting each rate with probability 0.6."""
+    rng = random.Random(seed)
+    chains = [f"p{i}" for i in range(rng.randint(3, 5))]
+    denoms = {c: f"d{c}" for c in chains}
+    connectors = []
+    for i in range(rng.randint(2, 5)):
+        adj = tuple(sorted(rng.sample(chains, rng.randint(2, len(chains)))))
+        rates = {}
+        for x in adj:
+            for y in adj:
+                if x != y and rng.random() < 0.6:
+                    rates[(denoms[x], denoms[y])] = F(1)
+        reserves = {denoms[c]: F(1000) for c in adj}
+        connectors.append(Connector(f"c{i}", adj, reserves, rates))
+    return ValueNetwork(denoms, connectors, reservation_ttl=50), chains
+
+
+def diamond_network():
+    """Two 2-hop routes a->b->d (via cw, cx) and a->c->d (via cy, cz),
+    each quoted both ways, with 10 of every denomination in reserve."""
+    denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
+    connectors = [
+        Connector(cid, (x, y), {denoms[x]: F(10), denoms[y]: F(10)},
+                  {(denoms[x], denoms[y]): F(1), (denoms[y], denoms[x]): F(1)})
+        for cid, x, y in (("cw", "a", "b"), ("cx", "b", "d"),
+                          ("cy", "a", "c"), ("cz", "c", "d"))]
+    return ValueNetwork(denoms, connectors, reservation_ttl=50)
+
+
+def all_routes(net):
+    return {(s, r): net.route(s, r) for s in net.chain_denoms for r in net.chain_denoms}
+
+
 class TestRouting:
     def test_direct_hop(self):
         net = linear_network()
@@ -105,20 +140,7 @@ class TestRouting:
 
     def test_route_matches_brute_force_on_random_graphs(self):
         for seed in range(60):
-            rng = random.Random(seed)
-            chains = [f"p{i}" for i in range(rng.randint(3, 5))]
-            denoms = {c: f"d{c}" for c in chains}
-            connectors = []
-            for i in range(rng.randint(2, 5)):
-                adj = tuple(sorted(rng.sample(chains, rng.randint(2, len(chains)))))
-                rates = {}
-                for x in adj:
-                    for y in adj:
-                        if x != y and rng.random() < 0.6:
-                            rates[(denoms[x], denoms[y])] = F(1)
-                reserves = {denoms[c]: F(1000) for c in adj}
-                connectors.append(Connector(f"c{i}", adj, reserves, rates))
-            net = ValueNetwork(denoms, connectors, reservation_ttl=50)
+            net, chains = random_network(seed)
             for src in chains:
                 for dst in chains:
                     if src == dst:
@@ -128,6 +150,54 @@ class TestRouting:
                     assert got == want, (
                         f"seed {seed}: route {src}->{dst} gave {got}, "
                         f"oracle says {want}")
+
+
+class TestRoutingTable:
+    def test_routes_do_not_move_with_reserves(self):
+        fresh = all_routes(diamond_network())
+        net = diamond_network()
+        assert all_routes(net) == fresh
+        # drain cw's db: a->b->d stays the route, and the build overloads
+        net.build_path("p1", "a", "b", F(10), "da", "db", 0)
+        net.settle_path("p1", 1)
+        with pytest.raises(Overloaded, match="cw cannot cover"):
+            net.build_path("p2", "a", "d", F(1), "da", "dd", 2)
+        net.build_path("p3", "d", "a", F(4), "dd", "da", 2)
+        net.release_path("p3", 3)
+        assert all_routes(net) == fresh
+        later = diamond_network()
+        later.build_path("p1", "a", "b", F(10), "da", "db", 0)
+        later.settle_path("p1", 1)
+        assert all_routes(later) == fresh, \
+            "a table filled after reserves moved must give the same routes"
+
+    def test_each_sender_is_searched_once_per_network(self, monkeypatch):
+        searched = []
+        search = ValueNetwork._search
+
+        def counting_search(net, sender):
+            searched.append((id(net), sender))
+            return search(net, sender)
+
+        monkeypatch.setattr(ValueNetwork, "_search", counting_search)
+        net = diamond_network()
+        for _ in range(2):
+            all_routes(net)
+            net.build_path(f"p{len(net.paths)}", "a", "d", F(1), "da", "dd", 0)
+        assert sorted(s for _, s in searched) == ["a", "b", "c", "d"]
+        other = diamond_network()
+        other.route("a", "d")
+        assert searched[-1] == (id(other), "a"), \
+            "a second network keeps a table of its own"
+
+    def test_one_search_matches_brute_force_for_every_receiver(self):
+        for seed in range(60):
+            net, chains = random_network(seed)
+            src = chains[seed % len(chains)]
+            want = {dst: brute_force_route(net, src, dst) for dst in chains}
+            table = net._search(src)
+            assert table == {dst: r for dst, r in want.items() if r is not None}, \
+                f"seed {seed}: table from {src} disagrees with the oracle"
 
 
 class TestReservation:

@@ -13,7 +13,11 @@ get right together:
     crashes, each with or without an until, and heals that name earlier
     faults;
   * app transactions, resolves and probes that run while all that
-    happens.
+    happens;
+  * in about half the worlds, a value network: 2-4 payments chains,
+    some sharing a denomination, joined by connectors that quote each
+    rate one way or both ways, and payments that settle, settle too
+    late, release, expire, overload a connector or find no route.
 
 The same seed always gives the same mapping.  Most worlds are valid;
 a world the schema rejects is a valid outcome of a property that draws
@@ -43,7 +47,7 @@ def world(seed: int) -> dict:
         home = rng.choice(chain_ids)
         assets.append({"id": f"a{i}", "chain": home})
         transfers += _moves(rng, f"a{i}", home, chain_ids, horizon, len(transfers))
-    return {
+    scenario = {
         "horizon": horizon, "seed": rng.randint(0, 999),
         "links": {"inter_chain_latency": rng.randint(1, 3),
                   "latency_jitter": rng.choice([0, 0, 1, 3])},
@@ -59,6 +63,11 @@ def world(seed: int) -> dict:
         "probes": [{"at": rng.randint(0, horizon), "chain": rng.choice(chain_ids)}
                    for _ in range(rng.randint(0, 2))],
     }
+    # drawn last, so the rest of a world does not depend on whether it
+    # has a value network
+    if rng.random() < 0.5:
+        _value_network(rng, scenario)
+    return scenario
 
 
 def _moves(rng, asset, home, chain_ids, horizon, first):
@@ -110,3 +119,44 @@ def _faults(rng, chains, horizon):
                            "at": rng.randint(fault["at"], horizon),
                            "faults": [fault["id"]]})
     return faults
+
+
+def _value_network(rng, scenario):
+    """Add payments chains, connectors and payments to scenario.  Small
+    reserves and a short reservation ttl make overloads and expiries
+    common; a rate quoted one way only leaves some pairs unroutable."""
+    horizon = scenario["horizon"]
+    ids = [f"pay{i}" for i in range(1, rng.randint(2, 4) + 1)]
+    denom = {cid: rng.choice(["usd", "eur", "gbp"]) for cid in ids}
+    scenario["chains"] += [
+        {"id": cid, "nodes": 3, "gateways": rng.randint(1, 2), "quorum": "2/3",
+         "confirm_latency": rng.randint(1, 3), "semantic": "payments",
+         "denom": denom[cid]} for cid in ids]
+    connectors = []
+    for k in range(rng.randint(1, 4)):
+        adjacent = rng.sample(ids, rng.randint(2, min(3, len(ids))))
+        rates = {}
+        for i, a in enumerate(adjacent):
+            for b in adjacent[i + 1:]:
+                pairs = [(a, b), (b, a)] if rng.random() < 0.5 else [rng.choice([(a, b), (b, a)])]
+                for x, y in pairs:
+                    rates[denom[x], denom[y]] = rng.choice(["1", "5/4", "4/5", "3/2"])
+        connectors.append({
+            "id": f"c{k}", "chains": adjacent,
+            "reserves": {denom[c]: str(rng.randint(10, 80)) for c in adjacent},
+            "rates": [{"from": x, "to": y, "rate": r} for (x, y), r in rates.items()]})
+    ttl = rng.randint(2, 12)
+    payments = []
+    for i in range(rng.randint(1, 6)):
+        src, dst = rng.sample(ids, 2)
+        pay = {"id": f"p{i}", "at": rng.randint(0, horizon - 1), "from": src, "to": dst,
+               "amount": str(rng.randint(1, 40)),
+               "denom_in": denom[src], "denom_out": denom[dst]}
+        mode = rng.random()
+        if mode < 0.4:
+            pay["settle_after"] = rng.randint(1, ttl + 3)
+        elif mode < 0.7:
+            pay["release_after"] = rng.randint(1, ttl + 3)
+        payments.append(pay)
+    scenario.update(valuenet={"reservation_ttl": ttl}, connectors=connectors,
+                    payments=payments)
