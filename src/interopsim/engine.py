@@ -60,6 +60,17 @@ survivor clause.  The resolver dump that closes the log is stamped with
 the clock, and a run that does not quiesce may have processed its last
 tick well before the horizon, so finish sets the clock to end_tick
 first, where a loop over every tick leaves it.
+
+A Simulation owns its layers: the net, the chains, the registries, the
+resolver, the survivor layer, the transfer engine and the value
+network.  Nothing they hold refers back to the Simulation: the
+resolver's verifier is bound to the gateway registry, and a queued
+fault phase is a partial of the module-level _fire_fault.  The net,
+which the other layers hold, refers to them and to the Simulation only
+through queued actions, and finish drops the actions still queued,
+which no run executes.  So a finished world holds no reference cycle,
+and reference counting frees it at its last reference without the
+cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -112,7 +123,7 @@ class Simulation:
         self.chains: dict[str, BlockchainSystem] = {}
         self.registry = GatewayRegistry()
         self.resolver = Resolver(
-            self.net.rng, lambda att: verify_attestation(att, self.registry))
+            self.net.rng, partial(verify_attestation, registry=self.registry))
         self.peerings = PeeringRegistry()
         self.grants: dict[str, DelegationGrant] = {}
         self.assets: dict[str, CrossId] = {}
@@ -384,11 +395,14 @@ class Simulation:
 
     def finish(self, end_tick: int) -> RunReport:
         """End-of-run steps: set end_tick and the clock to it, log the
-        resolver dump and assemble the report."""
+        resolver dump, assemble the report, and drop the actions still
+        queued, which no run will ever execute."""
         self.end_tick = end_tick
         self.net.now = end_tick
         self._emit_resolver_dump()
-        return self._assemble_report()
+        report = self._assemble_report()
+        self.net.drop_queued()
+        return report
 
     def _emit_resolver_dump(self) -> None:
         self.resolver_dump = [self.net.record("resolver", str(cid), *fields)
@@ -454,27 +468,32 @@ def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
     or back up, and runs the heal phase of each fault it names, so a
     heal that names a heal heals that one's faults in turn."""
     by_id = {f.fault_id: f for f in faults}
-
-    def fire(fault: FaultCfg, heal: bool) -> None:
-        fields = [("kind", fault.kind), ("phase", "heal" if heal else "apply")]
-        target = fault.chains or fault.nodes or fault.gateways or fault.faults
-        if target:
-            fields.append(("target", target))
-        if fault.links:
-            fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
-        net.record("fault", fault.fault_id, *fields)
-        for fid in fault.faults:
-            fire(by_id[fid], True)
-        net.partition(fault.chains, fault.links, heal)
-        for nid in fault.nodes:
-            chains[nid.split(".")[0]].set_node_live(nid, heal)
-        for gid in fault.gateways:
-            registry.set_live(gid, heal)
-
     for f in faults:
-        net.schedule(partial(fire, f, False), f.at - net.now)
+        net.schedule(partial(_fire_fault, net, chains, registry, by_id, f, False),
+                     f.at - net.now)
         if f.until is not None:
-            net.schedule(partial(fire, f, True), f.until - net.now)
+            net.schedule(partial(_fire_fault, net, chains, registry, by_id, f, True),
+                         f.until - net.now)
+
+
+def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],
+                registry: GatewayRegistry, by_id: dict[str, FaultCfg],
+                fault: FaultCfg, heal: bool) -> None:
+    """One phase of fault, as schedule_faults describes it."""
+    fields = [("kind", fault.kind), ("phase", "heal" if heal else "apply")]
+    target = fault.chains or fault.nodes or fault.gateways or fault.faults
+    if target:
+        fields.append(("target", target))
+    if fault.links:
+        fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
+    net.record("fault", fault.fault_id, *fields)
+    for fid in fault.faults:
+        _fire_fault(net, chains, registry, by_id, by_id[fid], True)
+    net.partition(fault.chains, fault.links, heal)
+    for nid in fault.nodes:
+        chains[nid.split(".")[0]].set_node_live(nid, heal)
+    for gid in fault.gateways:
+        registry.set_live(gid, heal)
 
 
 def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],

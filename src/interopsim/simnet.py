@@ -15,6 +15,9 @@ deliveries are actions that log their own record when they run.  A
 timer logs kind=timer and then acts.  A delivery into or out of a
 partitioned chain, or across a cut link, is dropped silently: it logs
 kind=drop and never runs; otherwise it logs kind=deliver and runs.
+The engine's finish empties the queue (drop_queued): what is left in
+it never runs, and it would keep the net and the layers alive in a
+reference cycle.
 
 The network's fault state is the episode history and nothing else: a
 [start, end) tick range per episode, by chain and by link.  partition()
@@ -219,6 +222,11 @@ class SimNet:
 
     def next_event_tick(self) -> Optional[int]:
         return self._queue[0][0] if self._queue else None
+
+    def drop_queued(self) -> None:
+        """Empty the queue without running what it holds.  Queued actions
+        hold the layers that scheduled them, and this net through them."""
+        self._queue.clear()
 
     def drain(self, tick: int) -> int:
         """Run every action due at tick, including ones scheduled at

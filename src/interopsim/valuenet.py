@@ -132,8 +132,10 @@ class ValueNetwork:
     def _hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
         key = (connector_id, denom)
         held = self.holds.get(key)
-        self.holds[key] = amount if held is None else held + amount
-        assert self.available(connector_id, denom) >= 0, "hold exceeded reserve"
+        held = amount if held is None else held + amount
+        assert held <= self.connectors[connector_id].reserves.get(denom, _ZERO), \
+            "hold exceeded reserve"
+        self.holds[key] = held
 
     def _release_hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
         key = (connector_id, denom)
@@ -201,33 +203,25 @@ class ValueNetwork:
         if steps is None:
             raise NoRoute(f"no connector path {sender_chain} -> {receiver_chain}")
 
+        # each hop's amounts, checked as they are computed; nothing is
+        # held until every hop is covered
         hops: list[Hop] = []
+        planned: dict[tuple[str, str], Fraction] = {}
         amount = amount_in
         chain = sender_chain
         for cid, nxt in steps:
-            conn = self.connectors[cid]
             d_in, d_out = self.chain_denoms[chain], self.chain_denoms[nxt]
-            out = amount * conn.rate(d_in, d_out)
+            out = amount * self.connectors[cid].rate(d_in, d_out)
+            key = (cid, d_out)
+            prior = planned.get(key)
+            need = out if prior is None else prior + out
+            if self.available(cid, d_out) < need:
+                raise Overloaded(f"{cid} cannot cover {out} {d_out}")
+            planned[key] = need
             hops.append(Hop(cid, d_in, d_out, amount, out))
             amount, chain = out, nxt
-
-        # check every hop before holding anything
-        shortfall = None
-        planned: dict[tuple[str, str], Fraction] = {}
-        for hop in hops:
-            key = (hop.connector_id, hop.denom_out)
-            prior = planned.get(key)
-            need = hop.amount_out if prior is None else prior + hop.amount_out
-            if self.available(*key) < need:
-                shortfall = hop
-                break
-            planned[key] = need
-        if shortfall is not None:
-            raise Overloaded(
-                f"{shortfall.connector_id} cannot cover {shortfall.amount_out} "
-                f"{shortfall.denom_out}")
-        for hop in hops:
-            self._hold(hop.connector_id, hop.denom_out, hop.amount_out)
+        for (cid, denom), need in planned.items():
+            self._hold(cid, denom, need)
 
         path = PaymentPath(receiver_chain, tuple(hops), amount_in, denom_in,
                            hops[-1].amount_out, denom_out, PathState.RESERVED,

@@ -1,7 +1,9 @@
 """End-to-end engine tests over the bundled scenarios: protocol timing
 checkpoints, workload outcomes, report assembly, run audits."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -520,6 +522,41 @@ class TestEventDrivenLoop:
         # attestation arrives at 248
         assert ticks == [0, 2, 6, 240, 242, 244, 246, 248]
         assert sim.net.now == sim.end_tick == 248
+
+
+# -- ownership --------------------------------------------------------
+
+
+def test_a_finished_world_is_freed_by_reference_counting(monkeypatch):
+    """With the cyclic garbage collector off, a finished Simulation dies
+    at its last del, also when the run ended at the horizon with actions
+    still queued, and while its report lives on."""
+    queued_at_horizon = []
+    finish = Simulation.finish
+
+    def recording_finish(sim, end_tick):
+        if end_tick == sim.config.horizon and sim.net.next_event_tick() is not None:
+            queued_at_horizon.append(sim.config.name)
+        return finish(sim, end_tick)
+
+    monkeypatch.setattr(Simulation, "finish", recording_finish)
+    configs = [bundled(name) for name in BUNDLED_SCENARIOS]
+    configs += [parse_scenario(world(seed), name=f"world-{seed}") for seed in range(100)]
+    survivors, reports = [], []
+    gc.disable()
+    try:
+        for config in configs:
+            sim = Simulation(config)
+            reports.append(sim.run())
+            ref = weakref.ref(sim)
+            del sim
+            if ref() is not None:
+                survivors.append(config.name)
+    finally:
+        gc.enable()
+    assert survivors == []
+    assert "world-2" in queued_at_horizon, queued_at_horizon
+    assert all(report.passed() for report in reports)
 
 
 # -- generated worlds -------------------------------------------------
