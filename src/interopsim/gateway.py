@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -261,6 +261,10 @@ def mediated_read(gateway: Gateway, registry: GatewayRegistry, chain, resolver,
 
 # -- peering -----------------------------------------------------------
 
+def _sorted_pair(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
+
+
 @dataclass
 class PeeringAgreement:
     agreement_id: str
@@ -268,13 +272,11 @@ class PeeringAgreement:
     chain_b: str
     compatible_semantics: frozenset
     fee_per_transfer: Fraction
+    # chain_a and chain_b in sorted order
+    pair: tuple[str, str] = field(init=False, repr=False, compare=False)
 
-    def pair(self) -> tuple[str, str]:
-        return tuple(sorted((self.chain_a, self.chain_b)))
-
-    def covers(self, a: str, b: str, semantic: SemanticType) -> bool:
-        return ({a, b} == {self.chain_a, self.chain_b}
-                and semantic in self.compatible_semantics)
+    def __post_init__(self) -> None:
+        self.pair = _sorted_pair(self.chain_a, self.chain_b)
 
 
 class PeeringRegistry:
@@ -284,22 +286,26 @@ class PeeringRegistry:
 
     def establish(self, agreement: PeeringAgreement) -> PeeringAgreement:
         for other in self.agreements.values():
-            if (other.pair() == agreement.pair()
+            if (other.pair == agreement.pair
                     and other.compatible_semantics & agreement.compatible_semantics):
                 raise DuplicateAgreement(
                     f"active agreement {other.agreement_id} already covers "
-                    f"{agreement.pair()}")
+                    f"{agreement.pair}")
         self.agreements[agreement.agreement_id] = agreement
         return agreement
 
     def covering(self, a: str, b: str, semantic: SemanticType) -> Optional[PeeringAgreement]:
-        for aid in sorted(self.agreements):
-            if self.agreements[aid].covers(a, b, semantic):
-                return self.agreements[aid]
+        """The agreement between a and b that covers semantic.  establish
+        admits at most one per (pair, semantic), so the first match is
+        the only one."""
+        pair = _sorted_pair(a, b)
+        for agreement in self.agreements.values():
+            if agreement.pair == pair and semantic in agreement.compatible_semantics:
+                return agreement
         return None
 
     def tally_fee(self, agreement: PeeringAgreement) -> None:
-        pair = agreement.pair()
+        pair = agreement.pair
         self.settlements[pair] = self.settlements.get(pair, Fraction(0)) + agreement.fee_per_transfer
 
 

@@ -19,11 +19,23 @@ Invariants surfaced for audit:
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import InvalidProof, NotConfirmed, NotFound, StaleAuthority
+
+_B32_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
+# every 10-bit value as its two base32 letters
+_B32_PAIRS = [a + b for a in _B32_ALPHABET for b in _B32_ALPHABET]
+_B32_SHIFTS = tuple(range(120, -1, -10))
+
+
+def _base32(raw: bytes) -> str:
+    """RFC 4648 base32 of 16 bytes without padding: 26 letters, equal to
+    base64.b32encode(raw).decode().rstrip("=").  The 128 bits, padded
+    with two zero bits, are 13 ten-bit groups, most significant first."""
+    n = int.from_bytes(raw, "big") << 2
+    return "".join([_B32_PAIRS[(n >> shift) & 0x3FF] for shift in _B32_SHIFTS])
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,7 @@ class Resolver:
     # -- masking -------------------------------------------------------
 
     def _fresh_suffix(self) -> str:
-        raw = self.rng.randbytes(16)
-        return base64.b32encode(raw).decode("ascii").rstrip("=")
+        return _base32(self.rng.randbytes(16))
 
     def mint_cross_id(self, chain, local_ref: str, now: int = 0) -> CrossId:
         """Mask a confirmed entry of chain under a fresh opaque id and

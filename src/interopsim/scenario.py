@@ -60,7 +60,12 @@ def _fraction(val, minimum=None) -> Fraction:
     if type(val) is str and "e" in val.lower():
         raise _Invalid(f"write {val!r} without an exponent")
     try:
-        frac = Fraction(val) if type(val) is int else Fraction(str(val))
+        if type(val) is int:
+            frac = Fraction(val)
+        elif type(val) is str and val.isascii() and val.isdigit():
+            frac = Fraction(int(val))  # skips Fraction's string parser
+        else:
+            frac = Fraction(str(val))
     except (ValueError, ZeroDivisionError):
         raise _Invalid(f"not a rational: {val!r}") from None
     if minimum is not None and frac < minimum:

@@ -18,10 +18,16 @@ connectors, rates or denominations after construction must rebuild the
 adjacency list and empty the table.
 
 Capacity is checked when a path is reserved, not when it is routed.  A
-connector's capacity is its reserve of the outgoing denomination minus
-everything already held for unsettled reservations; an overloaded
-connector simply rejects the new request and the whole path build fails
-without residue.
+connector's hold on its outgoing denomination is everything held for
+unsettled reservations; a build checks held + need <= reserve on the
+very sum it then stores as the new hold, so each hop costs one exact
+multiplication and one addition.  An overloaded connector simply
+rejects the new request and the whole path build fails without residue.
+
+Conservation is checked exactly per denomination: each side of the
+check is one integer sum over the least common multiple of its terms'
+denominators, so the audit builds one rational per denomination, not
+one per settled hop.
 
 Reservations expire reservation_ttl ticks after they are made; the
 expiry sweep releases them at the tick boundary.  A heap of expiry ticks
@@ -31,10 +37,11 @@ lets the sweep and next_expiry touch only reservations that are due.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import AlreadyTerminal, NoRoute, NotFound, Overloaded, PathExpired
 
@@ -54,8 +61,7 @@ class Connector:
         return self.rates.get((denom_in, denom_out))
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     connector_id: str
     denom_in: str
     denom_out: str
@@ -129,20 +135,20 @@ class ValueNetwork:
         held = self.holds.get((connector_id, denom))
         return reserve if held is None else reserve - held
 
-    def _hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
-        key = (connector_id, denom)
-        held = self.holds.get(key)
-        held = amount if held is None else held + amount
+    def _hold(self, connector_id: str, denom: str, held: Fraction) -> None:
+        """Set the hold on (connector_id, denom) to held, the new total."""
         assert held <= self.connectors[connector_id].reserves.get(denom, _ZERO), \
             "hold exceeded reserve"
-        self.holds[key] = held
+        self.holds[(connector_id, denom)] = held
 
     def _release_hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
         key = (connector_id, denom)
-        self.holds[key] -= amount
-        assert self.holds[key] >= 0, "negative hold"
-        if self.holds[key] == 0:
+        held = self.holds[key] - amount
+        assert held >= 0, "negative hold"
+        if held == 0:
             del self.holds[key]
+        else:
+            self.holds[key] = held
 
     # -- routing -------------------------------------------------------
 
@@ -203,25 +209,28 @@ class ValueNetwork:
         if steps is None:
             raise NoRoute(f"no connector path {sender_chain} -> {receiver_chain}")
 
-        # each hop's amounts, checked as they are computed; nothing is
-        # held until every hop is covered
+        # each hop's amounts, checked as they are computed; planned maps
+        # (connector, denom) to the hold it will have, which is stored
+        # only once every hop is covered
         hops: list[Hop] = []
         planned: dict[tuple[str, str], Fraction] = {}
-        amount = amount_in
-        chain = sender_chain
+        amount, d_in = amount_in, denom_in
         for cid, nxt in steps:
-            d_in, d_out = self.chain_denoms[chain], self.chain_denoms[nxt]
-            out = amount * self.connectors[cid].rate(d_in, d_out)
+            conn = self.connectors[cid]
+            d_out = self.chain_denoms[nxt]
+            out = amount * conn.rates[(d_in, d_out)]
             key = (cid, d_out)
-            prior = planned.get(key)
-            need = out if prior is None else prior + out
-            if self.available(cid, d_out) < need:
+            held = planned.get(key)
+            if held is None:
+                held = self.holds.get(key)
+            total = out if held is None else held + out
+            if total > conn.reserves.get(d_out, _ZERO):
                 raise Overloaded(f"{cid} cannot cover {out} {d_out}")
-            planned[key] = need
+            planned[key] = total
             hops.append(Hop(cid, d_in, d_out, amount, out))
-            amount, chain = out, nxt
-        for (cid, denom), need in planned.items():
-            self._hold(cid, denom, need)
+            amount, d_in = out, d_out
+        for (cid, denom), total in planned.items():
+            self._hold(cid, denom, total)
 
         path = PaymentPath(receiver_chain, tuple(hops), amount_in, denom_in,
                            hops[-1].amount_out, denom_out, PathState.RESERVED,
@@ -300,20 +309,32 @@ class ValueNetwork:
 
     def conservation_errors(self) -> list[str]:
         """Exact per-denomination check of reserve deltas vs settled hops."""
-        delta: dict[str, Fraction] = {}  # final minus initial reserves
+        # per denomination: (terms added, terms subtracted)
+        delta: dict[str, tuple[list, list]] = {}  # final minus initial reserves
         for (_, denom), amount in self.initial_reserves.items():
-            delta[denom] = delta.get(denom, _ZERO) - amount
+            delta.setdefault(denom, ([], []))[1].append(amount)
         for c in self.connectors.values():
             for denom, amount in c.reserves.items():
-                delta[denom] = delta.get(denom, _ZERO) + amount
-        settled: dict[str, Fraction] = {}  # inflow minus outflow
+                delta.setdefault(denom, ([], []))[0].append(amount)
+        settled: dict[str, tuple[list, list]] = {}  # inflow minus outflow
         for h in self.settled_hops:
-            settled[h.denom_in] = settled.get(h.denom_in, _ZERO) + h.amount_in
-            settled[h.denom_out] = settled.get(h.denom_out, _ZERO) - h.amount_out
+            settled.setdefault(h.denom_in, ([], []))[0].append(h.amount_in)
+            settled.setdefault(h.denom_out, ([], []))[1].append(h.amount_out)
         problems = []
         for denom in sorted(delta):
-            net = settled.get(denom, _ZERO)
-            if delta[denom] != net:
+            change = _exact_sum(*delta[denom])
+            net = _exact_sum(*settled[denom]) if denom in settled else _ZERO
+            if change != net:
                 problems.append(
-                    f"{denom}: reserve delta {delta[denom]} != settled net {net}")
+                    f"{denom}: reserve delta {change} != settled net {net}")
         return problems
+
+
+def _exact_sum(added: list, subtracted: list) -> Fraction:
+    """sum(added) - sum(subtracted), summed as integers over the least
+    common multiple of every term's denominator."""
+    lcm = math.lcm(*(t.denominator for t in added),
+                   *(t.denominator for t in subtracted))
+    return Fraction(sum(t.numerator * (lcm // t.denominator) for t in added)
+                    - sum(t.numerator * (lcm // t.denominator) for t in subtracted),
+                    lcm)

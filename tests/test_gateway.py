@@ -287,6 +287,32 @@ class TestPeering:
         assert reg.settlements[("bc1", "bc2")] == Fraction(1), \
             "three thirds must sum to exactly one"
 
+    def test_covering_matches_a_scan_in_id_order(self):
+        chains = ["bc1", "bc2", "bc3", "bc4"]
+        semantics = list(SemanticType)
+        for seed in range(50):
+            rng = random.Random(seed)
+            reg = PeeringRegistry()
+            for i in rng.sample(range(40), rng.randint(0, 25)):
+                a, b = rng.sample(chains, 2)
+                kinds = rng.sample(semantics, rng.randint(1, len(semantics)))
+                try:
+                    reg.establish(PeeringAgreement(
+                        f"pa{i}", a, b, frozenset(kinds), Fraction(1)))
+                except DuplicateAgreement:
+                    pass
+            for a in chains:
+                for b in chains:
+                    for semantic in semantics:
+                        expected = next(
+                            (reg.agreements[aid] for aid in sorted(reg.agreements)
+                             if {a, b} == {reg.agreements[aid].chain_a,
+                                           reg.agreements[aid].chain_b}
+                             and semantic in reg.agreements[aid].compatible_semantics),
+                            None)
+                        assert reg.covering(a, b, semantic) is expected, \
+                            (seed, a, b, semantic)
+
 
 class TestTransferProtocol:
     def test_happy_path_timing_and_states(self):

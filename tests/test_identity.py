@@ -1,6 +1,7 @@
 """Identifier masking and resolver tests: opacity of minted suffixes,
 bijectivity, single-home resolution, proofed rebinding, history audit."""
 
+import base64
 import random
 import re
 
@@ -21,7 +22,7 @@ from interopsim.gateway import (
     verify_attestation,
     vouch,
 )
-from interopsim.identity import CrossId, Resolver
+from interopsim.identity import CrossId, Resolver, _base32
 
 from conftest import confirm_unit, make_chain, make_unit
 
@@ -131,6 +132,23 @@ class TestSuffixOpacity:
             overlaps.append(common)
         assert all(o < 7 for o in overlaps), \
             f"suffixes for one ref share long substrings across seeds: {overlaps}"
+
+    @pytest.mark.parametrize("raw", [bytes(16), b"\xff" * 16])
+    def test_suffix_encoder_matches_base32_at_the_extremes(self, raw):
+        assert _base32(raw) == base64.b32encode(raw).decode("ascii").rstrip("=")
+
+    def test_suffix_encoder_matches_base32_on_random_bytes(self):
+        rng = random.Random(32)
+        for _ in range(10_000):
+            raw = rng.randbytes(16)
+            assert _base32(raw) == base64.b32encode(raw).decode("ascii").rstrip("="), raw
+
+    def test_a_suffix_takes_sixteen_bytes_from_the_rng(self):
+        resolver, rng = fresh_resolver(seed=7), random.Random(7)
+        chain = make_chain(latency=1)
+        for _, cid in minted(resolver, chain, 20):
+            raw = rng.randbytes(16)
+            assert cid.opaque_suffix == base64.b32encode(raw).decode().rstrip("=")
 
 
 class TestBijectivity:

@@ -14,7 +14,7 @@ from interopsim import cli
 from interopsim.chain import SemanticType
 from interopsim.engine import Simulation
 from interopsim.errors import ParseError, ValidationError
-from interopsim.scenario import load_scenario, parse_scenario
+from interopsim.scenario import _fraction, _Invalid, load_scenario, parse_scenario
 
 
 def minimal_chain(cid="bc1", **over):
@@ -136,6 +136,20 @@ class TestRationalAmounts:
         }
         cfg = parse_scenario(raw)
         assert cfg.payments[0].amount == Fraction(3, 2)
+
+    @pytest.mark.parametrize("val", ["37", "007", "\u0663", "\u00b2", "1_000",
+                                     "-5", "+5", " 5"])
+    def test_digit_strings_read_as_fraction_reads_them(self, val):
+        # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO
+        try:
+            expected = Fraction(str(val))
+        except ValueError:
+            expected = f"not a rational: {val!r}"
+        try:
+            got = _fraction(val)
+        except _Invalid as exc:
+            got = str(exc)
+        assert got == expected and type(got) is type(expected)
 
 
 class TestChainRules:
