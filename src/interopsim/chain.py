@@ -6,6 +6,12 @@ live node population meets the quorum threshold, computed against the
 total registered population.  Internal structure beyond node count and
 liveness is deliberately out of scope; nodes never gossip here.
 
+The confirming set of an entry is the chain's live nodes, sorted, at the
+tick it confirms.  Each confirmation between two liveness changes names
+the same set, so the chain keeps the tuple: set_node_live, the one
+writer of node liveness, drops it when liveness changes, and the next
+confirmation rebuilds it.
+
 Invariants enforced or surfaced for audit:
   * ledger is append-only (no removal API; marks are one-shot);
   * at most one authority mark and one void tombstone per entry;
@@ -181,10 +187,11 @@ class BlockchainSystem:
             raise ValueError("confirm_latency_ticks must be >= 1")
         self.chain_id = chain_id
         self.nodes: dict[str, bool] = {nid: True for nid in node_ids}
-        # cached for quorum_met: the population is fixed, and liveness
-        # changes only through set_node_live
+        # cached for quorum_met and advance_consensus: the population is
+        # fixed, and liveness changes only through set_node_live
         self._threshold = ceil(quorum_fraction * len(self.nodes))
         self._live = len(self.nodes)
+        self._confirming: Optional[tuple[str, ...]] = None
         self.gateway_ids = list(gateway_ids)
         self.regime = regime
         self.quorum_fraction = quorum_fraction
@@ -214,6 +221,7 @@ class BlockchainSystem:
             raise NotFound(f"unknown node {node_id}")
         if self.nodes[node_id] != live:
             self._live += 1 if live else -1
+            self._confirming = None
         self.nodes[node_id] = live
 
     def quorum_met(self) -> bool:
@@ -253,21 +261,23 @@ class BlockchainSystem:
     def advance_consensus(self, now: int) -> list[LedgerEntry]:
         """Confirm every pending unit that has aged past the confirm
         latency, provided the live population meets quorum.  Returns the
-        newly confirmed entries in submission order."""
-        if not self.pending or not self.quorum_met():
+        newly confirmed entries in submission order.  Pending units are
+        in submission order, so the aged ones lead the queue, and
+        nothing confirms while its oldest unit has not aged."""
+        pending, latency = self.pending, self.confirm_latency_ticks
+        if (not pending or now - pending[0].submitted_tick < latency
+                or not self.quorum_met()):
             return []
-        confirming = tuple(self.live_node_ids())
+        if self._confirming is None:
+            self._confirming = tuple(self.live_node_ids())
         confirmed: list[LedgerEntry] = []
-        remaining: list[PendingUnit] = []
-        for pu in self.pending:
-            if now - pu.submitted_tick >= self.confirm_latency_ticks:
-                entry = LedgerEntry(pu.local_ref, pu.kind, pu.unit,
-                                    pu.submitted_tick, now, confirming)
-                self.ledger.append(entry)
-                confirmed.append(entry)
-            else:
-                remaining.append(pu)
-        self.pending = remaining
+        for pu in pending:
+            if now - pu.submitted_tick < latency:
+                break
+            confirmed.append(self.ledger.append(LedgerEntry(
+                pu.local_ref, pu.kind, pu.unit, pu.submitted_tick, now,
+                self._confirming)))
+        del pending[:len(confirmed)]
         return confirmed
 
     # -- direct appends (not consensus-path) ---------------------------

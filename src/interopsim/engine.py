@@ -56,10 +56,12 @@ The run ends at quiescence (no queued actions, no pending units, all
 workload terminal, no open reservations) or at the horizon, whichever
 comes first; end_tick is that tick.  An open app transaction always has
 the timeout of its current attempt queued, so _quiescent needs no
-survivor clause.  The resolver dump that closes the log is stamped with
-the clock, and a run that does not quiesce may have processed its last
-tick well before the horizon, so finish sets the clock to end_tick
-first, where a loop over every tick leaves it.
+survivor clause.  A quiescent world has no wake-up left, so run checks
+quiescence only when _next_wake finds none.  The resolver dump that
+closes the log is stamped with the clock, and a run that does not
+quiesce may have processed its last tick well before the horizon, so
+finish sets the clock to end_tick first, where a loop over every tick
+leaves it.
 
 A Simulation owns its layers: the net, the chains, the registries, the
 resolver, the survivor layer, the transfer engine and the value
@@ -369,9 +371,9 @@ class Simulation:
         while tick <= horizon:
             self.events_executed += run_tick(self.net, self.chains, self.survivor,
                                               self.transfers, self.valuenet, tick)
-            if self._quiescent():
-                break
             wake = self._next_wake()
+            if wake is None and self._quiescent():
+                break
             tick = horizon + 1 if wake is None else max(tick + 1, wake)
         return self.finish(min(tick, horizon))
 

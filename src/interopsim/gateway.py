@@ -19,9 +19,14 @@ has landed is the destination ledger, and whether the destination
 attestation was sent is whether the transfer has one.
 
 The signature scheme is deliberately abstract: a signature is the
-sha256 of the gateway's registry key concatenated with the claim bytes,
-so verification is a pure function of (attestation, registry) and any
-single-byte tamper of the claim invalidates every signature.
+sha256 of the gateway's registry key, "|" and the claim bytes, so
+verification is a pure function of (attestation, registry) and any
+single-byte tamper of the claim invalidates every signature.  Neither
+part is derived twice: GatewayRegistry.add derives a gateway's key once,
+and a Claim, which is immutable, encodes its bytes once, at
+construction, for every signature, verification and serialization that
+reads them.  What is never kept is a result: each vouch hashes once per
+signer and each verification once per signature, every time.
 """
 
 from __future__ import annotations
@@ -67,6 +72,11 @@ class Gateway:
     live: bool = True
 
 
+def _derive_key(gateway_id: str) -> bytes:
+    # key material derived from identity; stands in for a real keypair
+    return f"k-{gateway_id}".encode("ascii")
+
+
 class GatewayRegistry:
     """All gateways of the run plus their signing keys.  set_live is the
     one writer of gateway liveness, and liveness_changes counts what it
@@ -75,13 +85,19 @@ class GatewayRegistry:
 
     def __init__(self) -> None:
         self.gateways: dict[str, Gateway] = {}
+        # chain id -> its gateway ids, sorted
         self.by_chain: dict[str, list[str]] = {}
+        # gateway id -> signing key, derived once by add
+        self.keys: dict[str, bytes] = {}
         self.liveness_changes = 0
 
     def add(self, gateway: Gateway) -> None:
-        self.gateways[gateway.gateway_id] = gateway
-        self.by_chain.setdefault(gateway.home_chain, []).append(gateway.gateway_id)
-        self.by_chain[gateway.home_chain].sort()
+        gateway_id = gateway.gateway_id
+        self.gateways[gateway_id] = gateway
+        self.keys[gateway_id] = _derive_key(gateway_id)
+        ids = self.by_chain.setdefault(gateway.home_chain, [])
+        ids.append(gateway_id)
+        ids.sort()
 
     def get(self, gateway_id: str) -> Gateway:
         if gateway_id not in self.gateways:
@@ -102,24 +118,32 @@ class GatewayRegistry:
         return [g for g in self.chain_gateways(chain_id) if g.live]
 
     def lowest_live(self, chain_id: str) -> Optional[Gateway]:
-        live = self.live_gateways(chain_id)
-        return live[0] if live else None
+        for gateway_id in self.by_chain.get(chain_id, ()):
+            gateway = self.gateways[gateway_id]
+            if gateway.live:
+                return gateway
+        return None
 
     def signing_key(self, gateway_id: str) -> bytes:
-        # key material derived from identity; stands in for a real keypair
-        return f"k-{gateway_id}".encode("ascii")
+        """The key of gateway_id, registered or not."""
+        return self.keys.get(gateway_id) or _derive_key(gateway_id)
 
 
 # -- attestations ------------------------------------------------------
 
 @dataclass(frozen=True)
 class Claim:
-    """What an attestation asserts about one chain's ledger."""
+    """What an attestation asserts about one chain's ledger.  Its bytes,
+    encoded once at construction, are what every signature covers."""
 
     chain_id: str
     cross_id: str
     confirmed: bool
     entry_digest: str
+    encoded: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "encoded", self.to_bytes())
 
     def to_bytes(self) -> bytes:
         return f"{self.chain_id}|{self.cross_id}|{int(self.confirmed)}|{self.entry_digest}".encode("ascii")
@@ -134,7 +158,7 @@ class VouchAttestation:
 
     def serialize(self) -> bytes:
         """Length-prefixed claim plus signer list; bit-exact across replays."""
-        claim = self.claim.to_bytes()
+        claim = self.claim.encoded
         signers = ",".join(f"{gid}:{sig}" for gid, sig in self.signatures)
         head = struct.pack(">HI", self.threshold_k, len(claim))
         return head + claim + b"|" + str(self.issued_tick).encode("ascii") + b"|" + signers.encode("ascii")
@@ -144,32 +168,37 @@ def entry_digest(entry: LedgerEntry) -> str:
     return hashlib.sha256(entry.canonical().encode("utf-8")).hexdigest()
 
 
+def _signature(key: bytes, claim: Claim) -> str:
+    return hashlib.sha256(key + b"|" + claim.encoded).hexdigest()
+
+
 def sign_claim(registry: GatewayRegistry, gateway_id: str, claim: Claim) -> str:
-    return hashlib.sha256(registry.signing_key(gateway_id) + b"|" + claim.to_bytes()).hexdigest()
+    return _signature(registry.signing_key(gateway_id), claim)
 
 
 def vouch(chain_id: str, registry: GatewayRegistry, claim: Claim, k: int,
           now: int) -> VouchAttestation:
-    """k-of-n attestation by the chain's live gateways, lowest ids first."""
+    """k-of-n attestation by the chain's live gateways, lowest ids first,
+    so the signatures come sorted by gateway id."""
     live = registry.live_gateways(chain_id)
     if len(live) < k:
         raise InsufficientGateways(
             f"{chain_id} has {len(live)} live gateways, threshold {k}")
-    signers = live[:k]
-    sigs = tuple(sorted((g.gateway_id, sign_claim(registry, g.gateway_id, claim))
-                        for g in signers))
+    keys = registry.keys
+    sigs = tuple((g.gateway_id, _signature(keys[g.gateway_id], claim)) for g in live[:k])
     return VouchAttestation(claim, k, sigs, now)
 
 
 def verify_attestation(att: VouchAttestation, registry: GatewayRegistry) -> bool:
     """Pure check: enough distinct registered gateways of the claimed
     chain signed these exact claim bytes.  Liveness is irrelevant."""
+    claim, gateways, keys = att.claim, registry.gateways, registry.keys
     valid = set()
     for gid, sig in att.signatures:
-        gw = registry.gateways.get(gid)
-        if gw is None or gw.home_chain != att.claim.chain_id:
+        gw = gateways.get(gid)
+        if gw is None or gw.home_chain != claim.chain_id:
             continue
-        if sign_claim(registry, gid, att.claim) == sig:
+        if _signature(keys[gid], claim) == sig:
             valid.add(gid)
     return len(valid) >= att.threshold_k
 
@@ -518,7 +547,7 @@ class TransferEngine:
         for side in ("source", "dest"):
             chain_id = t.source_chain if side == "source" else t.dest_chain
             current = t.paired_source if side == "source" else t.paired_dest
-            if self.registry.get(current).live:
+            if self.registry.gateways[current].live:
                 continue
             replacement = self.registry.lowest_live(chain_id)
             if replacement is None:

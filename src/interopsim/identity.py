@@ -19,7 +19,7 @@ Invariants surfaced for audit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import InvalidProof, NotConfirmed, NotFound, StaleAuthority
@@ -40,13 +40,31 @@ def _base32(raw: bytes) -> str:
 
 @dataclass(frozen=True)
 class CrossId:
-    """Globally unique asset identifier: chain path plus opaque suffix."""
+    """Globally unique asset identifier: chain path plus opaque suffix.
+
+    Its text and its hash are derived once, at construction.  The hash is
+    the one a frozen dataclass derives from the two fields, so a CrossId
+    keys dicts and sets as it always has."""
 
     chain_path: str
     opaque_suffix: str
+    _text: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", f"{self.chain_path}/{self.opaque_suffix}")
+        object.__setattr__(self, "_hash", hash((self.chain_path, self.opaque_suffix)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # a string hash holds only in the process that computed it, so a
+        # copy or an unpickled CrossId derives its own
+        return CrossId, (self.chain_path, self.opaque_suffix)
 
     def __str__(self) -> str:
-        return f"{self.chain_path}/{self.opaque_suffix}"
+        return self._text
 
     def prefix(self, n: int = 8) -> str:
         """Truncated form safe for reachability advertisements."""

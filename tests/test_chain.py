@@ -137,6 +137,28 @@ class TestConsensusTiming:
             assert len(e.confirming_nodes) >= chain.quorum_threshold()
 
 
+    def test_nothing_confirms_while_the_oldest_unit_is_young(self):
+        chain = make_chain(latency=3)
+        chain.submit(make_unit("k1"), "anon", 2)
+        chain.submit(make_unit("k2"), "anon", 4)
+        before = list(chain.pending)
+        assert chain.advance_consensus(4) == []
+        assert chain.pending == before
+        assert [e.local_ref for e in chain.advance_consensus(5)] == ["e1"]
+        assert chain.pending == before[1:]
+
+    def test_a_crash_between_confirmations_leaves_the_node_out(self):
+        chain = make_chain(nodes=4, quorum="1/2", latency=1)
+        first = confirm_unit(chain, make_unit("k1"), submit_tick=0)
+        chain.set_node_live("bc1.n2", False)
+        second = confirm_unit(chain, make_unit("k2"), submit_tick=2)
+        chain.set_node_live("bc1.n2", True)
+        third = confirm_unit(chain, make_unit("k3"), submit_tick=4)
+        assert first.confirming_nodes == ("bc1.n1", "bc1.n2", "bc1.n3", "bc1.n4")
+        assert second.confirming_nodes == ("bc1.n1", "bc1.n3", "bc1.n4")
+        assert third.confirming_nodes == first.confirming_nodes
+
+
 class TestDirectAppends:
     def test_genesis_is_confirmed_at_tick_zero_by_full_node_set(self):
         chain = make_chain(nodes=4)

@@ -2,12 +2,17 @@
 mediated reads, peering registry, and the cross-domain transfer
 protocol driven tick by tick."""
 
+import hashlib
 import random
 import re
+import struct
+import sys
+from collections import Counter
 
 import pytest
 
-from interopsim.chain import SemanticType
+from interopsim import audit, engine, gateway
+from interopsim.chain import BlockchainSystem, SemanticType
 from interopsim.errors import (
     DuplicateAgreement,
     GrantExpired,
@@ -37,10 +42,20 @@ from interopsim.gateway import (
 from interopsim.simnet import LogRecord
 from interopsim.identity import Resolver
 from interopsim.chain import PermissionRegime
-from interopsim.scenario import FaultCfg
+from interopsim.scenario import FaultCfg, parse_scenario
 from fractions import Fraction
 
-from conftest import TransferWorld, confirm_unit, make_chain, make_unit
+from conftest import (
+    REPO_ROOT,
+    TransferWorld,
+    bundled,
+    confirm_unit,
+    make_chain,
+    make_unit,
+)
+
+sys.path.append(str(REPO_ROOT / "perfbench"))
+from workloads import dense  # noqa: E402
 
 
 def registry_of(chain_to_count):
@@ -137,6 +152,67 @@ class TestVouching:
         assert blob[:2] == (2).to_bytes(2, "big"), "threshold leads the header"
         claim_len = int.from_bytes(blob[2:6], "big")
         assert blob[6:6 + claim_len] == sample_claim().to_bytes()
+
+
+def reference_bytes(claim):
+    return f"{claim.chain_id}|{claim.cross_id}|{int(claim.confirmed)}|{claim.entry_digest}".encode()
+
+
+def reference_signature(gateway_id, claim):
+    """The signature scheme written out: sha256 of the gateway's key,
+    "|" and the claim bytes."""
+    return hashlib.sha256(f"k-{gateway_id}".encode() + b"|" + reference_bytes(claim)).hexdigest()
+
+
+class TestSignatureScheme:
+    """Pins every signature, serialization and verification to the
+    scheme written out in reference_signature."""
+
+    def test_seeded_claims_match_the_reference(self):
+        rng = random.Random(7)
+        registry = registry_of({"bc1": 3})
+        gids = ["bc1.g1", "bc1.g2", "bc1.g3"]
+        for i in range(40):
+            for gid in gids:
+                registry.set_live(gid, rng.random() < 0.8)
+            live = [gid for gid in gids if registry.gateways[gid].live]
+            suffix = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ234567") for _ in range(26))
+            claim = Claim("bc1", f"bc1/{suffix}", rng.random() < 0.5,
+                          f"{rng.getrandbits(256):064x}")
+            for gid in gids:
+                assert sign_claim(registry, gid, claim) == reference_signature(gid, claim)
+            k = rng.randint(1, 3)
+            if len(live) < k:
+                with pytest.raises(InsufficientGateways):
+                    vouch("bc1", registry, claim, k, now=i)
+                continue
+            expected = tuple((gid, reference_signature(gid, claim)) for gid in live[:k])
+            att = vouch("bc1", registry, claim, k, now=i)
+            assert att.signatures == expected, "k lowest live signers, sorted by id"
+            text = reference_bytes(claim)
+            assert claim.encoded == text
+            signers = ",".join(f"{gid}:{sig}" for gid, sig in expected)
+            assert att.serialize() == (struct.pack(">HI", k, len(text)) + text + b"|"
+                                       + str(i).encode() + b"|" + signers.encode())
+            assert verify_attestation(att, registry)
+            assert verify_attestation(VouchAttestation(claim, k, expected, i), registry)
+            forged = ((expected[0][0], reference_signature(expected[0][0], sample_claim())),
+                      *expected[1:])
+            assert not verify_attestation(VouchAttestation(claim, k, forged, i), registry)
+
+    def test_signing_key_of_an_unregistered_id(self):
+        registry = registry_of({"bc1": 1})
+        assert registry.signing_key("bc1.g1") == b"k-bc1.g1"
+        assert registry.signing_key("bc9.g7") == b"k-bc9.g7"
+        claim = sample_claim()
+        assert sign_claim(registry, "bc9.g7", claim) == reference_signature("bc9.g7", claim)
+
+    def test_a_claim_compares_and_prints_by_its_four_fields(self):
+        claim = sample_claim()
+        assert claim == sample_claim() and hash(claim) == hash(sample_claim())
+        assert claim != sample_claim("bc2")
+        assert repr(claim) == (f"Claim(chain_id='bc1', cross_id='bc1/{'A' * 26}', "
+                               f"confirmed=True, entry_digest='{'ab' * 32}')")
 
 
 def rendered(adv):
@@ -503,3 +579,68 @@ class TestTransferProtocol:
         assert states == ["INITIATED", "SOURCE_LOCKED", "DEST_RECORDED",
                           "VOUCHED", "FINALIZED"], \
             f"protocol milestones out of order: {states}"
+
+
+# -- work on the attestation path ---------------------------------------
+
+
+GATE_WORLDS = {
+    "fig4_transfer": lambda: bundled("fig4_transfer"),
+    "dense-50": lambda: parse_scenario(dense(0, 50)),
+    "dense-100": lambda: parse_scenario(dense(0, 100)),
+}
+
+
+@pytest.mark.parametrize("world", GATE_WORLDS)
+def test_attestation_path_derives_each_value_once(world, monkeypatch):
+    """Each claim is encoded once, each vouch and each verification
+    hashes once per signer and no more, and the sorted live node set is
+    built once per chain and node liveness change."""
+    counts = Counter()
+    sha256, set_node_live = hashlib.sha256, BlockchainSystem.set_node_live
+    vouch_, verify = gateway.vouch, gateway.verify_attestation
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_set_node_live(chain, node_id, live):
+        counts["liveness changes"] += chain.nodes[node_id] != live
+        return set_node_live(chain, node_id, live)
+
+    def counting_vouch(chain_id, registry, claim, k, now):
+        before = counts["sha256"]
+        att = vouch_(chain_id, registry, claim, k, now)
+        counts["vouches"] += 1
+        assert counts["sha256"] - before == k
+        return att
+
+    def counting_verify(att, registry):
+        before = counts["sha256"]
+        valid = verify(att, registry)
+        counts["verifications"] += 1
+        assert counts["sha256"] - before == len(att.signatures)
+        return valid
+
+    monkeypatch.setattr(hashlib, "sha256", counting("sha256", sha256))
+    monkeypatch.setattr(gateway.Claim, "__init__", counting("claims", gateway.Claim.__init__))
+    monkeypatch.setattr(gateway.Claim, "to_bytes", counting("encodings", gateway.Claim.to_bytes))
+    monkeypatch.setattr(BlockchainSystem, "live_node_ids",
+                        counting("sorts", BlockchainSystem.live_node_ids))
+    monkeypatch.setattr(BlockchainSystem, "set_node_live", counting_set_node_live)
+    monkeypatch.setattr(gateway, "vouch", counting_vouch)
+    monkeypatch.setattr(engine, "verify_attestation", counting_verify)
+    monkeypatch.setattr(audit, "verify_attestation", counting_verify)
+
+    sim = engine.Simulation(GATE_WORLDS[world]())
+    assert sim.run().passed()
+    finalized = sum(t.state == TransferState.FINALIZED
+                    for t in sim.transfers.transfers.values())
+    assert finalized > 0 and counts["vouches"] >= 2 * finalized
+    # the resolver's rebind and the audit each verify both attestations
+    assert counts["verifications"] == 4 * finalized
+    assert counts["encodings"] == counts["claims"], counts
+    # these worlds crash no node, so each chain sorts once
+    assert counts["sorts"] == counts["liveness changes"] + len(sim.chains), counts

@@ -2,8 +2,11 @@
 bijectivity, single-home resolution, proofed rebinding, history audit."""
 
 import base64
+import copy
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -50,6 +53,21 @@ class TestMinting:
         cid = CrossId("trade.bc1", "ABC234DEF567GHI234JKL567MN")
         assert str(cid) == "trade.bc1/ABC234DEF567GHI234JKL567MN"
         assert cid.prefix() == "trade.bc1/ABC234DE"
+
+    @pytest.mark.parametrize("path, suffix", [
+        ("bc1", "A" * 26), ("trade.bc1", "ABC234DEF567GHI234JKL567MN"), ("", "")])
+    def test_cross_id_hashes_compares_and_prints_by_its_fields(self, path, suffix):
+        cid = CrossId(path, suffix)
+        assert hash(cid) == hash((path, suffix))
+        assert str(cid) == f"{path}/{suffix}"
+        assert repr(cid) == f"CrossId(chain_path={path!r}, opaque_suffix={suffix!r})"
+        assert cid == CrossId(path, suffix) and cid != CrossId(path, suffix + "B")
+        assert cid != (path, suffix)
+        with pytest.raises(FrozenInstanceError):
+            cid.chain_path = "bc2"
+        assert {cid: 1}[CrossId(path, suffix)] == 1
+        for copied in (copy.copy(cid), copy.deepcopy(cid), pickle.loads(pickle.dumps(cid))):
+            assert copied == cid and hash(copied) == hash(cid) and str(copied) == str(cid)
 
     def test_mint_requires_confirmed_entry(self):
         chain = make_chain()
