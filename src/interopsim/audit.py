@@ -218,18 +218,18 @@ def _masking_bijectivity(sim):
 def _resolution_opacity(sim):
     """Advertisement and resolve transcripts must not leak node ids or
     chain-local transaction refs.  A node id leaks wherever it occurs,
-    also inside a longer word (bc1.n1 inside bc1.n10)."""
+    also inside a longer word (bc1.n1 inside bc1.n10); the detail names
+    the first leaked id in sorted order."""
     node_ids = sorted(nid for chain in sim.chains.values() for nid in chain.nodes)
-    leak = re.compile("|".join(map(re.escape, node_ids))) if node_ids else None
     scanned = 0
     for rec in sim.net.log.records:
         if rec.kind not in ("advert", "resolve"):
             continue
         scanned += 1
         text = rec.line()
-        if leak is not None and leak.search(text):
-            nid = next(nid for nid in node_ids if nid in text)
-            return False, f"record {rec.seq} leaks node id {nid}"
+        for nid in node_ids:
+            if nid in text:
+                return False, f"record {rec.seq} leaks node id {nid}"
         if _LOCAL_REF.search(text):
             return False, f"record {rec.seq} leaks a local ref"
     return True, f"{scanned} transcripts"

@@ -58,7 +58,7 @@ class PermissionRegime:
             raise ValueError("node permissioning subsumes consensus permissioning")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferUnit:
     """The datagram of the system: what a chain confirms."""
 
@@ -87,7 +87,7 @@ ENTRY_KIND_ATTESTATION = "attestation"
 CONSENSUS_KINDS = (ENTRY_KIND_UNIT, ENTRY_KIND_LOCK, ENTRY_KIND_RECORD)
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     local_ref: str
     kind: str
@@ -140,7 +140,7 @@ class Ledger:
         self.voids[local_ref] = tick
 
 
-@dataclass
+@dataclass(slots=True)
 class SubmitReceipt:
     chain_id: str
     local_ref: str
@@ -148,7 +148,7 @@ class SubmitReceipt:
     duplicate: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     entry: LedgerEntry
     mark: Any = None
@@ -163,7 +163,7 @@ class ChainStatus:
     mean_confirm_latency: float
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingUnit:
     local_ref: str
     kind: str
@@ -192,6 +192,8 @@ class BlockchainSystem:
         self._threshold = ceil(quorum_fraction * len(self.nodes))
         self._live = len(self.nodes)
         self._confirming: Optional[tuple[str, ...]] = None
+        # every node, sorted: the confirming set of each genesis entry
+        self._all_nodes = tuple(sorted(self.nodes))
         self.gateway_ids = list(gateway_ids)
         self.regime = regime
         self.quorum_fraction = quorum_fraction
@@ -287,8 +289,7 @@ class BlockchainSystem:
         node set before the run starts."""
         ref = self.next_ref()
         self._idem[unit.idempotency_key] = ref
-        entry = LedgerEntry(ref, ENTRY_KIND_GENESIS, unit, 0, 0,
-                            tuple(sorted(self.nodes)))
+        entry = LedgerEntry(ref, ENTRY_KIND_GENESIS, unit, 0, 0, self._all_nodes)
         return self.ledger.append(entry)
 
     def append_attestation(self, payload: str, now: int) -> LedgerEntry:

@@ -6,7 +6,8 @@ on it):
   1. drain every action due this tick (deliveries, timers, faults,
      probes), including actions those actions schedule for the same tick;
   2. consensus phase: chains in id order confirm aged pending units
-     (skipped entirely while a chain is partitioned), confirmation
+     (skipped entirely while a chain is partitioned, and for a chain
+     with no pending unit, which has nothing to confirm), confirmation
      callbacks update survivor and transfer state;
   3. transfer step phase: transfers in initiation order act on what
      drain and the consensus phase just told them;
@@ -15,26 +16,35 @@ on it):
 The step phase follows the stepping rule.  On tick t it steps, in
 initiation order, only the transfers that can act:
   (a) a transfer whose state on_confirmed changed this tick;
-  (b) every transfer that is not terminal, when gateway liveness changed
-      since the last step phase (GatewayRegistry.set_live, the one
-      writer of liveness, counts each change);
+  (b) a transfer that is not terminal and that a gateway liveness change
+      since the last step phase can move: a crash of its paired source
+      or destination gateway, or a restart on the chain whose vouch it
+      waits for (CrossDomainTransfer.awaited_vouch);
   (c) a transfer whose deadline_tick has passed, which the step aborts.
 No other transfer can act.  A transfer moves to SOURCE_LOCKED or
 DEST_RECORDED only in on_confirmed, and that tick's step sends the
-record request or vouches for the record.  The actions that can fail
-and be retried (a vouch that raised InsufficientGateways, the
-_try_finalize retry) fail again until gateway liveness changes, and a
-pairing needs _repair_pairing only after a gateway crash.  A failed
-vouch logs nothing and draws nothing from the RNG.  So every step the
-rule skips would have been a step that changes nothing, and the log is
-the one a loop that steps every open transfer writes.
+record request or vouches for the record.  Beyond that, what a step
+can do depends on gateway liveness alone, which GatewayRegistry.set_live
+changes and lists as (gateway, live).  A pairing needs _repair_pairing
+only when its own gateway fails: each step and each arrival leaves both
+paired gateways live.  A vouch that raised InsufficientGateways, and so
+the _try_finalize retry, fails again until its chain has more live
+gateways: a crash cannot help a waiting vouch, and a crash of a gateway
+that is not paired changes nothing until the transfer next vouches, on
+a step that (a) makes due or on the attestation's arrival, with the
+liveness of that moment.  A failed vouch logs nothing and draws nothing
+from the RNG.  So every step the rule skips would have been a
+step that changes nothing, and the log is the one a loop that steps
+every open transfer writes.  The step phase finds (b) by one scan of
+the open transfers, which leave that set when they abort or finalize.
 
 The loop is event-driven.  It processes tick 0, and after each
 processed tick t it moves the clock straight to max(t + 1, w), where w
-is the earliest wake-up:
+is the earliest wake-up, a running minimum over:
   * the next queued action;
-  * for each chain that is not partitioned and meets quorum, the tick
-    its oldest pending unit matures (submitted_tick + confirm latency);
+  * for each chain that has a pending unit, is not partitioned and
+    meets quorum, the tick its oldest pending unit matures
+    (submitted_tick + confirm latency);
   * deadline_tick + 1 of the top of the transfer engine's deadline
     heap, the earliest deadline of a transfer that is not terminal:
     the tick on which rule (c) aborts it;
@@ -44,13 +54,14 @@ With no wake-up left the clock moves past the horizon.
 Skipping the ticks in between is safe because no phase can act on
 them.  Nothing is queued for them.  A chain confirms nothing before its
 wake-up unless its partition or quorum changes, and both change only
-through queued fault events.  No transfer is due by the stepping rule:
-confirmations happen on processed ticks, liveness changes only through
-queued fault events, and each passed deadline has its wake-up.  No
-reservation expires between expiry wake-ups.  So a skipped tick would
-log nothing and draw nothing from the RNG, and the log is the one a
-loop over every tick writes; tests/test_engine.py checks both rules
-against that loop.
+through queued fault events; a chain with no pending unit gains one
+only from a queued action or a step, both on processed ticks.  No
+transfer is due by the stepping rule: confirmations happen on processed
+ticks, liveness changes only through queued fault events, and each
+passed deadline has its wake-up.  No reservation expires between expiry
+wake-ups.  So a skipped tick would log nothing and draw nothing from the
+RNG, and the log is the one a loop over every tick writes;
+tests/test_engine.py checks both rules against that loop.
 
 The run ends at quiescence (no queued actions, no pending units, all
 workload terminal, no open reservations) or at the horizon, whichever
@@ -151,17 +162,18 @@ class Simulation:
     def _build_world(self) -> None:
         cfg = self.config
         for c in cfg.chains:
+            gateway_ids = c.gateway_ids()
             chain = BlockchainSystem(
-                c.chain_id, c.node_ids(), c.gateway_ids(), c.regime,
+                c.chain_id, c.node_ids(), gateway_ids, c.regime,
                 c.quorum, c.confirm_latency, c.semantic,
                 writers=set(c.writers), readers=set(c.readers))
             # gateways operate inside their own domain
-            chain.writers.update(c.gateway_ids())
-            chain.readers.update(c.gateway_ids())
+            chain.writers.update(gateway_ids)
+            chain.readers.update(gateway_ids)
             self.chains[c.chain_id] = chain
             self.vouch_thresholds[c.chain_id] = c.threshold()
             self.resolver.register_chain(c.chain_id, c.path)
-            for gid in c.gateway_ids():
+            for gid in gateway_ids:
                 self.registry.add(Gateway(gid, c.chain_id))
         for p in cfg.peerings:
             self.peerings.establish(PeeringAgreement(
@@ -380,13 +392,20 @@ class Simulation:
     def _next_wake(self) -> Optional[int]:
         """Earliest tick at which some phase can act (see the module
         docstring), or None when none can until a fault changes that."""
-        wakes = [chain.next_confirm_tick() for cid, chain in self.chains.items()
-                 if not self.net.chain_partitioned(cid)]
-        wakes.append(self.net.next_event_tick())
+        wake = self.net.next_event_tick()
         deadline = self.transfers.next_deadline()
-        wakes.append(None if deadline is None else deadline + 1)
-        wakes.append(self.valuenet.next_expiry())
-        return min((w for w in wakes if w is not None), default=None)
+        if deadline is not None and (wake is None or deadline < wake):
+            wake = deadline + 1
+        expiry = self.valuenet.next_expiry()
+        if expiry is not None and (wake is None or expiry < wake):
+            wake = expiry
+        partitioned = self.net.chain_partitioned
+        for cid, chain in self.chains.items():
+            if chain.pending and not partitioned(cid):
+                due = chain.next_confirm_tick()
+                if due is not None and (wake is None or due < wake):
+                    wake = due
+        return wake
 
     def _quiescent(self) -> bool:
         # no survivor clause: an open app transaction has a timeout queued
@@ -504,9 +523,10 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
     """Run the four phases of one tick; returns the events executed."""
     executed = net.drain(tick)
     for cid in sorted(chains):
-        if net.chain_partitioned(cid):
+        chain = chains[cid]
+        if not chain.pending or net.chain_partitioned(cid):
             continue
-        for entry in chains[cid].advance_consensus(tick):
+        for entry in chain.advance_consensus(tick):
             net.record("ledger", ledger_subject(cid, entry.local_ref),
                        ("confirm", entry.kind),
                        ("submitted", entry.submitted_tick),

@@ -36,6 +36,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -79,9 +80,9 @@ def _derive_key(gateway_id: str) -> bytes:
 
 class GatewayRegistry:
     """All gateways of the run plus their signing keys.  set_live is the
-    one writer of gateway liveness, and liveness_changes counts what it
-    changed, so a reader can tell whether liveness moved since it last
-    looked."""
+    one writer of gateway liveness, and it appends each change it makes
+    to changes as (gateway_id, live), in order; the transfer engine's
+    step phase reads the list and empties it."""
 
     def __init__(self) -> None:
         self.gateways: dict[str, Gateway] = {}
@@ -89,7 +90,8 @@ class GatewayRegistry:
         self.by_chain: dict[str, list[str]] = {}
         # gateway id -> signing key, derived once by add
         self.keys: dict[str, bytes] = {}
-        self.liveness_changes = 0
+        # (gateway_id, live) per liveness change not yet read
+        self.changes: list[tuple[str, bool]] = []
 
     def add(self, gateway: Gateway) -> None:
         gateway_id = gateway.gateway_id
@@ -109,7 +111,7 @@ class GatewayRegistry:
         gateway = self.get(gateway_id)
         if gateway.live != live:
             gateway.live = live
-            self.liveness_changes += 1
+            self.changes.append((gateway_id, live))
 
     def chain_gateways(self, chain_id: str) -> list[Gateway]:
         return [self.gateways[g] for g in self.by_chain.get(chain_id, [])]
@@ -131,7 +133,7 @@ class GatewayRegistry:
 
 # -- attestations ------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claim:
     """What an attestation asserts about one chain's ledger.  Its bytes,
     encoded once at construction, are what every signature covers."""
@@ -149,7 +151,7 @@ class Claim:
         return f"{self.chain_id}|{self.cross_id}|{int(self.confirmed)}|{self.entry_digest}".encode("ascii")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VouchAttestation:
     claim: Claim
     threshold_k: int
@@ -244,7 +246,7 @@ class DelegationGrant:
     expiry_tick: int
 
 
-@dataclass
+@dataclass(slots=True)
 class MediatedReadView:
     cross_id: str
     chain_id: str
@@ -334,8 +336,11 @@ class PeeringRegistry:
         return None
 
     def tally_fee(self, agreement: PeeringAgreement) -> None:
-        pair = agreement.pair
-        self.settlements[pair] = self.settlements.get(pair, Fraction(0)) + agreement.fee_per_transfer
+        pair, settlements = agreement.pair, self.settlements
+        if pair in settlements:
+            settlements[pair] += agreement.fee_per_transfer
+        else:
+            settlements[pair] = agreement.fee_per_transfer
 
 
 # -- cross-domain transfers --------------------------------------------
@@ -352,7 +357,7 @@ class TransferState(str, Enum):
 TERMINAL_STATES = (TransferState.FINALIZED, TransferState.ABORTED)
 
 
-@dataclass
+@dataclass(slots=True)
 class CrossDomainTransfer:
     transfer_id: str
     asset: CrossId
@@ -375,6 +380,18 @@ class CrossDomainTransfer:
 
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    def awaited_vouch(self) -> Optional[str]:
+        """The chain whose gateways must vouch before this transfer can
+        move on: the destination until its attestation is sent, then,
+        once it has arrived, the source; None when no vouch is due."""
+        if self.state is not TransferState.DEST_RECORDED:
+            return None
+        if self.dest_attestation is None:
+            return self.dest_chain
+        if self.attestation_arrived and self.source_attestation is None:
+            return self.source_chain
+        return None
 
 
 class TransferEngine:
@@ -408,8 +425,8 @@ class TransferEngine:
         self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
         # indexes of the transfers to step in this tick's step phase
         self._due: set[int] = set()
-        # registry.liveness_changes as of the last step phase
-        self._liveness_seen = registry.liveness_changes
+        # transfer id -> index in order, of every transfer not terminal
+        self._open: dict[str, int] = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -447,6 +464,7 @@ class TransferEngine:
         index = len(self.order)
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
+        self._open[transfer_id] = index
         heappush(self._deadlines, (deadline_tick, index, transfer))
         self._log(transfer, src_gw.gateway_id,
                   ("gw", f"{transfer.paired_source}:{transfer.paired_dest}"),
@@ -498,18 +516,33 @@ class TransferEngine:
     def step_all(self, now: int) -> None:
         """Step, in initiation order, the transfers that can act on tick
         now: those on_confirmed moved, those whose deadline has passed,
-        and every one when gateway liveness changed since the last step
-        phase."""
+        and those a gateway liveness change since the last step phase
+        can move."""
         due, deadlines = self._due, self._deadlines
         while deadlines and deadlines[0][0] < now:
             due.add(heappop(deadlines)[1])  # its step aborts it, if open
-        if self._liveness_seen != self.registry.liveness_changes:
-            self._liveness_seen = self.registry.liveness_changes
-            due.update(range(len(self.order)))
+        changes = self.registry.changes
+        if changes:
+            self._wake_on(changes)
+            changes.clear()
         if due:
             for index in sorted(due):
                 self.step(self.transfers[self.order[index]], now)
             due.clear()
+
+    def _wake_on(self, changes: list[tuple[str, bool]]) -> None:
+        """Mark due every open transfer that changes can move: one whose
+        paired gateway went down, and one that waits for a vouch on a
+        chain where a gateway came up."""
+        gateways = self.registry.gateways
+        down = {gid for gid, live in changes if not live}
+        up = {gateways[gid].home_chain for gid, live in changes if live}
+        transfers, due = self.transfers, self._due
+        for tid, index in self._open.items():
+            t = transfers[tid]
+            if (t.paired_source in down or t.paired_dest in down
+                    or (up and t.awaited_vouch() in up)):
+                due.add(index)
 
     def next_deadline(self) -> Optional[int]:
         """Earliest deadline_tick of a transfer that is not terminal, or
@@ -564,7 +597,7 @@ class TransferEngine:
     def _send_record_request(self, t: CrossDomainTransfer, now: int) -> None:
         t.record_request_sent = True
         self.net.deliver(t.source_chain, t.dest_chain, t.transfer_id,
-                         lambda: self._arrive_record_request(t),
+                         partial(self._arrive_record_request, t),
                          ("msg", "record-request"), ("transfer", t.transfer_id))
 
     def _arrive_record_request(self, t: CrossDomainTransfer) -> None:
@@ -607,9 +640,9 @@ class TransferEngine:
     def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
         t.dest_attestation = self._vouch(t, "dest", t.dest_chain, t.record_ref, now)
         if t.dest_attestation is None:
-            return  # retry when liveness changes, or abort at the deadline
+            return  # retried when a dest gateway comes up, until the deadline
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
-                         lambda: self._arrive_attestation(t),
+                         partial(self._arrive_attestation, t),
                          ("msg", "attestation"), ("transfer", t.transfer_id))
 
     def _arrive_attestation(self, t: CrossDomainTransfer) -> None:
@@ -621,7 +654,7 @@ class TransferEngine:
     def _try_finalize(self, t: CrossDomainTransfer, now: int) -> None:
         t.source_attestation = self._vouch(t, "source", t.source_chain, t.lock_ref, now)
         if t.source_attestation is None:
-            return  # step retries it when liveness changes, until the deadline
+            return  # retried when a source gateway comes up, until the deadline
         t.state = TransferState.VOUCHED
         self._log(t, t.paired_source)
         self._finalize(t, now)
@@ -643,6 +676,7 @@ class TransferEngine:
         self.peerings.tally_fee(agreement)
         t.state = TransferState.FINALIZED
         t.final_tick = now
+        del self._open[t.transfer_id]
         self._log(t, t.paired_source, ("fee", agreement.fee_per_transfer))
 
     # -- abort ---------------------------------------------------------
@@ -653,6 +687,7 @@ class TransferEngine:
         t.state = TransferState.ABORTED
         t.abort_reason = reason
         t.final_tick = now
+        del self._open[t.transfer_id]
         lock_key = (t.source_chain, str(t.asset))
         if self.locks.get(lock_key) == t.transfer_id:  # not so on a lock-held abort
             del self.locks[lock_key]

@@ -38,7 +38,7 @@ def _base32(raw: bytes) -> str:
     return "".join([_B32_PAIRS[(n >> shift) & 0x3FF] for shift in _B32_SHIFTS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossId:
     """Globally unique asset identifier: chain path plus opaque suffix.
 
@@ -71,7 +71,7 @@ class CrossId:
         return f"{self.chain_path}/{self.opaque_suffix[:n]}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthoritativePointer:
     asset: CrossId
     home_chain: str

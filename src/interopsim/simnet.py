@@ -12,9 +12,12 @@ Determinism contract, checked by the test suite:
 The queue holds bare (tick, seq, action) entries, and schedule is the
 only way onto it.  An entry means nothing to the queue: timers and
 deliveries are actions that log their own record when they run.  A
-timer logs kind=timer and then acts.  A delivery into or out of a
-partitioned chain, or across a cut link, is dropped silently: it logs
-kind=drop and never runs; otherwise it logs kind=deliver and runs.
+timer logs kind=timer and then acts.  A delivery is one partial of
+SimNet._deliver over (subject, action, fields, src, dst), with src None
+for a local delivery, so queuing one builds no closure.  It is judged
+when it runs: one into or out of a partitioned chain, or across a cut
+link, is dropped silently, logging kind=drop and never running;
+otherwise it logs kind=deliver and runs.
 The engine's finish empties the queue (drop_queued): what is left in
 it never runs, and it would keep the net and the layers alive in a
 reference cycle.
@@ -158,20 +161,6 @@ class SimNet:
         self.record("timer", subject, *fields)
         action()
 
-    def _push_delivery(self, subject: str, action: Callable[[], None], fields: tuple,
-                       delay: int, blocked: Callable[[], bool]) -> None:
-        """Queue a delivery that is logged and run at execution time, or
-        logged as a drop when blocked() holds then."""
-
-        def run():
-            if blocked():
-                self.record("drop", subject, *fields)
-                return
-            self.record("deliver", subject, *fields)
-            action()
-
-        self.schedule(run, delay)
-
     def deliver(self, src_chain: str, dst_chain: str, subject: str,
                 action: Callable[[], None], *fields) -> None:
         """Schedule a cross-chain message; dropped at execution time if
@@ -179,17 +168,29 @@ class SimNet:
         delay = self.inter_chain_latency
         if self.latency_jitter:
             delay += self.rng.randint(0, self.latency_jitter)
-        self._push_delivery(
-            subject, action, (("src", src_chain), ("dst", dst_chain), *fields), delay,
-            lambda: self.delivery_blocked(src_chain, dst_chain))
+        self.schedule(partial(self._deliver, subject, action,
+                              (("src", src_chain), ("dst", dst_chain), *fields),
+                              src_chain, dst_chain), delay)
 
     def local_deliver(self, chain_id: str, subject: str, action: Callable[[], None],
                       *fields) -> None:
         """App-to-chain submission path: no transport latency, but still
         dropped silently when the chain is partitioned at execution."""
-        self._push_delivery(
-            subject, action, (("dst", chain_id), *fields), 0,
-            lambda: self.chain_partitioned(chain_id))
+        self.schedule(partial(self._deliver, subject, action,
+                              (("dst", chain_id), *fields), None, chain_id), 0)
+
+    def _deliver(self, subject: str, action: Callable[[], None], fields: tuple,
+                 src: Optional[str], dst: str) -> None:
+        """A queued delivery from src to dst, or a local one into dst when
+        src is None: logged and run, or logged as a drop when it is
+        blocked now."""
+        blocked = (self.chain_partitioned(dst) if src is None
+                   else self.delivery_blocked(src, dst))
+        if blocked:
+            self.record("drop", subject, *fields)
+            return
+        self.record("deliver", subject, *fields)
+        action()
 
     # -- fault state ---------------------------------------------------
 

@@ -20,6 +20,7 @@ the confirmation then lands as a late confirmation of the same sub.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .chain import TransferUnit
@@ -38,13 +39,13 @@ TXN_CONFIRMED = "CONFIRMED"
 TXN_FAILED = "FAILED"
 
 
-@dataclass
+@dataclass(slots=True)
 class Attempt:
     chain_id: str
     outcome: str = ATTEMPT_PENDING
 
 
-@dataclass
+@dataclass(slots=True)
 class SubTxn:
     sub_id: str
     unit: TransferUnit
@@ -57,7 +58,7 @@ class SubTxn:
     current: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class AppTransaction:
     txn_id: str
     subs: dict[str, SubTxn]
@@ -116,23 +117,23 @@ class SurvivorLayer:
         sub.attempts.append(Attempt(chain_id))
         subject = f"{txn.txn_id}/{sub.sub_id}"
         self.net.record("txn", subject, ("attempt", idx + 1), ("chain", chain_id), "submit")
-        chain = self.chains[chain_id]
-
-        def do_submit():
-            try:
-                receipt = chain.submit(sub.unit, sub.credential, self.net.now)
-            except InteropError as exc:
-                self.net.record("reject", subject, ("chain", chain_id),
-                                ("error", type(exc).__name__))
-                return
-            self.net.record("ledger", ledger_subject(chain_id, receipt.local_ref),
-                            "submit", ("kind", "unit"), ("txn", subject))
-
-        self.net.local_deliver(chain_id, subject, do_submit,
+        self.net.local_deliver(chain_id, subject,
+                               partial(self._submit, chain_id, sub, subject),
                                ("msg", "submit"), ("attempt", idx + 1))
         timeout = self._timeout_for(sub, chain_id)
-        self.net.timer(subject, lambda: self._on_timeout(txn, sub, idx),
+        self.net.timer(subject, partial(self._on_timeout, txn, sub, idx),
                        timeout, "timeout", ("attempt", idx + 1))
+
+    def _submit(self, chain_id: str, sub: SubTxn, subject: str) -> None:
+        """The delivered submission of sub's unit to chain_id."""
+        try:
+            receipt = self.chains[chain_id].submit(sub.unit, sub.credential, self.net.now)
+        except InteropError as exc:
+            self.net.record("reject", subject, ("chain", chain_id),
+                            ("error", type(exc).__name__))
+            return
+        self.net.record("ledger", ledger_subject(chain_id, receipt.local_ref),
+                        "submit", ("kind", "unit"), ("txn", subject))
 
     # -- progress ------------------------------------------------------
 

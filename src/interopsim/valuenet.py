@@ -76,7 +76,7 @@ class PathState(str, Enum):
     EXPIRED = "EXPIRED"
 
 
-@dataclass
+@dataclass(slots=True)
 class PaymentPath:
     receiver_chain: str
     hops: tuple[Hop, ...]
@@ -292,7 +292,8 @@ class ValueNetwork:
             if path.state == PathState.RESERVED and now >= path.expiry_tick:
                 self._expire_path(path, now)
                 out.append(pid)
-        return sorted(out)
+        out.sort()
+        return out
 
     def next_expiry(self) -> Optional[int]:
         """Earliest expiry_tick of a RESERVED path, or None when no path

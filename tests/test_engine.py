@@ -3,6 +3,7 @@ checkpoints, workload outcomes, report assembly, run audits."""
 
 import gc
 import json
+import sys
 import weakref
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interopsim.chain import BlockchainSystem
 from interopsim.engine import Simulation, run_scenario, run_tick
 from interopsim.errors import ValidationError
 from interopsim.gateway import TransferEngine, TransferState
@@ -18,10 +20,13 @@ from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.valuenet import PathState
 
-from conftest import BUNDLED_SCENARIOS, SCENARIO_DIR, bundled
+from conftest import BUNDLED_SCENARIOS, REPO_ROOT, SCENARIO_DIR, bundled
 from test_acceptance import _random_fault_config
 from test_scenario import ROBUSTNESS
 from worlds import world
+
+sys.path.append(str(REPO_ROOT / "perfbench"))
+from workloads import dense  # noqa: E402
 
 
 def log_lines(sim, kind=None, subject=None):
@@ -389,6 +394,36 @@ def _stuck_world(horizon):
         name=f"stuck-{horizon}")
 
 
+def _flap_world(n, gateway):
+    """The stuck world of dense(0, n): every deadline at horizon - 1 and
+    bc9 partitioned for the whole run, in place of dense's short
+    partitions, which at small n would make the step count grow faster
+    than n.  On top, a gateway flap every 10 ticks from tick 5: bc{k % 9}
+    crashes its gateway g{gateway} for 5 ticks.  A transfer pairs with
+    g1 while it is live, and never with g3."""
+    raw = dense(0, n)
+    horizon = raw["horizon"]
+    for x in raw["transfers"]:
+        x["deadline"] = horizon - 1
+    raw["faults"] = [{"id": "f-bc9", "kind": "partition", "at": 0, "chains": ["bc9"]}]
+    raw["faults"] += [{"id": f"flap{k}", "kind": "gateway_crash", "at": at,
+                       "until": at + 5, "gateways": [f"bc{k % 9}.g{gateway}"]}
+                      for k, at in enumerate(range(5, horizon, 10))]
+    return parse_scenario(raw, name=f"flap-{n}-g{gateway}")
+
+
+def _next_wake_reference(sim):
+    """The earliest wake-up as a minimum over a list of every candidate,
+    None ones included, as _next_wake once computed it."""
+    wakes = [chain.next_confirm_tick() for cid, chain in sim.chains.items()
+             if not sim.net.chain_partitioned(cid)]
+    wakes.append(sim.net.next_event_tick())
+    deadline = sim.transfers.next_deadline()
+    wakes.append(None if deadline is None else deadline + 1)
+    wakes.append(sim.valuenet.next_expiry())
+    return min((w for w in wakes if w is not None), default=None)
+
+
 def _quiet(sim):
     """The quiescence rule read straight from the state."""
     return (sim.net.next_event_tick() is None
@@ -505,6 +540,50 @@ class TestEventDrivenLoop:
         # x1 steps when its lock confirms (it sends the record request,
         # which the partition drops) and when its deadline has passed
         assert counts[100][0] == counts[200][0] == 2, counts
+
+    @pytest.mark.parametrize("gateway", [1, 3])
+    def test_step_work_grows_linearly_under_gateway_flaps(self, gateway, monkeypatch):
+        """A liveness change wakes only the transfers it can move, so the
+        flaps, whose number grows with n, add no step per open transfer."""
+        assert _skipping_changes(_flap_world(40, gateway)) == []
+        steps = []
+        step = TransferEngine.step
+
+        def counting_step(engine, t, now):
+            steps.append(now)
+            return step(engine, t, now)
+
+        monkeypatch.setattr(TransferEngine, "step", counting_step)
+        counts = []
+        for n in (40, 80, 160):
+            del steps[:]
+            run_scenario(_flap_world(n, gateway))
+            counts.append(len(steps))
+        assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), counts
+
+    def test_next_wake_is_the_minimum_and_consensus_skips_idle_chains(self, monkeypatch):
+        wrong, idle = [], []
+        next_wake = Simulation._next_wake
+        advance = BlockchainSystem.advance_consensus
+
+        def checked_next_wake(sim):
+            wake, reference = next_wake(sim), _next_wake_reference(sim)
+            if wake != reference:
+                wrong.append((sim.config.name, sim.net.now, wake, reference))
+            return wake
+
+        def checked_advance(chain, now):
+            if not chain.pending:
+                idle.append((chain.chain_id, now))
+            return advance(chain, now)
+
+        monkeypatch.setattr(Simulation, "_next_wake", checked_next_wake)
+        monkeypatch.setattr(BlockchainSystem, "advance_consensus", checked_advance)
+        configs = [bundled(name) for name in BUNDLED_SCENARIOS]
+        configs += [parse_scenario(world(seed), name=f"world-{seed}") for seed in range(100)]
+        for config in configs:
+            run_scenario(config)
+        assert wrong == [] and idle == []
 
     def test_only_wake_up_ticks_are_processed(self, monkeypatch):
         ticks = []

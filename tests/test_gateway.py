@@ -31,6 +31,7 @@ from interopsim.gateway import (
     GatewayRegistry,
     PeeringAgreement,
     PeeringRegistry,
+    TransferEngine,
     TransferState,
     VouchAttestation,
     advertise,
@@ -82,6 +83,15 @@ class TestVouching:
         registry.set_live("bc1.g1", False)
         att = vouch("bc1", registry, sample_claim(), 2, now=0)
         assert [gid for gid, _ in att.signatures] == ["bc1.g2", "bc1.g3"]
+
+    def test_set_live_records_each_change_in_order(self):
+        registry = registry_of({"bc1": 2})
+        registry.set_live("bc1.g1", False)
+        registry.set_live("bc1.g1", False)
+        registry.set_live("bc1.g2", True)
+        registry.set_live("bc1.g1", True)
+        assert registry.changes == [("bc1.g1", False), ("bc1.g1", True)], \
+            "a call that changes nothing records nothing"
 
     def test_vouch_below_threshold_raises(self):
         registry = registry_of({"bc1": 3})
@@ -568,6 +578,46 @@ class TestTransferProtocol:
             "the vouch must be retried on the tick of the heal"
         assert t.state is TransferState.FINALIZED and t.final_tick == 14
         assert world.resolver.resolve(asset).home_chain == "bc2"
+
+    def test_a_heal_unblocks_a_stalled_source_vouch(self):
+        world = TransferWorld()
+        asset = world.seed_asset()
+        t = world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
+        # the attestation arrives at 10 with one live gateway on bc1 of
+        # the two the vouch needs; the crash ends at 13
+        world.schedule_faults(FaultCfg("f1", "gateway_crash", 9,
+                                       gateways=["bc1.g1", "bc1.g2"], until=13))
+        world.run_until(12)
+        assert t.state is TransferState.DEST_RECORDED and t.attestation_arrived
+        assert t.source_attestation is None
+        world.run_until(20)
+        vouches = [(r.tick, r.get("side")) for r in world.net.log.records
+                   if r.kind == "vouch"]
+        assert vouches == [(8, "dest"), (13, "source")], \
+            "the source vouch must be retried on the tick of the heal"
+        assert t.state is TransferState.FINALIZED and t.final_tick == 13
+
+    def test_a_liveness_change_steps_only_the_transfers_it_can_move(self, monkeypatch):
+        steps = []
+        step = TransferEngine.step
+
+        def recording_step(engine, t, now):
+            steps.append(now)
+            return step(engine, t, now)
+
+        monkeypatch.setattr(TransferEngine, "step", recording_step)
+        world = TransferWorld()
+        asset = world.seed_asset()
+        t = world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
+        world.schedule_faults(
+            # neither a paired gateway down nor an up change it waits for
+            FaultCfg("f1", "gateway_crash", 4, gateways=["bc2.g3"], until=5),
+            # its paired source gateway down: it re-pairs
+            FaultCfg("f2", "gateway_crash", 6, gateways=["bc1.g1"]))
+        world.run_until(12)
+        assert t.state is TransferState.FINALIZED and t.paired_source == "bc1.g2"
+        # the lock confirms at 3 and the record at 8
+        assert steps == [3, 6, 8]
 
     def test_transfer_log_records_protocol_milestones(self):
         world = TransferWorld()

@@ -126,6 +126,18 @@ class TestDeliveries:
         net.drain(0)
         assert seen == [], "submission into a partitioned chain is lost"
 
+    def test_a_queued_delivery_is_one_partial_of_deliver(self):
+        net = make_net()
+        action = partial(list)
+        net.deliver("bc1", "bc2", "m", action, ("msg", "x"))
+        net.local_deliver("bc1", "sub", action)
+        local, remote = (entry[2] for entry in sorted(net._queue))
+        assert remote.func == local.func == net._deliver
+        assert remote.args == ("m", action, (("src", "bc1"), ("dst", "bc2"), ("msg", "x")),
+                               "bc1", "bc2")
+        assert local.args == ("sub", action, (("dst", "bc1"),), None, "bc1"), \
+            "src None marks a local delivery"
+
     def test_latency_jitter_draws_from_the_run_rng(self):
         net = make_net(seed=3, inter_chain_latency=2, latency_jitter=3)
         arrival = []

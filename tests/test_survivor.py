@@ -226,6 +226,16 @@ class TestValidationAndSurface:
         subs = sim.survivor.audit("t1")
         assert subs["s1"].confirmations[0][0] == "bc2"
 
+    def test_queued_submission_and_timeout_are_partials_of_bound_methods(self):
+        net = SimNet(0, 2, 0)
+        layer = SurvivorLayer(net, {"bc1": make_chain("bc1")})
+        layer.submit_app_txn("t1", [SubTxn("s1", make_unit(), ["bc1"])])
+        submission, timeout = (entry[2] for entry in sorted(net._queue))
+        assert submission.func == net._deliver
+        assert submission.args[1].func == layer._submit
+        assert timeout.func == net._fire
+        assert timeout.args[2].func == layer._on_timeout
+
     def test_poll_unknown_txn_raises(self):
         layer, _ = self.layer()
         with pytest.raises(NotFound, match="unknown app transaction"):
