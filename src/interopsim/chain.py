@@ -12,6 +12,11 @@ the same set, so the chain keeps the tuple: set_node_live, the one
 writer of node liveness, drops it when liveness changes, and the next
 confirmation rebuilds it.
 
+The chain owns its reads: read applies the regime's read rule, and
+entry, the one confirmed-entry lookup, tells a pending ref
+(NotConfirmed) from one the chain never issued (NotFound).  Minting
+and mediated reads go through them and restate neither.
+
 Invariants enforced or surfaced for audit:
   * ledger is append-only (no removal API; marks are one-shot);
   * at most one authority mark and one void tombstone per entry;
@@ -29,7 +34,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Any, Optional
 
-from .errors import NotFound, PermissionDenied, SemanticMismatch
+from .errors import NotConfirmed, NotFound, PermissionDenied, SemanticMismatch
 
 
 class SemanticType(str, Enum):
@@ -174,7 +179,7 @@ class PendingUnit:
 class BlockchainSystem:
     """One autonomous system: node population, regime, ledger."""
 
-    def __init__(self, chain_id: str, node_ids: list[str], gateway_ids: list[str],
+    def __init__(self, chain_id: str, node_ids: list[str],
                  regime: PermissionRegime, quorum_fraction: Fraction,
                  confirm_latency_ticks: int, semantic_type: SemanticType,
                  writers: Optional[set[str]] = None,
@@ -194,7 +199,6 @@ class BlockchainSystem:
         self._confirming: Optional[tuple[str, ...]] = None
         # every node, sorted: the confirming set of each genesis entry
         self._all_nodes = tuple(sorted(self.nodes))
-        self.gateway_ids = list(gateway_ids)
         self.regime = regime
         self.quorum_fraction = quorum_fraction
         self.confirm_latency_ticks = confirm_latency_ticks
@@ -284,7 +288,7 @@ class BlockchainSystem:
 
     # -- direct appends (not consensus-path) ---------------------------
 
-    def append_genesis(self, unit: TransferUnit, payload: str = "") -> LedgerEntry:
+    def append_genesis(self, unit: TransferUnit) -> LedgerEntry:
         """Scenario-seeded asset entry, confirmed at tick 0 by the full
         node set before the run starts."""
         ref = self.next_ref()
@@ -300,12 +304,21 @@ class BlockchainSystem:
 
     # -- read path -----------------------------------------------------
 
+    def entry(self, local_ref: str) -> LedgerEntry:
+        """The confirmed entry local_ref; NotConfirmed while it is
+        pending, NotFound when this chain never issued it."""
+        entry = self.ledger.get(local_ref)
+        if entry is None:
+            if any(pu.local_ref == local_ref for pu in self.pending):
+                raise NotConfirmed(f"{local_ref} pending on {self.chain_id}")
+            raise NotFound(f"no confirmed entry {local_ref} on {self.chain_id}: "
+                           f"the ref is unknown")
+        return entry
+
     def read(self, local_ref: str, credential: str) -> ReadResult:
         if self.regime.user_read_permissioned and credential not in self.readers:
             raise PermissionDenied(f"{credential!r} may not read {self.chain_id}")
-        entry = self.ledger.get(local_ref)
-        if entry is None:
-            raise NotFound(f"no confirmed entry {local_ref} on {self.chain_id}")
+        entry = self.entry(local_ref)
         return ReadResult(entry, self.ledger.marks.get(local_ref),
                           local_ref in self.ledger.voids)
 

@@ -164,7 +164,7 @@ class Simulation:
         for c in cfg.chains:
             gateway_ids = c.gateway_ids()
             chain = BlockchainSystem(
-                c.chain_id, c.node_ids(), gateway_ids, c.regime,
+                c.chain_id, c.node_ids(), c.regime,
                 c.quorum, c.confirm_latency, c.semantic,
                 writers=set(c.writers), readers=set(c.readers))
             # gateways operate inside their own domain
@@ -317,11 +317,11 @@ class Simulation:
     def _mediated_read(self, cfg):
         cid = self.assets[cfg.asset]
         home = self.resolver.resolve(cid).home_chain
-        gw = self._entry_gateways(home)[0]
+        self._entry_gateways(home)  # raises Unreachable when there is no way in
         grant = self.grants.get(cfg.grant) if cfg.grant else None
         if grant is None:
             raise GrantMismatch("no delegation grant presented")
-        return mediated_read(gw, self.registry, self.chains[home], self.resolver,
+        return mediated_read(self.registry, self.chains[home], self.resolver,
                              grant, cid, cfg.requester, self.net.now)
 
     def _start_resolve(self, cfg):

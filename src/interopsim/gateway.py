@@ -21,12 +21,13 @@ attestation was sent is whether the transfer has one.
 The signature scheme is deliberately abstract: a signature is the
 sha256 of the gateway's registry key, "|" and the claim bytes, so
 verification is a pure function of (attestation, registry) and any
-single-byte tamper of the claim invalidates every signature.  Neither
-part is derived twice: GatewayRegistry.add derives a gateway's key once,
-and a Claim, which is immutable, encodes its bytes once, at
-construction, for every signature, verification and serialization that
-reads them.  What is never kept is a result: each vouch hashes once per
-signer and each verification once per signature, every time.
+single-byte tamper of the claim invalidates every signature.  Only a
+registered gateway has a key, which GatewayRegistry.add derives once
+from its id, and vouch is the one signer, a mediated read's included.
+A Claim, which is immutable, encodes its bytes once, at construction,
+for every signature, verification and serialization that reads them.
+What is never kept is a result: each vouch hashes once per signer and
+each verification once per signature, every time.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ from .errors import (
     NoLiveGateways,
     NoPeering,
     NotAuthoritativeHere,
-    NotConfirmed,
     NotFound,
-    PermissionDenied,
     Unreachable,
 )
 from .identity import AuthoritativePointer, CrossId
@@ -73,11 +72,6 @@ class Gateway:
     live: bool = True
 
 
-def _derive_key(gateway_id: str) -> bytes:
-    # key material derived from identity; stands in for a real keypair
-    return f"k-{gateway_id}".encode("ascii")
-
-
 class GatewayRegistry:
     """All gateways of the run plus their signing keys.  set_live is the
     one writer of gateway liveness, and it appends each change it makes
@@ -88,7 +82,7 @@ class GatewayRegistry:
         self.gateways: dict[str, Gateway] = {}
         # chain id -> its gateway ids, sorted
         self.by_chain: dict[str, list[str]] = {}
-        # gateway id -> signing key, derived once by add
+        # gateway id -> signing key, derived by add; stands in for a keypair
         self.keys: dict[str, bytes] = {}
         # (gateway_id, live) per liveness change not yet read
         self.changes: list[tuple[str, bool]] = []
@@ -96,7 +90,7 @@ class GatewayRegistry:
     def add(self, gateway: Gateway) -> None:
         gateway_id = gateway.gateway_id
         self.gateways[gateway_id] = gateway
-        self.keys[gateway_id] = _derive_key(gateway_id)
+        self.keys[gateway_id] = f"k-{gateway_id}".encode("ascii")
         ids = self.by_chain.setdefault(gateway.home_chain, [])
         ids.append(gateway_id)
         ids.sort()
@@ -125,10 +119,6 @@ class GatewayRegistry:
             if gateway.live:
                 return gateway
         return None
-
-    def signing_key(self, gateway_id: str) -> bytes:
-        """The key of gateway_id, registered or not."""
-        return self.keys.get(gateway_id) or _derive_key(gateway_id)
 
 
 # -- attestations ------------------------------------------------------
@@ -172,10 +162,6 @@ def entry_digest(entry: LedgerEntry) -> str:
 
 def _signature(key: bytes, claim: Claim) -> str:
     return hashlib.sha256(key + b"|" + claim.encoded).hexdigest()
-
-
-def sign_claim(registry: GatewayRegistry, gateway_id: str, claim: Claim) -> str:
-    return _signature(registry.signing_key(gateway_id), claim)
 
 
 def vouch(chain_id: str, registry: GatewayRegistry, claim: Claim, k: int,
@@ -258,36 +244,30 @@ class MediatedReadView:
     attestation: VouchAttestation
 
 
-def mediated_read(gateway: Gateway, registry: GatewayRegistry, chain, resolver,
+def mediated_read(registry: GatewayRegistry, chain, resolver,
                   grant: DelegationGrant, cross_id: CrossId, requester: str,
                   now: int) -> MediatedReadView:
     """Read on behalf of an outside party holding a delegation grant.
 
     The view is keyed by cross id only; local refs stay inside the
-    domain.  The grantor's own read privilege is re-checked at call
-    time, so a revoked grantor invalidates every grant they issued.
+    domain.  The chain reads with the grantor's credential, so its own
+    read rule re-checks the grantor at call time and a revoked grantor
+    invalidates every grant they issued; a pending ref raises
+    NotConfirmed and an unknown one NotFound, as chain.read does.  The
+    chain's lowest live gateway vouches for the entry 1-of-n.
     """
     if grant.grantee != requester or grant.target != str(cross_id):
         raise GrantMismatch(f"grant {grant.grant_id} does not cover this request")
     if now >= grant.expiry_tick:
         raise GrantExpired(f"grant {grant.grant_id} expired at {grant.expiry_tick}")
-    if chain.regime.user_read_permissioned and grant.grantor not in chain.readers:
-        raise PermissionDenied(f"grantor {grant.grantor!r} lost read privilege")
-    local_ref = resolver.local_ref_for(chain.chain_id, cross_id)
-    entry = chain.ledger.get(local_ref)
-    if entry is None:
-        if any(pu.local_ref == local_ref for pu in chain.pending):
-            raise NotConfirmed(f"{cross_id} not confirmed yet")
-        raise NotFound(f"{cross_id} has no entry on {chain.chain_id}")
+    result = chain.read(resolver.local_ref_for(chain.chain_id, cross_id), grant.grantor)
+    entry = result.entry
     claim = Claim(chain.chain_id, str(cross_id), True, entry_digest(entry))
-    att = VouchAttestation(claim, 1,
-                           ((gateway.gateway_id, sign_claim(registry, gateway.gateway_id, claim)),),
-                           now)
+    att = vouch(chain.chain_id, registry, claim, 1, now)
     digest = entry.unit.payload_digest if entry.unit else entry.payload
     return MediatedReadView(str(cross_id), chain.chain_id, digest,
                             entry.submitted_tick, entry.confirmed_tick,
-                            chain.ledger.marks.get(local_ref),
-                            local_ref in chain.ledger.voids, att)
+                            result.mark, result.voided, att)
 
 
 # -- peering -----------------------------------------------------------
@@ -557,10 +537,11 @@ class TransferEngine:
             return
         if t.state == TransferState.SOURCE_LOCKED and not t.record_request_sent:
             self._send_record_request(t, now)
-        elif t.state == TransferState.DEST_RECORDED and t.dest_attestation is None:
+            return
+        awaited = t.awaited_vouch()
+        if awaited == t.dest_chain:
             self._vouch_and_send(t, now)
-        elif (t.state == TransferState.DEST_RECORDED and t.attestation_arrived
-                and t.source_attestation is None):
+        elif awaited == t.source_chain:
             # source-side vouch could not meet threshold earlier; retry
             self._try_finalize(t, now)
 

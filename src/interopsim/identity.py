@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .errors import InvalidProof, NotConfirmed, NotFound, StaleAuthority
+from .errors import InvalidProof, NotFound, StaleAuthority
 
 _B32_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
 # every 10-bit value as its two base32 letters
@@ -116,10 +116,7 @@ class Resolver:
         existing = self._mask[chain_id].get(local_ref)
         if existing is not None:
             return existing
-        if chain.ledger.get(local_ref) is None:
-            if any(pu.local_ref == local_ref for pu in chain.pending):
-                raise NotConfirmed(f"{local_ref} pending on {chain_id}")
-            raise NotFound(f"{local_ref} unknown on {chain_id}")
+        chain.entry(local_ref)  # NotConfirmed or NotFound unless confirmed
         cid = CrossId(self._path[chain_id], self._fresh_suffix())
         self._mask[chain_id][local_ref] = cid
         self._unmask[chain_id][cid] = local_ref

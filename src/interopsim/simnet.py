@@ -211,9 +211,7 @@ class SimNet:
                 or _open(self.cut_history, frozenset((src_chain, dst_chain))))
 
     def chain_partitioned(self, chain_id: str) -> bool:
-        # _open inlined: this runs for every chain on every processed tick
-        episodes = self.partition_history.get(chain_id)
-        return episodes is not None and episodes[-1][1] is None
+        return _open(self.partition_history, chain_id)
 
     # -- execution -----------------------------------------------------
 

@@ -55,7 +55,6 @@ class SubTxn:
     attempts: list[Attempt] = field(default_factory=list)
     confirmations: list[tuple[str, str, int]] = field(default_factory=list)
     state: str = TXN_PENDING
-    current: int = -1
 
 
 @dataclass(slots=True)
@@ -111,8 +110,7 @@ class SurvivorLayer:
         return DEFAULT_TIMEOUT_FACTOR * self.chains[chain_id].confirm_latency_ticks
 
     def _start_attempt(self, txn: AppTransaction, sub: SubTxn) -> None:
-        sub.current += 1
-        idx = sub.current
+        idx = len(sub.attempts)
         chain_id = sub.candidates[idx]
         sub.attempts.append(Attempt(chain_id))
         subject = f"{txn.txn_id}/{sub.sub_id}"
@@ -138,14 +136,14 @@ class SurvivorLayer:
     # -- progress ------------------------------------------------------
 
     def _on_timeout(self, txn: AppTransaction, sub: SubTxn, idx: int) -> None:
-        if sub.state != TXN_PENDING or idx != sub.current:
+        if sub.state != TXN_PENDING or idx != len(sub.attempts) - 1:
             return  # stale timer
         attempt = sub.attempts[idx]
         attempt.outcome = ATTEMPT_TIMEOUT
         subject = f"{txn.txn_id}/{sub.sub_id}"
         self.net.record("txn", subject, ("attempt", idx + 1), ("chain", attempt.chain_id),
                         "timeout")
-        if sub.current + 1 < len(sub.candidates):
+        if idx + 1 < len(sub.candidates):
             self._start_attempt(txn, sub)
         else:
             sub.state = TXN_FAILED

@@ -62,14 +62,13 @@ def bundled(name: str):
     return load_scenario(SCENARIO_DIR / f"{name}.yaml")
 
 
-def make_chain(chain_id="bc1", nodes=4, gateways=0, quorum="2/3", latency=3,
+def make_chain(chain_id="bc1", nodes=4, quorum="2/3", latency=3,
                semantic=SemanticType.GENERIC_RECORD, regime=None,
                writers=(), readers=()):
-    """One chain with bc style node/gateway ids, open regime by default."""
+    """One chain with bc style node ids, open regime by default."""
     regime = regime or PermissionRegime()
     node_ids = [f"{chain_id}.n{i}" for i in range(1, nodes + 1)]
-    gateway_ids = [f"{chain_id}.g{i}" for i in range(1, gateways + 1)]
-    return BlockchainSystem(chain_id, node_ids, gateway_ids, regime,
+    return BlockchainSystem(chain_id, node_ids, regime,
                             Fraction(quorum), latency, semantic,
                             writers=set(writers), readers=set(readers))
 
@@ -111,13 +110,12 @@ class TransferWorld:
         self.peerings = PeeringRegistry()
         self.chains = {}
         for cid in ("bc1", "bc2"):
-            chain = make_chain(cid, nodes=4, gateways=gateways,
-                               latency=latency,
+            chain = make_chain(cid, nodes=4, latency=latency,
                                semantic=SemanticType.ASSET_REGISTRY)
             self.chains[cid] = chain
             self.resolver.register_chain(cid)
-            for gid in chain.gateway_ids:
-                self.registry.add(Gateway(gid, cid))
+            for i in range(1, gateways + 1):
+                self.registry.add(Gateway(f"{cid}.g{i}", cid))
         self.peerings.establish(PeeringAgreement(
             "pa1", "bc1", "bc2", frozenset({SemanticType.ASSET_REGISTRY}),
             Fraction(fee)))

@@ -15,7 +15,7 @@ from interopsim.chain import (
     SemanticType,
     TransferUnit,
 )
-from interopsim.errors import NotFound, PermissionDenied, SemanticMismatch
+from interopsim.errors import NotConfirmed, NotFound, PermissionDenied, SemanticMismatch
 
 from conftest import confirm_unit, make_chain, make_unit
 
@@ -211,10 +211,17 @@ class TestReadsAndStatus:
         result = chain.read(entry.local_ref, "app_x")
         assert result.entry is entry and not result.voided
 
-    def test_read_unknown_ref_raises(self):
+    @pytest.mark.parametrize("ref, error, match", [
+        ("e1", NotConfirmed, "pending"),
+        ("e2", NotFound, "no confirmed entry"),
+    ], ids=["pending", "unknown"])
+    def test_read_unknown_ref_raises(self, ref, error, match):
         chain = make_chain()
-        with pytest.raises(NotFound, match="no confirmed entry"):
-            chain.read("e1", "anon")
+        chain.submit(make_unit(), "anon", 0)  # e1, pending
+        with pytest.raises(error, match=match):
+            chain.read(ref, "anon")
+        with pytest.raises(error, match=match):
+            chain.entry(ref)
 
     def test_node_permissioned_status_reports_exact_live_count(self):
         chain = make_chain(nodes=4, regime=PermissionRegime(

@@ -544,22 +544,30 @@ class TestEventDrivenLoop:
     @pytest.mark.parametrize("gateway", [1, 3])
     def test_step_work_grows_linearly_under_gateway_flaps(self, gateway, monkeypatch):
         """A liveness change wakes only the transfers it can move, so the
-        flaps, whose number grows with n, add no step per open transfer."""
+        flaps, whose number grows with n, add no step per open transfer;
+        and the consensus phase calls only chains with a pending unit,
+        so its calls grow with the work too."""
         assert _skipping_changes(_flap_world(40, gateway)) == []
-        steps = []
-        step = TransferEngine.step
+        steps, calls = [], []
+        step, advance = TransferEngine.step, BlockchainSystem.advance_consensus
 
         def counting_step(engine, t, now):
             steps.append(now)
             return step(engine, t, now)
 
+        def counting_advance(chain, now):
+            calls.append(now)
+            return advance(chain, now)
+
         monkeypatch.setattr(TransferEngine, "step", counting_step)
+        monkeypatch.setattr(BlockchainSystem, "advance_consensus", counting_advance)
         counts = []
         for n in (40, 80, 160):
-            del steps[:]
+            del steps[:], calls[:]
             run_scenario(_flap_world(n, gateway))
-            counts.append(len(steps))
-        assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), counts
+            counts.append((len(steps), len(calls)))
+        for work in zip(*counts):
+            assert all(b <= 2.1 * a for a, b in zip(work, work[1:])), counts
 
     def test_next_wake_is_the_minimum_and_consensus_skips_idle_chains(self, monkeypatch):
         wrong, idle = [], []

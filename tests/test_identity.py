@@ -69,15 +69,19 @@ class TestMinting:
         for copied in (copy.copy(cid), copy.deepcopy(cid), pickle.loads(pickle.dumps(cid))):
             assert copied == cid and hash(copied) == hash(cid) and str(copied) == str(cid)
 
-    def test_mint_requires_confirmed_entry(self):
+    @pytest.mark.parametrize("ref, error, match", [
+        ("e1", NotConfirmed, "pending"),
+        ("e99", NotFound, "unknown"),
+    ], ids=["pending", "unknown"])
+    def test_mint_requires_confirmed_entry(self, ref, error, match):
         chain = make_chain()
         resolver = fresh_resolver()
         resolver.register_chain("bc1")
-        chain.submit(make_unit(), "anon", 0)
-        with pytest.raises(NotConfirmed, match="pending"):
-            resolver.mint_cross_id(chain, "e1")
-        with pytest.raises(NotFound, match="unknown"):
-            resolver.mint_cross_id(chain, "e99")
+        chain.submit(make_unit(), "anon", 0)  # e1, pending
+        with pytest.raises(error, match=match):
+            resolver.mint_cross_id(chain, ref)
+        with pytest.raises(error, match=match):
+            chain.read(ref, "anon")  # the chain's own read says the same
 
     def test_mint_is_idempotent_per_ref(self):
         chain = make_chain(latency=1)
@@ -225,12 +229,11 @@ def rebind_fixture():
     resolver = Resolver(rng, lambda att: verify_attestation(att, registry))
     chains = {}
     for cid in ("bc1", "bc2"):
-        chain = make_chain(cid, gateways=3, latency=1,
-                           semantic=SemanticType.ASSET_REGISTRY)
+        chain = make_chain(cid, latency=1, semantic=SemanticType.ASSET_REGISTRY)
         chains[cid] = chain
         resolver.register_chain(cid)
-        for gid in chain.gateway_ids:
-            registry.add(Gateway(gid, cid))
+        for i in range(1, 4):
+            registry.add(Gateway(f"{cid}.g{i}", cid))
     entry = confirm_unit(chains["bc1"],
                          make_unit(semantic=SemanticType.ASSET_REGISTRY))
     asset = resolver.mint_cross_id(chains["bc1"], entry.local_ref)
