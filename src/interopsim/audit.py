@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import re
 
-from .chain import CONSENSUS_KINDS
+from .chain import CONSENSUS_KINDS, LOCAL_REF
 from .gateway import TransferState, verify_attestation
 from .report import AuditResult
 from .simnet import ledger_parts
 from .valuenet import PathState
 
-_LOCAL_REF = re.compile(r"\be\d+\b")
+# LOCAL_REF without its leading \b: a literal leads it, so a scan for
+# candidates is fast, and LOCAL_REF confirms each at its position
+_REF_CANDIDATE = re.compile(r"e\d+\b")
 
 
 def run_all(sim) -> list[AuditResult]:
@@ -219,20 +221,30 @@ def _resolution_opacity(sim):
     """Advertisement and resolve transcripts must not leak node ids or
     chain-local transaction refs.  A node id leaks wherever it occurs,
     also inside a longer word (bc1.n1 inside bc1.n10); the detail names
-    the first leaked id in sorted order."""
-    node_ids = sorted(nid for chain in sim.chains.values() for nid in chain.nodes)
-    scanned = 0
-    for rec in sim.net.log.records:
-        if rec.kind not in ("advert", "resolve"):
-            continue
-        scanned += 1
-        text = rec.line()
-        for nid in node_ids:
-            if nid in text:
-                return False, f"record {rec.seq} leaks node id {nid}"
-        if _LOCAL_REF.search(text):
-            return False, f"record {rec.seq} leaks a local ref"
-    return True, f"{scanned} transcripts"
+    the first leaking record, and in it the first leaked id in sorted
+    order.
+
+    Each transcript is rendered once and the lines are joined with a
+    newline, which bounds a word as a line's end does.  Each node id is
+    looked up once in the joined text, and the local refs are found by
+    one scan of it.  Only on a hit are the records walked for the
+    detail."""
+    transcripts = [rec for rec in sim.net.log.records
+                   if rec.kind in ("advert", "resolve")]
+    lines = [rec.line() for rec in transcripts]
+    text = "\n".join(lines)
+    leaked = sorted(nid for chain in sim.chains.values() for nid in chain.nodes
+                    if nid in text)
+    ref = any(LOCAL_REF.match(text, m.start())
+              for m in _REF_CANDIDATE.finditer(text))
+    if leaked or ref:
+        for rec, line in zip(transcripts, lines):
+            for nid in leaked:
+                if nid in line:
+                    return False, f"record {rec.seq} leaks node id {nid}"
+            if ref and LOCAL_REF.search(line):
+                return False, f"record {rec.seq} leaks a local ref"
+    return True, f"{len(transcripts)} transcripts"
 
 
 def _no_partition_delivery(sim):

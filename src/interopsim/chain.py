@@ -28,10 +28,10 @@ Invariants enforced or surfaced for audit:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import ceil
 from typing import Any, Optional
 
 from .errors import NotConfirmed, NotFound, PermissionDenied, SemanticMismatch
@@ -176,6 +176,12 @@ class PendingUnit:
     submitted_tick: int
 
 
+# A local ref is "e" and the chain's ref counter (next_ref).  It never
+# leaves the domain, and LOCAL_REF finds one as a word in any text: a
+# name that shows outside the domain must not hold such a word.
+LOCAL_REF = re.compile(r"\be\d+\b")
+
+
 class BlockchainSystem:
     """One autonomous system: node population, regime, ledger."""
 
@@ -186,7 +192,9 @@ class BlockchainSystem:
                  readers: Optional[set[str]] = None) -> None:
         if not node_ids:
             raise ValueError("chain needs at least one node")
-        if not (Fraction(0) < quorum_fraction <= Fraction(1)):
+        # a Fraction's denominator is positive
+        num, den = quorum_fraction.numerator, quorum_fraction.denominator
+        if not 0 < num <= den:
             raise ValueError("quorum_fraction must be in (0, 1]")
         if confirm_latency_ticks < 1:
             raise ValueError("confirm_latency_ticks must be >= 1")
@@ -194,7 +202,7 @@ class BlockchainSystem:
         self.nodes: dict[str, bool] = {nid: True for nid in node_ids}
         # cached for quorum_met and advance_consensus: the population is
         # fixed, and liveness changes only through set_node_live
-        self._threshold = ceil(quorum_fraction * len(self.nodes))
+        self._threshold = -(-num * len(self.nodes) // den)  # the ceiling
         self._live = len(self.nodes)
         self._confirming: Optional[tuple[str, ...]] = None
         # every node, sorted: the confirming set of each genesis entry
@@ -244,6 +252,7 @@ class BlockchainSystem:
     # -- write path ----------------------------------------------------
 
     def next_ref(self) -> str:
+        """The next local ref, in the LOCAL_REF format."""
         self._ref_counter += 1
         return f"e{self._ref_counter}"
 

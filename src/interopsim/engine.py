@@ -163,13 +163,11 @@ class Simulation:
         cfg = self.config
         for c in cfg.chains:
             gateway_ids = c.gateway_ids()
+            # gateways operate inside their own domain
             chain = BlockchainSystem(
                 c.chain_id, c.node_ids(), c.regime,
                 c.quorum, c.confirm_latency, c.semantic,
-                writers=set(c.writers), readers=set(c.readers))
-            # gateways operate inside their own domain
-            chain.writers.update(gateway_ids)
-            chain.readers.update(gateway_ids)
+                writers={*c.writers, *gateway_ids}, readers={*c.readers, *gateway_ids})
             self.chains[c.chain_id] = chain
             self.vouch_thresholds[c.chain_id] = c.threshold()
             self.resolver.register_chain(c.chain_id, c.path)
@@ -408,11 +406,13 @@ class Simulation:
         return wake
 
     def _quiescent(self) -> bool:
-        # no survivor clause: an open app transaction has a timeout queued
-        return (self.net.next_event_tick() is None
-                and not any(c.pending for c in self.chains.values())
-                and self.transfers.next_deadline() is None
-                and self.valuenet.next_expiry() is None)
+        """Whether the world has finished.  run calls this only when
+        _next_wake found no wake-up, so no action is queued and no
+        transfer deadline or reservation expiry is open; what is left is
+        a pending unit that cannot confirm, stranded on a partitioned
+        chain or one below quorum.  An open app transaction has the
+        timeout of its current attempt queued, so no survivor clause."""
+        return not any(c.pending for c in self.chains.values())
 
     def finish(self, end_tick: int) -> RunReport:
         """End-of-run steps: set end_tick and the clock to it, log the

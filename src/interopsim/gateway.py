@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -91,9 +92,7 @@ class GatewayRegistry:
         gateway_id = gateway.gateway_id
         self.gateways[gateway_id] = gateway
         self.keys[gateway_id] = f"k-{gateway_id}".encode("ascii")
-        ids = self.by_chain.setdefault(gateway.home_chain, [])
-        ids.append(gateway_id)
-        ids.sort()
+        insort(self.by_chain.setdefault(gateway.home_chain, []), gateway_id)
 
     def get(self, gateway_id: str) -> Gateway:
         if gateway_id not in self.gateways:
@@ -291,29 +290,30 @@ class PeeringAgreement:
 
 
 class PeeringRegistry:
+    """The peering agreements by id, and by (sorted pair, semantic) the
+    one agreement that covers it: establish admits at most one."""
+
     def __init__(self) -> None:
         self.agreements: dict[str, PeeringAgreement] = {}
         self.settlements: dict[tuple[str, str], Fraction] = {}
+        self._covering: dict[tuple[tuple[str, str], SemanticType], PeeringAgreement] = {}
 
     def establish(self, agreement: PeeringAgreement) -> PeeringAgreement:
-        for other in self.agreements.values():
-            if (other.pair == agreement.pair
-                    and other.compatible_semantics & agreement.compatible_semantics):
-                raise DuplicateAgreement(
-                    f"active agreement {other.agreement_id} already covers "
-                    f"{agreement.pair}")
+        keys = [(agreement.pair, s) for s in agreement.compatible_semantics]
+        covered = self._covering
+        clashes = {covered[key].agreement_id for key in keys if key in covered}
+        if clashes:
+            # name the earliest established of the agreements it overlaps
+            first = next(aid for aid in self.agreements if aid in clashes)
+            raise DuplicateAgreement(
+                f"active agreement {first} already covers {agreement.pair}")
         self.agreements[agreement.agreement_id] = agreement
+        covered.update(dict.fromkeys(keys, agreement))
         return agreement
 
     def covering(self, a: str, b: str, semantic: SemanticType) -> Optional[PeeringAgreement]:
-        """The agreement between a and b that covers semantic.  establish
-        admits at most one per (pair, semantic), so the first match is
-        the only one."""
-        pair = _sorted_pair(a, b)
-        for agreement in self.agreements.values():
-            if agreement.pair == pair and semantic in agreement.compatible_semantics:
-                return agreement
-        return None
+        """The agreement between a and b that covers semantic."""
+        return self._covering.get((_sorted_pair(a, b), semantic))
 
     def tally_fee(self, agreement: PeeringAgreement) -> None:
         pair, settlements = agreement.pair, self.settlements

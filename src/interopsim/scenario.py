@@ -22,12 +22,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any, Optional
 
 import yaml
 
-from .chain import PermissionRegime, SemanticType
+from .chain import LOCAL_REF, PermissionRegime, SemanticType
 from .errors import ParseError, ValidationError
 
 _REQUIRED = object()
@@ -54,6 +55,9 @@ def _str(val, minimum=None) -> str:
     return val
 
 
+_RATIO = re.compile(r"[0-9]+/[0-9]+")
+
+
 def _fraction(val, minimum=None) -> Fraction:
     if type(val) is float:
         raise _Invalid("floats are inexact; write the amount as a string")
@@ -64,6 +68,9 @@ def _fraction(val, minimum=None) -> Fraction:
             frac = Fraction(val)
         elif type(val) is str and val.isascii() and val.isdigit():
             frac = Fraction(int(val))  # skips Fraction's string parser
+        elif type(val) is str and val.isascii() and _RATIO.fullmatch(val):
+            num, den = val.split("/")  # so does a ratio of digits
+            frac = Fraction(int(num), int(den))
         else:
             frac = Fraction(str(val))
     except (ValueError, ZeroDivisionError):
@@ -114,6 +121,20 @@ def _name(chars: str):
     return name
 
 
+def _public(kind):
+    """kind, for a name that advertisement or resolve transcripts show:
+    it may hold no word in the local-ref format, which would read as a
+    leaked local ref."""
+    def public(val, minimum=None) -> str:
+        val = kind(val, minimum)
+        word = LOCAL_REF.search(val)
+        if word:
+            raise _Invalid(f"{val!r} holds {word.group()!r}, a word in the "
+                           f"local-ref format e<digits>, which transcripts must not show")
+        return val
+    return public
+
+
 def _mapping(val) -> dict:
     if type(val) is not dict:
         raise _Invalid(f"expected mapping, got {type(val).__name__}")
@@ -145,6 +166,8 @@ def _rates(val, minimum=None) -> dict[tuple[str, str], Fraction]:
 
 
 _REGIME_KEYS = ("node", "consensus", "write", "read")
+# a PermissionRegime is frozen, so one per combination of flags is shared
+_shared_regime = cache(PermissionRegime)
 
 
 def _regime(val, minimum=None) -> PermissionRegime:
@@ -155,7 +178,7 @@ def _regime(val, minimum=None) -> PermissionRegime:
         if flag is not None and type(flag) is not bool:
             raise _Invalid(f"expected true or false, got {flag!r}", f".{key}")
     try:
-        return PermissionRegime(*(val.get(key) is True for key in _REGIME_KEYS))
+        return _shared_regime(*[val.get(key) is True for key in _REGIME_KEYS])
     except ValueError as exc:
         raise _Invalid(str(exc)) from None
 
@@ -276,6 +299,11 @@ class _Reader:
                 if callable(default):
                     vals.append(default(n, vals, parent))
                     continue
+                if type(kind) is Spec and minimum is None:
+                    # an absent list section: no items, so no ids
+                    ids[kind.noun] = {}
+                    vals.append([])
+                    continue
                 val = default
             try:
                 if type(kind) is Spec:
@@ -307,18 +335,23 @@ class _Reader:
 
 @dataclass
 class ChainCfg:
-    chain_id: str = _yaml(_name("_-"), key="id")
+    chain_id: str = _yaml(_public(_name("_-")), key="id")
     nodes: int = _yaml(_int, minimum=1)
     gateways: int = _yaml(_int, 0, minimum=0)
     quorum: Fraction = _yaml(_fraction, "1/2")
     confirm_latency: int = _yaml(_int, minimum=1)
     semantic: SemanticType = _yaml(_SEMANTIC)
     regime: PermissionRegime = _yaml(_regime, {})
-    path: Optional[str] = _yaml(_name("_-."), default=None)
+    path: Optional[str] = _yaml(_public(_name("_-.")), default=None)
     writers: list[str] = _yaml(_NAMES, default_factory=list)
     readers: list[str] = _yaml(_NAMES, default_factory=list)
     vouch_threshold: Optional[int] = _yaml(_int, minimum=1, default=None)
     denom: Optional[str] = _yaml(_str, default=None)
+
+    def __post_init__(self) -> None:
+        # derived once, for the reader's _check and the engine's build
+        self._node_ids = [f"{self.chain_id}.n{i}" for i in range(1, self.nodes + 1)]
+        self._gateway_ids = [f"{self.chain_id}.g{i}" for i in range(1, self.gateways + 1)]
 
     def threshold(self) -> int:
         if self.vouch_threshold is not None:
@@ -326,10 +359,10 @@ class ChainCfg:
         return self.gateways // 2 + 1
 
     def node_ids(self) -> list[str]:
-        return [f"{self.chain_id}.n{i}" for i in range(1, self.nodes + 1)]
+        return self._node_ids
 
     def gateway_ids(self) -> list[str]:
-        return [f"{self.chain_id}.g{i}" for i in range(1, self.gateways + 1)]
+        return self._gateway_ids
 
     def _check(self, r: _Reader, p: str) -> None:
         if not 0 < self.quorum <= 1:
@@ -341,8 +374,8 @@ class ChainCfg:
         owner = r.ids["path"].setdefault(path, self.chain_id)
         if owner != self.chain_id:
             r.add(f"{p}.path", f"chain path {path} is taken by {owner}")
-        r.ids["node"].update(self.node_ids())
-        r.ids["gateway"].update(self.gateway_ids())
+        r.ids["node"].update(self._node_ids)
+        r.ids["gateway"].update(self._gateway_ids)
 
 
 @dataclass
@@ -502,7 +535,7 @@ class ReadCfg:
 
 @dataclass
 class ResolveCfg:
-    resolve_id: str = _yaml(_str, _nth("q"), key="id")
+    resolve_id: str = _yaml(_public(_str), _nth("q"), key="id")
     at: int = _yaml(_int, 0, minimum=0, tick=True)
     asset: str = _yaml(_str, ref="asset")
 

@@ -12,13 +12,15 @@ from fractions import Fraction
 import pytest
 
 from interopsim import audit
-from interopsim.chain import SemanticType
+from interopsim.chain import LOCAL_REF, SemanticType
 from interopsim.engine import Simulation
+from interopsim.errors import ValidationError
 from interopsim.gateway import TransferState
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import ledger_parts
 
-from conftest import bundled
+from conftest import SCENARIO_DIR, bundled
+from worlds import world as generated_world
 
 
 def registry(cid, nodes=4):
@@ -292,6 +294,102 @@ class TestValueAudits:
         payments.valuenet.holds[("c2", "gbp")] = Fraction(3)
         detail = only_failure(payments, "reservation_consistency")
         assert "('c2', 'gbp'): Fraction(3, 1)" in detail
+
+
+def reference_opacity(sim):
+    """resolution_opacity as a loop over the records: every node id and
+    the local-ref pattern against each transcript line in turn."""
+    node_ids = sorted(nid for chain in sim.chains.values() for nid in chain.nodes)
+    scanned = 0
+    for rec in sim.net.log.records:
+        if rec.kind not in ("advert", "resolve"):
+            continue
+        scanned += 1
+        text = rec.line()
+        for nid in node_ids:
+            if nid in text:
+                return False, f"record {rec.seq} leaks node id {nid}"
+        if LOCAL_REF.search(text):
+            return False, f"record {rec.seq} leaks a local ref"
+    return True, f"{scanned} transcripts"
+
+
+def generated(seed):
+    try:
+        return parse_scenario(generated_world(seed), name=f"world-{seed}")
+    except ValidationError:
+        return None
+
+
+# transcripts to log after a run: (kind, subject, fields), and whether
+# the reference loop finds a leak in them
+LEAKS = {
+    "id inside a longer word": (
+        [("advert", "bc1", ("endpoints", ["xbc2.n31"]))], True),
+    "leak only in a later transcript": (
+        [("advert", "bc1", ("path", "bc1")), ("resolve", "q8", ("home", "bc2")),
+         ("resolve", "q9", ("home", "bc2"), ("endpoints", ["bc2.g1", "bc3.n4"]))],
+        True),
+    "two ids, the later one in sorted order first": (
+        [("resolve", "q9", ("endpoints", ["bc3.n1", "bc1.n2"]))], True),
+    "ref at the start of the detail": (
+        [("resolve", "q9", "e3", ("home", "bc2"))], True),
+    "ref at the end of a line": (
+        [("resolve", "q9", ("home", "bc2"), ("ref", "e12")),
+         ("advert", "bc1", ("path", "bc1"))], True),
+    "ref at the end of the last line": (
+        [("advert", "bc1", ("path", "bc1")), ("resolve", "q9", ("ref", "e4"))], True),
+    "ref and node id in one record": (
+        [("resolve", "q9", ("ref", "e4"), ("endpoints", ["bc2.n1"]))], True),
+    "ref before a dot": (
+        [("resolve", "q9", ("ref", "e4.bc1"))], True),
+    "e12x is not a ref": (
+        [("resolve", "q9", ("ref", "e12x")), ("advert", "bc1", ("path", "xe12"))],
+        False),
+    "node id in a record that is no transcript": (
+        [("probe", "pr1", ("via", "bc1.n1"), ("ref", "e1"))], False),
+}
+
+
+class TestOpacityMatchesTheRecordLoop:
+    """_resolution_opacity scans the joined transcripts once and walks
+    the records only on a hit; it must give the loop's result and
+    detail on every input."""
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_bundled_scenarios(self, path):
+        sim = Simulation(bundled(path.stem))
+        sim.run()
+        assert audit._resolution_opacity(sim) == reference_opacity(sim)
+
+    def test_generated_worlds(self):
+        for seed in range(300):
+            config = generated(seed)
+            if config is None:
+                continue
+            sim = Simulation(config)
+            sim.run()
+            assert audit._resolution_opacity(sim) == reference_opacity(sim), seed
+
+    @pytest.mark.parametrize("case", sorted(LEAKS))
+    def test_synthetic_leaks(self, sim, case):
+        records, leaks = LEAKS[case]
+        for kind, subject, *fields in records:
+            append(sim, kind, subject, *fields)
+        expected = reference_opacity(sim)
+        assert expected[0] is not leaks
+        assert audit._resolution_opacity(sim) == expected
+
+    def test_ids_of_several_lengths(self):
+        # bc10.n4 is longer than the other node ids and holds none of them
+        raw = world()
+        raw["chains"].append(registry("bc10"))
+        sim = finished(parse_scenario(raw))
+        rec = append(sim, "advert", "bc10", ("endpoints", ["bc10.n4x"]))
+        expected = (False, f"record {rec.seq} leaks node id bc10.n4")
+        assert reference_opacity(sim) == expected
+        assert audit._resolution_opacity(sim) == expected
 
 
 def test_run_all_looks_each_audit_up_when_called(sim, monkeypatch):

@@ -93,6 +93,19 @@ class TestValidate:
                      "chains[0].semantic"):
             assert frag in err
 
+    @pytest.mark.parametrize("name, where", [("id: e1", "chains[0].id"),
+                                             ("id: bc1\n    path: net.e7", "chains[0].path")])
+    def test_a_local_ref_in_a_chain_name_exits_two(self, capsys, tmp_path, name, where):
+        # the chain's advertisement would show the word, which the
+        # resolution_opacity audit reads as a leaked local ref
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"horizon: 10\nchains:\n  - {name}\n    nodes: 3\n"
+                       "    confirm_latency: 2\n    semantic: generic-record\n")
+        for command in ("validate", "run"):
+            code, _, err = run_cli(capsys, command, str(bad))
+            assert code == 2, command
+            assert f"{where}: " in err and "local-ref format" in err
+
     def test_empty_file_exits_two(self, capsys, tmp_path):
         empty = tmp_path / "empty.yaml"
         empty.write_text("")

@@ -462,7 +462,7 @@ class TestTransferProtocol:
     def test_initiate_requires_matching_peering(self):
         world = TransferWorld()
         asset = world.seed_asset()
-        del world.peerings.agreements["pa1"]
+        world.engine.peerings = PeeringRegistry()  # a registry with no agreement
         with pytest.raises(NoPeering, match="no active asset-registry agreement"):
             world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 0)
 

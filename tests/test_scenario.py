@@ -11,10 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from interopsim import cli
-from interopsim.chain import SemanticType
+from interopsim.chain import PermissionRegime, SemanticType
 from interopsim.engine import Simulation
 from interopsim.errors import ParseError, ValidationError
-from interopsim.scenario import _fraction, _Invalid, load_scenario, parse_scenario
+from interopsim.scenario import (
+    _fraction,
+    _Invalid,
+    _regime,
+    load_scenario,
+    parse_scenario,
+)
 
 
 def minimal_chain(cid="bc1", **over):
@@ -138,18 +144,23 @@ class TestRationalAmounts:
         assert cfg.payments[0].amount == Fraction(3, 2)
 
     @pytest.mark.parametrize("val", ["37", "007", "\u0663", "\u00b2", "1_000",
-                                     "-5", "+5", " 5"])
+                                     "-5", "+5", " 5",
+                                     "2/3", "4/6", "1/0", "3/", "/3", "1/2/3",
+                                     " 2/3", "+2/3", "1.5/2", "1_0/3",
+                                     "\uff12/\uff13"])
     def test_digit_strings_read_as_fraction_reads_them(self, val):
-        # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO
+        # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO,
+        # "\uff12/\uff13" FULLWIDTH DIGIT TWO, a slash, FULLWIDTH DIGIT THREE
         try:
             expected = Fraction(str(val))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             expected = f"not a rational: {val!r}"
         try:
             got = _fraction(val)
         except _Invalid as exc:
             got = str(exc)
         assert got == expected and type(got) is type(expected)
+
 
 
 class TestChainRules:
@@ -164,6 +175,46 @@ class TestChainRules:
             "chains": [minimal_chain(regime={"node": True})]})
         assert any("chains[0].regime" in p and "subsumes" in p
                    for p in problems)
+
+    def test_equal_regimes_are_one_object(self):
+        cfg = parse_scenario({"horizon": 10, "chains": [
+            minimal_chain("bc1", regime={"write": True}),
+            minimal_chain("bc2", regime={"write": True, "read": False}),
+            minimal_chain("bc3", regime={"read": True}),
+            minimal_chain("bc4")]})
+        regimes = [c.regime for c in cfg.chains]
+        assert regimes[0] is regimes[1] and regimes[0].user_write_permissioned
+        assert regimes[2] is not regimes[0] and regimes[2].user_read_permissioned
+        assert regimes[3] == PermissionRegime()
+
+    def test_node_without_consensus_is_rejected_every_time(self):
+        # the shared regimes keep no failed combination
+        for _ in range(2):
+            with pytest.raises(_Invalid, match="node permissioning subsumes "
+                                               "consensus permissioning"):
+                _regime({"node": True})
+
+    @pytest.mark.parametrize("over, where", [
+        ({"id": "e1"}, "chains[0].id"),
+        ({"id": "bc-e12"}, "chains[0].id"),
+        ({"path": "net.e7"}, "chains[0].path"),
+        ({"path": "e7.net"}, "chains[0].path")])
+    def test_a_chain_name_may_not_hold_a_local_ref(self, over, where):
+        problems = problems_of({"horizon": 10, "chains": [minimal_chain(**over)]})
+        assert len(problems) == 1 and problems[0].startswith(f"{where}: ")
+        assert "local-ref format" in problems[0]
+
+    def test_a_resolve_id_may_not_hold_a_local_ref(self):
+        problems = problems_of({
+            "horizon": 10, "chains": [minimal_chain()],
+            "assets": [{"id": "a1", "chain": "bc1"}],
+            "resolves": [{"id": "e3", "asset": "a1"}]})
+        assert len(problems) == 1 and problems[0].startswith("resolves[0].id: ")
+
+    @pytest.mark.parametrize("name", ["e12x", "xe1", "x_e1", "E1", "e", "e-x"])
+    def test_a_name_with_no_local_ref_word_is_accepted(self, name):
+        cfg = parse_scenario({"horizon": 10, "chains": [minimal_chain(name, path=name)]})
+        assert cfg.chains[0].chain_id == name and cfg.chains[0].path == name
 
     def test_vouch_threshold_cannot_exceed_gateways(self):
         problems = problems_of({
