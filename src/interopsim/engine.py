@@ -45,9 +45,9 @@ is the earliest wake-up, a running minimum over:
   * for each chain that has a pending unit, is not partitioned and
     meets quorum, the tick its oldest pending unit matures
     (submitted_tick + confirm latency);
-  * deadline_tick + 1 of the top of the transfer engine's deadline
-    heap, the earliest deadline of a transfer that is not terminal:
-    the tick on which rule (c) aborts it;
+  * the transfer engine's next abort tick, the deadline_tick + 1 of a
+    transfer that is not terminal, on which rule (c) aborts it
+    (TransferEngine.next_abort_tick);
   * the earliest expiry_tick of a reserved payment path.
 With no wake-up left the clock moves past the horizon.
 
@@ -161,7 +161,8 @@ class Simulation:
 
     def _build_world(self) -> None:
         cfg = self.config
-        for c in cfg.chains:
+        # in chain-id order, which run_tick, the adverts and the report take
+        for c in sorted(cfg.chains, key=lambda c: c.chain_id):
             gateway_ids = c.gateway_ids()
             # gateways operate inside their own domain
             chain = BlockchainSystem(
@@ -182,13 +183,10 @@ class Simulation:
                                 dict(cc.reserves), dict(cc.rates))
                       for cc in cfg.connectors]
         self.valuenet = ValueNetwork(denoms, connectors, cfg.reservation_ttl)
-        for g in cfg.grants:
-            self.grants[g.grant_id] = DelegationGrant(
-                g.grant_id, g.grantor, g.grantee, g.asset, g.expiry)
 
     def _seed_assets(self) -> None:
-        """Genesis entries confirmed before the run; grants name assets
-        by symbolic id, so translate those once minted."""
+        """Genesis entries confirmed before the run, then the grants,
+        which target the cross ids just minted."""
         for a in self.config.assets:
             chain = self.chains[a.chain]
             unit = TransferUnit(payload_digest(a.payload), chain.semantic_type,
@@ -199,16 +197,13 @@ class Simulation:
             self.net.record("ledger", ledger_subject(a.chain, entry.local_ref),
                             "genesis", ("asset", cid))
             self.net.record("resolver", str(cid), "register", ("home", a.chain))
-        # grants target cross ids, not symbolic names
-        for gid, grant in list(self.grants.items()):
-            if grant.target in self.assets:
-                self.grants[gid] = DelegationGrant(
-                    grant.grant_id, grant.grantor, grant.grantee,
-                    str(self.assets[grant.target]), grant.expiry_tick)
+        for g in self.config.grants:
+            self.grants[g.grant_id] = DelegationGrant(
+                g.grant_id, g.grantor, g.grantee, str(self.assets[g.asset]), g.expiry)
 
     def _emit_adverts(self) -> None:
-        for cid in sorted(self.chains):
-            adv = advertise(self.chains[cid], self.registry, self.resolver, 0)
+        for cid, chain in self.chains.items():
+            adv = advertise(chain, self.registry, self.resolver, 0)
             self.net.record("advert", cid, *adv.transcript())
 
     def _schedule_all(self) -> None:
@@ -391,9 +386,9 @@ class Simulation:
         """Earliest tick at which some phase can act (see the module
         docstring), or None when none can until a fault changes that."""
         wake = self.net.next_event_tick()
-        deadline = self.transfers.next_deadline()
-        if deadline is not None and (wake is None or deadline < wake):
-            wake = deadline + 1
+        abort = self.transfers.next_abort_tick()
+        if abort is not None and (wake is None or abort < wake):
+            wake = abort
         expiry = self.valuenet.next_expiry()
         if expiry is not None and (wake is None or expiry < wake):
             wake = expiry
@@ -445,7 +440,7 @@ class Simulation:
         metrics = {
             "events_executed": self.events_executed,
             "ledger_entries": {cid: len(c.ledger.entries)
-                               for cid, c in sorted(self.chains.items())},
+                               for cid, c in self.chains.items()},
             "log_records": len(self.net.log.records),
         }
         return RunReport(
@@ -520,10 +515,11 @@ def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],
 def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
              survivor: SurvivorLayer, transfers: TransferEngine,
              valuenet: ValueNetwork, tick: int) -> int:
-    """Run the four phases of one tick; returns the events executed."""
+    """Run the four phases of one tick; returns the events executed.
+    chains must be in chain-id order, the order of the consensus phase,
+    as Simulation builds its chain table."""
     executed = net.drain(tick)
-    for cid in sorted(chains):
-        chain = chains[cid]
+    for cid, chain in chains.items():
         if not chain.pending or net.chain_partitioned(cid):
             continue
         for entry in chain.advance_consensus(tick):

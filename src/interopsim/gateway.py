@@ -194,8 +194,8 @@ def verify_attestation(att: VouchAttestation, registry: GatewayRegistry) -> bool
 
 @dataclass(frozen=True)
 class ReachabilityAdvertisement:
-    """What a domain shows the outside: gateways, semantics, asset
-    prefixes.  Never any intra-domain node identifier."""
+    """What a domain shows the outside: its resolver path, gateways,
+    semantics, asset prefixes.  Never any intra-domain node identifier."""
 
     chain_path: str
     gateway_endpoints: tuple[str, ...]
@@ -216,7 +216,7 @@ def advertise(chain, registry: GatewayRegistry, resolver, now: int) -> Reachabil
     assets = tuple(sorted(
         p.asset.prefix() for p in resolver.homes()
         if p.home_chain == chain.chain_id))
-    return ReachabilityAdvertisement(chain.chain_id, endpoints,
+    return ReachabilityAdvertisement(resolver.path(chain.chain_id), endpoints,
                                      (chain.semantic_type.value,), assets, now)
 
 
@@ -400,8 +400,9 @@ class TransferEngine:
         # (chain, local_ref) of every lock and record -> its transfer's
         # index in order
         self._by_ref: dict[tuple[str, str], int] = {}
-        # (deadline_tick, index, transfer) of every transfer that is not
-        # terminal; a terminal one leaves when it reaches the top
+        # (deadline_tick + 1, index, transfer) of every transfer that is
+        # not terminal, keyed by the tick rule (c) aborts it on; a
+        # terminal one leaves when it reaches the top
         self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
         # indexes of the transfers to step in this tick's step phase
         self._due: set[int] = set()
@@ -445,7 +446,7 @@ class TransferEngine:
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
         self._open[transfer_id] = index
-        heappush(self._deadlines, (deadline_tick, index, transfer))
+        heappush(self._deadlines, (deadline_tick + 1, index, transfer))
         self._log(transfer, src_gw.gateway_id,
                   ("gw", f"{transfer.paired_source}:{transfer.paired_dest}"),
                   ("deadline", deadline_tick))
@@ -499,7 +500,7 @@ class TransferEngine:
         and those a gateway liveness change since the last step phase
         can move."""
         due, deadlines = self._due, self._deadlines
-        while deadlines and deadlines[0][0] < now:
+        while deadlines and deadlines[0][0] <= now:
             due.add(heappop(deadlines)[1])  # its step aborts it, if open
         changes = self.registry.changes
         if changes:
@@ -524,9 +525,10 @@ class TransferEngine:
                     or (up and t.awaited_vouch() in up)):
                 due.add(index)
 
-    def next_deadline(self) -> Optional[int]:
-        """Earliest deadline_tick of a transfer that is not terminal, or
-        None when every transfer is terminal."""
+    def next_abort_tick(self) -> Optional[int]:
+        """The earliest abort tick, deadline_tick + 1, of a transfer that
+        is not terminal: the tick on which rule (c) of the stepping rule
+        aborts it.  None when every transfer is terminal."""
         deadlines = self._deadlines
         while deadlines and deadlines[0][2].terminal():
             heappop(deadlines)

@@ -3,7 +3,8 @@
 External parties never see chain-local transaction identifiers; they
 hold CrossIds whose suffix is opaque (derived from the run's RNG, never
 from the local_ref).  The resolver maps each asset to exactly one home
-chain at a time and keeps the full forward history of rebinds.
+chain at a time and keeps the full forward history of rebinds; the
+last pointer of an asset's history is its current home.
 
 Chain identifiers themselves are public; only transaction identifiers
 are masked.
@@ -90,7 +91,7 @@ class Resolver:
         # per chain: local_ref <-> cross_id
         self._mask: dict[str, dict[str, CrossId]] = {}
         self._unmask: dict[str, dict[CrossId, str]] = {}
-        self._home: dict[CrossId, AuthoritativePointer] = {}
+        # each asset's forward history; its last pointer is the home
         self._history: dict[CrossId, list[AuthoritativePointer]] = {}
 
     def register_chain(self, chain_id: str, chain_path: Optional[str] = None) -> None:
@@ -101,6 +102,10 @@ class Resolver:
         self._path[chain_id] = path
         self._mask.setdefault(chain_id, {})
         self._unmask.setdefault(chain_id, {})
+
+    def path(self, chain_id: str) -> str:
+        """The path that prefixes the cross ids minted on chain_id."""
+        return self._path[chain_id]
 
     # -- masking -------------------------------------------------------
 
@@ -117,12 +122,10 @@ class Resolver:
         if existing is not None:
             return existing
         chain.entry(local_ref)  # NotConfirmed or NotFound unless confirmed
-        cid = CrossId(self._path[chain_id], self._fresh_suffix())
+        cid = CrossId(self.path(chain_id), self._fresh_suffix())
         self._mask[chain_id][local_ref] = cid
         self._unmask[chain_id][cid] = local_ref
-        pointer = AuthoritativePointer(cid, chain_id, None, now)
-        self._home[cid] = pointer
-        self._history[cid] = [pointer]
+        self._history[cid] = [AuthoritativePointer(cid, chain_id, None, now)]
         return cid
 
     def bind_existing(self, chain_id: str, cross_id: CrossId, local_ref: str) -> None:
@@ -135,9 +138,9 @@ class Resolver:
             self.register_chain(chain_id)
         mask, unmask = self._mask[chain_id], self._unmask[chain_id]
         old_ref = unmask.get(cross_id)
-        pointer = self._home.get(cross_id)
-        came_home = (pointer is not None and pointer.home_chain == chain_id
-                     and pointer.forwarded_from is not None)
+        history = self._history.get(cross_id)
+        came_home = (history is not None and history[-1].home_chain == chain_id
+                     and history[-1].forwarded_from is not None)
         if local_ref in mask or (old_ref is not None and not came_home):
             raise ValueError(f"mask collision for {cross_id} on {chain_id}")
         if old_ref is not None:
@@ -157,32 +160,32 @@ class Resolver:
     # -- resolution and rebinding --------------------------------------
 
     def assets(self) -> list[CrossId]:
-        return sorted(self._home, key=str)
+        return sorted(self._history, key=str)
 
     def homes(self) -> Iterable[AuthoritativePointer]:
         """The current home pointer of every asset, in no set order."""
-        return self._home.values()
+        return (history[-1] for history in self._history.values())
 
     def resolve(self, cross_id: CrossId) -> AuthoritativePointer:
-        pointer = self._home.get(cross_id)
-        if pointer is None:
+        history = self._history.get(cross_id)
+        if history is None:
             raise NotFound(f"unknown asset {cross_id}")
-        return pointer
+        return history[-1]
 
     def rebind_authority(self, cross_id: CrossId, from_chain: str, to_chain: str,
                          proof, now: int) -> AuthoritativePointer:
         """Atomically move the asset's home.  proof is a (source, dest)
         attestation pair; both must verify and name this asset."""
-        current = self._home.get(cross_id)
-        if current is None:
+        history = self._history.get(cross_id)
+        if history is None:
             raise NotFound(f"unknown asset {cross_id}")
+        current = history[-1]
         if current.home_chain != from_chain:
             raise StaleAuthority(
                 f"{cross_id} home is {current.home_chain}, not {from_chain}")
         self._check_proof(cross_id, from_chain, to_chain, proof)
         pointer = AuthoritativePointer(cross_id, to_chain, from_chain, now)
-        self._home[cross_id] = pointer
-        self._history[cross_id].append(pointer)
+        history.append(pointer)
         return pointer
 
     def _check_proof(self, cross_id: CrossId, from_chain: str, to_chain: str, proof) -> None:
@@ -214,10 +217,9 @@ class Resolver:
         forward history."""
         out = []
         for cid in self.assets():
-            hops = []
-            for p in self._history[cid]:
-                origin = p.forwarded_from or "-"
-                hops.append(f"{origin}>{p.home_chain}@{p.rebind_tick}")
-            out.append((cid, (("home", self._home[cid].home_chain),
+            history = self._history[cid]
+            hops = [f"{p.forwarded_from or '-'}>{p.home_chain}@{p.rebind_tick}"
+                    for p in history]
+            out.append((cid, (("home", history[-1].home_chain),
                               ("history", ";".join(hops)))))
         return out

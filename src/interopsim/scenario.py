@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .chain import LOCAL_REF, PermissionRegime, SemanticType
+from .chain import LOCAL_REF, NODE_ID_TAIL, PermissionRegime, SemanticType, node_ids
 from .errors import ParseError, ValidationError
 
 _REQUIRED = object()
@@ -123,14 +123,18 @@ def _name(chars: str):
 
 def _public(kind):
     """kind, for a name that advertisement or resolve transcripts show:
-    it may hold no word in the local-ref format, which would read as a
-    leaked local ref."""
+    it may hold no word in the local-ref format and no node-id tail,
+    which would read as a leaked local ref or node id."""
     def public(val, minimum=None) -> str:
         val = kind(val, minimum)
         word = LOCAL_REF.search(val)
         if word:
             raise _Invalid(f"{val!r} holds {word.group()!r}, a word in the "
                            f"local-ref format e<digits>, which transcripts must not show")
+        tail = NODE_ID_TAIL.search(val)
+        if tail:
+            raise _Invalid(f"{val!r} holds {tail.group()!r}, where a node id "
+                           f"<chain>.n<digits> could be, which transcripts must not show")
         return val
     return public
 
@@ -350,7 +354,7 @@ class ChainCfg:
 
     def __post_init__(self) -> None:
         # derived once, for the reader's _check and the engine's build
-        self._node_ids = [f"{self.chain_id}.n{i}" for i in range(1, self.nodes + 1)]
+        self._node_ids = node_ids(self.chain_id, self.nodes)
         self._gateway_ids = [f"{self.chain_id}.g{i}" for i in range(1, self.gateways + 1)]
 
     def threshold(self) -> int:

@@ -129,7 +129,6 @@ class SimNet:
     and calls partition() for the part that is the network's."""
 
     def __init__(self, seed: int, inter_chain_latency: int, latency_jitter: int) -> None:
-        self.seed = seed
         self.rng = random.Random(seed)
         self.now = 0
         self.log = EventLog()

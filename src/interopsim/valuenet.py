@@ -252,7 +252,7 @@ class ValueNetwork:
         if path.state != PathState.RESERVED:
             raise AlreadyTerminal(f"{path_id} is {path.state.value}")
         if now >= path.expiry_tick:
-            self._expire_path(path, now)
+            self._end(path, PathState.EXPIRED, now)
             raise PathExpired(f"{path_id} expired at {path.expiry_tick}")
         for hop in path.hops:
             conn = self.connectors[hop.connector_id]
@@ -271,16 +271,14 @@ class ValueNetwork:
         path = self._get(path_id)
         if path.state != PathState.RESERVED:
             raise AlreadyTerminal(f"{path_id} is {path.state.value}")
-        for hop in path.hops:
-            self._release_hold(hop.connector_id, hop.denom_out, hop.amount_out)
-        path.state = PathState.RELEASED
-        path.final_tick = now
+        self._end(path, PathState.RELEASED, now)
         return path
 
-    def _expire_path(self, path: PaymentPath, now: int) -> None:
+    def _end(self, path: PaymentPath, state: PathState, now: int) -> None:
+        """Release a reserved path's holds and end it, unsettled, in state."""
         for hop in path.hops:
             self._release_hold(hop.connector_id, hop.denom_out, hop.amount_out)
-        path.state = PathState.EXPIRED
+        path.state = state
         path.final_tick = now
 
     def expire(self, now: int) -> list[str]:
@@ -289,8 +287,8 @@ class ValueNetwork:
         while self._expiries and self._expiries[0][0] <= now:
             _, pid = heapq.heappop(self._expiries)
             path = self.paths[pid]
-            if path.state == PathState.RESERVED and now >= path.expiry_tick:
-                self._expire_path(path, now)
+            if path.state == PathState.RESERVED:
+                self._end(path, PathState.EXPIRED, now)
                 out.append(pid)
         out.sort()
         return out

@@ -16,6 +16,7 @@ from interopsim.chain import (
     PermissionRegime,
     SemanticType,
     TransferUnit,
+    node_ids,
 )
 from interopsim.gateway import (
     Gateway,
@@ -67,8 +68,7 @@ def make_chain(chain_id="bc1", nodes=4, quorum="2/3", latency=3,
                writers=(), readers=()):
     """One chain with bc style node ids, open regime by default."""
     regime = regime or PermissionRegime()
-    node_ids = [f"{chain_id}.n{i}" for i in range(1, nodes + 1)]
-    return BlockchainSystem(chain_id, node_ids, regime,
+    return BlockchainSystem(chain_id, node_ids(chain_id, nodes), regime,
                             Fraction(quorum), latency, semantic,
                             writers=set(writers), readers=set(readers))
 

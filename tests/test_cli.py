@@ -106,6 +106,20 @@ class TestValidate:
             assert code == 2, command
             assert f"{where}: " in err and "local-ref format" in err
 
+    def test_a_node_id_in_a_chain_path_exits_two(self, capsys, tmp_path):
+        # bc2's asset prefixes would read net.bc1.n2x/..., which holds
+        # bc1's node id bc1.n2
+        chain = ("  - id: {}\n    nodes: 3\n    gateways: 1\n"
+                 "    confirm_latency: 2\n    semantic: generic-record\n")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("horizon: 10\nchains:\n" + chain.format("bc1")
+                       + chain.format("bc2") + "    path: net.bc1.n2x\n"
+                       "assets:\n  - id: a1\n    chain: bc2\n")
+        for command in ("validate", "run"):
+            code, _, err = run_cli(capsys, command, str(bad))
+            assert code == 2, command
+            assert "chains[1].path: " in err and "node id" in err
+
     def test_empty_file_exits_two(self, capsys, tmp_path):
         empty = tmp_path / "empty.yaml"
         empty.write_text("")

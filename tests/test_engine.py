@@ -310,6 +310,22 @@ class TestBundledAuditsAndDeterminism:
         report_b, _ = run_scenario(bundled(name))
         assert report_a.to_json() == report_b.to_json()
 
+    def test_chain_declaration_order_changes_nothing(self):
+        # the chain table is built in chain-id order, whatever the file's
+        raws = {name: yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+                for name in BUNDLED_SCENARIOS}
+        raws.update((f"world-{seed}", world(seed)) for seed in range(100))
+        differ = []
+        for name, raw in raws.items():
+            backwards = sorted(raw["chains"], key=lambda c: c["id"], reverse=True)
+            runs = [run_scenario(parse_scenario(r, name=name))
+                    for r in (raw, {**raw, "chains": backwards})]
+            (report, sim), (report_b, sim_b) = runs
+            if (sim.net.log.dumps() != sim_b.net.log.dumps()
+                    or report.to_json() != report_b.to_json()):
+                differ.append(name)
+        assert differ == []
+
 
 # -- event-driven loop ------------------------------------------------
 
@@ -418,8 +434,7 @@ def _next_wake_reference(sim):
     wakes = [chain.next_confirm_tick() for cid, chain in sim.chains.items()
              if not sim.net.chain_partitioned(cid)]
     wakes.append(sim.net.next_event_tick())
-    deadline = sim.transfers.next_deadline()
-    wakes.append(None if deadline is None else deadline + 1)
+    wakes.append(sim.transfers.next_abort_tick())
     wakes.append(sim.valuenet.next_expiry())
     return min((w for w in wakes if w is not None), default=None)
 

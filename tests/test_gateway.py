@@ -258,6 +258,22 @@ class TestAdvertisements:
         adv2 = advertise(world.chains["bc2"], world.registry, world.resolver, 0)
         assert adv2.reachable_assets == (a2.prefix(),)
 
+    def test_the_advert_shows_the_chain_path(self):
+        chain = {"nodes": 3, "gateways": 1, "confirm_latency": 2,
+                 "semantic": "generic-record"}
+        sim = engine.Simulation(parse_scenario({
+            "horizon": 10,
+            "chains": [{"id": "bc1", **chain}, {"id": "bc2", "path": "trade.hub", **chain}],
+            "assets": [{"id": "a1", "chain": "bc2"}]}))
+        adverts = {rec.subject: rec.detail for rec in sim.net.log.records
+                   if rec.kind == "advert"}
+        prefix = sim.assets["a1"].prefix()
+        assert prefix.startswith("trade.hub/")
+        assert adverts == {
+            "bc1": "path=bc1 endpoints=bc1.g1 semantics=generic-record assets=-",
+            "bc2": f"path=trade.hub endpoints=bc2.g1 semantics=generic-record "
+                   f"assets={prefix}"}
+
 
 def read_fixture():
     """Read-permissioned chain with two gateways, one confirmed asset,

@@ -216,6 +216,26 @@ class TestChainRules:
         cfg = parse_scenario({"horizon": 10, "chains": [minimal_chain(name, path=name)]})
         assert cfg.chains[0].chain_id == name and cfg.chains[0].path == name
 
+    @pytest.mark.parametrize("path", ["net.bc1.n2x", "bc1.n1", "trade.n10", "x.n0"])
+    def test_a_chain_path_may_not_hold_a_node_id_tail(self, path):
+        # a node id is <chain>.n<digits>, so net.bc1.n2x holds bc1.n2
+        problems = problems_of({"horizon": 10, "chains": [minimal_chain(path=path)]})
+        assert len(problems) == 1 and problems[0].startswith("chains[0].path: ")
+        assert "node id" in problems[0]
+
+    def test_a_resolve_id_may_not_hold_a_node_id_tail(self):
+        problems = problems_of({
+            "horizon": 10, "chains": [minimal_chain()],
+            "assets": [{"id": "a1", "chain": "bc1"}],
+            "resolves": [{"id": "q-bc1.n3", "asset": "a1"}]})
+        assert len(problems) == 1 and problems[0].startswith("resolves[0].id: ")
+        assert "node id" in problems[0]
+
+    @pytest.mark.parametrize("path", ["trade.bc1", "x.n", "x.nx", "x.N1", "n1.x", "bc1n2"])
+    def test_a_path_with_no_node_id_tail_is_accepted(self, path):
+        cfg = parse_scenario({"horizon": 10, "chains": [minimal_chain(path=path)]})
+        assert cfg.chains[0].path == path
+
     def test_vouch_threshold_cannot_exceed_gateways(self):
         problems = problems_of({
             "horizon": 10,
