@@ -12,7 +12,7 @@ from .chain import (
     SemanticType,
     TransferUnit,
 )
-from .engine import Simulation, run_scenario
+from .engine import Simulation
 from .gateway import (
     CrossDomainTransfer,
     DelegationGrant,

@@ -191,6 +191,16 @@ def node_ids(chain_id: str, count: int) -> list[str]:
     return [f"{chain_id}.n{i}" for i in range(1, count + 1)]
 
 
+def gateway_ids(chain_id: str, count: int) -> list[str]:
+    """The ids of a chain's count gateways."""
+    return [f"{chain_id}.g{i}" for i in range(1, count + 1)]
+
+
+def chain_of(member_id: str) -> str:
+    """The chain that a node or gateway id names before its dot."""
+    return member_id.split(".", 1)[0]
+
+
 class BlockchainSystem:
     """One autonomous system: node population, regime, ledger."""
 

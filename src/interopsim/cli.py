@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import ParseError, ValidationError
 from .runner import execute, replay_diff
@@ -48,7 +49,9 @@ def cmd_run(args) -> int:
     except (ParseError, ValidationError) as exc:
         _print_scenario_error(exc)
         return 2
-    report, _ = execute(config, seed=args.seed, out_dir=args.out)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    report, _ = execute(config, out_dir=args.out)
     for line in report.summary_lines():
         print(line)
     if args.out:

@@ -36,7 +36,8 @@ liveness of that moment.  A failed vouch logs nothing and draws nothing
 from the RNG.  So every step the rule skips would have been a
 step that changes nothing, and the log is the one a loop that steps
 every open transfer writes.  The step phase finds (b) by one scan of
-the open transfers, which leave that set when they abort or finalize.
+the lock table: a transfer holds its lock from initiation (or aborts
+at once as lock-held) until it aborts or finalizes.
 
 The loop is event-driven.  It processes tick 0, and after each
 processed tick t it moves the clock straight to max(t + 1, w), where w
@@ -97,6 +98,7 @@ from .chain import (
     BlockchainSystem,
     Directionality,
     TransferUnit,
+    chain_of,
 )
 from .errors import (
     GrantMismatch,
@@ -129,10 +131,9 @@ def payload_digest(payload: str) -> str:
 class Simulation:
     """One isolated run; no state shared between instances."""
 
-    def __init__(self, config: ScenarioConfig, seed: Optional[int] = None) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
-        self.seed = config.seed if seed is None else seed
-        self.net = SimNet(self.seed, config.inter_chain_latency, config.latency_jitter)
+        self.net = SimNet(config.seed, config.inter_chain_latency, config.latency_jitter)
         self.chains: dict[str, BlockchainSystem] = {}
         self.registry = GatewayRegistry()
         self.resolver = Resolver(
@@ -202,8 +203,7 @@ class Simulation:
                 g.grant_id, g.grantor, g.grantee, str(self.assets[g.asset]), g.expiry)
 
     def _emit_adverts(self) -> None:
-        for cid, chain in self.chains.items():
-            adv = advertise(chain, self.registry, self.resolver, 0)
+        for cid, adv in advertise(self.chains, self.registry, self.resolver, 0).items():
             self.net.record("advert", cid, *adv.transcript())
 
     def _schedule_all(self) -> None:
@@ -444,7 +444,7 @@ class Simulation:
             "log_records": len(self.net.log.records),
         }
         return RunReport(
-            scenario=self.config.name, seed=self.seed,
+            scenario=self.config.name, seed=self.config.seed,
             horizon=self.config.horizon, end_tick=self.end_tick,
             outcomes=self.outcomes, duplicates=duplicates,
             settlements=settlements, audits=audits, metrics=metrics)
@@ -507,7 +507,7 @@ def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],
         _fire_fault(net, chains, registry, by_id, by_id[fid], True)
     net.partition(fault.chains, fault.links, heal)
     for nid in fault.nodes:
-        chains[nid.split(".")[0]].set_node_live(nid, heal)
+        chains[chain_of(nid)].set_node_live(nid, heal)
     for gid in fault.gateways:
         registry.set_live(gid, heal)
 
@@ -534,8 +534,3 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
         net.record("path", pid, ("state", "EXPIRED"))
     return executed
 
-
-def run_scenario(config: ScenarioConfig, seed: Optional[int] = None) -> tuple[RunReport, Simulation]:
-    sim = Simulation(config, seed)
-    report = sim.run()
-    return report, sim

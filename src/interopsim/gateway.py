@@ -14,9 +14,12 @@ Each fact about a transfer is held once, by the party that owns it.  A
 CrossDomainTransfer holds only the protocol's own sub-state: its state,
 its two ledger refs, whether the record request went out and the
 attestation came back, and the attestations themselves.  Whether it
-holds the source lock is the engine's lock table, whether its record
-has landed is the destination ledger, and whether the destination
-attestation was sent is whether the transfer has one.
+holds the source lock, and so whether it is open, is the engine's lock
+table, and its index in order is the engine's ref table under its lock
+ref; whether its record has landed is the destination ledger; whether
+the destination attestation was sent is whether the transfer has one.
+An advertisement's path and asset prefixes are the resolver's, and its
+endpoints the registry's.
 
 The signature scheme is deliberately abstract: a signature is the
 sha256 of the gateway's registry key, "|" and the claim bytes, so
@@ -211,13 +214,18 @@ class ReachabilityAdvertisement:
                 ("assets", self.reachable_assets or "-"))
 
 
-def advertise(chain, registry: GatewayRegistry, resolver, now: int) -> ReachabilityAdvertisement:
-    endpoints = tuple(g.gateway_id for g in registry.live_gateways(chain.chain_id))
-    assets = tuple(sorted(
-        p.asset.prefix() for p in resolver.homes()
-        if p.home_chain == chain.chain_id))
-    return ReachabilityAdvertisement(resolver.path(chain.chain_id), endpoints,
-                                     (chain.semantic_type.value,), assets, now)
+def advertise(chains: dict, registry: GatewayRegistry, resolver,
+              now: int) -> dict[str, ReachabilityAdvertisement]:
+    """Every chain's advertisement, keyed and ordered as chains is, from
+    one pass over the resolver's homes."""
+    prefixes: dict[str, list[str]] = {cid: [] for cid in chains}
+    for p in resolver.homes():
+        prefixes[p.home_chain].append(p.asset.prefix())
+    return {cid: ReachabilityAdvertisement(
+                resolver.path(cid),
+                tuple(g.gateway_id for g in registry.live_gateways(cid)),
+                (chain.semantic_type.value,), tuple(sorted(prefixes[cid])), now)
+            for cid, chain in chains.items()}
 
 
 # -- delegated reads ---------------------------------------------------
@@ -406,8 +414,6 @@ class TransferEngine:
         self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
         # indexes of the transfers to step in this tick's step phase
         self._due: set[int] = set()
-        # transfer id -> index in order, of every transfer not terminal
-        self._open: dict[str, int] = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -445,7 +451,6 @@ class TransferEngine:
         index = len(self.order)
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
-        self._open[transfer_id] = index
         heappush(self._deadlines, (deadline_tick + 1, index, transfer))
         self._log(transfer, src_gw.gateway_id,
                   ("gw", f"{transfer.paired_source}:{transfer.paired_dest}"),
@@ -512,18 +517,18 @@ class TransferEngine:
             due.clear()
 
     def _wake_on(self, changes: list[tuple[str, bool]]) -> None:
-        """Mark due every open transfer that changes can move: one whose
-        paired gateway went down, and one that waits for a vouch on a
-        chain where a gateway came up."""
+        """Mark due every open transfer, a lock holder, that changes can
+        move: one whose paired gateway went down, and one that waits for
+        a vouch on a chain where a gateway came up."""
         gateways = self.registry.gateways
         down = {gid for gid, live in changes if not live}
         up = {gateways[gid].home_chain for gid, live in changes if live}
-        transfers, due = self.transfers, self._due
-        for tid, index in self._open.items():
+        transfers, by_ref, due = self.transfers, self._by_ref, self._due
+        for tid in self.locks.values():
             t = transfers[tid]
             if (t.paired_source in down or t.paired_dest in down
                     or (up and t.awaited_vouch() in up)):
-                due.add(index)
+                due.add(by_ref[(t.source_chain, t.lock_ref)])
 
     def next_abort_tick(self) -> Optional[int]:
         """The earliest abort tick, deadline_tick + 1, of a transfer that
@@ -659,7 +664,6 @@ class TransferEngine:
         self.peerings.tally_fee(agreement)
         t.state = TransferState.FINALIZED
         t.final_tick = now
-        del self._open[t.transfer_id]
         self._log(t, t.paired_source, ("fee", agreement.fee_per_transfer))
 
     # -- abort ---------------------------------------------------------
@@ -670,7 +674,6 @@ class TransferEngine:
         t.state = TransferState.ABORTED
         t.abort_reason = reason
         t.final_tick = now
-        del self._open[t.transfer_id]
         lock_key = (t.source_chain, str(t.asset))
         if self.locks.get(lock_key) == t.transfer_id:  # not so on a lock-held abort
             del self.locks[lock_key]

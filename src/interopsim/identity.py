@@ -83,10 +83,9 @@ class AuthoritativePointer:
 class Resolver:
     """Single global resolver instance per run."""
 
-    def __init__(self, rng, verifier: Optional[Callable] = None) -> None:
+    def __init__(self, rng, verifier: Callable) -> None:
         self.rng = rng
         self._verifier = verifier
-        self.chain_paths: dict[str, str] = {}
         self._path: dict[str, str] = {}  # chain id -> its path
         # per chain: local_ref <-> cross_id
         self._mask: dict[str, dict[str, CrossId]] = {}
@@ -95,13 +94,13 @@ class Resolver:
         self._history: dict[CrossId, list[AuthoritativePointer]] = {}
 
     def register_chain(self, chain_id: str, chain_path: Optional[str] = None) -> None:
-        path = chain_path or chain_id
-        if path in self.chain_paths and self.chain_paths[path] != chain_id:
-            raise ValueError(f"chain path {path} already registered")
-        self.chain_paths[path] = chain_id
-        self._path[chain_id] = path
-        self._mask.setdefault(chain_id, {})
-        self._unmask.setdefault(chain_id, {})
+        """Register chain_id once, under chain_path or its own id.  The
+        scenario validator keeps paths unique (ChainCfg._check)."""
+        if chain_id in self._path:
+            raise ValueError(f"chain {chain_id} already registered")
+        self._path[chain_id] = chain_path or chain_id
+        self._mask[chain_id] = {}
+        self._unmask[chain_id] = {}
 
     def path(self, chain_id: str) -> str:
         """The path that prefixes the cross ids minted on chain_id."""
@@ -116,15 +115,14 @@ class Resolver:
         """Mask a confirmed entry of chain under a fresh opaque id and
         register the chain as the asset's home.  Idempotent per ref."""
         chain_id = chain.chain_id
-        if chain_id not in self._mask:
-            self.register_chain(chain_id)
-        existing = self._mask[chain_id].get(local_ref)
+        mask, unmask = self._tables(chain_id)
+        existing = mask.get(local_ref)
         if existing is not None:
             return existing
         chain.entry(local_ref)  # NotConfirmed or NotFound unless confirmed
         cid = CrossId(self.path(chain_id), self._fresh_suffix())
-        self._mask[chain_id][local_ref] = cid
-        self._unmask[chain_id][cid] = local_ref
+        mask[local_ref] = cid
+        unmask[cid] = local_ref
         self._history[cid] = [AuthoritativePointer(cid, chain_id, None, now)]
         return cid
 
@@ -134,9 +132,7 @@ class Resolver:
         whose home has just moved back to a chain it left is masked there
         already, under the ref it left from, which is now marked; its
         mask entry moves to local_ref.  Any other collision raises."""
-        if chain_id not in self._mask:
-            self.register_chain(chain_id)
-        mask, unmask = self._mask[chain_id], self._unmask[chain_id]
+        mask, unmask = self._tables(chain_id)
         old_ref = unmask.get(cross_id)
         history = self._history.get(cross_id)
         came_home = (history is not None and history[-1].home_chain == chain_id
@@ -147,6 +143,12 @@ class Resolver:
             del mask[old_ref]
         mask[local_ref] = cross_id
         unmask[cross_id] = local_ref
+
+    def _tables(self, chain_id: str) -> tuple[dict, dict]:
+        """chain_id's mask and unmask tables; NotFound if never registered."""
+        if chain_id not in self._path:
+            raise NotFound(f"chain {chain_id} is not registered")
+        return self._mask[chain_id], self._unmask[chain_id]
 
     def local_ref_for(self, chain_id: str, cross_id: CrossId) -> str:
         ref = self._unmask.get(chain_id, {}).get(cross_id)
@@ -189,8 +191,6 @@ class Resolver:
         return pointer
 
     def _check_proof(self, cross_id: CrossId, from_chain: str, to_chain: str, proof) -> None:
-        if self._verifier is None:
-            raise InvalidProof("no attestation verifier configured")
         try:
             source_att, dest_att = proof
         except (TypeError, ValueError):

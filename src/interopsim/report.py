@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -32,18 +32,8 @@ class RunReport:
         return [a for a in self.audits if not a.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "end_tick": self.end_tick,
-            "outcomes": self.outcomes,
-            "duplicates": self.duplicates,
-            "settlements": self.settlements,
-            "audits": {a.name: {"passed": a.passed, "detail": a.detail}
-                       for a in self.audits},
-            "metrics": self.metrics,
-        }
+        audits = {a.name: {"passed": a.passed, "detail": a.detail} for a in self.audits}
+        return {**asdict(self), "audits": audits}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -6,28 +6,25 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .engine import Simulation, run_scenario
+from .engine import Simulation
 from .report import RunReport
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import ScenarioConfig
 
 RUN_LOG = "run.log"
 REPORT = "report"
 RESOLVER_DUMP = "resolver.dump"
 
 
-def execute(scenario: Union[str, Path, ScenarioConfig], seed: Optional[int] = None,
+def execute(config: ScenarioConfig,
             out_dir: Optional[Union[str, Path]] = None) -> tuple[RunReport, Simulation]:
-    """Run a scenario (file path or parsed config); optionally write the
-    run artifacts (run.log, report, resolver.dump) into out_dir."""
-    if isinstance(scenario, (str, Path)):
-        config = load_scenario(scenario)
-    else:
-        config = scenario
-    report, sim = run_scenario(config, seed)
+    """Run a parsed scenario; optionally write the run artifacts (run.log,
+    report, resolver.dump) into out_dir."""
+    sim = Simulation(config)
+    report = sim.run()
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        sim.net.log.write(out / RUN_LOG)
+        (out / RUN_LOG).write_text(sim.net.log.dumps())
         (out / REPORT).write_text(report.to_json())
         (out / RESOLVER_DUMP).write_text(
             "".join(f"{rec.subject} {rec.detail}\n" for rec in sim.resolver_dump))

@@ -28,7 +28,8 @@ from typing import Any, Optional
 
 import yaml
 
-from .chain import LOCAL_REF, NODE_ID_TAIL, PermissionRegime, SemanticType, node_ids
+from .chain import (LOCAL_REF, NODE_ID_TAIL, PermissionRegime, SemanticType,
+                    chain_of, gateway_ids, node_ids)
 from .errors import ParseError, ValidationError
 
 _REQUIRED = object()
@@ -246,9 +247,9 @@ class _Reader:
 
     def was_dropped(self, noun: str, item_id: str) -> bool:
         """Whether item_id names a dropped item; a node or gateway id
-        names its chain before the dot."""
+        goes with its chain (chain_of)."""
         if noun in ("node", "gateway"):
-            noun, item_id = "chain", item_id.split(".", 1)[0]
+            noun, item_id = "chain", chain_of(item_id)
         return item_id in self.dropped.get(noun, ())
 
     def items(self, val, path: str, spec: Spec, minimum=None, parent=None) -> list:
@@ -355,7 +356,7 @@ class ChainCfg:
     def __post_init__(self) -> None:
         # derived once, for the reader's _check and the engine's build
         self._node_ids = node_ids(self.chain_id, self.nodes)
-        self._gateway_ids = [f"{self.chain_id}.g{i}" for i in range(1, self.gateways + 1)]
+        self._gateway_ids = gateway_ids(self.chain_id, self.gateways)
 
     def threshold(self) -> int:
         if self.vouch_threshold is not None:

@@ -112,10 +112,6 @@ class EventLog:
     def dumps(self) -> str:
         return "".join(line + "\n" for line in self.lines())
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
 
 def _open(history: dict, key) -> bool:
     """Whether key's last episode in history is still open."""

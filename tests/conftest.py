@@ -16,6 +16,7 @@ from interopsim.chain import (
     PermissionRegime,
     SemanticType,
     TransferUnit,
+    gateway_ids,
     node_ids,
 )
 from interopsim.gateway import (
@@ -114,8 +115,8 @@ class TransferWorld:
                                semantic=SemanticType.ASSET_REGISTRY)
             self.chains[cid] = chain
             self.resolver.register_chain(cid)
-            for i in range(1, gateways + 1):
-                self.registry.add(Gateway(f"{cid}.g{i}", cid))
+            for gid in gateway_ids(cid, gateways):
+                self.registry.add(Gateway(gid, cid))
         self.peerings.establish(PeeringAgreement(
             "pa1", "bc1", "bc2", frozenset({SemanticType.ASSET_REGISTRY}),
             Fraction(fee)))

@@ -34,7 +34,6 @@ from interopsim.chain import (
     PermissionRegime,
     SemanticType,
 )
-from interopsim.engine import run_scenario
 from interopsim.errors import NoRoute, Overloaded
 from interopsim.gateway import verify_attestation
 from interopsim.runner import execute, replay_diff
@@ -70,7 +69,7 @@ def _bundled(name: str) -> ScenarioConfig:
 
 
 def test_criterion_1_fallback_reroute():
-    report, sim = run_scenario(_bundled("fig2_fallback"))
+    report, sim = execute(_bundled("fig2_fallback"))
     problems = []
     out = report.outcomes["app_txns"]["t1"]
     if out["state"] != "CONFIRMED":
@@ -89,7 +88,7 @@ def test_criterion_1_fallback_reroute():
 
 
 def test_criterion_2_transfer_correctness():
-    report, sim = run_scenario(_bundled("fig4_transfer"))
+    report, sim = execute(_bundled("fig4_transfer"))
     problems = []
     out = report.outcomes["transfers"]["x1"]
     if out["state"] != "FINALIZED":
@@ -165,7 +164,7 @@ def test_criterion_3_safety_under_faults():
     failures = []
     watched = ("single_authority", "no_lost_assets")
     for seed in range(runs):
-        report, _ = run_scenario(_random_fault_config(seed))
+        report, _ = execute(_random_fault_config(seed))
         for audit in report.audits:
             if audit.name in watched and not audit.passed:
                 failures.append(f"seed {seed}: {audit.name}: {audit.detail}")
@@ -190,7 +189,7 @@ def test_criterion_4_delegated_read():
         reads=[ReadCfg("r_none", 5, "a1", "bob"),
                ReadCfg("r_live", 5, "a1", "bob", grant="g_live"),
                ReadCfg("r_old", 5, "a1", "bob", grant="g_old")])
-    report, _ = run_scenario(config)
+    report, _ = execute(config)
     problems = []
     reads = report.outcomes["reads"]
     if reads["r_none"] != {"state": "ERROR", "error": "GrantMismatch"}:
@@ -303,7 +302,7 @@ def test_criterion_6_determinism(tmp_path):
     for name in BUNDLED_SCENARIOS:
         dirs = (tmp_path / f"{name}-a", tmp_path / f"{name}-b")
         for out in dirs:
-            execute(SCENARIO_DIR / f"{name}.yaml", out_dir=out)
+            execute(_bundled(name), out_dir=out)
         log_a = (dirs[0] / "run.log").read_bytes()
         log_b = (dirs[1] / "run.log").read_bytes()
         if log_a != log_b:
@@ -326,7 +325,7 @@ def test_criterion_7_opacity():
     for name in BUNDLED_SCENARIOS:
         config = _bundled(name)
         node_ids = [n for c in config.chains for n in c.node_ids()]
-        _, sim = run_scenario(config)
+        _, sim = execute(config)
         for rec in sim.net.log.records:
             if rec.kind not in ("advert", "resolve", "resolver"):
                 continue
@@ -346,7 +345,7 @@ def test_criterion_7_opacity():
 def test_criterion_8_gateway_resilience():
     problems = []
     # one crash out of three: the transfer re-pairs and still finalizes
-    report, sim = run_scenario(_bundled("gateway_crash"))
+    report, sim = execute(_bundled("gateway_crash"))
     out = report.outcomes["transfers"]["x1"]
     if out["state"] != "FINALIZED":
         problems.append(f"one crash: state {out['state']}, want FINALIZED")
@@ -358,7 +357,7 @@ def test_criterion_8_gateway_resilience():
     config = _bundled("gateway_crash")
     config.faults.append(FaultCfg("f2", "gateway_crash", 6,
                                   gateways=["bc1.g2"]))
-    report, sim = run_scenario(config)
+    report, sim = execute(config)
     out = report.outcomes["transfers"]["x1"]
     if out["state"] != "ABORTED":
         problems.append(f"two crashes: state {out['state']}, want ABORTED")

@@ -14,6 +14,9 @@ from interopsim.chain import (
     PermissionRegime,
     SemanticType,
     TransferUnit,
+    chain_of,
+    gateway_ids,
+    node_ids,
 )
 from interopsim.errors import NotConfirmed, NotFound, PermissionDenied, SemanticMismatch
 
@@ -273,3 +276,11 @@ class TestConstruction:
         chain = make_chain(nodes=3, quorum="1/3")
         assert chain.quorum_fraction == Fraction(1, 3)
         assert chain.quorum_threshold() == 1
+
+
+class TestMemberIds:
+    @pytest.mark.parametrize("chain_id", ["bc1", "x", "trade-hub_2", "pay10"])
+    def test_chain_of_gives_back_the_chain_of_every_built_id(self, chain_id):
+        members = node_ids(chain_id, 12) + gateway_ids(chain_id, 12)
+        assert len(set(members)) == 24
+        assert {chain_of(m) for m in members} == {chain_id}

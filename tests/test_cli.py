@@ -4,12 +4,14 @@ Exit code contract: 0 all audits pass / logs identical, 1 audit failure
 or diverging logs, 2 parse or validation errors.
 """
 
+import re
+
 import pytest
 
 from interopsim import cli
 from interopsim.report import AuditResult
 
-from conftest import REPO_ROOT, SCENARIO_DIR
+from conftest import BUNDLED_SCENARIOS, REPO_ROOT, SCENARIO_DIR
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +39,23 @@ class TestRun:
                                "--seed", "9")
         assert code == 0
         assert "seed=9" in out
+
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_run_seed_flag_writes_what_the_seed_key_writes(self, capsys, tmp_path, name):
+        # the config is the one record of the seed: --seed 5 and a copy
+        # of the file whose seed key reads 5 must give the same artifacts
+        text = (SCENARIO_DIR / f"{name}.yaml").read_text()
+        text, found = re.subn(r"(?m)^seed: \d+$", "seed: 5", text)
+        copy = tmp_path / "copy" / f"{name}.yaml"
+        copy.parent.mkdir()
+        copy.write_text(text if found else text + "seed: 5\n")
+        assert run_cli(capsys, "run", str(SCENARIO_DIR / f"{name}.yaml"),
+                       "--seed", "5", "--out", str(tmp_path / "flag"))[0] == 0
+        assert run_cli(capsys, "run", str(copy), "--out", str(tmp_path / "key"))[0] == 0
+        for artifact in ("run.log", "report"):
+            assert (tmp_path / "flag" / artifact).read_bytes() \
+                == (tmp_path / "key" / artifact).read_bytes(), artifact
+        assert '"seed": 5,' in (tmp_path / "flag" / "report").read_text()
 
     def test_run_invalid_scenario_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -5,6 +5,7 @@ import gc
 import json
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interopsim import engine as engine_mod
 from interopsim.chain import BlockchainSystem
-from interopsim.engine import Simulation, run_scenario, run_tick
+from interopsim.engine import Simulation, run_tick
 from interopsim.errors import ValidationError
 from interopsim.gateway import TransferEngine, TransferState
+from interopsim.runner import execute
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.valuenet import PathState
@@ -42,7 +45,7 @@ def log_lines(sim, kind=None, subject=None):
 
 class TestFig4Transfer:
     def test_transfer_finalizes_on_the_deterministic_schedule(self):
-        report, sim = run_scenario(bundled("fig4_transfer"))
+        report, sim = execute(bundled("fig4_transfer"))
         assert report.outcomes["transfers"]["x1"] == {
             "state": "FINALIZED", "tick": 10}
         t = sim.transfers.transfers["x1"]
@@ -55,26 +58,26 @@ class TestFig4Transfer:
         assert t.state is TransferState.FINALIZED
 
     def test_resolve_after_transfer_points_at_destination(self):
-        report, _ = run_scenario(bundled("fig4_transfer"))
+        report, _ = execute(bundled("fig4_transfer"))
         resolve = report.outcomes["resolves"]["q1"]
         assert resolve["state"] == "OK"
         assert resolve["home"] == "bc2"
         assert resolve["endpoints"] == ["bc2.g1", "bc2.g2", "bc2.g3"]
 
     def test_read_sees_the_moved_asset_through_a_grant(self):
-        report, _ = run_scenario(bundled("fig4_transfer"))
+        report, _ = execute(bundled("fig4_transfer"))
         read = report.outcomes["reads"]["r1"]
         assert read["state"] == "OK"
         assert read["chain"] == "bc2", "the read follows the asset's new home"
         assert not read["voided"]
 
     def test_settlement_tally_reports_the_fee(self):
-        report, sim = run_scenario(bundled("fig4_transfer"))
+        report, sim = execute(bundled("fig4_transfer"))
         assert report.settlements == {"bc1|bc2": "2"}
         assert sim.peerings.settlements[("bc1", "bc2")] == Fraction(2)
 
     def test_probe_reports_aggregate_only(self):
-        report, sim = run_scenario(bundled("fig4_transfer"))
+        report, sim = execute(bundled("fig4_transfer"))
         probe = report.outcomes["probes"]["pr1"]
         assert probe["state"] == "OK"
         [rec] = log_lines(sim, "probe", "pr1")
@@ -83,7 +86,7 @@ class TestFig4Transfer:
             assert nid not in rec.detail, "probe transcript leaks a node id"
 
     def test_resolver_dump_is_appended_to_the_log(self):
-        _, sim = run_scenario(bundled("fig4_transfer"))
+        _, sim = execute(bundled("fig4_transfer"))
         asset = str(sim.assets["deed1"])
         tail = [r for r in sim.net.log.records if r.kind == "resolver"
                 and r.subject == asset and "history=" in r.detail]
@@ -91,14 +94,14 @@ class TestFig4Transfer:
         assert tail[-1].detail == "home=bc2 history=->bc1@0;bc1>bc2@10"
 
     def test_all_audits_pass(self):
-        report, _ = run_scenario(bundled("fig4_transfer"))
+        report, _ = execute(bundled("fig4_transfer"))
         assert report.passed(), [a.name for a in report.failed_audits()]
         assert len(report.audits) == 14
 
 
 class TestGatewayCrash:
     def test_single_crash_repairs_and_finalizes(self):
-        report, sim = run_scenario(bundled("gateway_crash"))
+        report, sim = execute(bundled("gateway_crash"))
         assert report.outcomes["transfers"]["x1"]["state"] == "FINALIZED"
         t = sim.transfers.transfers["x1"]
         assert t.paired_source == "bc1.g2", \
@@ -110,7 +113,7 @@ class TestGatewayCrash:
             (SCENARIO_DIR / "gateway_crash.yaml").read_text())
         raw["faults"].append({"id": "f2", "kind": "gateway_crash", "at": 6,
                               "gateways": ["bc1.g2"]})
-        report, sim = run_scenario(parse_scenario(raw, name="double_crash"))
+        report, sim = execute(parse_scenario(raw, name="double_crash"))
         outcome = report.outcomes["transfers"]["x1"]
         assert outcome["state"] == "ABORTED"
         assert outcome["reason"] == "deadline"
@@ -122,7 +125,7 @@ class TestGatewayCrash:
 
 class TestAbortPartition:
     def test_destination_partition_aborts_and_voids_nothing_durable(self):
-        report, sim = run_scenario(bundled("abort_partition"))
+        report, sim = execute(bundled("abort_partition"))
         outcome = report.outcomes["transfers"]["x1"]
         assert outcome["state"] == "ABORTED"
         assert outcome["reason"] == "deadline"
@@ -151,7 +154,7 @@ class TestReachability:
             "resolves": [{"id": "q1", "at": 2, "asset": "a1"}],
             "probes": [{"id": "pr1", "at": 2, "chain": "bc1"}],
             "faults": [dict(fault, id="f1", at=1)]})
-        report, sim = run_scenario(config)
+        report, sim = execute(config)
         unreachable = {"state": "ERROR", "error": "Unreachable"}
         assert [report.outcomes["reads"]["r1"], report.outcomes["resolves"]["q1"],
                 report.outcomes["probes"]["pr1"]] == [unreachable] * 3
@@ -184,7 +187,7 @@ class TestFaultShapes:
                        for i, (at, cid) in enumerate(
                            [(3, "bc1"), (3, "bc2"), (3, "bc3"), (4, "bc3"), (7, "bc1")], 1)]},
             name="fault_shapes")
-        return run_scenario(config)
+        return execute(config)
 
     def test_fault_records(self):
         _, sim = self.run_world()
@@ -220,7 +223,7 @@ class TestFaultShapes:
 
 class TestIlpPath:
     def test_payment_outcomes(self):
-        report, _ = run_scenario(bundled("ilp_path"))
+        report, _ = execute(bundled("ilp_path"))
         payments = report.outcomes["payments"]
         assert payments["p1"]["state"] == "SETTLED"
         assert payments["p1"]["amount_out"] == "25"
@@ -237,8 +240,8 @@ class TestIlpPath:
         raw = yaml.safe_load((SCENARIO_DIR / "ilp_path.yaml").read_text())
         raw.pop("payments")
         stripped = parse_scenario(raw, name="ilp_path")
-        _, sim_full = run_scenario(full)
-        _, sim_none = run_scenario(stripped)
+        _, sim_full = execute(full)
+        _, sim_none = execute(stripped)
         for cid in sim_full.chains:
             full, none = sim_full.chains[cid].ledger, sim_none.chains[cid].ledger
             assert (full.entries, full.marks, full.voids) \
@@ -246,13 +249,13 @@ class TestIlpPath:
                 f"{cid}: payments leaked into the chain ledger"
 
     def test_all_audits_pass(self):
-        report, _ = run_scenario(bundled("ilp_path"))
+        report, _ = execute(bundled("ilp_path"))
         assert report.passed(), [a.name for a in report.failed_audits()]
 
 
 class TestReportShape:
     def test_report_serializes_to_stable_json(self):
-        report, _ = run_scenario(bundled("fig2_fallback"))
+        report, _ = execute(bundled("fig2_fallback"))
         text = report.to_json()
         data = json.loads(text)
         assert data["scenario"] == "fig2_fallback"
@@ -269,7 +272,7 @@ class TestReportShape:
             "report JSON must round-trip byte-identically"
 
     def test_summary_lines_name_every_audit(self):
-        report, _ = run_scenario(bundled("fig2_fallback"))
+        report, _ = execute(bundled("fig2_fallback"))
         lines = report.summary_lines()
         assert lines[0].startswith("scenario fig2_fallback seed=42")
         assert sum(1 for l in lines if l.startswith("audit ")) == 14
@@ -277,12 +280,12 @@ class TestReportShape:
 
     def test_seed_override_changes_the_seed_not_the_outcome_shape(self):
         config = bundled("fig2_fallback")
-        report, _ = run_scenario(config, seed=777)
+        report, _ = execute(replace(config, seed=777))
         assert report.seed == 777
         assert report.outcomes["app_txns"]["t1"]["state"] == "CONFIRMED"
 
     def test_metrics_count_events_and_entries(self):
-        report, sim = run_scenario(bundled("fig4_transfer"))
+        report, sim = execute(bundled("fig4_transfer"))
         metrics = report.metrics
         assert metrics["events_executed"] == sim.events_executed > 0
         assert metrics["ledger_entries"]["bc1"] == len(
@@ -293,21 +296,21 @@ class TestReportShape:
 class TestBundledAuditsAndDeterminism:
     @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
     def test_every_bundled_scenario_passes_all_audits(self, name):
-        report, _ = run_scenario(bundled(name))
+        report, _ = execute(bundled(name))
         assert report.passed(), \
             f"{name}: {[a.name for a in report.failed_audits()]}"
 
     @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
     def test_reruns_are_byte_identical(self, name):
-        _, sim_a = run_scenario(bundled(name))
-        _, sim_b = run_scenario(bundled(name))
+        _, sim_a = execute(bundled(name))
+        _, sim_b = execute(bundled(name))
         assert sim_a.net.log.dumps() == sim_b.net.log.dumps(), \
             f"{name}: same scenario and seed must replay identically"
 
     @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
     def test_report_json_is_deterministic(self, name):
-        report_a, _ = run_scenario(bundled(name))
-        report_b, _ = run_scenario(bundled(name))
+        report_a, _ = execute(bundled(name))
+        report_b, _ = execute(bundled(name))
         assert report_a.to_json() == report_b.to_json()
 
     def test_chain_declaration_order_changes_nothing(self):
@@ -318,7 +321,7 @@ class TestBundledAuditsAndDeterminism:
         differ = []
         for name, raw in raws.items():
             backwards = sorted(raw["chains"], key=lambda c: c["id"], reverse=True)
-            runs = [run_scenario(parse_scenario(r, name=name))
+            runs = [execute(parse_scenario(r, name=name))
                     for r in (raw, {**raw, "chains": backwards})]
             (report, sim), (report_b, sim_b) = runs
             if (sim.net.log.dumps() != sim_b.net.log.dumps()
@@ -479,7 +482,7 @@ def _skipping_changes(config):
     steps only the transfers the stepping rule names, and the reference
     run, which processes every tick, steps every open transfer and stops
     by the reference rule."""
-    report, sim = run_scenario(config)
+    report, sim = execute(config)
     ref_report, ref = _run_every_tick(config)
     problems = []
     if sim.end_tick != ref.end_tick:
@@ -505,7 +508,7 @@ class TestEventDrivenLoop:
 
     def test_skipping_changes_nothing_with_expiring_reservations(self):
         config = _expiring_payments_world()
-        report, _ = run_scenario(config)
+        report, _ = execute(config)
         states = {pid: p["state"]
                   for pid, p in report.outcomes["payments"].items()}
         assert states == {"p1": "SETTLED", "p2": "EXPIRED", "p3": "RELEASED",
@@ -514,7 +517,7 @@ class TestEventDrivenLoop:
 
     def test_a_reservation_due_to_expire_holds_the_run_open(self):
         config = _expiring_payments_world(probe=False)
-        report, _ = run_scenario(config)
+        report, _ = execute(config)
         assert report.outcomes["payments"]["p6"]["state"] == "EXPIRED"
         assert report.end_tick == 26, "p6 reserves at 20 with a ttl of 6"
         assert _skipping_changes(config) == []
@@ -525,7 +528,7 @@ class TestEventDrivenLoop:
 
     def test_a_unit_stranded_on_a_partitioned_chain_holds_the_run_open(self):
         config = _stranded_unit_world()
-        report, _ = run_scenario(config)
+        report, _ = execute(config)
         assert report.outcomes["app_txns"]["t0"]["state"] == "FAILED"
         assert report.end_tick == config.horizon
         assert _skipping_changes(config) == []
@@ -547,7 +550,7 @@ class TestEventDrivenLoop:
         counts = {}
         for horizon in (100, 200):
             del steps[:], ticks[:]
-            report, _ = run_scenario(_stuck_world(horizon))
+            report, _ = execute(_stuck_world(horizon))
             assert report.outcomes["transfers"]["x1"] == {
                 "state": "ABORTED", "tick": horizon, "reason": "deadline"}
             counts[horizon] = (len(steps), len(ticks))
@@ -579,7 +582,7 @@ class TestEventDrivenLoop:
         counts = []
         for n in (40, 80, 160):
             del steps[:], calls[:]
-            run_scenario(_flap_world(n, gateway))
+            execute(_flap_world(n, gateway))
             counts.append((len(steps), len(calls)))
         for work in zip(*counts):
             assert all(b <= 2.1 * a for a, b in zip(work, work[1:])), counts
@@ -605,7 +608,7 @@ class TestEventDrivenLoop:
         configs = [bundled(name) for name in BUNDLED_SCENARIOS]
         configs += [parse_scenario(world(seed), name=f"world-{seed}") for seed in range(100)]
         for config in configs:
-            run_scenario(config)
+            execute(config)
         assert wrong == [] and idle == []
 
     def test_only_wake_up_ticks_are_processed(self, monkeypatch):
@@ -617,7 +620,7 @@ class TestEventDrivenLoop:
             return drain(net, tick)
 
         monkeypatch.setattr(SimNet, "drain", counting_drain)
-        report, sim = run_scenario(_sparse_world())
+        report, sim = execute(_sparse_world())
         assert report.outcomes["transfers"]["x0"]["state"] == "FINALIZED"
         # t0 submits at 0 and confirms at 2, its spent timeout timer fires
         # at 6; x0 locks 240-242, records 244-246 and finalizes when the
@@ -661,6 +664,30 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch):
     assert all(report.passed() for report in reports)
 
 
+def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):
+    """After every processed tick, the transfers in the lock table are
+    the transfers that are not terminal: the step phase finds the
+    transfers a liveness change can move by one scan of that table."""
+    mismatches, locks_seen = [], []
+
+    def checked_tick(net, chains, survivor, transfers, valuenet, tick):
+        executed = run_tick(net, chains, survivor, transfers, valuenet, tick)
+        held = set(transfers.locks.values())
+        open_ids = {tid for tid, t in transfers.transfers.items() if not t.terminal()}
+        if held != open_ids:
+            mismatches.append((tick, sorted(held ^ open_ids)))
+        locks_seen.append(len(held))
+        return executed
+
+    monkeypatch.setattr(engine_mod, "run_tick", checked_tick)
+    configs = [bundled(name) for name in BUNDLED_SCENARIOS]
+    configs += [parse_scenario(world(seed), name=f"world-{seed}") for seed in range(100)]
+    for config in configs:
+        Simulation(config).run()
+        assert mismatches == [], (config.name, mismatches)
+    assert sum(locks_seen) > 1000, "the check saw transfers in flight"
+
+
 # -- generated worlds -------------------------------------------------
 
 
@@ -672,9 +699,9 @@ def test_generated_worlds_run_audit_replay_and_skip_nothing(seed):
     except ValidationError as exc:
         assert exc.problems
         return
-    report, sim = run_scenario(config)
+    report, sim = execute(config)
     assert len(report.audits) == 14
     assert report.passed(), [(a.name, a.detail) for a in report.failed_audits()]
-    _, again = run_scenario(config)
+    _, again = execute(config)
     assert again.net.log.dumps() == sim.net.log.dumps()
     assert _skipping_changes(config) == []

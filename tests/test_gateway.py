@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from interopsim import audit, engine, gateway
-from interopsim.chain import BlockchainSystem, SemanticType
+from interopsim.chain import BlockchainSystem, SemanticType, gateway_ids
 from interopsim.errors import (
     DuplicateAgreement,
     GrantExpired,
@@ -61,8 +61,8 @@ from workloads import dense  # noqa: E402
 def registry_of(chain_to_count):
     registry = GatewayRegistry()
     for cid, count in chain_to_count.items():
-        for i in range(1, count + 1):
-            registry.add(Gateway(f"{cid}.g{i}", cid))
+        for gid in gateway_ids(cid, count):
+            registry.add(Gateway(gid, cid))
     return registry
 
 
@@ -224,7 +224,7 @@ class TestAdvertisements:
     def test_transcript_lists_endpoints_semantics_and_prefixes(self):
         world = TransferWorld()
         asset = world.seed_asset()
-        adv = advertise(world.chains["bc1"], world.registry, world.resolver, 0)
+        adv = advertise(world.chains, world.registry, world.resolver, 0)["bc1"]
         transcript = rendered(adv)
         assert "endpoints=bc1.g1,bc1.g2,bc1.g3" in transcript
         assert "semantics=asset-registry" in transcript
@@ -235,9 +235,9 @@ class TestAdvertisements:
     def test_transcript_never_names_nodes_or_local_refs(self):
         world = TransferWorld()
         world.seed_asset()
+        adverts = advertise(world.chains, world.registry, world.resolver, 0)
         for cid, chain in world.chains.items():
-            transcript = rendered(advertise(chain, world.registry,
-                                            world.resolver, 0))
+            transcript = rendered(adverts[cid])
             for nid in chain.nodes:
                 assert nid not in transcript, f"advert leaks node {nid}"
             assert not re.search(r"\be\d+\b", transcript), \
@@ -246,17 +246,30 @@ class TestAdvertisements:
     def test_crashed_gateways_leave_the_endpoint_list(self):
         world = TransferWorld()
         world.registry.set_live("bc1.g2", False)
-        adv = advertise(world.chains["bc1"], world.registry, world.resolver, 0)
+        adv = advertise(world.chains, world.registry, world.resolver, 0)["bc1"]
         assert adv.gateway_endpoints == ("bc1.g1", "bc1.g3")
 
     def test_only_homed_assets_are_advertised(self):
         world = TransferWorld()
         a1 = world.seed_asset("bc1", "genesis:a1")
         a2 = world.seed_asset("bc2", "genesis:a2")
-        adv1 = advertise(world.chains["bc1"], world.registry, world.resolver, 0)
-        assert adv1.reachable_assets == (a1.prefix(),)
-        adv2 = advertise(world.chains["bc2"], world.registry, world.resolver, 0)
-        assert adv2.reachable_assets == (a2.prefix(),)
+        adverts = advertise(world.chains, world.registry, world.resolver, 0)
+        assert list(adverts) == list(world.chains), "one advert per chain, in its order"
+        assert adverts["bc1"].reachable_assets == (a1.prefix(),)
+        assert adverts["bc2"].reachable_assets == (a2.prefix(),)
+
+    def test_set_up_reads_the_homes_once(self, monkeypatch):
+        reads = []
+        homes = Resolver.homes
+
+        def counted(resolver):
+            reads.append(resolver)
+            return homes(resolver)
+
+        monkeypatch.setattr(Resolver, "homes", counted)
+        sim = engine.Simulation(parse_scenario(dense(0, n=60)))
+        assert len(sim.chains) > 1 and len(sim.assets) == 60
+        assert reads == [sim.resolver], "every chain's advert comes from one pass"
 
     def test_the_advert_shows_the_chain_path(self):
         chain = {"nodes": 3, "gateways": 1, "confirm_latency": 2,
@@ -279,8 +292,8 @@ def read_fixture():
     """Read-permissioned chain with two gateways, one confirmed asset,
     and a grant from the privileged reader app_x to app_y."""
     rng = random.Random(2)
-    resolver = Resolver(rng)
     registry = registry_of({"bc1": 2})
+    resolver = Resolver(rng, lambda att: verify_attestation(att, registry))
     chain = make_chain("bc1", latency=1,
                        regime=PermissionRegime(user_read_permissioned=True),
                        readers=["app_x"])

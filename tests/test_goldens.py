@@ -13,14 +13,14 @@ import pytest
 
 from interopsim.runner import execute, replay_diff
 
-from conftest import BUNDLED_SCENARIOS, GOLDEN_DIR, SCENARIO_DIR
+from conftest import BUNDLED_SCENARIOS, GOLDEN_DIR, bundled
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_bundled_scenario_matches_golden(name, tmp_path):
     golden = GOLDEN_DIR / f"{name}.log"
     assert golden.exists(), f"missing committed golden {golden}"
-    execute(SCENARIO_DIR / f"{name}.yaml", out_dir=tmp_path)
+    execute(bundled(name), out_dir=tmp_path)
     fresh = tmp_path / "run.log"
     divergence = replay_diff(golden, fresh)
     assert divergence is None, (
@@ -31,6 +31,6 @@ def test_bundled_scenario_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_bundled_scenario_audits_pass(name):
-    report, _ = execute(SCENARIO_DIR / f"{name}.yaml")
+    report, _ = execute(bundled(name))
     failed = [a.name for a in report.audits if not a.passed]
     assert not failed, f"{name} fails audits: {failed}"

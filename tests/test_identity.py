@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from interopsim.chain import SemanticType
+from interopsim.chain import SemanticType, gateway_ids
 from interopsim.errors import (
     InvalidProof,
     NotConfirmed,
@@ -32,8 +32,13 @@ from conftest import confirm_unit, make_chain, make_unit
 SUFFIX_RE = re.compile(r"^[A-Z2-7]{26}$")
 
 
-def fresh_resolver(seed=0):
-    return Resolver(random.Random(seed))
+def fresh_resolver(seed=0, chains=("bc1",)):
+    """A resolver with chains registered under their own ids; its
+    verifier accepts nothing, as these tests never rebind."""
+    resolver = Resolver(random.Random(seed), lambda att: False)
+    for chain_id in chains:
+        resolver.register_chain(chain_id)
+    return resolver
 
 
 def minted(resolver, chain, n, start=0):
@@ -76,7 +81,6 @@ class TestMinting:
     def test_mint_requires_confirmed_entry(self, ref, error, match):
         chain = make_chain()
         resolver = fresh_resolver()
-        resolver.register_chain("bc1")
         chain.submit(make_unit(), "anon", 0)  # e1, pending
         with pytest.raises(error, match=match):
             resolver.mint_cross_id(chain, ref)
@@ -103,18 +107,27 @@ class TestMinting:
 
     def test_registered_path_is_used_in_cross_ids(self):
         chain = make_chain(latency=1)
-        resolver = fresh_resolver()
+        resolver = fresh_resolver(chains=())
         resolver.register_chain("bc1", "trade.bc1")
         entry = confirm_unit(chain, make_unit())
         cid = resolver.mint_cross_id(chain, entry.local_ref)
-        assert cid.chain_path == "trade.bc1"
-        assert resolver.chain_paths["trade.bc1"] == "bc1"
+        assert cid.chain_path == resolver.path("bc1") == "trade.bc1"
 
-    def test_path_collision_between_chains_rejected(self):
+    def test_a_chain_registers_once(self):
         resolver = fresh_resolver()
-        resolver.register_chain("bc1", "trade.hub")
-        with pytest.raises(ValueError, match="already registered"):
-            resolver.register_chain("bc2", "trade.hub")
+        with pytest.raises(ValueError, match="bc1 already registered"):
+            resolver.register_chain("bc1", "trade.bc1")
+        assert resolver.path("bc1") == "bc1"
+
+    def test_an_unregistered_chain_raises_not_found(self):
+        resolver = fresh_resolver()
+        chain = make_chain("bc2", latency=1)
+        entry = confirm_unit(chain, make_unit())
+        with pytest.raises(NotFound, match="bc2 is not registered"):
+            resolver.mint_cross_id(chain, entry.local_ref)
+        [(_, cid)] = minted(resolver, make_chain(latency=1), 1)
+        with pytest.raises(NotFound, match="bc2 is not registered"):
+            resolver.bind_existing("bc2", cid, "e7")
 
 
 class TestSuffixOpacity:
@@ -183,8 +196,7 @@ class TestBijectivity:
 
     def test_bind_existing_extends_the_destination_mask(self):
         chain = make_chain(latency=1)
-        resolver = fresh_resolver()
-        resolver.register_chain("bc2")
+        resolver = fresh_resolver(chains=("bc1", "bc2"))
         [(ref, cid)] = minted(resolver, chain, 1)
         resolver.bind_existing("bc2", cid, "e7")
         assert resolver.local_ref_for("bc2", cid) == "e7"
@@ -194,8 +206,7 @@ class TestBijectivity:
 
     def test_bind_existing_rejects_collisions(self):
         chain = make_chain(latency=1)
-        resolver = fresh_resolver()
-        resolver.register_chain("bc2")
+        resolver = fresh_resolver(chains=("bc1", "bc2"))
         [(_, cid)] = minted(resolver, chain, 1)
         resolver.bind_existing("bc2", cid, "e7")
         with pytest.raises(ValueError, match="mask collision"):
@@ -215,7 +226,6 @@ class TestBijectivity:
 
     def test_unmasked_lookups_raise(self):
         resolver = fresh_resolver()
-        resolver.register_chain("bc1")
         stranger = CrossId("bc1", "A" * 26)
         with pytest.raises(NotFound):
             resolver.local_ref_for("bc1", stranger)
@@ -232,8 +242,8 @@ def rebind_fixture():
         chain = make_chain(cid, latency=1, semantic=SemanticType.ASSET_REGISTRY)
         chains[cid] = chain
         resolver.register_chain(cid)
-        for i in range(1, 4):
-            registry.add(Gateway(f"{cid}.g{i}", cid))
+        for gid in gateway_ids(cid, 3):
+            registry.add(Gateway(gid, cid))
     entry = confirm_unit(chains["bc1"],
                          make_unit(semantic=SemanticType.ASSET_REGISTRY))
     asset = resolver.mint_cross_id(chains["bc1"], entry.local_ref)

@@ -1,6 +1,7 @@
 """Runner tests: artifact layout and event-log diffing."""
 
 import json
+from dataclasses import replace
 
 from interopsim.runner import (
     REPORT,
@@ -10,14 +11,13 @@ from interopsim.runner import (
     replay_diff,
 )
 
-from conftest import SCENARIO_DIR, bundled
+from conftest import bundled
 
 
 class TestExecute:
     def test_writes_the_three_artifacts(self, tmp_path):
         out = tmp_path / "artifacts"
-        report, sim = execute(SCENARIO_DIR / "fig4_transfer.yaml",
-                              out_dir=out)
+        report, sim = execute(bundled("fig4_transfer"), out_dir=out)
         assert sorted(p.name for p in out.iterdir()) == [
             REPORT, RESOLVER_DUMP, RUN_LOG]
         assert (out / RUN_LOG).read_text() == sim.net.log.dumps()
@@ -33,11 +33,11 @@ class TestExecute:
         assert report.scenario == "fig2_fallback"
 
     def test_seed_override_reaches_the_report(self, tmp_path):
-        report, _ = execute(SCENARIO_DIR / "fig2_fallback.yaml", seed=123)
+        report, _ = execute(replace(bundled("fig2_fallback"), seed=123))
         assert report.seed == 123
 
     def test_no_out_dir_writes_nothing(self, tmp_path):
-        execute(SCENARIO_DIR / "fig2_fallback.yaml")
+        execute(bundled("fig2_fallback"))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -71,7 +71,8 @@ class TestReplayDiff:
         assert "<absent>" in div.render()
 
     def test_execute_artifacts_replay_identically(self, tmp_path):
-        execute(SCENARIO_DIR / "gateway_crash.yaml", out_dir=tmp_path / "r1")
-        execute(SCENARIO_DIR / "gateway_crash.yaml", out_dir=tmp_path / "r2")
+        config = bundled("gateway_crash")
+        execute(config, out_dir=tmp_path / "r1")
+        execute(config, out_dir=tmp_path / "r2")
         assert replay_diff(tmp_path / "r1" / RUN_LOG,
                            tmp_path / "r2" / RUN_LOG) is None

@@ -4,7 +4,8 @@ log format and byte-identical determinism."""
 import random
 from functools import partial
 
-from interopsim.engine import run_scenario, schedule_faults
+from interopsim.engine import schedule_faults
+from interopsim.runner import execute
 from interopsim.scenario import FaultCfg, parse_scenario
 from interopsim.simnet import (
     EventLog,
@@ -225,7 +226,7 @@ class TestDeterminism:
 class TestEmptyScenario:
     def test_empty_world_quiesces_at_tick_zero(self):
         config = parse_scenario({"horizon": 50}, name="empty")
-        report, sim = run_scenario(config)
+        report, sim = execute(config)
         assert report.end_tick == 0, "nothing scheduled means immediate quiescence"
         assert sim.net.log.records == [], "no events means an empty log"
         assert report.passed(), [a.name for a in report.failed_audits()]

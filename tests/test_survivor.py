@@ -4,8 +4,8 @@ tolerance across healed chains, rejection handling, outcome opacity."""
 import pytest
 
 from interopsim.chain import SemanticType
-from interopsim.engine import run_scenario
 from interopsim.errors import EmptyCandidates, NotFound, SemanticMismatch
+from interopsim.runner import execute
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.survivor import (
@@ -38,14 +38,14 @@ def two_generic_chains(horizon=40, latency=4, **extra):
 
 
 def run_raw(raw, name="case"):
-    return run_scenario(parse_scenario(raw, name=name))
+    return execute(parse_scenario(raw, name=name))
 
 
 class TestFallbackSchedule:
     def test_partitioned_primary_falls_back_and_confirms(self):
         # submission at t0 is dropped (bc1 isolated), timeout at t10
         # starts attempt 2 on bc2, which confirms at t10 + latency 4
-        report, sim = run_scenario(bundled("fig2_fallback"))
+        report, sim = execute(bundled("fig2_fallback"))
         outcome = report.outcomes["app_txns"]["t1"]
         assert outcome == {"state": TXN_CONFIRMED, "tick": 14, "attempts": 2}
         [sub] = sim.survivor.audit("t1").values()
@@ -55,7 +55,7 @@ class TestFallbackSchedule:
         assert sub.confirmations == [("bc2", "e1", 14)]
 
     def test_dropped_submission_never_reaches_the_ledger(self):
-        _, sim = run_scenario(bundled("fig2_fallback"))
+        _, sim = execute(bundled("fig2_fallback"))
         assert sim.chains["bc1"].ledger.entries == []
         assert sim.chains["bc1"].pending == [], \
             "a dropped submission must not linger as pending"
@@ -215,14 +215,14 @@ class TestValidationAndSurface:
             layer.submit_app_txn("t1", [sub])
 
     def test_outcome_record_carries_no_chain_identities(self):
-        report, sim = run_scenario(bundled("fig2_fallback"))
+        report, sim = execute(bundled("fig2_fallback"))
         record = sim.survivor.poll_status("t1")
         assert set(vars(record)) == {"state", "final_tick", "attempts"}, \
             "the caller-visible outcome must stay chain-anonymous"
         assert record.state == TXN_CONFIRMED
 
     def test_audit_is_the_only_window_into_chains(self):
-        _, sim = run_scenario(bundled("fig2_fallback"))
+        _, sim = execute(bundled("fig2_fallback"))
         subs = sim.survivor.audit("t1")
         assert subs["s1"].confirmations[0][0] == "bc2"
 

@@ -26,6 +26,8 @@ from here.
 
 import random
 
+from interopsim.chain import gateway_ids, node_ids
+
 
 def world(seed: int) -> dict:
     rng = random.Random(seed)
@@ -105,10 +107,10 @@ def _faults(rng, chains, horizon):
             fault.update(kind="partition", links=[rng.sample(chain_ids, 2)])
         elif kind == "node_crash":
             chain = rng.choice(chains)
-            fault["nodes"] = [f"{chain['id']}.n{i}" for i in
-                              rng.sample(range(1, chain["nodes"] + 1), rng.randint(1, 2))]
+            fault["nodes"] = rng.sample(node_ids(chain["id"], chain["nodes"]),
+                                        rng.randint(1, 2))
         else:
-            fault["gateways"] = [f"{c['id']}.g{rng.randint(1, c['gateways'])}"
+            fault["gateways"] = [rng.choice(gateway_ids(c["id"], c["gateways"]))
                                  for c in rng.sample(chains, rng.randint(1, 2))]
         if rng.random() < 0.6:
             fault["until"] = rng.randint(at + 1, horizon)
