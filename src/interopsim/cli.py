@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import ParseError, ValidationError
 from .runner import execute, replay_diff
-from .scenario import load_scenario
+from .scenario import load_scenario, with_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,11 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     try:
         config = load_scenario(args.scenario)
+        if args.seed is not None:
+            config = with_seed(config, args.seed)
     except (ParseError, ValidationError) as exc:
         _print_scenario_error(exc)
         return 2
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     report, _ = execute(config, out_dir=args.out)
     for line in report.summary_lines():
         print(line)

@@ -20,7 +20,7 @@ docs/scenario_format.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -104,7 +104,7 @@ def _entries(val, minimum=None) -> list:
 
 def _positive(val, minimum=None) -> Fraction:
     frac = _fraction(val)
-    if frac <= 0:
+    if frac.numerator <= 0:  # a Fraction's denominator is positive
         raise _Invalid(f"must be positive, got {frac}")
     return frac
 
@@ -601,6 +601,16 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"{path.name}: top level must be a mapping")
     return parse_scenario(raw, name=path.stem)
+
+
+def with_seed(config: ScenarioConfig, seed) -> ScenarioConfig:
+    """config under another seed, read by the seed key's own rule: a
+    seed the file's seed key would reject raises that ValidationError."""
+    _, kind, _, minimum, *_ = next(f for f in _SCENARIO.fields if f[0] == "seed")
+    try:
+        return replace(config, seed=kind(seed, minimum))
+    except _Invalid as exc:
+        raise ValidationError(f"seed: {exc}") from None
 
 
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:

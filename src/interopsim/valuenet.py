@@ -20,9 +20,12 @@ adjacency list and empty the table.
 Capacity is checked when a path is reserved, not when it is routed.  A
 connector's hold on its outgoing denomination is everything held for
 unsettled reservations; a build checks held + need <= reserve on the
-very sum it then stores as the new hold, so each hop costs one exact
-multiplication and one addition.  An overloaded connector simply
-rejects the new request and the whole path build fails without residue.
+very sum it then stores as the new hold.  Hops, holds and settlements
+are computed on numerators and denominators with int arithmetic (_mul,
+_add, _sub, _gt), and each stored result is one normalized Fraction, so
+reserving a hop costs at most two Fraction constructions and no
+Fraction operator.  An overloaded connector simply rejects the new
+request and the whole path build fails without residue.
 
 Conservation is checked exactly per denomination: each side of the
 check is one integer sum over the least common multiple of its terms'
@@ -137,15 +140,15 @@ class ValueNetwork:
 
     def _hold(self, connector_id: str, denom: str, held: Fraction) -> None:
         """Set the hold on (connector_id, denom) to held, the new total."""
-        assert held <= self.connectors[connector_id].reserves.get(denom, _ZERO), \
+        assert not _gt(held, self.connectors[connector_id].reserves.get(denom, _ZERO)), \
             "hold exceeded reserve"
         self.holds[(connector_id, denom)] = held
 
     def _release_hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
         key = (connector_id, denom)
-        held = self.holds[key] - amount
-        assert held >= 0, "negative hold"
-        if held == 0:
+        held = _sub(self.holds[key], amount)
+        assert held.numerator >= 0, "negative hold"
+        if held.numerator == 0:
             del self.holds[key]
         else:
             self.holds[key] = held
@@ -199,7 +202,7 @@ class ValueNetwork:
         On any shortfall nothing is held and Overloaded is raised, so a
         failed build leaves the global reservation set untouched.
         """
-        if amount_in <= 0:
+        if amount_in.numerator <= 0:
             raise NoRoute("amount must be positive")
         if self.chain_denoms.get(sender_chain) != denom_in:
             raise NoRoute(f"{sender_chain} does not denominate {denom_in}")
@@ -218,13 +221,13 @@ class ValueNetwork:
         for cid, nxt in steps:
             conn = self.connectors[cid]
             d_out = self.chain_denoms[nxt]
-            out = amount * conn.rates[(d_in, d_out)]
+            out = _mul(amount, conn.rates[(d_in, d_out)])
             key = (cid, d_out)
             held = planned.get(key)
             if held is None:
                 held = self.holds.get(key)
-            total = out if held is None else held + out
-            if total > conn.reserves.get(d_out, _ZERO):
+            total = out if held is None else _add(held, out)
+            if _gt(total, conn.reserves.get(d_out, _ZERO)):
                 raise Overloaded(f"{cid} cannot cover {out} {d_out}")
             planned[key] = total
             hops.append(Hop(cid, d_in, d_out, amount, out))
@@ -256,13 +259,14 @@ class ValueNetwork:
             raise PathExpired(f"{path_id} expired at {path.expiry_tick}")
         for hop in path.hops:
             conn = self.connectors[hop.connector_id]
-            conn.reserves[hop.denom_in] = conn.reserves.get(hop.denom_in, _ZERO) + hop.amount_in
-            conn.reserves[hop.denom_out] = conn.reserves[hop.denom_out] - hop.amount_out
+            conn.reserves[hop.denom_in] = _add(conn.reserves.get(hop.denom_in, _ZERO),
+                                               hop.amount_in)
+            conn.reserves[hop.denom_out] = _sub(conn.reserves[hop.denom_out], hop.amount_out)
             self._release_hold(hop.connector_id, hop.denom_out, hop.amount_out)
-            assert conn.reserves[hop.denom_out] >= 0, "reserve went negative"
+            assert conn.reserves[hop.denom_out].numerator >= 0, "reserve went negative"
             self.settled_hops.append(hop)
         key = (path.receiver_chain, path.denom_out)
-        self.credits[key] = self.credits.get(key, _ZERO) + path.amount_out
+        self.credits[key] = _add(self.credits.get(key, _ZERO), path.amount_out)
         path.state = PathState.SETTLED
         path.final_tick = now
         return path
@@ -327,6 +331,34 @@ class ValueNetwork:
                 problems.append(
                     f"{denom}: reserve delta {change} != settled net {net}")
         return problems
+
+
+# Fraction's operators dispatch on the other operand's type before any
+# arithmetic; these take two rationals (Fraction or int) and compute on
+# their numerators and denominators directly.  A denominator is
+# positive, so a numerator carries the sign (the tests of a sign read
+# it alone) and cross-multiplying keeps the order.
+
+def _mul(a, b) -> Fraction:
+    """a * b."""
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def _add(a, b) -> Fraction:
+    """a + b."""
+    ad, bd = a.denominator, b.denominator
+    return Fraction(a.numerator * bd + b.numerator * ad, ad * bd)
+
+
+def _sub(a, b) -> Fraction:
+    """a - b."""
+    ad, bd = a.denominator, b.denominator
+    return Fraction(a.numerator * bd - b.numerator * ad, ad * bd)
+
+
+def _gt(a, b) -> bool:
+    """a > b."""
+    return a.numerator * b.denominator > b.numerator * a.denominator
 
 
 def _exact_sum(added: list, subtracted: list) -> Fraction:

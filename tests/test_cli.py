@@ -57,6 +57,19 @@ class TestRun:
                 == (tmp_path / "key" / artifact).read_bytes(), artifact
         assert '"seed": 5,' in (tmp_path / "flag" / "report").read_text()
 
+    def test_run_seed_flag_obeys_the_seed_key_rule(self, capsys, tmp_path):
+        # validate and run agree: --seed -1 is rejected as seed: -1 is
+        copy = tmp_path / "fig2_fallback.yaml"
+        copy.write_text(re.sub(r"(?m)^seed: \d+$", "seed: -1",
+                               (SCENARIO_DIR / "fig2_fallback.yaml").read_text()))
+        problem = "  seed: must be >= 0, got -1\n"
+        code, out, err = run_cli(capsys, "run", str(copy))
+        assert (code, out) == (2, "") and problem in err
+        code, out, err = run_cli(capsys, "run",
+                                 str(SCENARIO_DIR / "fig2_fallback.yaml"),
+                                 "--seed", "-1")
+        assert (code, out) == (2, "") and problem in err
+
     def test_run_invalid_scenario_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("horizon: 10\nchains:\n  - id: bc1\n    nodes: 0\n"
@@ -188,10 +201,12 @@ class TestParser:
         try:
             md.distribution("interopsim")
         except md.PackageNotFoundError:
-            # run from a source tree: read the declaration instead
-            import tomllib
-            with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
-                scripts = tomllib.load(fh)["project"]["scripts"]
+            # run from a source tree: read the declaration instead, as
+            # key = "value" lines of its table (tomllib is 3.11+ only)
+            text = (REPO_ROOT / "pyproject.toml").read_text()
+            table = re.search(r"(?ms)^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text)
+            assert table, "pyproject.toml declares no [project.scripts]"
+            scripts = dict(re.findall(r'(?m)^(\w+) = "([^"]*)"$', table.group(1)))
             assert scripts == {"interopsim": "interopsim.cli:main"}
             return
         eps = md.entry_points(group="console_scripts")

@@ -1,11 +1,15 @@
 """Value network tests: routing against a brute-force oracle, exact
 rational amounts, atomic reservation, settlement conservation, expiry."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from interopsim import valuenet
 from interopsim.errors import AlreadyTerminal, NoRoute, Overloaded, PathExpired
 from interopsim.valuenet import Connector, Hop, PathState, ValueNetwork
 
@@ -319,7 +323,7 @@ class TestReservation:
             net.build_path("p3", "a", "d", F(5), "x", "y", 2)
         assert net.holds == before
 
-    def test_each_hop_costs_one_multiplication_one_addition_two_comparisons(
+    def test_a_covered_hop_costs_two_constructions_and_no_operator(
             self, monkeypatch):
         denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
         net = ValueNetwork(denoms, [
@@ -331,24 +335,30 @@ class TestReservation:
             reservation_ttl=50)
         net.build_path("p1", "a", "d", F(3), "da", "dd", 0)
         assert len(net.holds) == 3, "every hop has an open hold"
-        ops = {"mul": 0, "add": 0, "sub": 0, "cmp": 0}
-        for kind, names in (("mul", ("__mul__", "__rmul__")),
-                            ("add", ("__add__", "__radd__")),
-                            ("sub", ("__sub__", "__rsub__", "__neg__")),
-                            ("cmp", ("__lt__", "__le__", "__gt__", "__ge__",
-                                     "__eq__"))):
-            for name in names:
-                monkeypatch.setattr(Fraction, name, counting(
-                    getattr(Fraction, name), ops, kind))
+        ops = {"new": 0, "operator": 0}
+        monkeypatch.setattr(valuenet, "Fraction", counting(Fraction, ops, "new"))
+        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                     "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__bool__"):
+            monkeypatch.setattr(Fraction, name, counting(
+                getattr(Fraction, name), ops, "operator"))
         path = net.build_path("p2", "a", "d", F(6), "da", "dd", 1)
+        # per hop: the amount out and the new hold; the positive-amount
+        # check, the capacity check and _hold's assert read integers
+        assert ops == {"new": 2 * 3, "operator": 0}, ops
+        holds = dict(net.holds)
+        net.settle_path("p2", 2)
+        # per hop: the reserve in, the reserve out and the hold left;
+        # per path: the receiver's credit
+        assert ops == {"new": 6 + 3 * 3 + 1, "operator": 0}, ops
+        net.release_path("p1", 3)
+        # per hop: the hold left
+        assert ops == {"new": 16 + 3, "operator": 0}, ops
         monkeypatch.undo()
         assert len(path.hops) == 3
-        # per hop: the amount out, the new hold, the capacity check and
-        # _hold's assert; per build: the check that the amount is positive
-        assert ops["mul"] <= 3 and ops["add"] <= 3 and ops["sub"] == 0
-        assert ops["cmp"] <= 2 * 3 + 1, ops
-        assert net.holds == {("c1", "db"): F("45/4"), ("c2", "dc"): F(15),
-                             ("c3", "dd"): F(9)}
+        assert holds == {("c1", "db"): F("45/4"), ("c2", "dc"): F(15),
+                         ("c3", "dd"): F(9)}
+        assert net.holds == {} and net.conservation_errors() == []
 
     def test_hop_is_an_immutable_positional_record(self):
         hop = Hop("c1", "usd", "eur", F(4), F(5))
@@ -513,3 +523,78 @@ class TestRandomInterleavings:
                     expected[key] = expected.get(key, F(0)) + hop.amount_out
             assert held == {k: v for k, v in expected.items() if v}, \
                 f"seed {seed}: holds diverge from open reservations"
+
+
+# distinct primes, so fractions over them have large coprime denominators
+PRIMES = (7919, 10**9 + 7, 2**61 - 1, 2**89 - 1)
+RATIONALS = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from(PRIMES)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(RATIONALS, RATIONALS)
+def test_integer_helpers_match_the_fraction_operators(a, b):
+    for helper, op in ((valuenet._mul, operator.mul), (valuenet._add, operator.add),
+                       (valuenet._sub, operator.sub)):
+        got, want = helper(a, b), op(Fraction(a), b)
+        assert type(got) is Fraction, helper.__name__
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert str(got) == str(want), helper.__name__
+    assert valuenet._gt(a, b) is (Fraction(a) > b)
+    # the sign tests read the numerator of a normalized Fraction
+    assert (Fraction(a).numerator <= 0) is (Fraction(a) <= 0)
+    assert (Fraction(a).numerator == 0) is (Fraction(a) == 0)
+
+
+class TestCapacityBoundary:
+    """Holds at and just past a reserve, with a rate and a reserve over
+    large coprime denominators."""
+
+    RESERVE = Fraction(10**12 + 39, 2**61 - 1)
+    RATE = Fraction(104729, 7907)
+    ABOVE = Fraction(1, 2**89 - 1)
+
+    def network(self):
+        return ValueNetwork({"a": "x", "b": "y"}, [
+            Connector("c1", ("a", "b"), {"y": self.RESERVE}, {("x", "y"): self.RATE})],
+            reservation_ttl=50)
+
+    def test_a_hold_exactly_at_the_reserve_is_accepted(self):
+        net = self.network()
+        path = net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
+        assert path.amount_out == self.RESERVE
+        assert net.holds == {("c1", "y"): self.RESERVE}
+        assert net.available("c1", "y") == 0
+        net._hold("c1", "y", self.RESERVE)
+
+    def test_a_hold_one_nth_above_the_reserve_raises_overloaded(self):
+        net = self.network()
+        over = (self.RESERVE + self.ABOVE) / self.RATE
+        with pytest.raises(Overloaded, match="c1 cannot cover"):
+            net.build_path("p1", "a", "b", over, "x", "y", 0)
+        assert net.holds == {} and net.paths == {}
+        net.build_path("p1", "a", "b", self.RESERVE / self.RATE / 2, "x", "y", 0)
+        with pytest.raises(Overloaded, match="c1 cannot cover"):
+            net.build_path("p2", "a", "b", over / 2, "x", "y", 0)
+        assert net.holds == {("c1", "y"): self.RESERVE / 2}
+        with pytest.raises(AssertionError, match="hold exceeded reserve"):
+            net._hold("c1", "y", self.RESERVE + self.ABOVE)
+
+    def test_a_release_down_to_exactly_zero_deletes_the_hold(self):
+        net = self.network()
+        third = self.RESERVE / self.RATE / 3
+        net.build_path("p1", "a", "b", third, "x", "y", 0)
+        net.build_path("p2", "a", "b", 2 * third, "x", "y", 0)
+        net.release_path("p1", 1)
+        assert net.holds == {("c1", "y"): 2 * self.RESERVE / 3}
+        net.release_path("p2", 1)
+        assert net.holds == {}, "a hold released to zero is deleted"
+        assert net.available("c1", "y") == self.RESERVE
+
+    def test_a_release_below_zero_fails_its_check(self):
+        net = self.network()
+        net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
+        with pytest.raises(AssertionError, match="negative hold"):
+            net._release_hold("c1", "y", self.RESERVE + self.ABOVE)
