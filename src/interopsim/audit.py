@@ -21,7 +21,6 @@ from .chain import CONSENSUS_KINDS, LOCAL_REF
 from .gateway import TransferState, verify_attestation
 from .report import AuditResult
 from .simnet import ledger_parts
-from .valuenet import PathState
 
 # LOCAL_REF without its leading \b: a literal leads it, so a scan for
 # candidates is fast, and LOCAL_REF confirms each at its position
@@ -272,22 +271,14 @@ def _value_conservation(sim):
     problems = sim.valuenet.conservation_errors()
     if problems:
         return False, "; ".join(problems)
-    for conn in sim.valuenet.connectors.values():
-        for denom, amount in conn.reserves.items():
-            if amount < 0:
-                return False, f"{conn.connector_id}: negative {denom} reserve"
+    for (cid, denom), (numerator, _) in sim.valuenet.reserves.items():
+        if numerator < 0:
+            return False, f"{cid}: negative {denom} reserve"
     return True, ""
 
 
 def _reservation_consistency(sim):
-    expected: dict[tuple[str, str], object] = {}
-    for path in sim.valuenet.paths.values():
-        if path.state != PathState.RESERVED:
-            continue
-        for hop in path.hops:
-            key = (hop.connector_id, hop.denom_out)
-            expected[key] = expected.get(key, 0) + hop.amount_out
-    actual = sim.valuenet.residual_holds()
-    if {k: v for k, v in expected.items() if v} != actual:
-        return False, f"holds {actual} do not match open reservations {expected}"
+    problem = sim.valuenet.hold_errors()
+    if problem:
+        return False, problem
     return True, ""

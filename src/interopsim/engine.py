@@ -180,8 +180,7 @@ class Simulation:
                 p.peering_id, p.chains[0], p.chains[1],
                 frozenset(p.semantics), p.fee))
         denoms = {c.chain_id: c.denom for c in cfg.chains if c.denom}
-        connectors = [Connector(cc.connector_id, tuple(cc.chains),
-                                dict(cc.reserves), dict(cc.rates))
+        connectors = [Connector(cc.connector_id, tuple(cc.chains), cc.reserves, cc.rates)
                       for cc in cfg.connectors]
         self.valuenet = ValueNetwork(denoms, connectors, cfg.reservation_ttl)
 

@@ -158,13 +158,17 @@ def _amounts(val, minimum=None) -> dict[str, Fraction]:
 
 
 def _rates(val, minimum=None) -> dict[tuple[str, str], Fraction]:
-    """A list of {from, to, rate} mappings, keyed by (from, to)."""
+    """A list of {from, to, rate} mappings, keyed by (from, to), each
+    pair once."""
     rates = {}
     for i, item in enumerate(_entries(val)):
         if type(item) is not dict or item.keys() != {"from", "to", "rate"}:
             raise _Invalid("expected a mapping of from, to and rate", f"[{i}]")
         try:
-            rates[_str(item["from"]), _str(item["to"])] = _positive(item["rate"])
+            pair = _str(item["from"]), _str(item["to"])
+            if pair in rates:
+                raise _Invalid(f"duplicate rate {pair[0]} -> {pair[1]}")
+            rates[pair] = _positive(item["rate"])
         except _Invalid as exc:
             raise _Invalid(str(exc), f"[{i}]") from None
     return rates
@@ -412,6 +416,11 @@ class ConnectorCfg:
     chains: list[str] = _yaml(_NAMES, [], minimum=2, ref="chain")
     reserves: dict[str, Fraction] = _yaml(_amounts, {}, minimum=0)
     rates: dict[tuple[str, str], Fraction] = _yaml(_rates, [])
+
+    def _check(self, r: _Reader, p: str) -> None:
+        for i, chain in enumerate(self.chains):
+            if chain in self.chains[:i]:
+                r.add(f"{p}.chains[{i}]", f"duplicate chain {chain}")
 
 
 @dataclass

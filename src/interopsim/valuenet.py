@@ -17,19 +17,28 @@ the chain denominations are fixed for the run.  Any change that mutates
 connectors, rates or denominations after construction must rebuild the
 adjacency list and empty the table.
 
+A Connector is the configured quote: its rates and its reserves at the
+start of the run.  The network holds every amount it computes (hop
+amounts, holds, live reserves and credits) as a value: a (numerator,
+denominator) pair of ints in Fraction's normal form, the denominator
+positive and the gcd 1, so equal amounts are equal pairs.  The quoted
+rates and reserves become values once, when the network is built, and
+_mul, _add, _sub and _gt compute on values with one math.gcd per
+result, so reserving, settling and releasing a hop build no Fraction.
+A Fraction is built only where an amount leaves the network: a built
+path's amount_out, for the log, the outcomes and the report, and the
+detail of a failed audit.
+
 Capacity is checked when a path is reserved, not when it is routed.  A
 connector's hold on its outgoing denomination is everything held for
 unsettled reservations; a build checks held + need <= reserve on the
-very sum it then stores as the new hold.  Hops, holds and settlements
-are computed on numerators and denominators with int arithmetic (_mul,
-_add, _sub, _gt), and each stored result is one normalized Fraction, so
-reserving a hop costs at most two Fraction constructions and no
-Fraction operator.  An overloaded connector simply rejects the new
-request and the whole path build fails without residue.
+very sum it then stores as the new hold.  An overloaded connector
+simply rejects the new request and the whole path build fails without
+residue.
 
 Conservation is checked exactly per denomination: each side of the
 check is one integer sum over the least common multiple of its terms'
-denominators, so the audit builds one rational per denomination, not
+denominators, so the audit computes one value per denomination, not
 one per settled hop.
 
 Reservations expire reservation_ttl ticks after they are made; the
@@ -48,12 +57,15 @@ from typing import NamedTuple, Optional
 
 from .errors import AlreadyTerminal, NoRoute, NotFound, Overloaded, PathExpired
 
-_ZERO = Fraction(0)
+# an exact amount as (numerator, denominator) in Fraction's normal form
+Value = tuple[int, int]
+_ZERO: Value = (0, 1)
 
 
 @dataclass
 class Connector:
-    """Liquidity provider standing between two or more chains."""
+    """Liquidity provider standing between two or more chains, as
+    configured: its quoted rates and its reserves when the run starts."""
 
     connector_id: str
     adjacent_chains: tuple[str, ...]
@@ -68,8 +80,8 @@ class Hop(NamedTuple):
     connector_id: str
     denom_in: str
     denom_out: str
-    amount_in: Fraction
-    amount_out: Fraction
+    amount_in: Value
+    amount_out: Value
 
 
 class PathState(str, Enum):
@@ -107,13 +119,18 @@ class ValueNetwork:
         # (expiry_tick, path_id) per reservation; entries whose path is no
         # longer RESERVED are dropped lazily
         self._expiries: list[tuple[int, str]] = []
+        # live reserves per (connector, denom), which start as configured
+        self.reserves: dict[tuple[str, str], Value] = {
+            (cid, d): amt.as_integer_ratio()
+            for cid, c in self.connectors.items() for d, amt in c.reserves.items()}
         # held amounts per (connector, denom) for unsettled reservations
-        self.holds: dict[tuple[str, str], Fraction] = {}
-        self.credits: dict[tuple[str, str], Fraction] = {}
+        self.holds: dict[tuple[str, str], Value] = {}
+        self.credits: dict[tuple[str, str], Value] = {}
         self.settled_hops: list[Hop] = []
-        self.initial_reserves = {
-            (c.connector_id, d): amt
-            for c in connectors for d, amt in c.reserves.items()}
+        # quoted rates per (connector, denom_in, denom_out)
+        self._rates: dict[tuple[str, str, str], Value] = {
+            (cid, *pair): rate.as_integer_ratio()
+            for cid, c in self.connectors.items() for pair, rate in c.rates.items()}
         # per chain: its (connector_id, next_chain) edges whose connector
         # quotes the rate, sorted by connector id, then next chain
         self._edges: dict[str, list[tuple[str, str]]] = {
@@ -134,21 +151,20 @@ class ValueNetwork:
     # -- capacity ------------------------------------------------------
 
     def available(self, connector_id: str, denom: str) -> Fraction:
-        reserve = self.connectors[connector_id].reserves.get(denom, _ZERO)
-        held = self.holds.get((connector_id, denom))
-        return reserve if held is None else reserve - held
+        key = (connector_id, denom)
+        return Fraction(*_sub(self.reserves.get(key, _ZERO), self.holds.get(key, _ZERO)))
 
-    def _hold(self, connector_id: str, denom: str, held: Fraction) -> None:
+    def _hold(self, connector_id: str, denom: str, held: Value) -> None:
         """Set the hold on (connector_id, denom) to held, the new total."""
-        assert not _gt(held, self.connectors[connector_id].reserves.get(denom, _ZERO)), \
-            "hold exceeded reserve"
-        self.holds[(connector_id, denom)] = held
+        key = (connector_id, denom)
+        assert not _gt(held, self.reserves.get(key, _ZERO)), "hold exceeded reserve"
+        self.holds[key] = held
 
-    def _release_hold(self, connector_id: str, denom: str, amount: Fraction) -> None:
+    def _release_hold(self, connector_id: str, denom: str, amount: Value) -> None:
         key = (connector_id, denom)
         held = _sub(self.holds[key], amount)
-        assert held.numerator >= 0, "negative hold"
-        if held.numerator == 0:
+        assert held[0] >= 0, "negative hold"
+        if held[0] == 0:
             del self.holds[key]
         else:
             self.holds[key] = held
@@ -202,7 +218,8 @@ class ValueNetwork:
         On any shortfall nothing is held and Overloaded is raised, so a
         failed build leaves the global reservation set untouched.
         """
-        if amount_in.numerator <= 0:
+        amount = amount_in.as_integer_ratio()
+        if amount[0] <= 0:
             raise NoRoute("amount must be positive")
         if self.chain_denoms.get(sender_chain) != denom_in:
             raise NoRoute(f"{sender_chain} does not denominate {denom_in}")
@@ -216,19 +233,18 @@ class ValueNetwork:
         # (connector, denom) to the hold it will have, which is stored
         # only once every hop is covered
         hops: list[Hop] = []
-        planned: dict[tuple[str, str], Fraction] = {}
-        amount, d_in = amount_in, denom_in
+        planned: dict[tuple[str, str], Value] = {}
+        d_in = denom_in
         for cid, nxt in steps:
-            conn = self.connectors[cid]
             d_out = self.chain_denoms[nxt]
-            out = _mul(amount, conn.rates[(d_in, d_out)])
+            out = _mul(amount, self._rates[cid, d_in, d_out])
             key = (cid, d_out)
             held = planned.get(key)
             if held is None:
                 held = self.holds.get(key)
             total = out if held is None else _add(held, out)
-            if _gt(total, conn.reserves.get(d_out, _ZERO)):
-                raise Overloaded(f"{cid} cannot cover {out} {d_out}")
+            if _gt(total, self.reserves.get(key, _ZERO)):
+                raise Overloaded(f"{cid} cannot cover {_text(out)} {d_out}")
             planned[key] = total
             hops.append(Hop(cid, d_in, d_out, amount, out))
             amount, d_in = out, d_out
@@ -236,7 +252,7 @@ class ValueNetwork:
             self._hold(cid, denom, total)
 
         path = PaymentPath(receiver_chain, tuple(hops), amount_in, denom_in,
-                           hops[-1].amount_out, denom_out, PathState.RESERVED,
+                           Fraction(*amount), denom_out, PathState.RESERVED,
                            now + self.reservation_ttl)
         self.paths[path_id] = path
         heapq.heappush(self._expiries, (path.expiry_tick, path_id))
@@ -257,16 +273,18 @@ class ValueNetwork:
         if now >= path.expiry_tick:
             self._end(path, PathState.EXPIRED, now)
             raise PathExpired(f"{path_id} expired at {path.expiry_tick}")
+        reserves = self.reserves
         for hop in path.hops:
-            conn = self.connectors[hop.connector_id]
-            conn.reserves[hop.denom_in] = _add(conn.reserves.get(hop.denom_in, _ZERO),
-                                               hop.amount_in)
-            conn.reserves[hop.denom_out] = _sub(conn.reserves[hop.denom_out], hop.amount_out)
-            self._release_hold(hop.connector_id, hop.denom_out, hop.amount_out)
-            assert conn.reserves[hop.denom_out].numerator >= 0, "reserve went negative"
+            cid = hop.connector_id
+            key = (cid, hop.denom_in)
+            reserves[key] = _add(reserves.get(key, _ZERO), hop.amount_in)
+            key = (cid, hop.denom_out)
+            left = reserves[key] = _sub(reserves[key], hop.amount_out)
+            self._release_hold(cid, hop.denom_out, hop.amount_out)
+            assert left[0] >= 0, "reserve went negative"
             self.settled_hops.append(hop)
         key = (path.receiver_chain, path.denom_out)
-        self.credits[key] = _add(self.credits.get(key, _ZERO), path.amount_out)
+        self.credits[key] = _add(self.credits.get(key, _ZERO), path.hops[-1].amount_out)
         path.state = PathState.SETTLED
         path.final_tick = now
         return path
@@ -307,18 +325,33 @@ class ValueNetwork:
 
     # -- audit helpers -------------------------------------------------
 
-    def residual_holds(self) -> dict[tuple[str, str], Fraction]:
-        return {k: v for k, v in self.holds.items() if v != 0}
+    def hold_errors(self) -> Optional[str]:
+        """Exact check of the holds against the open reservations' hops;
+        the problem shows both tables as Fractions."""
+        expected: dict[tuple[str, str], Value] = {}
+        for path in self.paths.values():
+            if path.state != PathState.RESERVED:
+                continue
+            for hop in path.hops:
+                key = (hop.connector_id, hop.denom_out)
+                expected[key] = _add(expected.get(key, _ZERO), hop.amount_out)
+        actual = {k: v for k, v in self.holds.items() if v[0]}
+        if {k: v for k, v in expected.items() if v[0]} == actual:
+            return None
+
+        def shown(table):
+            return {k: Fraction(*v) for k, v in table.items()}
+        return f"holds {shown(actual)} do not match open reservations {shown(expected)}"
 
     def conservation_errors(self) -> list[str]:
         """Exact per-denomination check of reserve deltas vs settled hops."""
         # per denomination: (terms added, terms subtracted)
-        delta: dict[str, tuple[list, list]] = {}  # final minus initial reserves
-        for (_, denom), amount in self.initial_reserves.items():
-            delta.setdefault(denom, ([], []))[1].append(amount)
+        delta: dict[str, tuple[list, list]] = {}  # live minus configured reserves
         for c in self.connectors.values():
             for denom, amount in c.reserves.items():
-                delta.setdefault(denom, ([], []))[0].append(amount)
+                delta.setdefault(denom, ([], []))[1].append(amount.as_integer_ratio())
+        for (_, denom), amount in self.reserves.items():
+            delta.setdefault(denom, ([], []))[0].append(amount)
         settled: dict[str, tuple[list, list]] = {}  # inflow minus outflow
         for h in self.settled_hops:
             settled.setdefault(h.denom_in, ([], []))[0].append(h.amount_in)
@@ -329,43 +362,53 @@ class ValueNetwork:
             net = _exact_sum(*settled[denom]) if denom in settled else _ZERO
             if change != net:
                 problems.append(
-                    f"{denom}: reserve delta {change} != settled net {net}")
+                    f"{denom}: reserve delta {_text(change)} != settled net {_text(net)}")
         return problems
 
 
-# Fraction's operators dispatch on the other operand's type before any
-# arithmetic; these take two rationals (Fraction or int) and compute on
-# their numerators and denominators directly.  A denominator is
-# positive, so a numerator carries the sign (the tests of a sign read
-# it alone) and cross-multiplying keeps the order.
+# Values are computed on their ints: a Fraction operator dispatches on
+# the other operand's type, and Fraction(n, d) and the numerator and
+# denominator properties run in Python, before any arithmetic.  A
+# denominator is positive, so a numerator carries the sign (the tests
+# of a sign read it alone) and cross-multiplying keeps the order.
 
-def _mul(a, b) -> Fraction:
+def _reduced(n: int, d: int) -> Value:
+    g = math.gcd(n, d)
+    return (n // g, d // g)
+
+
+def _mul(a: Value, b: Value) -> Value:
     """a * b."""
-    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+    return _reduced(a[0] * b[0], a[1] * b[1])
 
 
-def _add(a, b) -> Fraction:
+def _add(a: Value, b: Value) -> Value:
     """a + b."""
-    ad, bd = a.denominator, b.denominator
-    return Fraction(a.numerator * bd + b.numerator * ad, ad * bd)
+    an, ad = a
+    bn, bd = b
+    return _reduced(an * bd + bn * ad, ad * bd)
 
 
-def _sub(a, b) -> Fraction:
+def _sub(a: Value, b: Value) -> Value:
     """a - b."""
-    ad, bd = a.denominator, b.denominator
-    return Fraction(a.numerator * bd - b.numerator * ad, ad * bd)
+    an, ad = a
+    bn, bd = b
+    return _reduced(an * bd - bn * ad, ad * bd)
 
 
-def _gt(a, b) -> bool:
+def _gt(a: Value, b: Value) -> bool:
     """a > b."""
-    return a.numerator * b.denominator > b.numerator * a.denominator
+    return a[0] * b[1] > b[0] * a[1]
 
 
-def _exact_sum(added: list, subtracted: list) -> Fraction:
+def _exact_sum(added: list[Value], subtracted: list[Value]) -> Value:
     """sum(added) - sum(subtracted), summed as integers over the least
     common multiple of every term's denominator."""
-    lcm = math.lcm(*(t.denominator for t in added),
-                   *(t.denominator for t in subtracted))
-    return Fraction(sum(t.numerator * (lcm // t.denominator) for t in added)
-                    - sum(t.numerator * (lcm // t.denominator) for t in subtracted),
-                    lcm)
+    lcm = math.lcm(*(d for _, d in added), *(d for _, d in subtracted))
+    return _reduced(sum(n * (lcm // d) for n, d in added)
+                    - sum(n * (lcm // d) for n, d in subtracted), lcm)
+
+
+def _text(v: Value) -> str:
+    """str() of v's Fraction."""
+    return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"

@@ -238,11 +238,10 @@ def test_criterion_5_connector_properties():
         def conserved() -> list:
             bad = []
             current: dict[str, Fraction] = {}
-            for conn in net.connectors.values():
-                for denom, amount in conn.reserves.items():
-                    current[denom] = current.get(denom, Fraction(0)) + amount
+            for (_, denom), amount in net.reserves.items():
+                current[denom] = current.get(denom, Fraction(0)) + Fraction(*amount)
             for (_, denom), amount in net.credits.items():
-                current[denom] = current.get(denom, Fraction(0)) + amount
+                current[denom] = current.get(denom, Fraction(0)) + Fraction(*amount)
             for denom in set(initial) | set(current) | set(paid_in):
                 want = initial.get(denom, Fraction(0)) + paid_in.get(denom, Fraction(0))
                 if current.get(denom, Fraction(0)) != want:

@@ -7,7 +7,6 @@ detail that names the corrupted item.
 """
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -286,14 +285,26 @@ class TestTranscriptAudits:
 
 class TestValueAudits:
     def test_value_conservation_catches_a_minted_reserve(self, payments):
-        payments.valuenet.connectors["c1"].reserves["eur"] += 1
+        n, d = payments.valuenet.reserves[("c1", "eur")]
+        payments.valuenet.reserves[("c1", "eur")] = (n + d, d)
         detail = only_failure(payments, "value_conservation")
         assert detail.startswith("eur: reserve delta")
 
+    def test_value_conservation_catches_a_negative_reserve(self, payments):
+        # ilp_path leaves 65 eur with c1 and 10 with c2; moving 11 from c2
+        # to c1 keeps the eur sum and leaves c2 short
+        reserves = payments.valuenet.reserves
+        assert (reserves[("c1", "eur")], reserves[("c2", "eur")]) == ((65, 1), (10, 1))
+        reserves[("c1", "eur")], reserves[("c2", "eur")] = (76, 1), (-1, 1)
+        assert payments.valuenet.conservation_errors() == []
+        detail = only_failure(payments, "value_conservation")
+        assert detail == "c2: negative eur reserve"
+
     def test_reservation_consistency_catches_an_outstanding_hold(self, payments):
-        payments.valuenet.holds[("c2", "gbp")] = Fraction(3)
+        payments.valuenet.holds[("c2", "gbp")] = (3, 1)
         detail = only_failure(payments, "reservation_consistency")
-        assert "('c2', 'gbp'): Fraction(3, 1)" in detail
+        assert detail == ("holds {('c2', 'gbp'): Fraction(3, 1)} "
+                          "do not match open reservations {}")
 
 
 def reference_opacity(sim):

@@ -471,6 +471,13 @@ BAD_INPUTS = {
     "rate is zero": (
         lambda w: w["connectors"][0]["rates"][0].update(rate="0"),
         "connectors[0].rates[0]: must be positive"),
+    "rate quoted twice": (
+        lambda w: w["connectors"][0]["rates"].append(
+            {"from": "usd", "to": "eur", "rate": "2"}),
+        "connectors[0].rates[1]: duplicate rate usd -> eur"),
+    "connector names one chain twice": (
+        lambda w: w["connectors"][0].update(chains=["pay1", "pay1"]),
+        "connectors[0].chains[1]: duplicate chain pay1"),
     "chain path taken": (
         lambda w: w["chains"][1].update(path="trade.bc1"), "chains[1].path"),
     "peerings overlap": (

@@ -1,6 +1,7 @@
 """Value network tests: routing against a brute-force oracle, exact
 rational amounts, atomic reservation, settlement conservation, expiry."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -9,13 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bundled
 from interopsim import valuenet
+from interopsim.engine import Simulation
 from interopsim.errors import AlreadyTerminal, NoRoute, Overloaded, PathExpired
 from interopsim.valuenet import Connector, Hop, PathState, ValueNetwork
 
 
 def F(x):
     return Fraction(x)
+
+
+def V(x):
+    """x as the network holds it: (numerator, denominator), reduced."""
+    return Fraction(x).as_integer_ratio()
 
 
 def linear_network(ttl=50):
@@ -104,17 +112,33 @@ def counting(method, ops, kind):
     return counted
 
 
+def count_fraction_use(monkeypatch):
+    """Counts, until monkeypatch is undone, of Fraction constructions
+    (new), numerator and denominator reads (read) and calls of Fraction's
+    arithmetic and comparison operators (operator)."""
+    ops = {"new": 0, "read": 0, "operator": 0}
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__, ops, "new"))
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(
+            counting(getattr(Fraction, name).fget, ops, "read")))
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__bool__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name), ops, "operator"))
+    return ops
+
+
 def reference_conservation(net):
     """conservation_errors as one Fraction operation per term."""
     delta, settled = {}, {}
-    for (_, denom), amount in net.initial_reserves.items():
-        delta[denom] = delta.get(denom, F(0)) - amount
     for c in net.connectors.values():
         for denom, amount in c.reserves.items():
-            delta[denom] = delta.get(denom, F(0)) + amount
+            delta[denom] = delta.get(denom, F(0)) - amount
+    for (_, denom), amount in net.reserves.items():
+        delta[denom] = delta.get(denom, F(0)) + Fraction(*amount)
     for h in net.settled_hops:
-        settled[h.denom_in] = settled.get(h.denom_in, F(0)) + h.amount_in
-        settled[h.denom_out] = settled.get(h.denom_out, F(0)) - h.amount_out
+        settled[h.denom_in] = settled.get(h.denom_in, F(0)) + Fraction(*h.amount_in)
+        settled[h.denom_out] = settled.get(h.denom_out, F(0)) - Fraction(*h.amount_out)
     return [f"{d}: reserve delta {delta[d]} != settled net {settled.get(d, F(0))}"
             for d in sorted(delta) if delta[d] != settled.get(d, F(0))]
 
@@ -231,13 +255,13 @@ class TestReservation:
         net = linear_network()
         path = net.build_path("p1", "pay1", "pay2", F(20), "usd", "eur", 0)
         assert path.amount_out == F(25)
-        assert path.hops[0].amount_in == F(20)
+        assert path.hops[0].amount_in == V(20)
         assert net.available("c1", "eur") == F(75)
 
     def test_two_hop_compounding_is_exact(self):
         net = linear_network()
         path = net.build_path("p1", "pay1", "pay3", F(8), "usd", "gbp", 0)
-        assert [h.amount_out for h in path.hops] == [F(10), F(8)], \
+        assert [h.amount_out for h in path.hops] == [V(10), V(8)], \
             "8 usd -> 10 eur -> 8 gbp with exact rationals"
         assert path.amount_out == F(8) and path.denom_out == "gbp"
 
@@ -294,7 +318,7 @@ class TestReservation:
         assert net.holds == before and "p2" not in net.paths, \
             "an overloaded build must leave the holds as they were"
         net.build_path("p2", "pay1", "pay2", F(60), "usd", "eur", 0)
-        assert net.holds == {("c1", "eur"): F(100)}
+        assert net.holds == {("c1", "eur"): V(100)}
         assert net.available("c1", "eur") == 0
 
     def test_one_key_twice_on_a_route_adds_to_the_open_hold(self, monkeypatch):
@@ -310,21 +334,20 @@ class TestReservation:
         monkeypatch.setattr(net, "route", lambda s, r: [
             ("c1", "b"), ("c2", "c"), ("c1", "d")])
         net.build_path("p1", "a", "d", F(4), "x", "y", 0)
-        assert net.holds == {("c1", "y"): F(8), ("c2", "z"): F(4)}
+        assert net.holds == {("c1", "y"): V(8), ("c2", "z"): V(4)}
         # 8 held + 6 + 6 = 20 fits c1's y exactly
         path = net.build_path("p2", "a", "d", F(6), "x", "y", 0)
         assert path.route_ids() == ["c1", "c2", "c1"]
-        assert net.holds == {("c1", "y"): F(20), ("c2", "z"): F(10)}
+        assert net.holds == {("c1", "y"): V(20), ("c2", "z"): V(10)}
         net.release_path("p1", 1)
-        assert net.holds == {("c1", "y"): F(12), ("c2", "z"): F(6)}
+        assert net.holds == {("c1", "y"): V(12), ("c2", "z"): V(6)}
         before = dict(net.holds)
         # 12 held + 5 fits on the first hop, and + 5 more does not
         with pytest.raises(Overloaded, match="c1 cannot cover 5 y"):
             net.build_path("p3", "a", "d", F(5), "x", "y", 2)
         assert net.holds == before
 
-    def test_a_covered_hop_costs_two_constructions_and_no_operator(
-            self, monkeypatch):
+    def test_a_build_makes_one_fraction_and_no_hop_reads_one(self, monkeypatch):
         denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
         net = ValueNetwork(denoms, [
             Connector(cid, (x, y), {denoms[y]: F(100)},
@@ -334,39 +357,41 @@ class TestReservation:
                                     ("c3", "c", "d", "3/5"))],
             reservation_ttl=50)
         net.build_path("p1", "a", "d", F(3), "da", "dd", 0)
+        net.build_path("p3", "a", "d", F(1), "da", "dd", 0)
         assert len(net.holds) == 3, "every hop has an open hold"
-        ops = {"new": 0, "operator": 0}
-        monkeypatch.setattr(valuenet, "Fraction", counting(Fraction, ops, "new"))
-        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-                     "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
-                     "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__bool__"):
-            monkeypatch.setattr(Fraction, name, counting(
-                getattr(Fraction, name), ops, "operator"))
-        path = net.build_path("p2", "a", "d", F(6), "da", "dd", 1)
-        # per hop: the amount out and the new hold; the positive-amount
-        # check, the capacity check and _hold's assert read integers
-        assert ops == {"new": 2 * 3, "operator": 0}, ops
+        six = F(6)
+        ops = count_fraction_use(monkeypatch)
+        path = net.build_path("p2", "a", "d", six, "da", "dd", 1)
+        # the path's amount_out; every hop, hold and check is int arithmetic
+        assert ops == {"new": 1, "read": 0, "operator": 0}, ops
         holds = dict(net.holds)
         net.settle_path("p2", 2)
-        # per hop: the reserve in, the reserve out and the hold left;
-        # per path: the receiver's credit
-        assert ops == {"new": 6 + 3 * 3 + 1, "operator": 0}, ops
         net.release_path("p1", 3)
-        # per hop: the hold left
-        assert ops == {"new": 16 + 3, "operator": 0}, ops
+        assert net.expire(50) == ["p3"]
+        assert ops == {"new": 1, "read": 0, "operator": 0}, ops
         monkeypatch.undo()
-        assert len(path.hops) == 3
-        assert holds == {("c1", "db"): F("45/4"), ("c2", "dc"): F(15),
-                         ("c3", "dd"): F(9)}
+        assert path.amount_out == F(6) and len(path.hops) == 3
+        assert holds == {("c1", "db"): V("25/2"), ("c2", "dc"): V("50/3"),
+                         ("c3", "dd"): V(10)}
         assert net.holds == {} and net.conservation_errors() == []
 
+    def test_a_run_makes_one_fraction_per_built_path(self, monkeypatch):
+        # ilp_path settles two paths, releases one and overloads one build
+        sim = Simulation(bundled("ilp_path"))
+        ops = count_fraction_use(monkeypatch)
+        sim.run()
+        built = len(sim.valuenet.paths)
+        monkeypatch.undo()
+        assert built == 3
+        assert ops["new"] == built, ops
+
     def test_hop_is_an_immutable_positional_record(self):
-        hop = Hop("c1", "usd", "eur", F(4), F(5))
+        hop = Hop("c1", "usd", "eur", V(4), V(5))
         assert hop == Hop(connector_id="c1", denom_in="usd", denom_out="eur",
-                          amount_in=F(4), amount_out=F(5))
-        assert (hop.connector_id, hop.amount_out) == ("c1", F(5))
+                          amount_in=V(4), amount_out=V(5))
+        assert (hop.connector_id, hop.amount_out) == ("c1", V(5))
         with pytest.raises(AttributeError):
-            hop.amount_out = F(6)
+            hop.amount_out = V(6)
 
     def test_endpoint_denomination_must_match(self):
         net = linear_network()
@@ -391,11 +416,12 @@ class TestSettlement:
         net = linear_network()
         net.build_path("p1", "pay1", "pay3", F(8), "usd", "gbp", 0)
         net.settle_path("p1", 2)
-        c1, c2 = net.connectors["c1"], net.connectors["c2"]
-        assert c1.reserves["usd"] == F(8) and c1.reserves["eur"] == F(90)
-        assert c2.reserves["eur"] == F(10) and c2.reserves["gbp"] == F(42)
-        assert net.credits[("pay3", "gbp")] == F(8)
-        assert net.residual_holds() == {}, "settlement must consume the holds"
+        assert net.reserves == {("c1", "eur"): V(90), ("c2", "gbp"): V(42),
+                                ("c1", "usd"): V(8), ("c2", "eur"): V(10)}
+        assert net.credits == {("pay3", "gbp"): V(8)}
+        assert net.holds == {}, "settlement must consume the holds"
+        assert net.connectors["c1"].reserves == {"eur": F(100)}, \
+            "a connector keeps its configured reserves"
 
     def test_settled_run_conserves_every_denomination(self):
         net = linear_network()
@@ -424,9 +450,10 @@ class TestSettlement:
                     pass
             assert net.conservation_errors() == reference_conservation(net) == []
             # mint or burn an odd amount somewhere
-            conn = net.connectors[rng.choice(["c1", "c2"])]
-            denom = rng.choice(sorted(conn.reserves))
-            conn.reserves[denom] += Fraction(rng.choice([-1, 1]), rng.randint(2, 9))
+            cid = rng.choice(["c1", "c2"])
+            denom = rng.choice(sorted(d for c, d in net.reserves if c == cid))
+            odd = Fraction(rng.choice([-1, 1]), rng.randint(2, 9))
+            net.reserves[cid, denom] = V(Fraction(*net.reserves[cid, denom]) + odd)
             problems = net.conservation_errors()
             assert problems == reference_conservation(net) and len(problems) == 1
 
@@ -472,7 +499,7 @@ class TestExpiry:
         assert net.expire(4) == []
         assert net.expire(5) == ["p2"]
         assert net.expire(7) == ["p1"]
-        assert net.residual_holds() == {}
+        assert net.holds == {}
 
 
 class TestRandomInterleavings:
@@ -515,13 +542,12 @@ class TestRandomInterleavings:
             assert net.conservation_errors() == [], f"seed {seed}"
             reserved = [p for p in net.paths.values()
                         if p.state is PathState.RESERVED]
-            held = net.residual_holds()
             expected = {}
             for p in reserved:
                 for hop in p.hops:
                     key = (hop.connector_id, hop.denom_out)
-                    expected[key] = expected.get(key, F(0)) + hop.amount_out
-            assert held == {k: v for k, v in expected.items() if v}, \
+                    expected[key] = expected.get(key, F(0)) + Fraction(*hop.amount_out)
+            assert net.holds == {k: V(v) for k, v in expected.items() if v}, \
                 f"seed {seed}: holds diverge from open reservations"
 
 
@@ -536,16 +562,21 @@ RATIONALS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(RATIONALS, RATIONALS)
 def test_integer_helpers_match_the_fraction_operators(a, b):
+    a, b = Fraction(a), Fraction(b)
+    va, vb = V(a), V(b)
     for helper, op in ((valuenet._mul, operator.mul), (valuenet._add, operator.add),
                        (valuenet._sub, operator.sub)):
-        got, want = helper(a, b), op(Fraction(a), b)
-        assert type(got) is Fraction, helper.__name__
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-        assert str(got) == str(want), helper.__name__
-    assert valuenet._gt(a, b) is (Fraction(a) > b)
-    # the sign tests read the numerator of a normalized Fraction
-    assert (Fraction(a).numerator <= 0) is (Fraction(a) <= 0)
-    assert (Fraction(a).numerator == 0) is (Fraction(a) == 0)
+        got, want = helper(va, vb), op(a, b)
+        assert type(got) is tuple and [type(x) for x in got] == [int, int], helper.__name__
+        assert got == (want.numerator, want.denominator), helper.__name__
+        assert got[1] > 0 and math.gcd(*got) == 1, f"{helper.__name__} is not reduced"
+    assert valuenet._gt(va, vb) is (a > b)
+    assert valuenet._exact_sum([va, vb, va], [vb, vb]) == V(2 * a - b)
+    assert valuenet._exact_sum([va], []) == va
+    assert valuenet._text(va) == str(a)
+    # the sign tests read the numerator of a reduced value
+    assert (va[0] <= 0) is (a <= 0)
+    assert (va[0] == 0) is (a == 0)
 
 
 class TestCapacityBoundary:
@@ -565,9 +596,9 @@ class TestCapacityBoundary:
         net = self.network()
         path = net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
         assert path.amount_out == self.RESERVE
-        assert net.holds == {("c1", "y"): self.RESERVE}
+        assert net.holds == {("c1", "y"): V(self.RESERVE)}
         assert net.available("c1", "y") == 0
-        net._hold("c1", "y", self.RESERVE)
+        net._hold("c1", "y", V(self.RESERVE))
 
     def test_a_hold_one_nth_above_the_reserve_raises_overloaded(self):
         net = self.network()
@@ -578,9 +609,9 @@ class TestCapacityBoundary:
         net.build_path("p1", "a", "b", self.RESERVE / self.RATE / 2, "x", "y", 0)
         with pytest.raises(Overloaded, match="c1 cannot cover"):
             net.build_path("p2", "a", "b", over / 2, "x", "y", 0)
-        assert net.holds == {("c1", "y"): self.RESERVE / 2}
+        assert net.holds == {("c1", "y"): V(self.RESERVE / 2)}
         with pytest.raises(AssertionError, match="hold exceeded reserve"):
-            net._hold("c1", "y", self.RESERVE + self.ABOVE)
+            net._hold("c1", "y", V(self.RESERVE + self.ABOVE))
 
     def test_a_release_down_to_exactly_zero_deletes_the_hold(self):
         net = self.network()
@@ -588,7 +619,7 @@ class TestCapacityBoundary:
         net.build_path("p1", "a", "b", third, "x", "y", 0)
         net.build_path("p2", "a", "b", 2 * third, "x", "y", 0)
         net.release_path("p1", 1)
-        assert net.holds == {("c1", "y"): 2 * self.RESERVE / 3}
+        assert net.holds == {("c1", "y"): V(2 * self.RESERVE / 3)}
         net.release_path("p2", 1)
         assert net.holds == {}, "a hold released to zero is deleted"
         assert net.available("c1", "y") == self.RESERVE
@@ -597,4 +628,4 @@ class TestCapacityBoundary:
         net = self.network()
         net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
         with pytest.raises(AssertionError, match="negative hold"):
-            net._release_hold("c1", "y", self.RESERVE + self.ABOVE)
+            net._release_hold("c1", "y", V(self.RESERVE + self.ABOVE))
