@@ -29,7 +29,7 @@ Invariants enforced or surfaced for audit:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Optional
@@ -63,7 +63,15 @@ class PermissionRegime:
             raise ValueError("node permissioning subsumes consensus permissioning")
 
 
-@dataclass(frozen=True, slots=True)
+def slot_setters(cls) -> tuple:
+    """The __set__ of each field's slot of a slotted dataclass, in field
+    order.  A frozen dataclass's own __init__ stores each field through
+    object.__setattr__; an __init__ that stores through these skips that
+    lookup and stays frozen to every other writer."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TransferUnit:
     """The datagram of the system: what a chain confirms."""
 
@@ -73,11 +81,21 @@ class TransferUnit:
     idempotency_key: str
     intended_peer: Optional[str] = None
 
-    def __post_init__(self):
-        if self.directionality == Directionality.BI and self.intended_peer is None:
+    def __init__(self, payload_digest: str, semantic_type: SemanticType,
+                 directionality: Directionality, idempotency_key: str,
+                 intended_peer: Optional[str] = None) -> None:
+        if directionality == Directionality.BI and intended_peer is None:
             raise ValueError("bidirectional unit requires intended_peer")
-        if self.directionality == Directionality.UNI and self.intended_peer is not None:
+        if directionality == Directionality.UNI and intended_peer is not None:
             raise ValueError("unidirectional unit must not name a peer")
+        _set_digest(self, payload_digest)
+        _set_semantic(self, semantic_type)
+        _set_direction(self, directionality)
+        _set_key(self, idempotency_key)
+        _set_peer(self, intended_peer)
+
+
+_set_digest, _set_semantic, _set_direction, _set_key, _set_peer = slot_setters(TransferUnit)
 
 
 # Entry kinds. unit/lock/record go through consensus and are subject to

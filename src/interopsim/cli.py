@@ -5,8 +5,10 @@
     interopsim diff <run.log> <run.log>
 
 Exit status: 0 on success with all invariant audits passing, 1 when an
-audit fails or the logs differ, 2 on scenario parse/validation errors
-or unreadable inputs.
+audit fails or the logs differ, 2 on scenario parse/validation errors,
+on an input file that is missing or not UTF-8 text, or when run cannot
+make its --out directory (say, a file of that name exists).  Exit 2
+prints the problems, or one error line, to stderr; never a traceback.
 """
 
 from __future__ import annotations
@@ -50,7 +52,11 @@ def cmd_run(args) -> int:
     except (ParseError, ValidationError) as exc:
         _print_scenario_error(exc)
         return 2
-    report, _ = execute(config, out_dir=args.out)
+    try:
+        report, _ = execute(config, out_dir=args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for line in report.summary_lines():
         print(line)
     if args.out:
@@ -74,7 +80,7 @@ def cmd_validate(args) -> int:
 def cmd_diff(args) -> int:
     try:
         divergence = replay_diff(args.log_a, args.log_b)
-    except OSError as exc:
+    except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if divergence is None:

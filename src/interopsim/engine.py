@@ -187,16 +187,16 @@ class Simulation:
     def _seed_assets(self) -> None:
         """Genesis entries confirmed before the run, then the grants,
         which target the cross ids just minted."""
+        chains, assets = self.chains, self.assets
+        mint, record = self.resolver.mint_cross_id, self.net.record
         for a in self.config.assets:
-            chain = self.chains[a.chain]
-            unit = TransferUnit(payload_digest(a.payload), chain.semantic_type,
-                                Directionality.UNI, f"genesis:{a.asset_id}")
-            entry = chain.append_genesis(unit)
-            cid = self.resolver.mint_cross_id(chain, entry.local_ref, 0)
-            self.assets[a.asset_id] = cid
-            self.net.record("ledger", ledger_subject(a.chain, entry.local_ref),
-                            "genesis", ("asset", cid))
-            self.net.record("resolver", str(cid), "register", ("home", a.chain))
+            chain = chains[a.chain]
+            ref = chain.append_genesis(TransferUnit(
+                payload_digest(a.payload), chain.semantic_type,
+                Directionality.UNI, f"genesis:{a.asset_id}")).local_ref
+            cid = assets[a.asset_id] = mint(chain, ref, 0)
+            record("ledger", ledger_subject(a.chain, ref), "genesis", ("asset", cid))
+            record("resolver", str(cid), "register", ("home", a.chain))
         for g in self.config.grants:
             self.grants[g.grant_id] = DelegationGrant(
                 g.grant_id, g.grantor, g.grantee, str(self.assets[g.asset]), g.expiry)

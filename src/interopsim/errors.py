@@ -87,7 +87,7 @@ class EmptyCandidates(InteropError):
 
 
 class ParseError(InteropError):
-    """Scenario file is not well-formed."""
+    """Scenario file is not well-formed, or an input file is not text."""
 
 
 class ValidationError(InteropError):

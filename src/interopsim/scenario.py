@@ -204,12 +204,12 @@ def _yaml(kind, absent=_REQUIRED, minimum=None, ref=None, tick=False,
     kind, a converter or a Spec.  absent applies when the key is missing
     or null: _REQUIRED, None (optional), a YAML value, or a function (n,
     vals, parent) of the item's 1-based index, its values so far and its
-    parent item's values; a dataclass default is also the YAML default.
-    minimum bounds a number or a list's length; ref names the section
-    whose ids each value must be among; tick bounds the value by the
-    horizon."""
+    parent item's values; a dataclass default is also the YAML default
+    (default_factory=list: a fresh [], not read).  minimum bounds a number
+    or a list's length; ref names the section whose ids each value must
+    be among; tick bounds the value by the horizon."""
     if dataclass_default:
-        absent = dataclass_default.get("default", [])
+        absent = dataclass_default.get("default", lambda n, vals, parent: [])
     return field(**dataclass_default, metadata={
         "yaml": (key, kind, absent, minimum, ref, tick)})
 
@@ -305,13 +305,13 @@ class _Reader:
                 if default is None:
                     vals.append(None)
                     continue
-                if callable(default):
-                    vals.append(default(n, vals, parent))
-                    continue
                 if type(kind) is Spec and minimum is None:
                     # an absent list section: no items, so no ids
                     ids[kind.noun] = {}
                     vals.append([])
+                    continue
+                if callable(default):
+                    vals.append(default(n, vals, parent))
                     continue
                 val = default
             try:
@@ -597,7 +597,7 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     try:
         raw = yaml.safe_load(text)

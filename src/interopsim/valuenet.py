@@ -150,10 +150,6 @@ class ValueNetwork:
 
     # -- capacity ------------------------------------------------------
 
-    def available(self, connector_id: str, denom: str) -> Fraction:
-        key = (connector_id, denom)
-        return Fraction(*_sub(self.reserves.get(key, _ZERO), self.holds.get(key, _ZERO)))
-
     def _hold(self, connector_id: str, denom: str, held: Value) -> None:
         """Set the hold on (connector_id, denom) to held, the new total."""
         key = (connector_id, denom)

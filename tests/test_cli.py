@@ -1,7 +1,8 @@
 """Command line interface tests: subcommands, artifacts, exit codes.
 
 Exit code contract: 0 all audits pass / logs identical, 1 audit failure
-or diverging logs, 2 parse or validation errors.
+or diverging logs, 2 parse or validation errors, an unreadable input or
+an --out directory that cannot be made.
 """
 
 import re
@@ -83,6 +84,23 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(tmp_path / "ghost.yaml"))
         assert code == 2
         assert "scenario unreadable" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_scenario_that_is_not_utf8_exits_two(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"\xff\xfe: 1\n")
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("scenario unreadable: cannot read ") and err.count("\n") == 1
+
+    def test_run_out_naming_a_file_exits_two_before_the_run(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code, out, err = run_cli(capsys, "run", str(SCENARIO_DIR / "cut_heal.yaml"),
+                                 "--out", str(taken))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+        assert taken.read_text() == "not a directory\n"
 
     def test_run_failed_audit_exits_one(self, capsys, monkeypatch, tmp_path):
         # exit-code plumbing only: substitute a report with one red audit
@@ -188,6 +206,16 @@ class TestDiff:
                                str(tmp_path / "ghost.log"))
         assert code == 2
         assert "error:" in err
+
+    def test_a_log_that_is_not_utf8_exits_two(self, capsys, tmp_path):
+        a = tmp_path / "a.log"
+        a.write_text("x\n")
+        b = tmp_path / "b.log"
+        b.write_bytes(b"\xff\xfe\n")
+        code, out, err = run_cli(capsys, "diff", str(a), str(b))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {b}: 'utf-8' codec can't decode byte 0xff " \
+                      "in position 0: invalid start byte\n"
 
 
 class TestParser:

@@ -6,11 +6,11 @@ import copy
 import pickle
 import random
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
-from interopsim.chain import SemanticType, gateway_ids
+from interopsim.chain import Directionality, SemanticType, TransferUnit, gateway_ids
 from interopsim.errors import (
     InvalidProof,
     NotConfirmed,
@@ -25,7 +25,7 @@ from interopsim.gateway import (
     verify_attestation,
     vouch,
 )
-from interopsim.identity import CrossId, Resolver, _base32
+from interopsim.identity import AuthoritativePointer, CrossId, Resolver, _base32
 
 from conftest import confirm_unit, make_chain, make_unit
 
@@ -73,6 +73,29 @@ class TestMinting:
         assert {cid: 1}[CrossId(path, suffix)] == 1
         for copied in (copy.copy(cid), copy.deepcopy(cid), pickle.loads(pickle.dumps(cid))):
             assert copied == cid and hash(copied) == hash(cid) and str(copied) == str(cid)
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (CrossId, {"chain_path": "bc1", "opaque_suffix": "A" * 26}),
+        (AuthoritativePointer, {"asset": CrossId("bc1", "A" * 26), "home_chain": "bc2",
+                                "forwarded_from": "bc1", "rebind_tick": 7}),
+        (TransferUnit, {"payload_digest": "d", "semantic_type": SemanticType.GENERIC_RECORD,
+                        "directionality": Directionality.BI, "idempotency_key": "k",
+                        "intended_peer": "app_y"}),
+    ], ids=["CrossId", "AuthoritativePointer", "TransferUnit"])
+    def test_frozen_values_store_their_fields_and_stay_frozen(self, cls, kwargs):
+        # each stores its fields through its slots; the dataclass still
+        # owns assignment, equality, hashing and repr
+        value = cls(**kwargs)
+        assert value == cls(*kwargs.values()) and hash(value) == hash(cls(**kwargs))
+        assert [getattr(value, f.name) for f in fields(cls) if f.init] == list(kwargs.values())
+        assert repr(value) == f"{cls.__name__}(" + ", ".join(
+            f"{k}={v!r}" for k, v in kwargs.items()) + ")"
+        first = next(iter(kwargs))
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, first, kwargs[first])
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, first)
+        assert value != cls(**{**kwargs, first: "other"})
 
     @pytest.mark.parametrize("ref, error, match", [
         ("e1", NotConfirmed, "pending"),

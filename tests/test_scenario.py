@@ -340,6 +340,12 @@ class TestFileLoading:
         with pytest.raises(ParseError, match="cannot read"):
             load_scenario(tmp_path / "absent.yaml")
 
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin.yaml"
+        path.write_bytes(b"\xff\xfe: 1\n")
+        with pytest.raises(ParseError, match="cannot read .*latin.yaml: 'utf-8' codec"):
+            load_scenario(path)
+
     def test_empty_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
