@@ -48,6 +48,15 @@ class Directionality(str, Enum):
     BI = "bi"
 
 
+# the members as module globals: on CPython 3.11 a read through the
+# class goes through the enum metaclass's attribute hook, about ten
+# times the cost of a global
+_UNI, _BI = Directionality.UNI, Directionality.BI
+# each member's text, read without the Enum.value descriptor; no two
+# members of the two enums share a value
+_TEXT = {member: member.value for enum in (SemanticType, Directionality) for member in enum}
+
+
 @dataclass(frozen=True)
 class PermissionRegime:
     """Four independent permissioning axes; node permissioning implies
@@ -84,9 +93,9 @@ class TransferUnit:
     def __init__(self, payload_digest: str, semantic_type: SemanticType,
                  directionality: Directionality, idempotency_key: str,
                  intended_peer: Optional[str] = None) -> None:
-        if directionality == Directionality.BI and intended_peer is None:
+        if directionality == _BI and intended_peer is None:
             raise ValueError("bidirectional unit requires intended_peer")
-        if directionality == Directionality.UNI and intended_peer is not None:
+        if directionality == _UNI and intended_peer is not None:
             raise ValueError("unidirectional unit must not name a peer")
         _set_digest(self, payload_digest)
         _set_semantic(self, semantic_type)
@@ -121,11 +130,13 @@ class LedgerEntry:
     payload: str = ""
 
     def canonical(self) -> str:
-        unit_part = "-"
-        if self.unit is not None:
-            peer = self.unit.intended_peer or "-"
-            unit_part = (f"{self.unit.payload_digest}:{self.unit.semantic_type.value}:"
-                         f"{self.unit.directionality.value}:{self.unit.idempotency_key}:{peer}")
+        unit = self.unit
+        if unit is None:
+            unit_part = "-"
+        else:
+            unit_part = (f"{unit.payload_digest}:{_TEXT[unit.semantic_type]}:"
+                         f"{_TEXT[unit.directionality]}:{unit.idempotency_key}:"
+                         f"{unit.intended_peer or '-'}")
         return (f"{self.local_ref}|{self.kind}|{unit_part}|{self.submitted_tick}|"
                 f"{self.confirmed_tick}|{','.join(self.confirming_nodes)}|{self.payload}")
 

@@ -52,6 +52,7 @@ from .chain import (
     LedgerEntry,
     SemanticType,
     TransferUnit,
+    slot_setters,
 )
 from .errors import (
     AlreadyTerminal,
@@ -125,7 +126,7 @@ class GatewayRegistry:
 
 # -- attestations ------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Claim:
     """What an attestation asserts about one chain's ledger.  Its bytes,
     encoded once at construction, are what every signature covers."""
@@ -136,59 +137,88 @@ class Claim:
     entry_digest: str
     encoded: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "encoded", self.to_bytes())
+    def __init__(self, chain_id: str, cross_id: str, confirmed: bool,
+                 entry_digest: str) -> None:
+        _set_claim_chain(self, chain_id)
+        _set_claim_asset(self, cross_id)
+        _set_claim_confirmed(self, confirmed)
+        _set_claim_digest(self, entry_digest)
+        _set_claim_encoded(self, self.to_bytes())
 
     def to_bytes(self) -> bytes:
         return f"{self.chain_id}|{self.cross_id}|{int(self.confirmed)}|{self.entry_digest}".encode("ascii")
 
 
-@dataclass(frozen=True, slots=True)
+(_set_claim_chain, _set_claim_asset, _set_claim_confirmed, _set_claim_digest,
+ _set_claim_encoded) = slot_setters(Claim)
+
+# the serialized threshold is an unsigned 16-bit field (struct "H"); the
+# scenario validator rejects a larger one (ChainCfg._check)
+MAX_THRESHOLD = 0xFFFF
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class VouchAttestation:
     claim: Claim
     threshold_k: int
     signatures: tuple[tuple[str, str], ...]  # (gateway_id, sig hex), sorted
     issued_tick: int
 
+    def __init__(self, claim: Claim, threshold_k: int,
+                 signatures: tuple[tuple[str, str], ...], issued_tick: int) -> None:
+        _set_att_claim(self, claim)
+        _set_att_k(self, threshold_k)
+        _set_att_signatures(self, signatures)
+        _set_att_tick(self, issued_tick)
+
     def serialize(self) -> bytes:
         """Length-prefixed claim plus signer list; bit-exact across replays."""
         claim = self.claim.encoded
-        signers = ",".join(f"{gid}:{sig}" for gid, sig in self.signatures)
-        head = struct.pack(">HI", self.threshold_k, len(claim))
-        return head + claim + b"|" + str(self.issued_tick).encode("ascii") + b"|" + signers.encode("ascii")
+        signers = ",".join([f"{gid}:{sig}" for gid, sig in self.signatures])
+        return (struct.pack(">HI", self.threshold_k, len(claim)) + claim
+                + f"|{self.issued_tick}|{signers}".encode("ascii"))
+
+
+_set_att_claim, _set_att_k, _set_att_signatures, _set_att_tick = slot_setters(VouchAttestation)
 
 
 def entry_digest(entry: LedgerEntry) -> str:
     return hashlib.sha256(entry.canonical().encode("utf-8")).hexdigest()
 
 
-def _signature(key: bytes, claim: Claim) -> str:
-    return hashlib.sha256(key + b"|" + claim.encoded).hexdigest()
-
-
 def vouch(chain_id: str, registry: GatewayRegistry, claim: Claim, k: int,
           now: int) -> VouchAttestation:
     """k-of-n attestation by the chain's live gateways, lowest ids first,
-    so the signatures come sorted by gateway id."""
-    live = registry.live_gateways(chain_id)
-    if len(live) < k:
-        raise InsufficientGateways(
-            f"{chain_id} has {len(live)} live gateways, threshold {k}")
-    keys = registry.keys
-    sigs = tuple((g.gateway_id, _signature(keys[g.gateway_id], claim)) for g in live[:k])
-    return VouchAttestation(claim, k, sigs, now)
+    so the signatures come sorted by gateway id.  The signers are found
+    before anything is hashed, so a vouch that cannot meet k hashes
+    nothing."""
+    gateways = registry.gateways
+    signers = []
+    if k > 0:
+        for gid in registry.by_chain.get(chain_id, ()):
+            if gateways[gid].live:
+                signers.append(gid)
+                if len(signers) == k:
+                    break
+        else:  # the chain's every live gateway, and fewer than k
+            raise InsufficientGateways(
+                f"{chain_id} has {len(signers)} live gateways, threshold {k}")
+    keys, sha256, tail = registry.keys, hashlib.sha256, b"|" + claim.encoded
+    return VouchAttestation(
+        claim, k, tuple([(gid, sha256(keys[gid] + tail).hexdigest()) for gid in signers]), now)
 
 
 def verify_attestation(att: VouchAttestation, registry: GatewayRegistry) -> bool:
     """Pure check: enough distinct registered gateways of the claimed
     chain signed these exact claim bytes.  Liveness is irrelevant."""
-    claim, gateways, keys = att.claim, registry.gateways, registry.keys
+    claim = att.claim
+    chain_id, tail = claim.chain_id, b"|" + claim.encoded
+    gateways, keys, sha256 = registry.gateways, registry.keys, hashlib.sha256
     valid = set()
     for gid, sig in att.signatures:
         gw = gateways.get(gid)
-        if gw is None or gw.home_chain != claim.chain_id:
-            continue
-        if _signature(keys[gid], claim) == sig:
+        if (gw is not None and gw.home_chain == chain_id
+                and sha256(keys[gid] + tail).hexdigest() == sig):
             valid.add(gid)
     return len(valid) >= att.threshold_k
 
@@ -342,7 +372,16 @@ class TransferState(str, Enum):
     ABORTED = "ABORTED"
 
 
-TERMINAL_STATES = (TransferState.FINALIZED, TransferState.ABORTED)
+# the states as module globals: on CPython 3.11 a read through the
+# class goes through the enum metaclass's attribute hook, about ten
+# times the cost of a global
+_INITIATED, _SOURCE_LOCKED, _DEST_RECORDED = (
+    TransferState.INITIATED, TransferState.SOURCE_LOCKED, TransferState.DEST_RECORDED)
+_VOUCHED, _FINALIZED, _ABORTED = (
+    TransferState.VOUCHED, TransferState.FINALIZED, TransferState.ABORTED)
+TERMINAL_STATES = (_FINALIZED, _ABORTED)
+# each state's log text, read without the Enum.value descriptor
+_STATE_TEXT = {state: state.value for state in TransferState}
 
 
 @dataclass(slots=True)
@@ -356,7 +395,7 @@ class CrossDomainTransfer:
     agreement_id: str
     paired_source: str
     paired_dest: str
-    state: TransferState = TransferState.INITIATED
+    state: TransferState = _INITIATED
     lock_ref: Optional[str] = None
     record_ref: Optional[str] = None
     record_request_sent: bool = False
@@ -373,7 +412,7 @@ class CrossDomainTransfer:
         """The chain whose gateways must vouch before this transfer can
         move on: the destination until its attestation is sent, then,
         once it has arrived, the source; None when no vouch is due."""
-        if self.state is not TransferState.DEST_RECORDED:
+        if self.state is not _DEST_RECORDED:
             return None
         if self.dest_attestation is None:
             return self.dest_chain
@@ -419,7 +458,7 @@ class TransferEngine:
 
     def _log(self, transfer: CrossDomainTransfer, actor: str, *extra) -> None:
         self.net.record("transfer", transfer.transfer_id,
-                        ("state", transfer.state.value), ("asset", transfer.asset),
+                        ("state", _STATE_TEXT[transfer.state]), ("asset", transfer.asset),
                         ("src", transfer.source_chain), ("dst", transfer.dest_chain),
                         ("by", actor), *extra)
 
@@ -485,15 +524,15 @@ class TransferEngine:
             return
         t = self.transfers[self.order[index]]
         if chain_id == t.source_chain and entry.local_ref == t.lock_ref:
-            if t.state == TransferState.INITIATED:
-                t.state = TransferState.SOURCE_LOCKED
+            if t.state == _INITIATED:
+                t.state = _SOURCE_LOCKED
                 self._log(t, t.paired_source)
                 self._due.add(index)
-        elif t.state == TransferState.ABORTED:
+        elif t.state == _ABORTED:
             # the record, and t aborted before it landed: tombstone it now
             self._void_record(t)
-        elif t.state == TransferState.SOURCE_LOCKED:
-            t.state = TransferState.DEST_RECORDED
+        elif t.state == _SOURCE_LOCKED:
+            t.state = _DEST_RECORDED
             self._log(t, t.paired_dest)
             self._due.add(index)
 
@@ -542,7 +581,7 @@ class TransferEngine:
     def step(self, t: CrossDomainTransfer, now: int) -> None:
         if not self._may_act(t, now):
             return
-        if t.state == TransferState.SOURCE_LOCKED and not t.record_request_sent:
+        if t.state == _SOURCE_LOCKED and not t.record_request_sent:
             self._send_record_request(t, now)
             return
         awaited = t.awaited_vouch()
@@ -565,10 +604,13 @@ class TransferEngine:
     def _repair_pairing(self, t: CrossDomainTransfer, now: int) -> bool:
         """Re-pair crashed gateways to the lowest live ones; abort when a
         side has none.  Returns False when the transfer just aborted."""
+        gateways = self.registry.gateways
+        if gateways[t.paired_source].live and gateways[t.paired_dest].live:
+            return True
         for side in ("source", "dest"):
             chain_id = t.source_chain if side == "source" else t.dest_chain
             current = t.paired_source if side == "source" else t.paired_dest
-            if self.registry.gateways[current].live:
+            if gateways[current].live:
                 continue
             replacement = self.registry.lowest_live(chain_id)
             if replacement is None:
@@ -643,26 +685,26 @@ class TransferEngine:
         t.source_attestation = self._vouch(t, "source", t.source_chain, t.lock_ref, now)
         if t.source_attestation is None:
             return  # retried when a source gateway comes up, until the deadline
-        t.state = TransferState.VOUCHED
+        t.state = _VOUCHED
         self._log(t, t.paired_source)
         self._finalize(t, now)
 
     def _finalize(self, t: CrossDomainTransfer, now: int) -> None:
-        source = self.chains[t.source_chain]
         source_ref = self.resolver.local_ref_for(t.source_chain, t.asset)
-        pointer = AuthoritativePointer(t.asset, t.dest_chain, t.source_chain, now)
-        source.ledger.mark(source_ref, pointer)
+        # the resolver's new home pointer is also the source entry's mark
+        pointer = self.resolver.rebind_authority(
+            t.asset, t.source_chain, t.dest_chain,
+            (t.source_attestation, t.dest_attestation), now)
+        self.chains[t.source_chain].ledger.mark(source_ref, pointer)
         self.net.record("ledger", ledger_subject(t.source_chain, source_ref),
                         "mark", ("to", t.dest_chain), ("transfer", t.transfer_id))
-        self.resolver.rebind_authority(t.asset, t.source_chain, t.dest_chain,
-                                       (t.source_attestation, t.dest_attestation), now)
         self.net.record("resolver", str(t.asset),
                         "rebind", ("from", t.source_chain), ("to", t.dest_chain))
         self.resolver.bind_existing(t.dest_chain, t.asset, t.record_ref)
         del self.locks[(t.source_chain, str(t.asset))]
         agreement = self.peerings.agreements[t.agreement_id]
         self.peerings.tally_fee(agreement)
-        t.state = TransferState.FINALIZED
+        t.state = _FINALIZED
         t.final_tick = now
         self._log(t, t.paired_source, ("fee", agreement.fee_per_transfer))
 
@@ -671,7 +713,7 @@ class TransferEngine:
     def abort(self, t: CrossDomainTransfer, now: int, reason: str) -> None:
         if t.terminal():
             raise AlreadyTerminal(f"{t.transfer_id} is {t.state.value}")
-        t.state = TransferState.ABORTED
+        t.state = _ABORTED
         t.abort_reason = reason
         t.final_tick = now
         lock_key = (t.source_chain, str(t.asset))

@@ -215,15 +215,17 @@ class Resolver:
             source_att, dest_att = proof
         except (TypeError, ValueError):
             raise InvalidProof("proof must be a (source, dest) attestation pair")
+        asset = str(cross_id)
         for att, chain_id in ((source_att, from_chain), (dest_att, to_chain)):
-            if att.claim.chain_id != chain_id:
-                raise InvalidProof(f"attestation names {att.claim.chain_id}, expected {chain_id}")
-            if att.claim.cross_id != str(cross_id):
+            claim = att.claim
+            if claim.chain_id != chain_id:
+                raise InvalidProof(f"attestation names {claim.chain_id}, expected {chain_id}")
+            if claim.cross_id != asset:
                 raise InvalidProof("attestation names a different asset")
-            if not att.claim.confirmed:
+            if not claim.confirmed:
                 raise InvalidProof("attestation does not claim confirmation")
             if not self._verifier(att):
-                raise InvalidProof(f"attestation by {att.claim.chain_id} failed verification")
+                raise InvalidProof(f"attestation by {chain_id} failed verification")
 
     def audit(self, cross_id: CrossId) -> list[AuthoritativePointer]:
         if cross_id not in self._history:

@@ -31,6 +31,7 @@ import yaml
 from .chain import (LOCAL_REF, NODE_ID_TAIL, PermissionRegime, SemanticType,
                     chain_of, gateway_ids, node_ids)
 from .errors import ParseError, ValidationError
+from .gateway import MAX_THRESHOLD
 
 _REQUIRED = object()
 
@@ -379,6 +380,10 @@ class ChainCfg:
         if self.vouch_threshold is not None and self.vouch_threshold > self.gateways:
             r.add(f"{p}.vouch_threshold", f"threshold {self.vouch_threshold} "
                                           f"exceeds gateway count {self.gateways}")
+        elif self.threshold() > MAX_THRESHOLD:
+            key = "gateways" if self.vouch_threshold is None else "vouch_threshold"
+            r.add(f"{p}.{key}", f"threshold {self.threshold()} exceeds {MAX_THRESHOLD}, "
+                                f"the largest an attestation carries")
         path = self.path or self.chain_id
         owner = r.ids["path"].setdefault(path, self.chain_id)
         if owner != self.chain_id:

@@ -170,6 +170,27 @@ class TestValidate:
             assert code == 2, command
             assert "chains[1].path: " in err and "node id" in err
 
+    @pytest.mark.parametrize("gateways, threshold_line",
+                             [(65536, "\n    vouch_threshold: 65536"), (131070, "")],
+                             ids=["explicit", "default"])
+    def test_a_vouch_threshold_beyond_16_bits_exits_two(self, capsys, tmp_path,
+                                                        gateways, threshold_line):
+        # validate and run agree: run once ended in a struct.error at the
+        # first vouch, whose attestation could not serialize the threshold
+        chain = ("  - id: {}\n    nodes: 3\n    gateways: {}\n    confirm_latency: 2\n"
+                 "    semantic: asset-registry")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("horizon: 30\nchains:\n" + chain.format("bc1", gateways) + threshold_line
+                       + "\n" + chain.format("bc2", 1) + "\n"
+                       "assets:\n  - id: a1\n    chain: bc1\n"
+                       "peerings:\n  - chains: [bc1, bc2]\n    semantics: [asset-registry]\n"
+                       "transfers:\n  - id: x1\n    asset: a1\n    from: bc1\n    to: bc2\n"
+                       "    deadline: 20\n")
+        for command in ("validate", "run"):
+            code, _, err = run_cli(capsys, command, str(bad))
+            assert code == 2, command
+            assert "threshold 65536 exceeds 65535" in err and "Traceback" not in err
+
     def test_empty_file_exits_two(self, capsys, tmp_path):
         empty = tmp_path / "empty.yaml"
         empty.write_text("")

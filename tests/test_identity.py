@@ -21,6 +21,7 @@ from interopsim.gateway import (
     Claim,
     Gateway,
     GatewayRegistry,
+    VouchAttestation,
     entry_digest,
     verify_attestation,
     vouch,
@@ -81,7 +82,13 @@ class TestMinting:
         (TransferUnit, {"payload_digest": "d", "semantic_type": SemanticType.GENERIC_RECORD,
                         "directionality": Directionality.BI, "idempotency_key": "k",
                         "intended_peer": "app_y"}),
-    ], ids=["CrossId", "AuthoritativePointer", "TransferUnit"])
+        (Claim, {"chain_id": "bc1", "cross_id": "bc1/" + "A" * 26, "confirmed": True,
+                 "entry_digest": "ab" * 32}),
+        (VouchAttestation, {"claim": Claim("bc1", "bc1/" + "A" * 26, True, "ab" * 32),
+                            "threshold_k": 2,
+                            "signatures": (("bc1.g1", "cd" * 32), ("bc1.g2", "ef" * 32)),
+                            "issued_tick": 7}),
+    ], ids=["CrossId", "AuthoritativePointer", "TransferUnit", "Claim", "VouchAttestation"])
     def test_frozen_values_store_their_fields_and_stay_frozen(self, cls, kwargs):
         # each stores its fields through its slots; the dataclass still
         # owns assignment, equality, hashing and repr
@@ -96,6 +103,18 @@ class TestMinting:
         with pytest.raises(FrozenInstanceError):
             delattr(value, first)
         assert value != cls(**{**kwargs, first: "other"})
+
+    def test_a_claim_holds_its_encoding_frozen_and_out_of_sight(self):
+        claim = Claim("bc1", "bc1/" + "A" * 26, True, "ab" * 32)
+        assert claim.encoded == claim.to_bytes() == (
+            b"bc1|bc1/" + b"A" * 26 + b"|1|" + b"ab" * 32)
+        assert "encoded" not in repr(claim)
+        # equality and hashing ignore the encoding, which the fields fix
+        assert hash(claim) == hash(("bc1", "bc1/" + "A" * 26, True, "ab" * 32))
+        with pytest.raises(FrozenInstanceError):
+            claim.encoded = b""
+        with pytest.raises(FrozenInstanceError):
+            del claim.encoded
 
     @pytest.mark.parametrize("ref, error, match", [
         ("e1", NotConfirmed, "pending"),

@@ -243,6 +243,21 @@ class TestChainRules:
         assert any("threshold 3 exceeds gateway count 2" in p
                    for p in problems)
 
+    @pytest.mark.parametrize("over, where", [
+        ({"gateways": 65536, "vouch_threshold": 65536}, "vouch_threshold"),
+        ({"gateways": 131070}, "gateways"),  # the default majority, 65536
+    ], ids=["explicit", "default"])
+    def test_vouch_threshold_fits_the_attestation_format(self, over, where):
+        # an attestation serializes its threshold as an unsigned 16-bit field
+        problems = problems_of({"horizon": 10, "chains": [minimal_chain(**over)]})
+        assert problems == [f"chains[0].{where}: threshold 65536 exceeds 65535, "
+                            f"the largest an attestation carries"]
+
+    @pytest.mark.parametrize("over", [{"gateways": 65535, "vouch_threshold": 65535},
+                                      {"gateways": 131069}], ids=["explicit", "default"])
+    def test_the_largest_vouch_threshold_is_accepted(self, over):
+        assert parse_scenario({"horizon": 10, "chains": [minimal_chain(**over)]})
+
     def test_unknown_semantic_rejected(self):
         problems = problems_of({
             "horizon": 10, "chains": [minimal_chain(semantic="widgets")]})
