@@ -160,7 +160,7 @@ def _no_lost_assets(sim):
                         if t.state == TransferState.FINALIZED}
     for tid, t in sorted(engine.transfers.items()):
         if not t.terminal():
-            return False, f"{tid}: still {t.state.value} at end of run"
+            return False, f"{tid}: still {t.state} at end of run"
         if engine.locks.get((t.source_chain, str(t.asset))) == tid:
             return False, f"{tid}: terminal but still holds the source lock"
         dest = sim.chains[t.dest_chain].ledger

@@ -30,31 +30,30 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from fractions import Fraction
 from typing import Any, Optional
 
 from .errors import NotConfirmed, NotFound, PermissionDenied, SemanticMismatch
 
 
-class SemanticType(str, Enum):
+class SemanticType:
+    """A chain's semantic types, each the text it is logged as."""
+
     PAYMENTS = "payments"
     ASSET_REGISTRY = "asset-registry"
     GENERIC_RECORD = "generic-record"
 
 
-class Directionality(str, Enum):
+# every semantic type, in declaration order
+SEMANTIC_TYPES = (SemanticType.PAYMENTS, SemanticType.ASSET_REGISTRY,
+                  SemanticType.GENERIC_RECORD)
+
+
+class Directionality:
+    """A unit's directionality, as the text it is logged as."""
+
     UNI = "uni"
     BI = "bi"
-
-
-# the members as module globals: on CPython 3.11 a read through the
-# class goes through the enum metaclass's attribute hook, about ten
-# times the cost of a global
-_UNI, _BI = Directionality.UNI, Directionality.BI
-# each member's text, read without the Enum.value descriptor; no two
-# members of the two enums share a value
-_TEXT = {member: member.value for enum in (SemanticType, Directionality) for member in enum}
 
 
 @dataclass(frozen=True)
@@ -85,17 +84,17 @@ class TransferUnit:
     """The datagram of the system: what a chain confirms."""
 
     payload_digest: str
-    semantic_type: SemanticType
-    directionality: Directionality
+    semantic_type: str
+    directionality: str
     idempotency_key: str
     intended_peer: Optional[str] = None
 
-    def __init__(self, payload_digest: str, semantic_type: SemanticType,
-                 directionality: Directionality, idempotency_key: str,
+    def __init__(self, payload_digest: str, semantic_type: str,
+                 directionality: str, idempotency_key: str,
                  intended_peer: Optional[str] = None) -> None:
-        if directionality == _BI and intended_peer is None:
+        if directionality == Directionality.BI and intended_peer is None:
             raise ValueError("bidirectional unit requires intended_peer")
-        if directionality == _UNI and intended_peer is not None:
+        if directionality == Directionality.UNI and intended_peer is not None:
             raise ValueError("unidirectional unit must not name a peer")
         _set_digest(self, payload_digest)
         _set_semantic(self, semantic_type)
@@ -134,8 +133,8 @@ class LedgerEntry:
         if unit is None:
             unit_part = "-"
         else:
-            unit_part = (f"{unit.payload_digest}:{_TEXT[unit.semantic_type]}:"
-                         f"{_TEXT[unit.directionality]}:{unit.idempotency_key}:"
+            unit_part = (f"{unit.payload_digest}:{unit.semantic_type}:"
+                         f"{unit.directionality}:{unit.idempotency_key}:"
                          f"{unit.intended_peer or '-'}")
         return (f"{self.local_ref}|{self.kind}|{unit_part}|{self.submitted_tick}|"
                 f"{self.confirmed_tick}|{','.join(self.confirming_nodes)}|{self.payload}")
@@ -235,7 +234,7 @@ class BlockchainSystem:
 
     def __init__(self, chain_id: str, node_ids: list[str],
                  regime: PermissionRegime, quorum_fraction: Fraction,
-                 confirm_latency_ticks: int, semantic_type: SemanticType,
+                 confirm_latency_ticks: int, semantic_type: str,
                  writers: Optional[set[str]] = None,
                  readers: Optional[set[str]] = None) -> None:
         if not node_ids:
@@ -312,7 +311,7 @@ class BlockchainSystem:
             raise PermissionDenied(f"{credential!r} may not write to {self.chain_id}")
         if unit.semantic_type != self.semantic_type:
             raise SemanticMismatch(
-                f"{unit.semantic_type.value} unit on {self.semantic_type.value} chain")
+                f"{unit.semantic_type} unit on {self.semantic_type} chain")
         existing = self._idem.get(unit.idempotency_key)
         if existing is not None:
             return SubmitReceipt(self.chain_id, existing, unit.idempotency_key, duplicate=True)

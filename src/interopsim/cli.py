@@ -18,7 +18,7 @@ import sys
 
 from .errors import ParseError, ValidationError
 from .runner import execute, replay_diff
-from .scenario import load_scenario, with_seed
+from .scenario import WORKLOAD_SECTIONS, load_scenario, with_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,10 +70,9 @@ def cmd_validate(args) -> int:
     except (ParseError, ValidationError) as exc:
         _print_scenario_error(exc)
         return 2
-    print(f"{args.scenario}: ok "
-          f"({len(config.chains)} chains, "
-          f"{len(config.app_txns) + len(config.transfers) + len(config.payments)}"
-          f" workload items, {len(config.faults)} faults)")
+    items = sum(len(getattr(config, section)) for section in WORKLOAD_SECTIONS)
+    print(f"{args.scenario}: ok ({len(config.chains)} chains, "
+          f"{items} workload items, {len(config.faults)} faults)")
     return 0
 
 

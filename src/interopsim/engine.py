@@ -118,7 +118,7 @@ from .gateway import (
 )
 from .identity import CrossId, Resolver
 from .report import RunReport
-from .scenario import FaultCfg, ScenarioConfig
+from .scenario import WORKLOAD_SECTIONS, FaultCfg, ScenarioConfig
 from .simnet import LogRecord, SimNet, ledger_subject
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork
@@ -147,8 +147,7 @@ class Simulation:
         self.resolver_dump: list[LogRecord] = []  # the log's closing records
         # workload outcomes keyed by section then id
         self.outcomes: dict[str, dict[str, dict]] = {
-            "app_txns": {}, "transfers": {}, "payments": {}, "reads": {},
-            "resolves": {}, "probes": {}}
+            section: {} for section in WORKLOAD_SECTIONS}
         self._build_world()
         self.survivor = SurvivorLayer(self.net, self.chains)
         self.transfers = TransferEngine(self.net, self.chains, self.registry,
@@ -267,7 +266,7 @@ class Simulation:
             "path", cfg.payment_id, "payments", "REJECTED")
         if path is None:
             return
-        self.net.record("path", cfg.payment_id, ("state", path.state.value),
+        self.net.record("path", cfg.payment_id, ("state", path.state),
                         ("route", path.route_ids()),
                         ("amount_in", path.amount_in), ("denom_in", path.denom_in),
                         ("amount_out", path.amount_out), ("denom_out", path.denom_out),
@@ -283,7 +282,7 @@ class Simulation:
         path = self._attempt(lambda: self.valuenet.settle_path(path_id, self.net.now),
                              "path", path_id)
         if path is not None:
-            self.net.record("path", path_id, ("state", path.state.value),
+            self.net.record("path", path_id, ("state", path.state),
                             ("amount_out", path.amount_out), ("denom_out", path.denom_out),
                             ("receiver", path.receiver_chain))
 
@@ -291,7 +290,7 @@ class Simulation:
         path = self._attempt(lambda: self.valuenet.release_path(path_id, self.net.now),
                              "path", path_id)
         if path is not None:
-            self.net.record("path", path_id, ("state", path.state.value))
+            self.net.record("path", path_id, ("state", path.state))
 
     def _start_read(self, cfg):
         view = self._attempt(lambda: self._mediated_read(cfg), "read", cfg.read_id,
@@ -460,7 +459,7 @@ class Simulation:
             if x.transfer_id in self.outcomes["transfers"]:
                 continue
             t = self.transfers.transfers[x.transfer_id]
-            entry = {"state": t.state.value, "tick": t.final_tick}
+            entry = {"state": t.state, "tick": t.final_tick}
             if t.abort_reason:
                 entry["reason"] = t.abort_reason
             self.outcomes["transfers"][x.transfer_id] = entry
@@ -469,8 +468,8 @@ class Simulation:
                 continue
             path = self.valuenet.paths[p.payment_id]
             self.outcomes["payments"][p.payment_id] = {
-                "state": path.state.value, "tick": path.final_tick,
-                "amount_out": str(path.amount_out), "denom_out": path.denom_out,
+                "state": path.state, "tick": path.final_tick,
+                "amount_out": path.amount_out, "denom_out": path.denom_out,
                 "route": path.route_ids()}
 
 

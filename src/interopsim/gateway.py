@@ -39,7 +39,6 @@ import hashlib
 import struct
 from bisect import insort
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
@@ -50,7 +49,6 @@ from .chain import (
     ENTRY_KIND_LOCK,
     ENTRY_KIND_RECORD,
     LedgerEntry,
-    SemanticType,
     TransferUnit,
     slot_setters,
 )
@@ -254,7 +252,7 @@ def advertise(chains: dict, registry: GatewayRegistry, resolver,
     return {cid: ReachabilityAdvertisement(
                 resolver.path(cid),
                 tuple(g.gateway_id for g in registry.live_gateways(cid)),
-                (chain.semantic_type.value,), tuple(sorted(prefixes[cid])), now)
+                (chain.semantic_type,), tuple(sorted(prefixes[cid])), now)
             for cid, chain in chains.items()}
 
 
@@ -334,7 +332,7 @@ class PeeringRegistry:
     def __init__(self) -> None:
         self.agreements: dict[str, PeeringAgreement] = {}
         self.settlements: dict[tuple[str, str], Fraction] = {}
-        self._covering: dict[tuple[tuple[str, str], SemanticType], PeeringAgreement] = {}
+        self._covering: dict[tuple[tuple[str, str], str], PeeringAgreement] = {}
 
     def establish(self, agreement: PeeringAgreement) -> PeeringAgreement:
         keys = [(agreement.pair, s) for s in agreement.compatible_semantics]
@@ -349,7 +347,7 @@ class PeeringRegistry:
         covered.update(dict.fromkeys(keys, agreement))
         return agreement
 
-    def covering(self, a: str, b: str, semantic: SemanticType) -> Optional[PeeringAgreement]:
+    def covering(self, a: str, b: str, semantic: str) -> Optional[PeeringAgreement]:
         """The agreement between a and b that covers semantic."""
         return self._covering.get((_sorted_pair(a, b), semantic))
 
@@ -363,7 +361,9 @@ class PeeringRegistry:
 
 # -- cross-domain transfers --------------------------------------------
 
-class TransferState(str, Enum):
+class TransferState:
+    """A transfer's states, each the text it is logged as."""
+
     INITIATED = "INITIATED"
     SOURCE_LOCKED = "SOURCE_LOCKED"
     DEST_RECORDED = "DEST_RECORDED"
@@ -372,16 +372,7 @@ class TransferState(str, Enum):
     ABORTED = "ABORTED"
 
 
-# the states as module globals: on CPython 3.11 a read through the
-# class goes through the enum metaclass's attribute hook, about ten
-# times the cost of a global
-_INITIATED, _SOURCE_LOCKED, _DEST_RECORDED = (
-    TransferState.INITIATED, TransferState.SOURCE_LOCKED, TransferState.DEST_RECORDED)
-_VOUCHED, _FINALIZED, _ABORTED = (
-    TransferState.VOUCHED, TransferState.FINALIZED, TransferState.ABORTED)
-TERMINAL_STATES = (_FINALIZED, _ABORTED)
-# each state's log text, read without the Enum.value descriptor
-_STATE_TEXT = {state: state.value for state in TransferState}
+TERMINAL_STATES = (TransferState.FINALIZED, TransferState.ABORTED)
 
 
 @dataclass(slots=True)
@@ -395,7 +386,7 @@ class CrossDomainTransfer:
     agreement_id: str
     paired_source: str
     paired_dest: str
-    state: TransferState = _INITIATED
+    state: str = TransferState.INITIATED
     lock_ref: Optional[str] = None
     record_ref: Optional[str] = None
     record_request_sent: bool = False
@@ -412,7 +403,7 @@ class CrossDomainTransfer:
         """The chain whose gateways must vouch before this transfer can
         move on: the destination until its attestation is sent, then,
         once it has arrived, the source; None when no vouch is due."""
-        if self.state is not _DEST_RECORDED:
+        if self.state != TransferState.DEST_RECORDED:
             return None
         if self.dest_attestation is None:
             return self.dest_chain
@@ -458,7 +449,7 @@ class TransferEngine:
 
     def _log(self, transfer: CrossDomainTransfer, actor: str, *extra) -> None:
         self.net.record("transfer", transfer.transfer_id,
-                        ("state", _STATE_TEXT[transfer.state]), ("asset", transfer.asset),
+                        ("state", transfer.state), ("asset", transfer.asset),
                         ("src", transfer.source_chain), ("dst", transfer.dest_chain),
                         ("by", actor), *extra)
 
@@ -476,7 +467,7 @@ class TransferEngine:
         semantic = self.chains[source_chain].semantic_type
         agreement = self.peerings.covering(source_chain, dest_chain, semantic)
         if agreement is None:
-            raise NoPeering(f"no active {semantic.value} agreement for "
+            raise NoPeering(f"no active {semantic} agreement for "
                             f"{source_chain}/{dest_chain}")
         src_gw = self.registry.lowest_live(source_chain)
         dst_gw = self.registry.lowest_live(dest_chain)
@@ -524,15 +515,15 @@ class TransferEngine:
             return
         t = self.transfers[self.order[index]]
         if chain_id == t.source_chain and entry.local_ref == t.lock_ref:
-            if t.state == _INITIATED:
-                t.state = _SOURCE_LOCKED
+            if t.state == TransferState.INITIATED:
+                t.state = TransferState.SOURCE_LOCKED
                 self._log(t, t.paired_source)
                 self._due.add(index)
-        elif t.state == _ABORTED:
+        elif t.state == TransferState.ABORTED:
             # the record, and t aborted before it landed: tombstone it now
             self._void_record(t)
-        elif t.state == _SOURCE_LOCKED:
-            t.state = _DEST_RECORDED
+        elif t.state == TransferState.SOURCE_LOCKED:
+            t.state = TransferState.DEST_RECORDED
             self._log(t, t.paired_dest)
             self._due.add(index)
 
@@ -581,7 +572,7 @@ class TransferEngine:
     def step(self, t: CrossDomainTransfer, now: int) -> None:
         if not self._may_act(t, now):
             return
-        if t.state == _SOURCE_LOCKED and not t.record_request_sent:
+        if t.state == TransferState.SOURCE_LOCKED and not t.record_request_sent:
             self._send_record_request(t, now)
             return
         awaited = t.awaited_vouch()
@@ -685,7 +676,7 @@ class TransferEngine:
         t.source_attestation = self._vouch(t, "source", t.source_chain, t.lock_ref, now)
         if t.source_attestation is None:
             return  # retried when a source gateway comes up, until the deadline
-        t.state = _VOUCHED
+        t.state = TransferState.VOUCHED
         self._log(t, t.paired_source)
         self._finalize(t, now)
 
@@ -704,7 +695,7 @@ class TransferEngine:
         del self.locks[(t.source_chain, str(t.asset))]
         agreement = self.peerings.agreements[t.agreement_id]
         self.peerings.tally_fee(agreement)
-        t.state = _FINALIZED
+        t.state = TransferState.FINALIZED
         t.final_tick = now
         self._log(t, t.paired_source, ("fee", agreement.fee_per_transfer))
 
@@ -712,8 +703,8 @@ class TransferEngine:
 
     def abort(self, t: CrossDomainTransfer, now: int, reason: str) -> None:
         if t.terminal():
-            raise AlreadyTerminal(f"{t.transfer_id} is {t.state.value}")
-        t.state = _ABORTED
+            raise AlreadyTerminal(f"{t.transfer_id} is {t.state}")
+        t.state = TransferState.ABORTED
         t.abort_reason = reason
         t.final_tick = now
         lock_key = (t.source_chain, str(t.asset))

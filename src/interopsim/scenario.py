@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .chain import (LOCAL_REF, NODE_ID_TAIL, PermissionRegime, SemanticType,
+from .chain import (LOCAL_REF, NODE_ID_TAIL, SEMANTIC_TYPES, PermissionRegime,
                     chain_of, gateway_ids, node_ids)
 from .errors import ParseError, ValidationError
 from .gateway import MAX_THRESHOLD
@@ -193,7 +193,7 @@ def _regime(val, minimum=None) -> PermissionRegime:
         raise _Invalid(str(exc)) from None
 
 
-_SEMANTIC = _enum({s.value: s for s in SemanticType})
+_SEMANTIC = _enum({s: s for s in SEMANTIC_TYPES})
 _NAMES = _list(_str)
 
 
@@ -350,7 +350,7 @@ class ChainCfg:
     gateways: int = _yaml(_int, 0, minimum=0)
     quorum: Fraction = _yaml(_fraction, "1/2")
     confirm_latency: int = _yaml(_int, minimum=1)
-    semantic: SemanticType = _yaml(_SEMANTIC)
+    semantic: str = _yaml(_SEMANTIC)
     regime: PermissionRegime = _yaml(_regime, {})
     path: Optional[str] = _yaml(_public(_name("_-.")), default=None)
     writers: list[str] = _yaml(_NAMES, default_factory=list)
@@ -403,7 +403,7 @@ class AssetCfg:
 class PeeringCfg:
     peering_id: str = _yaml(_str, _nth("pa"), key="id")
     chains: tuple[str, str] = _yaml(_pair, ref="chain")
-    semantics: list[SemanticType] = _yaml(_list(_SEMANTIC), [], minimum=1)
+    semantics: list[str] = _yaml(_list(_SEMANTIC), [], minimum=1)
     fee: Fraction = _yaml(_fraction, 0, minimum=0)
 
     def _check(self, r: _Reader, p: str) -> None:
@@ -439,7 +439,7 @@ class SubCfg:
         semantics = {r.ids["chain"][cid].semantic for cid in self.candidates}
         if len(semantics) > 1:
             r.add(f"{p}.candidates",
-                  f"candidates span semantic types {sorted(s.value for s in semantics)}")
+                  f"candidates span semantic types {sorted(semantics)}")
 
 
 @dataclass
@@ -593,6 +593,9 @@ class ScenarioConfig:
     resolves: list[ResolveCfg] = _section(ResolveCfg, "resolve")
     probes: list[ProbeCfg] = _section(ProbeCfg, "probe")
 
+
+# the ScenarioConfig fields that hold the workload, in the outcomes' order
+WORKLOAD_SECTIONS = ("app_txns", "transfers", "payments", "reads", "resolves", "probes")
 
 _SCENARIO = Spec(ScenarioConfig)
 

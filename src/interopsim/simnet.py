@@ -110,7 +110,9 @@ class EventLog:
         return [r.line() for r in self.records]
 
     def dumps(self) -> str:
-        return "".join(line + "\n" for line in self.lines())
+        """The log as text: one newline-ended string per record, built
+        without the list of bare lines that lines() returns."""
+        return "".join([f"{r.line()}\n" for r in self.records])
 
 
 def _open(history: dict, key) -> bool:

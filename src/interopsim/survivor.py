@@ -95,8 +95,8 @@ class SurvivorLayer:
                     raise NotFound(f"unknown candidate chain {cid}")
                 if self.chains[cid].semantic_type != sub.unit.semantic_type:
                     raise SemanticMismatch(
-                        f"candidate {cid} is {self.chains[cid].semantic_type.value}, "
-                        f"unit is {sub.unit.semantic_type.value}")
+                        f"candidate {cid} is {self.chains[cid].semantic_type}, "
+                        f"unit is {sub.unit.semantic_type}")
         txn = AppTransaction(txn_id, {s.sub_id: s for s in subs})
         self.txns[txn_id] = txn
         for sub in subs:

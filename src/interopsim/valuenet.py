@@ -24,10 +24,12 @@ denominator) pair of ints in Fraction's normal form, the denominator
 positive and the gcd 1, so equal amounts are equal pairs.  The quoted
 rates and reserves become values once, when the network is built, and
 _mul, _add, _sub and _gt compute on values with one math.gcd per
-result, so reserving, settling and releasing a hop build no Fraction.
-A Fraction is built only where an amount leaves the network: a built
-path's amount_out, for the log, the outcomes and the report, and the
-detail of a failed audit.
+result, so reserving, settling, releasing and expiring a path build no
+Fraction.  The one amount that leaves the network, a built path's
+amount_out for the log, the outcomes and the report, is rendered once
+as text when the path is built, as str() of its Fraction would write
+it; the last hop's amount_out stays the exact value.  Only the detail
+of a failed audit builds Fractions.
 
 Capacity is checked when a path is reserved, not when it is routed.  A
 connector's hold on its outgoing denomination is everything held for
@@ -51,7 +53,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -84,7 +85,9 @@ class Hop(NamedTuple):
     amount_out: Value
 
 
-class PathState(str, Enum):
+class PathState:
+    """A payment path's states, each the text it is logged as."""
+
     RESERVED = "RESERVED"
     SETTLED = "SETTLED"
     RELEASED = "RELEASED"
@@ -97,9 +100,9 @@ class PaymentPath:
     hops: tuple[Hop, ...]
     amount_in: Fraction
     denom_in: str
-    amount_out: Fraction
+    amount_out: str  # the last hop's amount_out, as text
     denom_out: str
-    state: PathState
+    state: str
     expiry_tick: int
     final_tick: Optional[int] = None
 
@@ -242,13 +245,14 @@ class ValueNetwork:
             if _gt(total, self.reserves.get(key, _ZERO)):
                 raise Overloaded(f"{cid} cannot cover {_text(out)} {d_out}")
             planned[key] = total
-            hops.append(Hop(cid, d_in, d_out, amount, out))
+            # NamedTuple's own __new__ is a Python function
+            hops.append(tuple.__new__(Hop, (cid, d_in, d_out, amount, out)))
             amount, d_in = out, d_out
         for (cid, denom), total in planned.items():
             self._hold(cid, denom, total)
 
         path = PaymentPath(receiver_chain, tuple(hops), amount_in, denom_in,
-                           Fraction(*amount), denom_out, PathState.RESERVED,
+                           _text(amount), denom_out, PathState.RESERVED,
                            now + self.reservation_ttl)
         self.paths[path_id] = path
         heapq.heappush(self._expiries, (path.expiry_tick, path_id))
@@ -265,7 +269,7 @@ class ValueNetwork:
         """Move value along every hop; conservation per denomination."""
         path = self._get(path_id)
         if path.state != PathState.RESERVED:
-            raise AlreadyTerminal(f"{path_id} is {path.state.value}")
+            raise AlreadyTerminal(f"{path_id} is {path.state}")
         if now >= path.expiry_tick:
             self._end(path, PathState.EXPIRED, now)
             raise PathExpired(f"{path_id} expired at {path.expiry_tick}")
@@ -288,11 +292,11 @@ class ValueNetwork:
     def release_path(self, path_id: str, now: int) -> PaymentPath:
         path = self._get(path_id)
         if path.state != PathState.RESERVED:
-            raise AlreadyTerminal(f"{path_id} is {path.state.value}")
+            raise AlreadyTerminal(f"{path_id} is {path.state}")
         self._end(path, PathState.RELEASED, now)
         return path
 
-    def _end(self, path: PaymentPath, state: PathState, now: int) -> None:
+    def _end(self, path: PaymentPath, state: str, now: int) -> None:
         """Release a reserved path's holds and end it, unsettled, in state."""
         for hop in path.hops:
             self._release_hold(hop.connector_id, hop.denom_out, hop.amount_out)

@@ -251,7 +251,7 @@ def test_criterion_5_connector_properties():
 
         for _ in range(rng.randint(8, 16)):
             open_paths = [pid for pid, p in net.paths.items()
-                          if p.state.value == "RESERVED"]
+                          if p.state == "RESERVED"]
             op = rng.choice(["build", "build", "settle", "release"])
             if op == "build" or not open_paths:
                 src, dst = rng.sample(chains, 2)
@@ -281,7 +281,7 @@ def test_criterion_5_connector_properties():
             else:
                 net.release_path(rng.choice(open_paths), now=1)
         for pid, path in net.paths.items():
-            if path.state.value == "RESERVED":
+            if path.state == "RESERVED":
                 net.release_path(pid, now=2)
         problems.extend(conserved())
         if net.holds:

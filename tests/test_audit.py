@@ -103,7 +103,7 @@ def first_delivery(sim, chain_id):
 
 class TestWorld:
     def test_world_moves_two_of_three_assets(self, sim):
-        assert {t.transfer_id: t.state.value for t in sim.transfers.transfers.values()} \
+        assert {t.transfer_id: t.state for t in sim.transfers.transfers.values()} \
             == {"x1": "FINALIZED", "x2": "FINALIZED"}
         assert len(sim.resolver.assets()) == 3
         assert len(sim.net.partition_history) == 1 and len(sim.net.cut_history) == 1

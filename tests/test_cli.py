@@ -125,7 +125,24 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate",
                                str(SCENARIO_DIR / "fig4_transfer.yaml"))
         assert code == 0
-        assert "ok (2 chains, 1 workload items, 0 faults)" in out
+        # one transfer, one read, one resolve and one probe
+        assert "ok (2 chains, 4 workload items, 0 faults)" in out
+
+    def test_reads_resolves_and_probes_count_as_workload(self, capsys, tmp_path):
+        scenario = tmp_path / "lookups.yaml"
+        scenario.write_text(
+            "horizon: 20\n"
+            "chains:\n  - id: bc1\n    nodes: 3\n    gateways: 1\n"
+            "    confirm_latency: 2\n    semantic: generic-record\n"
+            "assets:\n  - id: a1\n    chain: bc1\n"
+            "grants:\n  - id: g1\n    grantor: app_x\n    grantee: app_y\n"
+            "    asset: a1\n    expiry: 20\n"
+            "reads:\n  - {at: 5, asset: a1, requester: app_y, grant: g1}\n"
+            "resolves:\n  - {at: 5, asset: a1}\n"
+            "probes:\n  - {at: 5, chain: bc1}\n")
+        code, out, _ = run_cli(capsys, "validate", str(scenario))
+        assert code == 0
+        assert "ok (1 chains, 3 workload items, 0 faults)" in out
 
     def test_invalid_scenario_lists_every_problem(self, capsys, tmp_path):
         bad = tmp_path / "bad.yaml"

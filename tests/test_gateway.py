@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from interopsim import audit, engine, gateway
-from interopsim.chain import BlockchainSystem, SemanticType, gateway_ids
+from interopsim.chain import SEMANTIC_TYPES, BlockchainSystem, SemanticType, gateway_ids
 from interopsim.errors import (
     DuplicateAgreement,
     GrantExpired,
@@ -400,7 +400,7 @@ class TestPeering:
 
     def test_covering_matches_a_scan_in_id_order(self):
         chains = ["bc1", "bc2", "bc3", "bc4"]
-        semantics = list(SemanticType)
+        semantics = list(SEMANTIC_TYPES)
         for seed in range(50):
             rng = random.Random(seed)
             reg = PeeringRegistry()

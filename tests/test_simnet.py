@@ -171,6 +171,13 @@ class TestLogFormat:
         log.append(3, "ledger", "bc1/e1", (("confirm", "unit"),))
         assert log.lines() == ["3 0 ledger bc1/e1 confirm=unit"]
 
+    def test_dumps_ends_every_line_with_a_newline(self):
+        log = EventLog()
+        log.append(3, "ledger", "bc1/e1", (("confirm", "unit"),))
+        log.append(4, "k", "s", ())
+        assert log.dumps() == "3 0 ledger bc1/e1 confirm=unit\n4 1 k s\n"
+        assert log.dumps() == "".join(line + "\n" for line in log.lines())
+
     def test_ledger_subject_splits_back_into_chain_and_ref(self):
         subject = ledger_subject("bc-1", "e12")
         assert subject == "bc-1/e12"

@@ -261,7 +261,7 @@ class TestReservation:
     def test_amounts_are_exact_rationals(self):
         net = linear_network()
         path = net.build_path("p1", "pay1", "pay2", F(20), "usd", "eur", 0)
-        assert path.amount_out == F(25)
+        assert path.amount_out == "25" and path.hops[-1].amount_out == V(25)
         assert path.hops[0].amount_in == V(20)
         assert available(net, "c1", "eur") == F(75)
 
@@ -270,12 +270,16 @@ class TestReservation:
         path = net.build_path("p1", "pay1", "pay3", F(8), "usd", "gbp", 0)
         assert [h.amount_out for h in path.hops] == [V(10), V(8)], \
             "8 usd -> 10 eur -> 8 gbp with exact rationals"
-        assert path.amount_out == F(8) and path.denom_out == "gbp"
+        assert path.hops == (Hop("c1", "usd", "eur", V(8), V(10)),
+                             Hop("c2", "eur", "gbp", V(10), V(8)))
+        assert all(type(h) is Hop for h in path.hops)
+        assert path.amount_out == "8" and path.denom_out == "gbp"
 
     def test_fractional_amounts_never_round(self):
         net = linear_network()
         path = net.build_path("p1", "pay1", "pay2", F("1/3"), "usd", "eur", 0)
-        assert path.amount_out == F("5/12")
+        assert path.hops[-1].amount_out == V("5/12")
+        assert path.amount_out == str(Fraction(*path.hops[-1].amount_out)) == "5/12"
 
     def test_overload_rejects_without_residue(self):
         net = linear_network()
@@ -354,7 +358,7 @@ class TestReservation:
             net.build_path("p3", "a", "d", F(5), "x", "y", 2)
         assert net.holds == before
 
-    def test_a_build_makes_one_fraction_and_no_hop_reads_one(self, monkeypatch):
+    def test_build_settle_release_and_expire_make_no_fraction(self, monkeypatch):
         denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
         net = ValueNetwork(denoms, [
             Connector(cid, (x, y), {denoms[y]: F(100)},
@@ -369,28 +373,33 @@ class TestReservation:
         six = F(6)
         ops = count_fraction_use(monkeypatch)
         path = net.build_path("p2", "a", "d", six, "da", "dd", 1)
-        # the path's amount_out; every hop, hold and check is int arithmetic
-        assert ops == {"new": 1, "read": 0, "operator": 0}, ops
+        # every hop, hold and check is int arithmetic, and amount_out text
+        assert ops == {"new": 0, "read": 0, "operator": 0}, ops
         holds = dict(net.holds)
         net.settle_path("p2", 2)
         net.release_path("p1", 3)
         assert net.expire(50) == ["p3"]
-        assert ops == {"new": 1, "read": 0, "operator": 0}, ops
+        assert ops == {"new": 0, "read": 0, "operator": 0}, ops
         monkeypatch.undo()
-        assert path.amount_out == F(6) and len(path.hops) == 3
+        assert path.amount_out == "6" and path.hops[-1].amount_out == V(6)
+        assert len(path.hops) == 3
         assert holds == {("c1", "db"): V("25/2"), ("c2", "dc"): V("50/3"),
                          ("c3", "dd"): V(10)}
         assert net.holds == {} and net.conservation_errors() == []
 
-    def test_a_run_makes_one_fraction_per_built_path(self, monkeypatch):
+    def test_a_run_makes_no_fraction(self, monkeypatch):
         # ilp_path settles two paths, releases one and overloads one build
         sim = Simulation(bundled("ilp_path"))
         ops = count_fraction_use(monkeypatch)
         sim.run()
-        built = len(sim.valuenet.paths)
         monkeypatch.undo()
-        assert built == 3
-        assert ops["new"] == built, ops
+        assert ops["new"] == 0, ops
+        paths = sim.valuenet.paths
+        assert sorted(p.state for p in paths.values()) == [
+            PathState.RELEASED, PathState.SETTLED, PathState.SETTLED]
+        for pid, path in paths.items():
+            assert path.amount_out == str(Fraction(*path.hops[-1].amount_out)), pid
+            assert sim.outcomes["payments"][pid]["amount_out"] == path.amount_out, pid
 
     def test_hop_is_an_immutable_positional_record(self):
         hop = Hop("c1", "usd", "eur", V(4), V(5))
@@ -602,7 +611,8 @@ class TestCapacityBoundary:
     def test_a_hold_exactly_at_the_reserve_is_accepted(self):
         net = self.network()
         path = net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
-        assert path.amount_out == self.RESERVE
+        assert path.hops[-1].amount_out == V(self.RESERVE)
+        assert path.amount_out == str(self.RESERVE)
         assert net.holds == {("c1", "y"): V(self.RESERVE)}
         assert available(net, "c1", "y") == 0
         net._hold("c1", "y", V(self.RESERVE))
