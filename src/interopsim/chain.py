@@ -6,6 +6,11 @@ live node population meets the quorum threshold, computed against the
 total registered population.  Internal structure beyond node count and
 liveness is deliberately out of scope; nodes never gossip here.
 
+A unit is one record from submission on: submit queues the LedgerEntry
+it will become, and advance_consensus stamps its confirmed_tick and
+confirming nodes and appends it.  next_confirm_tick alone says when the
+chain can next confirm.
+
 The confirming set of an entry is the chain's live nodes, sorted, at the
 tick it confirms.  Each confirmation between two liveness changes names
 the same set, so the chain keeps the tuple: set_node_live, the one
@@ -124,7 +129,7 @@ class LedgerEntry:
     kind: str
     unit: Optional[TransferUnit]
     submitted_tick: int
-    confirmed_tick: int
+    confirmed_tick: Optional[int]  # None while the entry is pending
     confirming_nodes: tuple[str, ...]
     payload: str = ""
 
@@ -175,9 +180,7 @@ class Ledger:
 
 @dataclass(slots=True)
 class SubmitReceipt:
-    chain_id: str
     local_ref: str
-    idempotency_key: str
     duplicate: bool
 
 
@@ -194,14 +197,6 @@ class ChainStatus:
     live_node_count: int
     pending_count: int
     mean_confirm_latency: float
-
-
-@dataclass(slots=True)
-class PendingUnit:
-    local_ref: str
-    kind: str
-    unit: TransferUnit
-    submitted_tick: int
 
 
 # A local ref is "e" and the chain's ref counter (next_ref).  It never
@@ -261,7 +256,7 @@ class BlockchainSystem:
         self.writers: set[str] = set(writers or ())
         self.readers: set[str] = set(readers or ())
         self.ledger = Ledger()
-        self.pending: list[PendingUnit] = []
+        self.pending: list[LedgerEntry] = []  # in submission order
         self._idem: dict[str, str] = {}
         self._ref_counter = 0
 
@@ -290,8 +285,8 @@ class BlockchainSystem:
 
     def next_confirm_tick(self) -> Optional[int]:
         """Earliest tick at which advance_consensus can confirm anything,
-        given the current liveness; None when nothing can.  Pending units
-        are in submission order, so the first one matures first."""
+        given the current liveness; None when nothing can.  Pending
+        entries are in submission order, so the first one matures first."""
         if not self.pending or not self.quorum_met():
             return None
         return self.pending[0].submitted_tick + self.confirm_latency_ticks
@@ -314,31 +309,29 @@ class BlockchainSystem:
                 f"{unit.semantic_type} unit on {self.semantic_type} chain")
         existing = self._idem.get(unit.idempotency_key)
         if existing is not None:
-            return SubmitReceipt(self.chain_id, existing, unit.idempotency_key, duplicate=True)
+            return SubmitReceipt(existing, duplicate=True)
         ref = self.next_ref()
         self._idem[unit.idempotency_key] = ref
-        self.pending.append(PendingUnit(ref, kind, unit, now))
-        return SubmitReceipt(self.chain_id, ref, unit.idempotency_key, duplicate=False)
+        self.pending.append(LedgerEntry(ref, kind, unit, now, None, ()))
+        return SubmitReceipt(ref, duplicate=False)
 
     def advance_consensus(self, now: int) -> list[LedgerEntry]:
-        """Confirm every pending unit that has aged past the confirm
-        latency, provided the live population meets quorum.  Returns the
-        newly confirmed entries in submission order.  Pending units are
-        in submission order, so the aged ones lead the queue, and
-        nothing confirms while its oldest unit has not aged."""
-        pending, latency = self.pending, self.confirm_latency_ticks
-        if (not pending or now - pending[0].submitted_tick < latency
-                or not self.quorum_met()):
+        """Confirm, in submission order, every pending entry that has aged
+        past the confirm latency, provided the live population meets
+        quorum, and return them; the aged ones lead the queue."""
+        due = self.next_confirm_tick()
+        if due is None or now < due:
             return []
         if self._confirming is None:
             self._confirming = tuple(self.live_node_ids())
+        pending, oldest = self.pending, now - self.confirm_latency_ticks
         confirmed: list[LedgerEntry] = []
-        for pu in pending:
-            if now - pu.submitted_tick < latency:
+        for entry in pending:
+            if entry.submitted_tick > oldest:
                 break
-            confirmed.append(self.ledger.append(LedgerEntry(
-                pu.local_ref, pu.kind, pu.unit, pu.submitted_tick, now,
-                self._confirming)))
+            entry.confirmed_tick = now
+            entry.confirming_nodes = self._confirming
+            confirmed.append(self.ledger.append(entry))
         del pending[:len(confirmed)]
         return confirmed
 
@@ -365,7 +358,7 @@ class BlockchainSystem:
         pending, NotFound when this chain never issued it."""
         entry = self.ledger.get(local_ref)
         if entry is None:
-            if any(pu.local_ref == local_ref for pu in self.pending):
+            if any(e.local_ref == local_ref for e in self.pending):
                 raise NotConfirmed(f"{local_ref} pending on {self.chain_id}")
             raise NotFound(f"no confirmed entry {local_ref} on {self.chain_id}: "
                            f"the ref is unknown")

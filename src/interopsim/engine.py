@@ -45,7 +45,8 @@ is the earliest wake-up, a running minimum over:
   * the next queued action;
   * for each chain that has a pending unit, is not partitioned and
     meets quorum, the tick its oldest pending unit matures
-    (submitted_tick + confirm latency);
+    (BlockchainSystem.next_confirm_tick), which run_tick's consensus
+    phase reads as it visits the chain, so _next_wake visits none;
   * the transfer engine's next abort tick, the deadline_tick + 1 of a
     transfer that is not terminal, on which rule (c) aborts it
     (TransferEngine.next_abort_tick);
@@ -56,13 +57,13 @@ Skipping the ticks in between is safe because no phase can act on
 them.  Nothing is queued for them.  A chain confirms nothing before its
 wake-up unless its partition or quorum changes, and both change only
 through queued fault events; a chain with no pending unit gains one
-only from a queued action or a step, both on processed ticks.  No
-transfer is due by the stepping rule: confirmations happen on processed
-ticks, liveness changes only through queued fault events, and each
-passed deadline has its wake-up.  No reservation expires between expiry
-wake-ups.  So a skipped tick would log nothing and draw nothing from the
-RNG, and the log is the one a loop over every tick writes;
-tests/test_engine.py checks both rules against that loop.
+only from a queued action.  No transfer is due by the stepping rule:
+confirmations happen on processed ticks, liveness changes only through
+queued fault events, and each passed deadline has its wake-up.  No
+reservation expires between expiry wake-ups.  So a skipped tick would
+log nothing and draw nothing from the RNG, and the log is the one a
+loop over every tick writes; tests/test_engine.py checks both rules
+against that loop.
 
 The run ends at quiescence (no queued actions, no pending units, all
 workload terminal, no open reservations) or at the horizon, whichever
@@ -372,31 +373,22 @@ class Simulation:
         horizon = self.config.horizon
         tick = 0
         while tick <= horizon:
-            self.events_executed += run_tick(self.net, self.chains, self.survivor,
-                                              self.transfers, self.valuenet, tick)
-            wake = self._next_wake()
+            executed, earliest = run_tick(self.net, self.chains, self.survivor,
+                                          self.transfers, self.valuenet, tick)
+            self.events_executed += executed
+            wake = self._next_wake(earliest)
             if wake is None and self._quiescent():
                 break
             tick = horizon + 1 if wake is None else max(tick + 1, wake)
         return self.finish(min(tick, horizon))
 
-    def _next_wake(self) -> Optional[int]:
+    def _next_wake(self, earliest: Optional[int]) -> Optional[int]:
         """Earliest tick at which some phase can act (see the module
-        docstring), or None when none can until a fault changes that."""
-        wake = self.net.next_event_tick()
-        abort = self.transfers.next_abort_tick()
-        if abort is not None and (wake is None or abort < wake):
-            wake = abort
-        expiry = self.valuenet.next_expiry()
-        if expiry is not None and (wake is None or expiry < wake):
-            wake = expiry
-        partitioned = self.net.chain_partitioned
-        for cid, chain in self.chains.items():
-            if chain.pending and not partitioned(cid):
-                due = chain.next_confirm_tick()
-                if due is not None and (wake is None or due < wake):
-                    wake = due
-        return wake
+        docstring), or None when none can until a fault changes that;
+        earliest is the chains' wake-up, which run_tick found."""
+        wakes = (earliest, self.net.next_event_tick(),
+                 self.transfers.next_abort_tick(), self.valuenet.next_expiry())
+        return min((w for w in wakes if w is not None), default=None)
 
     def _quiescent(self) -> bool:
         """Whether the world has finished.  run calls this only when
@@ -512,11 +504,17 @@ def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],
 
 def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
              survivor: SurvivorLayer, transfers: TransferEngine,
-             valuenet: ValueNetwork, tick: int) -> int:
-    """Run the four phases of one tick; returns the events executed.
-    chains must be in chain-id order, the order of the consensus phase,
-    as Simulation builds its chain table."""
+             valuenet: ValueNetwork, tick: int) -> tuple[int, Optional[int]]:
+    """Run the four phases of one tick; returns the events executed and
+    the earliest next_confirm_tick of the chains, or None.  chains must
+    be in chain-id order, the order of the consensus phase, as
+    Simulation builds its chain table.  The consensus phase is the one
+    per-tick visitor of that table, and what it reads after advancing a
+    chain holds to the end of the tick: no phase after it submits a unit
+    (a record request is a queued delivery, an attestation a direct
+    append), and only drain changes partitions and quorum."""
     executed = net.drain(tick)
+    earliest = None
     for cid, chain in chains.items():
         if not chain.pending or net.chain_partitioned(cid):
             continue
@@ -527,8 +525,10 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
                        ("nodes", len(entry.confirming_nodes)))
             survivor.on_confirmed(cid, entry)
             transfers.on_confirmed(cid, entry)
+        due = chain.next_confirm_tick()
+        if due is not None and (earliest is None or due < earliest):
+            earliest = due
     transfers.step_all(tick)
     for pid in valuenet.expire(tick):
         net.record("path", pid, ("state", "EXPIRED"))
-    return executed
-
+    return executed, earliest

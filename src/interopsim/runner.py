@@ -27,10 +27,11 @@ def execute(config: ScenarioConfig,
     sim = Simulation(config)
     report = sim.run()
     if out_dir is not None:
-        (out / RUN_LOG).write_text(sim.net.log.dumps())
-        (out / REPORT).write_text(report.to_json())
+        (out / RUN_LOG).write_text(sim.net.log.dumps(), encoding="utf-8")
+        (out / REPORT).write_text(report.to_json(), encoding="utf-8")
         (out / RESOLVER_DUMP).write_text(
-            "".join(f"{rec.subject} {rec.detail}\n" for rec in sim.resolver_dump))
+            "".join(f"{rec.subject} {rec.detail}\n" for rec in sim.resolver_dump),
+            encoding="utf-8")
     return report, sim
 
 
@@ -61,6 +62,6 @@ def replay_diff(path_a: Union[str, Path], path_b: Union[str, Path]) -> Optional[
 
 def _log_lines(path: Union[str, Path]) -> list[str]:
     try:
-        return Path(path).read_text().splitlines()
+        return Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None

@@ -58,13 +58,18 @@ def _str(val, minimum=None) -> str:
 
 
 _RATIO = re.compile(r"[0-9]+/[0-9]+")
+# an exponent, as Fraction's parser reads one: a digit, then e or E
+_EXPONENT = re.compile(r"\de", re.IGNORECASE)
 
 
 def _fraction(val, minimum=None) -> Fraction:
     if type(val) is float:
         raise _Invalid("floats are inexact; write the amount as a string")
+    # before Fraction, which would compute all of 1e999999999
     if type(val) is str and "e" in val.lower():
-        raise _Invalid(f"write {val!r} without an exponent")
+        if _EXPONENT.search(val):
+            raise _Invalid(f"write {val!r} without an exponent")
+        raise _Invalid(f"not a rational: {val!r}")
     try:
         if type(val) is int:
             frac = Fraction(val)
@@ -604,7 +609,7 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     try:

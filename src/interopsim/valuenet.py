@@ -129,7 +129,6 @@ class ValueNetwork:
         # held amounts per (connector, denom) for unsettled reservations
         self.holds: dict[tuple[str, str], Value] = {}
         self.credits: dict[tuple[str, str], Value] = {}
-        self.settled_hops: list[Hop] = []
         # quoted rates per (connector, denom_in, denom_out)
         self._rates: dict[tuple[str, str, str], Value] = {
             (cid, *pair): rate.as_integer_ratio()
@@ -217,6 +216,7 @@ class ValueNetwork:
         On any shortfall nothing is held and Overloaded is raised, so a
         failed build leaves the global reservation set untouched.
         """
+        assert path_id not in self.paths, "duplicate path id"
         amount = amount_in.as_integer_ratio()
         if amount[0] <= 0:
             raise NoRoute("amount must be positive")
@@ -282,7 +282,6 @@ class ValueNetwork:
             left = reserves[key] = _sub(reserves[key], hop.amount_out)
             self._release_hold(cid, hop.denom_out, hop.amount_out)
             assert left[0] >= 0, "reserve went negative"
-            self.settled_hops.append(hop)
         key = (path.receiver_chain, path.denom_out)
         self.credits[key] = _add(self.credits.get(key, _ZERO), path.hops[-1].amount_out)
         path.state = PathState.SETTLED
@@ -353,7 +352,8 @@ class ValueNetwork:
         for (_, denom), amount in self.reserves.items():
             delta.setdefault(denom, ([], []))[0].append(amount)
         settled: dict[str, tuple[list, list]] = {}  # inflow minus outflow
-        for h in self.settled_hops:
+        for h in (h for p in self.paths.values() if p.state == PathState.SETTLED
+                  for h in p.hops):
             settled.setdefault(h.denom_in, ([], []))[0].append(h.amount_in)
             settled.setdefault(h.denom_out, ([], []))[1].append(h.amount_out)
         problems = []

@@ -13,6 +13,7 @@ from interopsim.chain import (
     ENTRY_KIND_GENESIS,
     PermissionRegime,
     SemanticType,
+    SubmitReceipt,
     TransferUnit,
     chain_of,
     gateway_ids,
@@ -149,6 +150,20 @@ class TestConsensusTiming:
         assert chain.pending == before
         assert [e.local_ref for e in chain.advance_consensus(5)] == ["e1"]
         assert chain.pending == before[1:]
+
+    def test_a_unit_is_one_record_from_submission_to_the_ledger(self):
+        chain = make_chain(latency=3)
+        receipt = chain.submit(make_unit("k1"), "anon", 2)
+        assert receipt == SubmitReceipt("e1", duplicate=False)
+        [queued] = chain.pending
+        assert (queued.local_ref, queued.confirmed_tick, queued.confirming_nodes) \
+            == ("e1", None, ())
+        with pytest.raises(NotConfirmed):
+            chain.entry("e1")
+        [confirmed] = chain.advance_consensus(5)
+        assert confirmed is queued and chain.ledger.get("e1") is queued
+        assert chain.entry("e1") is queued and chain.pending == []
+        assert (queued.confirmed_tick, queued.confirming_nodes) == (5, tuple(chain.nodes))
 
     def test_a_crash_between_confirmations_leaves_the_node_out(self):
         chain = make_chain(nodes=4, quorum="1/2", latency=1)

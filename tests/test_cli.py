@@ -5,7 +5,10 @@ or diverging logs, 2 parse or validation errors, an unreadable input or
 an --out directory that cannot be made.
 """
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the C locale with neither of Python's UTF-8 overrides, where a file
+# opened without an encoding is ASCII; and Python's UTF-8 mode
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+UTF8_MODE = {"PYTHONUTF8": "1"}
+
+
+def run_cli_process(env, *argv):
+    """The CLI in a fresh interpreter under os.environ updated by env."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **env}
+    return subprocess.run([sys.executable, "-m", "interopsim.cli", *map(str, argv)],
+                          env=env, capture_output=True)
 
 
 class TestRun:
@@ -254,6 +270,31 @@ class TestDiff:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {b}: 'utf-8' codec can't decode byte 0xff " \
                       "in position 0: invalid start byte\n"
+
+
+class TestEncoding:
+    def test_non_ascii_text_runs_alike_under_an_ascii_locale(self, tmp_path):
+        """Scenario and log files are UTF-8 whatever the locale: a non-ASCII
+        transfer id, escaped so the file is ASCII but the log is not, and
+        a non-ASCII payload in the file itself."""
+        text = (SCENARIO_DIR / "fig4_transfer.yaml").read_text(encoding="utf-8")
+        edits = {"transfer": ("id: x1", 'id: "x\\u00e41"'),
+                 "deed": ("payload: deed-123", 'payload: "d\u00e9ed"')}
+        for name, (old, new) in edits.items():
+            assert text.count(old) == 1
+            scenario = tmp_path / f"{name}.yaml"
+            scenario.write_text(text.replace(old, new), encoding="utf-8")
+            logs = []
+            for env, commands in ((ASCII_LOCALE, ("validate", "run")), (UTF8_MODE, ("run",))):
+                out = tmp_path / f"{name}-{len(logs)}"
+                for command in commands:
+                    argv = (command, scenario) + (("--out", out) if command == "run" else ())
+                    done = run_cli_process(env, *argv)
+                    assert done.returncode == 0, (argv, done.stderr.decode("utf-8", "replace"))
+                logs.append(out / "run.log")
+            assert logs[0].read_bytes() == logs[1].read_bytes()
+            assert run_cli_process(ASCII_LOCALE, "diff", *logs).returncode == 0
+        assert "transfer x\u00e41 ".encode() in (tmp_path / "transfer-0" / "run.log").read_bytes()
 
 
 class TestParser:

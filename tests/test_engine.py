@@ -471,7 +471,7 @@ def _run_every_tick(config):
     sim.transfers.step_all = _step_every_open_transfer(sim.transfers)
     for tick in range(config.horizon + 1):
         sim.events_executed += run_tick(sim.net, sim.chains, sim.survivor,
-                                        sim.transfers, sim.valuenet, tick)
+                                        sim.transfers, sim.valuenet, tick)[0]
         if _quiet(sim):
             break
     return sim.finish(tick), sim
@@ -592,8 +592,8 @@ class TestEventDrivenLoop:
         next_wake = Simulation._next_wake
         advance = BlockchainSystem.advance_consensus
 
-        def checked_next_wake(sim):
-            wake, reference = next_wake(sim), _next_wake_reference(sim)
+        def checked_next_wake(sim, earliest):
+            wake, reference = next_wake(sim, earliest), _next_wake_reference(sim)
             if wake != reference:
                 wrong.append((sim.config.name, sim.net.now, wake, reference))
             return wake
@@ -610,6 +610,25 @@ class TestEventDrivenLoop:
         for config in configs:
             execute(config)
         assert wrong == [] and idle == []
+
+    def test_next_wake_reads_no_chain(self, monkeypatch):
+        """run_tick's consensus phase is the one per-tick visitor of the
+        chain table: with the table emptied while _next_wake runs, every
+        run writes the same log."""
+        configs = [bundled(name) for name in BUNDLED_SCENARIOS]
+        configs += [parse_scenario(world(seed), name=f"world-{seed}") for seed in range(100)]
+        logs = [execute(config)[1].net.log.dumps() for config in configs]
+        next_wake = Simulation._next_wake
+
+        def chainless_next_wake(sim, earliest):
+            chains, sim.chains = sim.chains, {}
+            try:
+                return next_wake(sim, earliest)
+            finally:
+                sim.chains = chains
+
+        monkeypatch.setattr(Simulation, "_next_wake", chainless_next_wake)
+        assert [execute(config)[1].net.log.dumps() for config in configs] == logs
 
     def test_only_wake_up_ticks_are_processed(self, monkeypatch):
         ticks = []
@@ -671,13 +690,13 @@ def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):
     mismatches, locks_seen = [], []
 
     def checked_tick(net, chains, survivor, transfers, valuenet, tick):
-        executed = run_tick(net, chains, survivor, transfers, valuenet, tick)
+        result = run_tick(net, chains, survivor, transfers, valuenet, tick)
         held = set(transfers.locks.values())
         open_ids = {tid for tid, t in transfers.transfers.items() if not t.terminal()}
         if held != open_ids:
             mismatches.append((tick, sorted(held ^ open_ids)))
         locks_seen.append(len(held))
-        return executed
+        return result
 
     monkeypatch.setattr(engine_mod, "run_tick", checked_tick)
     configs = [bundled(name) for name in BUNDLED_SCENARIOS]

@@ -509,6 +509,15 @@ BAD_INPUTS = {
         lambda w: w["chains"].append(minimal_chain("bc.3")), "chains[4].id"),
     "amount with a huge exponent": (
         lambda w: w["payments"][0].update(amount="1e999999999"), "payments[0].amount"),
+    "amount with an upper-case exponent": (
+        lambda w: w["payments"][0].update(amount="15E2"),
+        "payments[0].amount: write '15E2' without an exponent"),
+    "fee is a word with an e": (
+        lambda w: w["peerings"][0].update(fee="free"),
+        "peerings[0].fee: not a rational: 'free'"),
+    "amount with an e after no digit": (
+        lambda w: w["payments"][0].update(amount="e5"),
+        "payments[0].amount: not a rational: 'e5'"),
     **{f"duplicate {section} id": (_duplicate(section), f"{section}[1].id: duplicate")
        for section in ("app_txns", "transfers", "payments", "reads", "resolves",
                        "probes", "grants", "connectors", "peerings")},

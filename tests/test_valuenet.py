@@ -143,7 +143,7 @@ def reference_conservation(net):
             delta[denom] = delta.get(denom, F(0)) - amount
     for (_, denom), amount in net.reserves.items():
         delta[denom] = delta.get(denom, F(0)) + Fraction(*amount)
-    for h in net.settled_hops:
+    for h in (h for p in net.paths.values() if p.state == PathState.SETTLED for h in p.hops):
         settled[h.denom_in] = settled.get(h.denom_in, F(0)) + Fraction(*h.amount_in)
         settled[h.denom_out] = settled.get(h.denom_out, F(0)) - Fraction(*h.amount_out)
     return [f"{d}: reserve delta {delta[d]} != settled net {settled.get(d, F(0))}"
@@ -481,6 +481,16 @@ class TestSettlement:
             net.settle_path("p1", 2)
         with pytest.raises(AlreadyTerminal):
             net.release_path("p1", 2)
+
+    def test_a_path_id_is_built_once(self):
+        """paths is the one record of the settled hops, which the
+        conservation check reads, so no build may replace a path."""
+        net = linear_network()
+        net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 0)
+        net.settle_path("p1", 1)
+        with pytest.raises(AssertionError, match="duplicate path id"):
+            net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 2)
+        assert net.conservation_errors() == []
 
     def test_release_restores_availability(self):
         net = linear_network()
