@@ -244,25 +244,27 @@ def _resolution_opacity(sim):
     return True, f"{len(transcripts)} transcripts"
 
 
+def _within(episodes, tick):
+    for start, end in episodes:
+        if start <= tick and (end is None or tick < end):
+            return True
+    return False
+
+
 def _no_partition_delivery(sim):
     # [start, end) episodes, end None while open, by chain and by pair
     isolations, cuts = sim.net.partition_history, sim.net.cut_history
-
-    def within(episodes, tick):
-        for start, end in episodes:
-            if start <= tick and (end is None or tick < end):
-                return True
-        return False
-
+    if not isolations and not cuts:  # no episode can block a delivery
+        return True, ""
     for rec in sim.net.log.records:
         if rec.kind != "deliver":
             continue
         src, dst = rec.get("src"), rec.get("dst")
-        if within(isolations.get(dst, ()), rec.tick):
+        if _within(isolations.get(dst, ()), rec.tick):
             return False, f"record {rec.seq}: delivery into partitioned {dst}"
-        if src and within(isolations.get(src, ()), rec.tick):
+        if src and _within(isolations.get(src, ()), rec.tick):
             return False, f"record {rec.seq}: delivery out of partitioned {src}"
-        if src and dst and within(cuts.get(frozenset((src, dst)), ()), rec.tick):
+        if src and dst and _within(cuts.get(frozenset((src, dst)), ()), rec.tick):
             return False, f"record {rec.seq}: delivery across cut link {src}-{dst}"
     return True, ""
 

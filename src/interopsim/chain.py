@@ -309,11 +309,11 @@ class BlockchainSystem:
                 f"{unit.semantic_type} unit on {self.semantic_type} chain")
         existing = self._idem.get(unit.idempotency_key)
         if existing is not None:
-            return SubmitReceipt(existing, duplicate=True)
+            return SubmitReceipt(existing, True)
         ref = self.next_ref()
         self._idem[unit.idempotency_key] = ref
         self.pending.append(LedgerEntry(ref, kind, unit, now, None, ()))
-        return SubmitReceipt(ref, duplicate=False)
+        return SubmitReceipt(ref, False)
 
     def advance_consensus(self, now: int) -> list[LedgerEntry]:
         """Confirm, in submission order, every pending entry that has aged

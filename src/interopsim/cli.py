@@ -9,6 +9,7 @@ audit fails or the logs differ, 2 on scenario parse/validation errors,
 on an input file that is missing or not UTF-8 text, or when run cannot
 make its --out directory (say, a file of that name exists).  Exit 2
 prints the problems, or one error line, to stderr; never a traceback.
+Stdout, like stderr, escapes what the locale cannot encode.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ def _print_scenario_error(exc) -> None:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args)

@@ -386,17 +386,19 @@ class Simulation:
         """Earliest tick at which some phase can act (see the module
         docstring), or None when none can until a fault changes that;
         earliest is the chains' wake-up, which run_tick found."""
-        wakes = (earliest, self.net.next_event_tick(),
-                 self.transfers.next_abort_tick(), self.valuenet.next_expiry())
-        return min((w for w in wakes if w is not None), default=None)
+        wake = earliest
+        for w in (self.net.next_event_tick(), self.transfers.next_abort_tick(),
+                  self.valuenet.next_expiry()):
+            if w is not None and (wake is None or w < wake):
+                wake = w
+        return wake
 
     def _quiescent(self) -> bool:
         """Whether the world has finished.  run calls this only when
         _next_wake found no wake-up, so no action is queued and no
         transfer deadline or reservation expiry is open; what is left is
         a pending unit that cannot confirm, stranded on a partitioned
-        chain or one below quorum.  An open app transaction has the
-        timeout of its current attempt queued, so no survivor clause."""
+        chain or one below quorum (see the module docstring)."""
         return not any(c.pending for c in self.chains.values())
 
     def finish(self, end_tick: int) -> RunReport:

@@ -493,12 +493,9 @@ class TransferEngine:
         self.locks[lock_key] = transfer_id
 
         chain = self.chains[source_chain]
-        unit = TransferUnit(
-            payload_digest=f"lock:{asset.opaque_suffix[:12]}",
-            semantic_type=chain.semantic_type,
-            directionality=Directionality.UNI,
-            idempotency_key=f"lock:{transfer_id}")
-        receipt = chain.submit(unit, src_gw.gateway_id, now, kind=ENTRY_KIND_LOCK)
+        unit = TransferUnit(f"lock:{asset.opaque_suffix[:12]}", chain.semantic_type,
+                            Directionality.UNI, f"lock:{transfer_id}")
+        receipt = chain.submit(unit, src_gw.gateway_id, now, ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
         self._by_ref[(source_chain, receipt.local_ref)] = index
         self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
@@ -626,13 +623,9 @@ class TransferEngine:
         if not self._may_act(t, now):
             return
         chain = self.chains[t.dest_chain]
-        unit = TransferUnit(
-            payload_digest=f"record:{t.asset.opaque_suffix[:12]}",
-            semantic_type=chain.semantic_type,
-            directionality=Directionality.BI,
-            idempotency_key=f"record:{t.transfer_id}",
-            intended_peer=t.beneficiary)
-        receipt = chain.submit(unit, t.paired_dest, now, kind=ENTRY_KIND_RECORD)
+        unit = TransferUnit(f"record:{t.asset.opaque_suffix[:12]}", chain.semantic_type,
+                            Directionality.BI, f"record:{t.transfer_id}", t.beneficiary)
+        receipt = chain.submit(unit, t.paired_dest, now, ENTRY_KIND_RECORD)
         t.record_ref = receipt.local_ref
         self._by_ref[(t.dest_chain, receipt.local_ref)] = \
             self._by_ref[(t.source_chain, t.lock_ref)]

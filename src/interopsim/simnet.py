@@ -31,15 +31,17 @@ the engine queues a scenario's faults as plain actions and applies
 them, calling partition() for chains and links.
 
 Log records hold their detail as data: an ordered tuple of fields, each
-a bare word or a (key, value) pair.  LogRecord.line() is the one place
-that renders them, as "tick seq kind subject detail" where seq is the
-strictly increasing record index and detail joins the fields with
-spaces, a pair as key=value and a list or tuple value with commas.  A
-delivery's fields start with its route, src and dst or, for a local
-delivery, dst alone.  A ledger record's subject is chain/ref, built by
-ledger_subject and split by ledger_parts and nowhere else.  Nothing
-parses a rendered line back: readers of the log, such as the audits,
-read the fields and the subject's parts.
+a bare word or a (key, value) pair.  SimNet.record is the one writer of
+the log, as schedule is of the queue: it stamps a record with the clock
+and with its seq, the strictly increasing record index.  LogRecord.line()
+is the one place that renders records, as "tick seq kind subject detail"
+where detail joins the fields with spaces, a pair as key=value and a
+list or tuple value with commas.  A delivery's fields start with its
+route, src and dst or, for a local delivery, dst alone.  A ledger
+record's subject is chain/ref, built by ledger_subject and split by
+ledger_parts and nowhere else.  Nothing parses a rendered line back:
+readers of the log, such as the audits, read the fields and the
+subject's parts.
 """
 
 from __future__ import annotations
@@ -96,15 +98,10 @@ class LogRecord:
 
 
 class EventLog:
-    """Append-only run log; the unit of replay comparison."""
+    """Append-only run log, the unit of replay comparison; SimNet.record writes it."""
 
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
-
-    def append(self, tick: int, kind: str, subject: str, fields: tuple) -> LogRecord:
-        rec = LogRecord(tick, len(self.records), kind, subject, fields)
-        self.records.append(rec)
-        return rec
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.records]
@@ -214,7 +211,10 @@ class SimNet:
 
     def record(self, kind: str, subject: str, *fields) -> LogRecord:
         """Log fields, each a bare word or a (key, value) pair, in order."""
-        return self.log.append(self.now, kind, subject, fields)
+        records = self.log.records
+        rec = LogRecord(self.now, len(records), kind, subject, fields)
+        records.append(rec)
+        return rec
 
     def next_event_tick(self) -> Optional[int]:
         return self._queue[0][0] if self._queue else None

@@ -92,8 +92,9 @@ def entry(sim, chain_id, ref):
 
 def append(sim, kind, subject, *fields):
     """Log one more record at the last tick, so that seq and tick stay
-    in order."""
-    return sim.net.log.append(sim.net.log.records[-1].tick, kind, subject, fields)
+    in order: finish leaves the clock at the tick of its last record."""
+    assert sim.net.now == sim.net.log.records[-1].tick
+    return sim.net.record(kind, subject, *fields)
 
 
 def first_delivery(sim, chain_id):

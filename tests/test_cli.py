@@ -296,6 +296,18 @@ class TestEncoding:
             assert run_cli_process(ASCII_LOCALE, "diff", *logs).returncode == 0
         assert "transfer x\u00e41 ".encode() in (tmp_path / "transfer-0" / "run.log").read_bytes()
 
+    def test_diff_prints_a_non_ascii_divergence_under_an_ascii_locale(self, tmp_path):
+        """Stdout escapes what the locale cannot encode, as stderr does:
+        the divergence prints, with the exit status of any divergence."""
+        logs = []
+        for n in (1, 2):
+            logs.append(tmp_path / f"{n}.log")
+            logs[-1].write_text(f"x\u00e4 {n}\n", encoding="utf-8")
+        done = run_cli_process(ASCII_LOCALE, "diff", *logs)
+        assert done.returncode == 1, done.stderr.decode("utf-8", "replace")
+        assert b"Traceback" not in done.stderr
+        assert done.stdout.decode("ascii") == "line 1:\n- x\\xe4 1\n+ x\\xe4 2\n"
+
 
 class TestParser:
     def test_missing_subcommand_is_an_argparse_error(self, capsys):

@@ -8,7 +8,6 @@ from interopsim.engine import schedule_faults
 from interopsim.runner import execute
 from interopsim.scenario import FaultCfg, parse_scenario
 from interopsim.simnet import (
-    EventLog,
     LogRecord,
     SimNet,
     ledger_parts,
@@ -167,14 +166,18 @@ class TestFaultValidation:
 
 class TestLogFormat:
     def test_record_line_shape(self):
-        log = EventLog()
-        log.append(3, "ledger", "bc1/e1", (("confirm", "unit"),))
-        assert log.lines() == ["3 0 ledger bc1/e1 confirm=unit"]
+        net = make_net()
+        net.drain(3)
+        net.record("ledger", "bc1/e1", ("confirm", "unit"))
+        assert net.log.lines() == ["3 0 ledger bc1/e1 confirm=unit"]
 
     def test_dumps_ends_every_line_with_a_newline(self):
-        log = EventLog()
-        log.append(3, "ledger", "bc1/e1", (("confirm", "unit"),))
-        log.append(4, "k", "s", ())
+        net = make_net()
+        net.drain(3)
+        net.record("ledger", "bc1/e1", ("confirm", "unit"))
+        net.drain(4)
+        net.record("k", "s")
+        log = net.log
         assert log.dumps() == "3 0 ledger bc1/e1 confirm=unit\n4 1 k s\n"
         assert log.dumps() == "".join(line + "\n" for line in log.lines())
 
@@ -184,10 +187,13 @@ class TestLogFormat:
         assert ledger_parts(subject) == ("bc-1", "e12")
 
     def test_seq_is_global_record_index(self):
-        log = EventLog()
+        net = make_net()
         for i in range(5):
-            log.append(i, "k", "s", ())
-        assert [r.seq for r in log.records] == [0, 1, 2, 3, 4]
+            net.drain(i)
+            rec = net.record("k", "s")
+            assert rec is net.log.records[-1], "record returns the record it appended"
+            assert (rec.seq, rec.tick) == (len(net.log.records) - 1, net.now)
+        assert [r.seq for r in net.log.records] == [0, 1, 2, 3, 4]
 
     def test_record_renders_words_pairs_and_lists(self):
         rec = LogRecord(4, 7, "txn", "t1/s1", (("attempt", 1), ("chain", "bc1"), "submit"))
