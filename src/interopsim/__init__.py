@@ -16,7 +16,6 @@ from .engine import Simulation
 from .gateway import (
     CrossDomainTransfer,
     DelegationGrant,
-    Gateway,
     GatewayRegistry,
     PeeringAgreement,
     ReachabilityAdvertisement,

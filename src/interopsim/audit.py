@@ -156,12 +156,12 @@ def _single_authority(sim):
 
 def _no_lost_assets(sim):
     engine = sim.transfers
-    finalized_assets = {str(t.asset) for t in engine.transfers.values()
+    finalized_assets = {t.asset for t in engine.transfers.values()
                         if t.state == TransferState.FINALIZED}
     for tid, t in sorted(engine.transfers.items()):
         if not t.terminal():
             return False, f"{tid}: still {t.state} at end of run"
-        if engine.locks.get((t.source_chain, str(t.asset))) == tid:
+        if engine.locks.get((t.source_chain, t.asset)) == tid:
             return False, f"{tid}: terminal but still holds the source lock"
         dest = sim.chains[t.dest_chain].ledger
         if t.state == TransferState.FINALIZED:
@@ -171,7 +171,7 @@ def _no_lost_assets(sim):
                 return False, f"{tid}: finalized but record voided"
         else:
             home = sim.resolver.resolve(t.asset).home_chain
-            if home != t.source_chain and str(t.asset) not in finalized_assets:
+            if home != t.source_chain and t.asset not in finalized_assets:
                 return False, f"{tid}: aborted but authority left {t.source_chain}"
             if dest.get(t.record_ref) is not None and t.record_ref not in dest.voids:
                 return False, f"{tid}: aborted but record not voided"

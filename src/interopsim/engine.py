@@ -108,7 +108,6 @@ from .errors import (
 )
 from .gateway import (
     DelegationGrant,
-    Gateway,
     GatewayRegistry,
     PeeringAgreement,
     PeeringRegistry,
@@ -174,7 +173,7 @@ class Simulation:
             self.vouch_thresholds[c.chain_id] = c.threshold()
             self.resolver.register_chain(c.chain_id, c.path)
             for gid in gateway_ids:
-                self.registry.add(Gateway(gid, c.chain_id))
+                self.registry.add(gid)
         for p in cfg.peerings:
             self.peerings.establish(PeeringAgreement(
                 p.peering_id, p.chains[0], p.chains[1],
@@ -196,10 +195,10 @@ class Simulation:
                 Directionality.UNI, f"genesis:{a.asset_id}")).local_ref
             cid = assets[a.asset_id] = mint(chain, ref, 0)
             record("ledger", ledger_subject(a.chain, ref), "genesis", ("asset", cid))
-            record("resolver", str(cid), "register", ("home", a.chain))
+            record("resolver", cid, "register", ("home", a.chain))
         for g in self.config.grants:
             self.grants[g.grant_id] = DelegationGrant(
-                g.grant_id, g.grantor, g.grantee, str(self.assets[g.asset]), g.expiry)
+                g.grant_id, g.grantor, g.grantee, self.assets[g.asset], g.expiry)
 
     def _emit_adverts(self) -> None:
         for cid, adv in advertise(self.chains, self.registry, self.resolver, 0).items():
@@ -330,7 +329,7 @@ class Simulation:
     def _start_probe(self, cfg):
         outcome = self.outcomes["probes"]
         try:
-            gw = self._entry_gateways(cfg.chain)[0]
+            via = self._entry_gateways(cfg.chain)[0]
         except Unreachable:
             outcome[cfg.probe_id] = {"state": "ERROR", "error": "Unreachable"}
             self.net.record("probe", cfg.probe_id, ("chain", cfg.chain),
@@ -341,7 +340,7 @@ class Simulation:
             "state": "OK", "live": status.live_node_count,
             "pending": status.pending_count,
             "latency": f"{status.mean_confirm_latency:.2f}"}
-        self.net.record("probe", cfg.probe_id, ("chain", cfg.chain), ("via", gw.gateway_id),
+        self.net.record("probe", cfg.probe_id, ("chain", cfg.chain), ("via", via),
                         ("live", status.live_node_count),
                         ("pending", status.pending_count),
                         ("latency", f"{status.mean_confirm_latency:.2f}"),
@@ -349,7 +348,7 @@ class Simulation:
 
     # -- resolution ----------------------------------------------------
 
-    def _entry_gateways(self, chain_id: str) -> list[Gateway]:
+    def _entry_gateways(self, chain_id: str) -> list[str]:
         """The live gateways of chain_id, lowest id first: an outside
         party's only way in.  Unreachable when the chain is partitioned
         or has no live gateway."""
@@ -364,7 +363,7 @@ class Simulation:
         """Resolution as an outside party sees it: pointer plus the home
         chain's live gateway endpoints, never node addresses."""
         pointer = self.resolver.resolve(cross_id)
-        endpoints = tuple(g.gateway_id for g in self._entry_gateways(pointer.home_chain))
+        endpoints = tuple(self._entry_gateways(pointer.home_chain))
         return pointer, endpoints
 
     # -- main loop -----------------------------------------------------
@@ -413,7 +412,7 @@ class Simulation:
         return report
 
     def _emit_resolver_dump(self) -> None:
-        self.resolver_dump = [self.net.record("resolver", str(cid), *fields)
+        self.resolver_dump = [self.net.record("resolver", cid, *fields)
                               for cid, fields in self.resolver.dump()]
 
     # -- reporting -----------------------------------------------------

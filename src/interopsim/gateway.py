@@ -6,9 +6,11 @@ peering agreements, and the four-phase cross-domain transfer protocol
 (INITIATED -> SOURCE_LOCKED -> DEST_RECORDED -> VOUCHED -> FINALIZED,
 with ABORTED reachable from any non-terminal state).
 
-Pairing is deterministic: the lowest-id live gateway on each side.  On a
-crash the transfer re-pairs to the next lowest live gateway, or aborts
-when a side has none left.
+A gateway is its id, which names its chain (chain.gateway_ids and
+chain_of own the format); the registry holds the rest, its liveness and
+its key.  Pairing is deterministic: the lowest-id live gateway on each
+side.  On a crash the transfer re-pairs to the next lowest live
+gateway, or aborts when a side has none left.
 
 Each fact about a transfer is held once, by the party that owns it.  A
 CrossDomainTransfer holds only the protocol's own sub-state: its state,
@@ -50,6 +52,7 @@ from .chain import (
     ENTRY_KIND_RECORD,
     LedgerEntry,
     TransferUnit,
+    chain_of,
     slot_setters,
 )
 from .errors import (
@@ -68,21 +71,16 @@ from .identity import AuthoritativePointer, CrossId
 from .simnet import ledger_subject
 
 
-@dataclass
-class Gateway:
-    gateway_id: str
-    home_chain: str
-    live: bool = True
-
-
 class GatewayRegistry:
-    """All gateways of the run plus their signing keys.  set_live is the
-    one writer of gateway liveness, and it appends each change it makes
-    to changes as (gateway_id, live), in order; the transfer engine's
-    step phase reads the list and empties it."""
+    """All gateways of the run, each known by its id, which names its
+    chain (chain.chain_of), plus their liveness and signing keys.
+    set_live is the one writer of gateway liveness, and it appends each
+    change it makes to changes as (gateway_id, live), in order; the
+    transfer engine's step phase reads the list and empties it."""
 
     def __init__(self) -> None:
-        self.gateways: dict[str, Gateway] = {}
+        # gateway id -> whether it is up
+        self.live: dict[str, bool] = {}
         # chain id -> its gateway ids, sorted
         self.by_chain: dict[str, list[str]] = {}
         # gateway id -> signing key, derived by add; stands in for a keypair
@@ -90,35 +88,29 @@ class GatewayRegistry:
         # (gateway_id, live) per liveness change not yet read
         self.changes: list[tuple[str, bool]] = []
 
-    def add(self, gateway: Gateway) -> None:
-        gateway_id = gateway.gateway_id
-        self.gateways[gateway_id] = gateway
+    def add(self, gateway_id: str) -> None:
+        """Register a live gateway under the chain its id names."""
+        self.live[gateway_id] = True
         self.keys[gateway_id] = f"k-{gateway_id}".encode("ascii")
-        insort(self.by_chain.setdefault(gateway.home_chain, []), gateway_id)
-
-    def get(self, gateway_id: str) -> Gateway:
-        if gateway_id not in self.gateways:
-            raise NotFound(f"unknown gateway {gateway_id}")
-        return self.gateways[gateway_id]
+        insort(self.by_chain.setdefault(chain_of(gateway_id), []), gateway_id)
 
     def set_live(self, gateway_id: str, live: bool) -> None:
         """Crash (live False) or restart a gateway."""
-        gateway = self.get(gateway_id)
-        if gateway.live != live:
-            gateway.live = live
+        if gateway_id not in self.live:
+            raise NotFound(f"unknown gateway {gateway_id}")
+        if self.live[gateway_id] != live:
+            self.live[gateway_id] = live
             self.changes.append((gateway_id, live))
 
-    def chain_gateways(self, chain_id: str) -> list[Gateway]:
-        return [self.gateways[g] for g in self.by_chain.get(chain_id, [])]
+    def live_gateways(self, chain_id: str) -> list[str]:
+        live = self.live
+        return [gid for gid in self.by_chain.get(chain_id, ()) if live[gid]]
 
-    def live_gateways(self, chain_id: str) -> list[Gateway]:
-        return [g for g in self.chain_gateways(chain_id) if g.live]
-
-    def lowest_live(self, chain_id: str) -> Optional[Gateway]:
+    def lowest_live(self, chain_id: str) -> Optional[str]:
+        live = self.live
         for gateway_id in self.by_chain.get(chain_id, ()):
-            gateway = self.gateways[gateway_id]
-            if gateway.live:
-                return gateway
+            if live[gateway_id]:
+                return gateway_id
         return None
 
 
@@ -190,11 +182,11 @@ def vouch(chain_id: str, registry: GatewayRegistry, claim: Claim, k: int,
     so the signatures come sorted by gateway id.  The signers are found
     before anything is hashed, so a vouch that cannot meet k hashes
     nothing."""
-    gateways = registry.gateways
+    live = registry.live
     signers = []
     if k > 0:
         for gid in registry.by_chain.get(chain_id, ()):
-            if gateways[gid].live:
+            if live[gid]:
                 signers.append(gid)
                 if len(signers) == k:
                     break
@@ -211,12 +203,12 @@ def verify_attestation(att: VouchAttestation, registry: GatewayRegistry) -> bool
     chain signed these exact claim bytes.  Liveness is irrelevant."""
     claim = att.claim
     chain_id, tail = claim.chain_id, b"|" + claim.encoded
-    gateways, keys, sha256 = registry.gateways, registry.keys, hashlib.sha256
+    keys, sha256 = registry.keys, hashlib.sha256
     valid = set()
     for gid, sig in att.signatures:
-        gw = gateways.get(gid)
-        if (gw is not None and gw.home_chain == chain_id
-                and sha256(keys[gid] + tail).hexdigest() == sig):
+        key = keys.get(gid)
+        if (key is not None and chain_of(gid) == chain_id
+                and sha256(key + tail).hexdigest() == sig):
             valid.add(gid)
     return len(valid) >= att.threshold_k
 
@@ -251,7 +243,7 @@ def advertise(chains: dict, registry: GatewayRegistry, resolver,
         prefixes[p.home_chain].append(p.asset.prefix())
     return {cid: ReachabilityAdvertisement(
                 resolver.path(cid),
-                tuple(g.gateway_id for g in registry.live_gateways(cid)),
+                tuple(registry.live_gateways(cid)),
                 (chain.semantic_type,), tuple(sorted(prefixes[cid])), now)
             for cid, chain in chains.items()}
 
@@ -263,13 +255,13 @@ class DelegationGrant:
     grant_id: str
     grantor: str
     grantee: str
-    target: str  # str(CrossId)
+    target: CrossId
     expiry_tick: int
 
 
 @dataclass(slots=True)
 class MediatedReadView:
-    cross_id: str
+    cross_id: CrossId
     chain_id: str
     payload_digest: str
     submitted_tick: int
@@ -291,16 +283,16 @@ def mediated_read(registry: GatewayRegistry, chain, resolver,
     NotConfirmed and an unknown one NotFound, as chain.read does.  The
     chain's lowest live gateway vouches for the entry 1-of-n.
     """
-    if grant.grantee != requester or grant.target != str(cross_id):
+    if grant.grantee != requester or grant.target != cross_id:
         raise GrantMismatch(f"grant {grant.grant_id} does not cover this request")
     if now >= grant.expiry_tick:
         raise GrantExpired(f"grant {grant.grant_id} expired at {grant.expiry_tick}")
     result = chain.read(resolver.local_ref_for(chain.chain_id, cross_id), grant.grantor)
     entry = result.entry
-    claim = Claim(chain.chain_id, str(cross_id), True, entry_digest(entry))
+    claim = Claim(chain.chain_id, cross_id, True, entry_digest(entry))
     att = vouch(chain.chain_id, registry, claim, 1, now)
     digest = entry.unit.payload_digest if entry.unit else entry.payload
-    return MediatedReadView(str(cross_id), chain.chain_id, digest,
+    return MediatedReadView(cross_id, chain.chain_id, digest,
                             entry.submitted_tick, entry.confirmed_tick,
                             result.mark, result.voided, att)
 
@@ -476,17 +468,16 @@ class TransferEngine:
 
         transfer = CrossDomainTransfer(
             transfer_id, asset, source_chain, dest_chain, beneficiary,
-            deadline_tick, agreement.agreement_id,
-            src_gw.gateway_id, dst_gw.gateway_id)
+            deadline_tick, agreement.agreement_id, src_gw, dst_gw)
         index = len(self.order)
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
         heappush(self._deadlines, (deadline_tick + 1, index, transfer))
-        self._log(transfer, src_gw.gateway_id,
+        self._log(transfer, src_gw,
                   ("gw", f"{transfer.paired_source}:{transfer.paired_dest}"),
                   ("deadline", deadline_tick))
 
-        lock_key = (source_chain, str(asset))
+        lock_key = (source_chain, asset)
         if lock_key in self.locks:
             self.abort(transfer, now, "lock-held")
             return transfer
@@ -495,7 +486,7 @@ class TransferEngine:
         chain = self.chains[source_chain]
         unit = TransferUnit(f"lock:{asset.opaque_suffix[:12]}", chain.semantic_type,
                             Directionality.UNI, f"lock:{transfer_id}")
-        receipt = chain.submit(unit, src_gw.gateway_id, now, ENTRY_KIND_LOCK)
+        receipt = chain.submit(unit, src_gw, now, ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
         self._by_ref[(source_chain, receipt.local_ref)] = index
         self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
@@ -547,9 +538,8 @@ class TransferEngine:
         """Mark due every open transfer, a lock holder, that changes can
         move: one whose paired gateway went down, and one that waits for
         a vouch on a chain where a gateway came up."""
-        gateways = self.registry.gateways
         down = {gid for gid, live in changes if not live}
-        up = {gateways[gid].home_chain for gid, live in changes if live}
+        up = {chain_of(gid) for gid, live in changes if live}
         transfers, by_ref, due = self.transfers, self._by_ref, self._due
         for tid in self.locks.values():
             t = transfers[tid]
@@ -592,24 +582,24 @@ class TransferEngine:
     def _repair_pairing(self, t: CrossDomainTransfer, now: int) -> bool:
         """Re-pair crashed gateways to the lowest live ones; abort when a
         side has none.  Returns False when the transfer just aborted."""
-        gateways = self.registry.gateways
-        if gateways[t.paired_source].live and gateways[t.paired_dest].live:
+        live = self.registry.live
+        if live[t.paired_source] and live[t.paired_dest]:
             return True
         for side in ("source", "dest"):
             chain_id = t.source_chain if side == "source" else t.dest_chain
             current = t.paired_source if side == "source" else t.paired_dest
-            if gateways[current].live:
+            if live[current]:
                 continue
             replacement = self.registry.lowest_live(chain_id)
             if replacement is None:
                 self.abort(t, now, f"no-live-gateway-{side}")
                 return False
             if side == "source":
-                t.paired_source = replacement.gateway_id
+                t.paired_source = replacement
             else:
-                t.paired_dest = replacement.gateway_id
+                t.paired_dest = replacement
             self.net.record("peer", t.transfer_id, "repair", ("side", side),
-                            ("gw", replacement.gateway_id))
+                            ("gw", replacement))
         return True
 
     def _send_record_request(self, t: CrossDomainTransfer, now: int) -> None:
@@ -638,7 +628,7 @@ class TransferEngine:
         that chain's ledger and log both; None when too few gateways are
         live to meet the threshold."""
         chain = self.chains[chain_id]
-        claim = Claim(chain_id, str(t.asset), True, entry_digest(chain.ledger.get(ref)))
+        claim = Claim(chain_id, t.asset, True, entry_digest(chain.ledger.get(ref)))
         try:
             att = vouch(chain_id, self.registry, claim, self.vouch_thresholds[chain_id], now)
         except InsufficientGateways:
@@ -682,10 +672,10 @@ class TransferEngine:
         self.chains[t.source_chain].ledger.mark(source_ref, pointer)
         self.net.record("ledger", ledger_subject(t.source_chain, source_ref),
                         "mark", ("to", t.dest_chain), ("transfer", t.transfer_id))
-        self.net.record("resolver", str(t.asset),
+        self.net.record("resolver", t.asset,
                         "rebind", ("from", t.source_chain), ("to", t.dest_chain))
         self.resolver.bind_existing(t.dest_chain, t.asset, t.record_ref)
-        del self.locks[(t.source_chain, str(t.asset))]
+        del self.locks[(t.source_chain, t.asset)]
         agreement = self.peerings.agreements[t.agreement_id]
         self.peerings.tally_fee(agreement)
         t.state = TransferState.FINALIZED
@@ -700,7 +690,7 @@ class TransferEngine:
         t.state = TransferState.ABORTED
         t.abort_reason = reason
         t.final_tick = now
-        lock_key = (t.source_chain, str(t.asset))
+        lock_key = (t.source_chain, t.asset)
         if self.locks.get(lock_key) == t.transfer_id:  # not so on a lock-held abort
             del self.locks[lock_key]
         self._log(t, t.paired_source, ("reason", reason))

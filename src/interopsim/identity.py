@@ -2,7 +2,9 @@
 
 External parties never see chain-local transaction identifiers; they
 hold CrossIds whose suffix is opaque (derived from the run's RNG, never
-from the local_ref).  The resolver maps each asset to exactly one home
+from the local_ref).  A CrossId is its text, chain_path/opaque_suffix: a
+str that keys, compares, logs and signs as that text, with no second
+copy of it.  The resolver maps each asset to exactly one home
 chain at a time and keeps the full forward history of rebinds; the
 last pointer of an asset's history is its current home.
 
@@ -20,7 +22,7 @@ Invariants surfaced for audit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .chain import slot_setters
@@ -46,42 +48,34 @@ def _base32(raw: bytes) -> str:
             f"{p[n & 0x3FF]}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CrossId:
-    """Globally unique asset identifier: chain path plus opaque suffix.
+@dataclass(frozen=True, init=False, eq=False)
+class CrossId(str):
+    """Globally unique asset identifier: its text, chain_path/opaque_suffix.
 
-    Its text and its hash are derived once, at construction.  The hash is
-    the one a frozen dataclass derives from the two fields, so a CrossId
-    keys dicts and sets as it always has."""
+    A CrossId is the str it prints as, so it hashes, compares and sorts as
+    that text and equals it; its two fields are read back from the text
+    (a chain path holds no "/").  The dataclass gives it its repr and
+    keeps it frozen."""
 
-    chain_path: str
+    __slots__ = ()
+    chain_path: str  # both fields are properties over the text, below
     opaque_suffix: str
-    _text: str = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, chain_path: str, opaque_suffix: str) -> None:
-        _set_path(self, chain_path)
-        _set_suffix(self, opaque_suffix)
-        _set_text(self, f"{chain_path}/{opaque_suffix}")
-        _set_hash(self, hash((chain_path, opaque_suffix)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, chain_path: str, opaque_suffix: str) -> CrossId:
+        return str.__new__(cls, f"{chain_path}/{opaque_suffix}")
 
     def __reduce__(self):
-        # a string hash holds only in the process that computed it, so a
-        # copy or an unpickled CrossId derives its own
+        # str's own would rebuild it from the text as one argument
         return CrossId, (self.chain_path, self.opaque_suffix)
-
-    def __str__(self) -> str:
-        return self._text
 
     def prefix(self, n: int = 8) -> str:
         """Truncated form safe for reachability advertisements."""
-        return f"{self.chain_path}/{self.opaque_suffix[:n]}"
+        return self[:self.index("/") + 1 + n]
 
 
-_set_path, _set_suffix, _set_text, _set_hash = slot_setters(CrossId)
+# set after the dataclass has taken the annotations as its fields
+CrossId.chain_path = property(lambda self: self.partition("/")[0])
+CrossId.opaque_suffix = property(lambda self: self.partition("/")[2])
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -182,7 +176,7 @@ class Resolver:
     # -- resolution and rebinding --------------------------------------
 
     def assets(self) -> list[CrossId]:
-        return sorted(self._history, key=str)
+        return sorted(self._history)
 
     def homes(self) -> Iterable[AuthoritativePointer]:
         """The current home pointer of every asset, in no set order."""
@@ -215,12 +209,11 @@ class Resolver:
             source_att, dest_att = proof
         except (TypeError, ValueError):
             raise InvalidProof("proof must be a (source, dest) attestation pair")
-        asset = str(cross_id)
         for att, chain_id in ((source_att, from_chain), (dest_att, to_chain)):
             claim = att.claim
             if claim.chain_id != chain_id:
                 raise InvalidProof(f"attestation names {claim.chain_id}, expected {chain_id}")
-            if claim.cross_id != asset:
+            if claim.cross_id != cross_id:
                 raise InvalidProof("attestation names a different asset")
             if not claim.confirmed:
                 raise InvalidProof("attestation does not claim confirmation")

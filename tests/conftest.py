@@ -20,7 +20,6 @@ from interopsim.chain import (
     node_ids,
 )
 from interopsim.gateway import (
-    Gateway,
     GatewayRegistry,
     PeeringAgreement,
     PeeringRegistry,
@@ -116,7 +115,7 @@ class TransferWorld:
             self.chains[cid] = chain
             self.resolver.register_chain(cid)
             for gid in gateway_ids(cid, gateways):
-                self.registry.add(Gateway(gid, cid))
+                self.registry.add(gid)
         self.peerings.establish(PeeringAgreement(
             "pa1", "bc1", "bc2", frozenset({SemanticType.ASSET_REGISTRY}),
             Fraction(fee)))

@@ -1,8 +1,10 @@
 """End-to-end engine tests over the bundled scenarios: protocol timing
 checkpoints, workload outcomes, report assembly, run audits."""
 
+import copy
 import gc
 import json
+import pickle
 import sys
 import weakref
 from dataclasses import replace
@@ -216,7 +218,7 @@ class TestFaultShapes:
         assert sim.net.cut_history == {frozenset(("bc1", "bc2")): [[1, 4]]}, \
             "a second heal of a closed episode changes nothing"
         assert all(all(c.nodes.values()) for c in sim.chains.values())
-        assert all(g.live for g in sim.registry.gateways.values())
+        assert all(sim.registry.live.values())
         assert report.end_tick == 7
         assert report.passed(), [a.name for a in report.failed_audits()]
 
@@ -463,18 +465,25 @@ def _step_every_open_transfer(engine):
     return step_all
 
 
+def _tick_through(sim, start, stop):
+    """Drive sim through run_tick on every tick from start up to stop,
+    until _quiet holds: the tick it held on, or None if none."""
+    for tick in range(start, stop):
+        sim.events_executed += run_tick(sim.net, sim.chains, sim.survivor,
+                                        sim.transfers, sim.valuenet, tick)[0]
+        if _quiet(sim):
+            return tick
+    return None
+
+
 def _run_every_tick(config):
     """The same world driven through run_tick on every tick, with a step
     phase that polls every open transfer, until _quiet holds or the
     horizon, then the same end-of-run steps as Simulation.run."""
     sim = Simulation(config)
     sim.transfers.step_all = _step_every_open_transfer(sim.transfers)
-    for tick in range(config.horizon + 1):
-        sim.events_executed += run_tick(sim.net, sim.chains, sim.survivor,
-                                        sim.transfers, sim.valuenet, tick)[0]
-        if _quiet(sim):
-            break
-    return sim.finish(tick), sim
+    end = _tick_through(sim, 0, config.horizon + 1)
+    return sim.finish(config.horizon if end is None else end), sim
 
 
 def _skipping_changes(config):
@@ -724,3 +733,36 @@ def test_generated_worlds_run_audit_replay_and_skip_nothing(seed):
     _, again = execute(config)
     assert again.net.log.dumps() == sim.net.log.dumps()
     assert _skipping_changes(config) == []
+
+
+# -- forks --------------------------------------------------------------
+
+
+def _forks_change(config, fork_tick):
+    """Differences from the uninterrupted run of two forks of one world,
+    driven tick by tick up to fork_tick: a deepcopy and a pickle round
+    trip, each then driven on to the end."""
+    report, sim = execute(config)
+    expected = (sim.net.log.dumps(), report.to_json())
+    horizon = config.horizon
+    driven = Simulation(config)
+    held = _tick_through(driven, 0, fork_tick)
+    problems = []
+    for how, fork in (("deepcopy", copy.deepcopy(driven)),
+                      ("pickle", pickle.loads(pickle.dumps(driven)))):
+        end = held if held is not None else _tick_through(fork, fork_tick, horizon + 1)
+        fork_report = fork.finish(horizon if end is None else end)
+        if (fork.net.log.dumps(), fork_report.to_json()) != expected:
+            problems.append(f"{config.name}: {how} fork at tick {fork_tick} differs")
+    return problems
+
+
+@settings(ROBUSTNESS, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.floats(0, 1))
+def test_a_forked_world_runs_on_as_the_world_does(seed, at):
+    try:
+        config = parse_scenario(world(seed), name=f"world-{seed}")
+    except ValidationError as exc:
+        assert exc.problems
+        return
+    assert _forks_change(config, round(at * config.horizon)) == []

@@ -21,13 +21,13 @@ from interopsim.errors import (
     NoLiveGateways,
     NoPeering,
     NotAuthoritativeHere,
+    NotFound,
     PermissionDenied,
     Unreachable,
 )
 from interopsim.gateway import (
     Claim,
     DelegationGrant,
-    Gateway,
     GatewayRegistry,
     PeeringAgreement,
     PeeringRegistry,
@@ -62,7 +62,7 @@ def registry_of(chain_to_count):
     registry = GatewayRegistry()
     for cid, count in chain_to_count.items():
         for gid in gateway_ids(cid, count):
-            registry.add(Gateway(gid, cid))
+            registry.add(gid)
     return registry
 
 
@@ -103,8 +103,8 @@ class TestVouching:
         # an attestation stays valid even if every signer crashes later
         registry = registry_of({"bc1": 3})
         att = vouch("bc1", registry, sample_claim(), 2, now=0)
-        for g in registry.chain_gateways("bc1"):
-            registry.set_live(g.gateway_id, False)
+        for gid in registry.by_chain["bc1"]:
+            registry.set_live(gid, False)
         assert verify_attestation(att, registry), \
             "verification is a pure function of signatures and registry"
 
@@ -117,6 +117,22 @@ class TestVouching:
         att = VouchAttestation(claim, 2, sigs, 0)
         assert not verify_attestation(att, registry), \
             "a bc2 gateway cannot vouch for bc1's ledger"
+
+    def test_unregistered_gateway_signatures_do_not_count(self):
+        # bc1.g9 names bc1 and signs by the scheme, but was never added
+        registry = registry_of({"bc1": 2})
+        claim = sample_claim("bc1")
+        sigs = tuple((gid, reference_signature(gid, claim)) for gid in ("bc1.g1", "bc1.g9"))
+        assert verify_attestation(VouchAttestation(claim, 1, sigs, 0), registry)
+        assert not verify_attestation(VouchAttestation(claim, 2, sigs, 0), registry), \
+            "only a registered gateway's signature counts"
+
+    def test_set_live_on_an_unknown_gateway_raises(self):
+        registry = registry_of({"bc1": 2})
+        for live in (False, True):
+            with pytest.raises(NotFound, match="unknown gateway bc1.g9"):
+                registry.set_live("bc1.g9", live)
+        assert registry.changes == [] and "bc1.g9" not in registry.live
 
     def test_duplicate_signer_does_not_amplify(self):
         registry = registry_of({"bc1": 2})
@@ -184,7 +200,7 @@ class TestSignatureScheme:
         for i in range(40):
             for gid in gids:
                 registry.set_live(gid, rng.random() < 0.8)
-            live = [gid for gid in gids if registry.gateways[gid].live]
+            live = [gid for gid in gids if registry.live[gid]]
             suffix = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ234567") for _ in range(26))
             claim = Claim("bc1", f"bc1/{suffix}", rng.random() < 0.5,
                           f"{rng.getrandbits(256):064x}")

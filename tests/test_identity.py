@@ -19,7 +19,6 @@ from interopsim.errors import (
 )
 from interopsim.gateway import (
     Claim,
-    Gateway,
     GatewayRegistry,
     VouchAttestation,
     entry_digest,
@@ -63,17 +62,23 @@ class TestMinting:
     @pytest.mark.parametrize("path, suffix", [
         ("bc1", "A" * 26), ("trade.bc1", "ABC234DEF567GHI234JKL567MN"), ("", "")])
     def test_cross_id_hashes_compares_and_prints_by_its_fields(self, path, suffix):
+        # a cross id is its text: it hashes as the text and equals it,
+        # and its fields are read back from it
         cid = CrossId(path, suffix)
-        assert hash(cid) == hash((path, suffix))
-        assert str(cid) == f"{path}/{suffix}"
+        text = f"{path}/{suffix}"
+        assert isinstance(cid, str) and str(cid) == text and f"{cid}" == text
+        assert hash(cid) == hash(text)
+        assert cid == text and cid == CrossId(path, suffix)
+        assert cid != CrossId(path, suffix + "B") and cid != (path, suffix)
+        assert (cid.chain_path, cid.opaque_suffix) == (path, suffix)
         assert repr(cid) == f"CrossId(chain_path={path!r}, opaque_suffix={suffix!r})"
-        assert cid == CrossId(path, suffix) and cid != CrossId(path, suffix + "B")
-        assert cid != (path, suffix)
         with pytest.raises(FrozenInstanceError):
             cid.chain_path = "bc2"
-        assert {cid: 1}[CrossId(path, suffix)] == 1
+        assert {cid: 1}[CrossId(path, suffix)] == 1 and {text: 1}[cid] == 1
         for copied in (copy.copy(cid), copy.deepcopy(cid), pickle.loads(pickle.dumps(cid))):
-            assert copied == cid and hash(copied) == hash(cid) and str(copied) == str(cid)
+            assert type(copied) is CrossId and copied == cid and hash(copied) == hash(text)
+            assert (copied.chain_path, copied.opaque_suffix) == (path, suffix)
+            assert repr(copied) == repr(cid)
 
     @pytest.mark.parametrize("cls, kwargs", [
         (CrossId, {"chain_path": "bc1", "opaque_suffix": "A" * 26}),
@@ -285,7 +290,7 @@ def rebind_fixture():
         chains[cid] = chain
         resolver.register_chain(cid)
         for gid in gateway_ids(cid, 3):
-            registry.add(Gateway(gid, cid))
+            registry.add(gid)
     entry = confirm_unit(chains["bc1"],
                          make_unit(semantic=SemanticType.ASSET_REGISTRY))
     asset = resolver.mint_cross_id(chains["bc1"], entry.local_ref)
