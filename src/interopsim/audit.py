@@ -244,28 +244,34 @@ def _resolution_opacity(sim):
     return True, f"{len(transcripts)} transcripts"
 
 
-def _within(episodes, tick):
-    for start, end in episodes:
-        if start <= tick and (end is None or tick < end):
-            return True
-    return False
-
-
 def _no_partition_delivery(sim):
-    # [start, end) episodes, end None while open, by chain and by pair
-    isolations, cuts = sim.net.partition_history, sim.net.cut_history
-    if not isolations and not cuts:  # no episode can block a delivery
+    """Replay the fault records against the config: each applies or heals
+    the chains and links its fault names, in the phase it logs, and no
+    delivery may touch what is cut off at its record.  It reads nothing
+    of SimNet's fault state, so a network that fails to cut off what a
+    fault names fails this audit."""
+    faults = {f.fault_id: f for f in sim.config.faults if f.chains or f.links}
+    if not faults:  # no fault can block a delivery
         return True, ""
+    cut_off = set()
     for rec in sim.net.log.records:
-        if rec.kind != "deliver":
-            continue
-        src, dst = rec.get("src"), rec.get("dst")
-        if _within(isolations.get(dst, ()), rec.tick):
-            return False, f"record {rec.seq}: delivery into partitioned {dst}"
-        if src and _within(isolations.get(src, ()), rec.tick):
-            return False, f"record {rec.seq}: delivery out of partitioned {src}"
-        if src and dst and _within(cuts.get(frozenset((src, dst)), ()), rec.tick):
-            return False, f"record {rec.seq}: delivery across cut link {src}-{dst}"
+        if rec.kind == "fault":
+            fault = faults.get(rec.subject)
+            if fault is None:
+                continue
+            targets = [*fault.chains, *map(frozenset, fault.links)]
+            if rec.get("phase") == "heal":
+                cut_off.difference_update(targets)
+            else:
+                cut_off.update(targets)
+        elif rec.kind == "deliver" and cut_off:
+            src, dst = rec.get("src"), rec.get("dst")
+            if dst in cut_off:
+                return False, f"record {rec.seq}: delivery into partitioned {dst}"
+            if src in cut_off:
+                return False, f"record {rec.seq}: delivery out of partitioned {src}"
+            if src and frozenset((src, dst)) in cut_off:
+                return False, f"record {rec.seq}: delivery across cut link {src}-{dst}"
     return True, ""
 
 

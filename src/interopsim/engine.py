@@ -470,8 +470,8 @@ def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
                     registry: GatewayRegistry, faults: list[FaultCfg]) -> None:
     """Queue each fault's apply phase at its at tick, and its heal phase
     at until when set.  Either phase logs the fault record, then acts on
-    the fault's target fields: it opens (apply) or closes (heal) the
-    episodes of its chains and links, takes its nodes and gateways down
+    the fault's target fields: it cuts off (apply) or restores (heal)
+    its chains and links, takes its nodes and gateways down
     or back up, and runs the heal phase of each fault it names, so a
     heal that names a heal heals that one's faults in turn."""
     by_id = {f.fault_id: f for f in faults}

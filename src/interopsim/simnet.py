@@ -1,4 +1,4 @@
-"""Simulation substrate: tick clock, action queue, partition episodes, log.
+"""Simulation substrate: tick clock, action queue, fault state, log.
 
 Determinism contract, checked by the test suite:
   * integer tick clock, no wall time anywhere;
@@ -22,13 +22,14 @@ The engine's finish empties the queue (drop_queued): what is left in
 it never runs, and it would keep the net and the layers alive in a
 reference cycle.
 
-The network's fault state is the episode history and nothing else: a
-[start, end) tick range per episode, by chain and by link.  partition()
-opens and closes episodes; a chain is partitioned, or a link cut, while
-its last episode is open (end None), and the audits read the same
-history.  The substrate holds no entity registry and no fault schema:
-the engine queues a scenario's faults as plain actions and applies
-them, calling partition() for chains and links.
+The network's fault state is what is cut off now and nothing else: one
+set, cut_off, of the chain ids partitioned now and the frozenset pairs
+of chain ids whose link is cut now.  partition() adds targets to it and
+removes them on heal; the history of faults is in the log, as fault
+records, and the audits read it there.  The substrate holds no entity
+registry and no fault schema: the engine queues a scenario's faults as
+plain actions and applies them, calling partition() for chains and
+links.
 
 Log records hold their detail as data: an ordered tuple of fields, each
 a bare word or a (key, value) pair.  SimNet.record is the one writer of
@@ -112,16 +113,10 @@ class EventLog:
         return "".join([f"{r.line()}\n" for r in self.records])
 
 
-def _open(history: dict, key) -> bool:
-    """Whether key's last episode in history is still open."""
-    episodes = history.get(key)
-    return episodes is not None and episodes[-1][1] is None
-
-
 class SimNet:
-    """Clock, queue, partition episodes, RNG and log for one simulation
-    run.  It knows no entities: the engine decides what a fault does,
-    and calls partition() for the part that is the network's."""
+    """Clock, queue, fault state, RNG and log for one simulation run.
+    It knows no entities: the engine decides what a fault does, and
+    calls partition() for the part that is the network's."""
 
     def __init__(self, seed: int, inter_chain_latency: int, latency_jitter: int) -> None:
         self.rng = random.Random(seed)
@@ -131,10 +126,8 @@ class SimNet:
         self.latency_jitter = latency_jitter
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._next_event_seq = 0
-        # fault state: [start_tick, end_tick_or_None] per episode, in order,
-        # by chain isolated and by frozenset pair of chains cut apart
-        self.partition_history: dict[str, list[list]] = {}
-        self.cut_history: dict[frozenset, list[list]] = {}
+        # the chain ids partitioned now and the frozenset pairs cut now
+        self.cut_off: set = set()
 
     # -- scheduling ----------------------------------------------------
 
@@ -189,23 +182,23 @@ class SimNet:
     # -- fault state ---------------------------------------------------
 
     def partition(self, chains, links, heal: bool) -> None:
-        """Open an episode for each of chains and links (chain-id pairs),
-        or close it when heal is set; a target already so is left as is."""
-        targets = [(self.partition_history, cid) for cid in chains]
-        targets += [(self.cut_history, frozenset(pair)) for pair in links]
-        for history, key in targets:
-            if heal and _open(history, key):
-                history[key][-1][1] = self.now
-            elif not heal and not _open(history, key):
-                history.setdefault(key, []).append([self.now, None])
+        """Cut off each of chains and links (chain-id pairs), or restore
+        it when heal is set; a target already so is left as is."""
+        targets = [*chains, *map(frozenset, links)]
+        if heal:
+            self.cut_off.difference_update(targets)
+        else:
+            self.cut_off.update(targets)
 
     def delivery_blocked(self, src_chain: str, dst_chain: str) -> bool:
-        return (_open(self.partition_history, src_chain)
-                or _open(self.partition_history, dst_chain)
-                or _open(self.cut_history, frozenset((src_chain, dst_chain))))
+        cut_off = self.cut_off
+        if not cut_off:
+            return False
+        return (src_chain in cut_off or dst_chain in cut_off
+                or frozenset((src_chain, dst_chain)) in cut_off)
 
     def chain_partitioned(self, chain_id: str) -> bool:
-        return _open(self.partition_history, chain_id)
+        return chain_id in self.cut_off
 
     # -- execution -----------------------------------------------------
 

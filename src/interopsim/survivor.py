@@ -8,6 +8,10 @@ application never learns which chain confirmed except through the audit
 call; the caller-visible outcome record carries state, tick and attempt
 count only.
 
+A sub-transaction counts its attempts and keeps nothing else about
+them: attempt i went to candidates[i], and how it ended is in the log,
+as the txn records of its timeout and of each confirmation.
+
 Duplicates are tolerated by design: a chain that heals after the layer
 has moved on may still confirm the old submission.  Every confirmation
 is recorded and the surplus is surfaced via poll_duplicates.
@@ -29,20 +33,9 @@ from .simnet import ledger_subject
 
 DEFAULT_TIMEOUT_FACTOR = 3
 
-ATTEMPT_PENDING = "pending"
-ATTEMPT_CONFIRMED = "confirmed"
-ATTEMPT_TIMEOUT = "timeout"
-ATTEMPT_PREEMPTED = "preempted"
-
 TXN_PENDING = "PENDING"
 TXN_CONFIRMED = "CONFIRMED"
 TXN_FAILED = "FAILED"
-
-
-@dataclass(slots=True)
-class Attempt:
-    chain_id: str
-    outcome: str = ATTEMPT_PENDING
 
 
 @dataclass(slots=True)
@@ -52,7 +45,7 @@ class SubTxn:
     candidates: list[str]
     timeout_override: Optional[int] = None
     credential: str = "anon"
-    attempts: list[Attempt] = field(default_factory=list)
+    attempts: int = 0  # attempt i went to candidates[i]
     confirmations: list[tuple[str, str, int]] = field(default_factory=list)
     state: str = TXN_PENDING
 
@@ -110,9 +103,9 @@ class SurvivorLayer:
         return DEFAULT_TIMEOUT_FACTOR * self.chains[chain_id].confirm_latency_ticks
 
     def _start_attempt(self, txn: AppTransaction, sub: SubTxn) -> None:
-        idx = len(sub.attempts)
+        idx = sub.attempts
         chain_id = sub.candidates[idx]
-        sub.attempts.append(Attempt(chain_id))
+        sub.attempts += 1
         subject = f"{txn.txn_id}/{sub.sub_id}"
         self.net.record("txn", subject, ("attempt", idx + 1), ("chain", chain_id), "submit")
         self.net.local_deliver(chain_id, subject,
@@ -136,13 +129,11 @@ class SurvivorLayer:
     # -- progress ------------------------------------------------------
 
     def _on_timeout(self, txn: AppTransaction, sub: SubTxn, idx: int) -> None:
-        if sub.state != TXN_PENDING or idx != len(sub.attempts) - 1:
+        if sub.state != TXN_PENDING or idx != sub.attempts - 1:
             return  # stale timer
-        attempt = sub.attempts[idx]
-        attempt.outcome = ATTEMPT_TIMEOUT
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        self.net.record("txn", subject, ("attempt", idx + 1), ("chain", attempt.chain_id),
-                        "timeout")
+        self.net.record("txn", subject, ("attempt", idx + 1),
+                        ("chain", sub.candidates[idx]), "timeout")
         if idx + 1 < len(sub.candidates):
             self._start_attempt(txn, sub)
         else:
@@ -167,10 +158,6 @@ class SurvivorLayer:
         if sub.state != TXN_PENDING:
             return
         sub.state = TXN_CONFIRMED
-        for attempt in sub.attempts:
-            if attempt.outcome == ATTEMPT_PENDING:
-                attempt.outcome = (ATTEMPT_CONFIRMED if attempt.chain_id == chain_id
-                                   else ATTEMPT_PREEMPTED)
         self._refresh_txn_state(txn, now)
 
     def _refresh_txn_state(self, txn: AppTransaction, now: int) -> None:
@@ -188,7 +175,7 @@ class SurvivorLayer:
                         ("attempts", self._attempt_count(txn)))
 
     def _attempt_count(self, txn: AppTransaction) -> int:
-        return sum(len(sub.attempts) for sub in txn.subs.values())
+        return sum(sub.attempts for sub in txn.subs.values())
 
     # -- caller surface ------------------------------------------------
 

@@ -16,7 +16,7 @@ from interopsim.engine import Simulation
 from interopsim.errors import ValidationError
 from interopsim.gateway import TransferState
 from interopsim.scenario import parse_scenario
-from interopsim.simnet import ledger_parts
+from interopsim.simnet import SimNet, ledger_parts
 
 from conftest import SCENARIO_DIR, bundled
 from worlds import world as generated_world
@@ -31,8 +31,8 @@ def registry(cid, nodes=4):
 def world(nodes=4):
     """Three asset registries, declared out of order so that the order
     of a detail shows; three assets on bc1 and bc2, two of which cross
-    over; a resolve; and a partition and a link cut that start after
-    every transfer has ended."""
+    over; a resolve; and a partition and a link cut that heal at tick 4,
+    just before the first delivery lands."""
     return {
         "horizon": 40, "seed": 11,
         "chains": [registry("bc2"), registry("bc1", nodes), registry("bc3")],
@@ -47,9 +47,9 @@ def world(nodes=4):
              "deadline": 25}],
         "resolves": [{"id": "q1", "at": 20, "asset": "a1"}],
         "faults": [
-            {"id": "f1", "kind": "partition", "at": 30, "until": 33,
+            {"id": "f1", "kind": "partition", "at": 0, "until": 4,
              "chains": ["bc3"]},
-            {"id": "f2", "kind": "partition", "at": 30, "until": 33,
+            {"id": "f2", "kind": "partition", "at": 0, "until": 4,
              "links": [["bc1", "bc3"]]}],
     }
 
@@ -102,12 +102,28 @@ def first_delivery(sim, chain_id):
                 if r.kind == "deliver" and chain_id in r.detail)
 
 
+def fault(sim, fault_id):
+    return next(f for f in sim.config.faults if f.fault_id == fault_id)
+
+
+def never_heal(sim, fault_id):
+    """Log fault_id's heal record as a second apply."""
+    rec = next(r for r in sim.net.log.records if r.kind == "fault"
+               and r.subject == fault_id and r.get("phase") == "heal")
+    rec.fields = tuple(("phase", "apply") if f == ("phase", "heal") else f
+                       for f in rec.fields)
+
+
 class TestWorld:
     def test_world_moves_two_of_three_assets(self, sim):
         assert {t.transfer_id: t.state for t in sim.transfers.transfers.values()} \
             == {"x1": "FINALIZED", "x2": "FINALIZED"}
         assert len(sim.resolver.assets()) == 3
-        assert len(sim.net.partition_history) == 1 and len(sim.net.cut_history) == 1
+        assert [(r.tick, r.subject, r.get("phase")) for r in sim.net.log.records
+                if r.kind == "fault"] == [(0, "f1", "apply"), (0, "f2", "apply"),
+                                          (4, "f1", "heal"), (4, "f2", "heal")]
+        assert first_delivery(sim, "bc2").tick == 4
+        assert sim.net.cut_off == set()
 
     def test_passing_details(self, sim):
         details = {r.name: r.detail for r in audit.run_all(sim)}
@@ -264,24 +280,75 @@ class TestTranscriptAudits:
         assert only_failure(sim, "resolution_opacity") == \
             f"record {rec.seq} leaks a local ref"
 
+    # the audit replays the fault records against the config, so each
+    # case plants its violation there: a chain or link the run never cut
+    # off, and a heal record logged as an apply
+
     def test_no_partition_delivery_catches_a_delivery_into_a_partition(self, sim):
         rec = first_delivery(sim, "bc2")
         assert "dst=bc2" in rec.detail
-        sim.net.partition_history["bc2"] = [[rec.tick, rec.tick + 1]]
+        fault(sim, "f1").chains.append("bc2")
+        never_heal(sim, "f1")
         assert only_failure(sim, "no_partition_delivery") == \
             f"record {rec.seq}: delivery into partitioned bc2"
 
+    def test_no_partition_delivery_catches_a_delivery_out_of_a_partition(self, sim):
+        rec = first_delivery(sim, "bc2")
+        assert "src=bc1" in rec.detail
+        fault(sim, "f1").chains.append("bc1")
+        never_heal(sim, "f1")
+        assert only_failure(sim, "no_partition_delivery") == \
+            f"record {rec.seq}: delivery out of partitioned bc1"
+
     def test_no_partition_delivery_catches_a_delivery_across_a_cut(self, sim):
         rec = first_delivery(sim, "bc2")
-        sim.net.cut_history[frozenset(("bc1", "bc2"))] = [[rec.tick, None]]
+        fault(sim, "f2").links.append(("bc1", "bc2"))
+        never_heal(sim, "f2")
         assert only_failure(sim, "no_partition_delivery") == \
             f"record {rec.seq}: delivery across cut link bc1-bc2"
 
     def test_no_partition_delivery_ends_an_episode_at_its_heal(self, sim):
-        rec = first_delivery(sim, "bc2")
-        sim.net.partition_history["bc2"] = [[0, rec.tick]]
-        sim.net.cut_history[frozenset(("bc1", "bc2"))] = [[0, rec.tick]]
+        # both heal records precede the first delivery, at its tick
+        fault(sim, "f1").chains.append("bc2")
+        fault(sim, "f2").links.append(("bc1", "bc2"))
         assert failures(sim) == {}
+
+
+class TestNetworkMutants:
+    """A network that fails to cut off what a fault names fails the
+    audit, which judges each delivery from the log and the config."""
+
+    def mutant_run(self, monkeypatch, scenario, keep):
+        real = SimNet.partition
+
+        def partition(net, chains, links, heal):
+            real(net, chains if keep == "chains" else (),
+                 links if keep == "links" else (), heal)
+
+        monkeypatch.setattr(SimNet, "partition", partition)
+        sim = Simulation(bundled(scenario))
+        sim.run()
+        return sim
+
+    def failing_delivery(self, sim, detail):
+        head, _, reason = detail.partition(": ")
+        rec = sim.net.log.records[int(head.removeprefix("record "))]
+        assert rec.kind == "deliver"
+        return rec, reason
+
+    def test_a_net_that_never_cuts_a_link(self, monkeypatch):
+        sim = self.mutant_run(monkeypatch, "cut_heal", keep="chains")
+        rec, reason = self.failing_delivery(
+            sim, only_failure(sim, "no_partition_delivery"))
+        src, dst = rec.get("src"), rec.get("dst")
+        assert reason == f"delivery across cut link {src}-{dst}"
+
+    def test_a_net_that_never_isolates_a_chain(self, monkeypatch):
+        sim = self.mutant_run(monkeypatch, "abort_partition", keep="links")
+        rec, reason = self.failing_delivery(
+            sim, only_failure(sim, "no_partition_delivery"))
+        assert reason in (f"delivery into partitioned {rec.get('dst')}",
+                          f"delivery out of partitioned {rec.get('src')}")
 
 
 class TestValueAudits:

@@ -15,12 +15,16 @@ from interopsim.chain import PermissionRegime, SemanticType
 from interopsim.engine import Simulation
 from interopsim.errors import ParseError, ValidationError
 from interopsim.scenario import (
+    _SCENARIO,
+    Spec,
     _fraction,
     _Invalid,
     _regime,
     load_scenario,
     parse_scenario,
 )
+
+from conftest import REPO_ROOT
 
 
 def minimal_chain(cid="bc1", **over):
@@ -348,6 +352,44 @@ class TestWorkloadRules:
                "reads": [{"id": "r1", "at": 3, "asset": "a1",
                           "requester": "app_y", "grant": "ghost"}]}
         assert any("unknown grant ghost" in p for p in problems_of(raw))
+
+
+class TestFormatDoc:
+    """docs/scenario_format.md names every key of the schema table: a
+    top-level key in its table of top-level keys, and an item key in
+    the YAML example of its section."""
+
+    DOC = (REPO_ROOT / "docs" / "scenario_format.md").read_text(encoding="utf-8")
+
+    def examples(self):
+        """The sections of the doc's YAML examples, merged."""
+        merged = {}
+        for block in self.DOC.split("```yaml\n")[1:]:
+            merged.update(yaml.safe_load(block.split("```")[0]))
+        return merged
+
+    def missing(self, spec, items, path):
+        for key, kind, *_ in spec.fields:
+            shown = [item[key] for item in items if key in item]
+            if not shown:
+                yield f"{path}.{key}"
+            elif type(kind) is Spec:
+                yield from self.missing(kind, [sub for subs in shown for sub in subs],
+                                        f"{path}.{key}")
+
+    def test_every_key_of_the_schema_is_documented(self):
+        rows = [line for line in self.DOC.splitlines() if line.startswith("| `")]
+        examples = self.examples()
+        missing = []
+        for key, kind, *_ in _SCENARIO.fields:
+            if type(kind) is Spec:
+                missing += self.missing(kind, examples.get(key, []), key)
+                continue
+            head, _, tail = key.partition(".")
+            row = next((r for r in rows if r.startswith(f"| `{head}`")), "")
+            if not row or tail and f"`{tail}`" not in row:
+                missing.append(key)
+        assert missing == []
 
 
 class TestFileLoading:

@@ -89,15 +89,15 @@ class TestDeliveries:
             net.drain(tick)
         assert seen == ["open"], "only the cut pair drops traffic"
 
-    def test_heal_reopens_delivery_and_closes_history(self):
+    def test_heal_reopens_delivery(self):
         net = make_net(inter_chain_latency=1)
         partition_at(net, 0, chains=("bc2",))
         partition_at(net, 5, chains=("bc2",), heal=True)
         net.drain(0)
+        assert net.cut_off == {"bc2"}
         net.drain(5)
         assert not net.chain_partitioned("bc2")
-        assert net.partition_history == {"bc2": [[0, 5]]}, \
-            "history episode must record both boundaries"
+        assert net.cut_off == set(), "the net keeps no closed fault"
         seen = []
         net.deliver("bc1", "bc2", "m", lambda: seen.append("ok"))
         net.drain(6)
@@ -105,18 +105,25 @@ class TestDeliveries:
 
     def test_a_target_has_one_episode_at_a_time(self):
         net = make_net()
+        cut_off = []
         partition_at(net, 0, chains=("bc2",))
-        # bc2 is already partitioned: no second episode
+        # bc2 is already partitioned: a second apply changes nothing, and
+        # one heal restores it
         partition_at(net, 1, chains=("bc2",))
         partition_at(net, 3, chains=("bc2",), heal=True)
-        # bc2 is whole again and the link not cut yet: nothing to close
+        # bc2 is whole again and the link not cut yet: nothing to heal
         partition_at(net, 4, chains=("bc2",), links=(("bc1", "bc2"),), heal=True)
         partition_at(net, 5, chains=("bc2",), links=(("bc1", "bc2"),))
         for tick in range(6):
             net.drain(tick)
-        assert net.partition_history == {"bc2": [[0, 3], [5, None]]}
-        assert net.cut_history == {frozenset(("bc1", "bc2")): [[5, None]]}
+            cut_off.append(set(net.cut_off))
+        pair = frozenset(("bc1", "bc2"))
+        assert cut_off == [{"bc2"}, {"bc2"}, {"bc2"}, set(), set(), {"bc2", pair}]
         assert net.chain_partitioned("bc2") and not net.chain_partitioned("bc1")
+        assert net.delivery_blocked("bc1", "bc3") is False
+        net.partition(["bc2"], [], heal=True)
+        assert net.delivery_blocked("bc1", "bc2") and net.delivery_blocked("bc2", "bc1")
+        assert not net.delivery_blocked("bc2", "bc3")
 
     def test_local_deliver_dropped_when_destination_partitioned(self):
         net = make_net()

@@ -9,9 +9,6 @@ from interopsim.runner import execute
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.survivor import (
-    ATTEMPT_CONFIRMED,
-    ATTEMPT_PREEMPTED,
-    ATTEMPT_TIMEOUT,
     SubTxn,
     SurvivorLayer,
     TXN_CONFIRMED,
@@ -41,6 +38,14 @@ def run_raw(raw, name="case"):
     return execute(parse_scenario(raw, name=name))
 
 
+def fates(sim, subject="t1/s1"):
+    """The detail of each txn record of subject but its submits: the
+    timeout of each attempt that timed out, and each confirmation."""
+    return [r.detail for r in sim.net.log.records
+            if r.kind == "txn" and r.subject == subject
+            and not r.detail.endswith(" submit")]
+
+
 class TestFallbackSchedule:
     def test_partitioned_primary_falls_back_and_confirms(self):
         # submission at t0 is dropped (bc1 isolated), timeout at t10
@@ -49,9 +54,9 @@ class TestFallbackSchedule:
         outcome = report.outcomes["app_txns"]["t1"]
         assert outcome == {"state": TXN_CONFIRMED, "tick": 14, "attempts": 2}
         [sub] = sim.survivor.audit("t1").values()
-        assert [a.chain_id for a in sub.attempts] == ["bc1", "bc2"]
-        assert [a.outcome for a in sub.attempts] == [ATTEMPT_TIMEOUT,
-                                                     ATTEMPT_CONFIRMED]
+        assert sub.attempts == 2 and sub.candidates == ["bc1", "bc2"]
+        assert fates(sim) == ["attempt=1 chain=bc1 timeout",
+                              "confirmed chain=bc2 ref=e1"]
         assert sub.confirmations == [("bc2", "e1", 14)]
 
     def test_dropped_submission_never_reaches_the_ledger(self):
@@ -73,8 +78,9 @@ class TestFallbackSchedule:
         assert outcome["tick"] == 20, "failure lands at the sum of the timeouts"
         assert outcome["attempts"] == 2
         [sub] = sim.survivor.audit("t1").values()
-        assert [a.outcome for a in sub.attempts] == [ATTEMPT_TIMEOUT,
-                                                     ATTEMPT_TIMEOUT]
+        assert sub.attempts == 2
+        assert fates(sim) == ["attempt=1 chain=bc1 timeout",
+                              "attempt=2 chain=bc2 timeout"]
 
     def test_default_timeout_is_three_times_confirm_latency(self):
         raw = two_generic_chains(
@@ -105,8 +111,10 @@ class TestDuplicateTolerance:
         assert outcome["state"] == TXN_CONFIRMED
         assert outcome["tick"] == 12, "the healed chain wins the race"
         [sub] = sim.survivor.audit("t1").values()
-        assert [a.outcome for a in sub.attempts] == [ATTEMPT_TIMEOUT,
-                                                     ATTEMPT_PREEMPTED]
+        # attempt 2 never times out: bc1's confirmation preempts it
+        assert fates(sim) == ["attempt=1 chain=bc1 timeout",
+                              "confirmed chain=bc1 ref=e1",
+                              "confirmed chain=bc2 ref=e1 late=1"]
         assert [c[0] for c in sub.confirmations] == ["bc1", "bc2"]
 
     def test_surplus_confirmation_is_surfaced_not_hidden(self):
@@ -138,10 +146,12 @@ class TestSameTickRace:
                  "timeout": 4}]}])
         report, sim = run_raw(raw)
         [sub] = sim.survivor.audit("t1").values()
-        assert sub.attempts[0].outcome == ATTEMPT_TIMEOUT, \
-            "a timer due the tick of confirmation fires before consensus"
-        assert sub.attempts[1].outcome == ATTEMPT_PREEMPTED, \
-            "the old chain's confirmation lands this tick and preempts"
+        assert sub.attempts == 2
+        # a timer due the tick of confirmation fires before consensus, and
+        # the old chain's confirmation lands this tick and preempts
+        assert fates(sim) == ["attempt=1 chain=bc1 timeout",
+                              "confirmed chain=bc1 ref=e1",
+                              "confirmed chain=bc2 ref=e1 late=1"]
         assert report.outcomes["app_txns"]["t1"]["tick"] == 4
         assert sim.survivor.poll_duplicates("t1") == [("s1", "bc2", "e1")], \
             "bc2 still confirms the second attempt later as a duplicate"
