@@ -161,7 +161,7 @@ def _no_lost_assets(sim):
     for tid, t in sorted(engine.transfers.items()):
         if not t.terminal():
             return False, f"{tid}: still {t.state} at end of run"
-        if engine.locks.get((t.source_chain, t.asset)) == tid:
+        if engine.locks.get((t.source_chain, t.asset)) is t:
             return False, f"{tid}: terminal but still holds the source lock"
         dest = sim.chains[t.dest_chain].ledger
         if t.state == TransferState.FINALIZED:

@@ -112,6 +112,7 @@ from .gateway import (
     PeeringAgreement,
     PeeringRegistry,
     TransferEngine,
+    TransferState,
     advertise,
     mediated_read,
     verify_attestation,
@@ -425,8 +426,12 @@ class Simulation:
                 dups = self.survivor.poll_duplicates(t.txn_id)
                 if dups:
                     duplicates[t.txn_id] = [f"{s}:{c}/{r}" for s, c, r in dups]
-        settlements = {f"{a}|{b}": str(fee)
-                       for (a, b), fee in sorted(self.peerings.settlements.items())}
+        fees, agreements = {}, self.peerings.agreements
+        for t in self.transfers.transfers.values():
+            if t.state == TransferState.FINALIZED:
+                agreement = agreements[t.agreement_id]
+                fees[agreement.pair] = fees.get(agreement.pair, 0) + agreement.fee_per_transfer
+        settlements = {f"{a}|{b}": str(fee) for (a, b), fee in sorted(fees.items())}
         audits = audit_mod.run_all(self)
         metrics = {
             "events_executed": self.events_executed,

@@ -8,18 +8,21 @@ with ABORTED reachable from any non-terminal state).
 
 A gateway is its id, which names its chain (chain.gateway_ids and
 chain_of own the format); the registry holds the rest, its liveness and
-its key.  Pairing is deterministic: the lowest-id live gateway on each
-side.  On a crash the transfer re-pairs to the next lowest live
-gateway, or aborts when a side has none left.
+its key.  GatewayRegistry.live_gateways is the one order of a chain's
+live gateways, lowest id first: a transfer pairs, and re-pairs after a
+crash, with the first on each side (it aborts when a side has none
+left), and a k-of-n vouch signs with the first k.
 
 Each fact about a transfer is held once, by the party that owns it.  A
 CrossDomainTransfer holds only the protocol's own sub-state: its state,
-its two ledger refs, whether the record request went out and the
-attestation came back, and the attestations themselves.  Whether it
-holds the source lock, and so whether it is open, is the engine's lock
-table, and its index in order is the engine's ref table under its lock
-ref; whether its record has landed is the destination ledger; whether
-the destination attestation was sent is whether the transfer has one.
+its index in order, its two ledger refs, whether the record request
+went out and the attestation came back, and the attestations
+themselves.  Whether it holds the source lock, and so whether it is
+open, is the engine's lock table, and that table, the ref table (under
+both refs) and the due table hold the transfer itself.  Whether its
+record has landed is the destination ledger; whether the destination
+attestation was sent is whether the transfer has one.  A chain pair's
+fees are the sum of its finalized transfers' agreement fees.
 An advertisement's path and asset prefixes are the resolver's, and its
 endpoints the registry's.
 
@@ -103,15 +106,9 @@ class GatewayRegistry:
             self.changes.append((gateway_id, live))
 
     def live_gateways(self, chain_id: str) -> list[str]:
+        """The chain's live gateways, lowest id first."""
         live = self.live
         return [gid for gid in self.by_chain.get(chain_id, ()) if live[gid]]
-
-    def lowest_live(self, chain_id: str) -> Optional[str]:
-        live = self.live
-        for gateway_id in self.by_chain.get(chain_id, ()):
-            if live[gateway_id]:
-                return gateway_id
-        return None
 
 
 # -- attestations ------------------------------------------------------
@@ -178,21 +175,14 @@ def entry_digest(entry: LedgerEntry) -> str:
 
 def vouch(chain_id: str, registry: GatewayRegistry, claim: Claim, k: int,
           now: int) -> VouchAttestation:
-    """k-of-n attestation by the chain's live gateways, lowest ids first,
+    """k-of-n attestation by the first k of the chain's live gateways,
     so the signatures come sorted by gateway id.  The signers are found
     before anything is hashed, so a vouch that cannot meet k hashes
     nothing."""
-    live = registry.live
-    signers = []
-    if k > 0:
-        for gid in registry.by_chain.get(chain_id, ()):
-            if live[gid]:
-                signers.append(gid)
-                if len(signers) == k:
-                    break
-        else:  # the chain's every live gateway, and fewer than k
-            raise InsufficientGateways(
-                f"{chain_id} has {len(signers)} live gateways, threshold {k}")
+    signers = registry.live_gateways(chain_id)[:k]
+    if len(signers) < k:
+        raise InsufficientGateways(
+            f"{chain_id} has {len(signers)} live gateways, threshold {k}")
     keys, sha256, tail = registry.keys, hashlib.sha256, b"|" + claim.encoded
     return VouchAttestation(
         claim, k, tuple([(gid, sha256(keys[gid] + tail).hexdigest()) for gid in signers]), now)
@@ -323,7 +313,6 @@ class PeeringRegistry:
 
     def __init__(self) -> None:
         self.agreements: dict[str, PeeringAgreement] = {}
-        self.settlements: dict[tuple[str, str], Fraction] = {}
         self._covering: dict[tuple[tuple[str, str], str], PeeringAgreement] = {}
 
     def establish(self, agreement: PeeringAgreement) -> PeeringAgreement:
@@ -342,13 +331,6 @@ class PeeringRegistry:
     def covering(self, a: str, b: str, semantic: str) -> Optional[PeeringAgreement]:
         """The agreement between a and b that covers semantic."""
         return self._covering.get((_sorted_pair(a, b), semantic))
-
-    def tally_fee(self, agreement: PeeringAgreement) -> None:
-        pair, settlements = agreement.pair, self.settlements
-        if pair in settlements:
-            settlements[pair] += agreement.fee_per_transfer
-        else:
-            settlements[pair] = agreement.fee_per_transfer
 
 
 # -- cross-domain transfers --------------------------------------------
@@ -378,6 +360,7 @@ class CrossDomainTransfer:
     agreement_id: str
     paired_source: str
     paired_dest: str
+    index: int  # its place in the engine's order
     state: str = TransferState.INITIATED
     lock_ref: Optional[str] = None
     record_ref: Optional[str] = None
@@ -394,12 +377,13 @@ class CrossDomainTransfer:
     def awaited_vouch(self) -> Optional[str]:
         """The chain whose gateways must vouch before this transfer can
         move on: the destination until its attestation is sent, then,
-        once it has arrived, the source; None when no vouch is due."""
+        once it has arrived, the source, whose vouch finalizes it when it
+        succeeds; None when no vouch is due."""
         if self.state != TransferState.DEST_RECORDED:
             return None
         if self.dest_attestation is None:
             return self.dest_chain
-        if self.attestation_arrived and self.source_attestation is None:
+        if self.attestation_arrived:
             return self.source_chain
         return None
 
@@ -426,16 +410,15 @@ class TransferEngine:
         self.transfers: dict[str, CrossDomainTransfer] = {}
         self.order: list[str] = []
         # (source chain, asset) -> the transfer that holds its lock
-        self.locks: dict[tuple[str, str], str] = {}
-        # (chain, local_ref) of every lock and record -> its transfer's
-        # index in order
-        self._by_ref: dict[tuple[str, str], int] = {}
+        self.locks: dict[tuple[str, str], CrossDomainTransfer] = {}
+        # (chain, local_ref) of every lock and record -> its transfer
+        self._by_ref: dict[tuple[str, str], CrossDomainTransfer] = {}
         # (deadline_tick + 1, index, transfer) of every transfer that is
         # not terminal, keyed by the tick rule (c) aborts it on; a
         # terminal one leaves when it reaches the top
         self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
-        # indexes of the transfers to step in this tick's step phase
-        self._due: set[int] = set()
+        # index -> transfer, of each one to step in this tick's step phase
+        self._due: dict[int, CrossDomainTransfer] = {}
 
     # -- helpers -------------------------------------------------------
 
@@ -461,15 +444,16 @@ class TransferEngine:
         if agreement is None:
             raise NoPeering(f"no active {semantic} agreement for "
                             f"{source_chain}/{dest_chain}")
-        src_gw = self.registry.lowest_live(source_chain)
-        dst_gw = self.registry.lowest_live(dest_chain)
-        if src_gw is None or dst_gw is None:
+        src_live = self.registry.live_gateways(source_chain)
+        dst_live = self.registry.live_gateways(dest_chain)
+        if not src_live or not dst_live:
             raise NoLiveGateways(f"no live gateway pair for {source_chain}/{dest_chain}")
 
+        src_gw = src_live[0]
+        index = len(self.order)
         transfer = CrossDomainTransfer(
             transfer_id, asset, source_chain, dest_chain, beneficiary,
-            deadline_tick, agreement.agreement_id, src_gw, dst_gw)
-        index = len(self.order)
+            deadline_tick, agreement.agreement_id, src_gw, dst_live[0], index)
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
         heappush(self._deadlines, (deadline_tick + 1, index, transfer))
@@ -481,14 +465,14 @@ class TransferEngine:
         if lock_key in self.locks:
             self.abort(transfer, now, "lock-held")
             return transfer
-        self.locks[lock_key] = transfer_id
+        self.locks[lock_key] = transfer
 
         chain = self.chains[source_chain]
         unit = TransferUnit(f"lock:{asset.opaque_suffix[:12]}", chain.semantic_type,
                             Directionality.UNI, f"lock:{transfer_id}")
         receipt = chain.submit(unit, src_gw, now, ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
-        self._by_ref[(source_chain, receipt.local_ref)] = index
+        self._by_ref[(source_chain, receipt.local_ref)] = transfer
         self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
                         "submit", ("kind", "lock"), ("transfer", transfer_id))
         return transfer
@@ -498,22 +482,21 @@ class TransferEngine:
     def on_confirmed(self, chain_id: str, entry: LedgerEntry) -> None:
         """Move the transfer that entry's ref belongs to, if any, and
         mark it due for this tick's step phase when it moved."""
-        index = self._by_ref.get((chain_id, entry.local_ref))
-        if index is None:
+        t = self._by_ref.get((chain_id, entry.local_ref))
+        if t is None:
             return
-        t = self.transfers[self.order[index]]
         if chain_id == t.source_chain and entry.local_ref == t.lock_ref:
             if t.state == TransferState.INITIATED:
                 t.state = TransferState.SOURCE_LOCKED
                 self._log(t, t.paired_source)
-                self._due.add(index)
+                self._due[t.index] = t
         elif t.state == TransferState.ABORTED:
             # the record, and t aborted before it landed: tombstone it now
             self._void_record(t)
         elif t.state == TransferState.SOURCE_LOCKED:
             t.state = TransferState.DEST_RECORDED
             self._log(t, t.paired_dest)
-            self._due.add(index)
+            self._due[t.index] = t
 
     # -- per-tick driving ----------------------------------------------
 
@@ -524,14 +507,15 @@ class TransferEngine:
         can move."""
         due, deadlines = self._due, self._deadlines
         while deadlines and deadlines[0][0] <= now:
-            due.add(heappop(deadlines)[1])  # its step aborts it, if open
+            _, index, t = heappop(deadlines)
+            due[index] = t  # its step aborts it, if open
         changes = self.registry.changes
         if changes:
             self._wake_on(changes)
             changes.clear()
         if due:
             for index in sorted(due):
-                self.step(self.transfers[self.order[index]], now)
+                self.step(due[index], now)
             due.clear()
 
     def _wake_on(self, changes: list[tuple[str, bool]]) -> None:
@@ -540,12 +524,11 @@ class TransferEngine:
         a vouch on a chain where a gateway came up."""
         down = {gid for gid, live in changes if not live}
         up = {chain_of(gid) for gid, live in changes if live}
-        transfers, by_ref, due = self.transfers, self._by_ref, self._due
-        for tid in self.locks.values():
-            t = transfers[tid]
+        due = self._due
+        for t in self.locks.values():
             if (t.paired_source in down or t.paired_dest in down
                     or (up and t.awaited_vouch() in up)):
-                due.add(by_ref[(t.source_chain, t.lock_ref)])
+                due[t.index] = t
 
     def next_abort_tick(self) -> Optional[int]:
         """The earliest abort tick, deadline_tick + 1, of a transfer that
@@ -590,10 +573,11 @@ class TransferEngine:
             current = t.paired_source if side == "source" else t.paired_dest
             if live[current]:
                 continue
-            replacement = self.registry.lowest_live(chain_id)
-            if replacement is None:
+            live_ids = self.registry.live_gateways(chain_id)
+            if not live_ids:
                 self.abort(t, now, f"no-live-gateway-{side}")
                 return False
+            replacement = live_ids[0]
             if side == "source":
                 t.paired_source = replacement
             else:
@@ -617,8 +601,7 @@ class TransferEngine:
                             Directionality.BI, f"record:{t.transfer_id}", t.beneficiary)
         receipt = chain.submit(unit, t.paired_dest, now, ENTRY_KIND_RECORD)
         t.record_ref = receipt.local_ref
-        self._by_ref[(t.dest_chain, receipt.local_ref)] = \
-            self._by_ref[(t.source_chain, t.lock_ref)]
+        self._by_ref[(t.dest_chain, receipt.local_ref)] = t
         self.net.record("ledger", ledger_subject(t.dest_chain, receipt.local_ref),
                         "submit", ("kind", "record"), ("transfer", t.transfer_id))
 
@@ -677,7 +660,6 @@ class TransferEngine:
         self.resolver.bind_existing(t.dest_chain, t.asset, t.record_ref)
         del self.locks[(t.source_chain, t.asset)]
         agreement = self.peerings.agreements[t.agreement_id]
-        self.peerings.tally_fee(agreement)
         t.state = TransferState.FINALIZED
         t.final_tick = now
         self._log(t, t.paired_source, ("fee", agreement.fee_per_transfer))
@@ -691,7 +673,7 @@ class TransferEngine:
         t.abort_reason = reason
         t.final_tick = now
         lock_key = (t.source_chain, t.asset)
-        if self.locks.get(lock_key) == t.transfer_id:  # not so on a lock-held abort
+        if self.locks.get(lock_key) is t:  # not so on a lock-held abort
             del self.locks[lock_key]
         self._log(t, t.paired_source, ("reason", reason))
         # a record still pending is voided when it lands (on_confirmed)

@@ -146,6 +146,16 @@ def _public(kind):
     return public
 
 
+def _txn_id(val, minimum=None) -> str:
+    """An app txn id, which holds no "/" or ":".  Its units are keyed
+    <txn>/<sub>, so no two of them share a key, and none shares one with
+    a transfer's lock:<id> or record:<id> or an asset's genesis:<id>."""
+    val = _str(val)
+    if "/" in val or ":" in val:
+        raise _Invalid(f"{val!r} holds '/' or ':', which unit keys use as separators")
+    return val
+
+
 def _mapping(val) -> dict:
     if type(val) is not dict:
         raise _Invalid(f"expected mapping, got {type(val).__name__}")
@@ -449,7 +459,7 @@ class SubCfg:
 
 @dataclass
 class AppTxnCfg:
-    txn_id: str = _yaml(_str, key="id")
+    txn_id: str = _yaml(_txn_id, key="id")
     at: int = _yaml(_int, 0, minimum=0, tick=True)
     subs: list[SubCfg] = _yaml(Spec(SubCfg, "sub"), [], minimum=1)
     app: str = _yaml(_str, default="anon")

@@ -75,7 +75,8 @@ class SurvivorLayer:
         self.net = net
         self.chains = chains
         self.txns: dict[str, AppTransaction] = {}
-        self._by_key: dict[str, tuple[str, str]] = {}
+        # idempotency key -> the app txn and sub whose unit it keys
+        self._by_key: dict[str, tuple[AppTransaction, SubTxn]] = {}
 
     # -- submission ----------------------------------------------------
 
@@ -93,7 +94,7 @@ class SurvivorLayer:
         txn = AppTransaction(txn_id, {s.sub_id: s for s in subs})
         self.txns[txn_id] = txn
         for sub in subs:
-            self._by_key[sub.unit.idempotency_key] = (txn_id, sub.sub_id)
+            self._by_key[sub.unit.idempotency_key] = (txn, sub)
             self._start_attempt(txn, sub)
         return txn_id
 
@@ -146,8 +147,7 @@ class SurvivorLayer:
         hit = self._by_key.get(entry.unit.idempotency_key)
         if hit is None:
             return
-        txn = self.txns[hit[0]]
-        sub = txn.subs[hit[1]]
+        txn, sub = hit
         now = self.net.now
         sub.confirmations.append((chain_id, entry.local_ref, now))
         subject = f"{txn.txn_id}/{sub.sub_id}"

@@ -19,7 +19,7 @@ adjacency list and empty the table.
 
 A Connector is the configured quote: its rates and its reserves at the
 start of the run.  The network holds every amount it computes (hop
-amounts, holds, live reserves and credits) as a value: a (numerator,
+amounts, holds and live reserves) as a value: a (numerator,
 denominator) pair of ints in Fraction's normal form, the denominator
 positive and the gcd 1, so equal amounts are equal pairs.  The quoted
 rates and reserves become values once, when the network is built, and
@@ -128,7 +128,6 @@ class ValueNetwork:
             for cid, c in self.connectors.items() for d, amt in c.reserves.items()}
         # held amounts per (connector, denom) for unsettled reservations
         self.holds: dict[tuple[str, str], Value] = {}
-        self.credits: dict[tuple[str, str], Value] = {}
         # quoted rates per (connector, denom_in, denom_out)
         self._rates: dict[tuple[str, str, str], Value] = {
             (cid, *pair): rate.as_integer_ratio()
@@ -282,8 +281,6 @@ class ValueNetwork:
             left = reserves[key] = _sub(reserves[key], hop.amount_out)
             self._release_hold(cid, hop.denom_out, hop.amount_out)
             assert left[0] >= 0, "reserve went negative"
-        key = (path.receiver_chain, path.denom_out)
-        self.credits[key] = _add(self.credits.get(key, _ZERO), path.hops[-1].amount_out)
         path.state = PathState.SETTLED
         path.final_tick = now
         return path

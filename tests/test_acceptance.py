@@ -240,8 +240,10 @@ def test_criterion_5_connector_properties():
             current: dict[str, Fraction] = {}
             for (_, denom), amount in net.reserves.items():
                 current[denom] = current.get(denom, Fraction(0)) + Fraction(*amount)
-            for (_, denom), amount in net.credits.items():
-                current[denom] = current.get(denom, Fraction(0)) + Fraction(*amount)
+            for path in net.paths.values():  # what the receivers were credited
+                if path.state == "SETTLED":
+                    current[path.denom_out] = (current.get(path.denom_out, Fraction(0))
+                                               + Fraction(*path.hops[-1].amount_out))
             for denom in set(initial) | set(current) | set(paid_in):
                 want = initial.get(denom, Fraction(0)) + paid_in.get(denom, Fraction(0))
                 if current.get(denom, Fraction(0)) != want:

@@ -223,7 +223,7 @@ class TestAuthorityAudits:
 
     def test_no_lost_assets_catches_a_held_lock(self, sim):
         x2 = transfer(sim, "x2")
-        sim.transfers.locks[("bc2", str(x2.asset))] = "x2"
+        sim.transfers.locks[("bc2", x2.asset)] = x2
         assert only_failure(sim, "no_lost_assets") == \
             "x2: terminal but still holds the source lock"
 

@@ -76,7 +76,9 @@ class TestFig4Transfer:
     def test_settlement_tally_reports_the_fee(self):
         report, sim = execute(bundled("fig4_transfer"))
         assert report.settlements == {"bc1|bc2": "2"}
-        assert sim.peerings.settlements[("bc1", "bc2")] == Fraction(2)
+        [t] = sim.transfers.transfers.values()
+        assert t.state == TransferState.FINALIZED
+        assert sim.peerings.agreements[t.agreement_id].fee_per_transfer == Fraction(2)
 
     def test_probe_reports_aggregate_only(self):
         report, sim = execute(bundled("fig4_transfer"))
@@ -700,7 +702,7 @@ def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):
 
     def checked_tick(net, chains, survivor, transfers, valuenet, tick):
         result = run_tick(net, chains, survivor, transfers, valuenet, tick)
-        held = set(transfers.locks.values())
+        held = {t.transfer_id for t in transfers.locks.values()}
         open_ids = {tid for tid, t in transfers.transfers.items() if not t.terminal()}
         if held != open_ids:
             mismatches.append((tick, sorted(held ^ open_ids)))

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 
 import pytest
+import yaml
 
 from interopsim import audit, engine, gateway
 from interopsim.chain import SEMANTIC_TYPES, BlockchainSystem, SemanticType, gateway_ids
@@ -406,12 +407,17 @@ class TestPeering:
         assert len(reg.agreements) == 2
 
     def test_fee_tally_is_exact(self):
-        reg = PeeringRegistry()
-        agreement = self.agreement(fee="1/3")
-        reg.establish(agreement)
-        for _ in range(3):
-            reg.tally_fee(agreement)
-        assert reg.settlements[("bc1", "bc2")] == Fraction(1), \
+        # three transfers of three assets finalize over one pair, each
+        # earning a fee of 1/3
+        raw = yaml.safe_load((REPO_ROOT / "scenarios" / "fig4_transfer.yaml").read_text())
+        raw["peerings"][0]["fee"] = "1/3"
+        raw["assets"] = [{"id": f"deed{i}", "chain": "bc1"} for i in (1, 2, 3)]
+        raw["transfers"] = [{**raw["transfers"][0], "id": f"x{i}", "asset": f"deed{i}"}
+                            for i in (1, 2, 3)]
+        report = engine.Simulation(parse_scenario(raw)).run()
+        assert [o["state"] for o in report.outcomes["transfers"].values()] == \
+            ["FINALIZED"] * 3
+        assert report.settlements == {"bc1|bc2": "1"}, \
             "three thirds must sum to exactly one"
 
     def test_covering_matches_a_scan_in_id_order(self):
@@ -485,8 +491,8 @@ class TestTransferProtocol:
             kinds = [e.kind for e in world.chains[cid].ledger.entries]
             assert "attestation" in kinds, f"{cid} has no attestation entry"
             assert verify_attestation(att, world.registry)
-        # fee settled once
-        assert world.peerings.settlements[("bc1", "bc2")] == Fraction(2)
+        # the fee its agreement charges, which the report sums
+        assert world.peerings.agreements[t.agreement_id].fee_per_transfer == Fraction(2)
         # lock released
         assert world.engine.locks == {}
 

@@ -560,6 +560,19 @@ BAD_INPUTS = {
     "amount with an e after no digit": (
         lambda w: w["payments"][0].update(amount="e5"),
         "payments[0].amount: not a rational: 'e5'"),
+    # unit keys are <txn>/<sub>, lock:<transfer> and record:<transfer>:
+    # each of these would give two units one key
+    "app txn id that holds a transfer's lock key": (
+        lambda w: (w["app_txns"][0].update(id="lock:a"),
+                   w["app_txns"][0]["subs"][0].update(id="b", candidates=["bc1"]),
+                   w["transfers"][0].update(id="a/b")),
+        "app_txns[0].id"),
+    "app txn ids whose unit keys meet": (
+        lambda w: (w["app_txns"][0].update(id="a/b"),
+                   w["app_txns"][0]["subs"][0].update(id="c"),
+                   w["app_txns"].append({"id": "a", "subs": [
+                       {"id": "b/c", "candidates": ["bc1", "bc2"]}]})),
+        "app_txns[0].id"),
     **{f"duplicate {section} id": (_duplicate(section), f"{section}[1].id: duplicate")
        for section in ("app_txns", "transfers", "payments", "reads", "resolves",
                        "probes", "grants", "connectors", "peerings")},

@@ -434,7 +434,10 @@ class TestSettlement:
         net.settle_path("p1", 2)
         assert net.reserves == {("c1", "eur"): V(90), ("c2", "gbp"): V(42),
                                 ("c1", "usd"): V(8), ("c2", "eur"): V(10)}
-        assert net.credits == {("pay3", "gbp"): V(8)}
+        path = net.paths["p1"]
+        assert path.state == PathState.SETTLED
+        assert (path.receiver_chain, path.denom_out, path.hops[-1].amount_out) == \
+            ("pay3", "gbp", V(8)), "the settled path credits the receiver"
         assert net.holds == {}, "settlement must consume the holds"
         assert net.connectors["c1"].reserves == {"eur": F(100)}, \
             "a connector keeps its configured reserves"
