@@ -26,7 +26,7 @@ from .gateway import (
     verify_attestation,
     vouch,
 )
-from .identity import AuthoritativePointer, CrossId, Resolver
+from .identity import AuthoritativePointer, Resolver
 from .report import AuditResult, RunReport
 from .runner import execute, replay_diff
 from .scenario import ScenarioConfig, load_scenario, parse_scenario

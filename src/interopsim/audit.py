@@ -114,6 +114,16 @@ def _semantic_gating(sim):
 
 
 def _idempotent_submission(sim):
+    """No two units share a key on a chain, and no entry is submitted
+    for two units: a unit submitted again logs the subject and fields of
+    its first submit, so one subject with two sets of fields is two
+    units merged into one entry."""
+    submitted = {}
+    for rec in sim.net.log.records:
+        if rec.kind == "ledger" and rec.fields[0] == "submit":
+            fields = submitted.setdefault(rec.subject, rec.fields)
+            if fields != rec.fields:
+                return False, f"{rec.subject}: one entry for two units, record {rec.seq}"
     for cid, chain in sorted(sim.chains.items()):
         seen = set()
         for e in chain.ledger.entries:

@@ -117,7 +117,7 @@ from .gateway import (
     mediated_read,
     verify_attestation,
 )
-from .identity import CrossId, Resolver
+from .identity import Resolver
 from .report import RunReport
 from .scenario import WORKLOAD_SECTIONS, FaultCfg, ScenarioConfig
 from .simnet import LogRecord, SimNet, ledger_subject
@@ -141,7 +141,7 @@ class Simulation:
             self.net.rng, partial(verify_attestation, registry=self.registry))
         self.peerings = PeeringRegistry()
         self.grants: dict[str, DelegationGrant] = {}
-        self.assets: dict[str, CrossId] = {}
+        self.assets: dict[str, str] = {}
         self.vouch_thresholds: dict[str, int] = {}
         self.end_tick = 0
         self.events_executed = 0
@@ -360,7 +360,7 @@ class Simulation:
             raise Unreachable(f"{chain_id} has no live gateway")
         return live
 
-    def resolve_endpoint(self, cross_id: CrossId):
+    def resolve_endpoint(self, cross_id: str):
         """Resolution as an outside party sees it: pointer plus the home
         chain's live gateway endpoints, never node addresses."""
         pointer = self.resolver.resolve(cross_id)

@@ -70,7 +70,7 @@ from .errors import (
     NotFound,
     Unreachable,
 )
-from .identity import AuthoritativePointer, CrossId
+from .identity import AuthoritativePointer, cross_id_parts, prefix
 from .simnet import ledger_subject
 
 
@@ -230,7 +230,7 @@ def advertise(chains: dict, registry: GatewayRegistry, resolver,
     one pass over the resolver's homes."""
     prefixes: dict[str, list[str]] = {cid: [] for cid in chains}
     for p in resolver.homes():
-        prefixes[p.home_chain].append(p.asset.prefix())
+        prefixes[p.home_chain].append(prefix(p.asset))
     return {cid: ReachabilityAdvertisement(
                 resolver.path(cid),
                 tuple(registry.live_gateways(cid)),
@@ -245,13 +245,13 @@ class DelegationGrant:
     grant_id: str
     grantor: str
     grantee: str
-    target: CrossId
+    target: str
     expiry_tick: int
 
 
 @dataclass(slots=True)
 class MediatedReadView:
-    cross_id: CrossId
+    cross_id: str
     chain_id: str
     payload_digest: str
     submitted_tick: int
@@ -262,7 +262,7 @@ class MediatedReadView:
 
 
 def mediated_read(registry: GatewayRegistry, chain, resolver,
-                  grant: DelegationGrant, cross_id: CrossId, requester: str,
+                  grant: DelegationGrant, cross_id: str, requester: str,
                   now: int) -> MediatedReadView:
     """Read on behalf of an outside party holding a delegation grant.
 
@@ -352,7 +352,7 @@ TERMINAL_STATES = (TransferState.FINALIZED, TransferState.ABORTED)
 @dataclass(slots=True)
 class CrossDomainTransfer:
     transfer_id: str
-    asset: CrossId
+    asset: str
     source_chain: str
     dest_chain: str
     beneficiary: str
@@ -430,7 +430,7 @@ class TransferEngine:
 
     # -- initiation ----------------------------------------------------
 
-    def initiate(self, transfer_id: str, asset: CrossId, source_chain: str,
+    def initiate(self, transfer_id: str, asset: str, source_chain: str,
                  dest_chain: str, beneficiary: str, deadline_tick: int,
                  now: int) -> CrossDomainTransfer:
         pointer = self.resolver.resolve(asset)
@@ -468,7 +468,7 @@ class TransferEngine:
         self.locks[lock_key] = transfer
 
         chain = self.chains[source_chain]
-        unit = TransferUnit(f"lock:{asset.opaque_suffix[:12]}", chain.semantic_type,
+        unit = TransferUnit(f"lock:{cross_id_parts(asset)[1][:12]}", chain.semantic_type,
                             Directionality.UNI, f"lock:{transfer_id}")
         receipt = chain.submit(unit, src_gw, now, ENTRY_KIND_LOCK)
         transfer.lock_ref = receipt.local_ref
@@ -597,7 +597,7 @@ class TransferEngine:
         if not self._may_act(t, now):
             return
         chain = self.chains[t.dest_chain]
-        unit = TransferUnit(f"record:{t.asset.opaque_suffix[:12]}", chain.semantic_type,
+        unit = TransferUnit(f"record:{cross_id_parts(t.asset)[1][:12]}", chain.semantic_type,
                             Directionality.BI, f"record:{t.transfer_id}", t.beneficiary)
         receipt = chain.submit(unit, t.paired_dest, now, ENTRY_KIND_RECORD)
         t.record_ref = receipt.local_ref

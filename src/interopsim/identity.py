@@ -1,12 +1,13 @@
 """Identifier masking and the global resolver.
 
 External parties never see chain-local transaction identifiers; they
-hold CrossIds whose suffix is opaque (derived from the run's RNG, never
-from the local_ref).  A CrossId is its text, chain_path/opaque_suffix: a
-str that keys, compares, logs and signs as that text, with no second
-copy of it.  The resolver maps each asset to exactly one home
-chain at a time and keeps the full forward history of rebinds; the
-last pointer of an asset's history is its current home.
+hold cross ids whose suffix is opaque (derived from the run's RNG, never
+from the local_ref).  A cross id is plain text, chain_path/opaque_suffix,
+a str that keys, compares, logs and signs as itself; this module owns
+the format: mint_cross_id builds it, cross_id_parts splits it and
+prefix truncates it for adverts.  The resolver maps each asset to
+exactly one home chain at a time and keeps the full forward history of
+rebinds; the last pointer of an asset's history is its current home.
 
 Chain identifiers themselves are public; only transaction identifiers
 are masked.
@@ -48,44 +49,25 @@ def _base32(raw: bytes) -> str:
             f"{p[n & 0x3FF]}")
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class CrossId(str):
-    """Globally unique asset identifier: its text, chain_path/opaque_suffix.
-
-    A CrossId is the str it prints as, so it hashes, compares and sorts as
-    that text and equals it; its two fields are read back from the text
-    (a chain path holds no "/").  The dataclass gives it its repr and
-    keeps it frozen."""
-
-    __slots__ = ()
-    chain_path: str  # both fields are properties over the text, below
-    opaque_suffix: str
-
-    def __new__(cls, chain_path: str, opaque_suffix: str) -> CrossId:
-        return str.__new__(cls, f"{chain_path}/{opaque_suffix}")
-
-    def __reduce__(self):
-        # str's own would rebuild it from the text as one argument
-        return CrossId, (self.chain_path, self.opaque_suffix)
-
-    def prefix(self, n: int = 8) -> str:
-        """Truncated form safe for reachability advertisements."""
-        return self[:self.index("/") + 1 + n]
+def cross_id_parts(cross_id: str) -> tuple[str, str]:
+    """The (chain_path, opaque_suffix) of a cross id; a path holds no "/"."""
+    path, _, suffix = cross_id.partition("/")
+    return path, suffix
 
 
-# set after the dataclass has taken the annotations as its fields
-CrossId.chain_path = property(lambda self: self.partition("/")[0])
-CrossId.opaque_suffix = property(lambda self: self.partition("/")[2])
+def prefix(cross_id: str, n: int = 8) -> str:
+    """Truncated form of a cross id, safe for reachability advertisements."""
+    return cross_id[:cross_id.index("/") + 1 + n]
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class AuthoritativePointer:
-    asset: CrossId
+    asset: str
     home_chain: str
     forwarded_from: Optional[str]
     rebind_tick: int
 
-    def __init__(self, asset: CrossId, home_chain: str,
+    def __init__(self, asset: str, home_chain: str,
                  forwarded_from: Optional[str], rebind_tick: int) -> None:
         _set_asset(self, asset)
         _set_home(self, home_chain)
@@ -104,10 +86,10 @@ class Resolver:
         self._verifier = verifier
         self._path: dict[str, str] = {}  # chain id -> its path
         # per chain: local_ref <-> cross_id
-        self._mask: dict[str, dict[str, CrossId]] = {}
-        self._unmask: dict[str, dict[CrossId, str]] = {}
+        self._mask: dict[str, dict[str, str]] = {}
+        self._unmask: dict[str, dict[str, str]] = {}
         # each asset's forward history; its last pointer is the home
-        self._history: dict[CrossId, list[AuthoritativePointer]] = {}
+        self._history: dict[str, list[AuthoritativePointer]] = {}
 
     def register_chain(self, chain_id: str, chain_path: Optional[str] = None) -> None:
         """Register chain_id once, under chain_path or its own id.  The
@@ -124,7 +106,7 @@ class Resolver:
 
     # -- masking -------------------------------------------------------
 
-    def mint_cross_id(self, chain, local_ref: str, now: int = 0) -> CrossId:
+    def mint_cross_id(self, chain, local_ref: str, now: int = 0) -> str:
         """Mask a confirmed entry of chain under a fresh opaque id and
         register the chain as the asset's home.  Idempotent per ref."""
         chain_id = chain.chain_id
@@ -133,13 +115,13 @@ class Resolver:
         if existing is not None:
             return existing
         chain.entry(local_ref)  # NotConfirmed or NotFound unless confirmed
-        cid = CrossId(self._path[chain_id], _base32(self.rng.randbytes(16)))
+        cid = f"{self._path[chain_id]}/{_base32(self.rng.randbytes(16))}"
         mask[local_ref] = cid
         unmask[cid] = local_ref
         self._history[cid] = [AuthoritativePointer(cid, chain_id, None, now)]
         return cid
 
-    def bind_existing(self, chain_id: str, cross_id: CrossId, local_ref: str) -> None:
+    def bind_existing(self, chain_id: str, cross_id: str, local_ref: str) -> None:
         """Register an already-minted asset under a chain's mask (used
         when a transfer lands the asset on its destination).  An asset
         whose home has just moved back to a chain it left is masked there
@@ -164,31 +146,31 @@ class Resolver:
         except KeyError:
             raise NotFound(f"chain {chain_id} is not registered") from None
 
-    def local_ref_for(self, chain_id: str, cross_id: CrossId) -> str:
+    def local_ref_for(self, chain_id: str, cross_id: str) -> str:
         ref = self._unmask.get(chain_id, {}).get(cross_id)
         if ref is None:
             raise NotFound(f"{cross_id} not masked on {chain_id}")
         return ref
 
-    def mask_tables(self) -> dict[str, dict[str, CrossId]]:
+    def mask_tables(self) -> dict[str, dict[str, str]]:
         return self._mask
 
     # -- resolution and rebinding --------------------------------------
 
-    def assets(self) -> list[CrossId]:
+    def assets(self) -> list[str]:
         return sorted(self._history)
 
     def homes(self) -> Iterable[AuthoritativePointer]:
         """The current home pointer of every asset, in no set order."""
         return (history[-1] for history in self._history.values())
 
-    def resolve(self, cross_id: CrossId) -> AuthoritativePointer:
+    def resolve(self, cross_id: str) -> AuthoritativePointer:
         history = self._history.get(cross_id)
         if history is None:
             raise NotFound(f"unknown asset {cross_id}")
         return history[-1]
 
-    def rebind_authority(self, cross_id: CrossId, from_chain: str, to_chain: str,
+    def rebind_authority(self, cross_id: str, from_chain: str, to_chain: str,
                          proof, now: int) -> AuthoritativePointer:
         """Atomically move the asset's home.  proof is a (source, dest)
         attestation pair; both must verify and name this asset."""
@@ -204,7 +186,7 @@ class Resolver:
         history.append(pointer)
         return pointer
 
-    def _check_proof(self, cross_id: CrossId, from_chain: str, to_chain: str, proof) -> None:
+    def _check_proof(self, cross_id: str, from_chain: str, to_chain: str, proof) -> None:
         try:
             source_att, dest_att = proof
         except (TypeError, ValueError):
@@ -220,14 +202,14 @@ class Resolver:
             if not self._verifier(att):
                 raise InvalidProof(f"attestation by {chain_id} failed verification")
 
-    def audit(self, cross_id: CrossId) -> list[AuthoritativePointer]:
+    def audit(self, cross_id: str) -> list[AuthoritativePointer]:
         if cross_id not in self._history:
             raise NotFound(f"unknown asset {cross_id}")
         return list(self._history[cross_id])
 
     # -- dump ----------------------------------------------------------
 
-    def dump(self) -> list[tuple[CrossId, tuple]]:
+    def dump(self) -> list[tuple[str, tuple]]:
         """One (asset, log fields) pair per asset, sorted: home plus
         forward history."""
         out = []

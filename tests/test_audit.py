@@ -194,6 +194,33 @@ class TestLedgerAudits:
         assert only_failure(sim, "idempotent_submission") == \
             f"bc1: duplicate key {lock.unit.idempotency_key}"
 
+    def test_idempotent_submission_catches_one_entry_for_two_units(self):
+        # renamed after validation, app txn lock:a's sub b and transfer
+        # a/b's lock both key lock:a/b, so the chain merges the app unit
+        # into the lock entry; only the two submit records show it
+        config = parse_scenario({
+            "horizon": 40, "seed": 11,
+            "chains": [registry("bc1"), registry("bc2")],
+            "assets": [{"id": "a1", "chain": "bc1"}],
+            "peerings": [{"id": "pa1", "chains": ["bc1", "bc2"],
+                          "semantics": ["asset-registry"]}],
+            "app_txns": [{"id": "lockx", "subs": [{"id": "b", "candidates": ["bc1"]}]}],
+            "transfers": [{"id": "ab", "asset": "a1", "from": "bc1", "to": "bc2",
+                           "deadline": 25}]})
+        config = replace(config,
+                         app_txns=[replace(config.app_txns[0], txn_id="lock:a")],
+                         transfers=[replace(config.transfers[0], transfer_id="a/b")])
+        sim = Simulation(config)
+        report = sim.run()
+        assert report.outcomes["app_txns"]["lock:a"]["state"] == "CONFIRMED"
+        assert report.outcomes["transfers"]["a/b"]["state"] == "FINALIZED"
+        submits = [r.line() for r in sim.net.log.records
+                   if r.kind == "ledger" and r.fields[0] == "submit"]
+        assert submits[:2] == ["0 8 ledger bc1/e2 submit kind=lock transfer=a/b",
+                               "0 10 ledger bc1/e2 submit kind=unit txn=lock:a/b"]
+        assert only_failure(sim, "idempotent_submission") == \
+            "bc1/e2: one entry for two units, record 10"
+
 
 class TestAuthorityAudits:
     def test_single_authority_catches_a_cleared_mark(self, sim):

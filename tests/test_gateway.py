@@ -41,7 +41,7 @@ from interopsim.gateway import (
     vouch,
 )
 from interopsim.simnet import LogRecord
-from interopsim.identity import Resolver
+from interopsim.identity import Resolver, prefix
 from interopsim.chain import PermissionRegime
 from interopsim.scenario import FaultCfg, parse_scenario
 from fractions import Fraction
@@ -245,8 +245,8 @@ class TestAdvertisements:
         transcript = rendered(adv)
         assert "endpoints=bc1.g1,bc1.g2,bc1.g3" in transcript
         assert "semantics=asset-registry" in transcript
-        assert asset.prefix() in transcript
-        assert str(asset) not in transcript, \
+        assert prefix(asset) in transcript
+        assert asset not in transcript, \
             "advertisements carry truncated prefixes, not full identifiers"
 
     def test_transcript_never_names_nodes_or_local_refs(self):
@@ -272,8 +272,8 @@ class TestAdvertisements:
         a2 = world.seed_asset("bc2", "genesis:a2")
         adverts = advertise(world.chains, world.registry, world.resolver, 0)
         assert list(adverts) == list(world.chains), "one advert per chain, in its order"
-        assert adverts["bc1"].reachable_assets == (a1.prefix(),)
-        assert adverts["bc2"].reachable_assets == (a2.prefix(),)
+        assert adverts["bc1"].reachable_assets == (prefix(a1),)
+        assert adverts["bc2"].reachable_assets == (prefix(a2),)
 
     def test_set_up_reads_the_homes_once(self, monkeypatch):
         reads = []
@@ -297,12 +297,12 @@ class TestAdvertisements:
             "assets": [{"id": "a1", "chain": "bc2"}]}))
         adverts = {rec.subject: rec.detail for rec in sim.net.log.records
                    if rec.kind == "advert"}
-        prefix = sim.assets["a1"].prefix()
-        assert prefix.startswith("trade.hub/")
+        shown = prefix(sim.assets["a1"])
+        assert shown.startswith("trade.hub/")
         assert adverts == {
             "bc1": "path=bc1 endpoints=bc1.g1 semantics=generic-record assets=-",
             "bc2": f"path=trade.hub endpoints=bc2.g1 semantics=generic-record "
-                   f"assets={prefix}"}
+                   f"assets={shown}"}
 
 
 def read_fixture():
@@ -355,8 +355,7 @@ class TestMediatedRead:
 
     def test_wrong_asset_is_a_mismatch(self):
         registry, chain, resolver, grant, asset = read_fixture()
-        from interopsim.identity import CrossId
-        other = CrossId("bc1", "Z" * 26)
+        other = "bc1/" + "Z" * 26
         with pytest.raises(GrantMismatch):
             mediated_read(registry, chain, resolver, grant, other, "app_y", now=10)
 

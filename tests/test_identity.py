@@ -3,6 +3,7 @@ bijectivity, single-home resolution, proofed rebinding, history audit."""
 
 import base64
 import copy
+import gc
 import pickle
 import random
 import re
@@ -11,6 +12,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 
 from interopsim.chain import Directionality, SemanticType, TransferUnit, gateway_ids
+from interopsim.engine import Simulation
 from interopsim.errors import (
     InvalidProof,
     NotConfirmed,
@@ -25,9 +27,15 @@ from interopsim.gateway import (
     verify_attestation,
     vouch,
 )
-from interopsim.identity import AuthoritativePointer, CrossId, Resolver, _base32
+from interopsim.identity import (
+    AuthoritativePointer,
+    Resolver,
+    _base32,
+    cross_id_parts,
+    prefix,
+)
 
-from conftest import confirm_unit, make_chain, make_unit
+from conftest import bundled, confirm_unit, make_chain, make_unit
 
 SUFFIX_RE = re.compile(r"^[A-Z2-7]{26}$")
 
@@ -55,34 +63,43 @@ def minted(resolver, chain, n, start=0):
 
 class TestMinting:
     def test_cross_id_renders_as_path_slash_suffix(self):
-        cid = CrossId("trade.bc1", "ABC234DEF567GHI234JKL567MN")
-        assert str(cid) == "trade.bc1/ABC234DEF567GHI234JKL567MN"
-        assert cid.prefix() == "trade.bc1/ABC234DE"
+        cid = "trade.bc1/ABC234DEF567GHI234JKL567MN"
+        assert cross_id_parts(cid) == ("trade.bc1", "ABC234DEF567GHI234JKL567MN")
+        assert prefix(cid) == "trade.bc1/ABC234DE"
+        assert prefix(cid, 3) == "trade.bc1/ABC"
 
     @pytest.mark.parametrize("path, suffix", [
         ("bc1", "A" * 26), ("trade.bc1", "ABC234DEF567GHI234JKL567MN"), ("", "")])
     def test_cross_id_hashes_compares_and_prints_by_its_fields(self, path, suffix):
-        # a cross id is its text: it hashes as the text and equals it,
-        # and its fields are read back from it
-        cid = CrossId(path, suffix)
-        text = f"{path}/{suffix}"
-        assert isinstance(cid, str) and str(cid) == text and f"{cid}" == text
-        assert hash(cid) == hash(text)
-        assert cid == text and cid == CrossId(path, suffix)
-        assert cid != CrossId(path, suffix + "B") and cid != (path, suffix)
-        assert (cid.chain_path, cid.opaque_suffix) == (path, suffix)
-        assert repr(cid) == f"CrossId(chain_path={path!r}, opaque_suffix={suffix!r})"
-        with pytest.raises(FrozenInstanceError):
-            cid.chain_path = "bc2"
-        assert {cid: 1}[CrossId(path, suffix)] == 1 and {text: 1}[cid] == 1
+        # a cross id is its text: it hashes, compares and keys as that
+        # text, and its two parts are read back from it
+        cid = f"{path}/{suffix}"
+        text = "/".join((path, suffix))
+        assert type(cid) is str and cid == text and hash(cid) == hash(text)
+        assert cid != f"{path}/{suffix}B" and cid != (path, suffix)
+        assert cross_id_parts(cid) == (path, suffix)
+        assert {cid: 1}[text] == 1 and {text: 1}[cid] == 1
         for copied in (copy.copy(cid), copy.deepcopy(cid), pickle.loads(pickle.dumps(cid))):
-            assert type(copied) is CrossId and copied == cid and hash(copied) == hash(text)
-            assert (copied.chain_path, copied.opaque_suffix) == (path, suffix)
-            assert repr(copied) == repr(cid)
+            assert type(copied) is str and copied == cid and hash(copied) == hash(text)
+            assert cross_id_parts(copied) == (path, suffix)
+
+    @pytest.mark.parametrize("name", ["round_trip", "fig4_transfer"])
+    def test_every_cross_id_a_run_mints_is_an_untracked_str(self, name):
+        # an exact str is not tracked by the cyclic GC, so a tuple that
+        # holds only cross ids and other text is not tracked either
+        sim = Simulation(bundled(name))
+        sim.run()
+        minted_ids = [*sim.assets.values(), *sim.resolver.assets(),
+                      *(cid for mask in sim.resolver.mask_tables().values()
+                        for cid in mask.values()),
+                      *(t.asset for t in sim.transfers.transfers.values())]
+        assert sim.transfers.transfers and minted_ids
+        for cid in minted_ids:
+            assert type(cid) is str and not gc.is_tracked(cid), repr(cid)
+            assert cross_id_parts(cid)[0] in sim.chains
 
     @pytest.mark.parametrize("cls, kwargs", [
-        (CrossId, {"chain_path": "bc1", "opaque_suffix": "A" * 26}),
-        (AuthoritativePointer, {"asset": CrossId("bc1", "A" * 26), "home_chain": "bc2",
+        (AuthoritativePointer, {"asset": "bc1/" + "A" * 26, "home_chain": "bc2",
                                 "forwarded_from": "bc1", "rebind_tick": 7}),
         (TransferUnit, {"payload_digest": "d", "semantic_type": SemanticType.GENERIC_RECORD,
                         "directionality": Directionality.BI, "idempotency_key": "k",
@@ -93,7 +110,7 @@ class TestMinting:
                             "threshold_k": 2,
                             "signatures": (("bc1.g1", "cd" * 32), ("bc1.g2", "ef" * 32)),
                             "issued_tick": 7}),
-    ], ids=["CrossId", "AuthoritativePointer", "TransferUnit", "Claim", "VouchAttestation"])
+    ], ids=["AuthoritativePointer", "TransferUnit", "Claim", "VouchAttestation"])
     def test_frozen_values_store_their_fields_and_stay_frozen(self, cls, kwargs):
         # each stores its fields through its slots; the dataclass still
         # owns assignment, equality, hashing and repr
@@ -158,7 +175,7 @@ class TestMinting:
         resolver.register_chain("bc1", "trade.bc1")
         entry = confirm_unit(chain, make_unit())
         cid = resolver.mint_cross_id(chain, entry.local_ref)
-        assert cid.chain_path == resolver.path("bc1") == "trade.bc1"
+        assert cross_id_parts(cid)[0] == resolver.path("bc1") == "trade.bc1"
 
     def test_a_chain_registers_once(self):
         resolver = fresh_resolver()
@@ -184,7 +201,7 @@ class TestSuffixOpacity:
         chain = make_chain(latency=1)
         resolver = fresh_resolver(seed=11)
         pairs = minted(resolver, chain, 1000)
-        suffixes = [cid.opaque_suffix for _, cid in pairs]
+        suffixes = [cross_id_parts(cid)[1] for _, cid in pairs]
         assert len(set(suffixes)) == 1000, "suffix collision in 1000 mints"
         for s in suffixes:
             assert SUFFIX_RE.match(s), f"malformed suffix {s!r}"
@@ -193,8 +210,8 @@ class TestSuffixOpacity:
         chain = make_chain(latency=1)
         resolver = fresh_resolver(seed=5)
         for ref, cid in minted(resolver, chain, 300):
-            assert ref.upper() not in cid.opaque_suffix, \
-                f"suffix {cid.opaque_suffix} leaks ref {ref}"
+            suffix = cross_id_parts(cid)[1]
+            assert ref.upper() not in suffix, f"suffix {suffix} leaks ref {ref}"
 
     def test_same_ref_different_rng_gives_unrelated_suffixes(self):
         # two runs, same chain state and ref, different seeds: if the
@@ -206,8 +223,8 @@ class TestSuffixOpacity:
                 chain = make_chain(latency=1)
                 resolver = fresh_resolver(seed)
                 entry = confirm_unit(chain, make_unit())
-                out.append(resolver.mint_cross_id(chain, entry.local_ref)
-                           .opaque_suffix)
+                out.append(cross_id_parts(
+                    resolver.mint_cross_id(chain, entry.local_ref))[1])
             a, b = out
             common = max((len(a[i:i + 7]) for i in range(len(a))
                           if a[i:i + 7] and a[i:i + 7] in b), default=0)
@@ -230,7 +247,7 @@ class TestSuffixOpacity:
         chain = make_chain(latency=1)
         for _, cid in minted(resolver, chain, 20):
             raw = rng.randbytes(16)
-            assert cid.opaque_suffix == base64.b32encode(raw).decode().rstrip("=")
+            assert cross_id_parts(cid)[1] == base64.b32encode(raw).decode().rstrip("=")
 
 
 class TestBijectivity:
@@ -273,7 +290,7 @@ class TestBijectivity:
 
     def test_unmasked_lookups_raise(self):
         resolver = fresh_resolver()
-        stranger = CrossId("bc1", "A" * 26)
+        stranger = "bc1/" + "A" * 26
         with pytest.raises(NotFound):
             resolver.local_ref_for("bc1", stranger)
 
@@ -360,7 +377,7 @@ class TestRebinding:
 
     def test_unknown_asset_rejected(self):
         resolver, _, _, atts = rebind_fixture()
-        ghost = CrossId("bc1", "C" * 26)
+        ghost = "bc1/" + "C" * 26
         with pytest.raises(NotFound, match="unknown asset"):
             resolver.rebind_authority(ghost, "bc1", "bc2",
                                       (atts["bc1"], atts["bc2"]), now=7)
