@@ -255,25 +255,26 @@ def _resolution_opacity(sim):
 
 
 def _no_partition_delivery(sim):
-    """Replay the fault records against the config: each applies or heals
-    the chains and links its fault names, in the phase it logs, and no
-    delivery may touch what is cut off at its record.  It reads nothing
+    """Replay the fault records against the config by the fault path's
+    rule: a fault is active from its apply record to its first heal
+    record, what is cut off is the chains and links of the faults active
+    then, and no delivery may touch it at its record.  It reads nothing
     of SimNet's fault state, so a network that fails to cut off what a
     fault names fails this audit."""
     faults = {f.fault_id: f for f in sim.config.faults if f.chains or f.links}
     if not faults:  # no fault can block a delivery
         return True, ""
-    cut_off = set()
+    active, cut_off = set(), set()
     for rec in sim.net.log.records:
         if rec.kind == "fault":
-            fault = faults.get(rec.subject)
-            if fault is None:
+            if rec.subject not in faults:
                 continue
-            targets = [*fault.chains, *map(frozenset, fault.links)]
             if rec.get("phase") == "heal":
-                cut_off.difference_update(targets)
+                active.discard(rec.subject)
             else:
-                cut_off.update(targets)
+                active.add(rec.subject)
+            cut_off = {t for fid in active for t in
+                       (*faults[fid].chains, *map(frozenset, faults[fid].links))}
         elif rec.kind == "deliver" and cut_off:
             src, dst = rec.get("src"), rec.get("dst")
             if dst in cut_off:

@@ -76,6 +76,9 @@ quiesce may have processed its last tick well before the horizon, so
 finish sets the clock to end_tick first, where a loop over every tick
 leaves it.
 
+Faults take one path, schedule_faults, the one writer of fault state:
+a target is down while any fault that names it is active.
+
 A Simulation owns its layers: the net, the chains, the registries, the
 resolver, the survivor layer, the transfer engine and the value
 network.  Nothing they hold refers back to the Simulation: the
@@ -206,24 +209,19 @@ class Simulation:
             self.net.record("advert", cid, *adv.transcript())
 
     def _schedule_all(self) -> None:
+        cfg = self.config
         # faults first so a fault at tick T lands before workload at T
-        schedule_faults(self.net, self.chains, self.registry, self.config.faults)
-        for t in self.config.app_txns:
-            self.net.timer(t.txn_id, partial(self._start_app_txn, t), t.at,
-                           "start", ("kind", "app_txn"))
-        for x in self.config.transfers:
-            self.net.timer(x.transfer_id, partial(self._start_transfer, x), x.at,
-                           "start", ("kind", "transfer"))
-        for p in self.config.payments:
-            self.net.timer(p.payment_id, partial(self._start_payment, p), p.at,
-                           "start", ("kind", "payment"))
-        for r in self.config.reads:
-            self.net.timer(r.read_id, partial(self._start_read, r), r.at,
-                           "start", ("kind", "read"))
-        for q in self.config.resolves:
-            self.net.timer(q.resolve_id, partial(self._start_resolve, q), q.at,
-                           "start", ("kind", "resolve"))
-        for pr in self.config.probes:
+        schedule_faults(self.net, self.chains, self.registry, cfg.faults)
+        for items, id_field, kind, start in (
+                (cfg.app_txns, "txn_id", "app_txn", Simulation._start_app_txn),
+                (cfg.transfers, "transfer_id", "transfer", Simulation._start_transfer),
+                (cfg.payments, "payment_id", "payment", Simulation._start_payment),
+                (cfg.reads, "read_id", "read", Simulation._start_read),
+                (cfg.resolves, "resolve_id", "resolve", Simulation._start_resolve)):
+            for item in items:
+                self.net.timer(getattr(item, id_field), partial(start, self, item), item.at,
+                               "start", ("kind", kind))
+        for pr in cfg.probes:
             self.net.schedule(partial(self._start_probe, pr), pr.at)
 
     # -- workload actions ----------------------------------------------
@@ -231,9 +229,9 @@ class Simulation:
     def _attempt(self, step, kind: str, subject: str, section: Optional[str] = None,
                  state: str = "ERROR", log: tuple = ("state", "error")):
         """step() with its InteropError caught: the error is logged under
-        kind and subject, in the fields that log names (result holds the
-        error), and, for a workload section, kept as subject's outcome in
-        state.  Returns step's result, or None on an error."""
+        kind and subject, in the fields log names by key (result holds the
+        error) or gives as pairs, and, for a workload section, kept as
+        subject's outcome in state.  Returns step's result, or None."""
         try:
             return step()
         except InteropError as exc:
@@ -241,7 +239,8 @@ class Simulation:
             if section is not None:
                 self.outcomes[section][subject] = {"state": state, "error": error}
             values = {"state": state, "error": error, "result": error}
-            self.net.record(kind, subject, *((key, values[key]) for key in log))
+            self.net.record(kind, subject, *(
+                key if key.__class__ is tuple else (key, values[key]) for key in log))
             return None
 
     def _start_app_txn(self, cfg):
@@ -328,16 +327,12 @@ class Simulation:
                         ("home", pointer.home_chain), ("endpoints", endpoints))
 
     def _start_probe(self, cfg):
-        outcome = self.outcomes["probes"]
-        try:
-            via = self._entry_gateways(cfg.chain)[0]
-        except Unreachable:
-            outcome[cfg.probe_id] = {"state": "ERROR", "error": "Unreachable"}
-            self.net.record("probe", cfg.probe_id, ("chain", cfg.chain),
-                            ("result", "Unreachable"))
+        via = self._attempt(lambda: self._entry_gateways(cfg.chain)[0], "probe",
+                            cfg.probe_id, "probes", log=(("chain", cfg.chain), "result"))
+        if via is None:
             return
         status = self.chains[cfg.chain].status(self.net.now)
-        outcome[cfg.probe_id] = {
+        self.outcomes["probes"][cfg.probe_id] = {
             "state": "OK", "live": status.live_node_count,
             "pending": status.pending_count,
             "latency": f"{status.mean_confirm_latency:.2f}"}
@@ -353,7 +348,7 @@ class Simulation:
         """The live gateways of chain_id, lowest id first: an outside
         party's only way in.  Unreachable when the chain is partitioned
         or has no live gateway."""
-        if self.net.chain_partitioned(chain_id):
+        if chain_id in self.net.cut_off:
             raise Unreachable(f"{chain_id} is partitioned")
         live = self.registry.live_gateways(chain_id)
         if not live:
@@ -474,23 +469,25 @@ class Simulation:
 def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
                     registry: GatewayRegistry, faults: list[FaultCfg]) -> None:
     """Queue each fault's apply phase at its at tick, and its heal phase
-    at until when set.  Either phase logs the fault record, then acts on
-    the fault's target fields: it cuts off (apply) or restores (heal)
-    its chains and links, takes its nodes and gateways down
-    or back up, and runs the heal phase of each fault it names, so a
-    heal that names a heal heals that one's faults in turn."""
+    at until when set.  A fault is active from its apply phase until its
+    first heal phase after that, its until or a heal that names it; a
+    heal fault is never active.  Either phase logs the fault record, runs
+    the heal phase of each fault it names (so a heal of a heal heals that
+    one's faults), and then, as the one writer of fault state, sets its
+    targets from the faults active now: net.cut_off is their chains and
+    links, and a node or gateway is live exactly when none names it."""
     by_id = {f.fault_id: f for f in faults}
+    active: dict[str, FaultCfg] = {}  # the faults active now, by id
+    fire = partial(_fire_fault, net, chains, registry, by_id, active)
     for f in faults:
-        net.schedule(partial(_fire_fault, net, chains, registry, by_id, f, False),
-                     f.at - net.now)
+        net.schedule(partial(fire, f, False), f.at - net.now)
         if f.until is not None:
-            net.schedule(partial(_fire_fault, net, chains, registry, by_id, f, True),
-                         f.until - net.now)
+            net.schedule(partial(fire, f, True), f.until - net.now)
 
 
 def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],
                 registry: GatewayRegistry, by_id: dict[str, FaultCfg],
-                fault: FaultCfg, heal: bool) -> None:
+                active: dict[str, FaultCfg], fault: FaultCfg, heal: bool) -> None:
     """One phase of fault, as schedule_faults describes it."""
     fields = [("kind", fault.kind), ("phase", "heal" if heal else "apply")]
     target = fault.chains or fault.nodes or fault.gateways or fault.faults
@@ -500,12 +497,19 @@ def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],
         fields.append(("links", [f"{a}-{b}" for a, b in fault.links]))
     net.record("fault", fault.fault_id, *fields)
     for fid in fault.faults:
-        _fire_fault(net, chains, registry, by_id, by_id[fid], True)
-    net.partition(fault.chains, fault.links, heal)
+        _fire_fault(net, chains, registry, by_id, active, by_id[fid], True)
+    if heal:
+        active.pop(fault.fault_id, None)
+    elif fault.kind != "heal":
+        active[fault.fault_id] = fault
+    if fault.chains or fault.links:
+        net.cut_off = {t for f in active.values()
+                       for t in (*f.chains, *map(frozenset, f.links))}
     for nid in fault.nodes:
-        chains[chain_of(nid)].set_node_live(nid, heal)
+        chains[chain_of(nid)].set_node_live(
+            nid, not any(nid in f.nodes for f in active.values()))
     for gid in fault.gateways:
-        registry.set_live(gid, heal)
+        registry.set_live(gid, not any(gid in f.gateways for f in active.values()))
 
 
 def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
@@ -522,7 +526,7 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
     executed = net.drain(tick)
     earliest = None
     for cid, chain in chains.items():
-        if not chain.pending or net.chain_partitioned(cid):
+        if not chain.pending or cid in net.cut_off:
             continue
         for entry in chain.advance_consensus(tick):
             net.record("ledger", ledger_subject(cid, entry.local_ref),

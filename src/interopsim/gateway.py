@@ -437,7 +437,7 @@ class TransferEngine:
         if pointer.home_chain != source_chain:
             raise NotAuthoritativeHere(
                 f"{asset} lives on {pointer.home_chain}, not {source_chain}")
-        if self.net.chain_partitioned(source_chain):
+        if source_chain in self.net.cut_off:
             raise Unreachable(f"{source_chain} is partitioned")
         semantic = self.chains[source_chain].semantic_type
         agreement = self.peerings.covering(source_chain, dest_chain, semantic)

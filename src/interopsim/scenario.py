@@ -32,6 +32,7 @@ from .chain import (LOCAL_REF, NODE_ID_TAIL, SEMANTIC_TYPES, PermissionRegime,
                     chain_of, gateway_ids, node_ids)
 from .errors import ParseError, ValidationError
 from .gateway import MAX_THRESHOLD
+from .survivor import txn_id_problem
 
 _REQUIRED = object()
 
@@ -147,12 +148,11 @@ def _public(kind):
 
 
 def _txn_id(val, minimum=None) -> str:
-    """An app txn id, which holds no "/" or ":".  Its units are keyed
-    <txn>/<sub>, so no two of them share a key, and none shares one with
-    a transfer's lock:<id> or record:<id> or an asset's genesis:<id>."""
+    """An app txn id, by the survivor layer's rule (txn_id_problem)."""
     val = _str(val)
-    if "/" in val or ":" in val:
-        raise _Invalid(f"{val!r} holds '/' or ':', which unit keys use as separators")
+    problem = txn_id_problem(val)
+    if problem:
+        raise _Invalid(problem)
     return val
 
 

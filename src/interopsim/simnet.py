@@ -24,12 +24,12 @@ reference cycle.
 
 The network's fault state is what is cut off now and nothing else: one
 set, cut_off, of the chain ids partitioned now and the frozenset pairs
-of chain ids whose link is cut now.  partition() adds targets to it and
-removes them on heal; the history of faults is in the log, as fault
-records, and the audits read it there.  The substrate holds no entity
-registry and no fault schema: the engine queues a scenario's faults as
-plain actions and applies them, calling partition() for chains and
-links.
+of chain ids whose link is cut now.  The engine's fault path is its one
+writer: it sets cut_off to the chains and links of the faults active
+now.  The history of faults is in the log, as fault records, and the
+audits read it there.  The substrate holds no entity registry and no
+fault schema: the engine queues a scenario's faults as plain actions
+and applies them.
 
 Log records hold their detail as data: an ordered tuple of fields, each
 a bare word or a (key, value) pair.  SimNet.record is the one writer of
@@ -116,7 +116,7 @@ class EventLog:
 class SimNet:
     """Clock, queue, fault state, RNG and log for one simulation run.
     It knows no entities: the engine decides what a fault does, and
-    calls partition() for the part that is the network's."""
+    sets cut_off for the part that is the network's."""
 
     def __init__(self, seed: int, inter_chain_latency: int, latency_jitter: int) -> None:
         self.rng = random.Random(seed)
@@ -169,36 +169,15 @@ class SimNet:
     def _deliver(self, subject: str, action: Callable[[], None], fields: tuple,
                  src: Optional[str], dst: str) -> None:
         """A queued delivery from src to dst, or a local one into dst when
-        src is None: logged and run, or logged as a drop when it is
-        blocked now."""
-        blocked = (self.chain_partitioned(dst) if src is None
-                   else self.delivery_blocked(src, dst))
-        if blocked:
+        src is None: logged and run, or logged as a drop when dst, src or
+        their link is cut off now."""
+        cut_off = self.cut_off
+        if cut_off and (dst in cut_off or src is not None and (
+                src in cut_off or frozenset((src, dst)) in cut_off)):
             self.record("drop", subject, *fields)
             return
         self.record("deliver", subject, *fields)
         action()
-
-    # -- fault state ---------------------------------------------------
-
-    def partition(self, chains, links, heal: bool) -> None:
-        """Cut off each of chains and links (chain-id pairs), or restore
-        it when heal is set; a target already so is left as is."""
-        targets = [*chains, *map(frozenset, links)]
-        if heal:
-            self.cut_off.difference_update(targets)
-        else:
-            self.cut_off.update(targets)
-
-    def delivery_blocked(self, src_chain: str, dst_chain: str) -> bool:
-        cut_off = self.cut_off
-        if not cut_off:
-            return False
-        return (src_chain in cut_off or dst_chain in cut_off
-                or frozenset((src_chain, dst_chain)) in cut_off)
-
-    def chain_partitioned(self, chain_id: str) -> bool:
-        return chain_id in self.cut_off
 
     # -- execution -----------------------------------------------------
 

@@ -28,7 +28,8 @@ from functools import partial
 from typing import Optional
 
 from .chain import TransferUnit
-from .errors import EmptyCandidates, InteropError, NotFound, SemanticMismatch
+from .errors import (EmptyCandidates, InteropError, NotFound, SemanticMismatch,
+                     ValidationError)
 from .simnet import ledger_subject
 
 DEFAULT_TIMEOUT_FACTOR = 3
@@ -36,6 +37,15 @@ DEFAULT_TIMEOUT_FACTOR = 3
 TXN_PENDING = "PENDING"
 TXN_CONFIRMED = "CONFIRMED"
 TXN_FAILED = "FAILED"
+
+
+def txn_id_problem(txn_id: str) -> Optional[str]:
+    """Why txn_id cannot be an app txn id, or None.  A unit is keyed
+    <txn>/<sub>, so an id free of "/" and ":" shares no key with another
+    unit, nor with a lock:<id>, record:<id> or genesis:<id> entry."""
+    if "/" in txn_id or ":" in txn_id:
+        return f"{txn_id!r} holds '/' or ':', which unit keys use as separators"
+    return None
 
 
 @dataclass(slots=True)
@@ -81,6 +91,9 @@ class SurvivorLayer:
     # -- submission ----------------------------------------------------
 
     def submit_app_txn(self, txn_id: str, subs: list[SubTxn]) -> str:
+        problem = txn_id_problem(txn_id)
+        if problem:
+            raise ValidationError(problem)
         for sub in subs:
             if not sub.candidates:
                 raise EmptyCandidates(f"{txn_id}/{sub.sub_id} has no candidates")

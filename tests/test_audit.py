@@ -10,13 +10,13 @@ from dataclasses import replace
 
 import pytest
 
-from interopsim import audit
+from interopsim import audit, engine, survivor
 from interopsim.chain import LOCAL_REF, SemanticType
 from interopsim.engine import Simulation
 from interopsim.errors import ValidationError
 from interopsim.gateway import TransferState
 from interopsim.scenario import parse_scenario
-from interopsim.simnet import SimNet, ledger_parts
+from interopsim.simnet import ledger_parts
 
 from conftest import SCENARIO_DIR, bundled
 from worlds import world as generated_world
@@ -194,10 +194,12 @@ class TestLedgerAudits:
         assert only_failure(sim, "idempotent_submission") == \
             f"bc1: duplicate key {lock.unit.idempotency_key}"
 
-    def test_idempotent_submission_catches_one_entry_for_two_units(self):
+    def test_idempotent_submission_catches_one_entry_for_two_units(self, monkeypatch):
         # renamed after validation, app txn lock:a's sub b and transfer
-        # a/b's lock both key lock:a/b, so the chain merges the app unit
-        # into the lock entry; only the two submit records show it
+        # a/b's lock both key lock:a/b; a survivor layer without the
+        # unit-key rule takes lock:a, so the chain merges the app unit
+        # into the lock entry, and only the two submit records show it
+        monkeypatch.setattr(survivor, "txn_id_problem", lambda txn_id: None)
         config = parse_scenario({
             "horizon": 40, "seed": 11,
             "chains": [registry("bc1"), registry("bc2")],
@@ -334,6 +336,16 @@ class TestTranscriptAudits:
         assert only_failure(sim, "no_partition_delivery") == \
             f"record {rec.seq}: delivery across cut link bc1-bc2"
 
+    def test_no_partition_delivery_holds_a_chain_until_its_last_fault_heals(self, sim):
+        # f1 and f2 both name bc2 and f1 never heals, so f2's heal record,
+        # which follows f1's second apply, leaves bc2 cut off
+        rec = first_delivery(sim, "bc2")
+        fault(sim, "f1").chains.append("bc2")
+        fault(sim, "f2").chains.append("bc2")
+        never_heal(sim, "f1")
+        assert only_failure(sim, "no_partition_delivery") == \
+            f"record {rec.seq}: delivery into partitioned bc2"
+
     def test_no_partition_delivery_ends_an_episode_at_its_heal(self, sim):
         # both heal records precede the first delivery, at its tick
         fault(sim, "f1").chains.append("bc2")
@@ -342,17 +354,20 @@ class TestTranscriptAudits:
 
 
 class TestNetworkMutants:
-    """A network that fails to cut off what a fault names fails the
+    """A fault path that fails to cut off what a fault names fails the
     audit, which judges each delivery from the log and the config."""
 
-    def mutant_run(self, monkeypatch, scenario, keep):
-        real = SimNet.partition
+    def mutant_run(self, monkeypatch, scenario, spare):
+        """Run scenario on a fault path that takes each fault's spare
+        targets, its "chains" or its "links", back out of net.cut_off."""
+        real = engine._fire_fault
 
-        def partition(net, chains, links, heal):
-            real(net, chains if keep == "chains" else (),
-                 links if keep == "links" else (), heal)
+        def fire_fault(net, chains, registry, by_id, active, fault, heal):
+            real(net, chains, registry, by_id, active, fault, heal)
+            net.cut_off.difference_update(
+                fault.chains if spare == "chains" else map(frozenset, fault.links))
 
-        monkeypatch.setattr(SimNet, "partition", partition)
+        monkeypatch.setattr(engine, "_fire_fault", fire_fault)
         sim = Simulation(bundled(scenario))
         sim.run()
         return sim
@@ -364,14 +379,14 @@ class TestNetworkMutants:
         return rec, reason
 
     def test_a_net_that_never_cuts_a_link(self, monkeypatch):
-        sim = self.mutant_run(monkeypatch, "cut_heal", keep="chains")
+        sim = self.mutant_run(monkeypatch, "cut_heal", spare="links")
         rec, reason = self.failing_delivery(
             sim, only_failure(sim, "no_partition_delivery"))
         src, dst = rec.get("src"), rec.get("dst")
         assert reason == f"delivery across cut link {src}-{dst}"
 
     def test_a_net_that_never_isolates_a_chain(self, monkeypatch):
-        sim = self.mutant_run(monkeypatch, "abort_partition", keep="links")
+        sim = self.mutant_run(monkeypatch, "abort_partition", spare="chains")
         rec, reason = self.failing_delivery(
             sim, only_failure(sim, "no_partition_delivery"))
         assert reason in (f"delivery into partitioned {rec.get('dst')}",

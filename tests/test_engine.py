@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 
 from interopsim import engine as engine_mod
 from interopsim.chain import BlockchainSystem
-from interopsim.engine import Simulation, run_tick
+from interopsim.engine import Simulation, run_tick, schedule_faults
 from interopsim.errors import ValidationError
-from interopsim.gateway import TransferEngine, TransferState
+from interopsim.gateway import GatewayRegistry, TransferEngine, TransferState
 from interopsim.runner import execute
-from interopsim.scenario import parse_scenario
+from interopsim.scenario import FaultCfg, parse_scenario
 from interopsim.simnet import SimNet
 from interopsim.valuenet import PathState
 
-from conftest import BUNDLED_SCENARIOS, REPO_ROOT, SCENARIO_DIR, bundled
+from conftest import BUNDLED_SCENARIOS, REPO_ROOT, SCENARIO_DIR, bundled, make_chain
 from test_acceptance import _random_fault_config
 from test_scenario import ROBUSTNESS
 from worlds import world
@@ -223,6 +223,114 @@ class TestFaultShapes:
         assert all(sim.registry.live.values())
         assert report.end_tick == 7
         assert report.passed(), [a.name for a in report.failed_audits()]
+
+
+class TestOverlappingFaults:
+    """A target is down while any fault that names it is active: the
+    first heal of two overlapping faults on one target leaves it down
+    until the other heals, and a heal ends only the faults it names."""
+
+    @staticmethod
+    def chain(cid, semantic="generic-record", gateways=2):
+        return {"id": cid, "nodes": 4, "gateways": gateways, "quorum": "2/3",
+                "semantic": semantic, "confirm_latency": 2, "vouch_threshold": 1}
+
+    @staticmethod
+    def down_by_tick(faults, read, ticks=8):
+        """read() after each tick 0..ticks-1 of faults on the engine's
+        fault path, over chain bc1 and its two gateways."""
+        net = SimNet(0, 1, 0)
+        chains = {"bc1": make_chain("bc1")}
+        registry = GatewayRegistry()
+        for gid in ("bc1.g1", "bc1.g2"):
+            registry.add(gid)
+        schedule_faults(net, chains, registry, faults)
+        seen = []
+        for tick in range(ticks):
+            net.drain(tick)
+            seen.append(read(net, chains["bc1"], registry))
+        return seen
+
+    def test_a_chain_stays_partitioned_until_its_last_partition_heals(self):
+        report, sim = execute(parse_scenario({
+            "horizon": 40, "chains": [self.chain("bc1"), self.chain("bc2")],
+            "app_txns": [{"id": "t1", "at": 12,
+                          "subs": [{"id": "s1", "candidates": ["bc1", "bc2"]}]}],
+            "probes": [{"id": "pr1", "at": 12, "chain": "bc1"}],
+            "faults": [
+                {"id": "f1", "kind": "partition", "at": 2, "until": 10, "chains": ["bc1"]},
+                {"id": "f2", "kind": "partition", "at": 5, "until": 15, "chains": ["bc1"]}]}))
+        # f1's heal at tick 10 leaves bc1 cut off by f2 until tick 15
+        assert [r.line() for r in log_lines(sim, subject="t1/s1")][:2] == [
+            "12 6 txn t1/s1 attempt=1 chain=bc1 submit",
+            "12 8 drop t1/s1 dst=bc1 msg=submit attempt=1"]
+        assert not log_lines(sim, "ledger", "bc1/e1")
+        assert [r.line() for r in log_lines(sim, "probe")] == [
+            "12 7 probe pr1 chain=bc1 result=Unreachable"]
+        assert report.outcomes["app_txns"]["t1"] == {
+            "state": "CONFIRMED", "tick": 20, "attempts": 2}
+        assert report.passed(), [a.name for a in report.failed_audits()]
+
+    def test_a_gateway_stays_down_until_its_last_crash_heals(self):
+        report, sim = execute(parse_scenario({
+            "horizon": 40,
+            "chains": [self.chain("bc1", "asset-registry"),
+                       self.chain("bc2", "asset-registry", gateways=1)],
+            "assets": [{"id": "a1", "chain": "bc1"}],
+            "peerings": [{"id": "pa1", "chains": ["bc1", "bc2"],
+                          "semantics": ["asset-registry"]}],
+            "transfers": [{"id": "x1", "at": 12, "asset": "a1", "from": "bc1",
+                           "to": "bc2", "deadline": 30}],
+            "probes": [{"id": f"pr{at}", "at": at, "chain": "bc2"} for at in (12, 19, 20)],
+            "faults": [
+                {"id": "g1", "kind": "gateway_crash", "at": 3, "until": 8,
+                 "gateways": ["bc2.g1"]},
+                {"id": "g2", "kind": "gateway_crash", "at": 6, "until": 20,
+                 "gateways": ["bc2.g1"]}]}))
+        # g1's heal at tick 8 leaves bc2.g1, bc2's only gateway, down
+        # under g2 until tick 20
+        assert report.outcomes["transfers"]["x1"] == {
+            "state": "REJECTED", "error": "NoLiveGateways"}
+        assert {r.subject: r.get("via") or r.get("result")
+                for r in log_lines(sim, "probe")} == {
+            "pr12": "Unreachable", "pr19": "Unreachable", "pr20": "bc2.g1"}
+        assert report.passed(), [a.name for a in report.failed_audits()]
+
+    def test_a_link_stays_cut_until_its_last_cut_heals(self):
+        # one link, named in either order
+        blocked = self.down_by_tick([
+            FaultCfg("f1", "partition", 1, links=[("bc1", "bc2")], until=4),
+            FaultCfg("f2", "partition", 2, links=[("bc2", "bc1")], until=6)],
+            lambda net, chain, registry: frozenset(("bc1", "bc2")) in net.cut_off)
+        assert blocked == [False, True, True, True, True, True, False, False]
+
+    def test_a_node_stays_down_until_its_last_crash_heals(self):
+        live = self.down_by_tick([
+            FaultCfg("f1", "node_crash", 1, nodes=["bc1.n1", "bc1.n2"], until=4),
+            FaultCfg("f2", "node_crash", 2, nodes=["bc1.n2"], until=6)],
+            lambda net, chain, registry: chain.live_count())
+        assert live == [4, 2, 2, 2, 3, 3, 4, 4]
+
+    def test_a_heal_ends_only_the_faults_it_names(self):
+        down = self.down_by_tick([
+            FaultCfg("f1", "partition", 1, chains=["bc1"]),
+            FaultCfg("f2", "partition", 2, chains=["bc1"]),
+            FaultCfg("f3", "gateway_crash", 1, gateways=["bc1.g1"]),
+            FaultCfg("f4", "gateway_crash", 2, gateways=["bc1.g1"]),
+            FaultCfg("h1", "heal", 3, faults=["f1", "f3"]),
+            # a heal of h1 heals f1 and f3 again, which ends nothing
+            FaultCfg("h2", "heal", 4, faults=["h1"]),
+            FaultCfg("h3", "heal", 6, faults=["f2", "f4"])],
+            lambda net, chain, registry: ("bc1" in net.cut_off,
+                                          not registry.live["bc1.g1"]))
+        assert down == [(False, False)] + [(True, True)] * 5 + [(False, False)] * 2
+
+    def test_a_heal_before_its_fault_applies_ends_nothing(self):
+        partitioned = self.down_by_tick([
+            FaultCfg("f1", "partition", 3, chains=["bc1"], until=5),
+            FaultCfg("h1", "heal", 1, faults=["f1"])],
+            lambda net, chain, registry: "bc1" in net.cut_off)
+        assert partitioned == [False, False, False, True, True, False, False, False]
 
 
 class TestIlpPath:
@@ -439,7 +547,7 @@ def _next_wake_reference(sim):
     """The earliest wake-up as a minimum over a list of every candidate,
     None ones included, as _next_wake once computed it."""
     wakes = [chain.next_confirm_tick() for cid, chain in sim.chains.items()
-             if not sim.net.chain_partitioned(cid)]
+             if cid not in sim.net.cut_off]
     wakes.append(sim.net.next_event_tick())
     wakes.append(sim.transfers.next_abort_tick())
     wakes.append(sim.valuenet.next_expiry())

@@ -19,9 +19,10 @@ def make_net(seed=0, inter_chain_latency=2, latency_jitter=0):
     return SimNet(seed, inter_chain_latency, latency_jitter)
 
 
-def partition_at(net, tick, chains=(), links=(), heal=False):
-    """Queue net.partition(chains, links, heal) for tick."""
-    net.schedule(partial(net.partition, chains, links, heal), tick - net.now)
+def cut_off_at(net, tick, *targets):
+    """Queue, for tick, the cut_off that the engine's fault path would
+    set: targets, chain ids and frozenset pairs, and nothing else."""
+    net.schedule(partial(setattr, net, "cut_off", set(targets)), tick - net.now)
 
 
 class TestOrdering:
@@ -71,7 +72,7 @@ class TestDeliveries:
         net = make_net(inter_chain_latency=3)
         seen = []
         net.deliver("bc1", "bc2", "m", lambda: seen.append("landed"))
-        partition_at(net, 1, chains=("bc2",))
+        cut_off_at(net, 1, "bc2")
         for tick in range(5):
             net.drain(tick)
         assert seen == [], "in-flight message into a partition must be dropped"
@@ -82,7 +83,7 @@ class TestDeliveries:
     def test_link_cut_drops_only_that_pair(self):
         net = make_net(inter_chain_latency=1)
         seen = []
-        partition_at(net, 0, links=(("bc1", "bc2"),))
+        cut_off_at(net, 0, frozenset(("bc1", "bc2")))
         net.deliver("bc1", "bc2", "cut", lambda: seen.append("cut"))
         net.deliver("bc1", "bc3", "open", lambda: seen.append("open"))
         for tick in range(3):
@@ -91,12 +92,11 @@ class TestDeliveries:
 
     def test_heal_reopens_delivery(self):
         net = make_net(inter_chain_latency=1)
-        partition_at(net, 0, chains=("bc2",))
-        partition_at(net, 5, chains=("bc2",), heal=True)
+        schedule_faults(net, {}, None, [
+            FaultCfg("f1", "partition", 0, chains=["bc2"], until=5)])
         net.drain(0)
         assert net.cut_off == {"bc2"}
         net.drain(5)
-        assert not net.chain_partitioned("bc2")
         assert net.cut_off == set(), "the net keeps no closed fault"
         seen = []
         net.deliver("bc1", "bc2", "m", lambda: seen.append("ok"))
@@ -104,31 +104,44 @@ class TestDeliveries:
         assert seen == ["ok"]
 
     def test_a_target_has_one_episode_at_a_time(self):
+        # two faults that name bc2 overlap: bc2 is cut off over the union
+        # of their windows, one episode that only the last heal ends
         net = make_net()
         cut_off = []
-        partition_at(net, 0, chains=("bc2",))
-        # bc2 is already partitioned: a second apply changes nothing, and
-        # one heal restores it
-        partition_at(net, 1, chains=("bc2",))
-        partition_at(net, 3, chains=("bc2",), heal=True)
-        # bc2 is whole again and the link not cut yet: nothing to heal
-        partition_at(net, 4, chains=("bc2",), links=(("bc1", "bc2"),), heal=True)
-        partition_at(net, 5, chains=("bc2",), links=(("bc1", "bc2"),))
+        schedule_faults(net, {}, None, [
+            FaultCfg("f1", "partition", 0, chains=["bc2"], until=3),
+            FaultCfg("f2", "partition", 1, chains=["bc2"], links=[("bc1", "bc2")],
+                     until=5)])
         for tick in range(6):
             net.drain(tick)
             cut_off.append(set(net.cut_off))
         pair = frozenset(("bc1", "bc2"))
-        assert cut_off == [{"bc2"}, {"bc2"}, {"bc2"}, set(), set(), {"bc2", pair}]
-        assert net.chain_partitioned("bc2") and not net.chain_partitioned("bc1")
-        assert net.delivery_blocked("bc1", "bc3") is False
-        net.partition(["bc2"], [], heal=True)
-        assert net.delivery_blocked("bc1", "bc2") and net.delivery_blocked("bc2", "bc1")
-        assert not net.delivery_blocked("bc2", "bc3")
+        assert cut_off == [{"bc2"}, {"bc2", pair}, {"bc2", pair}, {"bc2", pair},
+                           {"bc2", pair}, set()]
+
+    def test_cut_off_drops_traffic_of_a_chain_or_a_link_both_ways(self):
+        routes = [("bc1", "bc2"), ("bc2", "bc1"), ("bc1", "bc3"), ("bc2", "bc3"),
+                  (None, "bc2")]
+        for cut, dropped in (("bc2", {"bc1>bc2", "bc2>bc1", "bc2>bc3", "None>bc2"}),
+                             (frozenset(("bc1", "bc2")), {"bc1>bc2", "bc2>bc1"})):
+            net = make_net(inter_chain_latency=1)
+            net.cut_off = {cut}
+            seen = []
+            for src, dst in routes:
+                name = f"{src}>{dst}"
+                if src is None:
+                    net.local_deliver(dst, name, partial(seen.append, name))
+                else:
+                    net.deliver(src, dst, name, partial(seen.append, name))
+            net.drain(0)
+            net.drain(1)
+            assert {r.subject for r in net.log.records if r.kind == "drop"} == dropped
+            assert set(seen) == {f"{src}>{dst}" for src, dst in routes} - dropped
 
     def test_local_deliver_dropped_when_destination_partitioned(self):
         net = make_net()
         seen = []
-        partition_at(net, 0, chains=("bc1",))
+        cut_off_at(net, 0, "bc1")
         net.local_deliver("bc1", "sub", lambda: seen.append("in"))
         net.drain(0)
         assert seen == [], "submission into a partitioned chain is lost"
@@ -166,9 +179,9 @@ class TestFaultValidation:
             FaultCfg("f1", "partition", 0, chains=["bc1"]),
             FaultCfg("h1", "heal", 4, faults=["f1"])])
         net.drain(0)
-        assert net.chain_partitioned("bc1")
+        assert "bc1" in net.cut_off
         net.drain(4)
-        assert not net.chain_partitioned("bc1"), "heal fault must lift the partition"
+        assert "bc1" not in net.cut_off, "heal fault must lift the partition"
 
 
 class TestLogFormat:
@@ -228,8 +241,8 @@ class TestDeterminism:
         for i in range(10):
             net.deliver("bc1", "bc2", f"m{i}", lambda: None)
             net.timer(f"t{i}", lambda: None, net.rng.randint(0, 6))
-        partition_at(net, 3, chains=("bc2",))
-        partition_at(net, 6, chains=("bc2",), heal=True)
+        cut_off_at(net, 3, "bc2")
+        cut_off_at(net, 6)
         for tick in range(12):
             net.drain(tick)
         return net.log.dumps()

@@ -1,10 +1,17 @@
 """Survivability layer tests: timeout-driven fallback, duplicate
 tolerance across healed chains, rejection handling, outcome opacity."""
 
+from dataclasses import replace
+
 import pytest
 
 from interopsim.chain import SemanticType
-from interopsim.errors import EmptyCandidates, NotFound, SemanticMismatch
+from interopsim.errors import (
+    EmptyCandidates,
+    NotFound,
+    SemanticMismatch,
+    ValidationError,
+)
 from interopsim.runner import execute
 from interopsim.scenario import parse_scenario
 from interopsim.simnet import SimNet
@@ -223,6 +230,37 @@ class TestValidationAndSurface:
         sub = SubTxn("s1", make_unit(), ["pay1"])
         with pytest.raises(SemanticMismatch, match="pay1 is payments"):
             layer.submit_app_txn("t1", [sub])
+
+    @pytest.mark.parametrize("txn_id", ["a/b", "lock:a"])
+    def test_an_id_whose_unit_keys_could_collide_is_rejected(self, txn_id):
+        layer, _ = self.layer()
+        message = f"{txn_id!r} holds '/' or ':', which unit keys use as separators"
+        with pytest.raises(ValidationError) as exc:
+            layer.submit_app_txn(txn_id, [SubTxn("s1", make_unit(), ["bc1"])])
+        assert exc.value.problems == [message]
+        assert txn_id not in layer.txns
+        # the scenario validator states the same rule, in the same words
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(two_generic_chains(app_txns=[
+                {"id": txn_id, "subs": [{"id": "s1", "candidates": ["bc1"]}]}]))
+        assert exc.value.problems == [f"app_txns[0].id: {message}"]
+
+    def test_a_config_edited_after_validation_keeps_one_unit_per_key(self):
+        # renamed after validation, app txn a/b's sub c would key a/b/c,
+        # the key of app txn a's sub b/c
+        config = parse_scenario(two_generic_chains(app_txns=[
+            {"id": "x", "subs": [{"id": "c", "candidates": ["bc1"]}]},
+            {"id": "a", "subs": [{"id": "b/c", "candidates": ["bc1"]}]}]))
+        config = replace(config, app_txns=[replace(config.app_txns[0], txn_id="a/b"),
+                                           config.app_txns[1]])
+        report, sim = execute(config)
+        assert report.outcomes["app_txns"]["a/b"] == {
+            "state": "REJECTED", "error": "ValidationError"}
+        assert report.outcomes["app_txns"]["a"]["state"] == TXN_CONFIRMED
+        assert [r.line() for r in sim.net.log.records if r.kind == "ledger"] == [
+            "0 7 ledger bc1/e1 submit kind=unit txn=a/b/c",
+            "4 8 ledger bc1/e1 confirm=unit submitted=0 nodes=4"]
+        assert report.passed(), [a.name for a in report.failed_audits()]
 
     def test_outcome_record_carries_no_chain_identities(self):
         report, sim = execute(bundled("fig2_fallback"))
