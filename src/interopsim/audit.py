@@ -173,17 +173,18 @@ def _no_lost_assets(sim):
             return False, f"{tid}: still {t.state} at end of run"
         if engine.locks.get((t.source_chain, t.asset)) is t:
             return False, f"{tid}: terminal but still holds the source lock"
+        record_ref = sim.chains[t.dest_chain].refs.get(f"record:{tid}")
         dest = sim.chains[t.dest_chain].ledger
         if t.state == TransferState.FINALIZED:
-            if dest.get(t.record_ref) is None:
+            if dest.get(record_ref) is None:
                 return False, f"{tid}: finalized without a destination record"
-            if t.record_ref in dest.voids:
+            if record_ref in dest.voids:
                 return False, f"{tid}: finalized but record voided"
         else:
             home = sim.resolver.resolve(t.asset).home_chain
             if home != t.source_chain and t.asset not in finalized_assets:
                 return False, f"{tid}: aborted but authority left {t.source_chain}"
-            if dest.get(t.record_ref) is not None and t.record_ref not in dest.voids:
+            if dest.get(record_ref) is not None and record_ref not in dest.voids:
                 return False, f"{tid}: aborted but record not voided"
     return True, f"{len(engine.transfers)} transfers terminal"
 

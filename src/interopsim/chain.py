@@ -250,14 +250,14 @@ class BlockchainSystem:
         # every node, sorted: the confirming set of each genesis entry
         self._all_nodes = tuple(sorted(self.nodes))
         self.regime = regime
-        self.quorum_fraction = quorum_fraction
         self.confirm_latency_ticks = confirm_latency_ticks
         self.semantic_type = semantic_type
         self.writers: set[str] = set(writers or ())
         self.readers: set[str] = set(readers or ())
         self.ledger = Ledger()
         self.pending: list[LedgerEntry] = []  # in submission order
-        self._idem: dict[str, str] = {}
+        # idempotency key -> the ref of its entry, pending or confirmed
+        self.refs: dict[str, str] = {}
         self._ref_counter = 0
 
     # -- population ----------------------------------------------------
@@ -307,11 +307,11 @@ class BlockchainSystem:
         if unit.semantic_type != self.semantic_type:
             raise SemanticMismatch(
                 f"{unit.semantic_type} unit on {self.semantic_type} chain")
-        existing = self._idem.get(unit.idempotency_key)
+        existing = self.refs.get(unit.idempotency_key)
         if existing is not None:
             return SubmitReceipt(existing, True)
         ref = self.next_ref()
-        self._idem[unit.idempotency_key] = ref
+        self.refs[unit.idempotency_key] = ref
         self.pending.append(LedgerEntry(ref, kind, unit, now, None, ()))
         return SubmitReceipt(ref, False)
 
@@ -341,7 +341,7 @@ class BlockchainSystem:
         """Scenario-seeded asset entry, confirmed at tick 0 by the full
         node set before the run starts."""
         ref = self.next_ref()
-        self._idem[unit.idempotency_key] = ref
+        self.refs[unit.idempotency_key] = ref
         entry = LedgerEntry(ref, ENTRY_KIND_GENESIS, unit, 0, 0, self._all_nodes)
         return self.ledger.append(entry)
 

@@ -13,16 +13,18 @@ live gateways, lowest id first: a transfer pairs, and re-pairs after a
 crash, with the first on each side (it aborts when a side has none
 left), and a k-of-n vouch signs with the first k.
 
-Each fact about a transfer is held once, by the party that owns it.  A
-CrossDomainTransfer holds only the protocol's own sub-state: its state,
-its index in order, its two ledger refs, whether the record request
-went out and the attestation came back, and the attestations
-themselves.  Whether it holds the source lock, and so whether it is
-open, is the engine's lock table, and that table, the ref table (under
-both refs) and the due table hold the transfer itself.  Whether its
-record has landed is the destination ledger; whether the destination
-attestation was sent is whether the transfer has one.  A chain pair's
-fees are the sum of its finalized transfers' agreement fees.
+Each fact about a transfer is held once, by the party that owns it.  Its
+lock and record are entries keyed lock:<id> and record:<id> on its two
+chains, whose key tables (refs) hold their refs.  A CrossDomainTransfer
+holds the rest: its state, which every step reads and no ledger holds
+from VOUCHED on, its index in order, whether the record request went
+out and the attestation came back (messages in flight), and the
+attestations, the rebind proof, which a ledger holds only serialized.
+Whether it holds the source lock, and so whether it is open, is the
+engine's lock table, and that table and the due table hold it itself.
+Whether its record has landed is the destination ledger; whether the
+destination attestation was sent is whether the transfer has one.  A
+chain pair's fees are the sum of its finalized transfers' agreement fees.
 An advertisement's path and asset prefixes are the resolver's, and its
 endpoints the registry's.
 
@@ -362,8 +364,6 @@ class CrossDomainTransfer:
     paired_dest: str
     index: int  # its place in the engine's order
     state: str = TransferState.INITIATED
-    lock_ref: Optional[str] = None
-    record_ref: Optional[str] = None
     record_request_sent: bool = False
     attestation_arrived: bool = False
     source_attestation: Optional[VouchAttestation] = None
@@ -394,8 +394,8 @@ class TransferEngine:
     All state transitions are logged; the engine's per-tick step phase
     calls step_all after consensus so confirmations observed this tick
     can be acted on this tick.  It steps only the transfers that the
-    stepping rule of the engine's module docstring names, and
-    confirmations find their transfer by (chain, local_ref).
+    stepping rule of the engine's module docstring names, and a
+    confirmed lock or record finds its transfer by its key.
     """
 
     def __init__(self, net, chains: dict, registry: GatewayRegistry,
@@ -411,8 +411,6 @@ class TransferEngine:
         self.order: list[str] = []
         # (source chain, asset) -> the transfer that holds its lock
         self.locks: dict[tuple[str, str], CrossDomainTransfer] = {}
-        # (chain, local_ref) of every lock and record -> its transfer
-        self._by_ref: dict[tuple[str, str], CrossDomainTransfer] = {}
         # (deadline_tick + 1, index, transfer) of every transfer that is
         # not terminal, keyed by the tick rule (c) aborts it on; a
         # terminal one leaves when it reaches the top
@@ -471,8 +469,6 @@ class TransferEngine:
         unit = TransferUnit(f"lock:{cross_id_parts(asset)[1][:12]}", chain.semantic_type,
                             Directionality.UNI, f"lock:{transfer_id}")
         receipt = chain.submit(unit, src_gw, now, ENTRY_KIND_LOCK)
-        transfer.lock_ref = receipt.local_ref
-        self._by_ref[(source_chain, receipt.local_ref)] = transfer
         self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
                         "submit", ("kind", "lock"), ("transfer", transfer_id))
         return transfer
@@ -480,19 +476,22 @@ class TransferEngine:
     # -- confirmation callbacks ----------------------------------------
 
     def on_confirmed(self, chain_id: str, entry: LedgerEntry) -> None:
-        """Move the transfer that entry's ref belongs to, if any, and
-        mark it due for this tick's step phase when it moved."""
-        t = self._by_ref.get((chain_id, entry.local_ref))
+        """If entry is a transfer's lock or record, which its key names
+        (kind:transfer_id), move that transfer, and mark it due for this
+        tick's step phase when it moved."""
+        if entry.kind != ENTRY_KIND_LOCK and entry.kind != ENTRY_KIND_RECORD:
+            return
+        t = self.transfers.get(entry.unit.idempotency_key.partition(":")[2])
         if t is None:
             return
-        if chain_id == t.source_chain and entry.local_ref == t.lock_ref:
+        if entry.kind == ENTRY_KIND_LOCK:
             if t.state == TransferState.INITIATED:
                 t.state = TransferState.SOURCE_LOCKED
                 self._log(t, t.paired_source)
                 self._due[t.index] = t
         elif t.state == TransferState.ABORTED:
             # the record, and t aborted before it landed: tombstone it now
-            self._void_record(t)
+            self._void_record(t, entry.local_ref)
         elif t.state == TransferState.SOURCE_LOCKED:
             t.state = TransferState.DEST_RECORDED
             self._log(t, t.paired_dest)
@@ -600,18 +599,16 @@ class TransferEngine:
         unit = TransferUnit(f"record:{cross_id_parts(t.asset)[1][:12]}", chain.semantic_type,
                             Directionality.BI, f"record:{t.transfer_id}", t.beneficiary)
         receipt = chain.submit(unit, t.paired_dest, now, ENTRY_KIND_RECORD)
-        t.record_ref = receipt.local_ref
-        self._by_ref[(t.dest_chain, receipt.local_ref)] = t
         self.net.record("ledger", ledger_subject(t.dest_chain, receipt.local_ref),
                         "submit", ("kind", "record"), ("transfer", t.transfer_id))
 
-    def _vouch(self, t: CrossDomainTransfer, side: str, chain_id: str, ref: str,
+    def _vouch(self, t: CrossDomainTransfer, side: str, chain_id: str, key: str,
                now: int) -> Optional[VouchAttestation]:
-        """Vouch for t's entry ref on one side, append the attestation to
+        """Vouch for t's entry key on one side, append the attestation to
         that chain's ledger and log both; None when too few gateways are
         live to meet the threshold."""
         chain = self.chains[chain_id]
-        claim = Claim(chain_id, t.asset, True, entry_digest(chain.ledger.get(ref)))
+        claim = Claim(chain_id, t.asset, True, entry_digest(chain.ledger.get(chain.refs[key])))
         try:
             att = vouch(chain_id, self.registry, claim, self.vouch_thresholds[chain_id], now)
         except InsufficientGateways:
@@ -625,7 +622,7 @@ class TransferEngine:
         return att
 
     def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
-        t.dest_attestation = self._vouch(t, "dest", t.dest_chain, t.record_ref, now)
+        t.dest_attestation = self._vouch(t, "dest", t.dest_chain, f"record:{t.transfer_id}", now)
         if t.dest_attestation is None:
             return  # retried when a dest gateway comes up, until the deadline
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
@@ -639,7 +636,7 @@ class TransferEngine:
             self._try_finalize(t, now)
 
     def _try_finalize(self, t: CrossDomainTransfer, now: int) -> None:
-        t.source_attestation = self._vouch(t, "source", t.source_chain, t.lock_ref, now)
+        t.source_attestation = self._vouch(t, "source", t.source_chain, f"lock:{t.transfer_id}", now)
         if t.source_attestation is None:
             return  # retried when a source gateway comes up, until the deadline
         t.state = TransferState.VOUCHED
@@ -657,7 +654,8 @@ class TransferEngine:
                         "mark", ("to", t.dest_chain), ("transfer", t.transfer_id))
         self.net.record("resolver", t.asset,
                         "rebind", ("from", t.source_chain), ("to", t.dest_chain))
-        self.resolver.bind_existing(t.dest_chain, t.asset, t.record_ref)
+        record_ref = self.chains[t.dest_chain].refs[f"record:{t.transfer_id}"]
+        self.resolver.bind_existing(t.dest_chain, t.asset, record_ref)
         del self.locks[(t.source_chain, t.asset)]
         agreement = self.peerings.agreements[t.agreement_id]
         t.state = TransferState.FINALIZED
@@ -677,10 +675,11 @@ class TransferEngine:
             del self.locks[lock_key]
         self._log(t, t.paired_source, ("reason", reason))
         # a record still pending is voided when it lands (on_confirmed)
-        if self.chains[t.dest_chain].ledger.get(t.record_ref) is not None:
-            self._void_record(t)
+        record_ref = self.chains[t.dest_chain].refs.get(f"record:{t.transfer_id}")
+        if self.chains[t.dest_chain].ledger.get(record_ref) is not None:
+            self._void_record(t, record_ref)
 
-    def _void_record(self, t: CrossDomainTransfer) -> None:
-        self.chains[t.dest_chain].ledger.void(t.record_ref, self.net.now)
-        self.net.record("ledger", ledger_subject(t.dest_chain, t.record_ref),
+    def _void_record(self, t: CrossDomainTransfer, ref: str) -> None:
+        self.chains[t.dest_chain].ledger.void(ref, self.net.now)
+        self.net.record("ledger", ledger_subject(t.dest_chain, ref),
                         "void", ("transfer", t.transfer_id))

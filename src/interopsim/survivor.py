@@ -155,8 +155,8 @@ class SurvivorLayer:
             self._refresh_txn_state(txn, self.net.now)
 
     def on_confirmed(self, chain_id: str, entry) -> None:
-        """Consensus callback; every confirmation is recorded, including
-        late ones from chains the layer already abandoned."""
+        """Consensus callback; every confirmation is recorded, and one
+        that lands after its sub ended, confirmed or failed, as late."""
         hit = self._by_key.get(entry.unit.idempotency_key)
         if hit is None:
             return
@@ -164,12 +164,11 @@ class SurvivorLayer:
         now = self.net.now
         sub.confirmations.append((chain_id, entry.local_ref, now))
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        fields = ["confirmed", ("chain", chain_id), ("ref", entry.local_ref)]
-        if len(sub.confirmations) > 1 or sub.state != TXN_PENDING:
-            fields.append(("late", 1))
-        self.net.record("txn", subject, *fields)
+        fields = ("confirmed", ("chain", chain_id), ("ref", entry.local_ref))
         if sub.state != TXN_PENDING:
+            self.net.record("txn", subject, *fields, ("late", 1))
             return
+        self.net.record("txn", subject, *fields)
         sub.state = TXN_CONFIRMED
         self._refresh_txn_state(txn, now)
 

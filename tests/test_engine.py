@@ -5,6 +5,7 @@ import copy
 import gc
 import json
 import pickle
+import struct
 import sys
 import weakref
 from dataclasses import replace
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interopsim import engine as engine_mod
-from interopsim.chain import BlockchainSystem
+from interopsim.chain import ENTRY_KIND_ATTESTATION, BlockchainSystem
 from interopsim.engine import Simulation, run_tick, schedule_faults
 from interopsim.errors import ValidationError
-from interopsim.gateway import GatewayRegistry, TransferEngine, TransferState
+from interopsim.gateway import GatewayRegistry, TransferEngine, TransferState, entry_digest
 from interopsim.runner import execute
 from interopsim.scenario import FaultCfg, parse_scenario
 from interopsim.simnet import SimNet
@@ -805,8 +806,33 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch):
 def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):
     """After every processed tick, the transfers in the lock table are
     the transfers that are not terminal: the step phase finds the
-    transfers a liveness change can move by one scan of that table."""
-    mismatches, locks_seen = [], []
+    transfers a liveness change can move by one scan of that table.
+    And each open transfer's progress is what its two chains show, read
+    by the lock:<id> and record:<id> keys: its lock is confirmed once it
+    leaves INITIATED, its record exactly while it is DEST_RECORDED, and
+    the destination ledger holds an attestation over that record's
+    digest exactly when the transfer holds its destination attestation."""
+    mismatches, locks_seen, states_seen = [], [], set()
+    # chain id -> (entries scanned, the digests its attestations claim),
+    # for the run in progress: a ledger only grows
+    claimed = {}
+
+    def claimed_digests(chain):
+        scanned, digests = claimed.get(chain.chain_id, (0, set()))
+        for e in chain.ledger.entries[scanned:]:
+            if e.kind == ENTRY_KIND_ATTESTATION:
+                raw = bytes.fromhex(e.payload)
+                _, size = struct.unpack(">HI", raw[:6])
+                digests.add(raw[6:6 + size].decode("ascii").rsplit("|", 1)[1])
+        claimed[chain.chain_id] = (len(chain.ledger.entries), digests)
+        return digests
+
+    def ledger_view(t, chains):
+        source, dest = chains[t.source_chain], chains[t.dest_chain]
+        lock = source.ledger.get(source.refs.get(f"lock:{t.transfer_id}"))
+        record = dest.ledger.get(dest.refs.get(f"record:{t.transfer_id}"))
+        attested = record is not None and entry_digest(record) in claimed_digests(dest)
+        return lock is not None, record is not None, attested
 
     def checked_tick(net, chains, survivor, transfers, valuenet, tick):
         result = run_tick(net, chains, survivor, transfers, valuenet, tick)
@@ -814,6 +840,14 @@ def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):
         open_ids = {tid for tid, t in transfers.transfers.items() if not t.terminal()}
         if held != open_ids:
             mismatches.append((tick, sorted(held ^ open_ids)))
+        for tid in sorted(open_ids):
+            t = transfers.transfers[tid]
+            states_seen.add(t.state)
+            progress = (t.state != TransferState.INITIATED,
+                        t.state == TransferState.DEST_RECORDED,
+                        t.dest_attestation is not None)
+            if ledger_view(t, chains) != progress:
+                mismatches.append((tick, tid, t.state, ledger_view(t, chains)))
         locks_seen.append(len(held))
         return result
 
@@ -821,9 +855,12 @@ def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):
     configs = [bundled(name) for name in BUNDLED_SCENARIOS]
     configs += [parse_scenario(world(seed), name=f"world-{seed}") for seed in range(100)]
     for config in configs:
+        claimed.clear()
         Simulation(config).run()
         assert mismatches == [], (config.name, mismatches)
     assert sum(locks_seen) > 1000, "the check saw transfers in flight"
+    assert states_seen == {TransferState.INITIATED, TransferState.SOURCE_LOCKED,
+                           TransferState.DEST_RECORDED}, states_seen
 
 
 # -- generated worlds -------------------------------------------------

@@ -483,7 +483,8 @@ class TestTransferProtocol:
         mark = world.chains["bc1"].ledger.marks[src_ref]
         assert mark.home_chain == "bc2" and mark.forwarded_from == "bc1"
         # destination mask binds the same cross id to the record
-        assert world.resolver.local_ref_for("bc2", asset) == t.record_ref
+        record_ref = world.chains["bc2"].refs["record:x1"]
+        assert world.resolver.local_ref_for("bc2", asset) == record_ref
         # both attestations on-ledger and verifiable
         for cid, att in (("bc1", t.source_attestation),
                          ("bc2", t.dest_attestation)):
@@ -557,7 +558,8 @@ class TestTransferProtocol:
         assert t.state is TransferState.DEST_RECORDED
         world.run_until(10)
         assert t.state is TransferState.ABORTED
-        assert t.record_ref in world.chains["bc2"].ledger.voids, \
+        bc2 = world.chains["bc2"]
+        assert bc2.refs["record:x1"] in bc2.ledger.voids, \
             "a dest record surviving an abort must carry a void tombstone"
         assert world.resolver.resolve(asset).home_chain == "bc1", \
             "authority never moves on an aborted transfer"
