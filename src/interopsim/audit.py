@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .chain import CONSENSUS_KINDS, LOCAL_REF
+from .chain import CONSENSUS_KINDS, LOCAL_REF, NODE_ID_TAIL
 from .gateway import TransferState, verify_attestation
 from .report import AuditResult
 from .simnet import ledger_parts
@@ -232,20 +232,39 @@ def _resolution_opacity(sim):
     the first leaking record, and in it the first leaked id in sorted
     order.
 
-    Each transcript is rendered once and the lines are joined with a
-    newline, which bounds a word as a line's end does.  Each node id is
-    looked up once in the joined text, and the local refs are found by
-    one scan of it.  Only on a hit are the records walked for the
-    detail."""
+    A first screen joins the transcripts' words with newlines: each
+    subject, bare word and key, and each value or item of a list or
+    tuple value.  A node id or a local ref holds none of a rendered
+    line's separators (space, "=" and ","), and the tick, the seq and
+    the two kinds hold neither, so a leak lies within one word, bounded
+    as in the line, and the screen finds a NODE_ID_TAIL match or a
+    local ref.  Only then is each transcript rendered once, with the
+    lines joined by a newline, which bounds a word as a line's end
+    does; each node id is looked up once in the joined text, the local
+    refs are found by one scan of it, and the records are walked for
+    the detail."""
     transcripts = [rec for rec in sim.net.log.records
                    if rec.kind in ("advert", "resolve")]
-    lines = [rec.line() for rec in transcripts]
-    text = "\n".join(lines)
-    leaked = sorted(nid for chain in sim.chains.values() for nid in chain.nodes
-                    if nid in text)
-    ref = any(LOCAL_REF.match(text, m.start())
-              for m in _REF_CANDIDATE.finditer(text))
-    if leaked or ref:
+    words = []
+    for rec in transcripts:
+        words.append(rec.subject)
+        for field in rec.fields:
+            if field.__class__ is str:
+                words.append(field)
+                continue
+            key, value = field
+            words.append(key)
+            if isinstance(value, (list, tuple)):
+                words.extend(map(str, value))
+            else:
+                words.append(str(value))
+    text = "\n".join(words)
+    if NODE_ID_TAIL.search(text) or _holds_ref(text):
+        lines = [rec.line() for rec in transcripts]
+        text = "\n".join(lines)
+        leaked = sorted(nid for chain in sim.chains.values() for nid in chain.nodes
+                        if nid in text)
+        ref = _holds_ref(text)
         for rec, line in zip(transcripts, lines):
             for nid in leaked:
                 if nid in line:
@@ -253,6 +272,11 @@ def _resolution_opacity(sim):
             if ref and LOCAL_REF.search(line):
                 return False, f"record {rec.seq} leaks a local ref"
     return True, f"{len(transcripts)} transcripts"
+
+
+def _holds_ref(text: str) -> bool:
+    """Whether text holds a local ref as a word."""
+    return any(LOCAL_REF.match(text, m.start()) for m in _REF_CANDIDATE.finditer(text))
 
 
 def _no_partition_delivery(sim):

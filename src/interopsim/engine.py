@@ -218,11 +218,11 @@ class Simulation:
                 (cfg.payments, "payment_id", "payment", Simulation._start_payment),
                 (cfg.reads, "read_id", "read", Simulation._start_read),
                 (cfg.resolves, "resolve_id", "resolve", Simulation._start_resolve)):
+            fields = ("start", ("kind", kind))
             for item in items:
-                self.net.timer(getattr(item, id_field), partial(start, self, item), item.at,
-                               "start", ("kind", kind))
+                self.net.timer(getattr(item, id_field), item.at, fields, start, self, item)
         for pr in cfg.probes:
-            self.net.schedule(partial(self._start_probe, pr), pr.at)
+            self.net.schedule(partial(Simulation._start_probe, self, pr), pr.at)
 
     # -- workload actions ----------------------------------------------
 
@@ -272,11 +272,11 @@ class Simulation:
                         ("amount_out", path.amount_out), ("denom_out", path.denom_out),
                         ("expiry", path.expiry_tick))
         if cfg.settle_after is not None:
-            self.net.timer(cfg.payment_id, partial(self._settle, cfg.payment_id),
-                           cfg.settle_after, "settle", "due")
+            self.net.timer(cfg.payment_id, cfg.settle_after, ("settle", "due"),
+                           Simulation._settle, self, cfg.payment_id)
         elif cfg.release_after is not None:
-            self.net.timer(cfg.payment_id, partial(self._release, cfg.payment_id),
-                           cfg.release_after, "release", "due")
+            self.net.timer(cfg.payment_id, cfg.release_after, ("release", "due"),
+                           Simulation._release, self, cfg.payment_id)
 
     def _settle(self, path_id):
         path = self._attempt(lambda: self.valuenet.settle_path(path_id, self.net.now),
@@ -478,11 +478,11 @@ def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
     links, and a node or gateway is live exactly when none names it."""
     by_id = {f.fault_id: f for f in faults}
     active: dict[str, FaultCfg] = {}  # the faults active now, by id
-    fire = partial(_fire_fault, net, chains, registry, by_id, active)
+    state = (net, chains, registry, by_id, active)
     for f in faults:
-        net.schedule(partial(fire, f, False), f.at - net.now)
+        net.schedule(partial(_fire_fault, *state, f, False), f.at - net.now)
         if f.until is not None:
-            net.schedule(partial(fire, f, True), f.until - net.now)
+            net.schedule(partial(_fire_fault, *state, f, True), f.until - net.now)
 
 
 def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],

@@ -47,7 +47,6 @@ import struct
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -431,6 +430,11 @@ class TransferEngine:
     def initiate(self, transfer_id: str, asset: str, source_chain: str,
                  dest_chain: str, beneficiary: str, deadline_tick: int,
                  now: int) -> CrossDomainTransfer:
+        """Start transfer_id; raises ValueError for an id already started,
+        whose lock key its first transfer holds.  The scenario validator
+        keeps transfer ids unique."""
+        if transfer_id in self.transfers:
+            raise ValueError(f"transfer {transfer_id} already initiated")
         pointer = self.resolver.resolve(asset)
         if pointer.home_chain != source_chain:
             raise NotAuthoritativeHere(
@@ -588,8 +592,8 @@ class TransferEngine:
     def _send_record_request(self, t: CrossDomainTransfer, now: int) -> None:
         t.record_request_sent = True
         self.net.deliver(t.source_chain, t.dest_chain, t.transfer_id,
-                         partial(self._arrive_record_request, t),
-                         ("msg", "record-request"), ("transfer", t.transfer_id))
+                         (("msg", "record-request"), ("transfer", t.transfer_id)),
+                         TransferEngine._arrive_record_request, self, t)
 
     def _arrive_record_request(self, t: CrossDomainTransfer) -> None:
         now = self.net.now
@@ -626,8 +630,8 @@ class TransferEngine:
         if t.dest_attestation is None:
             return  # retried when a dest gateway comes up, until the deadline
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
-                         partial(self._arrive_attestation, t),
-                         ("msg", "attestation"), ("transfer", t.transfer_id))
+                         (("msg", "attestation"), ("transfer", t.transfer_id)),
+                         TransferEngine._arrive_attestation, self, t)
 
     def _arrive_attestation(self, t: CrossDomainTransfer) -> None:
         now = self.net.now

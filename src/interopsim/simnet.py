@@ -11,13 +11,18 @@ Determinism contract, checked by the test suite:
 
 The queue holds bare (tick, seq, action) entries, and schedule is the
 only way onto it.  An entry means nothing to the queue: timers and
-deliveries are actions that log their own record when they run.  A
-timer logs kind=timer and then acts.  A delivery is one partial of
-SimNet._deliver over (subject, action, fields, src, dst), with src None
-for a local delivery, so queuing one builds no closure.  It is judged
-when it runs: one into or out of a partitioned chain, or across a cut
-link, is dropped silently, logging kind=drop and never running;
-otherwise it logs kind=deliver and runs.
+deliveries are actions that log their own record when they run.  Each
+queued action is one partial of a plain function over the action's own
+arguments, never a bound method or a partial inside a partial, so an
+entry adds three objects for the cyclic GC to track: its tuple, the
+partial and the tuple of its arguments.  A timer is a partial of _fire
+over (net, subject, fields, action, *args); it logs kind=timer with
+fields and then calls action(*args).  A delivery is a partial of
+_deliver over (net, subject, fields, src, dst, action, *args), with src
+None for a local delivery.  It is judged when it runs: one into or out
+of a partitioned chain, or across a cut link, is dropped silently,
+logging kind=drop and never running; otherwise it logs kind=deliver and
+calls action(*args).
 The engine's finish empties the queue (drop_queued): what is left in
 it never runs, and it would keep the net and the layers alive in a
 reference cycle.
@@ -138,46 +143,29 @@ class SimNet:
         heapq.heappush(self._queue, (self.now + delay, self._next_event_seq, action))
         self._next_event_seq += 1
 
-    def timer(self, subject: str, action: Callable[[], None], delay: int,
-              *fields) -> None:
-        """Schedule action behind a timer record (fields, or "fire")."""
-        # a partial, not a closure: fewer objects for the cyclic GC to track
-        self.schedule(partial(self._fire, subject, fields or ("fire",), action), delay)
+    def timer(self, subject: str, delay: int, fields: tuple,
+              action: Callable[..., None], *args) -> None:
+        """Call action(*args) delay ticks from now, behind a timer record
+        of fields."""
+        self.schedule(partial(_fire, self, subject, fields, action, *args), delay)
 
-    def _fire(self, subject: str, fields: tuple, action: Callable[[], None]) -> None:
-        self.record("timer", subject, *fields)
-        action()
-
-    def deliver(self, src_chain: str, dst_chain: str, subject: str,
-                action: Callable[[], None], *fields) -> None:
-        """Schedule a cross-chain message; dropped at execution time if
-        either endpoint is partitioned or the link is cut then."""
+    def deliver(self, src_chain: str, dst_chain: str, subject: str, fields: tuple,
+                action: Callable[..., None], *args) -> None:
+        """Schedule a cross-chain message that calls action(*args); dropped
+        at execution time if either endpoint is partitioned or the link
+        is cut then."""
         delay = self.inter_chain_latency
         if self.latency_jitter:
             delay += self.rng.randint(0, self.latency_jitter)
-        self.schedule(partial(self._deliver, subject, action,
-                              (("src", src_chain), ("dst", dst_chain), *fields),
-                              src_chain, dst_chain), delay)
+        self.schedule(partial(_deliver, self, subject, fields, src_chain, dst_chain,
+                              action, *args), delay)
 
-    def local_deliver(self, chain_id: str, subject: str, action: Callable[[], None],
-                      *fields) -> None:
+    def local_deliver(self, chain_id: str, subject: str, fields: tuple,
+                      action: Callable[..., None], *args) -> None:
         """App-to-chain submission path: no transport latency, but still
         dropped silently when the chain is partitioned at execution."""
-        self.schedule(partial(self._deliver, subject, action,
-                              (("dst", chain_id), *fields), None, chain_id), 0)
-
-    def _deliver(self, subject: str, action: Callable[[], None], fields: tuple,
-                 src: Optional[str], dst: str) -> None:
-        """A queued delivery from src to dst, or a local one into dst when
-        src is None: logged and run, or logged as a drop when dst, src or
-        their link is cut off now."""
-        cut_off = self.cut_off
-        if cut_off and (dst in cut_off or src is not None and (
-                src in cut_off or frozenset((src, dst)) in cut_off)):
-            self.record("drop", subject, *fields)
-            return
-        self.record("deliver", subject, *fields)
-        action()
+        self.schedule(partial(_deliver, self, subject, fields, None, chain_id,
+                              action, *args), 0)
 
     # -- execution -----------------------------------------------------
 
@@ -207,3 +195,27 @@ class SimNet:
             heapq.heappop(queue)[2]()
             executed += 1
         return executed
+
+
+def _fire(net: SimNet, subject: str, fields: tuple, action: Callable[..., None],
+          *args) -> None:
+    """A queued timer: log fields, then call action(*args)."""
+    net.record("timer", subject, *fields)
+    action(*args)
+
+
+def _deliver(net: SimNet, subject: str, fields: tuple, src: Optional[str], dst: str,
+             action: Callable[..., None], *args) -> None:
+    """A queued delivery from src to dst, or a local one into dst when src
+    is None: logged and run, or logged as a drop when dst, src or their
+    link is cut off now."""
+    cut_off = net.cut_off
+    dropped = cut_off and (dst in cut_off or src is not None and (
+        src in cut_off or frozenset((src, dst)) in cut_off))
+    kind = "drop" if dropped else "deliver"
+    if src is None:
+        net.record(kind, subject, ("dst", dst), *fields)
+    else:
+        net.record(kind, subject, ("src", src), ("dst", dst), *fields)
+    if not dropped:
+        action(*args)

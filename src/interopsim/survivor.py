@@ -24,7 +24,6 @@ the confirmation then lands as a late confirmation of the same sub.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .chain import TransferUnit
@@ -122,12 +121,11 @@ class SurvivorLayer:
         sub.attempts += 1
         subject = f"{txn.txn_id}/{sub.sub_id}"
         self.net.record("txn", subject, ("attempt", idx + 1), ("chain", chain_id), "submit")
-        self.net.local_deliver(chain_id, subject,
-                               partial(self._submit, chain_id, sub, subject),
-                               ("msg", "submit"), ("attempt", idx + 1))
-        timeout = self._timeout_for(sub, chain_id)
-        self.net.timer(subject, partial(self._on_timeout, txn, sub, idx),
-                       timeout, "timeout", ("attempt", idx + 1))
+        self.net.local_deliver(chain_id, subject, (("msg", "submit"), ("attempt", idx + 1)),
+                               SurvivorLayer._submit, self, chain_id, sub, subject)
+        self.net.timer(subject, self._timeout_for(sub, chain_id),
+                       ("timeout", ("attempt", idx + 1)),
+                       SurvivorLayer._on_timeout, self, txn, sub, idx)
 
     def _submit(self, chain_id: str, sub: SubTxn, subject: str) -> None:
         """The delivered submission of sub's unit to chain_id."""

@@ -16,7 +16,7 @@ from interopsim.engine import Simulation
 from interopsim.errors import ValidationError
 from interopsim.gateway import TransferState
 from interopsim.scenario import parse_scenario
-from interopsim.simnet import ledger_parts
+from interopsim.simnet import LogRecord, ledger_parts
 
 from conftest import SCENARIO_DIR, bundled
 from worlds import world as generated_world
@@ -471,6 +471,12 @@ LEAKS = {
         False),
     "node id in a record that is no transcript": (
         [("probe", "pr1", ("via", "bc1.n1"), ("ref", "e1"))], False),
+    "ref as a key": (
+        [("resolve", "q9", ("e5", "x"))], True),
+    "a tail that names no node": (
+        [("advert", "bc1", ("endpoints", ["bc9.n7"]))], False),
+    "ref as a subject": (
+        [("resolve", "e7", ("home", "bc2"))], True),
 }
 
 
@@ -513,6 +519,31 @@ class TestOpacityMatchesTheRecordLoop:
         expected = (False, f"record {rec.seq} leaks node id bc10.n4")
         assert reference_opacity(sim) == expected
         assert audit._resolution_opacity(sim) == expected
+
+
+@pytest.mark.parametrize("count", [10, 40, 160])
+def test_a_passing_opacity_audit_renders_no_line(monkeypatch, count):
+    # C chains in a ring, each asset moved to the next chain and
+    # resolved: a passing audit reads words, and renders lines only
+    # when they hold a node id's tail or a local ref
+    ids = [f"bc{i}" for i in range(count)]
+    sim = Simulation(parse_scenario({
+        "horizon": 60, "seed": 3, "chains": [registry(cid) for cid in ids],
+        "assets": [{"id": f"a{i}", "chain": cid} for i, cid in enumerate(ids)],
+        "peerings": [{"id": f"pa{i}", "chains": [cid, ids[i - 1]],
+                      "semantics": ["asset-registry"], "fee": "1"}
+                     for i, cid in enumerate(ids)],
+        "transfers": [{"id": f"x{i}", "at": i % 5, "asset": f"a{i}", "from": cid,
+                       "to": ids[i - 1], "deadline": 40} for i, cid in enumerate(ids)],
+        "resolves": [{"id": f"q{i}", "at": 30, "asset": f"a{i}"}
+                     for i in range(count)]}))
+    sim.run()
+    lines = []
+    line = LogRecord.line
+    monkeypatch.setattr(LogRecord, "line", lambda rec: lines.append(rec) or line(rec))
+    assert audit._resolution_opacity(sim) == (True, f"{2 * count} transcripts")
+    assert lines == []
+    assert reference_opacity(sim)[0] and len(lines) == 2 * count
 
 
 def test_run_all_looks_each_audit_up_when_called(sim, monkeypatch):

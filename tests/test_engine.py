@@ -10,6 +10,8 @@ import sys
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from types import FunctionType, MethodType
 
 import pytest
 import yaml
@@ -801,6 +803,38 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch):
     assert survivors == []
     assert "world-2" in queued_at_horizon, queued_at_horizon
     assert all(report.passed() for report in reports)
+
+
+def _action_problems(action):
+    """How a queued action differs from one partial of a plain function
+    over plain arguments: no bound method and no partial inside it."""
+    if type(action) is not partial:
+        return [f"{action!r} is no partial"]
+    problems = []
+    if not isinstance(action.func, FunctionType):
+        problems.append(f"its func {action.func!r} is no plain function")
+    for arg in (*action.args, *action.keywords.values()):
+        if isinstance(arg, (partial, MethodType)):
+            problems.append(f"{action.func.__name__} holds {arg!r}")
+    return problems
+
+
+@pytest.mark.parametrize("name", [*BUNDLED_SCENARIOS, "world-18"])
+def test_every_queued_action_is_one_partial_of_a_plain_function(monkeypatch, name):
+    """Each queue entry of a built world, and each action queued while it
+    runs, is one partial of a plain function: three objects for the
+    cyclic GC to track while it waits, with its tuple."""
+    config = (parse_scenario(world(18), name=name) if name == "world-18"
+              else bundled(name))
+    queued = []
+    schedule = SimNet.schedule
+    monkeypatch.setattr(SimNet, "schedule", lambda net, action, delay: (
+        queued.append(action), schedule(net, action, delay)))
+    sim = Simulation(config)
+    built = [entry[2] for entry in sim.net._queue]
+    assert built and [p for action in built for p in _action_problems(action)] == []
+    sim.run()
+    assert [p for action in queued for p in _action_problems(action)] == []
 
 
 def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):

@@ -496,6 +496,21 @@ class TestTransferProtocol:
         # lock released
         assert world.engine.locks == {}
 
+    def test_initiate_rejects_an_id_already_started(self):
+        # x1's lock key, lock:x1, stays taken on bc1 after x1 aborts, so a
+        # second x1 could never lock: it is refused before any state changes
+        world = TransferWorld()
+        asset = world.seed_asset()
+        t = world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 4, 0)
+        world.run_until(6)
+        assert t.state is TransferState.ABORTED
+        records = len(world.net.log.records)
+        with pytest.raises(ValueError, match="transfer x1 already initiated"):
+            world.engine.initiate("x1", asset, "bc1", "bc2", "app_y", 30, 6)
+        assert world.engine.transfers == {"x1": t}
+        assert len(world.engine.order) == len(world.engine.transfers) == 1
+        assert len(world.net.log.records) == records, "a refused id logs nothing"
+
     def test_initiate_rejects_wrong_home(self):
         world = TransferWorld()
         asset = world.seed_asset("bc2")

@@ -4,6 +4,7 @@ log format and byte-identical determinism."""
 import random
 from functools import partial
 
+from interopsim import simnet
 from interopsim.engine import schedule_faults
 from interopsim.runner import execute
 from interopsim.scenario import FaultCfg, parse_scenario
@@ -29,8 +30,8 @@ class TestOrdering:
     def test_same_tick_events_run_in_schedule_order(self):
         net = make_net()
         seen = []
-        net.timer("b", lambda: seen.append("first"), 5)
-        net.timer("a", lambda: seen.append("second"), 5)
+        net.timer("b", 5, ("fire",), seen.append, "first")
+        net.timer("a", 5, ("fire",), seen.append, "second")
         net.drain(5)
         assert seen == ["first", "second"], \
             "same-tick events must run in the order they were scheduled"
@@ -41,9 +42,9 @@ class TestOrdering:
 
         def outer():
             seen.append("outer")
-            net.timer("inner", lambda: seen.append("inner"), 0)
+            net.timer("inner", 0, ("fire",), seen.append, "inner")
 
-        net.timer("outer", outer, 3)
+        net.timer("outer", 3, ("fire",), outer)
         executed = net.drain(3)
         assert seen == ["outer", "inner"], "zero-delay follow-up must run this tick"
         assert executed == 2
@@ -51,8 +52,8 @@ class TestOrdering:
     def test_earlier_tick_before_later_regardless_of_schedule_order(self):
         net = make_net()
         seen = []
-        net.timer("late", lambda: seen.append("late"), 9)
-        net.timer("early", lambda: seen.append("early"), 2)
+        net.timer("late", 9, ("fire",), seen.append, "late")
+        net.timer("early", 2, ("fire",), seen.append, "early")
         for tick in range(10):
             net.drain(tick)
         assert seen == ["early", "late"]
@@ -62,7 +63,7 @@ class TestDeliveries:
     def test_deliver_applies_inter_chain_latency(self):
         net = make_net(inter_chain_latency=4)
         seen = []
-        net.deliver("bc1", "bc2", "m", lambda: seen.append(net.now))
+        net.deliver("bc1", "bc2", "m", (), lambda: seen.append(net.now))
         for tick in range(6):
             net.drain(tick)
         assert seen == [4], f"delivery should land at tick 4, got {seen}"
@@ -71,7 +72,7 @@ class TestDeliveries:
         # the message is sent before the partition exists but arrives after
         net = make_net(inter_chain_latency=3)
         seen = []
-        net.deliver("bc1", "bc2", "m", lambda: seen.append("landed"))
+        net.deliver("bc1", "bc2", "m", (), seen.append, "landed")
         cut_off_at(net, 1, "bc2")
         for tick in range(5):
             net.drain(tick)
@@ -84,8 +85,8 @@ class TestDeliveries:
         net = make_net(inter_chain_latency=1)
         seen = []
         cut_off_at(net, 0, frozenset(("bc1", "bc2")))
-        net.deliver("bc1", "bc2", "cut", lambda: seen.append("cut"))
-        net.deliver("bc1", "bc3", "open", lambda: seen.append("open"))
+        net.deliver("bc1", "bc2", "cut", (), seen.append, "cut")
+        net.deliver("bc1", "bc3", "open", (), seen.append, "open")
         for tick in range(3):
             net.drain(tick)
         assert seen == ["open"], "only the cut pair drops traffic"
@@ -99,7 +100,7 @@ class TestDeliveries:
         net.drain(5)
         assert net.cut_off == set(), "the net keeps no closed fault"
         seen = []
-        net.deliver("bc1", "bc2", "m", lambda: seen.append("ok"))
+        net.deliver("bc1", "bc2", "m", (), seen.append, "ok")
         net.drain(6)
         assert seen == ["ok"]
 
@@ -130,9 +131,9 @@ class TestDeliveries:
             for src, dst in routes:
                 name = f"{src}>{dst}"
                 if src is None:
-                    net.local_deliver(dst, name, partial(seen.append, name))
+                    net.local_deliver(dst, name, (), seen.append, name)
                 else:
-                    net.deliver(src, dst, name, partial(seen.append, name))
+                    net.deliver(src, dst, name, (), seen.append, name)
             net.drain(0)
             net.drain(1)
             assert {r.subject for r in net.log.records if r.kind == "drop"} == dropped
@@ -142,26 +143,39 @@ class TestDeliveries:
         net = make_net()
         seen = []
         cut_off_at(net, 0, "bc1")
-        net.local_deliver("bc1", "sub", lambda: seen.append("in"))
+        net.local_deliver("bc1", "sub", (), seen.append, "in")
         net.drain(0)
         assert seen == [], "submission into a partitioned chain is lost"
 
     def test_a_queued_delivery_is_one_partial_of_deliver(self):
+        # one partial of the module function over the action's own
+        # arguments: no closure, no bound method, no partial inside it
         net = make_net()
-        action = partial(list)
-        net.deliver("bc1", "bc2", "m", action, ("msg", "x"))
-        net.local_deliver("bc1", "sub", action)
+        sub = object()
+        net.deliver("bc1", "bc2", "m", (("msg", "x"),), list.append, sub, 1)
+        net.local_deliver("bc1", "sub", (), list.append, sub, 2)
         local, remote = (entry[2] for entry in sorted(net._queue))
-        assert remote.func == local.func == net._deliver
-        assert remote.args == ("m", action, (("src", "bc1"), ("dst", "bc2"), ("msg", "x")),
-                               "bc1", "bc2")
-        assert local.args == ("sub", action, (("dst", "bc1"),), None, "bc1"), \
+        assert remote.func is local.func is simnet._deliver
+        assert remote.args == (net, "m", (("msg", "x"),), "bc1", "bc2", list.append, sub, 1)
+        assert local.args == (net, "sub", (), None, "bc1", list.append, sub, 2), \
             "src None marks a local delivery"
+        assert not remote.keywords and not local.keywords
+
+    def test_a_delivery_logs_its_route_before_its_fields(self):
+        net = make_net(inter_chain_latency=0)
+        net.cut_off = {"bc3"}
+        net.deliver("bc1", "bc2", "m", (("msg", "x"),), lambda: None)
+        net.deliver("bc1", "bc3", "n", (("msg", "y"),), lambda: None)
+        net.local_deliver("bc1", "sub", (("attempt", 1),), lambda: None)
+        net.drain(0)
+        assert net.log.lines() == ["0 0 deliver m src=bc1 dst=bc2 msg=x",
+                                   "0 1 drop n src=bc1 dst=bc3 msg=y",
+                                   "0 2 deliver sub dst=bc1 attempt=1"]
 
     def test_latency_jitter_draws_from_the_run_rng(self):
         net = make_net(seed=3, inter_chain_latency=2, latency_jitter=3)
         arrival = []
-        net.deliver("bc1", "bc2", "m", lambda: arrival.append(net.now))
+        net.deliver("bc1", "bc2", "m", (), lambda: arrival.append(net.now))
         expected = 2 + random.Random(3).randint(0, 3)
         for tick in range(8):
             net.drain(tick)
@@ -227,20 +241,20 @@ class TestLogFormat:
 
     def test_timer_events_are_logged_with_detail(self):
         net = make_net()
-        net.timer("t1", lambda: None, 2, "timeout", ("attempt", 1))
-        net.timer("t2", lambda: None, 2)
+        net.timer("t1", 2, ("timeout", ("attempt", 1)), lambda: None)
+        net.timer("t2", 2, ("fire",), lambda: None)
         net.drain(2)
         lines = net.log.lines()
         assert "2 0 timer t1 timeout attempt=1" in lines
-        assert "2 1 timer t2 fire" in lines, "bare timers log the word fire"
+        assert "2 1 timer t2 fire" in lines
 
 
 class TestDeterminism:
     def _drive(self, seed):
         net = make_net(seed=seed, inter_chain_latency=2, latency_jitter=2)
         for i in range(10):
-            net.deliver("bc1", "bc2", f"m{i}", lambda: None)
-            net.timer(f"t{i}", lambda: None, net.rng.randint(0, 6))
+            net.deliver("bc1", "bc2", f"m{i}", (), lambda: None)
+            net.timer(f"t{i}", net.rng.randint(0, 6), ("fire",), lambda: None)
         cut_off_at(net, 3, "bc2")
         cut_off_at(net, 6)
         for tick in range(12):

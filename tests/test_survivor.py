@@ -14,6 +14,7 @@ from interopsim.errors import (
 )
 from interopsim.runner import execute
 from interopsim.scenario import parse_scenario
+from interopsim import simnet
 from interopsim.simnet import SimNet
 from interopsim.survivor import (
     SubTxn,
@@ -274,15 +275,16 @@ class TestValidationAndSurface:
         subs = sim.survivor.audit("t1")
         assert subs["s1"].confirmations[0][0] == "bc2"
 
-    def test_queued_submission_and_timeout_are_partials_of_bound_methods(self):
+    def test_queued_submission_and_timeout_are_single_partials(self):
         net = SimNet(0, 2, 0)
         layer = SurvivorLayer(net, {"bc1": make_chain("bc1")})
         layer.submit_app_txn("t1", [SubTxn("s1", make_unit(), ["bc1"])])
+        sub = layer.txns["t1"].subs["s1"]
         submission, timeout = (entry[2] for entry in sorted(net._queue))
-        assert submission.func == net._deliver
-        assert submission.args[1].func == layer._submit
-        assert timeout.func == net._fire
-        assert timeout.args[2].func == layer._on_timeout
+        assert submission.func is simnet._deliver
+        assert submission.args[5:] == (SurvivorLayer._submit, layer, "bc1", sub, "t1/s1")
+        assert timeout.func is simnet._fire
+        assert timeout.args[3:] == (SurvivorLayer._on_timeout, layer, layer.txns["t1"], sub, 0)
 
     def test_poll_unknown_txn_raises(self):
         layer, _ = self.layer()
