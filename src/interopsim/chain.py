@@ -318,17 +318,19 @@ class BlockchainSystem:
     def advance_consensus(self, now: int) -> list[LedgerEntry]:
         """Confirm, in submission order, every pending entry that has aged
         past the confirm latency, provided the live population meets
-        quorum, and return them; the aged ones lead the queue."""
-        due = self.next_confirm_tick()
-        if due is None or now < due:
+        quorum, and return them; the aged ones lead the queue.  The quorum
+        test and the loop's age test are the whole guard, so the engine,
+        which reads next_confirm_tick after the call, reads it once per
+        visit."""
+        if not self.quorum_met():
             return []
-        if self._confirming is None:
-            self._confirming = tuple(self.live_node_ids())
         pending, oldest = self.pending, now - self.confirm_latency_ticks
         confirmed: list[LedgerEntry] = []
         for entry in pending:
             if entry.submitted_tick > oldest:
                 break
+            if self._confirming is None:
+                self._confirming = tuple(self.live_node_ids())
             entry.confirmed_tick = now
             entry.confirming_nodes = self._confirming
             confirmed.append(self.ledger.append(entry))

@@ -528,6 +528,8 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
     for cid, chain in chains.items():
         if not chain.pending or cid in net.cut_off:
             continue
+        # advance_consensus is its own guard, so a visit reads
+        # next_confirm_tick once, after it
         for entry in chain.advance_consensus(tick):
             net.record("ledger", ledger_subject(cid, entry.local_ref),
                        ("confirm", entry.kind),

@@ -11,6 +11,12 @@ dataclass declares how it is read (see _yaml), and one generic pass,
 _Reader, reads every section through it.  The rules that span fields
 are each dataclass's _check.
 
+A well-formed value costs one test, and so does a passing rule: each
+tests its passing case first (a plain string or integer, an ASCII digit
+string, matching denominations), and only a value or an item that fails
+that test pays for the full check.  That check alone words the problem,
+so each rule is worded once.
+
 Exact amounts (fees, reserves, rates, payment amounts) must be written
 as ints or strings ("2/3", "1.25"); YAML floats are rejected to keep
 the arithmetic rational.  The full schema is documented in
@@ -64,21 +70,21 @@ _EXPONENT = re.compile(r"\de", re.IGNORECASE)
 
 
 def _fraction(val, minimum=None) -> Fraction:
-    if type(val) is float:
-        raise _Invalid("floats are inexact; write the amount as a string")
-    # before Fraction, which would compute all of 1e999999999
-    if type(val) is str and "e" in val.lower():
-        if _EXPONENT.search(val):
-            raise _Invalid(f"write {val!r} without an exponent")
-        raise _Invalid(f"not a rational: {val!r}")
     try:
-        if type(val) is int:
-            frac = Fraction(val)
-        elif type(val) is str and val.isascii() and val.isdigit():
+        if type(val) is str and val.isdigit() and val.isascii():
             frac = Fraction(int(val))  # skips Fraction's string parser
-        elif type(val) is str and val.isascii() and _RATIO.fullmatch(val):
+        elif type(val) is str and _RATIO.fullmatch(val):
             num, den = val.split("/")  # so does a ratio of digits
             frac = Fraction(int(num), int(den))
+        elif type(val) is int:
+            frac = Fraction(val)
+        elif type(val) is float:
+            raise _Invalid("floats are inexact; write the amount as a string")
+        elif type(val) is str and "e" in val.lower():
+            # before Fraction, which would compute all of 1e999999999
+            if _EXPONENT.search(val):
+                raise _Invalid(f"write {val!r} without an exponent")
+            raise _Invalid(f"not a rational: {val!r}")
         else:
             frac = Fraction(str(val))
     except (ValueError, ZeroDivisionError):
@@ -235,18 +241,42 @@ def _nth(prefix: str):
     return lambda n, vals, parent: f"{prefix}{n}"
 
 
+def _plain(kind, minimum) -> tuple:
+    """(plain, floor): a value of type plain above floor is one that kind
+    returns unchanged, which _Reader.read accepts without the call."""
+    if kind is _str:
+        return str, ""
+    if kind is _int and minimum is not None:
+        return int, minimum - 1
+    return None, None
+
+
 class Spec:
     """How a dataclass is read from a mapping: its fields declared with
     _yaml, and its _check(reader, path), if any, which holds the rules
-    that span fields.  As a list section, its items are named by noun
+    that span fields and names a problem's field with _at(path, key).
+    As a list section, its items are named by noun
     and have unique ids (the first field) that later fields may name."""
 
     def __init__(self, build, noun=None):
         declared = [(f.name, f.metadata["yaml"]) for f in fields(build) if f.metadata]
-        self.fields = tuple((key or name, *rest) for name, (key, *rest) in declared)
+        self.fields = tuple((key or name, *rest, *_plain(rest[0], rest[2]))
+                            for name, (key, *rest) in declared)
         self.build, self.noun = build, noun
         self.check = getattr(build, "_check", None)
         self.keys = frozenset(f[0] for f in self.fields)
+
+
+def _at(path, key=None) -> str:
+    """The field path of key in the mapping at path, or of path itself.
+    path is "" for the top level, a section's path, or (section path,
+    index) for an item of a list section, which only a problem or a
+    sub-section renders."""
+    if type(path) is tuple:
+        path = f"{path[0]}[{path[1]}]"
+    if key is None:
+        return path
+    return f"{path}.{key}" if path else f"{key}"
 
 
 class _Reader:
@@ -282,12 +312,12 @@ class _Reader:
         out = []
         seen = self.ids[spec.noun] = {}
         for i, item in enumerate(val):
-            p = f"{path}[{i}]"
+            p = (path, i)  # rendered by _at only for a problem or a sub-section
             vals = self.read(item, p, spec, i + 1, parent)
             if vals is None:
                 continue
             if vals[0] in seen:
-                self.add(f"{p}.id", f"duplicate {spec.noun} id {vals[0]}")
+                self.add(_at(p, "id"), f"duplicate {spec.noun} id {vals[0]}")
                 continue
             obj = seen[vals[0]] = spec.build(*vals)
             if spec.check is not None:
@@ -295,27 +325,26 @@ class _Reader:
             out.append(obj)
         return out
 
-    def read(self, item, path: str, spec: Spec, n: int = 1, parent=None):
-        """The values of spec's fields in the mapping at path, or None
-        when any of them is invalid or names a dropped item."""
+    def read(self, item, path, spec: Spec, n: int = 1, parent=None):
+        """The values of spec's fields in the mapping at path (see _at),
+        or None when any of them is invalid or names a dropped item."""
         if type(item) is not dict:
-            self.add(path, f"expected mapping, got {type(item).__name__}")
+            self.add(_at(path), f"expected mapping, got {type(item).__name__}")
             return None
-        prefix = f"{path}." if path else ""
         if not spec.keys.issuperset(item):
             for key in item:
                 if key not in spec.keys:
                     section = not path and "." not in str(key)
-                    self.add(f"{prefix}{key}", "unknown section" if section else "unknown key")
+                    self.add(_at(path, key), "unknown section" if section else "unknown key")
         problems, ids, horizon = self.problems, self.ids, self.horizon
         before = len(problems)
         cascade = False
         vals: list = []
-        for key, kind, default, minimum, ref, tick in spec.fields:
+        for key, kind, default, minimum, ref, tick, plain, floor in spec.fields:
             val = item.get(key)
             if val is None:
                 if default is _REQUIRED:
-                    self.add(prefix + key, "missing required key")
+                    self.add(_at(path, key), "missing required key")
                     vals.append(None)
                     continue
                 if default is None:
@@ -331,23 +360,26 @@ class _Reader:
                     continue
                 val = default
             try:
-                if type(kind) is Spec:
-                    val = self.items(val, prefix + key, kind, minimum, vals)
-                else:
-                    val = kind(val, minimum)
-                if ref is not None:
+                # a plain value above its floor is read as is (see _plain)
+                if type(val) is not plain or val <= floor:
+                    if type(kind) is Spec:
+                        val = self.items(val, _at(path, key), kind, minimum, vals)
+                    else:
+                        val = kind(val, minimum)
+                if ref is None:
+                    if tick and horizon is not None and val > horizon:
+                        noun = "tick" if key == "at" else key
+                        raise _Invalid(f"{noun} {val} beyond horizon {horizon}")
+                elif type(val) is not str or val not in ids[ref]:
                     for x in (val,) if type(val) is str else val:
                         if x in ids[ref]:
                             continue
                         if self.was_dropped(ref, x):
                             cascade = True
                         else:
-                            self.add(prefix + key, f"unknown {ref} {x}")
-                elif tick and horizon is not None and val > horizon:
-                    noun = "tick" if key == "at" else key
-                    raise _Invalid(f"{noun} {val} beyond horizon {horizon}")
+                            self.add(_at(path, key), f"unknown {ref} {x}")
             except _Invalid as exc:
-                self.add(prefix + key + "".join(exc.args[1:]), exc.args[0])
+                self.add(_at(path, key) + "".join(exc.args[1:]), exc.args[0])
             vals.append(val)
         if len(problems) == before and not cascade:
             return vals
@@ -389,20 +421,20 @@ class ChainCfg:
     def gateway_ids(self) -> list[str]:
         return self._gateway_ids
 
-    def _check(self, r: _Reader, p: str) -> None:
-        if not 0 < self.quorum <= 1:
-            r.add(f"{p}.quorum", f"must be in (0, 1], got {self.quorum}")
+    def _check(self, r: _Reader, p: tuple) -> None:
+        if not 0 < self.quorum.numerator <= self.quorum.denominator:
+            r.add(_at(p, "quorum"), f"must be in (0, 1], got {self.quorum}")
         if self.vouch_threshold is not None and self.vouch_threshold > self.gateways:
-            r.add(f"{p}.vouch_threshold", f"threshold {self.vouch_threshold} "
+            r.add(_at(p, "vouch_threshold"), f"threshold {self.vouch_threshold} "
                                           f"exceeds gateway count {self.gateways}")
         elif self.threshold() > MAX_THRESHOLD:
             key = "gateways" if self.vouch_threshold is None else "vouch_threshold"
-            r.add(f"{p}.{key}", f"threshold {self.threshold()} exceeds {MAX_THRESHOLD}, "
+            r.add(_at(p, key), f"threshold {self.threshold()} exceeds {MAX_THRESHOLD}, "
                                 f"the largest an attestation carries")
         path = self.path or self.chain_id
         owner = r.ids["path"].setdefault(path, self.chain_id)
         if owner != self.chain_id:
-            r.add(f"{p}.path", f"chain path {path} is taken by {owner}")
+            r.add(_at(p, "path"), f"chain path {path} is taken by {owner}")
         r.ids["node"].update(self._node_ids)
         r.ids["gateway"].update(self._gateway_ids)
 
@@ -421,11 +453,11 @@ class PeeringCfg:
     semantics: list[str] = _yaml(_list(_SEMANTIC), [], minimum=1)
     fee: Fraction = _yaml(_fraction, 0, minimum=0)
 
-    def _check(self, r: _Reader, p: str) -> None:
+    def _check(self, r: _Reader, p: tuple) -> None:
         pair = tuple(sorted(self.chains))
         covered = r.ids["peered"].setdefault(pair, set())
         if covered.intersection(self.semantics):
-            r.add(f"{p}.semantics", f"an earlier peering of {pair[0]} and "
+            r.add(_at(p, "semantics"), f"an earlier peering of {pair[0]} and "
                                     f"{pair[1]} covers the same semantic type")
         covered.update(self.semantics)
 
@@ -437,10 +469,10 @@ class ConnectorCfg:
     reserves: dict[str, Fraction] = _yaml(_amounts, {}, minimum=0)
     rates: dict[tuple[str, str], Fraction] = _yaml(_rates, [])
 
-    def _check(self, r: _Reader, p: str) -> None:
+    def _check(self, r: _Reader, p: tuple) -> None:
         for i, chain in enumerate(self.chains):
             if chain in self.chains[:i]:
-                r.add(f"{p}.chains[{i}]", f"duplicate chain {chain}")
+                r.add(_at(p, f"chains[{i}]"), f"duplicate chain {chain}")
 
 
 @dataclass
@@ -450,11 +482,14 @@ class SubCfg:
     payload: str = _yaml(_str, lambda n, vals, parent: f"{parent[0]}-{vals[0]}")
     timeout: Optional[int] = _yaml(_int, minimum=1, default=None)
 
-    def _check(self, r: _Reader, p: str) -> None:
-        semantics = {r.ids["chain"][cid].semantic for cid in self.candidates}
-        if len(semantics) > 1:
-            r.add(f"{p}.candidates",
-                  f"candidates span semantic types {sorted(semantics)}")
+    def _check(self, r: _Reader, p: tuple) -> None:
+        chains = r.ids["chain"]
+        semantic = chains[self.candidates[0]].semantic
+        for cid in self.candidates:
+            if chains[cid].semantic != semantic:
+                semantics = sorted({chains[c].semantic for c in self.candidates})
+                r.add(_at(p, "candidates"), f"candidates span semantic types {semantics}")
+                return
 
 
 @dataclass
@@ -475,17 +510,17 @@ class TransferCfg:
     beneficiary: str = _yaml(_str, "bearer")
     deadline: int = _yaml(_int, minimum=1, tick=True)
 
-    def _check(self, r: _Reader, p: str) -> None:
+    def _check(self, r: _Reader, p: tuple) -> None:
         chains = r.ids["chain"]
         if self.source == self.dest:
-            r.add(f"{p}.to", "source and destination must differ")
+            r.add(_at(p, "to"), "source and destination must differ")
         elif chains[self.source].semantic != chains[self.dest].semantic:
-            r.add(p, "source and destination chains differ in semantic type")
+            r.add(_at(p), "source and destination chains differ in semantic type")
         if self.deadline <= self.at:
-            r.add(f"{p}.deadline", f"deadline {self.deadline} not after start {self.at}")
+            r.add(_at(p, "deadline"), f"deadline {self.deadline} not after start {self.at}")
         elif self.deadline == r.horizon:
             # the abort runs at deadline + 1, which must be within the run
-            r.add(f"{p}.deadline", f"deadline {self.deadline} leaves no tick "
+            r.add(_at(p, "deadline"), f"deadline {self.deadline} leaves no tick "
                                    f"for the abort before horizon {r.horizon}")
 
 
@@ -501,16 +536,20 @@ class PaymentCfg:
     settle_after: Optional[int] = _yaml(_int, minimum=1, default=None)
     release_after: Optional[int] = _yaml(_int, minimum=1, default=None)
 
-    def _check(self, r: _Reader, p: str) -> None:
+    def _check(self, r: _Reader, p: tuple) -> None:
         if self.settle_after is not None and self.release_after is not None:
-            r.add(p, "settle_after and release_after are mutually exclusive")
+            r.add(_at(p), "settle_after and release_after are mutually exclusive")
+        chains = r.ids["chain"]
+        if (chains[self.source].denom == self.denom_in
+                and chains[self.dest].denom == self.denom_out):
+            return
         for cid, key, denom_key, denom in ((self.source, "from", "denom_in", self.denom_in),
                                            (self.dest, "to", "denom_out", self.denom_out)):
-            declared = r.ids["chain"][cid].denom
+            declared = chains[cid].denom
             if declared is None:
-                r.add(f"{p}.{key}", f"chain {cid} declares no denom")
+                r.add(_at(p, key), f"chain {cid} declares no denom")
             elif declared != denom:
-                r.add(f"{p}.{denom_key}", f"{cid} denominates {declared}, not {denom}")
+                r.add(_at(p, denom_key), f"{cid} denominates {declared}, not {denom}")
 
 
 # the target fields each fault kind takes
@@ -532,21 +571,25 @@ class FaultCfg:
     faults: list[str] = _yaml(_NAMES, ref="fault", default_factory=list)
     until: Optional[int] = _yaml(_int, minimum=1, default=None)
 
-    def _check(self, r: _Reader, p: str) -> None:
-        targets = FAULT_TARGETS[self.kind]
-        for key in ("chains", "links", "nodes", "gateways", "faults"):
-            if getattr(self, key) and key not in targets:
-                r.add(f"{p}.{key}", f"{self.kind} takes no {key}")
-        if not any(getattr(self, key) for key in targets):
-            r.add(p, f"{self.kind} needs {' or '.join(targets)}")
+    def _check(self, r: _Reader, p: tuple) -> None:
+        targets, named = FAULT_TARGETS[self.kind], False
+        for key, names in (("chains", self.chains), ("links", self.links),
+                           ("nodes", self.nodes), ("gateways", self.gateways),
+                           ("faults", self.faults)):
+            if names and key in targets:
+                named = True
+            elif names:
+                r.add(_at(p, key), f"{self.kind} takes no {key}")
+        if not named:
+            r.add(_at(p), f"{self.kind} needs {' or '.join(targets)}")
         if self.until is not None and self.kind == "heal":
-            r.add(f"{p}.until", "heal takes no until")
+            r.add(_at(p, "until"), "heal takes no until")
         elif self.until is not None and self.until <= self.at:
-            r.add(f"{p}.until", f"until {self.until} must exceed at {self.at}")
+            r.add(_at(p, "until"), f"until {self.until} must exceed at {self.at}")
         for a, b in self.links:
             if any(c not in r.ids["chain"] and not r.was_dropped("chain", c)
                    for c in (a, b)):
-                r.add(f"{p}.links", f"unknown link {a}-{b}")
+                r.add(_at(p, "links"), f"unknown link {a}-{b}")
 
 
 @dataclass

@@ -686,10 +686,12 @@ class TestEventDrivenLoop:
         """A liveness change wakes only the transfers it can move, so the
         flaps, whose number grows with n, add no step per open transfer;
         and the consensus phase calls only chains with a pending unit,
-        so its calls grow with the work too."""
+        so its calls grow with the work too, as do the queue pushes and
+        the records written."""
         assert _skipping_changes(_flap_world(40, gateway)) == []
-        steps, calls = [], []
+        steps, calls, pushes = [], [], []
         step, advance = TransferEngine.step, BlockchainSystem.advance_consensus
+        schedule = SimNet.schedule
 
         def counting_step(engine, t, now):
             steps.append(now)
@@ -699,13 +701,19 @@ class TestEventDrivenLoop:
             calls.append(now)
             return advance(chain, now)
 
+        def counting_schedule(net, action, delay):
+            pushes.append(delay)
+            return schedule(net, action, delay)
+
         monkeypatch.setattr(TransferEngine, "step", counting_step)
         monkeypatch.setattr(BlockchainSystem, "advance_consensus", counting_advance)
+        monkeypatch.setattr(SimNet, "schedule", counting_schedule)
         counts = []
         for n in (40, 80, 160):
-            del steps[:], calls[:]
-            execute(_flap_world(n, gateway))
-            counts.append((len(steps), len(calls)))
+            del steps[:], calls[:], pushes[:]
+            _, sim = execute(_flap_world(n, gateway))
+            counts.append((len(steps), len(calls), len(pushes),
+                           len(sim.net.log.records)))
         for work in zip(*counts):
             assert all(b <= 2.1 * a for a, b in zip(work, work[1:])), counts
 
@@ -732,6 +740,26 @@ class TestEventDrivenLoop:
         for config in configs:
             execute(config)
         assert wrong == [] and idle == []
+
+    def test_a_consensus_visit_reads_next_confirm_tick_once(self, monkeypatch):
+        """advance_consensus is its own guard, so the consensus phase
+        reads next_confirm_tick once per chain it visits."""
+        visits, reads = [], []
+        advance, next_tick = BlockchainSystem.advance_consensus, BlockchainSystem.next_confirm_tick
+
+        def counting_advance(chain, now):
+            visits.append(now)
+            return advance(chain, now)
+
+        def counting_next_tick(chain):
+            reads.append(chain.chain_id)
+            return next_tick(chain)
+
+        monkeypatch.setattr(BlockchainSystem, "advance_consensus", counting_advance)
+        monkeypatch.setattr(BlockchainSystem, "next_confirm_tick", counting_next_tick)
+        for name in BUNDLED_SCENARIOS:
+            execute(bundled(name))
+        assert visits and len(reads) == len(visits)
 
     def test_next_wake_reads_no_chain(self, monkeypatch):
         """run_tick's consensus phase is the one per-tick visitor of the

@@ -3,11 +3,13 @@ rational-only amounts, cross-reference validation, and robustness: every
 input gives a config or a ValidationError, never another exception."""
 
 import copy
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from interopsim import cli
@@ -18,8 +20,12 @@ from interopsim.scenario import (
     _SCENARIO,
     Spec,
     _fraction,
+    _int,
     _Invalid,
+    _Reader,
     _regime,
+    _str,
+    _yaml,
     load_scenario,
     parse_scenario,
 )
@@ -147,13 +153,14 @@ class TestRationalAmounts:
         cfg = parse_scenario(raw)
         assert cfg.payments[0].amount == Fraction(3, 2)
 
-    @pytest.mark.parametrize("val", ["37", "007", "\u0663", "\u00b2", "1_000",
-                                     "-5", "+5", " 5",
+    @pytest.mark.parametrize("val", ["37", "007", "\u0663", "\u0661\u0662", "\u00b2",
+                                     "1_000", "-5", "+5", " 5",
                                      "2/3", "4/6", "1/0", "3/", "/3", "1/2/3",
                                      " 2/3", "+2/3", "1.5/2", "1_0/3",
                                      "\uff12/\uff13"])
     def test_digit_strings_read_as_fraction_reads_them(self, val):
-        # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u00b2" SUPERSCRIPT TWO,
+        # "\u0663" is ARABIC-INDIC DIGIT THREE, "\u0661\u0662" twelve in
+        # those digits, "\u00b2" SUPERSCRIPT TWO,
         # "\uff12/\uff13" FULLWIDTH DIGIT TWO, a slash, FULLWIDTH DIGIT THREE
         try:
             expected = Fraction(str(val))
@@ -757,3 +764,95 @@ def test_every_valid_config_builds_and_runs(raw):
     except ValidationError:
         return
     Simulation(config).run()
+
+
+# Each edit of full_world fails one rule's passing test, so the rule's
+# full check runs and words the problems.
+FALL_THROUGH = {
+    "a bool in an int field": (
+        lambda w: w["chains"][0].update(nodes=True),
+        ["chains[0].nodes: expected integer, got True"]),
+    "an int below its minimum": (
+        lambda w: w["chains"][0].update(nodes=0),
+        ["chains[0].nodes: must be >= 1, got 0"]),
+    "an empty string in a string field": (
+        lambda w: w["transfers"][0].update(beneficiary=""),
+        ["transfers[0].beneficiary: expected non-empty string, got ''"]),
+    "a source with no denom and another destination denom": (
+        lambda w: (w["chains"][2].pop("denom"), w["payments"][0].update(denom_out="usd")),
+        ["payments[0].from: chain pay1 declares no denom",
+         "payments[0].denom_out: pay2 denominates eur, not usd"]),
+    "a quorum of zero": (
+        lambda w: w["chains"][0].update(quorum="0"),
+        ["chains[0].quorum: must be in (0, 1], got 0"]),
+    "a quorum above one": (
+        lambda w: w["chains"][0].update(quorum="3/2"),
+        ["chains[0].quorum: must be in (0, 1], got 3/2"]),
+    "a partition that also lists nodes": (
+        lambda w: w["faults"][0].update(nodes=["bc1.n1"]),
+        ["faults[0].nodes: partition takes no nodes"]),
+    "a heal that names no fault": (
+        lambda w: w["faults"][3].pop("faults"),
+        ["faults[3]: heal needs faults"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALL_THROUGH))
+def test_a_failing_value_gets_the_full_diagnosis(case):
+    edit, problems = FALL_THROUGH[case]
+    raw = full_world()
+    edit(raw)
+    assert problems_of(raw) == problems
+
+
+@dataclass
+class _PlainFields:
+    text: str = _yaml(_str)
+    count: int = _yaml(_int, minimum=1)
+
+
+_PLAIN = Spec(_PlainFields)
+
+
+def _read_calling(key, val):
+    """The problems and values of reading {key: val}, beside a valid
+    value of the other field, through _PLAIN, and whether the reader
+    called key's converter."""
+    converter = {"text": _str, "count": _int}[key].__code__
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is converter:
+            called.append(frame.f_code)
+
+    reader, outer = _Reader(None), sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        vals = reader.read({"text": "t", "count": 1, key: val}, "", _PLAIN)
+    finally:
+        sys.setprofile(outer)
+    return reader.problems, vals, bool(called)
+
+
+@ROBUSTNESS
+@given(JSON_LIKE.filter(lambda v: v is not None))
+# the edges of the passing tests: count's minimum, a bool, the empty string
+@example(0)
+@example(1)
+@example(True)
+@example("")
+def test_the_reader_accepts_without_a_call_exactly_what_the_converter_returns(val):
+    """A value that _str or _int returns unchanged is read as is, with no
+    call; every other value goes to the converter, whose message is the
+    problem, so each rule has one wording."""
+    for key, convert, minimum in (("text", _str, None), ("count", _int, 1)):
+        try:
+            unchanged, message = convert(val, minimum) is val, None
+        except _Invalid as exc:
+            unchanged, message = False, str(exc)
+        problems, vals, called = _read_calling(key, val)
+        assert called is not unchanged, (key, val)
+        if unchanged:
+            assert problems == [] and vals[key == "count"] is val
+        else:
+            assert problems == [f"{key}: {message}"], (key, val, problems)
