@@ -125,7 +125,7 @@ from .report import RunReport
 from .scenario import WORKLOAD_SECTIONS, FaultCfg, ScenarioConfig
 from .simnet import LogRecord, SimNet, ledger_subject
 from .survivor import SubTxn, SurvivorLayer
-from .valuenet import Connector, ValueNetwork
+from .valuenet import Connector, ValueNetwork, _text
 
 
 def payload_digest(payload: str) -> str:
@@ -426,7 +426,9 @@ class Simulation:
             if t.state == TransferState.FINALIZED:
                 agreement = agreements[t.agreement_id]
                 fees[agreement.pair] = fees.get(agreement.pair, 0) + agreement.fee_per_transfer
-        settlements = {f"{a}|{b}": str(fee) for (a, b), fee in sorted(fees.items())}
+        # a sum of fees may have more digits than str() renders
+        settlements = {f"{a}|{b}": _text(fee.as_integer_ratio())
+                       for (a, b), fee in sorted(fees.items())}
         audits = audit_mod.run_all(self)
         metrics = {
             "events_executed": self.events_executed,

@@ -19,8 +19,11 @@ so each rule is worded once.
 
 Exact amounts (fees, reserves, rates, payment amounts) must be written
 as ints or strings ("2/3", "1.25"); YAML floats are rejected to keep
-the arithmetic rational.  The full schema is documented in
-docs/scenario_format.md.
+the arithmetic rational.  No integer in one, as written or in its value,
+may have more than MAX_DIGITS digits.  Reserves, rates and payment
+amounts are read as the value network's values, (numerator,
+denominator) pairs of ints, and a quorum and a fee as Fractions.  The
+full schema is documented in docs/scenario_format.md.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .chain import (LOCAL_REF, NODE_ID_TAIL, SEMANTIC_TYPES, PermissionRegime,
 from .errors import ParseError, ValidationError
 from .gateway import MAX_THRESHOLD
 from .survivor import txn_id_problem
+from .valuenet import Value, _reduced, _text
 
 _REQUIRED = object()
 
@@ -64,34 +68,65 @@ def _str(val, minimum=None) -> str:
     return val
 
 
-_RATIO = re.compile(r"[0-9]+/[0-9]+")
+# the most digits an integer of an exact quantity may have: the lowest
+# integer-string limit CPython lets one set (sys.set_int_max_str_digits),
+# so that no interpreter setting changes what validates
+MAX_DIGITS = 640
+_BOUND = 10 ** MAX_DIGITS  # the least int of MAX_DIGITS + 1 digits
+_TOO_LONG = f"more than {MAX_DIGITS} digits in one integer"
+# digits over digits that are not all zero
+_RATIO = re.compile(f"[0-9]{{1,{MAX_DIGITS}}}/(?=0*[1-9])[0-9]{{1,{MAX_DIGITS}}}")
 # an exponent, as Fraction's parser reads one: a digit, then e or E
 _EXPONENT = re.compile(r"\de", re.IGNORECASE)
+# an integer as int() reads one, which counts its digits but not its _
+_NUMBER = re.compile(r"\d+(?:_\d+)*")
+
+
+def _value(val, minimum=None) -> Value:
+    """An exact quantity as a value (see valuenet): an int or a string of
+    ASCII digits or of digits/digits is read first, and only what fails
+    those tests gets the full diagnosis."""
+    if type(val) is str and val.isdigit() and val.isascii() and len(val) <= MAX_DIGITS:
+        value = (int(val), 1)
+    elif type(val) is str and _RATIO.fullmatch(val):
+        num, den = val.split("/")
+        value = _reduced(int(num), int(den))
+    elif type(val) is int and -_BOUND < val < _BOUND:
+        value = (val, 1)
+    else:
+        value = _diagnosed(val)
+    if minimum is not None and value[0] < minimum * value[1]:
+        raise _Invalid(f"must be >= {minimum}, got {_text(value)}")
+    return value
+
+
+def _diagnosed(val) -> Value:
+    """The value of what _value's passing tests leave, or the problem
+    with it."""
+    if type(val) is float:
+        raise _Invalid("floats are inexact; write the amount as a string")
+    if type(val) is str and "e" in val.lower():
+        # before Fraction, which would compute all of 1e999999999
+        if _EXPONENT.search(val):
+            raise _Invalid(f"write {val!r} without an exponent")
+        raise _Invalid(f"not a rational: {val!r}")
+    # an int left here is out of bounds; a longer integer in a string
+    # is found before int(), which the interpreter may limit
+    if type(val) is int or type(val) is str and any(
+            len(num) - num.count("_") > MAX_DIGITS for num in _NUMBER.findall(val)):
+        raise _Invalid(_TOO_LONG)
+    try:
+        num, den = Fraction(str(val)).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        raise _Invalid(f"not a rational: {val!r}") from None
+    if not (-_BOUND < num < _BOUND and den < _BOUND):
+        raise _Invalid(_TOO_LONG)  # a decimal's value may have more digits
+    return num, den
 
 
 def _fraction(val, minimum=None) -> Fraction:
-    try:
-        if type(val) is str and val.isdigit() and val.isascii():
-            frac = Fraction(int(val))  # skips Fraction's string parser
-        elif type(val) is str and _RATIO.fullmatch(val):
-            num, den = val.split("/")  # so does a ratio of digits
-            frac = Fraction(int(num), int(den))
-        elif type(val) is int:
-            frac = Fraction(val)
-        elif type(val) is float:
-            raise _Invalid("floats are inexact; write the amount as a string")
-        elif type(val) is str and "e" in val.lower():
-            # before Fraction, which would compute all of 1e999999999
-            if _EXPONENT.search(val):
-                raise _Invalid(f"write {val!r} without an exponent")
-            raise _Invalid(f"not a rational: {val!r}")
-        else:
-            frac = Fraction(str(val))
-    except (ValueError, ZeroDivisionError):
-        raise _Invalid(f"not a rational: {val!r}") from None
-    if minimum is not None and frac < minimum:
-        raise _Invalid(f"must be >= {minimum}, got {frac}")
-    return frac
+    """An exact quantity outside the value network, as a Fraction."""
+    return Fraction(*_value(val, minimum))
 
 
 def _enum(choices: dict):
@@ -115,11 +150,11 @@ def _entries(val, minimum=None) -> list:
     return val
 
 
-def _positive(val, minimum=None) -> Fraction:
-    frac = _fraction(val)
-    if frac.numerator <= 0:  # a Fraction's denominator is positive
-        raise _Invalid(f"must be positive, got {frac}")
-    return frac
+def _positive(val, minimum=None) -> Value:
+    value = _value(val)
+    if value[0] <= 0:  # a value's denominator is positive
+        raise _Invalid(f"must be positive, got {_text(value)}")
+    return value
 
 
 def _name(chars: str):
@@ -174,12 +209,12 @@ def _pair(val, minimum=None) -> tuple[str, str]:
     raise _Invalid(f"expected two distinct chain ids, got {val!r}")
 
 
-def _amounts(val, minimum=None) -> dict[str, Fraction]:
+def _amounts(val, minimum=None) -> dict[str, Value]:
     """A mapping of denom to amount."""
-    return {_str(d): _fraction(a, minimum) for d, a in _mapping(val).items()}
+    return {_str(d): _value(a, minimum) for d, a in _mapping(val).items()}
 
 
-def _rates(val, minimum=None) -> dict[tuple[str, str], Fraction]:
+def _rates(val, minimum=None) -> dict[tuple[str, str], Value]:
     """A list of {from, to, rate} mappings, keyed by (from, to), each
     pair once."""
     rates = {}
@@ -466,8 +501,8 @@ class PeeringCfg:
 class ConnectorCfg:
     connector_id: str = _yaml(_str, key="id")
     chains: list[str] = _yaml(_NAMES, [], minimum=2, ref="chain")
-    reserves: dict[str, Fraction] = _yaml(_amounts, {}, minimum=0)
-    rates: dict[tuple[str, str], Fraction] = _yaml(_rates, [])
+    reserves: dict[str, Value] = _yaml(_amounts, {}, minimum=0)
+    rates: dict[tuple[str, str], Value] = _yaml(_rates, [])
 
     def _check(self, r: _Reader, p: tuple) -> None:
         for i, chain in enumerate(self.chains):
@@ -530,7 +565,7 @@ class PaymentCfg:
     at: int = _yaml(_int, 0, minimum=0, tick=True)
     source: str = _yaml(_str, ref="chain", key="from")
     dest: str = _yaml(_str, ref="chain", key="to")
-    amount: Fraction = _yaml(_positive)
+    amount: Value = _yaml(_positive)
     denom_in: str = _yaml(_str)
     denom_out: str = _yaml(_str)
     settle_after: Optional[int] = _yaml(_int, minimum=1, default=None)
@@ -671,6 +706,10 @@ def load_scenario(path) -> ScenarioConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
         raise ParseError(f"{path.name}: malformed YAML{where}: {exc}")
+    except ValueError as exc:
+        # a scalar YAML cannot build: a date such as 2020-13-45, or an
+        # int of more digits than the interpreter converts
+        raise ParseError(f"{path.name}: malformed YAML: {exc}")
     if raw is None:
         raise ParseError(f"{path.name}: empty scenario file")
     if not isinstance(raw, dict):

@@ -18,18 +18,19 @@ connectors, rates or denominations after construction must rebuild the
 adjacency list and empty the table.
 
 A Connector is the configured quote: its rates and its reserves at the
-start of the run.  The network holds every amount it computes (hop
-amounts, holds and live reserves) as a value: a (numerator,
-denominator) pair of ints in Fraction's normal form, the denominator
-positive and the gcd 1, so equal amounts are equal pairs.  The quoted
-rates and reserves become values once, when the network is built, and
+start of the run.  Every amount is a value: a (numerator, denominator)
+pair of ints in Fraction's normal form, the denominator positive and
+the gcd 1, so equal amounts are equal pairs.  Amounts arrive as values:
+the scenario schema reads each payment amount, reserve and rate from
+the file straight into one, with this module's _reduced and _text.
 _mul, _add, _sub and _gt compute on values with one math.gcd per
-result, so reserving, settling, releasing and expiring a path build no
-Fraction.  The one amount that leaves the network, a built path's
-amount_out for the log, the outcomes and the report, is rendered once
-as text when the path is built, as str() of its Fraction would write
-it; the last hop's amount_out stays the exact value.  Only the detail
-of a failed audit builds Fractions.
+result, so parsing a payment and reserving, settling, releasing and
+expiring its path build no Fraction.  The two amounts of a path that
+leave the network, its amount_in and amount_out for the log, the
+outcomes and the report, are rendered once as text when the path is
+built, as str() of their Fractions would write them, by _text, which
+renders an int of any size; the hops keep the exact values.  Only the
+detail of a failed audit builds Fractions.
 
 Capacity is checked when a path is reserved, not when it is routed.  A
 connector's hold on its outgoing denomination is everything held for
@@ -70,10 +71,10 @@ class Connector:
 
     connector_id: str
     adjacent_chains: tuple[str, ...]
-    reserves: dict[str, Fraction]
-    rates: dict[tuple[str, str], Fraction]
+    reserves: dict[str, Value]
+    rates: dict[tuple[str, str], Value]
 
-    def rate(self, denom_in: str, denom_out: str) -> Optional[Fraction]:
+    def rate(self, denom_in: str, denom_out: str) -> Optional[Value]:
         return self.rates.get((denom_in, denom_out))
 
 
@@ -98,7 +99,7 @@ class PathState:
 class PaymentPath:
     receiver_chain: str
     hops: tuple[Hop, ...]
-    amount_in: Fraction
+    amount_in: str  # the first hop's amount_in, as text
     denom_in: str
     amount_out: str  # the last hop's amount_out, as text
     denom_out: str
@@ -124,13 +125,13 @@ class ValueNetwork:
         self._expiries: list[tuple[int, str]] = []
         # live reserves per (connector, denom), which start as configured
         self.reserves: dict[tuple[str, str], Value] = {
-            (cid, d): amt.as_integer_ratio()
-            for cid, c in self.connectors.items() for d, amt in c.reserves.items()}
+            (cid, d): amount
+            for cid, c in self.connectors.items() for d, amount in c.reserves.items()}
         # held amounts per (connector, denom) for unsettled reservations
         self.holds: dict[tuple[str, str], Value] = {}
         # quoted rates per (connector, denom_in, denom_out)
         self._rates: dict[tuple[str, str, str], Value] = {
-            (cid, *pair): rate.as_integer_ratio()
+            (cid, *pair): rate
             for cid, c in self.connectors.items() for pair, rate in c.rates.items()}
         # per chain: its (connector_id, next_chain) edges whose connector
         # quotes the rate, sorted by connector id, then next chain
@@ -208,7 +209,7 @@ class ValueNetwork:
     # -- reservation ---------------------------------------------------
 
     def build_path(self, path_id: str, sender_chain: str, receiver_chain: str,
-                   amount_in: Fraction, denom_in: str, denom_out: str,
+                   amount_in: Value, denom_in: str, denom_out: str,
                    now: int) -> PaymentPath:
         """Reserve capacity along the best route, atomically.
 
@@ -216,7 +217,7 @@ class ValueNetwork:
         failed build leaves the global reservation set untouched.
         """
         assert path_id not in self.paths, "duplicate path id"
-        amount = amount_in.as_integer_ratio()
+        amount = amount_in
         if amount[0] <= 0:
             raise NoRoute("amount must be positive")
         if self.chain_denoms.get(sender_chain) != denom_in:
@@ -250,7 +251,7 @@ class ValueNetwork:
         for (cid, denom), total in planned.items():
             self._hold(cid, denom, total)
 
-        path = PaymentPath(receiver_chain, tuple(hops), amount_in, denom_in,
+        path = PaymentPath(receiver_chain, tuple(hops), _text(amount_in), denom_in,
                            _text(amount), denom_out, PathState.RESERVED,
                            now + self.reservation_ttl)
         self.paths[path_id] = path
@@ -345,7 +346,7 @@ class ValueNetwork:
         delta: dict[str, tuple[list, list]] = {}  # live minus configured reserves
         for c in self.connectors.values():
             for denom, amount in c.reserves.items():
-                delta.setdefault(denom, ([], []))[1].append(amount.as_integer_ratio())
+                delta.setdefault(denom, ([], []))[1].append(amount)
         for (_, denom), amount in self.reserves.items():
             delta.setdefault(denom, ([], []))[0].append(amount)
         settled: dict[str, tuple[list, list]] = {}  # inflow minus outflow
@@ -407,5 +408,25 @@ def _exact_sum(added: list[Value], subtracted: list[Value]) -> Value:
 
 
 def _text(v: Value) -> str:
-    """str() of v's Fraction."""
-    return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"
+    """str() of v's Fraction, for ints of any size."""
+    try:
+        return str(v[0]) if v[1] == 1 else f"{v[0]}/{v[1]}"
+    except ValueError:
+        # more digits than the interpreter renders: its limit
+        # (sys.set_int_max_str_digits) is never below 640, and a route's
+        # products grow with its hops
+        return _digits(v[0]) if v[1] == 1 else f"{_digits(v[0])}/{_digits(v[1])}"
+
+
+# _digits renders an int _CHUNK digits at a time
+_CHUNK = 600
+_SPLIT = 10 ** _CHUNK
+
+
+def _digits(n: int) -> str:
+    """str(n), for an int of any size."""
+    parts, rest = [], abs(n)
+    while rest >= _SPLIT:
+        rest, low = divmod(rest, _SPLIT)
+        parts.append(f"{low:0{_CHUNK}d}")
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(parts))

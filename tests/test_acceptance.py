@@ -207,14 +207,11 @@ def test_criterion_4_delegated_read():
 def _payment_network(rng: random.Random) -> ValueNetwork:
     """Three chains, three connectors, seed-dependent modest reserves
     so oversized reservations routinely overload."""
-    reserves = [Fraction(rng.randint(10, 40)) for _ in range(3)]
+    reserves = [(rng.randint(10, 40), 1) for _ in range(3)]
     connectors = [
-        Connector("c1", ("p1", "p2"), {"eur": reserves[0]},
-                  {("usd", "eur"): Fraction(5, 4)}),
-        Connector("c2", ("p2", "p3"), {"gbp": reserves[1]},
-                  {("eur", "gbp"): Fraction(4, 5)}),
-        Connector("c3", ("p1", "p3"), {"gbp": reserves[2]},
-                  {("usd", "gbp"): Fraction(1)}),
+        Connector("c1", ("p1", "p2"), {"eur": reserves[0]}, {("usd", "eur"): (5, 4)}),
+        Connector("c2", ("p2", "p3"), {"gbp": reserves[1]}, {("eur", "gbp"): (4, 5)}),
+        Connector("c3", ("p1", "p3"), {"gbp": reserves[2]}, {("usd", "gbp"): (1, 1)}),
     ]
     return ValueNetwork({"p1": "usd", "p2": "eur", "p3": "gbp"},
                         connectors, reservation_ttl=100)
@@ -231,7 +228,7 @@ def test_criterion_5_connector_properties():
         initial = {}
         for conn in net.connectors.values():
             for denom, amount in conn.reserves.items():
-                initial[denom] = initial.get(denom, Fraction(0)) + amount
+                initial[denom] = initial.get(denom, Fraction(0)) + Fraction(*amount)
         paid_in: dict[str, Fraction] = {}
         next_id = 0
 
@@ -262,7 +259,7 @@ def test_criterion_5_connector_properties():
                 next_id += 1
                 holds_before = dict(net.holds)
                 try:
-                    net.build_path(pid, src, dst, amount,
+                    net.build_path(pid, src, dst, amount.as_integer_ratio(),
                                    denom_of[src], denom_of[dst], now=0)
                 except (Overloaded, NoRoute):
                     total_failed_builds += 1
@@ -278,7 +275,7 @@ def test_criterion_5_connector_properties():
                 net.settle_path(pid, now=1)
                 paid = net.paths[pid]
                 paid_in[paid.denom_in] = (paid_in.get(paid.denom_in, Fraction(0))
-                                          + paid.amount_in)
+                                          + Fraction(*paid.hops[0].amount_in))
                 problems.extend(conserved())
             else:
                 net.release_path(rng.choice(open_paths), now=1)

@@ -3,6 +3,8 @@ rational-only amounts, cross-reference validation, and robustness: every
 input gives a config or a ValidationError, never another exception."""
 
 import copy
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +14,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from interopsim import cli
+from interopsim import cli, scenario
 from interopsim.chain import PermissionRegime, SemanticType
 from interopsim.engine import Simulation
 from interopsim.errors import ParseError, ValidationError
@@ -22,15 +24,18 @@ from interopsim.scenario import (
     _fraction,
     _int,
     _Invalid,
+    _positive,
     _Reader,
     _regime,
     _str,
+    _value,
     _yaml,
     load_scenario,
     parse_scenario,
 )
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, SCENARIO_DIR
+from worlds import world
 
 
 def minimal_chain(cid="bc1", **over):
@@ -151,7 +156,7 @@ class TestRationalAmounts:
                           "denom_out": "eur"}],
         }
         cfg = parse_scenario(raw)
-        assert cfg.payments[0].amount == Fraction(3, 2)
+        assert cfg.payments[0].amount == (3, 2)
 
     @pytest.mark.parametrize("val", ["37", "007", "\u0663", "\u0661\u0662", "\u00b2",
                                      "1_000", "-5", "+5", " 5",
@@ -422,6 +427,19 @@ class TestFileLoading:
         with pytest.raises(ParseError, match="line 4"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("scalar", ["2020-13-45", "1" * 4301])
+    def test_a_scalar_yaml_cannot_build_is_a_parse_error(self, tmp_path, capsys, scalar):
+        # a date with no month 13, and an int of more digits than the
+        # interpreter converts by default: each once ended in a traceback
+        path = tmp_path / "scalar.yaml"
+        path.write_text(f"horizon: {scalar}\n")
+        with pytest.raises(ParseError, match="scalar.yaml: malformed YAML"):
+            load_scenario(path)
+        for command in ("validate", "run"):
+            assert cli.main([command, str(path)]) == 2, command
+            err = capsys.readouterr().err
+            assert "malformed YAML" in err and "Traceback" not in err, command
+
     def test_non_mapping_top_level_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
@@ -488,6 +506,34 @@ def full_world():
 
 def _duplicate(section):
     return lambda w: w[section].append(copy.deepcopy(w[section][0]))
+
+
+TOO_LONG = "more than 640 digits in one integer"
+
+# Each edit(n) writes an exact quantity of full_world with an integer of
+# n digits, as written or in its value: at 640 digits the world is valid,
+# at 641 it has the one problem at where.
+DIGIT_RULE_EDGES = {
+    "amount": (
+        lambda n: lambda w: w["payments"][0].update(amount="1" * n),
+        f"payments[0].amount: {TOO_LONG}"),
+    "rate denominator": (
+        lambda n: lambda w: w["connectors"][0]["rates"][0].update(rate="1/" + "3" * n),
+        f"connectors[0].rates[0]: {TOO_LONG}"),
+    "reserve": (
+        lambda n: lambda w: w["connectors"][0]["reserves"].update(usd="9" * n),
+        f"connectors[0].reserves: {TOO_LONG}"),
+    "fee": (
+        lambda n: lambda w: w["peerings"][0].update(fee="7" * n),
+        f"peerings[0].fee: {TOO_LONG}"),
+    "quorum in Arabic-Indic digits": (
+        lambda n: lambda w: w["chains"][0].update(quorum="\u0661/" + "\u0662" * n),
+        f"chains[0].quorum: {TOO_LONG}"),
+    "decimal amount whose denominator": (
+        # n - 1 decimals: the value's denominator 10**(n - 1) has n digits
+        lambda n: lambda w: w["payments"][0].update(amount="0." + "0" * (n - 2) + "1"),
+        f"payments[0].amount: {TOO_LONG}"),
+}
 
 
 # Each input once ended in a traceback, passed validation and then failed
@@ -567,6 +613,9 @@ BAD_INPUTS = {
     "amount with an e after no digit": (
         lambda w: w["payments"][0].update(amount="e5"),
         "payments[0].amount: not a rational: 'e5'"),
+    # the digit rule, each one digit past it (see DIGIT_RULE_EDGES)
+    **{f"{case} of 641 digits": (edit(641), where)
+       for case, (edit, where) in DIGIT_RULE_EDGES.items()},
     # unit keys are <txn>/<sub>, lock:<transfer> and record:<transfer>:
     # each of these would give two units one key
     "app txn id that holds a transfer's lock key": (
@@ -856,3 +905,193 @@ def test_the_reader_accepts_without_a_call_exactly_what_the_converter_returns(va
             assert problems == [] and vals[key == "count"] is val
         else:
             assert problems == [f"{key}: {message}"], (key, val, problems)
+
+
+# -- exact quantities ----------------------------------------------------
+
+@pytest.mark.parametrize("case", sorted(DIGIT_RULE_EDGES))
+def test_the_digit_rule_admits_640_digits_and_rejects_641(case):
+    edit, where = DIGIT_RULE_EDGES[case]
+    raw = full_world()
+    edit(640)(raw)
+    Simulation(parse_scenario(raw)).run()
+    raw = full_world()
+    edit(641)(raw)
+    assert problems_of(raw) == [where]
+
+
+def test_an_int_quantity_has_at_most_640_digits():
+    bound = 10 ** 640
+    assert _value(bound - 1) == (bound - 1, 1)
+    assert _value(1 - bound, None) == (1 - bound, 1)
+    for val in (bound, -bound, bound ** 2):
+        with pytest.raises(_Invalid, match=f"^{TOO_LONG}$"):
+            _value(val)
+
+
+def test_digits_joined_by_underscores_are_one_integer():
+    # int() counts the digits of 1_2_3 together, and so does the rule
+    with pytest.raises(_Invalid, match=f"^{TOO_LONG}$"):
+        _value("1_" * 640 + "1")
+    with pytest.raises(_Invalid, match=f"^{TOO_LONG}$"):
+        _value("2/" + "1_" * 640 + "1")
+    try:
+        _value("1_" * 639 + "1")
+    except _Invalid as exc:  # Fractions read no _ before Python 3.11
+        assert str(exc) != TOO_LONG
+
+
+def test_a_pair_whose_fees_sum_past_640_digits_reports_them():
+    """Two transfers that each pay a fee of 640 nines: the pair's
+    settlement has 641 digits, which str() does not render under the
+    lowest integer-string limit."""
+    raw = {
+        "horizon": 60,
+        "chains": [minimal_chain("bc1", semantic="asset-registry"),
+                   minimal_chain("bc2", semantic="asset-registry")],
+        "assets": [{"id": "a1", "chain": "bc1"}],
+        "peerings": [{"chains": ["bc1", "bc2"], "semantics": ["asset-registry"],
+                      "fee": "9" * 640}],
+        "transfers": [
+            {"id": "x1", "at": 0, "asset": "a1", "from": "bc1", "to": "bc2", "deadline": 20},
+            {"id": "x2", "at": 22, "asset": "a1", "from": "bc2", "to": "bc1", "deadline": 45}],
+    }
+    report = Simulation(parse_scenario(raw)).run()
+    assert report.passed()
+    states = {x: outcome["state"] for x, outcome in report.outcomes["transfers"].items()}
+    assert states == {"x1": "FINALIZED", "x2": "FINALIZED"}
+    assert report.settlements == {"bc1|bc2": "1" + "9" * 639 + "8"}
+
+
+def test_a_world_of_long_integers_is_rejected_not_run():
+    """Two payments chains with a 2,500-digit amount and rate and
+    4,300-digit reserves once validated and then ended the run in a
+    traceback, when the overloaded build's message rendered the hop's
+    5,000-digit amount."""
+    raw = {
+        "horizon": 20,
+        "chains": [minimal_chain("pay1", denom="usd", semantic="payments"),
+                   minimal_chain("pay2", denom="eur", semantic="payments")],
+        "connectors": [{"id": "c1", "chains": ["pay1", "pay2"],
+                        "reserves": {"eur": "9" * 4300, "usd": "9" * 4300},
+                        "rates": [{"from": "usd", "to": "eur", "rate": "7" * 2500}]}],
+        "payments": [{"id": "p1", "at": 1, "from": "pay1", "to": "pay2",
+                      "amount": "3" * 2500, "denom_in": "usd", "denom_out": "eur"}],
+    }
+    assert problems_of(raw) == [f"connectors[0].reserves: {TOO_LONG}",
+                                f"connectors[0].rates[0]: {TOO_LONG}",
+                                f"payments[0].amount: {TOO_LONG}"]
+
+
+# The exact-quantity reader before quantities were read as values: a
+# Fraction for every amount.  _value must accept what it accepts, as the
+# same number, and reject the rest with the same problem.
+_REFERENCE_RATIO = re.compile(r"[0-9]+/[0-9]+")
+_REFERENCE_EXPONENT = re.compile(r"\de", re.IGNORECASE)
+
+
+def reference_fraction(val, minimum=None) -> Fraction:
+    try:
+        if type(val) is str and val.isdigit() and val.isascii():
+            frac = Fraction(int(val))
+        elif type(val) is str and _REFERENCE_RATIO.fullmatch(val):
+            num, den = val.split("/")
+            frac = Fraction(int(num), int(den))
+        elif type(val) is int:
+            frac = Fraction(val)
+        elif type(val) is float:
+            raise _Invalid("floats are inexact; write the amount as a string")
+        elif type(val) is str and "e" in val.lower():
+            if _REFERENCE_EXPONENT.search(val):
+                raise _Invalid(f"write {val!r} without an exponent")
+            raise _Invalid(f"not a rational: {val!r}")
+        else:
+            frac = Fraction(str(val))
+    except (ValueError, ZeroDivisionError):
+        raise _Invalid(f"not a rational: {val!r}") from None
+    if minimum is not None and frac < minimum:
+        raise _Invalid(f"must be >= {minimum}, got {frac}")
+    return frac
+
+
+def reference_positive(val, minimum=None) -> Fraction:
+    frac = reference_fraction(val)
+    if frac.numerator <= 0:
+        raise _Invalid(f"must be positive, got {frac}")
+    return frac
+
+
+def _outcome(read, val, minimum):
+    try:
+        return read(val, minimum), None
+    except _Invalid as exc:
+        return None, str(exc)
+
+
+DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=5)
+EXACT_TEXT = st.one_of(
+    DIGITS,
+    st.builds("{}/{}".format, DIGITS, DIGITS),
+    st.builds("{}{}".format, st.sampled_from(["-", "+", " ", "-0", "00"]), DIGITS),
+    st.builds("{}.{}".format, DIGITS | st.just(""), DIGITS | st.just("")),
+    st.builds("{} / {} ".format, DIGITS, DIGITS),
+    st.sampled_from(["\u0661\u0662", "\u0663", "\u00b2", "\uff12/\uff13", "3/0",
+                     "0/00", "1_000", "1__0", "15E2", "e5", "free", "1.5/2", "", " "]),
+    st.text(alphabet="0123456789/.-+ _eE\u0661\u0662\u00b2", max_size=6))
+EXACT_VALUES = (EXACT_TEXT | st.integers() | st.integers(-3, 3) | st.floats()
+                | st.booleans() | st.none() | JSON_LIKE)
+
+
+@settings(ROBUSTNESS, max_examples=300)
+@given(EXACT_VALUES, st.sampled_from([None, 0, 1]))
+@example("3/0", None)
+@example("4/6", None)
+@example("\u0661\u0662", 0)
+@example(-1, 0)
+@example("0", None)
+def test_the_value_reader_agrees_with_the_reference(val, minimum):
+    for read, fraction_read, reference in ((_value, _fraction, reference_fraction),
+                                           (_positive, None, reference_positive)):
+        want, want_problem = _outcome(reference, val, minimum)
+        got, problem = _outcome(read, val, minimum)
+        assert problem == want_problem, (read.__name__, val, minimum)
+        if want is None:
+            continue
+        # a value is Fraction's normal form: equal amounts are equal pairs
+        assert type(got) is tuple and [type(x) for x in got] == [int, int], got
+        assert got[1] > 0 and math.gcd(*got) == 1, got
+        assert Fraction(*got) == want, (read.__name__, val, minimum)
+        if fraction_read is not None:
+            frac = fraction_read(val, minimum)
+            assert type(frac) is Fraction and frac == want
+
+
+def _fraction_builds(monkeypatch) -> list:
+    """The arguments of every Fraction the schema builds until
+    monkeypatch is undone."""
+    built, real = [], scenario.Fraction
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+    monkeypatch.setattr(scenario, "Fraction", counted)
+    return built
+
+
+@pytest.mark.parametrize("source", ["ilp_path", "world 3"])
+def test_a_fraction_is_built_only_for_each_quorum_and_fee(monkeypatch, source):
+    """Payment amounts, reserves and rates are read straight into the
+    value network's values, and a path's two amounts are text."""
+    raw = (yaml.safe_load((SCENARIO_DIR / f"{source}.yaml").read_text())
+           if source == "ilp_path" else world(3))
+    built = _fraction_builds(monkeypatch)
+    config = parse_scenario(raw)
+    monkeypatch.undo()
+    assert config.payments and config.connectors
+    assert len(built) == len(config.chains) + len(config.peerings), built
+    assert {type(p.amount) for p in config.payments} == {tuple}
+    sim = Simulation(config)
+    sim.run()
+    assert sim.valuenet.paths
+    for path in sim.valuenet.paths.values():
+        assert type(path.amount_in) is str and type(path.amount_out) is str

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import bundled
 from interopsim import valuenet
 from interopsim.engine import Simulation
+from interopsim.scenario import MAX_DIGITS, parse_scenario
 from interopsim.errors import AlreadyTerminal, NoRoute, Overloaded, PathExpired
 from interopsim.valuenet import Connector, Hop, PathState, ValueNetwork
 
@@ -39,9 +40,9 @@ def linear_network(ttl=50):
     denoms = {"pay1": "usd", "pay2": "eur", "pay3": "gbp"}
     connectors = [
         Connector("c1", ("pay1", "pay2"),
-                  {"eur": F(100)}, {("usd", "eur"): F("5/4")}),
+                  {"eur": V(100)}, {("usd", "eur"): V("5/4")}),
         Connector("c2", ("pay2", "pay3"),
-                  {"gbp": F(50)}, {("eur", "gbp"): F("4/5")}),
+                  {"gbp": V(50)}, {("eur", "gbp"): V("4/5")}),
     ]
     return ValueNetwork(denoms, connectors, reservation_ttl=ttl)
 
@@ -94,8 +95,8 @@ def random_network(seed):
         for x in adj:
             for y in adj:
                 if x != y and rng.random() < 0.6:
-                    rates[(denoms[x], denoms[y])] = F(1)
-        reserves = {denoms[c]: F(1000) for c in adj}
+                    rates[(denoms[x], denoms[y])] = V(1)
+        reserves = {denoms[c]: V(1000) for c in adj}
         connectors.append(Connector(f"c{i}", adj, reserves, rates))
     return ValueNetwork(denoms, connectors, reservation_ttl=50), chains
 
@@ -105,8 +106,8 @@ def diamond_network():
     each quoted both ways, with 10 of every denomination in reserve."""
     denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
     connectors = [
-        Connector(cid, (x, y), {denoms[x]: F(10), denoms[y]: F(10)},
-                  {(denoms[x], denoms[y]): F(1), (denoms[y], denoms[x]): F(1)})
+        Connector(cid, (x, y), {denoms[x]: V(10), denoms[y]: V(10)},
+                  {(denoms[x], denoms[y]): V(1), (denoms[y], denoms[x]): V(1)})
         for cid, x, y in (("cw", "a", "b"), ("cx", "b", "d"),
                           ("cy", "a", "c"), ("cz", "c", "d"))]
     return ValueNetwork(denoms, connectors, reservation_ttl=50)
@@ -140,7 +141,7 @@ def reference_conservation(net):
     delta, settled = {}, {}
     for c in net.connectors.values():
         for denom, amount in c.reserves.items():
-            delta[denom] = delta.get(denom, F(0)) - amount
+            delta[denom] = delta.get(denom, F(0)) - Fraction(*amount)
     for (_, denom), amount in net.reserves.items():
         delta[denom] = delta.get(denom, F(0)) + Fraction(*amount)
     for h in (h for p in net.paths.values() if p.state == PathState.SETTLED for h in p.hops):
@@ -171,14 +172,14 @@ class TestRouting:
     def test_diamond_tie_breaks_on_connector_sequence(self):
         denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
         mk = lambda cid, pair, rin, rout: Connector(
-            cid, pair, {rout[1]: F(1000)}, {(rin, rout[1]): F(1)}
+            cid, pair, {rout[1]: V(1000)}, {(rin, rout[1]): V(1)}
         )
         # two 2-hop routes a->b->d (via cw, cx) and a->c->d (via cy, cz)
         connectors = [
-            Connector("cw", ("a", "b"), {"db": F(10)}, {("da", "db"): F(1)}),
-            Connector("cx", ("b", "d"), {"dd": F(10)}, {("db", "dd"): F(1)}),
-            Connector("cy", ("a", "c"), {"dc": F(10)}, {("da", "dc"): F(1)}),
-            Connector("cz", ("c", "d"), {"dd": F(10)}, {("dc", "dd"): F(1)}),
+            Connector("cw", ("a", "b"), {"db": V(10)}, {("da", "db"): V(1)}),
+            Connector("cx", ("b", "d"), {"dd": V(10)}, {("db", "dd"): V(1)}),
+            Connector("cy", ("a", "c"), {"dc": V(10)}, {("da", "dc"): V(1)}),
+            Connector("cz", ("c", "d"), {"dd": V(10)}, {("dc", "dd"): V(1)}),
         ]
         net = ValueNetwork(denoms, connectors, reservation_ttl=50)
         assert net.route("a", "d") == [("cw", "b"), ("cx", "d")], \
@@ -187,9 +188,9 @@ class TestRouting:
     def test_fewest_hops_beats_smaller_connector_ids(self):
         denoms = {"a": "da", "b": "db", "d": "dd"}
         connectors = [
-            Connector("c1", ("a", "b"), {"db": F(10)}, {("da", "db"): F(1)}),
-            Connector("c2", ("b", "d"), {"dd": F(10)}, {("db", "dd"): F(1)}),
-            Connector("c9", ("a", "d"), {"dd": F(10)}, {("da", "dd"): F(1)}),
+            Connector("c1", ("a", "b"), {"db": V(10)}, {("da", "db"): V(1)}),
+            Connector("c2", ("b", "d"), {"dd": V(10)}, {("db", "dd"): V(1)}),
+            Connector("c9", ("a", "d"), {"dd": V(10)}, {("da", "dd"): V(1)}),
         ]
         net = ValueNetwork(denoms, connectors, reservation_ttl=50)
         assert net.route("a", "d") == [("c9", "d")], \
@@ -215,15 +216,15 @@ class TestRoutingTable:
         net = diamond_network()
         assert all_routes(net) == fresh
         # drain cw's db: a->b->d stays the route, and the build overloads
-        net.build_path("p1", "a", "b", F(10), "da", "db", 0)
+        net.build_path("p1", "a", "b", V(10), "da", "db", 0)
         net.settle_path("p1", 1)
         with pytest.raises(Overloaded, match="cw cannot cover"):
-            net.build_path("p2", "a", "d", F(1), "da", "dd", 2)
-        net.build_path("p3", "d", "a", F(4), "dd", "da", 2)
+            net.build_path("p2", "a", "d", V(1), "da", "dd", 2)
+        net.build_path("p3", "d", "a", V(4), "dd", "da", 2)
         net.release_path("p3", 3)
         assert all_routes(net) == fresh
         later = diamond_network()
-        later.build_path("p1", "a", "b", F(10), "da", "db", 0)
+        later.build_path("p1", "a", "b", V(10), "da", "db", 0)
         later.settle_path("p1", 1)
         assert all_routes(later) == fresh, \
             "a table filled after reserves moved must give the same routes"
@@ -240,7 +241,7 @@ class TestRoutingTable:
         net = diamond_network()
         for _ in range(2):
             all_routes(net)
-            net.build_path(f"p{len(net.paths)}", "a", "d", F(1), "da", "dd", 0)
+            net.build_path(f"p{len(net.paths)}", "a", "d", V(1), "da", "dd", 0)
         assert sorted(s for _, s in searched) == ["a", "b", "c", "d"]
         other = diamond_network()
         other.route("a", "d")
@@ -260,14 +261,14 @@ class TestRoutingTable:
 class TestReservation:
     def test_amounts_are_exact_rationals(self):
         net = linear_network()
-        path = net.build_path("p1", "pay1", "pay2", F(20), "usd", "eur", 0)
+        path = net.build_path("p1", "pay1", "pay2", V(20), "usd", "eur", 0)
         assert path.amount_out == "25" and path.hops[-1].amount_out == V(25)
         assert path.hops[0].amount_in == V(20)
         assert available(net, "c1", "eur") == F(75)
 
     def test_two_hop_compounding_is_exact(self):
         net = linear_network()
-        path = net.build_path("p1", "pay1", "pay3", F(8), "usd", "gbp", 0)
+        path = net.build_path("p1", "pay1", "pay3", V(8), "usd", "gbp", 0)
         assert [h.amount_out for h in path.hops] == [V(10), V(8)], \
             "8 usd -> 10 eur -> 8 gbp with exact rationals"
         assert path.hops == (Hop("c1", "usd", "eur", V(8), V(10)),
@@ -277,7 +278,7 @@ class TestReservation:
 
     def test_fractional_amounts_never_round(self):
         net = linear_network()
-        path = net.build_path("p1", "pay1", "pay2", F("1/3"), "usd", "eur", 0)
+        path = net.build_path("p1", "pay1", "pay2", V("1/3"), "usd", "eur", 0)
         assert path.hops[-1].amount_out == V("5/12")
         assert path.amount_out == str(Fraction(*path.hops[-1].amount_out)) == "5/12"
 
@@ -285,7 +286,7 @@ class TestReservation:
         net = linear_network()
         before = dict(net.holds)
         with pytest.raises(Overloaded, match="c1 cannot cover"):
-            net.build_path("p1", "pay1", "pay2", F(200), "usd", "eur", 0)
+            net.build_path("p1", "pay1", "pay2", V(200), "usd", "eur", 0)
         assert net.holds == before, "failed build must leave zero residue"
         assert net.paths == {}, "failed build must not register a path"
 
@@ -293,42 +294,42 @@ class TestReservation:
         net = linear_network()
         # 80 usd -> 100 eur fits c1 exactly, but 80 gbp overloads c2
         with pytest.raises(Overloaded, match="c2 cannot cover"):
-            net.build_path("p1", "pay1", "pay3", F(80), "usd", "gbp", 0)
+            net.build_path("p1", "pay1", "pay3", V(80), "usd", "gbp", 0)
         assert available(net, "c1", "eur") == F(100), \
             "the passing first hop must not stay held after the failure"
 
     def test_reject_release_retry_example(self):
         net = linear_network()
-        net.build_path("p1", "pay1", "pay2", F(70), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(70), "usd", "eur", 0)
         with pytest.raises(Overloaded):
-            net.build_path("p2", "pay1", "pay2", F(20), "usd", "eur", 1)
+            net.build_path("p2", "pay1", "pay2", V(20), "usd", "eur", 1)
         net.release_path("p1", 2)
-        path = net.build_path("p2", "pay1", "pay2", F(20), "usd", "eur", 3)
+        path = net.build_path("p2", "pay1", "pay2", V(20), "usd", "eur", 3)
         assert path.state is PathState.RESERVED, \
             "released capacity must be reusable immediately"
 
     def test_same_connector_twice_accumulates_capacity_need(self):
         denoms = {"a": "x", "b": "y", "c": "x"}
-        conn = Connector("c1", ("a", "b", "c"), {"x": F(10), "y": F(10)},
-                         {("x", "y"): F(1), ("y", "x"): F(1)})
+        conn = Connector("c1", ("a", "b", "c"), {"x": V(10), "y": V(10)},
+                         {("x", "y"): V(1), ("y", "x"): V(1)})
         net = ValueNetwork(denoms, [conn], reservation_ttl=50)
-        path = net.build_path("p1", "a", "c", F(6), "x", "x", 0)
+        path = net.build_path("p1", "a", "c", V(6), "x", "x", 0)
         assert path.route_ids() == ["c1", "c1"]
         # 6 held in y and 6 held in x; another 6-out-of-x must overload
         with pytest.raises(Overloaded):
-            net.build_path("p2", "a", "c", F(6), "x", "x", 0)
+            net.build_path("p2", "a", "c", V(6), "x", "x", 0)
 
     def test_exact_remaining_capacity_fits_and_a_thousandth_more_does_not(self):
         net = linear_network()
-        net.build_path("p1", "pay1", "pay2", F(20), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(20), "usd", "eur", 0)
         # 25 of c1's 100 eur are held; 60 usd needs the other 75 exactly,
         # and 60.0008 usd needs 1/1000 eur more
         before = dict(net.holds)
         with pytest.raises(Overloaded, match="c1 cannot cover 75001/1000 eur"):
-            net.build_path("p2", "pay1", "pay2", F("60.0008"), "usd", "eur", 0)
+            net.build_path("p2", "pay1", "pay2", V("60.0008"), "usd", "eur", 0)
         assert net.holds == before and "p2" not in net.paths, \
             "an overloaded build must leave the holds as they were"
-        net.build_path("p2", "pay1", "pay2", F(60), "usd", "eur", 0)
+        net.build_path("p2", "pay1", "pay2", V(60), "usd", "eur", 0)
         assert net.holds == {("c1", "eur"): V(100)}
         assert available(net, "c1", "eur") == 0
 
@@ -337,17 +338,17 @@ class TestReservation:
         # (the connector would offer a shorter route), so force one:
         # a -c1-> b(y) -c2-> c -c1-> d(y)
         denoms = {"a": "x", "b": "y", "c": "z", "d": "y"}
-        rates = {("x", "y"): F(1), ("y", "z"): F(1), ("z", "y"): F(1)}
+        rates = {("x", "y"): V(1), ("y", "z"): V(1), ("z", "y"): V(1)}
         net = ValueNetwork(denoms, [
-            Connector("c1", ("a", "b", "c", "d"), {"y": F(20)}, dict(rates)),
-            Connector("c2", ("b", "c"), {"z": F(20)}, dict(rates))],
+            Connector("c1", ("a", "b", "c", "d"), {"y": V(20)}, dict(rates)),
+            Connector("c2", ("b", "c"), {"z": V(20)}, dict(rates))],
             reservation_ttl=50)
         monkeypatch.setattr(net, "route", lambda s, r: [
             ("c1", "b"), ("c2", "c"), ("c1", "d")])
-        net.build_path("p1", "a", "d", F(4), "x", "y", 0)
+        net.build_path("p1", "a", "d", V(4), "x", "y", 0)
         assert net.holds == {("c1", "y"): V(8), ("c2", "z"): V(4)}
         # 8 held + 6 + 6 = 20 fits c1's y exactly
-        path = net.build_path("p2", "a", "d", F(6), "x", "y", 0)
+        path = net.build_path("p2", "a", "d", V(6), "x", "y", 0)
         assert path.route_ids() == ["c1", "c2", "c1"]
         assert net.holds == {("c1", "y"): V(20), ("c2", "z"): V(10)}
         net.release_path("p1", 1)
@@ -355,22 +356,22 @@ class TestReservation:
         before = dict(net.holds)
         # 12 held + 5 fits on the first hop, and + 5 more does not
         with pytest.raises(Overloaded, match="c1 cannot cover 5 y"):
-            net.build_path("p3", "a", "d", F(5), "x", "y", 2)
+            net.build_path("p3", "a", "d", V(5), "x", "y", 2)
         assert net.holds == before
 
     def test_build_settle_release_and_expire_make_no_fraction(self, monkeypatch):
         denoms = {"a": "da", "b": "db", "c": "dc", "d": "dd"}
         net = ValueNetwork(denoms, [
-            Connector(cid, (x, y), {denoms[y]: F(100)},
-                      {(denoms[x], denoms[y]): F(rate)})
+            Connector(cid, (x, y), {denoms[y]: V(100)},
+                      {(denoms[x], denoms[y]): V(rate)})
             for cid, x, y, rate in (("c1", "a", "b", "5/4"),
                                     ("c2", "b", "c", "4/3"),
                                     ("c3", "c", "d", "3/5"))],
             reservation_ttl=50)
-        net.build_path("p1", "a", "d", F(3), "da", "dd", 0)
-        net.build_path("p3", "a", "d", F(1), "da", "dd", 0)
+        net.build_path("p1", "a", "d", V(3), "da", "dd", 0)
+        net.build_path("p3", "a", "d", V(1), "da", "dd", 0)
         assert len(net.holds) == 3, "every hop has an open hold"
-        six = F(6)
+        six = V(6)
         ops = count_fraction_use(monkeypatch)
         path = net.build_path("p2", "a", "d", six, "da", "dd", 1)
         # every hop, hold and check is int arithmetic, and amount_out text
@@ -412,25 +413,25 @@ class TestReservation:
     def test_endpoint_denomination_must_match(self):
         net = linear_network()
         with pytest.raises(NoRoute, match="does not denominate"):
-            net.build_path("p1", "pay1", "pay2", F(5), "usd", "gbp", 0)
+            net.build_path("p1", "pay1", "pay2", V(5), "usd", "gbp", 0)
         with pytest.raises(NoRoute, match="does not denominate"):
-            net.build_path("p1", "pay1", "pay2", F(5), "eur", "eur", 0)
+            net.build_path("p1", "pay1", "pay2", V(5), "eur", "eur", 0)
 
     def test_unroutable_pair_raises(self):
         net = linear_network()
         with pytest.raises(NoRoute, match="no connector path"):
-            net.build_path("p1", "pay3", "pay1", F(5), "gbp", "usd", 0)
+            net.build_path("p1", "pay3", "pay1", V(5), "gbp", "usd", 0)
 
     def test_amount_must_be_positive(self):
         net = linear_network()
         with pytest.raises(NoRoute, match="positive"):
-            net.build_path("p1", "pay1", "pay2", F(0), "usd", "eur", 0)
+            net.build_path("p1", "pay1", "pay2", V(0), "usd", "eur", 0)
 
 
 class TestSettlement:
     def test_settle_moves_reserves_and_credits_receiver(self):
         net = linear_network()
-        net.build_path("p1", "pay1", "pay3", F(8), "usd", "gbp", 0)
+        net.build_path("p1", "pay1", "pay3", V(8), "usd", "gbp", 0)
         net.settle_path("p1", 2)
         assert net.reserves == {("c1", "eur"): V(90), ("c2", "gbp"): V(42),
                                 ("c1", "usd"): V(8), ("c2", "eur"): V(10)}
@@ -439,7 +440,7 @@ class TestSettlement:
         assert (path.receiver_chain, path.denom_out, path.hops[-1].amount_out) == \
             ("pay3", "gbp", V(8)), "the settled path credits the receiver"
         assert net.holds == {}, "settlement must consume the holds"
-        assert net.connectors["c1"].reserves == {"eur": F(100)}, \
+        assert net.connectors["c1"].reserves == {"eur": V(100)}, \
             "a connector keeps its configured reserves"
 
     def test_settled_run_conserves_every_denomination(self):
@@ -448,7 +449,7 @@ class TestSettlement:
         for i in range(30):
             amt = Fraction(rng.randint(1, 10), rng.randint(1, 4))
             try:
-                net.build_path(f"p{i}", "pay1", "pay3", amt, "usd", "gbp", i)
+                net.build_path(f"p{i}", "pay1", "pay3", V(amt), "usd", "gbp", i)
                 net.settle_path(f"p{i}", i)
             except Overloaded:
                 pass
@@ -463,7 +464,7 @@ class TestSettlement:
             for i in range(20):
                 amt = Fraction(rng.randint(1, 12), rng.randint(1, 7))
                 try:
-                    net.build_path(f"p{i}", "pay1", "pay3", amt, "usd", "gbp", i)
+                    net.build_path(f"p{i}", "pay1", "pay3", V(amt), "usd", "gbp", i)
                     net.settle_path(f"p{i}", i)
                 except Overloaded:
                     pass
@@ -478,7 +479,7 @@ class TestSettlement:
 
     def test_double_settle_rejected(self):
         net = linear_network()
-        net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(5), "usd", "eur", 0)
         net.settle_path("p1", 1)
         with pytest.raises(AlreadyTerminal, match="SETTLED"):
             net.settle_path("p1", 2)
@@ -489,15 +490,15 @@ class TestSettlement:
         """paths is the one record of the settled hops, which the
         conservation check reads, so no build may replace a path."""
         net = linear_network()
-        net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(5), "usd", "eur", 0)
         net.settle_path("p1", 1)
         with pytest.raises(AssertionError, match="duplicate path id"):
-            net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 2)
+            net.build_path("p1", "pay1", "pay2", V(5), "usd", "eur", 2)
         assert net.conservation_errors() == []
 
     def test_release_restores_availability(self):
         net = linear_network()
-        net.build_path("p1", "pay1", "pay2", F(40), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(40), "usd", "eur", 0)
         assert available(net, "c1", "eur") == F(50), \
             "40 usd at rate 5/4 holds 50 eur"
         net.release_path("p1", 1)
@@ -508,13 +509,13 @@ class TestSettlement:
 class TestExpiry:
     def test_settle_succeeds_one_tick_before_expiry(self):
         net = linear_network(ttl=10)
-        net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(5), "usd", "eur", 0)
         path = net.settle_path("p1", 9)
         assert path.state is PathState.SETTLED
 
     def test_settle_at_expiry_tick_fails_and_expires(self):
         net = linear_network(ttl=10)
-        net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(5), "usd", "eur", 0)
         with pytest.raises(PathExpired, match="expired at 10"):
             net.settle_path("p1", 10)
         assert net.paths["p1"].state is PathState.EXPIRED
@@ -523,8 +524,8 @@ class TestExpiry:
 
     def test_expire_sweep_releases_due_reservations_in_id_order(self):
         net = linear_network(ttl=5)
-        net.build_path("p2", "pay1", "pay2", F(5), "usd", "eur", 0)
-        net.build_path("p1", "pay1", "pay2", F(5), "usd", "eur", 2)
+        net.build_path("p2", "pay1", "pay2", V(5), "usd", "eur", 0)
+        net.build_path("p1", "pay1", "pay2", V(5), "usd", "eur", 2)
         assert net.expire(4) == []
         assert net.expire(5) == ["p2"]
         assert net.expire(7) == ["p1"]
@@ -543,7 +544,7 @@ class TestRandomInterleavings:
                 if op < 0.5:
                     counter += 1
                     pid = f"p{counter}"
-                    amt = F(rng.randint(1, 40))
+                    amt = V(rng.randint(1, 40))
                     try:
                         net.build_path(pid, "pay1",
                                        rng.choice(["pay2", "pay3"]), amt,
@@ -618,12 +619,12 @@ class TestCapacityBoundary:
 
     def network(self):
         return ValueNetwork({"a": "x", "b": "y"}, [
-            Connector("c1", ("a", "b"), {"y": self.RESERVE}, {("x", "y"): self.RATE})],
+            Connector("c1", ("a", "b"), {"y": V(self.RESERVE)}, {("x", "y"): V(self.RATE)})],
             reservation_ttl=50)
 
     def test_a_hold_exactly_at_the_reserve_is_accepted(self):
         net = self.network()
-        path = net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
+        path = net.build_path("p1", "a", "b", V(self.RESERVE / self.RATE), "x", "y", 0)
         assert path.hops[-1].amount_out == V(self.RESERVE)
         assert path.amount_out == str(self.RESERVE)
         assert net.holds == {("c1", "y"): V(self.RESERVE)}
@@ -634,11 +635,11 @@ class TestCapacityBoundary:
         net = self.network()
         over = (self.RESERVE + self.ABOVE) / self.RATE
         with pytest.raises(Overloaded, match="c1 cannot cover"):
-            net.build_path("p1", "a", "b", over, "x", "y", 0)
+            net.build_path("p1", "a", "b", V(over), "x", "y", 0)
         assert net.holds == {} and net.paths == {}
-        net.build_path("p1", "a", "b", self.RESERVE / self.RATE / 2, "x", "y", 0)
+        net.build_path("p1", "a", "b", V(self.RESERVE / self.RATE / 2), "x", "y", 0)
         with pytest.raises(Overloaded, match="c1 cannot cover"):
-            net.build_path("p2", "a", "b", over / 2, "x", "y", 0)
+            net.build_path("p2", "a", "b", V(over / 2), "x", "y", 0)
         assert net.holds == {("c1", "y"): V(self.RESERVE / 2)}
         with pytest.raises(AssertionError, match="hold exceeded reserve"):
             net._hold("c1", "y", V(self.RESERVE + self.ABOVE))
@@ -646,8 +647,8 @@ class TestCapacityBoundary:
     def test_a_release_down_to_exactly_zero_deletes_the_hold(self):
         net = self.network()
         third = self.RESERVE / self.RATE / 3
-        net.build_path("p1", "a", "b", third, "x", "y", 0)
-        net.build_path("p2", "a", "b", 2 * third, "x", "y", 0)
+        net.build_path("p1", "a", "b", V(third), "x", "y", 0)
+        net.build_path("p2", "a", "b", V(2 * third), "x", "y", 0)
         net.release_path("p1", 1)
         assert net.holds == {("c1", "y"): V(2 * self.RESERVE / 3)}
         net.release_path("p2", 1)
@@ -656,6 +657,70 @@ class TestCapacityBoundary:
 
     def test_a_release_below_zero_fails_its_check(self):
         net = self.network()
-        net.build_path("p1", "a", "b", self.RESERVE / self.RATE, "x", "y", 0)
+        net.build_path("p1", "a", "b", V(self.RESERVE / self.RATE), "x", "y", 0)
         with pytest.raises(AssertionError, match="negative hold"):
             net._release_hold("c1", "y", V(self.RESERVE + self.ABOVE))
+
+
+def long_product_world(hops):
+    """A line of hops + 1 payments chains, each hop quoting the rate
+    (10**639 + 1) / 10**639, whose two integers have the 640 digits the
+    schema admits.  Each hop's amount has about 640 more digits than the
+    last, while its size stays near the amount paid in.  p1 pays 1/2 and
+    settles; p2 pays 1, which the last connector's reserve of 1 cannot
+    cover."""
+    rate = f"{10 ** (MAX_DIGITS - 1) + 1}/{10 ** (MAX_DIGITS - 1)}"
+    chains = [{"id": f"pay{i}", "nodes": 3, "confirm_latency": 1,
+               "semantic": "payments", "denom": f"d{i}"} for i in range(hops + 1)]
+    connectors = [{"id": f"c{i}", "chains": [f"pay{i - 1}", f"pay{i}"],
+                   "reserves": {f"d{i}": "1" if i == hops else "100"},
+                   "rates": [{"from": f"d{i - 1}", "to": f"d{i}", "rate": rate}]}
+                  for i in range(1, hops + 1)]
+    pay = {"from": "pay0", "to": f"pay{hops}", "denom_in": "d0", "denom_out": f"d{hops}"}
+    return {"horizon": 20, "chains": chains, "connectors": connectors,
+            "payments": [{"id": "p1", "at": 0, "amount": "1/2", "settle_after": 2, **pay},
+                         {"id": "p2", "at": 1, "amount": "1", **pay}]}
+
+
+def read_digits(text):
+    """int(text) for a text of any length, read 500 digits at a time, so
+    that no interpreter limit applies."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(digits), 500):
+        part = digits[i:i + 500]
+        n = n * 10 ** len(part) + int(part)
+    return sign * n
+
+
+def test_amounts_past_the_interpreters_digit_limit_run_to_an_audited_report():
+    """Eight hops take the amounts of both payments past 4,300 digits,
+    CPython's default limit for str() of an int: rendering p1's amount
+    and p2's overload once ended the run in a ValueError."""
+    sim = Simulation(parse_scenario(long_product_world(8)))
+    report = sim.run()
+    assert report.passed(), report.failed_audits()
+    p1 = sim.valuenet.paths["p1"]
+    assert p1.state == PathState.SETTLED and "p2" not in sim.valuenet.paths
+    exact = p1.hops[-1].amount_out
+    assert exact[1] >= 10 ** 4600, "the denominator has 4,600 digits or more"
+    num, den = p1.amount_out.split("/")
+    assert (read_digits(num), read_digits(den)) == exact
+    assert p1.amount_in == "1/2"
+    assert sim.outcomes["payments"]["p1"]["amount_out"] == p1.amount_out
+    assert sim.outcomes["payments"]["p2"] == {"state": "REJECTED", "error": "Overloaded"}
+    assert report.to_json() and sim.net.log.dumps()
+    with pytest.raises(Overloaded, match="^c8 cannot cover [0-9]{4300,}/[0-9]{4300,} d8$"):
+        sim.valuenet.build_path("p3", "pay0", "pay8", (1, 1), "d0", "d8", 20)
+
+
+def test_text_renders_an_int_of_any_size():
+    ints = [0, 1, -1, 7, 10 ** 599, 10 ** 600 - 1, 10 ** 600, -10 ** 600, 10 ** 600 + 1,
+            10 ** 1200, -(10 ** 1200) - 1, 3 * 10 ** 5000 + 17]
+    for n in ints:
+        for value in ((n, 1), (n, 10 ** 700 + 3), (n, 7)):
+            if math.gcd(*value) != 1:
+                continue
+            parts = valuenet._text(value).split("/")
+            assert [read_digits(p) for p in parts] == ([n] if value[1] == 1 else list(value))
+            assert all(p == "0" or p.lstrip("-")[0] != "0" for p in parts), "a leading zero"
