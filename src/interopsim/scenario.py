@@ -110,18 +110,27 @@ def _diagnosed(val) -> Value:
         if _EXPONENT.search(val):
             raise _Invalid(f"write {val!r} without an exponent")
         raise _Invalid(f"not a rational: {val!r}")
-    # an int left here is out of bounds; a longer integer in a string
-    # is found before int(), which the interpreter may limit
-    if type(val) is int or type(val) is str and any(
-            len(num) - num.count("_") > MAX_DIGITS for num in _NUMBER.findall(val)):
-        raise _Invalid(_TOO_LONG)
+    if type(val) is int:
+        raise _Invalid(_TOO_LONG)  # an int left here is out of bounds
     try:
-        num, den = Fraction(str(val)).as_integer_ratio()
+        text = str(val)
+        if any(len(num) - num.count("_") > MAX_DIGITS for num in _NUMBER.findall(text)):
+            # found before int(), which the interpreter may limit: a text
+            # that is no rational with each integer one digit is none
+            Fraction(_NUMBER.sub(_one_digit, text))
+            raise _Invalid(_TOO_LONG)
+        num, den = Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
         raise _Invalid(f"not a rational: {val!r}") from None
     if not (-_BOUND < num < _BOUND and den < _BOUND):
         raise _Invalid(_TOO_LONG)  # a decimal's value may have more digits
     return num, den
+
+
+def _one_digit(integer: re.Match) -> str:
+    """An integer _NUMBER found, as the one digit 0 if it is zero and
+    1 if not."""
+    return "1" if any(map(int, integer.group().replace("_", ""))) else "0"
 
 
 def _fraction(val, minimum=None) -> Fraction:

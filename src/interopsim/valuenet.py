@@ -54,6 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -414,19 +415,7 @@ def _text(v: Value) -> str:
     except ValueError:
         # more digits than the interpreter renders: its limit
         # (sys.set_int_max_str_digits) is never below 640, and a route's
-        # products grow with its hops
-        return _digits(v[0]) if v[1] == 1 else f"{_digits(v[0])}/{_digits(v[1])}"
-
-
-# _digits renders an int _CHUNK digits at a time
-_CHUNK = 600
-_SPLIT = 10 ** _CHUNK
-
-
-def _digits(n: int) -> str:
-    """str(n), for an int of any size."""
-    parts, rest = [], abs(n)
-    while rest >= _SPLIT:
-        rest, low = divmod(rest, _SPLIT)
-        parts.append(f"{low:0{_CHUNK}d}")
-    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(parts))
+        # products grow with its hops.  A Decimal is built from an int's
+        # binary digits and writes an exponent-0 value as plain digits.
+        return (str(Decimal(v[0])) if v[1] == 1
+                else f"{Decimal(v[0])}/{Decimal(v[1])}")

@@ -230,6 +230,7 @@ def test_criterion_5_connector_properties():
             for denom, amount in conn.reserves.items():
                 initial[denom] = initial.get(denom, Fraction(0)) + Fraction(*amount)
         paid_in: dict[str, Fraction] = {}
+        requested: dict[str, Fraction] = {}  # each built path's amount
         next_id = 0
 
         def conserved() -> list:
@@ -261,6 +262,7 @@ def test_criterion_5_connector_properties():
                 try:
                     net.build_path(pid, src, dst, amount.as_integer_ratio(),
                                    denom_of[src], denom_of[dst], now=0)
+                    requested[pid] = amount
                 except (Overloaded, NoRoute):
                     total_failed_builds += 1
                     if net.holds != holds_before:
@@ -275,7 +277,7 @@ def test_criterion_5_connector_properties():
                 net.settle_path(pid, now=1)
                 paid = net.paths[pid]
                 paid_in[paid.denom_in] = (paid_in.get(paid.denom_in, Fraction(0))
-                                          + Fraction(*paid.hops[0].amount_in))
+                                          + requested[pid])
                 problems.extend(conserved())
             else:
                 net.release_path(rng.choice(open_paths), now=1)

@@ -616,6 +616,13 @@ BAD_INPUTS = {
     # the digit rule, each one digit past it (see DIGIT_RULE_EDGES)
     **{f"{case} of 641 digits": (edit(641), where)
        for case, (edit, where) in DIGIT_RULE_EDGES.items()},
+    # a text that is no rational stays one, however long its integers
+    "641 digits then a letter": (
+        lambda w: w["payments"][0].update(amount="1" * 641 + "x"),
+        f"payments[0].amount: not a rational: '{'1' * 641}x'"),
+    "641 digits over zero": (
+        lambda w: w["connectors"][0]["rates"][0].update(rate="2" * 641 + "/0_0"),
+        f"connectors[0].rates[0]: not a rational: '{'2' * 641}/0_0'"),
     # unit keys are <txn>/<sub>, lock:<transfer> and record:<transfer>:
     # each of these would give two units one key
     "app txn id that holds a transfer's lock key": (
