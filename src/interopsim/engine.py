@@ -83,7 +83,7 @@ A Simulation owns its layers: the net, the chains, the registries, the
 resolver, the survivor layer, the transfer engine and the value
 network.  Nothing they hold refers back to the Simulation: the
 resolver's verifier is bound to the gateway registry, and a queued
-fault phase is a partial of the module-level _fire_fault.  The net,
+fault phase calls the module-level _fire_fault.  The net,
 which the other layers hold, refers to them and to the Simulation only
 through queued actions, and finish drops the actions still queued,
 which no run executes.  So a finished world holds no reference cycle,
@@ -222,7 +222,7 @@ class Simulation:
             for item in items:
                 self.net.timer(getattr(item, id_field), item.at, fields, start, self, item)
         for pr in cfg.probes:
-            self.net.schedule(partial(Simulation._start_probe, self, pr), pr.at)
+            self.net.schedule(pr.at, Simulation._start_probe, self, pr)
 
     # -- workload actions ----------------------------------------------
 
@@ -482,9 +482,9 @@ def schedule_faults(net: SimNet, chains: dict[str, BlockchainSystem],
     active: dict[str, FaultCfg] = {}  # the faults active now, by id
     state = (net, chains, registry, by_id, active)
     for f in faults:
-        net.schedule(partial(_fire_fault, *state, f, False), f.at - net.now)
+        net.schedule(f.at - net.now, _fire_fault, *state, f, False)
         if f.until is not None:
-            net.schedule(partial(_fire_fault, *state, f, True), f.until - net.now)
+            net.schedule(f.until - net.now, _fire_fault, *state, f, True)
 
 
 def _fire_fault(net: SimNet, chains: dict[str, BlockchainSystem],

@@ -20,8 +20,9 @@ so each rule is worded once.
 Exact amounts (fees, reserves, rates, payment amounts) must be written
 as ints or strings ("2/3", "1.25"); YAML floats are rejected to keep
 the arithmetic rational.  No integer in one, as written or in its value,
-may have more than MAX_DIGITS digits.  Reserves, rates and payment
-amounts are read as the value network's values, (numerator,
+may have more than MAX_DIGITS digits, and neither may an int field's
+value (a tick, a count, the horizon, the seed).  Reserves, rates and
+payment amounts are read as the value network's values, (numerator,
 denominator) pairs of ints, and a quorum and a fee as Fractions.  The
 full schema is documented in docs/scenario_format.md.
 """
@@ -54,9 +55,20 @@ class _Invalid(Exception):
 
 # -- converters: (YAML value, minimum) -> field value, or _Invalid -----
 
+# the most digits an integer may have, in an int field or in an exact
+# quantity: the lowest integer-string limit CPython lets one set
+# (sys.set_int_max_str_digits), so that no interpreter setting changes
+# what validates, and every value read renders
+MAX_DIGITS = 640
+_BOUND = 10 ** MAX_DIGITS  # the least int of MAX_DIGITS + 1 digits
+_TOO_LONG = f"more than {MAX_DIGITS} digits in one integer"
+
+
 def _int(val, minimum=None) -> int:
     if type(val) is not int:
         raise _Invalid(f"expected integer, got {val!r}")
+    if not -_BOUND < val < _BOUND:  # before anything renders val
+        raise _Invalid(_TOO_LONG)
     if minimum is not None and val < minimum:
         raise _Invalid(f"must be >= {minimum}, got {val}")
     return val
@@ -68,12 +80,6 @@ def _str(val, minimum=None) -> str:
     return val
 
 
-# the most digits an integer of an exact quantity may have: the lowest
-# integer-string limit CPython lets one set (sys.set_int_max_str_digits),
-# so that no interpreter setting changes what validates
-MAX_DIGITS = 640
-_BOUND = 10 ** MAX_DIGITS  # the least int of MAX_DIGITS + 1 digits
-_TOO_LONG = f"more than {MAX_DIGITS} digits in one integer"
 # digits over digits that are not all zero
 _RATIO = re.compile(f"[0-9]{{1,{MAX_DIGITS}}}/(?=0*[1-9])[0-9]{{1,{MAX_DIGITS}}}")
 # an exponent, as Fraction's parser reads one: a digit, then e or E
@@ -286,13 +292,14 @@ def _nth(prefix: str):
 
 
 def _plain(kind, minimum) -> tuple:
-    """(plain, floor): a value of type plain above floor is one that kind
-    returns unchanged, which _Reader.read accepts without the call."""
+    """(plain, floor, ceiling): a value of type plain above floor, and below
+    ceiling when that is set, is one that kind returns unchanged, which
+    _Reader.read accepts without the call."""
     if kind is _str:
-        return str, ""
+        return str, "", None
     if kind is _int and minimum is not None:
-        return int, minimum - 1
-    return None, None
+        return int, minimum - 1, _BOUND
+    return None, None, None
 
 
 class Spec:
@@ -331,7 +338,10 @@ class _Reader:
 
     def __init__(self, horizon) -> None:
         self.problems: list[str] = []
-        self.horizon = horizon if type(horizon) is int else None
+        # a horizon out of _int's bounds is reported as such, and bounds
+        # no tick
+        self.horizon = (horizon if type(horizon) is int and -_BOUND < horizon < _BOUND
+                        else None)
         self.ids: dict[Any, Any] = {"node": set(), "gateway": set(),
                                     "path": {}, "peered": {}}
         self.dropped: dict[str, set[str]] = {}
@@ -384,7 +394,7 @@ class _Reader:
         before = len(problems)
         cascade = False
         vals: list = []
-        for key, kind, default, minimum, ref, tick, plain, floor in spec.fields:
+        for key, kind, default, minimum, ref, tick, plain, floor, ceiling in spec.fields:
             val = item.get(key)
             if val is None:
                 if default is _REQUIRED:
@@ -404,8 +414,9 @@ class _Reader:
                     continue
                 val = default
             try:
-                # a plain value above its floor is read as is (see _plain)
-                if type(val) is not plain or val <= floor:
+                # a plain value within its bounds is read as is (see _plain)
+                if (type(val) is not plain or val <= floor
+                        or ceiling is not None and val >= ceiling):
                     if type(kind) is Spec:
                         val = self.items(val, _at(path, key), kind, minimum, vals)
                     else:

@@ -9,20 +9,19 @@ Determinism contract, checked by the test suite:
   * the event log is byte-identical across runs of the same scenario
     and seed.
 
-The queue holds bare (tick, seq, action) entries, and schedule is the
-only way onto it.  An entry means nothing to the queue: timers and
-deliveries are actions that log their own record when they run.  Each
-queued action is one partial of a plain function over the action's own
-arguments, never a bound method or a partial inside a partial, so an
-entry adds three objects for the cyclic GC to track: its tuple, the
-partial and the tuple of its arguments.  A timer is a partial of _fire
-over (net, subject, fields, action, *args); it logs kind=timer with
-fields and then calls action(*args).  A delivery is a partial of
-_deliver over (net, subject, fields, src, dst, action, *args), with src
-None for a local delivery.  It is judged when it runs: one into or out
-of a partitioned chain, or across a cut link, is dropped silently,
-logging kind=drop and never running; otherwise it logs kind=deliver and
-calls action(*args).
+The queue holds bare (tick, seq, fn, *args) entries, and schedule is
+the only way onto it.  An entry is the call it makes: drain runs
+fn(*args), where fn is a plain function over the action's own
+arguments, never a bound method or a partial, so an entry adds one
+object for the cyclic GC to track, its tuple.  An entry means nothing
+to the queue: timers and deliveries are actions that log their own
+record when they run.  A timer is _fire over (net, subject, fields,
+action, *args); it logs kind=timer with fields and then calls
+action(*args).  A delivery is _deliver over (net, subject, fields, src,
+dst, action, *args), with src None for a local delivery.  It is judged
+when it runs: one into or out of a partitioned chain, or across a cut
+link, is dropped silently, logging kind=drop and never running;
+otherwise it logs kind=deliver and calls action(*args).
 The engine's finish empties the queue (drop_queued): what is left in
 it never runs, and it would keep the net and the layers alive in a
 reference cycle.
@@ -55,8 +54,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 
 def ledger_subject(chain: str, ref: str) -> str:
@@ -129,25 +127,26 @@ class SimNet:
         self.log = EventLog()
         self.inter_chain_latency = inter_chain_latency
         self.latency_jitter = latency_jitter
-        self._queue: list[tuple[int, int, Callable[[], None]]] = []
+        # (tick, seq, fn, *args), each the call fn(*args)
+        self._queue: list[tuple[Any, ...]] = []
         self._next_event_seq = 0
         # the chain ids partitioned now and the frozenset pairs cut now
         self.cut_off: set = set()
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, action: Callable[[], None], delay: int) -> None:
-        """Run action delay ticks from now, after every action already
+    def schedule(self, delay: int, fn: Callable[..., None], *args) -> None:
+        """Call fn(*args) delay ticks from now, after every action already
         queued for that tick."""
         assert delay >= 0, "cannot schedule into the past"
-        heapq.heappush(self._queue, (self.now + delay, self._next_event_seq, action))
+        heapq.heappush(self._queue, (self.now + delay, self._next_event_seq, fn) + args)
         self._next_event_seq += 1
 
     def timer(self, subject: str, delay: int, fields: tuple,
               action: Callable[..., None], *args) -> None:
         """Call action(*args) delay ticks from now, behind a timer record
         of fields."""
-        self.schedule(partial(_fire, self, subject, fields, action, *args), delay)
+        self.schedule(delay, _fire, self, subject, fields, action, *args)
 
     def deliver(self, src_chain: str, dst_chain: str, subject: str, fields: tuple,
                 action: Callable[..., None], *args) -> None:
@@ -157,15 +156,14 @@ class SimNet:
         delay = self.inter_chain_latency
         if self.latency_jitter:
             delay += self.rng.randint(0, self.latency_jitter)
-        self.schedule(partial(_deliver, self, subject, fields, src_chain, dst_chain,
-                              action, *args), delay)
+        self.schedule(delay, _deliver, self, subject, fields, src_chain, dst_chain,
+                      action, *args)
 
     def local_deliver(self, chain_id: str, subject: str, fields: tuple,
                       action: Callable[..., None], *args) -> None:
         """App-to-chain submission path: no transport latency, but still
         dropped silently when the chain is partitioned at execution."""
-        self.schedule(partial(_deliver, self, subject, fields, None, chain_id,
-                              action, *args), 0)
+        self.schedule(0, _deliver, self, subject, fields, None, chain_id, action, *args)
 
     # -- execution -----------------------------------------------------
 
@@ -192,7 +190,8 @@ class SimNet:
         queue = self._queue
         executed = 0
         while queue and queue[0][0] <= tick:
-            heapq.heappop(queue)[2]()
+            entry = heapq.heappop(queue)
+            entry[2](*entry[3:])
             executed += 1
         return executed
 

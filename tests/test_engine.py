@@ -3,15 +3,17 @@ checkpoints, workload outcomes, report assembly, run audits."""
 
 import copy
 import gc
+import heapq
 import json
 import pickle
 import struct
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
-from types import FunctionType, MethodType
+from types import FunctionType, MethodType, SimpleNamespace
 
 import pytest
 import yaml
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interopsim import engine as engine_mod
+from interopsim import simnet as simnet_mod
 from interopsim.chain import ENTRY_KIND_ATTESTATION, BlockchainSystem
 from interopsim.engine import Simulation, run_tick, schedule_faults
 from interopsim.errors import ValidationError
@@ -701,9 +704,9 @@ class TestEventDrivenLoop:
             calls.append(now)
             return advance(chain, now)
 
-        def counting_schedule(net, action, delay):
+        def counting_schedule(net, delay, fn, *args):
             pushes.append(delay)
-            return schedule(net, action, delay)
+            return schedule(net, delay, fn, *args)
 
         monkeypatch.setattr(TransferEngine, "step", counting_step)
         monkeypatch.setattr(BlockchainSystem, "advance_consensus", counting_advance)
@@ -833,36 +836,64 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch):
     assert all(report.passed() for report in reports)
 
 
-def _action_problems(action):
-    """How a queued action differs from one partial of a plain function
-    over plain arguments: no bound method and no partial inside it."""
-    if type(action) is not partial:
-        return [f"{action!r} is no partial"]
-    problems = []
-    if not isinstance(action.func, FunctionType):
-        problems.append(f"its func {action.func!r} is no plain function")
-    for arg in (*action.args, *action.keywords.values()):
-        if isinstance(arg, (partial, MethodType)):
-            problems.append(f"{action.func.__name__} holds {arg!r}")
-    return problems
+def _entry_problems(entry):
+    """How a queue entry differs from the call it makes: an exact tuple
+    (tick, seq, fn, *args) whose fn is a plain function, with no partial
+    and no bound method among its arguments."""
+    if type(entry) is not tuple:
+        return [f"{entry!r} is no tuple"]
+    fn, *args = entry[2:]
+    if not isinstance(fn, FunctionType):
+        return [f"its fn {fn!r} is no plain function"]
+    return [f"{fn.__name__} holds {arg!r}" for arg in args
+            if isinstance(arg, (partial, MethodType))]
 
 
 @pytest.mark.parametrize("name", [*BUNDLED_SCENARIOS, "world-18"])
 def test_every_queued_action_is_one_partial_of_a_plain_function(monkeypatch, name):
-    """Each queue entry of a built world, and each action queued while it
-    runs, is one partial of a plain function: three objects for the
-    cyclic GC to track while it waits, with its tuple."""
+    """Each queue entry of a built world, and each entry queued while it
+    runs, is the call it makes: one tuple of a plain function and its
+    arguments, the one object for the cyclic GC to track while it waits."""
     config = (parse_scenario(world(18), name=name) if name == "world-18"
               else bundled(name))
-    queued = []
-    schedule = SimNet.schedule
-    monkeypatch.setattr(SimNet, "schedule", lambda net, action, delay: (
-        queued.append(action), schedule(net, action, delay)))
+    pushed = []
+
+    def heappush(queue, entry):
+        pushed.append(entry)
+        heapq.heappush(queue, entry)
+
+    monkeypatch.setattr(simnet_mod, "heapq", SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop))
     sim = Simulation(config)
-    built = [entry[2] for entry in sim.net._queue]
-    assert built and [p for action in built for p in _action_problems(action)] == []
+    built = list(sim.net._queue)
+    assert built and [p for entry in built for p in _entry_problems(entry)] == []
     sim.run()
-    assert [p for action in queued for p in _action_problems(action)] == []
+    assert len(pushed) > len(built)
+    assert [p for entry in pushed for p in _entry_problems(entry)] == []
+
+
+def test_a_built_queue_tracks_one_object_per_entry():
+    """The tuples, partials and bound methods reachable from a built
+    queue, each counted once, are one per entry, its own tuple, apart
+    from the field tuples that several entries share."""
+    sim = Simulation(parse_scenario(world(18), name="world-18"))
+    queue = sim.net._queue
+    assert sim.config.payments and queue
+    reached, objects = Counter(), {}  # by id: the entries that reach it, itself
+    for entry in queue:
+        seen, stack = {id(entry): entry}, [entry]
+        while stack:
+            for ref in gc.get_referents(stack.pop()):
+                if (type(ref) in (tuple, partial, MethodType) and gc.is_tracked(ref)
+                        and id(ref) not in seen):
+                    seen[id(ref)] = ref
+                    stack.append(ref)
+        reached.update(seen.keys())
+        objects.update(seen)
+    own = sorted(key for key, count in reached.items() if count == 1)
+    assert own == sorted(map(id, queue)), (len(own), len(queue))
+    shared = [objects[key] for key, count in reached.items() if count > 1]
+    assert all(type(obj) is tuple and not any(map(callable, obj)) for obj in shared), shared
 
 
 def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):

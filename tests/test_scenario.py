@@ -32,6 +32,7 @@ from interopsim.scenario import (
     _yaml,
     load_scenario,
     parse_scenario,
+    with_seed,
 )
 
 from conftest import REPO_ROOT, SCENARIO_DIR
@@ -914,6 +915,15 @@ def test_the_reader_accepts_without_a_call_exactly_what_the_converter_returns(va
             assert problems == [f"{key}: {message}"], (key, val, problems)
 
 
+@pytest.mark.parametrize("val", [10 ** 640 - 1, 10 ** 640], ids=["640", "641"])
+def test_the_reader_calls_int_exactly_past_the_digit_rule(val):
+    """The reader's passing test for an int stops where _int's digit rule
+    does: 640 digits are read as is, 641 go to _int, which words it."""
+    problems, vals, called = _read_calling("count", val)
+    assert called is (val >= 10 ** 640)
+    assert problems == ([f"count: {TOO_LONG}"] if called else [])
+
+
 # -- exact quantities ----------------------------------------------------
 
 @pytest.mark.parametrize("case", sorted(DIGIT_RULE_EDGES))
@@ -988,6 +998,50 @@ def test_a_world_of_long_integers_is_rejected_not_run():
     assert problems_of(raw) == [f"connectors[0].reserves: {TOO_LONG}",
                                 f"connectors[0].rates[0]: {TOO_LONG}",
                                 f"payments[0].amount: {TOO_LONG}"]
+
+
+# Each edit(raw, val) writes val into one int field of full_world, which
+# reports it at where.
+LONG_INT_FIELDS = {
+    "probe at": (lambda w, val: w["probes"][0].update(at=val), "probes[0].at"),
+    "horizon": (lambda w, val: w.update(horizon=val), "horizon"),
+    "nodes": (lambda w, val: w["chains"][0].update(nodes=val), "chains[0].nodes"),
+}
+LONG_INTS = [10 ** 640, -10 ** 640, 10 ** 5000, -10 ** 5000]
+LONG_INT_DIGITS = ["641", "-641", "5001", "-5001"]
+
+
+@pytest.mark.parametrize("val", LONG_INTS, ids=LONG_INT_DIGITS)
+@pytest.mark.parametrize("case", sorted(LONG_INT_FIELDS))
+def test_an_int_field_of_more_than_640_digits_is_rejected(case, val):
+    """The digit rule holds in every int field, before anything renders
+    the value: one problem, and a horizon it rejects bounds no tick."""
+    edit, where = LONG_INT_FIELDS[case]
+    raw = full_world()
+    edit(raw, val)
+    assert problems_of(raw) == [f"{where}: {TOO_LONG}"]
+
+
+@pytest.mark.parametrize("seed", LONG_INTS, ids=LONG_INT_DIGITS)
+def test_a_seed_of_more_than_640_digits_is_rejected(seed):
+    config = parse_scenario(full_world())
+    with pytest.raises(ValidationError) as err:
+        with_seed(config, seed)
+    assert err.value.problems == [f"seed: {TOO_LONG}"]
+
+
+def test_a_horizon_of_640_digits_runs_to_its_end_and_renders():
+    """A world that cannot quiesce, as a unit waits on a chain that lost
+    its quorum, runs to a 640-digit horizon, which its report renders."""
+    horizon = 10 ** 640 - 1
+    raw = {"horizon": horizon, "seed": horizon, "chains": [minimal_chain("bc1")],
+           "faults": [{"id": "f1", "kind": "node_crash", "at": 0,
+                       "nodes": ["bc1.n1", "bc1.n2"]}],
+           "app_txns": [{"id": "t1", "at": 1,
+                         "subs": [{"candidates": ["bc1"], "timeout": 3}]}]}
+    report = Simulation(parse_scenario(raw)).run()
+    assert report.passed() and report.end_tick == horizon
+    assert str(horizon) in report.to_json()
 
 
 # The exact-quantity reader before quantities were read as values: a

@@ -2,7 +2,6 @@
 log format and byte-identical determinism."""
 
 import random
-from functools import partial
 
 from interopsim import simnet
 from interopsim.engine import schedule_faults
@@ -23,7 +22,7 @@ def make_net(seed=0, inter_chain_latency=2, latency_jitter=0):
 def cut_off_at(net, tick, *targets):
     """Queue, for tick, the cut_off that the engine's fault path would
     set: targets, chain ids and frozenset pairs, and nothing else."""
-    net.schedule(partial(setattr, net, "cut_off", set(targets)), tick - net.now)
+    net.schedule(tick - net.now, setattr, net, "cut_off", set(targets))
 
 
 class TestOrdering:
@@ -148,18 +147,18 @@ class TestDeliveries:
         assert seen == [], "submission into a partitioned chain is lost"
 
     def test_a_queued_delivery_is_one_partial_of_deliver(self):
-        # one partial of the module function over the action's own
-        # arguments: no closure, no bound method, no partial inside it
+        # one tuple of the module function and the action's own
+        # arguments: no closure, no bound method, no partial
         net = make_net()
         sub = object()
         net.deliver("bc1", "bc2", "m", (("msg", "x"),), list.append, sub, 1)
         net.local_deliver("bc1", "sub", (), list.append, sub, 2)
-        local, remote = (entry[2] for entry in sorted(net._queue))
-        assert remote.func is local.func is simnet._deliver
-        assert remote.args == (net, "m", (("msg", "x"),), "bc1", "bc2", list.append, sub, 1)
-        assert local.args == (net, "sub", (), None, "bc1", list.append, sub, 2), \
-            "src None marks a local delivery"
-        assert not remote.keywords and not local.keywords
+        local, remote = sorted(net._queue)
+        assert type(local) is type(remote) is tuple
+        assert remote == (2, 0, simnet._deliver, net, "m", (("msg", "x"),), "bc1", "bc2",
+                          list.append, sub, 1)
+        assert local == (0, 1, simnet._deliver, net, "sub", (), None, "bc1",
+                         list.append, sub, 2), "src None marks a local delivery"
 
     def test_a_delivery_logs_its_route_before_its_fields(self):
         net = make_net(inter_chain_latency=0)

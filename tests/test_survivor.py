@@ -280,11 +280,12 @@ class TestValidationAndSurface:
         layer = SurvivorLayer(net, {"bc1": make_chain("bc1")})
         layer.submit_app_txn("t1", [SubTxn("s1", make_unit(), ["bc1"])])
         sub = layer.txns["t1"].subs["s1"]
-        submission, timeout = (entry[2] for entry in sorted(net._queue))
-        assert submission.func is simnet._deliver
-        assert submission.args[5:] == (SurvivorLayer._submit, layer, "bc1", sub, "t1/s1")
-        assert timeout.func is simnet._fire
-        assert timeout.args[3:] == (SurvivorLayer._on_timeout, layer, layer.txns["t1"], sub, 0)
+        submission, timeout = sorted(net._queue)
+        assert type(submission) is type(timeout) is tuple
+        assert submission[2] is simnet._deliver
+        assert submission[8:] == (SurvivorLayer._submit, layer, "bc1", sub, "t1/s1")
+        assert timeout[2] is simnet._fire
+        assert timeout[6:] == (SurvivorLayer._on_timeout, layer, layer.txns["t1"], sub, 0)
 
     def test_poll_unknown_txn_raises(self):
         layer, _ = self.layer()
