@@ -99,6 +99,7 @@ from typing import Optional
 
 from . import audit as audit_mod
 from .chain import (
+    CONSENSUS_KINDS,
     BlockchainSystem,
     Directionality,
     TransferUnit,
@@ -126,6 +127,10 @@ from .scenario import WORKLOAD_SECTIONS, FaultCfg, ScenarioConfig
 from .simnet import LogRecord, SimNet, ledger_subject
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork, _text
+
+
+# each consensus entry kind's ("confirm", kind) field; only ever read
+CONFIRM_FIELDS = {kind: ("confirm", kind) for kind in CONSENSUS_KINDS}
 
 
 def payload_digest(payload: str) -> str:
@@ -227,20 +232,21 @@ class Simulation:
     # -- workload actions ----------------------------------------------
 
     def _attempt(self, step, kind: str, subject: str, section: Optional[str] = None,
-                 state: str = "ERROR", log: tuple = ("state", "error")):
+                 state: tuple = ("state", "ERROR"), log: tuple = ("state", "error")):
         """step() with its InteropError caught: the error is logged under
-        kind and subject, in the fields log names by key (result holds the
-        error) or gives as pairs, and, for a workload section, kept as
-        subject's outcome in state.  Returns step's result, or None."""
+        kind and subject, in the fields log names by key (state is the
+        state pair, result holds the error) or gives as pairs, and, for a
+        workload section, kept as subject's outcome in state[1].  Returns
+        step's result, or None."""
         try:
             return step()
         except InteropError as exc:
             error = type(exc).__name__
             if section is not None:
-                self.outcomes[section][subject] = {"state": state, "error": error}
-            values = {"state": state, "error": error, "result": error}
+                self.outcomes[section][subject] = {"state": state[1], "error": error}
+            values = {"state": state, "error": ("error", error), "result": ("result", error)}
             self.net.record(kind, subject, *(
-                key if key.__class__ is tuple else (key, values[key]) for key in log))
+                key if key.__class__ is tuple else values[key] for key in log))
             return None
 
     def _start_app_txn(self, cfg):
@@ -251,39 +257,39 @@ class Simulation:
                                 Directionality.UNI, f"{cfg.txn_id}/{s.sub_id}")
             subs.append(SubTxn(s.sub_id, unit, list(s.candidates), s.timeout, cfg.app))
         self._attempt(lambda: self.survivor.submit_app_txn(cfg.txn_id, subs),
-                      "txn", cfg.txn_id, "app_txns", "REJECTED")
+                      "txn", cfg.txn_id, "app_txns", ("state", "REJECTED"))
 
     def _start_transfer(self, cfg):
         self._attempt(lambda: self.transfers.initiate(
             cfg.transfer_id, self.assets[cfg.asset], cfg.source, cfg.dest,
             cfg.beneficiary, cfg.deadline, self.net.now),
-            "transfer", cfg.transfer_id, "transfers", "REJECTED")
+            "transfer", cfg.transfer_id, "transfers", ("state", "REJECTED"))
 
     def _start_payment(self, cfg):
         path = self._attempt(lambda: self.valuenet.build_path(
             cfg.payment_id, cfg.source, cfg.dest, cfg.amount,
             cfg.denom_in, cfg.denom_out, self.net.now),
-            "path", cfg.payment_id, "payments", "REJECTED")
+            "path", cfg.payment_id, "payments", ("state", "REJECTED"))
         if path is None:
             return
+        # shared with the record of its settlement
+        amount_out, denom_out = ("amount_out", path.amount_out), ("denom_out", path.denom_out)
         self.net.record("path", cfg.payment_id, ("state", path.state),
                         ("route", path.route_ids()),
                         ("amount_in", path.amount_in), ("denom_in", path.denom_in),
-                        ("amount_out", path.amount_out), ("denom_out", path.denom_out),
-                        ("expiry", path.expiry_tick))
+                        amount_out, denom_out, ("expiry", path.expiry_tick))
         if cfg.settle_after is not None:
             self.net.timer(cfg.payment_id, cfg.settle_after, ("settle", "due"),
-                           Simulation._settle, self, cfg.payment_id)
+                           Simulation._settle, self, cfg.payment_id, amount_out, denom_out)
         elif cfg.release_after is not None:
             self.net.timer(cfg.payment_id, cfg.release_after, ("release", "due"),
                            Simulation._release, self, cfg.payment_id)
 
-    def _settle(self, path_id):
+    def _settle(self, path_id, amount_out, denom_out):
         path = self._attempt(lambda: self.valuenet.settle_path(path_id, self.net.now),
                              "path", path_id)
         if path is not None:
-            self.net.record("path", path_id, ("state", path.state),
-                            ("amount_out", path.amount_out), ("denom_out", path.denom_out),
+            self.net.record("path", path_id, ("state", path.state), amount_out, denom_out,
                             ("receiver", path.receiver_chain))
 
     def _release(self, path_id):
@@ -534,7 +540,7 @@ def run_tick(net: SimNet, chains: dict[str, BlockchainSystem],
         # next_confirm_tick once, after it
         for entry in chain.advance_consensus(tick):
             net.record("ledger", ledger_subject(cid, entry.local_ref),
-                       ("confirm", entry.kind),
+                       CONFIRM_FIELDS[entry.kind],
                        ("submitted", entry.submitted_tick),
                        ("nodes", len(entry.confirming_nodes)))
             survivor.on_confirmed(cid, entry)

@@ -72,7 +72,7 @@ from .errors import (
     Unreachable,
 )
 from .identity import AuthoritativePointer, cross_id_parts, prefix
-from .simnet import ledger_subject
+from .simnet import ledger_subject, share_field
 
 
 class GatewayRegistry:
@@ -349,6 +349,10 @@ class TransferState:
 
 TERMINAL_STATES = (TransferState.FINALIZED, TransferState.ABORTED)
 
+# each state's ("state", s) field, which its transfer records share
+STATE_FIELDS = {s: ("state", s) for s in (TransferState.INITIATED, TransferState.SOURCE_LOCKED,
+                TransferState.DEST_RECORDED, TransferState.VOUCHED, *TERMINAL_STATES)}
+
 
 @dataclass(slots=True)
 class CrossDomainTransfer:
@@ -362,6 +366,10 @@ class CrossDomainTransfer:
     paired_source: str
     paired_dest: str
     index: int  # its place in the engine's order
+    # its asset, src and dst log fields and its ("transfer", transfer_id)
+    # field, which all records about it share
+    route_fields: tuple
+    id_field: tuple
     state: str = TransferState.INITIATED
     record_request_sent: bool = False
     attestation_arrived: bool = False
@@ -416,14 +424,16 @@ class TransferEngine:
         self._deadlines: list[tuple[int, int, CrossDomainTransfer]] = []
         # index -> transfer, of each one to step in this tick's step phase
         self._due: dict[int, CrossDomainTransfer] = {}
+        # gateway id -> ("by", id), and threshold -> ("k", threshold)
+        self._by_fields: dict[str, tuple] = {}
+        self._k_fields: dict[int, tuple] = {}
 
     # -- helpers -------------------------------------------------------
 
     def _log(self, transfer: CrossDomainTransfer, actor: str, *extra) -> None:
-        self.net.record("transfer", transfer.transfer_id,
-                        ("state", transfer.state), ("asset", transfer.asset),
-                        ("src", transfer.source_chain), ("dst", transfer.dest_chain),
-                        ("by", actor), *extra)
+        by = self._by_fields.get(actor) or share_field(self._by_fields, "by", actor)
+        self.net.record("transfer", transfer.transfer_id, STATE_FIELDS[transfer.state],
+                        *transfer.route_fields, by, *extra)
 
     # -- initiation ----------------------------------------------------
 
@@ -453,9 +463,14 @@ class TransferEngine:
 
         src_gw = src_live[0]
         index = len(self.order)
+        srcs, dsts = self.net.src_fields, self.net.dst_fields  # deliveries log these too
+        route_fields = (("asset", asset),
+                        srcs.get(source_chain) or share_field(srcs, "src", source_chain),
+                        dsts.get(dest_chain) or share_field(dsts, "dst", dest_chain))
         transfer = CrossDomainTransfer(
             transfer_id, asset, source_chain, dest_chain, beneficiary,
-            deadline_tick, agreement.agreement_id, src_gw, dst_live[0], index)
+            deadline_tick, agreement.agreement_id, src_gw, dst_live[0], index,
+            route_fields, ("transfer", transfer_id))
         self.transfers[transfer_id] = transfer
         self.order.append(transfer_id)
         heappush(self._deadlines, (deadline_tick + 1, index, transfer))
@@ -474,7 +489,7 @@ class TransferEngine:
                             Directionality.UNI, f"lock:{transfer_id}")
         receipt = chain.submit(unit, src_gw, now, ENTRY_KIND_LOCK)
         self.net.record("ledger", ledger_subject(source_chain, receipt.local_ref),
-                        "submit", ("kind", "lock"), ("transfer", transfer_id))
+                        "submit", ("kind", "lock"), transfer.id_field)
         return transfer
 
     # -- confirmation callbacks ----------------------------------------
@@ -592,7 +607,7 @@ class TransferEngine:
     def _send_record_request(self, t: CrossDomainTransfer, now: int) -> None:
         t.record_request_sent = True
         self.net.deliver(t.source_chain, t.dest_chain, t.transfer_id,
-                         (("msg", "record-request"), ("transfer", t.transfer_id)),
+                         (("msg", "record-request"), t.id_field),
                          TransferEngine._arrive_record_request, self, t)
 
     def _arrive_record_request(self, t: CrossDomainTransfer) -> None:
@@ -604,33 +619,36 @@ class TransferEngine:
                             Directionality.BI, f"record:{t.transfer_id}", t.beneficiary)
         receipt = chain.submit(unit, t.paired_dest, now, ENTRY_KIND_RECORD)
         self.net.record("ledger", ledger_subject(t.dest_chain, receipt.local_ref),
-                        "submit", ("kind", "record"), ("transfer", t.transfer_id))
+                        "submit", ("kind", "record"), t.id_field)
 
-    def _vouch(self, t: CrossDomainTransfer, side: str, chain_id: str, key: str,
+    def _vouch(self, t: CrossDomainTransfer, side: tuple, chain_id: str, key: str,
                now: int) -> Optional[VouchAttestation]:
-        """Vouch for t's entry key on one side, append the attestation to
-        that chain's ledger and log both; None when too few gateways are
-        live to meet the threshold."""
+        """Vouch for t's entry key on one side, its ("side", name) field,
+        append the attestation to that chain's ledger and log both; None
+        when too few gateways are live to meet the threshold."""
         chain = self.chains[chain_id]
         claim = Claim(chain_id, t.asset, True, entry_digest(chain.ledger.get(chain.refs[key])))
+        k = self.vouch_thresholds[chain_id]
         try:
-            att = vouch(chain_id, self.registry, claim, self.vouch_thresholds[chain_id], now)
+            att = vouch(chain_id, self.registry, claim, k, now)
         except InsufficientGateways:
             return None
         encoded = att.serialize().hex()
         ledger_entry = chain.append_attestation(encoded, now)
         self.net.record("ledger", ledger_subject(chain_id, ledger_entry.local_ref),
-                        "append", ("kind", "attestation"), ("transfer", t.transfer_id))
-        self.net.record("vouch", t.transfer_id,
-                        ("side", side), ("k", att.threshold_k), ("att", encoded))
+                        "append", ("kind", "attestation"), t.id_field)
+        self.net.record("vouch", t.transfer_id, side,
+                        self._k_fields.get(k) or share_field(self._k_fields, "k", k),
+                        ("att", encoded))
         return att
 
     def _vouch_and_send(self, t: CrossDomainTransfer, now: int) -> None:
-        t.dest_attestation = self._vouch(t, "dest", t.dest_chain, f"record:{t.transfer_id}", now)
+        t.dest_attestation = self._vouch(t, ("side", "dest"), t.dest_chain,
+                                         f"record:{t.transfer_id}", now)
         if t.dest_attestation is None:
             return  # retried when a dest gateway comes up, until the deadline
         self.net.deliver(t.dest_chain, t.source_chain, t.transfer_id,
-                         (("msg", "attestation"), ("transfer", t.transfer_id)),
+                         (("msg", "attestation"), t.id_field),
                          TransferEngine._arrive_attestation, self, t)
 
     def _arrive_attestation(self, t: CrossDomainTransfer) -> None:
@@ -640,7 +658,8 @@ class TransferEngine:
             self._try_finalize(t, now)
 
     def _try_finalize(self, t: CrossDomainTransfer, now: int) -> None:
-        t.source_attestation = self._vouch(t, "source", t.source_chain, f"lock:{t.transfer_id}", now)
+        t.source_attestation = self._vouch(t, ("side", "source"), t.source_chain,
+                                           f"lock:{t.transfer_id}", now)
         if t.source_attestation is None:
             return  # retried when a source gateway comes up, until the deadline
         t.state = TransferState.VOUCHED
@@ -654,10 +673,10 @@ class TransferEngine:
             t.asset, t.source_chain, t.dest_chain,
             (t.source_attestation, t.dest_attestation), now)
         self.chains[t.source_chain].ledger.mark(source_ref, pointer)
+        to = ("to", t.dest_chain)
         self.net.record("ledger", ledger_subject(t.source_chain, source_ref),
-                        "mark", ("to", t.dest_chain), ("transfer", t.transfer_id))
-        self.net.record("resolver", t.asset,
-                        "rebind", ("from", t.source_chain), ("to", t.dest_chain))
+                        "mark", to, t.id_field)
+        self.net.record("resolver", t.asset, "rebind", ("from", t.source_chain), to)
         record_ref = self.chains[t.dest_chain].refs[f"record:{t.transfer_id}"]
         self.resolver.bind_existing(t.dest_chain, t.asset, record_ref)
         del self.locks[(t.source_chain, t.asset)]
@@ -686,4 +705,4 @@ class TransferEngine:
     def _void_record(self, t: CrossDomainTransfer, ref: str) -> None:
         self.chains[t.dest_chain].ledger.void(ref, self.net.now)
         self.net.record("ledger", ledger_subject(t.dest_chain, ref),
-                        "void", ("transfer", t.transfer_id))
+                        "void", t.id_field)

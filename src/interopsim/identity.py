@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Optional
 
 from .chain import slot_setters
 from .errors import InvalidProof, NotFound, StaleAuthority
+from .simnet import share_field
 
 _B32_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
 # every 10-bit value as its two base32 letters
@@ -211,12 +212,13 @@ class Resolver:
 
     def dump(self) -> list[tuple[str, tuple]]:
         """One (asset, log fields) pair per asset, sorted: home plus
-        forward history."""
-        out = []
+        forward history.  The assets of one home share its field."""
+        out, homes = [], {}
         for cid in self.assets():
             history = self._history[cid]
             hops = [f"{p.forwarded_from or '-'}>{p.home_chain}@{p.rebind_tick}"
                     for p in history]
-            out.append((cid, (("home", history[-1].home_chain),
+            home = history[-1].home_chain
+            out.append((cid, (homes.get(home) or share_field(homes, "home", home),
                               ("history", ";".join(hops)))))
         return out

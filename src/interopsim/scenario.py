@@ -64,9 +64,32 @@ _BOUND = 10 ** MAX_DIGITS  # the least int of MAX_DIGITS + 1 digits
 _TOO_LONG = f"more than {MAX_DIGITS} digits in one integer"
 
 
+def _shown(val, outer=()) -> str:
+    """val as every converter's problem shows it, so that wording a problem
+    never raises: its repr, but with each int past the digit rule, alone
+    or at any depth of lists and dicts, shown as <int of more than 640
+    digits>, and as its type's name where even that fails (a long int
+    inside another object, or nesting too deep).  outer holds the ids of
+    the lists and dicts val is inside, which repr shows as [...] or {...}."""
+    if type(val) is int and not -_BOUND < val < _BOUND:
+        return f"<int of more than {MAX_DIGITS} digits>"
+    try:
+        if type(val) is list or type(val) is dict:
+            if id(val) in outer:
+                return "[...]" if type(val) is list else "{...}"
+            outer += (id(val),)
+            if type(val) is list:
+                return f"[{', '.join([_shown(x, outer) for x in val])}]"
+            items = [f"{_shown(k, outer)}: {_shown(v, outer)}" for k, v in val.items()]
+            return "{" + ", ".join(items) + "}"
+        return repr(val)
+    except (ValueError, RecursionError):
+        return f"<{type(val).__name__}>"
+
+
 def _int(val, minimum=None) -> int:
     if type(val) is not int:
-        raise _Invalid(f"expected integer, got {val!r}")
+        raise _Invalid(f"expected integer, got {_shown(val)}")
     if not -_BOUND < val < _BOUND:  # before anything renders val
         raise _Invalid(_TOO_LONG)
     if minimum is not None and val < minimum:
@@ -76,7 +99,7 @@ def _int(val, minimum=None) -> int:
 
 def _str(val, minimum=None) -> str:
     if type(val) is not str or not val:
-        raise _Invalid(f"expected non-empty string, got {val!r}")
+        raise _Invalid(f"expected non-empty string, got {_shown(val)}")
     return val
 
 
@@ -114,8 +137,8 @@ def _diagnosed(val) -> Value:
     if type(val) is str and "e" in val.lower():
         # before Fraction, which would compute all of 1e999999999
         if _EXPONENT.search(val):
-            raise _Invalid(f"write {val!r} without an exponent")
-        raise _Invalid(f"not a rational: {val!r}")
+            raise _Invalid(f"write {_shown(val)} without an exponent")
+        raise _Invalid(f"not a rational: {_shown(val)}")
     if type(val) is int:
         raise _Invalid(_TOO_LONG)  # an int left here is out of bounds
     try:
@@ -127,7 +150,7 @@ def _diagnosed(val) -> Value:
             raise _Invalid(_TOO_LONG)
         num, den = Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
-        raise _Invalid(f"not a rational: {val!r}") from None
+        raise _Invalid(f"not a rational: {_shown(val)}") from None
     if not (-_BOUND < num < _BOUND and den < _BOUND):
         raise _Invalid(_TOO_LONG)  # a decimal's value may have more digits
     return num, den
@@ -148,7 +171,7 @@ def _enum(choices: dict):
     def choice(val, minimum=None):
         if type(val) is str and val in choices:
             return choices[val]
-        raise _Invalid(f"expected one of {sorted(choices)}, got {val!r}")
+        raise _Invalid(f"expected one of {sorted(choices)}, got {_shown(val)}")
     return choice
 
 
@@ -181,7 +204,8 @@ def _name(chars: str):
     def name(val, minimum=None) -> str:
         if type(val) is str and pattern.fullmatch(val):
             return val
-        raise _Invalid(f"expected ASCII letters, digits or any of {chars!r}, got {val!r}")
+        raise _Invalid(f"expected ASCII letters, digits or any of {chars!r}, "
+                       f"got {_shown(val)}")
     return name
 
 
@@ -221,7 +245,7 @@ def _mapping(val) -> dict:
 def _pair(val, minimum=None) -> tuple[str, str]:
     if type(val) is list and len(val) == 2 and val[0] != val[1]:
         return _str(val[0]), _str(val[1])
-    raise _Invalid(f"expected two distinct chain ids, got {val!r}")
+    raise _Invalid(f"expected two distinct chain ids, got {_shown(val)}")
 
 
 def _amounts(val, minimum=None) -> dict[str, Value]:
@@ -257,7 +281,7 @@ def _regime(val, minimum=None) -> PermissionRegime:
         if key not in _REGIME_KEYS:
             raise _Invalid("unknown key", f".{key}")
         if flag is not None and type(flag) is not bool:
-            raise _Invalid(f"expected true or false, got {flag!r}", f".{key}")
+            raise _Invalid(f"expected true or false, got {_shown(flag)}", f".{key}")
     try:
         return _shared_regime(*[val.get(key) is True for key in _REGIME_KEYS])
     except ValueError as exc:

@@ -47,6 +47,14 @@ record's subject is chain/ref, built by ledger_subject and split by
 ledger_parts and nowhere else.  Nothing parses a rendered line back:
 readers of the log, such as the audits, read the fields and the
 subject's parts.
+
+A (key, value) pair may be shared by several records, so readers
+compare fields by value, never by identity.  A recurring pair is built
+once by the layer that owns its value: the net keeps one src and one
+dst pair per chain id, a transfer holds its own, and a state has a
+constant pair.  A table that fills as a run logs (share_field) lives on
+an object of that run, never at module level.  EventLog.dumps renders
+RENDER_CHUNK records at a time, so it never holds a string per line.
 """
 
 from __future__ import annotations
@@ -55,6 +63,15 @@ import heapq
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
+
+
+RENDER_CHUNK = 1024  # records EventLog.dumps renders into one string
+
+
+def share_field(table: dict, key: str, value) -> tuple:
+    """The field (key, value), kept in table for later records to share."""
+    field = table[value] = (key, value)
+    return field
 
 
 def ledger_subject(chain: str, ref: str) -> str:
@@ -111,9 +128,11 @@ class EventLog:
         return [r.line() for r in self.records]
 
     def dumps(self) -> str:
-        """The log as text: one newline-ended string per record, built
-        without the list of bare lines that lines() returns."""
-        return "".join([f"{r.line()}\n" for r in self.records])
+        """The log as text, "".join(line + "\\n" for line in self.lines()),
+        rendered RENDER_CHUNK records at a time, so no line outlives its chunk."""
+        records = self.records
+        return "".join(["".join([f"{r.line()}\n" for r in records[i:i + RENDER_CHUNK]])
+                        for i in range(0, len(records), RENDER_CHUNK)])
 
 
 class SimNet:
@@ -132,6 +151,9 @@ class SimNet:
         self._next_event_seq = 0
         # the chain ids partitioned now and the frozenset pairs cut now
         self.cut_off: set = set()
+        # chain id -> its ("src", id) and its ("dst", id) delivery field
+        self.src_fields: dict[str, tuple] = {}
+        self.dst_fields: dict[str, tuple] = {}
 
     # -- scheduling ----------------------------------------------------
 
@@ -212,9 +234,11 @@ def _deliver(net: SimNet, subject: str, fields: tuple, src: Optional[str], dst: 
     dropped = cut_off and (dst in cut_off or src is not None and (
         src in cut_off or frozenset((src, dst)) in cut_off))
     kind = "drop" if dropped else "deliver"
+    dst_field = net.dst_fields.get(dst) or share_field(net.dst_fields, "dst", dst)
     if src is None:
-        net.record(kind, subject, ("dst", dst), *fields)
+        net.record(kind, subject, dst_field, *fields)
     else:
-        net.record(kind, subject, ("src", src), ("dst", dst), *fields)
+        src_field = net.src_fields.get(src) or share_field(net.src_fields, "src", src)
+        net.record(kind, subject, src_field, dst_field, *fields)
     if not dropped:
         action(*args)

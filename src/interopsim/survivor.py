@@ -29,7 +29,7 @@ from typing import Optional
 from .chain import TransferUnit
 from .errors import (EmptyCandidates, InteropError, NotFound, SemanticMismatch,
                      ValidationError)
-from .simnet import ledger_subject
+from .simnet import ledger_subject, share_field
 
 DEFAULT_TIMEOUT_FACTOR = 3
 
@@ -86,6 +86,7 @@ class SurvivorLayer:
         self.txns: dict[str, AppTransaction] = {}
         # idempotency key -> the app txn and sub whose unit it keys
         self._by_key: dict[str, tuple[AppTransaction, SubTxn]] = {}
+        self._fields: dict[str, tuple] = {}  # chain id -> its ("chain", id) field
 
     # -- submission ----------------------------------------------------
 
@@ -120,11 +121,12 @@ class SurvivorLayer:
         chain_id = sub.candidates[idx]
         sub.attempts += 1
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        self.net.record("txn", subject, ("attempt", idx + 1), ("chain", chain_id), "submit")
-        self.net.local_deliver(chain_id, subject, (("msg", "submit"), ("attempt", idx + 1)),
+        attempt = ("attempt", idx + 1)  # shared by the attempt's three records
+        chain = self._fields.get(chain_id) or share_field(self._fields, "chain", chain_id)
+        self.net.record("txn", subject, attempt, chain, "submit")
+        self.net.local_deliver(chain_id, subject, (("msg", "submit"), attempt),
                                SurvivorLayer._submit, self, chain_id, sub, subject)
-        self.net.timer(subject, self._timeout_for(sub, chain_id),
-                       ("timeout", ("attempt", idx + 1)),
+        self.net.timer(subject, self._timeout_for(sub, chain_id), ("timeout", attempt),
                        SurvivorLayer._on_timeout, self, txn, sub, idx)
 
     def _submit(self, chain_id: str, sub: SubTxn, subject: str) -> None:
@@ -144,8 +146,9 @@ class SurvivorLayer:
         if sub.state != TXN_PENDING or idx != sub.attempts - 1:
             return  # stale timer
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        self.net.record("txn", subject, ("attempt", idx + 1),
-                        ("chain", sub.candidates[idx]), "timeout")
+        chain_id = sub.candidates[idx]
+        chain = self._fields.get(chain_id) or share_field(self._fields, "chain", chain_id)
+        self.net.record("txn", subject, ("attempt", idx + 1), chain, "timeout")
         if idx + 1 < len(sub.candidates):
             self._start_attempt(txn, sub)
         else:
@@ -162,7 +165,8 @@ class SurvivorLayer:
         now = self.net.now
         sub.confirmations.append((chain_id, entry.local_ref, now))
         subject = f"{txn.txn_id}/{sub.sub_id}"
-        fields = ("confirmed", ("chain", chain_id), ("ref", entry.local_ref))
+        chain = self._fields.get(chain_id) or share_field(self._fields, "chain", chain_id)
+        fields = ("confirmed", chain, ("ref", entry.local_ref))
         if sub.state != TXN_PENDING:
             self.net.record("txn", subject, *fields, ("late", 1))
             return

@@ -850,7 +850,7 @@ def _entry_problems(entry):
 
 
 @pytest.mark.parametrize("name", [*BUNDLED_SCENARIOS, "world-18"])
-def test_every_queued_action_is_one_partial_of_a_plain_function(monkeypatch, name):
+def test_every_queued_action_is_one_tuple_of_a_plain_function(monkeypatch, name):
     """Each queue entry of a built world, and each entry queued while it
     runs, is the call it makes: one tuple of a plain function and its
     arguments, the one object for the cyclic GC to track while it waits."""
@@ -894,6 +894,36 @@ def test_a_built_queue_tracks_one_object_per_entry():
     assert own == sorted(map(id, queue)), (len(own), len(queue))
     shared = [objects[key] for key, count in reached.items() if count > 1]
     assert all(type(obj) is tuple and not any(map(callable, obj)) for obj in shared), shared
+
+
+# by record kind, the field keys whose pairs the writer builds once per
+# value and hands every record that logs that value
+SHARED_KEYS = {
+    "transfer": {"state", "asset", "src", "dst", "by"},
+    "deliver": {"src", "dst", "msg", "transfer"},
+    "drop": {"src", "dst", "msg", "transfer"},
+    "ledger": {"confirm", "transfer"},
+}
+
+
+def test_equal_log_fields_are_one_object():
+    """In a transfer-heavy world's log, equal pairs of SHARED_KEYS in the
+    transfer, deliver, drop and ledger records are one object, and the
+    log holds fewer pair objects than records."""
+    sim = Simulation(parse_scenario(dense(0, 60)))
+    sim.run()
+    records = sim.net.log.records
+    pairs, equal = set(), {}  # ids of every pair; pair -> the ids of its equals
+    for rec in records:
+        shared = SHARED_KEYS.get(rec.kind, ())
+        for field in rec.fields:
+            if field.__class__ is tuple:
+                pairs.add(id(field))
+                if field[0] in shared:
+                    equal.setdefault(field, set()).add(id(field))
+    assert set(SHARED_KEYS) <= {rec.kind for rec in records}
+    assert {pair: len(ids) for pair, ids in equal.items() if len(ids) > 1} == {}
+    assert len(pairs) < len(records), (len(pairs), len(records))
 
 
 def test_the_lock_table_holds_exactly_the_open_transfers(monkeypatch):

@@ -8,6 +8,8 @@ from interopsim.engine import schedule_faults
 from interopsim.runner import execute
 from interopsim.scenario import FaultCfg, parse_scenario
 from interopsim.simnet import (
+    RENDER_CHUNK,
+    EventLog,
     LogRecord,
     SimNet,
     ledger_parts,
@@ -146,7 +148,7 @@ class TestDeliveries:
         net.drain(0)
         assert seen == [], "submission into a partitioned chain is lost"
 
-    def test_a_queued_delivery_is_one_partial_of_deliver(self):
+    def test_a_queued_delivery_is_one_tuple_of_deliver(self):
         # one tuple of the module function and the action's own
         # arguments: no closure, no bound method, no partial
         net = make_net()
@@ -213,6 +215,15 @@ class TestLogFormat:
         log = net.log
         assert log.dumps() == "3 0 ledger bc1/e1 confirm=unit\n4 1 k s\n"
         assert log.dumps() == "".join(line + "\n" for line in log.lines())
+
+    def test_dumps_renders_a_log_of_several_chunks_and_an_empty_log(self):
+        net = make_net()
+        for i in range(2 * RENDER_CHUNK + 1):
+            net.drain(i // 3)
+            net.record("k", f"s{i}", ("n", i), "w", ("route", ["bc1", "bc2"]))
+        log = net.log
+        assert log.dumps() == "".join(line + "\n" for line in log.lines())
+        assert EventLog().dumps() == ""
 
     def test_ledger_subject_splits_back_into_chain_and_ref(self):
         subject = ledger_subject("bc-1", "e12")

@@ -275,7 +275,7 @@ class TestValidationAndSurface:
         subs = sim.survivor.audit("t1")
         assert subs["s1"].confirmations[0][0] == "bc2"
 
-    def test_queued_submission_and_timeout_are_single_partials(self):
+    def test_queued_submission_and_timeout_are_single_tuples(self):
         net = SimNet(0, 2, 0)
         layer = SurvivorLayer(net, {"bc1": make_chain("bc1")})
         layer.submit_app_txn("t1", [SubTxn("s1", make_unit(), ["bc1"])])
