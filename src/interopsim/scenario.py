@@ -25,6 +25,10 @@ value (a tick, a count, the horizon, the seed).  Reserves, rates and
 payment amounts are read as the value network's values, (numerator,
 denominator) pairs of ints, and a quorum and a fee as Fractions.  The
 full schema is documented in docs/scenario_format.md.
+
+Only reading a scenario file imports PyYAML: load_scenario does, on its
+first call, and parse_scenario never does, so a run from a mapping
+neither loads nor needs it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Any, Optional
-
-import yaml
 
 from .chain import (LOCAL_REF, NODE_ID_TAIL, SEMANTIC_TYPES, PermissionRegime,
                     chain_of, gateway_ids, node_ids)
@@ -85,6 +87,20 @@ def _shown(val, outer=()) -> str:
         return repr(val)
     except (ValueError, RecursionError):
         return f"<{type(val).__name__}>"
+
+
+def _key(key) -> str:
+    """A mapping key as a field path shows it, without raising: a str as
+    it is, an int as _shown shows it, and any other key by str() (a YAML
+    date as 2020-01-01), or as _shown shows it where str() fails."""
+    if type(key) is str:
+        return key
+    if type(key) is not int:
+        try:
+            return str(key)
+        except (ValueError, RecursionError):
+            pass
+    return _shown(key)
 
 
 def _int(val, minimum=None) -> int:
@@ -279,7 +295,7 @@ def _regime(val, minimum=None) -> PermissionRegime:
     """The four permissioning flags, each false unless set."""
     for key, flag in _mapping(val).items():
         if key not in _REGIME_KEYS:
-            raise _Invalid("unknown key", f".{key}")
+            raise _Invalid("unknown key", f".{_key(key)}")
         if flag is not None and type(flag) is not bool:
             raise _Invalid(f"expected true or false, got {_shown(flag)}", f".{key}")
     try:
@@ -351,7 +367,7 @@ def _at(path, key=None) -> str:
         path = f"{path[0]}[{path[1]}]"
     if key is None:
         return path
-    return f"{path}.{key}" if path else f"{key}"
+    return f"{path}.{_key(key)}" if path else _key(key)
 
 
 class _Reader:
@@ -412,7 +428,7 @@ class _Reader:
         if not spec.keys.issuperset(item):
             for key in item:
                 if key not in spec.keys:
-                    section = not path and "." not in str(key)
+                    section = not path and "." not in _key(key)
                     self.add(_at(path, key), "unknown section" if section else "unknown key")
         problems, ids, horizon = self.problems, self.ids, self.horizon
         before = len(problems)
@@ -744,6 +760,7 @@ def load_scenario(path) -> ScenarioConfig:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    import yaml  # here, so that a run from a mapping never loads PyYAML
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -783,11 +800,11 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     for key, val in raw.items():
         if key in ("links", "valuenet") and val is not None:
             try:
-                flat.update((f"{key}.{k}", v) for k, v in _mapping(val).items())
+                flat.update((f"{key}.{_key(k)}", v) for k, v in _mapping(val).items())
             except _Invalid as exc:
                 r.add(key, str(exc))
-        elif "." in str(key):
-            r.add(str(key), "unknown section")
+        elif "." in _key(key):
+            r.add(_key(key), "unknown section")
         else:
             flat[key] = val
     vals = r.read(flat, "", _SCENARIO)

@@ -3,6 +3,7 @@ rational-only amounts, cross-reference validation, and robustness: every
 input gives a config or a ValidationError, never another exception."""
 
 import copy
+import datetime
 import math
 import re
 import sys
@@ -510,6 +511,7 @@ def _duplicate(section):
 
 
 TOO_LONG = "more than 640 digits in one integer"
+SHOWN_LONG = "<int of more than 640 digits>"
 
 # Each edit(n) writes an exact quantity of full_world with an integer of
 # n digits, as written or in its value: at 640 digits the world is valid,
@@ -820,6 +822,8 @@ ROBUSTNESS = settings(max_examples=50, deadline=None, derandomize=True,
 # a long int where a name or a list of names goes
 @example({"horizon": 5, "chains": [{"id": 10 ** 5000}]})
 @example({"horizon": 5, "chains": [{"id": "bc1", "writers": [-10 ** 640]}]})
+# and a long int as a key
+@example({"horizon": 5, "chains": [{10 ** 5000: 1}]})
 def test_any_mapping_gives_a_config_or_a_validation_error(raw):
     try:
         parse_scenario(raw)
@@ -1042,6 +1046,33 @@ def test_a_seed_of_more_than_640_digits_is_rejected(seed):
     with pytest.raises(ValidationError) as err:
         with_seed(config, seed)
     assert err.value.problems == [f"seed: {TOO_LONG}"]
+
+
+# Each mapping has a key that is not a str at one of the places where the
+# reader turns a key into a field path; its problem shows the key as a
+# value's problem shows it, and a key YAML reads (a date) as str() does.
+KEYS = {
+    "long int at the top level": (
+        {"horizon": 5, 10 ** 5000: 1}, f"{SHOWN_LONG}: unknown section"),
+    "long int in a chain": (
+        {"horizon": 5, "chains": [{10 ** 5000: 1}]},
+        f"chains[0].{SHOWN_LONG}: unknown key"),
+    "long int in links": (
+        {"horizon": 5, "links": {10 ** 5000: 1}}, f"links.{SHOWN_LONG}: unknown key"),
+    "long int in a regime": (
+        {"horizon": 5, "chains": [minimal_chain(regime={-10 ** 640: True})]},
+        f"chains[0].regime.{SHOWN_LONG}: unknown key"),
+    "long int inside a tuple": (
+        {"horizon": 5, (10 ** 5000,): 1}, "<tuple>: unknown section"),
+    "date": ({"horizon": 5, datetime.date(2020, 1, 2): 1},
+             "2020-01-02: unknown section"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYS))
+def test_a_key_is_shown_in_its_path_without_raising(case):
+    raw, problem = KEYS[case]
+    assert problem in problems_of(raw)
 
 
 def test_a_horizon_of_640_digits_runs_to_its_end_and_renders():
