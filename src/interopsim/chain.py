@@ -224,6 +224,16 @@ def chain_of(member_id: str) -> str:
     return member_id.split(".", 1)[0]
 
 
+def has_member(chain_id: str, count: int, tail: str, member_id: str) -> bool:
+    """Whether member_id is one of the ids that node_ids (tail ".n") or
+    gateway_ids (".g") gives chain_id for count members, by its format
+    and without listing them: the index's digits are counted before
+    int() reads them."""
+    index = member_id[len(chain_id) + len(tail):]
+    return (member_id.startswith(chain_id + tail) and index.isdigit() and index.isascii()
+            and index[0] != "0" and len(index) <= len(str(count)) and int(index) <= count)
+
+
 class BlockchainSystem:
     """One autonomous system: node population, regime, ledger."""
 

@@ -104,6 +104,8 @@ from .chain import (
     Directionality,
     TransferUnit,
     chain_of,
+    gateway_ids,
+    node_ids,
 )
 from .errors import (
     GrantMismatch,
@@ -124,7 +126,7 @@ from .gateway import (
 from .identity import Resolver
 from .report import RunReport
 from .scenario import WORKLOAD_SECTIONS, FaultCfg, ScenarioConfig
-from .simnet import LogRecord, SimNet, ledger_subject
+from .simnet import LogRecord, SimNet, fire, ledger_subject
 from .survivor import SubTxn, SurvivorLayer
 from .valuenet import Connector, ValueNetwork, _text
 
@@ -172,16 +174,16 @@ class Simulation:
         cfg = self.config
         # in chain-id order, which run_tick, the adverts and the report take
         for c in sorted(cfg.chains, key=lambda c: c.chain_id):
-            gateway_ids = c.gateway_ids()
+            gids = gateway_ids(c.chain_id, c.gateways)
             # gateways operate inside their own domain
             chain = BlockchainSystem(
-                c.chain_id, c.node_ids(), c.regime,
+                c.chain_id, node_ids(c.chain_id, c.nodes), c.regime,
                 c.quorum, c.confirm_latency, c.semantic,
-                writers={*c.writers, *gateway_ids}, readers={*c.readers, *gateway_ids})
+                writers={*c.writers, *gids}, readers={*c.readers, *gids})
             self.chains[c.chain_id] = chain
             self.vouch_thresholds[c.chain_id] = c.threshold()
             self.resolver.register_chain(c.chain_id, c.path)
-            for gid in gateway_ids:
+            for gid in gids:
                 self.registry.add(gid)
         for p in cfg.peerings:
             self.peerings.establish(PeeringAgreement(
@@ -217,6 +219,9 @@ class Simulation:
         cfg = self.config
         # faults first so a fault at tick T lands before workload at T
         schedule_faults(self.net, self.chains, self.registry, cfg.faults)
+        # each start is the timer net.timer queues, queued by one call
+        net = self.net
+        schedule = net.schedule
         for items, id_field, kind, start in (
                 (cfg.app_txns, "txn_id", "app_txn", Simulation._start_app_txn),
                 (cfg.transfers, "transfer_id", "transfer", Simulation._start_transfer),
@@ -225,9 +230,9 @@ class Simulation:
                 (cfg.resolves, "resolve_id", "resolve", Simulation._start_resolve)):
             fields = ("start", ("kind", kind))
             for item in items:
-                self.net.timer(getattr(item, id_field), item.at, fields, start, self, item)
+                schedule(item.at, fire, net, getattr(item, id_field), fields, start, self, item)
         for pr in cfg.probes:
-            self.net.schedule(pr.at, Simulation._start_probe, self, pr)
+            schedule(pr.at, Simulation._start_probe, self, pr)
 
     # -- workload actions ----------------------------------------------
 

@@ -6,34 +6,33 @@ resolves, probes) plus injected faults.  Validation is collecting: one
 ValidationError carries every problem found, each tagged with the field
 path that caused it.
 
-The schema is one table, built at import: each field of a *Cfg
-dataclass declares how it is read (see _yaml), and one generic pass,
-_Reader, reads every section through it.  The rules that span fields
-are each dataclass's _check.
-
-A well-formed value costs one test, and so does a passing rule: each
-tests its passing case first (a plain string or integer, an ASCII digit
-string, matching denominations), and only a value or an item that fails
-that test pays for the full check.  That check alone words the problem,
-so each rule is worded once.
+The schema is one table: each field of a *Cfg dataclass declares how it
+is read (see _yaml), and the rules that span fields are each
+dataclass's _check.  Each section's reader is built once from the table
+(_compiled) and tests each field's passing case inline: a non-empty
+string, an int within its bounds, a known id, a tick within the horizon.
+So a well-formed item pays for its own fields, and a passing rule for
+one test (an ASCII digit string, matching denominations).  Only a value
+that fails its test, or has none, goes to its field's converter and
+full check, which words every problem as the table does, so each rule
+is worded once.
 
 Exact amounts (fees, reserves, rates, payment amounts) must be written
 as ints or strings ("2/3", "1.25"); YAML floats are rejected to keep
 the arithmetic rational.  No integer in one, as written or in its value,
 may have more than MAX_DIGITS digits, and neither may an int field's
-value (a tick, a count, the horizon, the seed).  Reserves, rates and
-payment amounts are read as the value network's values, (numerator,
-denominator) pairs of ints, and a quorum and a fee as Fractions.  The
-full schema is documented in docs/scenario_format.md.
+value.  Reserves, rates and payment amounts are read as the value
+network's values, (numerator, denominator) pairs of ints, and a quorum
+and a fee as Fractions.  The full schema is in docs/scenario_format.md.
 
-Only reading a scenario file imports PyYAML: load_scenario does, on its
-first call, and parse_scenario never does, so a run from a mapping
-neither loads nor needs it.
+Only load_scenario imports PyYAML, so a run from a mapping neither
+loads nor needs it.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cache
@@ -41,7 +40,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .chain import (LOCAL_REF, NODE_ID_TAIL, SEMANTIC_TYPES, PermissionRegime,
-                    chain_of, gateway_ids, node_ids)
+                    chain_of, has_member)
 from .errors import ParseError, ValidationError
 from .gateway import MAX_THRESHOLD
 from .survivor import txn_id_problem
@@ -331,31 +330,19 @@ def _nth(prefix: str):
     return lambda n, vals, parent: f"{prefix}{n}"
 
 
-def _plain(kind, minimum) -> tuple:
-    """(plain, floor, ceiling): a value of type plain above floor, and below
-    ceiling when that is set, is one that kind returns unchanged, which
-    _Reader.read accepts without the call."""
-    if kind is _str:
-        return str, "", None
-    if kind is _int and minimum is not None:
-        return int, minimum - 1, _BOUND
-    return None, None, None
-
-
 class Spec:
     """How a dataclass is read from a mapping: its fields declared with
     _yaml, and its _check(reader, path), if any, which holds the rules
     that span fields and names a problem's field with _at(path, key).
-    As a list section, its items are named by noun
-    and have unique ids (the first field) that later fields may name."""
+    As a list section, its items are named by noun and have unique ids
+    (the first field) that later fields may name.  read is its reader."""
 
     def __init__(self, build, noun=None):
-        declared = [(f.name, f.metadata["yaml"]) for f in fields(build) if f.metadata]
-        self.fields = tuple((key or name, *rest, *_plain(rest[0], rest[2]))
-                            for name, (key, *rest) in declared)
-        self.build, self.noun = build, noun
-        self.check = getattr(build, "_check", None)
+        self.fields = tuple((key or f.name, *rest) for f in fields(build) if f.metadata
+                            for key, *rest in [f.metadata["yaml"]])
+        self.build, self.noun, self.check = build, noun, getattr(build, "_check", None)
         self.keys = frozenset(f[0] for f in self.fields)
+        self.read = _compiled(self)
 
 
 def _at(path, key=None) -> str:
@@ -370,6 +357,19 @@ def _at(path, key=None) -> str:
     return f"{path}.{_key(key)}" if path else _key(key)
 
 
+class _Members:
+    """The node or gateway ids of the chains read so far, each tested by
+    its format (has_member) and none listed."""
+
+    def __init__(self, chains: dict, tail: str, count: str) -> None:
+        self.chains, self.tail, self.count = chains, tail, count
+
+    def __contains__(self, member_id: str) -> bool:
+        chain = self.chains.get(chain_of(member_id))
+        return chain is not None and has_member(
+            chain.chain_id, getattr(chain, self.count), self.tail, member_id)
+
+
 class _Reader:
     """One validation pass: the problems found, the ids read so far by
     section noun, the ids of items dropped for a problem, and what the
@@ -378,13 +378,14 @@ class _Reader:
 
     def __init__(self, horizon) -> None:
         self.problems: list[str] = []
-        # a horizon out of _int's bounds is reported as such, and bounds
-        # no tick
+        # a horizon out of _int's bounds is reported as such, and bounds no tick
         self.horizon = (horizon if type(horizon) is int and -_BOUND < horizon < _BOUND
                         else None)
-        self.ids: dict[Any, Any] = {"node": set(), "gateway": set(),
-                                    "path": {}, "peered": {}}
-        self.dropped: dict[str, set[str]] = {}
+        self.ticks = _BOUND - 1 if self.horizon is None else self.horizon  # the latest tick
+        self.ids: dict[Any, Any] = defaultdict(dict)  # a section not read has no ids
+        self.ids.update(node=_Members(self.ids["chain"], ".n", "nodes"),
+                        gateway=_Members(self.ids["chain"], ".g", "gateways"))
+        self.dropped: dict[str, set[str]] = defaultdict(set)
 
     def add(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
@@ -394,7 +395,19 @@ class _Reader:
         goes with its chain (chain_of)."""
         if noun in ("node", "gateway"):
             noun, item_id = "chain", chain_of(item_id)
-        return item_id in self.dropped.get(noun, ())
+        return item_id in self.dropped[noun]
+
+    def stray(self, item, path, keys: frozenset) -> bool:
+        """Add the problems of an item at path that is not a mapping, or of
+        each of its keys not in keys; returns whether it is a mapping."""
+        if type(item) is not dict:
+            self.add(_at(path), f"expected mapping, got {type(item).__name__}")
+            return False
+        for key in item:
+            if key not in keys:
+                section = not path and "." not in _key(key)
+                self.add(_at(path, key), "unknown section" if section else "unknown key")
+        return True
 
     def items(self, val, path: str, spec: Spec, minimum=None, parent=None) -> list:
         """The valid items of the list section at path, built."""
@@ -404,83 +417,84 @@ class _Reader:
             self.add(path, str(exc))
             val = []
         out = []
-        seen = self.ids[spec.noun] = {}
+        seen = self.ids[spec.noun]
+        seen.clear()  # the dict _Members read; a sub-section's ids are one parent's
+        read, build, check = spec.read, spec.build, spec.check
         for i, item in enumerate(val):
             p = (path, i)  # rendered by _at only for a problem or a sub-section
-            vals = self.read(item, p, spec, i + 1, parent)
+            vals = read(self, item, p, i + 1, parent)
             if vals is None:
                 continue
             if vals[0] in seen:
                 self.add(_at(p, "id"), f"duplicate {spec.noun} id {vals[0]}")
                 continue
-            obj = seen[vals[0]] = spec.build(*vals)
-            if spec.check is not None:
-                obj._check(self, p)
+            obj = seen[vals[0]] = build(*vals)
+            if check is not None:
+                check(obj, self, p)
             out.append(obj)
         return out
 
-    def read(self, item, path, spec: Spec, n: int = 1, parent=None):
-        """The values of spec's fields in the mapping at path (see _at),
-        or None when any of them is invalid or names a dropped item."""
-        if type(item) is not dict:
-            self.add(_at(path), f"expected mapping, got {type(item).__name__}")
-            return None
-        if not spec.keys.issuperset(item):
-            for key in item:
-                if key not in spec.keys:
-                    section = not path and "." not in _key(key)
-                    self.add(_at(path, key), "unknown section" if section else "unknown key")
-        problems, ids, horizon = self.problems, self.ids, self.horizon
-        before = len(problems)
-        cascade = False
-        vals: list = []
-        for key, kind, default, minimum, ref, tick, plain, floor, ceiling in spec.fields:
-            val = item.get(key)
-            if val is None:
-                if default is _REQUIRED:
-                    self.add(_at(path, key), "missing required key")
-                    vals.append(None)
-                    continue
-                if default is None:
-                    vals.append(None)
-                    continue
-                if type(kind) is Spec and minimum is None:
-                    # an absent list section: no items, so no ids
-                    ids[kind.noun] = {}
-                    vals.append([])
-                    continue
-                if callable(default):
-                    vals.append(default(n, vals, parent))
-                    continue
-                val = default
-            try:
-                # a plain value within its bounds is read as is (see _plain)
-                if (type(val) is not plain or val <= floor
-                        or ceiling is not None and val >= ceiling):
-                    if type(kind) is Spec:
-                        val = self.items(val, _at(path, key), kind, minimum, vals)
-                    else:
-                        val = kind(val, minimum)
-                if ref is None:
-                    if tick and horizon is not None and val > horizon:
-                        noun = "tick" if key == "at" else key
-                        raise _Invalid(f"{noun} {val} beyond horizon {horizon}")
-                elif type(val) is not str or val not in ids[ref]:
-                    for x in (val,) if type(val) is str else val:
-                        if x in ids[ref]:
-                            continue
-                        if self.was_dropped(ref, x):
-                            cascade = True
-                        else:
-                            self.add(_at(path, key), f"unknown {ref} {x}")
-            except _Invalid as exc:
-                self.add(_at(path, key) + "".join(exc.args[1:]), exc.args[0])
-            vals.append(val)
-        if len(problems) == before and not cascade:
-            return vals
-        if spec.noun is not None and type(vals[0]) is str:
-            self.dropped.setdefault(spec.noun, set()).add(vals[0])
-        return None
+
+def _compiled(spec: Spec):
+    """spec's reader, read(r, item, path, n=1, parent=None): the values of
+    its fields in the mapping item at path (see _at), for the item's
+    1-based index n and its parent item's values, or None when any is
+    invalid or names a dropped item.  Its source comes from the field
+    declarations alone, never from a value read: each field's passing
+    test inline, in declaration order, and a call of its _fallback for a
+    value that fails the test or whose kind has none."""
+    env = {"KEYS": spec.keys, "NOUN": spec.noun, "_BOUND": _BOUND}
+    src = ["def read(r, item, path, n=1, parent=None):",
+           "    bad = type(item) is not dict or not KEYS.issuperset(item)",
+           "    if bad and not r.stray(item, path, KEYS):", "        return None"]
+    for i, (key, kind, absent, minimum, ref, tick) in enumerate(spec.fields):
+        v, vals = f"v{i}", ", ".join(f"v{j}" for j in range(i))
+        env[f"F{i}"] = _fallback(key, kind, absent, minimum, ref, tick)
+        test = "False"
+        if kind is _str:  # a non-empty str, one of ref's ids if it names one
+            test = f"type({v}) is str and {v}" + (f" and {v} in r.ids[{ref!r}]" if ref else "")
+        elif kind is _int and minimum is not None and ref is None:  # within its bounds
+            test = f"type({v}) is int and {minimum - 1} < {v} " + (
+                "<= r.ticks" if tick else "< _BOUND")
+        optional = f"{v} is None or " if absent is None else ""
+        src += [f"    {v} = item.get({key!r})", f"    if not ({optional}{test}):",
+                f"        {v}, b = F{i}(r, {v}, path, n, [{vals}], parent)", "        bad |= b"]
+    src += ["    if not bad:", f"        return [{', '.join(f'v{j}' for j in range(i + 1))}]",
+            "    if NOUN is not None and type(v0) is str:", "        r.dropped[NOUN].add(v0)"]
+    exec("\n".join(src), env)
+    return env["read"]
+
+
+def _fallback(key, kind, absent, minimum, ref, tick):
+    """The full reading of a field's value that fails its passing test:
+    the field's default, converter, ref and tick handling, which word
+    each problem as the table does.  Returns the value and whether its
+    item is bad: a problem added, or a dropped item named."""
+    def read(r: _Reader, val, path, n: int, vals: list, parent) -> tuple:
+        if val is None:
+            if absent is _REQUIRED:
+                r.add(_at(path, key), "missing required key")
+                return None, True
+            if callable(absent):  # None, when optional, passes its test
+                return absent(n, vals, parent), False
+            val = absent  # a YAML default, read as if written
+        before, named = len(r.problems), False
+        try:
+            if type(kind) is Spec:
+                val = r.items(val, _at(path, key), kind, minimum, vals)
+            else:
+                val = kind(val, minimum)
+            if ref is None and tick and val > r.ticks:  # only past a horizon read
+                raise _Invalid(f"{'tick' if key == 'at' else key} {val} beyond horizon {r.ticks}")
+            for x in () if ref is None else (val,) if type(val) is str else val:
+                if x not in r.ids[ref]:  # a dropped item, or a problem
+                    named = True
+                    if not r.was_dropped(ref, x):
+                        r.add(_at(path, key), f"unknown {ref} {x}")
+        except _Invalid as exc:
+            r.add(_at(path, key) + "".join(exc.args[1:]), exc.args[0])
+        return val, named or len(r.problems) > before
+    return read
 
 
 # -- the config dataclasses, each with its rules -------------------------
@@ -500,21 +514,8 @@ class ChainCfg:
     vouch_threshold: Optional[int] = _yaml(_int, minimum=1, default=None)
     denom: Optional[str] = _yaml(_str, default=None)
 
-    def __post_init__(self) -> None:
-        # derived once, for the reader's _check and the engine's build
-        self._node_ids = node_ids(self.chain_id, self.nodes)
-        self._gateway_ids = gateway_ids(self.chain_id, self.gateways)
-
     def threshold(self) -> int:
-        if self.vouch_threshold is not None:
-            return self.vouch_threshold
-        return self.gateways // 2 + 1
-
-    def node_ids(self) -> list[str]:
-        return self._node_ids
-
-    def gateway_ids(self) -> list[str]:
-        return self._gateway_ids
+        return self.gateways // 2 + 1 if self.vouch_threshold is None else self.vouch_threshold
 
     def _check(self, r: _Reader, p: tuple) -> None:
         if not 0 < self.quorum.numerator <= self.quorum.denominator:
@@ -530,8 +531,6 @@ class ChainCfg:
         owner = r.ids["path"].setdefault(path, self.chain_id)
         if owner != self.chain_id:
             r.add(_at(p, "path"), f"chain path {path} is taken by {owner}")
-        r.ids["node"].update(self._node_ids)
-        r.ids["gateway"].update(self._gateway_ids)
 
 
 @dataclass
@@ -574,7 +573,8 @@ class ConnectorCfg:
 class SubCfg:
     sub_id: str = _yaml(_str, _nth("s"), key="id")
     candidates: list[str] = _yaml(_NAMES, [], minimum=1, ref="chain")
-    payload: str = _yaml(_str, lambda n, vals, parent: f"{parent[0]}-{vals[0]}")
+    # an id that is not a str, so that the sub is dropped, renders as a key does
+    payload: str = _yaml(_str, lambda n, vals, parent: f"{_key(parent[0])}-{_key(vals[0])}")
     timeout: Optional[int] = _yaml(_int, minimum=1, default=None)
 
     def _check(self, r: _Reader, p: tuple) -> None:
@@ -668,9 +668,8 @@ class FaultCfg:
 
     def _check(self, r: _Reader, p: tuple) -> None:
         targets, named = FAULT_TARGETS[self.kind], False
-        for key, names in (("chains", self.chains), ("links", self.links),
-                           ("nodes", self.nodes), ("gateways", self.gateways),
-                           ("faults", self.faults)):
+        for key in ("chains", "links", "nodes", "gateways", "faults"):
+            names = getattr(self, key)
             if names and key in targets:
                 named = True
             elif names:
@@ -807,7 +806,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
             r.add(_key(key), "unknown section")
         else:
             flat[key] = val
-    vals = r.read(flat, "", _SCENARIO)
+    vals = _SCENARIO.read(r, flat, "")
     if r.problems:
         raise ValidationError(r.problems)
     return ScenarioConfig(name, *vals)

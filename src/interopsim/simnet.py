@@ -15,13 +15,15 @@ fn(*args), where fn is a plain function over the action's own
 arguments, never a bound method or a partial, so an entry adds one
 object for the cyclic GC to track, its tuple.  An entry means nothing
 to the queue: timers and deliveries are actions that log their own
-record when they run.  A timer is _fire over (net, subject, fields,
+record when they run.  A timer is fire over (net, subject, fields,
 action, *args); it logs kind=timer with fields and then calls
-action(*args).  A delivery is _deliver over (net, subject, fields, src,
-dst, action, *args), with src None for a local delivery.  It is judged
-when it runs: one into or out of a partitioned chain, or across a cut
-link, is dropped silently, logging kind=drop and never running;
-otherwise it logs kind=deliver and calls action(*args).
+action(*args).  timer queues one, and a caller that queues many, as the
+engine does its workload starts, may queue fire with schedule itself.
+A delivery is _deliver over (net, subject, fields, src, dst, action,
+*args), with src None for a local delivery.  It is judged when it runs:
+one into or out of a partitioned chain, or across a cut link, is
+dropped silently, logging kind=drop and never running; otherwise it
+logs kind=deliver and calls action(*args).
 The engine's finish empties the queue (drop_queued): what is left in
 it never runs, and it would keep the net and the layers alive in a
 reference cycle.
@@ -168,7 +170,7 @@ class SimNet:
               action: Callable[..., None], *args) -> None:
         """Call action(*args) delay ticks from now, behind a timer record
         of fields."""
-        self.schedule(delay, _fire, self, subject, fields, action, *args)
+        self.schedule(delay, fire, self, subject, fields, action, *args)
 
     def deliver(self, src_chain: str, dst_chain: str, subject: str, fields: tuple,
                 action: Callable[..., None], *args) -> None:
@@ -218,8 +220,8 @@ class SimNet:
         return executed
 
 
-def _fire(net: SimNet, subject: str, fields: tuple, action: Callable[..., None],
-          *args) -> None:
+def fire(net: SimNet, subject: str, fields: tuple, action: Callable[..., None],
+         *args) -> None:
     """A queued timer: log fields, then call action(*args)."""
     net.record("timer", subject, *fields)
     action(*args)

@@ -33,6 +33,7 @@ from interopsim.chain import (
     ENTRY_KIND_LOCK,
     PermissionRegime,
     SemanticType,
+    node_ids,
 )
 from interopsim.errors import NoRoute, Overloaded
 from interopsim.gateway import verify_attestation
@@ -324,13 +325,13 @@ def test_criterion_7_opacity():
     problems = []
     for name in BUNDLED_SCENARIOS:
         config = _bundled(name)
-        node_ids = [n for c in config.chains for n in c.node_ids()]
+        nodes = [n for c in config.chains for n in node_ids(c.chain_id, c.nodes)]
         _, sim = execute(config)
         for rec in sim.net.log.records:
             if rec.kind not in ("advert", "resolve", "resolver"):
                 continue
             line = rec.line()
-            for nid in node_ids:
+            for nid in nodes:
                 if nid in line:
                     problems.append(f"{name}: node id {nid} in {line!r}")
             if bare_node.search(line):

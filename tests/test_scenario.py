@@ -5,10 +5,14 @@ input gives a config or a ValidationError, never another exception."""
 import copy
 import datetime
 import math
+import os
 import re
+import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import yaml
@@ -16,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from interopsim import cli, scenario
-from interopsim.chain import PermissionRegime, SemanticType
+from interopsim.chain import PermissionRegime, SemanticType, gateway_ids, node_ids
 from interopsim.engine import Simulation
 from interopsim.errors import ParseError, ValidationError
 from interopsim.scenario import (
@@ -38,6 +42,9 @@ from interopsim.scenario import (
 
 from conftest import REPO_ROOT, SCENARIO_DIR
 from worlds import world
+
+sys.path.append(str(REPO_ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def minimal_chain(cid="bc1", **over):
@@ -77,8 +84,8 @@ class TestDefaults:
         assert c.path == "trade.bc1"
         assert c.semantic is SemanticType.GENERIC_RECORD
         assert c.regime.node_permissioned and c.regime.user_write_permissioned
-        assert c.node_ids() == ["bc1.n1", "bc1.n2", "bc1.n3"]
-        assert c.gateway_ids() == ["bc1.g1"]
+        assert node_ids(c.chain_id, c.nodes) == ["bc1.n1", "bc1.n2", "bc1.n3"]
+        assert gateway_ids(c.chain_id, c.gateways) == ["bc1.g1"]
         assert c.threshold() == 1
 
     def test_default_vouch_threshold_is_gateway_majority(self):
@@ -824,6 +831,8 @@ ROBUSTNESS = settings(max_examples=50, deadline=None, derandomize=True,
 @example({"horizon": 5, "chains": [{"id": "bc1", "writers": [-10 ** 640]}]})
 # and a long int as a key
 @example({"horizon": 5, "chains": [{10 ** 5000: 1}]})
+# a sub id that a default payload would render
+@example({"horizon": 5, "app_txns": [{"id": "t1", "subs": [{"id": 10 ** 5000}]}]})
 def test_any_mapping_gives_a_config_or_a_validation_error(raw):
     try:
         parse_scenario(raw)
@@ -903,7 +912,7 @@ def _read_calling(key, val):
     reader, outer = _Reader(None), sys.getprofile()
     sys.setprofile(profile)
     try:
-        vals = reader.read({"text": "t", "count": 1, key: val}, "", _PLAIN)
+        vals = _PLAIN.read(reader, {"text": "t", "count": 1, key: val}, "")
     finally:
         sys.setprofile(outer)
     return reader.problems, vals, bool(called)
@@ -1203,3 +1212,212 @@ def test_a_fraction_is_built_only_for_each_quorum_and_fee(monkeypatch, source):
     assert sim.valuenet.paths
     for path in sim.valuenet.paths.values():
         assert type(path.amount_in) is str and type(path.amount_out) is str
+
+
+# -- the compiled readers ------------------------------------------------
+
+def _reference_plain(kind, minimum) -> tuple:
+    """(plain, floor, ceiling): a value of type plain above floor, and
+    below ceiling when that is set, is one that kind returns unchanged."""
+    if kind is _str:
+        return str, "", None
+    if kind is _int and minimum is not None:
+        return int, minimum - 1, 10 ** scenario.MAX_DIGITS
+    return None, None, None
+
+
+def reference_read(spec, r, item, path, n=1, parent=None):
+    """The one generic reader that the compiled readers replace, kept as
+    the reference they must agree with: a loop over spec's fields that
+    interprets each field's declaration for every item."""
+    if type(item) is not dict:
+        r.add(scenario._at(path), f"expected mapping, got {type(item).__name__}")
+        return None
+    if not spec.keys.issuperset(item):
+        for key in item:
+            if key not in spec.keys:
+                section = not path and "." not in scenario._key(key)
+                r.add(scenario._at(path, key), "unknown section" if section else "unknown key")
+    problems, ids, horizon = r.problems, r.ids, r.horizon
+    before = len(problems)
+    cascade = False
+    vals: list = []
+    for key, kind, default, minimum, ref, tick in spec.fields:
+        plain, floor, ceiling = _reference_plain(kind, minimum)
+        val = item.get(key)
+        if val is None:
+            if default is scenario._REQUIRED:
+                r.add(scenario._at(path, key), "missing required key")
+                vals.append(None)
+                continue
+            if default is None:
+                vals.append(None)
+                continue
+            if type(kind) is Spec and minimum is None:
+                ids[kind.noun] = {}
+                vals.append([])
+                continue
+            if callable(default):
+                vals.append(default(n, vals, parent))
+                continue
+            val = default
+        try:
+            if (type(val) is not plain or val <= floor
+                    or ceiling is not None and val >= ceiling):
+                if type(kind) is Spec:
+                    val = r.items(val, scenario._at(path, key), kind, minimum, vals)
+                else:
+                    val = kind(val, minimum)
+            if ref is None:
+                if tick and horizon is not None and val > horizon:
+                    noun = "tick" if key == "at" else key
+                    raise _Invalid(f"{noun} {val} beyond horizon {horizon}")
+            elif type(val) is not str or val not in ids[ref]:
+                for x in (val,) if type(val) is str else val:
+                    if x in ids[ref]:
+                        continue
+                    if r.was_dropped(ref, x):
+                        cascade = True
+                    else:
+                        r.add(scenario._at(path, key), f"unknown {ref} {x}")
+        except _Invalid as exc:
+            r.add(scenario._at(path, key) + "".join(exc.args[1:]), exc.args[0])
+        vals.append(val)
+    if len(problems) == before and not cascade:
+        return vals
+    if spec.noun is not None and type(vals[0]) is str:
+        r.dropped.setdefault(spec.noun, set()).add(vals[0])
+    return None
+
+
+def _specs(spec):
+    """spec and every Spec below it."""
+    yield spec
+    for _, kind, *_ in spec.fields:
+        if type(kind) is Spec:
+            yield from _specs(kind)
+
+
+@contextmanager
+def reference_readers():
+    """Every section read by reference_read until the block ends."""
+    specs = list(_specs(_SCENARIO))
+    compiled = [spec.read for spec in specs]
+    for spec in specs:
+        spec.read = partial(reference_read, spec)
+    try:
+        yield
+    finally:
+        for spec, read in zip(specs, compiled):
+            spec.read = read
+
+
+def _read(raw):
+    """raw's config, or its problems in order."""
+    try:
+        return parse_scenario(raw)
+    except ValidationError as exc:
+        return exc.problems
+
+
+def assert_read_as_the_reference_reads(raw):
+    compiled = _read(raw)
+    with reference_readers():
+        reference = _read(raw)
+    assert type(compiled) is type(reference) and compiled == reference, (compiled, reference)
+
+
+@ROBUSTNESS
+@given(st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=3),
+                       JSON_LIKE, max_size=6) | mutated_worlds())
+def test_the_compiled_readers_read_any_mapping_as_the_reference(raw):
+    assert_read_as_the_reference_reads(raw)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS) + sorted(FALL_THROUGH))
+def test_the_compiled_readers_word_each_bad_input_as_the_reference(case):
+    edit = (BAD_INPUTS.get(case) or FALL_THROUGH[case])[0]
+    raw = full_world()
+    edit(raw)
+    assert_read_as_the_reference_reads(raw)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+def test_the_compiled_readers_read_each_bundled_scenario_as_the_reference(name):
+    assert_read_as_the_reference_reads(
+        yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", sorted(workloads.GENERATORS))
+def test_the_compiled_readers_read_each_benchmark_world_as_the_reference(workload, seed):
+    for raw in workloads.generate(workload, seed):
+        assert_read_as_the_reference_reads(raw)
+
+
+def test_targets_of_a_dropped_chain_are_silent_by_format():
+    """A node or gateway target names its chain by its format, so one of a
+    dropped chain, in range or not, adds no problem; one of an undeclared
+    chain does."""
+    raw = full_world()
+    raw["chains"][0]["regime"] = {"node": "no"}
+    raw["faults"][1]["nodes"] = ["bc1.n1", "bc1.n99", "bc9.n1"]
+    raw["faults"][2]["gateways"] = ["bc1.g9", "bc1.g1"]
+    assert problems_of(raw) == [REGIME_PROBLEM, "faults[1].nodes: unknown node bc9.n1"]
+    assert_read_as_the_reference_reads(raw)
+
+
+# targets beside full_world's bc1, which has 3 nodes and 2 gateways
+TARGETS = ["bc1.n1", "bc1.n3", "bc1.n4", "bc1.n0", "bc1.n01", "bc1.n", "bc1.n1 ", "bc1.n+1",
+           "bc1.n\u0661", "bc1.n\u00b2", "bc1.n1.5", "bc1n1", "bc1..n1", "bc1.x.n1", ".n1",
+           "bc9.n1", "bc1.g1", "bc1.g2", "bc1.g3", "bc1.g0", "bc1.n" + "9" * 640,
+           "bc1.g" + "1" * 641]
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_a_target_is_known_exactly_when_its_chain_has_that_id(target):
+    """The format check accepts exactly the ids chain.node_ids and
+    gateway_ids list, which the parse no longer builds."""
+    for i, key, noun, ids in ((1, "nodes", "node", node_ids("bc1", 3)),
+                              (2, "gateways", "gateway", gateway_ids("bc1", 2))):
+        raw = full_world()
+        raw["faults"][i][key] = [target]
+        problems = [] if target in ids else problems_of(raw)
+        assert problems == ([] if target in ids
+                            else [f"faults[{i}].{key}: unknown {noun} {target}"])
+        assert_read_as_the_reference_reads(raw)
+
+
+# a world of under 1 KB whose one chain has 639-digit node and gateway
+# counts, the second an alias of the first: validating it must cost what
+# the file holds, not what it counts
+HUGE_COUNTS = f"""horizon: 10
+chains:
+  - id: bc1
+    nodes: &count {"9" * 639}
+    gateways: *count
+    confirm_latency: 1
+    semantic: payments
+"""
+
+BOUNDED_VALIDATE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from interopsim import cli
+sys.exit(cli.main(["validate", sys.argv[1]]))
+"""
+
+
+def test_validate_of_huge_counts_is_bounded(tmp_path):
+    """Under a 1 GiB address space and in 30 s, validate gives a config or
+    exactly one problem (the default vouch threshold), and no traceback."""
+    path = tmp_path / "huge_counts.yaml"
+    path.write_text(HUGE_COUNTS, encoding="utf-8")
+    assert path.stat().st_size < 1024
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDED_VALIDATE, str(path)], capture_output=True, text=True,
+        timeout=30, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode in (0, 2), done.stderr
+    if done.returncode == 2:
+        assert "(1 problems)" in done.stderr, done.stderr

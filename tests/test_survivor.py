@@ -284,7 +284,7 @@ class TestValidationAndSurface:
         assert type(submission) is type(timeout) is tuple
         assert submission[2] is simnet._deliver
         assert submission[8:] == (SurvivorLayer._submit, layer, "bc1", sub, "t1/s1")
-        assert timeout[2] is simnet._fire
+        assert timeout[2] is simnet.fire
         assert timeout[6:] == (SurvivorLayer._on_timeout, layer, layer.txns["t1"], sub, 0)
 
     def test_poll_unknown_txn_raises(self):
